@@ -864,61 +864,6 @@ let bechamel () =
     tests;
   print_newline ()
 
-(* ==== perf trend ================================================================ *)
-
-(* `--perf-trend`: run the perf gate's pinned experiment set inline (always
-   log mode — the failing version is `dune build @perf`) and, when a
-   BENCH_perf.json baseline sits in the working directory, print the
-   regression/improvement verdict against it. *)
-let perf_trend ~quick () =
-  Report.section
-    (Printf.sprintf "perf-trend: pinned hot-path experiments%s"
-       (if quick then " (quick)" else ""));
-  let results = Perf_gate.run_all ~quick () in
-  print_string (Perf_gate.render_results results);
-  if Sys.file_exists "BENCH_perf.json" then (
-    match Perf_gate.read_file "BENCH_perf.json" with
-    | Error e -> Printf.printf "  (baseline unreadable: %s)\n" e
-    | Ok base ->
-        let v = Perf_gate.compare_results ~baseline:base ~current:results () in
-        Printf.printf "  trend vs BENCH_perf.json (tol %.0f%%, log mode):\n"
-          (100.0 *. Perf_gate.default_tol);
-        print_string (Perf_gate.render_verdict v))
-  else print_endline "  (no BENCH_perf.json in cwd; trend comparison skipped)";
-  print_newline ()
-
-(* ==== race trend ================================================================ *)
-
-(* `--race-trend`: run the FxMark suite under the race sanitizer in log
-   mode and report the shadow-map memory overhead per workload — what the
-   dynamic analysis itself costs, next to any races it logged.  (The
-   failing version is `dune build @race`.) *)
-let race_trend ~quick () =
-  Report.section
-    (Printf.sprintf "race-trend: shadow-map overhead of the race sanitizer%s"
-       (if quick then " (quick)" else ""));
-  let nthreads = if quick then 2 else 4 in
-  let ops = if quick then 12 else !fx_ops in
-  let dev_bytes = 65536 * Nvm.page_size in
-  Printf.printf "  %-8s %14s %10s %14s %10s %s\n" "" "shadow words" "sync"
-    "shadow KiB" "% of dev" "races";
-  Race.enable_auto Race.Log;
-  List.iter
-    (fun w ->
-      Race.reset_report ();
-      ignore (w.Fx.run FL.Zofs ~nthreads ~ops);
-      let r = Race.report () in
-      Race.publish_obs_gauges ();
-      Printf.printf "  %-8s %14d %10d %14.1f %9.2f%% %d\n" w.Fx.wname
-        r.Race.r_words_tracked r.Race.r_sync_words
-        (float_of_int r.Race.r_shadow_bytes /. 1024.0)
-        (100.0 *. float_of_int r.Race.r_shadow_bytes /. float_of_int dev_bytes)
-        (List.length r.Race.r_races))
-    Fx.all;
-  Race.disable_auto ();
-  Race.detach ();
-  print_newline ()
-
 (* ==== driver ==================================================================== *)
 
 let experiments =
@@ -942,7 +887,6 @@ let experiments =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let quick = List.mem "--quick" args in
   let args =
     if List.mem "--quick" args then begin
       thread_counts := [ 1; 4; 12 ];
@@ -965,26 +909,12 @@ let () =
      per experiment. *)
   let obs_on = List.mem "--obs" args in
   let json_on = List.mem "--json" args in
-  let trend_on = List.mem "--perf-trend" args in
-  let race_trend_on = List.mem "--race-trend" args in
-  let args =
-    List.filter
-      (fun a ->
-        a <> "--obs" && a <> "--json" && a <> "--perf-trend"
-        && a <> "--race-trend")
-      args
-  in
+  let args = List.filter (fun a -> a <> "--obs" && a <> "--json") args in
   if obs_on then Obs.enable ();
   if json_on then Report.json_enable ".";
-  let selected =
-    if args = [] then
-      if trend_on || race_trend_on then [] else List.map fst experiments
-    else args
-  in
+  let selected = if args = [] then List.map fst experiments else args in
   print_endline
     "ZoFS reproduction benchmark harness (simulated NVM; see DESIGN.md)";
-  if trend_on then perf_trend ~quick ();
-  if race_trend_on then race_trend ~quick ();
   List.iter
     (fun name ->
       match List.assoc_opt name experiments with

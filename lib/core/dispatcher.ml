@@ -194,9 +194,7 @@ let handle_media_fault t addr =
    is deliberately narrow — NVM faults, [Zofs_corrupt] validity-check
    failures and [Coffer_unavailable] health rejections; a genuine
    programming bug ([Failure], [Invalid_argument], ...) escapes loudly
-   instead of masquerading as EIO.  [debug_raise] lets tests see the
-   underlying exception instead. *)
-let debug_raise = ref false
+   instead of masquerading as EIO. *)
 
 let graceful t =
   t.graceful_errors <- t.graceful_errors + 1;
@@ -206,8 +204,7 @@ let protect_gen t wrap f =
   let rec run retries =
     match f () with
     | v -> v
-    | exception (Nvm.Fault { addr; kind = Nvm.Media; _ } as e) ->
-        if !debug_raise then raise e;
+    | exception Nvm.Fault { addr; kind = Nvm.Media; _ } ->
         if retries < max_op_retries && handle_media_fault t addr then begin
           Obs.cnt "retry.fault" 1;
           run (retries + 1)
@@ -216,13 +213,11 @@ let protect_gen t wrap f =
           graceful t;
           Error (wrap Errno.EIO)
         end
-    | exception ((Nvm.Fault _ | Ufs_intf.Zofs_corrupt _) as e) ->
-        if !debug_raise then raise e;
+    | exception (Nvm.Fault _ | Ufs_intf.Zofs_corrupt _) ->
         graceful t;
         Error (wrap Errno.EIO)
-    | exception (Ufs_intf.Coffer_unavailable _ as e) ->
+    | exception Ufs_intf.Coffer_unavailable _ ->
         (* The coffer is already known-bad: EIO without another repair. *)
-        if !debug_raise then raise e;
         graceful t;
         Error (wrap Errno.EIO)
     | exception Deadline.Expired _ ->

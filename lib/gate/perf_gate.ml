@@ -1,4 +1,4 @@
-(* The hot-path performance gate (DESIGN.md §14).
+(* The hot-path performance gate, `perf` (DESIGN.md §14).
 
    A pinned set of deterministic single-thread experiments exercises the
    batched µFS commit paths — append growth (the Figure 7(d) staircase),
@@ -14,9 +14,9 @@
    Everything measured is simulated and cooperatively scheduled, so two
    runs of the same binary produce byte-identical numbers; the committed
    baseline (BENCH_perf.json at the repository root) therefore encodes the
-   exact cost of every hot path, and `dune build @perf` fails when a change
-   regresses any per-op metric beyond tolerance.  Improvements are reported
-   and become the new baseline by re-running with --write-baseline. *)
+   exact cost of every hot path, and `dune build @perf` fails when any
+   number moves, in either direction.  An improvement becomes the new
+   baseline by re-running with --write-baseline. *)
 
 module V = Treasury.Vfs
 module Ft = Treasury.Fs_types
@@ -39,10 +39,6 @@ type metrics = {
 type result = { r_name : string; r_m : metrics }
 
 let per_op m total = float_of_int total /. float_of_int (max 1 m.ops)
-let ns_per_op m = per_op m m.sim_ns
-let flushes_per_op m = per_op m m.flushes
-let fences_per_op m = per_op m m.fences
-let crossings_per_op m = per_op m m.crossings
 
 (* ---- the pinned experiments ------------------------------------------- *)
 
@@ -255,202 +251,44 @@ let exp_shared_create ~nprocs ~ops_per_proc () =
       ok (V.close fs fd))
     ()
 
-let experiments ~quick =
-  let s n = if quick then n / 2 else n in
+let experiments =
   [
-    ("append", fun () -> exp_append ~ops:(s 256) ());
-    ("create", fun () -> exp_create ~ops:(s 96) ());
-    ("unlink", fun () -> exp_unlink ~ops:(s 96) ());
-    ("rename", fun () -> exp_rename ~ops:(s 96) ());
-    ("truncate", fun () -> exp_truncate ~ops:(s 48) ());
+    ("append", fun () -> exp_append ~ops:128 ());
+    ("create", fun () -> exp_create ~ops:48 ());
+    ("unlink", fun () -> exp_unlink ~ops:48 ());
+    ("rename", fun () -> exp_rename ~ops:48 ());
+    ("truncate", fun () -> exp_truncate ~ops:24 ());
     ( "shared-append-64p",
-      fun () -> exp_shared_append ~nprocs:64 ~ops_per_proc:(s 8) () );
+      fun () -> exp_shared_append ~nprocs:64 ~ops_per_proc:4 () );
     ( "shared-create-64p",
-      fun () -> exp_shared_create ~nprocs:64 ~ops_per_proc:(s 8) () );
+      fun () -> exp_shared_create ~nprocs:64 ~ops_per_proc:4 () );
   ]
 
-let run_all ~quick () =
-  List.map (fun (name, f) -> { r_name = name; r_m = f () }) (experiments ~quick)
-
-(* ---- JSON ------------------------------------------------------------- *)
-
-let num n = J.Num (float_of_int n)
-
-let metrics_to_json m =
-  J.Obj
-    [
-      ("ops", num m.ops);
-      ("sim_ns", num m.sim_ns);
-      ("flushes", num m.flushes);
-      ("redundant_flushes", num m.redundant_flushes);
-      ("fences", num m.fences);
-      ("redundant_fences", num m.redundant_fences);
-      ("crossings", num m.crossings);
-      ("enlarge_calls", num m.enlarge_calls);
-    ]
+let run_all () =
+  List.map (fun (name, f) -> { r_name = name; r_m = f () }) experiments
 
 let to_json results =
+  let metrics m =
+    [
+      ("ops", Gate.int m.ops);
+      ("sim_ns", Gate.int m.sim_ns);
+      ("flushes", Gate.int m.flushes);
+      ("redundant_flushes", Gate.int m.redundant_flushes);
+      ("fences", Gate.int m.fences);
+      ("redundant_fences", Gate.int m.redundant_fences);
+      ("crossings", Gate.int m.crossings);
+      ("enlarge_calls", Gate.int m.enlarge_calls);
+    ]
+  in
   J.Obj
     [
       ("schema", J.Str schema);
       ( "experiments",
         J.Arr
           (List.map
-             (fun r ->
-               J.Obj
-                 (("name", J.Str r.r_name)
-                 ::
-                 (match metrics_to_json r.r_m with
-                 | J.Obj fields -> fields
-                 | _ -> [])))
+             (fun r -> J.Obj (("name", J.Str r.r_name) :: metrics r.r_m))
              results) );
     ]
-
-let int_member name j =
-  match J.member name j with
-  | Some (J.Num v) -> Ok (int_of_float v)
-  | _ -> Error (Printf.sprintf "missing numeric field %S" name)
-
-let ( let* ) = Result.bind
-
-let metrics_of_json j =
-  let* ops = int_member "ops" j in
-  let* sim_ns = int_member "sim_ns" j in
-  let* flushes = int_member "flushes" j in
-  let* redundant_flushes = int_member "redundant_flushes" j in
-  let* fences = int_member "fences" j in
-  let* redundant_fences = int_member "redundant_fences" j in
-  let* crossings = int_member "crossings" j in
-  let* enlarge_calls = int_member "enlarge_calls" j in
-  Ok
-    {
-      ops;
-      sim_ns;
-      flushes;
-      redundant_flushes;
-      fences;
-      redundant_fences;
-      crossings;
-      enlarge_calls;
-    }
-
-let of_json j =
-  match J.member "schema" j with
-  | Some (J.Str s) when s = schema -> (
-      match J.member "experiments" j with
-      | Some (J.Arr items) ->
-          List.fold_left
-            (fun acc item ->
-              let* acc = acc in
-              match J.member "name" item with
-              | Some (J.Str name) ->
-                  let* m = metrics_of_json item in
-                  Ok ({ r_name = name; r_m = m } :: acc)
-              | _ -> Error "experiment without a name")
-            (Ok []) items
-          |> Result.map List.rev
-      | _ -> Error "no experiments array")
-  | Some (J.Str s) -> Error (Printf.sprintf "unknown schema %S" s)
-  | _ -> Error "missing schema"
-
-let write_file path results =
-  let oc = open_out path in
-  output_string oc (J.to_string (to_json results));
-  output_char oc '\n';
-  close_out oc
-
-let read_file path =
-  match
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with
-  | exception Sys_error e -> Error e
-  | s ->
-      let* j = J.of_string (String.trim s) in
-      of_json j
-
-(* ---- trend comparison -------------------------------------------------- *)
-
-(* Everything is deterministic, so the tolerance only absorbs incidental
-   drift (an unrelated change moving a counter by a hair) — a real
-   regression in a hot path moves per-op numbers far beyond 10%.  Only
-   increases fail; decreases are improvements worth re-baselining. *)
-let default_tol = 0.10
-
-type verdict = {
-  regressions : string list;
-  improvements : string list;
-  notes : string list;
-}
-
-let clean v = v.regressions = []
-
-(* The one tolerance rule, shared with the obs gate (bin/zofs_obs):
-   [tol] relative band plus 0.5 of absolute slop (so near-zero counters
-   don't trip on a one-event shift).  An increase beyond the band is a
-   regression; a decrease beyond it is an improvement — unless
-   [both_ways] is set (coverage dimensions: spans recorded, labelled
-   series, flight events — losing instrumentation is a regression too). *)
-let check_dim ?(tol = default_tol) ?(both_ways = false) ~name ~base ~cur
-    ~regressions ~improvements () =
-  if cur > (base *. (1.0 +. tol)) +. 0.5 then
-    regressions :=
-      Printf.sprintf "%s %.2f -> %.2f (+%.0f%%)" name base cur
-        (100.0 *. ((cur /. Float.max base 1e-9) -. 1.0))
-      :: !regressions
-  else if base > (cur *. (1.0 +. tol)) +. 0.5 then begin
-    if both_ways then
-      regressions :=
-        Printf.sprintf "%s %.2f -> %.2f (dropped beyond tolerance)" name base
-          cur
-        :: !regressions
-    else
-      improvements := Printf.sprintf "%s %.2f -> %.2f" name base cur
-        :: !improvements
-  end
-
-let compare_results ?(tol = default_tol) ~baseline ~current () =
-  let regressions = ref [] and improvements = ref [] and notes = ref [] in
-  List.iter
-    (fun b ->
-      match List.find_opt (fun c -> c.r_name = b.r_name) current with
-      | None ->
-          regressions :=
-            Printf.sprintf "%s: experiment missing from current run" b.r_name
-            :: !regressions
-      | Some c ->
-          if b.r_m.ops <> c.r_m.ops then
-            notes :=
-              Printf.sprintf "%s: ops %d -> %d (per-op comparison only)"
-                b.r_name b.r_m.ops c.r_m.ops
-              :: !notes;
-          let dim name base cur =
-            check_dim ~tol
-              ~name:(Printf.sprintf "%s: %s/op" b.r_name name)
-              ~base ~cur ~regressions ~improvements ()
-          in
-          dim "sim_ns" (ns_per_op b.r_m) (ns_per_op c.r_m);
-          dim "flushes" (flushes_per_op b.r_m) (flushes_per_op c.r_m);
-          dim "fences" (fences_per_op b.r_m) (fences_per_op c.r_m);
-          dim "crossings" (crossings_per_op b.r_m) (crossings_per_op c.r_m);
-          dim "enlarge_calls"
-            (per_op b.r_m b.r_m.enlarge_calls)
-            (per_op c.r_m c.r_m.enlarge_calls))
-    baseline;
-  List.iter
-    (fun c ->
-      if not (List.exists (fun b -> b.r_name = c.r_name) baseline) then
-        notes :=
-          Printf.sprintf "%s: new experiment (no baseline)" c.r_name :: !notes)
-    current;
-  {
-    regressions = List.rev !regressions;
-    improvements = List.rev !improvements;
-    notes = List.rev !notes;
-  }
 
 (* ---- rendering ---------------------------------------------------------- *)
 
@@ -464,16 +302,18 @@ let render_results results =
       let m = r.r_m in
       Buffer.add_string b
         (Printf.sprintf "  %-17s %6d %12.0f %10.2f %9.2f %10.3f %9d\n" r.r_name
-           m.ops (ns_per_op m) (flushes_per_op m) (fences_per_op m)
-           (crossings_per_op m) m.enlarge_calls))
+           m.ops (per_op m m.sim_ns) (per_op m m.flushes) (per_op m m.fences)
+           (per_op m m.crossings) m.enlarge_calls))
     results;
   Buffer.contents b
 
-let render_verdict v =
-  let b = Buffer.create 256 in
-  List.iter (fun s -> Buffer.add_string b ("  REGRESSION " ^ s ^ "\n")) v.regressions;
-  List.iter (fun s -> Buffer.add_string b ("  improved   " ^ s ^ "\n")) v.improvements;
-  List.iter (fun s -> Buffer.add_string b ("  note       " ^ s ^ "\n")) v.notes;
-  if v.regressions = [] && v.improvements = [] && v.notes = [] then
-    Buffer.add_string b "  no change vs baseline\n";
-  Buffer.contents b
+let gate =
+  {
+    Gate.name = "perf";
+    run =
+      (fun () ->
+        let results = run_all () in
+        print_string (render_results results);
+        (to_json results, []));
+    negatives = [];
+  }

@@ -23,10 +23,7 @@ type t = {
   kernel_depth : (int, int) Hashtbl.t;  (* tid -> nesting *)
   write_window : (int, int) Hashtbl.t;  (* tid -> nesting *)
   mutable faults : int;
-  mutable subs : (int * (trace_event -> unit)) list;  (* delivery order *)
-  mutable next_sub_id : int;
-  mutable legacy_sub : int option;  (* set_trace_hook's managed slot *)
-  mutable named : (string * int) list;  (* subscribe_named slots *)
+  trace : trace_event Nvm.Subscribers.t;
 }
 
 (* PKRU encoding, as on x86: two bits per key; bit0 = access-disable,
@@ -126,10 +123,7 @@ let create dev =
       kernel_depth = Hashtbl.create 64;
       write_window = Hashtbl.create 64;
       faults = 0;
-      subs = [];
-      next_sub_id = 0;
-      legacy_sub = None;
-      named = [];
+      trace = Nvm.Subscribers.create ();
     }
   in
   Nvm.Device.set_protection_hook dev (fun ~addr ~write -> check t ~addr ~write);
@@ -137,68 +131,12 @@ let create dev =
 
 let device t = t.dev
 
-(* Multi-subscriber trace dispatch, mirroring Nvm.Device: independent
-   analysis layers (lib/check, lib/obs) compose, and [set_trace_hook] keeps
-   its replace-semantics API as one managed subscription slot. *)
-let add_trace_subscriber t f =
-  let id = t.next_sub_id in
-  t.next_sub_id <- id + 1;
-  (* Anonymous subscribers stay ahead of the named suffix regardless of
-     registration order (same invariant as Nvm.Device). *)
-  let named_ids = List.map snd t.named in
-  let anon, named =
-    List.partition (fun (i, _) -> not (List.mem i named_ids)) t.subs
-  in
-  t.subs <- anon @ [ (id, f) ] @ named;
-  id
-
-let remove_trace_subscriber t id =
-  t.subs <- List.filter (fun (i, _) -> i <> id) t.subs
-
-let set_trace_hook t f =
-  (match t.legacy_sub with
-  | Some id -> remove_trace_subscriber t id
-  | None -> ());
-  t.legacy_sub <- Some (add_trace_subscriber t f)
-
-let clear_trace_hook t =
-  match t.legacy_sub with
-  | Some id ->
-      remove_trace_subscriber t id;
-      t.legacy_sub <- None
-  | None -> ()
-
-(* Named slots, mirroring Nvm.Device.subscribe_named: one slot per name,
-   delivery order anonymous-first then named in name order, so co-installed
-   checkers see identical event streams regardless of install order. *)
-let reorder_named t =
-  let named_ids = List.map snd t.named in
-  let anon = List.filter (fun (i, _) -> not (List.mem i named_ids)) t.subs in
-  let named_sorted =
-    List.sort (fun (a, _) (b, _) -> compare a b) t.named
-    |> List.filter_map (fun (_, id) ->
-           List.find_opt (fun (j, _) -> j = id) t.subs)
-  in
-  t.subs <- anon @ named_sorted
-
-let subscribe_named t ~name f =
-  (match List.assoc_opt name t.named with
-  | Some id ->
-      remove_trace_subscriber t id;
-      t.named <- List.remove_assoc name t.named
-  | None -> ());
-  let id = add_trace_subscriber t f in
-  t.named <- (name, id) :: t.named;
-  reorder_named t
-
-let unsubscribe_named t ~name =
-  match List.assoc_opt name t.named with
-  | Some id ->
-      remove_trace_subscriber t id;
-      t.named <- List.remove_assoc name t.named
-  | None -> ()
-
-let emit t ev = List.iter (fun (_, f) -> f ev) t.subs
+let add_trace_subscriber t f = Nvm.Subscribers.add t.trace f
+let remove_trace_subscriber t id = Nvm.Subscribers.remove t.trace id
+let subscribe_named t ~name f = Nvm.Subscribers.subscribe_named t.trace ~name f
+let unsubscribe_named t ~name = Nvm.Subscribers.unsubscribe_named t.trace ~name
+let traced t = Nvm.Subscribers.active t.trace
+let emit t ev = Nvm.Subscribers.emit t.trace ev
 
 let map_page t ~pid ~page ~writable ~pkey =
   if pkey < 0 || pkey >= nkeys then invalid_arg "Mpk.map_page: bad pkey";
@@ -249,7 +187,7 @@ let page_pkey t ~pid ~page =
 let wrpkru t perms =
   Hashtbl.replace t.pkru (Sim.self_tid ()) (pkru_of_perms perms);
   Sim.advance wrpkru_cost;
-  if t.subs != [] then emit t (M_wrpkru { perms })
+  if traced t then emit t (M_wrpkru { perms })
 
 let rdpkru t = perms_of_pkru (current_pkru t)
 
@@ -258,7 +196,7 @@ let with_keys t perms f =
   let saved = current_pkru t in
   Hashtbl.replace t.pkru tid (pkru_of_perms perms);
   Sim.advance wrpkru_cost;
-  if t.subs != [] then emit t (M_scope_enter { perms });
+  if traced t then emit t (M_scope_enter { perms });
   let restore () =
     Hashtbl.replace t.pkru tid saved;
     Sim.advance wrpkru_cost;

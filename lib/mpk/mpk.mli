@@ -100,22 +100,11 @@ type trace_event =
   | M_scope_exit  (** {!with_keys} exit (PKRU restored) *)
 
 val add_trace_subscriber : t -> (trace_event -> unit) -> int
-(** Register a trace subscriber; events are delivered to every subscriber in
-    registration order.  Returns an id for {!remove_trace_subscriber}. *)
+(** {!Nvm.Subscribers.add} on the unit's registry. *)
 
 val remove_trace_subscriber : t -> int -> unit
-(** Unregister; unknown ids are ignored. *)
-
-val set_trace_hook : t -> (trace_event -> unit) -> unit
-(** Legacy single-hook API, kept as one managed subscription slot: setting
-    replaces only the hook previously installed through this function, and
-    composes with {!add_trace_subscriber} subscriptions. *)
-
-val clear_trace_hook : t -> unit
 
 val subscribe_named : t -> name:string -> (trace_event -> unit) -> unit
-(** Named subscription slot, mirroring {!Nvm.Device.subscribe_named}: one
-    slot per name (same-name subscribe replaces), delivery order
-    anonymous-first then named in name order. *)
+(** Named slot, as {!Nvm.Device.subscribe_named}. *)
 
 val unsubscribe_named : t -> name:string -> unit

@@ -65,6 +65,50 @@ type fault_kind = Protection | Media
 exception
   Fault of { addr : int; write : bool; kind : fault_kind; reason : string }
 
+(* Trace-subscriber registry, shared by {!Device} and the MPK layer so
+   independent analysis layers (lib/check, lib/race, lib/obs) compose.
+   Delivery order is anonymous subscribers first, in subscription order,
+   then named slots in name order: deterministic regardless of which
+   checker was installed first, so "check" + "race" see identical event
+   streams either way.  [subs] is the delivery list, rebuilt on every
+   (rare) change so [emit] and the untraced [active] test stay cheap. *)
+module Subscribers = struct
+  type 'ev t = {
+    mutable anon : (int * ('ev -> unit)) list;
+    mutable named : (string * ('ev -> unit)) list;  (* sorted by name *)
+    mutable subs : ('ev -> unit) list;
+    mutable next_id : int;
+  }
+
+  let create () = { anon = []; named = []; subs = []; next_id = 0 }
+  let active r = r.subs != []
+  let rebuild r = r.subs <- List.map snd r.anon @ List.map snd r.named
+
+  let add r f =
+    let id = r.next_id in
+    r.next_id <- id + 1;
+    r.anon <- r.anon @ [ (id, f) ];
+    rebuild r;
+    id
+
+  let remove r id =
+    r.anon <- List.filter (fun (i, _) -> i <> id) r.anon;
+    rebuild r
+
+  let subscribe_named r ~name f =
+    r.named <-
+      List.sort
+        (fun (a, _) (b, _) -> String.compare a b)
+        ((name, f) :: List.remove_assoc name r.named);
+    rebuild r
+
+  let unsubscribe_named r ~name =
+    r.named <- List.remove_assoc name r.named;
+    rebuild r
+
+  let emit r ev = List.iter (fun f -> f ev) r.subs
+end
+
 module Device = struct
   type line_state = Dirty | Flushing
 
@@ -96,10 +140,7 @@ module Device = struct
     pending : (int, line_state) Hashtbl.t;  (* line index -> state *)
     mutable flushing : int list;  (* lines initiated but not fenced *)
     mutable hook : (addr:int -> write:bool -> unit) option;
-    mutable subs : (int * (trace_event -> unit)) list;  (* delivery order *)
-    mutable next_sub_id : int;
-    mutable legacy_sub : int option;  (* set_trace_hook's managed slot *)
-    mutable named : (string * int) list;  (* subscribe_named slots *)
+    trace : trace_event Subscribers.t;
     crash_rng : Sim.Rng.t;
     read_chan : Sim.Resource.t;
     write_chan : Sim.Resource.t;
@@ -131,10 +172,7 @@ module Device = struct
       pending = Hashtbl.create 4096;
       flushing = [];
       hook = None;
-      subs = [];
-      next_sub_id = 0;
-      legacy_sub = None;
-      named = [];
+      trace = Subscribers.create ();
       crash_rng = Sim.Rng.create seed;
       read_chan = Sim.Resource.create ~name:"nvm-read-bw" ();
       write_chan = Sim.Resource.create ~name:"nvm-write-bw" ();
@@ -158,91 +196,27 @@ module Device = struct
   let perf d = d.dev_perf
   let set_protection_hook d f = d.hook <- Some f
   let clear_protection_hook d = d.hook <- None
-  (* Trace dispatch is multi-subscriber so independent layers compose (the
-     persistence checker of lib/check and the metrics of lib/obs can both
-     listen).  [set_trace_hook] keeps its replace-semantics API as one
-     managed subscription slot. *)
-  let add_trace_subscriber d f =
-    let id = d.next_sub_id in
-    d.next_sub_id <- id + 1;
-    (* Keep the documented delivery order (anonymous subscribers first,
-       named slots last) even when an anonymous subscriber registers after
-       a named one: insert before the named suffix. *)
-    let named_ids = List.map snd d.named in
-    let anon, named =
-      List.partition (fun (i, _) -> not (List.mem i named_ids)) d.subs
-    in
-    d.subs <- anon @ [ (id, f) ] @ named;
-    id
-
-  let remove_trace_subscriber d id =
-    d.subs <- List.filter (fun (i, _) -> i <> id) d.subs
-
-  let set_trace_hook d f =
-    (match d.legacy_sub with
-    | Some id -> remove_trace_subscriber d id
-    | None -> ());
-    d.legacy_sub <- Some (add_trace_subscriber d f)
-
-  let clear_trace_hook d =
-    match d.legacy_sub with
-    | Some id ->
-        remove_trace_subscriber d id;
-        d.legacy_sub <- None
-    | None -> ()
-
-  (* Named subscription slots for the analysis layers (lib/check "check",
-     lib/race "race", ...).  Semantics that make multi-checker runs compose
-     without surprises:
-     - one slot per name: re-subscribing under the same name replaces the
-       previous callback in place;
-     - delivery order is anonymous subscribers first (in subscription
-       order), then named subscribers in *name* order — deterministic
-       regardless of which checker was installed first, so "check"+"race"
-       see identical event streams either way. *)
-  let reorder_named d =
-    let named_ids = List.map snd d.named in
-    let anon = List.filter (fun (i, _) -> not (List.mem i named_ids)) d.subs in
-    let named_sorted =
-      List.sort (fun (a, _) (b, _) -> compare a b) d.named
-      |> List.filter_map (fun (_, id) ->
-             List.find_opt (fun (j, _) -> j = id) d.subs)
-    in
-    d.subs <- anon @ named_sorted
-
-  let subscribe_named d ~name f =
-    (match List.assoc_opt name d.named with
-    | Some id ->
-        remove_trace_subscriber d id;
-        d.named <- List.remove_assoc name d.named
-    | None -> ());
-    let id = add_trace_subscriber d f in
-    d.named <- (name, id) :: d.named;
-    reorder_named d
-
-  let unsubscribe_named d ~name =
-    match List.assoc_opt name d.named with
-    | Some id ->
-        remove_trace_subscriber d id;
-        d.named <- List.remove_assoc name d.named
-    | None -> ()
-
-  let emit d ev = List.iter (fun (_, f) -> f ev) d.subs
+  let add_trace_subscriber d f = Subscribers.add d.trace f
+  let remove_trace_subscriber d id = Subscribers.remove d.trace id
+  let subscribe_named d ~name f = Subscribers.subscribe_named d.trace ~name f
+  let unsubscribe_named d ~name = Subscribers.unsubscribe_named d.trace ~name
+  let traced d = Subscribers.active d.trace
+  let emit d ev = Subscribers.emit d.trace ev
 
   (* Cost measurement starts here when any subscriber is attached; with none
      attached the untraced path neither reads the clock nor allocates.
      Constructor application stays inside the traced branch for the same
      reason. *)
-  let t_begin d = if d.subs == [] then 0 else Sim.now ()
+  let t_begin d = if traced d then Sim.now () else 0
 
   let trace_store d addr len t0 =
-    if d.subs != [] then emit d (T_store { addr; len; ns = Sim.now () - t0 })
+    if traced d then emit d (T_store { addr; len; ns = Sim.now () - t0 })
 
   let trace_nt_store d addr len t0 =
-    if d.subs != [] then emit d (T_nt_store { addr; len; ns = Sim.now () - t0 })
+    if traced d then emit d (T_nt_store { addr; len; ns = Sim.now () - t0 })
 
   let trace_load d addr len t0 =
-    if d.subs != [] then emit d (T_load { addr; len; ns = Sim.now () - t0 })
+    if traced d then emit d (T_load { addr; len; ns = Sim.now () - t0 })
 
   let vol_page d i =
     match d.vol.(i) with
@@ -290,7 +264,7 @@ module Device = struct
 
   let raise_media d addr ~write =
     d.n_media_faults <- d.n_media_faults + 1;
-    if d.subs != [] then emit d (T_media_fault { addr; write });
+    if traced d then emit d (T_media_fault { addr; write });
     raise
       (Fault { addr; write; kind = Media; reason = "uncorrectable media error" })
 
@@ -520,7 +494,7 @@ module Device = struct
     if current = expected then begin
       Bytes.set_int64_le b off (Int64.of_int desired);
       mark_dirty d addr 8;
-      if d.subs != [] then emit d (T_cas { addr; len = 8; ns = Sim.now () - t0 });
+      if traced d then emit d (T_cas { addr; len = 8; ns = Sim.now () - t0 });
       true
     end
     else false
@@ -626,7 +600,7 @@ module Device = struct
     (* The event fires before the trailing advance (keeping its ordering
        relative to the line-state change), so that known constant is folded
        into the reported cost instead of measured. *)
-    (if d.subs != [] then
+    (if traced d then
        let tail = if Sim.in_sim () then 4 else 0 in
        emit d (T_clwb { addr; ns = Sim.now () - t0 + tail }));
     if Sim.in_sim () then Sim.advance 4
@@ -651,7 +625,7 @@ module Device = struct
     d.n_fences <- d.n_fences + 1;
     let had_flushing = d.flushing <> [] in
     if not had_flushing then d.n_redundant_fences <- d.n_redundant_fences + 1;
-    (if d.subs != [] then
+    (if traced d then
        let p = d.dev_perf in
        let tail =
          if Sim.in_sim () then
@@ -829,7 +803,7 @@ module Device = struct
     List.iter (fun line -> persist_line_now d line) lines;
     Hashtbl.reset d.pending;
     d.flushing <- [];
-    if d.subs != [] then emit d T_reset
+    if traced d then emit d T_reset
 
   let pending_lines d = Hashtbl.length d.pending
 
@@ -863,7 +837,7 @@ module Device = struct
       d.pending;
     Hashtbl.reset d.pending;
     d.flushing <- [];
-    if d.subs != [] then emit d T_reset;
+    if traced d then emit d T_reset;
     (* Volatile view := persistent view. *)
     for i = 0 to d.npages - 1 do
       match (d.vol.(i), d.shadow.(i)) with
@@ -949,7 +923,7 @@ module Device = struct
     d.atomic_depth <- 0;
     Hashtbl.reset d.atomic_undo;
     Hashtbl.reset d.line_caches;
-    if d.subs != [] then emit d T_reset
+    if traced d then emit d T_reset
 
   (* ---- host-file image persistence (for the CLI tools) ----------------- *)
 

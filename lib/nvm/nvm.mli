@@ -61,6 +61,35 @@ type fault_kind = Protection | Media
 exception
   Fault of { addr : int; write : bool; kind : fault_kind; reason : string }
 
+(** Trace-subscriber registry, shared by {!Device} and the MPK layer.
+    Events go to anonymous subscribers first, in subscription order, then to
+    named slots in {e name} order — deterministic regardless of install
+    order, so co-installed checkers see identical event streams. *)
+module Subscribers : sig
+  type 'ev t
+
+  val create : unit -> 'ev t
+
+  val active : 'ev t -> bool
+  (** Whether anyone listens; callers test this before building an event,
+      so an untraced access neither reads the clock nor allocates. *)
+
+  val add : 'ev t -> ('ev -> unit) -> int
+  (** Register an anonymous subscriber; returns an id for {!remove}. *)
+
+  val remove : 'ev t -> int -> unit
+  (** Unregister; unknown ids are ignored. *)
+
+  val subscribe_named : 'ev t -> name:string -> ('ev -> unit) -> unit
+  (** One slot per name: subscribing again under the same name replaces the
+      previous callback. *)
+
+  val unsubscribe_named : 'ev t -> name:string -> unit
+  (** Drop a named slot; unknown names are ignored. *)
+
+  val emit : 'ev t -> 'ev -> unit
+end
+
 module Device : sig
   type t
 
@@ -104,30 +133,15 @@ module Device : sig
     | T_reset  (** all pending lines resolved (crash / persist_all) *)
 
   val add_trace_subscriber : t -> (trace_event -> unit) -> int
-  (** Register a trace subscriber; events are delivered to every subscriber
-      in registration order.  Returns an id for {!remove_trace_subscriber}. *)
+  (** {!Subscribers.add} on the device's registry. *)
 
   val remove_trace_subscriber : t -> int -> unit
-  (** Unregister; unknown ids are ignored. *)
-
-  val set_trace_hook : t -> (trace_event -> unit) -> unit
-  (** Legacy single-hook API, kept as one managed subscription slot: setting
-      replaces only the hook previously installed through this function, and
-      composes with {!add_trace_subscriber} subscriptions. *)
-
-  val clear_trace_hook : t -> unit
 
   val subscribe_named : t -> name:string -> (trace_event -> unit) -> unit
-  (** Named subscription slot for the analysis layers (lib/check uses
-      ["check"], lib/race uses ["race"]).  One slot per name: subscribing
-      again under the same name replaces the previous callback.  Delivery
-      order is anonymous subscribers first (in subscription order), then
-      named subscribers in {e name} order — deterministic regardless of
-      install order, so co-installed checkers see identical event
-      streams. *)
+  (** Named slot for the analysis layers (lib/check uses ["check"], lib/race
+      uses ["race"]); see {!Subscribers.subscribe_named}. *)
 
   val unsubscribe_named : t -> name:string -> unit
-  (** Drop a named slot; unknown names are ignored. *)
 
   (** {2 Loads and stores (volatile view)}
 

@@ -106,35 +106,6 @@ let claim_slot t =
   in
   try_slot 0
 
-let rec my_slot t =
-  let tid = Sim.self_tid () in
-  match Hashtbl.find_opt t.my_slot tid with
-  | Some i ->
-      let a = slot_addr t i in
-      let v = Nvm.Device.read_u64 t.dev (a + Layout.s_owner) in
-      if Lease.code_of v = Lease.owner_code () then begin
-        (* Renew if the lease is past half-life. *)
-        if Lease.expiry_of v - Sim.now () < Lease.default_duration / 2 then
-          ignore
-            (Nvm.Device.cas_u64 t.dev (a + Layout.s_owner) ~expected:v
-               ~desired:
-                 (Lease.pack
-                    ~expiry:(Sim.now () + Lease.default_duration)
-                    ~code:(Lease.owner_code ())));
-        Some i
-      end
-      else begin
-        (* Lease stolen (we must have stalled): forget and re-claim. *)
-        Hashtbl.remove t.my_slot tid;
-        my_slot t
-      end
-  | None -> (
-      match claim_slot t with
-      | Some i ->
-          Hashtbl.replace t.my_slot tid i;
-          Some i
-      | None -> None)
-
 (* Re-validate — and renew to a full duration — ownership of [slot] after
    a potentially blocking wait (the global-lease queue, the kernel gate
    inside coffer_enlarge).  Under heavy cross-process contention the wait
@@ -152,6 +123,21 @@ let own_slot t slot =
             (Lease.pack
                ~expiry:(Sim.now () + Lease.default_duration)
                ~code:(Lease.owner_code ())))
+
+let rec my_slot t =
+  let tid = Sim.self_tid () in
+  match Hashtbl.find_opt t.my_slot tid with
+  | Some i when own_slot t i -> Some i
+  | Some _ ->
+      (* Lease stolen (we must have stalled): forget and re-claim. *)
+      Hashtbl.remove t.my_slot tid;
+      my_slot t
+  | None -> (
+      match claim_slot t with
+      | Some i ->
+          Hashtbl.replace t.my_slot tid i;
+          Some i
+      | None -> None)
 
 (* ---- free-list plumbing ------------------------------------------------- *)
 

@@ -203,26 +203,6 @@ let test_device_subscribers_both_fire () =
   Alcotest.(check int) "removed subscriber silent" 1 !n1;
   Alcotest.(check bool) "remaining still fires" true (!n2 > before)
 
-let test_device_legacy_hook_slot () =
-  let dev = D.create ~perf:Nvm.Perf.free ~size:(4 * pg) () in
-  let sub = ref 0 and h1 = ref 0 and h2 = ref 0 in
-  ignore (D.add_trace_subscriber dev (fun _ -> incr sub));
-  D.set_trace_hook dev (fun _ -> incr h1);
-  D.write_u64 dev 0 1;
-  Alcotest.(check bool) "hook fired" true (!h1 > 0);
-  (* setting again replaces only the legacy slot, not the subscriber *)
-  D.set_trace_hook dev (fun _ -> incr h2);
-  let h1_frozen = !h1 and sub_before = !sub in
-  D.write_u64 dev 0 2;
-  Alcotest.(check int) "old hook replaced" h1_frozen !h1;
-  Alcotest.(check bool) "new hook fires" true (!h2 > 0);
-  Alcotest.(check bool) "subscriber unaffected" true (!sub > sub_before);
-  D.clear_trace_hook dev;
-  let h2_frozen = !h2 and sub_before = !sub in
-  D.write_u64 dev 0 3;
-  Alcotest.(check int) "cleared hook silent" h2_frozen !h2;
-  Alcotest.(check bool) "subscriber survives clear" true (!sub > sub_before)
-
 let test_mpk_subscribers_both_fire () =
   let dev = D.create ~perf:Nvm.Perf.free ~size:(4 * pg) () in
   let mpk = Mpk.create dev in
@@ -240,8 +220,8 @@ let test_mpk_subscribers_both_fire () =
   Sim.run_thread ~proc (fun () -> Mpk.wrpkru mpk [ (1, Mpk.Pk_read) ]);
   Alcotest.(check int) "removed subscriber silent" frozen !n1
 
-(* The regression the satellite asks for: lib/check (legacy hook slot) and
-   lib/obs (subscriber) attached to one device, both observing. *)
+(* lib/check (named slot) and lib/obs (anonymous subscriber) attached to
+   one device, both observing. *)
 let test_check_and_obs_compose () =
   let dev = D.create ~perf:Nvm.Perf.optane ~size:(64 * pg) () in
   let _t =
@@ -922,8 +902,6 @@ let () =
         [
           Alcotest.test_case "device: both fire" `Quick
             test_device_subscribers_both_fire;
-          Alcotest.test_case "device: legacy hook slot" `Quick
-            test_device_legacy_hook_slot;
           Alcotest.test_case "mpk: both fire" `Quick
             test_mpk_subscribers_both_fire;
           Alcotest.test_case "check + obs compose" `Quick

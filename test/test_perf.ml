@@ -1,10 +1,11 @@
-(* Tests for the perf-regression gate (lib/perf): the pinned experiments
-   must be deterministic (byte-identical JSON across runs — the property
-   that lets BENCH_perf.json be committed and compared exactly), the JSON
-   must round-trip, and the trend comparator must fail on a synthetic
-   regression while tolerating noise and rewarding improvements. *)
+(* Tests for the gate harness (lib/gate): the perf gate's pinned
+   experiments must be deterministic (byte-identical JSON across runs — the
+   property that lets every BENCH_*.json be committed and compared
+   exactly), the one comparator must fail on any moved leaf and name its
+   path, and every gate's negatives must still be caught. *)
 
-module P = Perf_gate
+module P = Gates.Perf_gate
+module G = Gates.Gate
 module J = Obs.Json
 module V = Treasury.Vfs
 module FL = Workloads.Fslab
@@ -18,8 +19,8 @@ module FL = Workloads.Fslab
    cross-process scheduling (64 FSLibs contending for one coffer lease)
    is reproducible down to the nanosecond. *)
 let test_two_runs_identical () =
-  let a = P.run_all ~quick:true () in
-  let b = P.run_all ~quick:true () in
+  let a = P.run_all () in
+  let b = P.run_all () in
   Alcotest.(check string) "byte-identical JSON"
     (J.to_string (P.to_json a))
     (J.to_string (P.to_json b))
@@ -85,102 +86,106 @@ let test_64proc_event_stream_identical () =
        (List.filter (fun l -> l <> "") (String.split_on_char '\n' a)));
   Alcotest.(check string) "byte-identical event streams" a b
 
-(* ---- JSON round trip ------------------------------------------------------ *)
+(* ---- the comparator ------------------------------------------------------ *)
 
-let m0 =
-  {
-    P.ops = 100;
-    sim_ns = 123456;
-    flushes = 800;
-    redundant_flushes = 10;
-    fences = 210;
-    redundant_fences = 0;
-    crossings = 3;
-    enlarge_calls = 2;
-  }
+let experiment name ~sim_ns =
+  J.Obj
+    [
+      ("name", J.Str name);
+      ("ops", G.int 100);
+      ("sim_ns", G.int sim_ns);
+      ("fences", G.int 210);
+    ]
 
-let results0 =
-  [ { P.r_name = "append"; r_m = m0 }; { P.r_name = "create"; r_m = m0 } ]
+let summary ?(schema = "zofs-perf-1") experiments =
+  J.Obj [ ("schema", J.Str schema); ("experiments", J.Arr experiments) ]
+
+let base =
+  summary
+    [ experiment "append" ~sim_ns:100_000; experiment "create" ~sim_ns:50_000 ]
+
+let with_append_ns ns =
+  summary [ experiment "append" ~sim_ns:ns; experiment "create" ~sim_ns:50_000 ]
+
+let differences current = fst (G.compare ~baseline:base current)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 
 let test_json_roundtrip () =
-  let s = J.to_string (P.to_json results0) in
-  match J.of_string s with
+  match J.of_string (J.to_string base) with
   | Error e -> Alcotest.failf "reparse failed: %s" e
-  | Ok j -> (
-      match P.of_json j with
-      | Error e -> Alcotest.failf "decode failed: %s" e
-      | Ok back ->
-          Alcotest.(check bool) "round-trips exactly" true (back = results0))
+  | Ok back ->
+      Alcotest.(check (pair (list string) (list string)))
+        "no differences, no notes" ([], [])
+        (G.compare ~baseline:base back)
 
 let test_bad_schema_rejected () =
-  match P.of_json (J.Obj [ ("schema", J.Str "zofs-perf-999") ]) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown schema must be rejected"
+  match differences (summary ~schema:"zofs-perf-999" []) with
+  | [] -> Alcotest.fail "an unknown schema must differ"
+  | d :: _ ->
+      Alcotest.(check bool) "names the schema" true (contains d "schema")
 
-(* ---- the trend comparator ------------------------------------------------- *)
+let test_equal_passes () =
+  Alcotest.(check (list string)) "no differences" [] (differences base)
 
-let scale f m =
-  {
-    m with
-    P.sim_ns = int_of_float (float_of_int m.P.sim_ns *. f);
-    flushes = int_of_float (float_of_int m.P.flushes *. f);
-    fences = int_of_float (float_of_int m.P.fences *. f);
-  }
-
-let with_m r m = { r with P.r_m = m }
-
-(* +20% on every per-op dimension of one experiment: well past the 10%
-   tolerance, the gate must fail — and name the experiment. *)
+(* One moved leaf fails, and the line names its path, both values and the
+   relative change. *)
 let test_synthetic_regression_fails () =
+  Alcotest.(check (list string))
+    "exactly the moved leaf"
+    [ "experiments[append].sim_ns: 100000 -> 120000 (+20.0%)" ]
+    (differences (with_append_ns 120_000))
+
+(* The comparator is exact: what a 10% tolerance used to call noise fails. *)
+let test_noise_fails () =
+  Alcotest.(check int) "one difference" 1
+    (List.length (differences (with_append_ns 105_000)))
+
+(* An improvement moves the baseline too; it fails until re-baselined. *)
+let test_improvement_fails () =
+  Alcotest.(check int) "one difference" 1
+    (List.length (differences (with_append_ns 70_000)))
+
+(* A baseline entry the current run no longer produces fails: a silently
+   dropped experiment must not weaken the gate. *)
+let test_missing_experiment_fails () =
+  Alcotest.(check (list string)) "missing entry"
+    [ "experiments[create]: missing" ]
+    (differences (summary [ experiment "append" ~sim_ns:100_000 ]))
+
+(* Named entries are matched by name, not position, and a new one is only
+   noted. *)
+let test_new_entry_noted () =
   let current =
-    [ with_m (List.nth results0 0) (scale 1.20 m0); List.nth results0 1 ]
+    summary
+      [
+        experiment "create" ~sim_ns:50_000;
+        experiment "mkdir" ~sim_ns:10_000;
+        experiment "append" ~sim_ns:100_000;
+      ]
   in
-  let v = P.compare_results ~baseline:results0 ~current () in
-  Alcotest.(check bool) "not clean" false (P.clean v);
-  Alcotest.(check bool) "regression names the experiment" true
-    (List.exists
-       (fun s -> String.length s >= 6 && String.sub s 0 6 = "append")
-       v.P.regressions)
+  Alcotest.(check (pair (list string) (list string)))
+    "passes with a note"
+    ([], [ "experiments[mkdir]: new entry" ])
+    (G.compare ~baseline:base current)
 
-(* +5% is inside the tolerance: noise, not a regression. *)
-let test_noise_within_tolerance_passes () =
-  let current = List.map (fun r -> with_m r (scale 1.05 m0)) results0 in
-  let v = P.compare_results ~baseline:results0 ~current () in
-  Alcotest.(check (list string)) "no regressions" [] v.P.regressions
+(* ---- negatives ------------------------------------------------------------- *)
 
-(* -30%: an improvement is reported, never a failure. *)
-let test_improvement_reported_not_failed () =
-  let current = List.map (fun r -> with_m r (scale 0.70 m0)) results0 in
-  let v = P.compare_results ~baseline:results0 ~current () in
-  Alcotest.(check bool) "clean" true (P.clean v);
-  Alcotest.(check bool) "improvements reported" true (v.P.improvements <> [])
-
-(* A baseline experiment the current run no longer produces is a regression
-   (a silently dropped experiment must not weaken the gate). *)
-let test_missing_experiment_is_regression () =
-  let v =
-    P.compare_results ~baseline:results0 ~current:[ List.nth results0 0 ] ()
-  in
-  Alcotest.(check bool) "not clean" false (P.clean v)
-
-(* Different op counts compare per-op (with a note), so re-pinning the ops
-   of an experiment does not spuriously fail the gate. *)
-let test_ops_change_compares_per_op () =
-  let doubled =
-    {
-      m0 with
-      P.ops = 200;
-      sim_ns = m0.P.sim_ns * 2;
-      flushes = m0.P.flushes * 2;
-      fences = m0.P.fences * 2;
-      crossings = m0.P.crossings * 2;
-      enlarge_calls = m0.P.enlarge_calls * 2;
-    }
-  in
-  let current = List.map (fun r -> with_m r doubled) results0 in
-  let v = P.compare_results ~baseline:results0 ~current () in
-  Alcotest.(check (list string)) "no regressions" [] v.P.regressions;
-  Alcotest.(check bool) "ops change noted" true (v.P.notes <> [])
+(* Every planted bug a gate carries must still be caught. *)
+let negative_cases =
+  List.concat_map
+    (fun g ->
+      List.map
+        (fun (neg, caught) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s %s caught" g.G.name neg)
+            `Quick
+            (fun () -> Alcotest.(check bool) "caught" true (caught ())))
+        g.G.negatives)
+    Gates.all
 
 let () =
   Alcotest.run "perf"
@@ -200,14 +205,14 @@ let () =
         ] );
       ( "comparator",
         [
+          Alcotest.test_case "equal summary passes" `Quick test_equal_passes;
           Alcotest.test_case "+20%% fails" `Quick test_synthetic_regression_fails;
-          Alcotest.test_case "+5%% noise passes" `Quick
-            test_noise_within_tolerance_passes;
-          Alcotest.test_case "improvement reported" `Quick
-            test_improvement_reported_not_failed;
+          Alcotest.test_case "+5%% fails: no tolerance" `Quick test_noise_fails;
+          Alcotest.test_case "improvement fails until re-baselined" `Quick
+            test_improvement_fails;
           Alcotest.test_case "missing experiment fails" `Quick
-            test_missing_experiment_is_regression;
-          Alcotest.test_case "ops re-pin compares per-op" `Quick
-            test_ops_change_compares_per_op;
+            test_missing_experiment_fails;
+          Alcotest.test_case "new entry only noted" `Quick test_new_entry_noted;
         ] );
+      ("negatives", negative_cases);
     ]

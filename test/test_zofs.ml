@@ -476,6 +476,37 @@ let test_group_readonly_access () =
         (ok_or_fail (V.read_file fs "/grp"));
       expect_err E.EACCES (V.openf fs "/grp" [ Ft.O_WRONLY ] 0))
 
+(* A thread whose allocator-slot lease expired renews it with a CAS.  If a
+   stealer's claim CAS lands between the renewal's read and its CAS, the
+   renewal fails and the slot is the stealer's now: the old owner must
+   re-claim another slot instead of popping the stealer's free list too.
+   With the free cost model only the 20 ns lock prefix of each CAS takes
+   time, so a stealer starting 10 ns before the owner wins deterministically. *)
+let test_balloc_stolen_slot_reclaimed () =
+  let w = make_world () in
+  let dev = Nvm.Device.create ~perf:Nvm.Perf.free ~size:(4 * Nvm.page_size) () in
+  let world = Sim.create () in
+  let proc = Sim.Proc.create ~uid:0 ~gid:0 () in
+  let b = ref None and steal_at = ref 0 in
+  let owner_slot = ref None and stealer_slot = ref None in
+  Sim.spawn world ~proc ~name:"owner" (fun () ->
+      let t = Zofs.Balloc.create dev ~custom:0 ~cid:1 w.kfs in
+      let slot = Option.get (Zofs.Balloc.my_slot t) in
+      let owner = Zofs.Balloc.slot_addr t slot + Zofs.Layout.s_owner in
+      b := Some t;
+      steal_at := Zofs.Lease.expiry_of (Nvm.Device.read_u64 dev owner) + 100;
+      Sim.sleep_until (!steal_at + 10);
+      owner_slot := Zofs.Balloc.my_slot t);
+  Sim.spawn world ~proc ~name:"stealer" (fun () ->
+      Sim.sleep_until (Zofs.Lease.default_duration / 2);
+      Sim.sleep_until !steal_at;
+      stealer_slot := Zofs.Balloc.my_slot (Option.get !b));
+  Sim.run world;
+  Alcotest.(check (option int)) "stealer took the expired slot" (Some 0)
+    !stealer_slot;
+  Alcotest.(check bool) "owner moved to another slot" true
+    (!owner_slot <> !stealer_slot)
+
 let qcheck_fs_matches_model =
   (* Model-based: random create/write/unlink sequences must match an
      in-memory model. *)
@@ -582,6 +613,8 @@ let () =
             test_fd_semantics_through_dispatcher;
           Alcotest.test_case "cwd + relative paths" `Quick
             test_cwd_and_relative_paths;
+          Alcotest.test_case "stolen allocator slot re-claimed" `Quick
+            test_balloc_stolen_slot_reclaimed;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest qcheck_fs_matches_model ]);
     ]
