@@ -1,13 +1,7 @@
 (* Every gate under `dune build @gates`, in alias order. *)
 
 module Gate = Gate
-module Check_gate = Check_gate
-module Crash_gate = Crash_gate
-module Chaos_gate = Chaos_gate
 module Perf_gate = Perf_gate
-module Race_gate = Race_gate
-module Serve_gate = Serve_gate
-module Obs_gate = Obs_gate
 
 let all =
   [

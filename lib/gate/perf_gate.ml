@@ -23,8 +23,6 @@ module Ft = Treasury.Fs_types
 module FL = Workloads.Fslab
 module J = Obs.Json
 
-let schema = "zofs-perf-1"
-
 type metrics = {
   ops : int;
   sim_ns : int;  (* total simulated time of the measured phase *)
@@ -282,7 +280,7 @@ let to_json results =
   in
   J.Obj
     [
-      ("schema", J.Str schema);
+      ("schema", J.Str "zofs-perf-1");
       ( "experiments",
         J.Arr
           (List.map

@@ -43,7 +43,7 @@ type instance = {
 let make_zofs ?(root_mode = 0o755) ~pages ~perf () =
   let dev = Nvm.Device.create ~perf ~size:(pages * Nvm.page_size) () in
   let mpk = Mpk.create dev in
-  (* No-ops unless zofs_check enabled the checkers / obs is enabled;
+  (* No-ops unless the check gate enabled the checkers / obs is enabled;
      attaching before mkfs lets the checker see the root structures get
      registered.  Both attach as independent trace subscribers. *)
   Check.auto_attach dev mpk;

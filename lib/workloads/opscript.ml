@@ -6,7 +6,7 @@
    named workloads modelled on the FxMark / Filebench / fslab patterns used
    by the benchmarks, and a seeded weighted random generator shared with the
    property tests.  Everything is a pure function of the seed, so a crash
-   point found by `bin/zofs_crash` can be replayed exactly. *)
+   point found by the crash gate can be replayed exactly. *)
 
 module V = Treasury.Vfs
 

@@ -155,7 +155,7 @@ let holds dev addr =
 
 (* Negative self-check knob (mirroring Pbatch.over_elide): when set to a
    thread id, [with_lease] on that thread skips the lease entirely and runs
-   [f] bare.  Only bin/zofs_race sets it, to prove the race sanitizer
+   [f] bare.  Only the race gate's negatives set it, to prove the race sanitizer
    catches a lease-elided mutation; never set in production paths. *)
 let elide_for_tid : int option ref = ref None
 

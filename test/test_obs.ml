@@ -318,7 +318,7 @@ let test_spans_balanced_and_trace_valid () =
           last_end := ts +. dur)
         evs;
       (* the exported JSON string round-trips through the parser and still
-         validates (what bin/zofs_obs gates on) *)
+         validates (what the obs gate checks) *)
       match J.of_string (J.to_string json) with
       | Error e -> Alcotest.failf "reparse: %s" e
       | Ok j -> (
