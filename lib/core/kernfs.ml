@@ -9,7 +9,21 @@
    All entry points are system calls: they pay the {!Gate} cost, and
    mutations of the global structures serialize on a kernel lock — which is
    exactly why very frequent coffer_enlarge calls flatten ZoFS's scalability
-   in the paper's Figure 7(d)/(g). *)
+   in the paper's Figure 7(d)/(g).
+
+   There are two lock levels.  The global kernel lock guards KernFS's own
+   structures: the allocation table, the path map, the coffer table, and
+   the mapper and MPK-key bookkeeping.  Each process's page table has its
+   own lock (as the mm's mmap lock in Linux): every PTE write for pid P
+   holds P's page-table lock, and P's [ps_mapped]/[ps_pkeys] change only
+   with both locks held.  The lock order is global lock, then page-table
+   lock; code holding a page-table lock never takes the global lock.
+   [coffer_map] and [coffer_unmap] write only the caller's own PTEs, so they
+   take the caller's page-table lock before dropping the global lock and do
+   the PTE work after it; every path that writes other processes' PTEs
+   (the enlarge fan-out, shrink/split/merge, unmap-everywhere, teardown)
+   stays under the global lock and takes each target's page-table lock
+   inside it. *)
 
 (* Reserved owner ids in the allocation table. *)
 let cid_free = 0
@@ -43,6 +57,7 @@ let health_to_string = function
 
 type proc_state = {
   ps_pid : int;
+  ps_pt : Sim.Mutex.t;  (* this process's page-table lock *)
   ps_mapped : (int, mapping) Hashtbl.t;  (* cid -> mapping *)
   mutable ps_pkeys : int;  (* bitmask of MPK keys in use *)
 }
@@ -121,9 +136,9 @@ let check_access t cid wants =
   then Ok c
   else Error Errno.EACCES
 
-(* Map the pages of [runs] into [pid]'s page table.  The coffer's root page
-   (if part of the runs) is mapped read-only: user space may read coffer
-   metadata but never change it. *)
+(* Map the pages of [runs] into [pid]'s page table ([pid]'s page-table lock
+   held).  The coffer's root page (if part of the runs) is mapped read-only:
+   user space may read coffer metadata but never change it. *)
 let map_runs t ~pid ~cid ~pkey ~writable runs =
   List.iter
     (fun (start, len) ->
@@ -143,6 +158,14 @@ let unmap_runs t ~pid runs =
       done)
     runs
 
+(* Drop [ps]'s mapping of [cid] from the bookkeeping (both locks held) and
+   return the page runs whose PTEs the caller must tear down. *)
+let forget_mapping t ps cid m =
+  Hashtbl.remove ps.ps_mapped cid;
+  ps.ps_pkeys <- ps.ps_pkeys land lnot (1 lsl m.m_pkey);
+  remove_mapper t cid ps.ps_pid;
+  Alloc_table.runs_of t.at ~cid
+
 let unmap_from_process t cid pid =
   match Hashtbl.find_opt t.procs pid with
   | None -> ()
@@ -150,13 +173,35 @@ let unmap_from_process t cid pid =
       match Hashtbl.find_opt ps.ps_mapped cid with
       | None -> ()
       | Some m ->
-          unmap_runs t ~pid (Alloc_table.runs_of t.at ~cid);
-          Hashtbl.remove ps.ps_mapped cid;
-          ps.ps_pkeys <- ps.ps_pkeys land lnot (1 lsl m.m_pkey);
-          remove_mapper t cid pid)
+          Sim.Mutex.with_lock ps.ps_pt (fun () ->
+              unmap_runs t ~pid (forget_mapping t ps cid m)))
 
 let unmap_everywhere t cid =
   List.iter (fun pid -> unmap_from_process t cid pid) (mappers_of t cid)
+
+(* Fan [runs] of [cid] out to (or tear them down from) every process mapping
+   [cid]: kernel lock held, each target's page-table lock taken inside it. *)
+let map_everywhere t cid runs =
+  List.iter
+    (fun pid ->
+      match Hashtbl.find_opt t.procs pid with
+      | None -> ()
+      | Some ps -> (
+          match Hashtbl.find_opt ps.ps_mapped cid with
+          | None -> ()
+          | Some m ->
+              Sim.Mutex.with_lock ps.ps_pt (fun () ->
+                  map_runs t ~pid ~cid ~pkey:m.m_pkey ~writable:m.m_writable
+                    runs)))
+    (mappers_of t cid)
+
+let unmap_runs_everywhere t cid runs =
+  List.iter
+    (fun pid ->
+      match Hashtbl.find_opt t.procs pid with
+      | None -> ()
+      | Some ps -> Sim.Mutex.with_lock ps.ps_pt (fun () -> unmap_runs t ~pid runs))
+    (mappers_of t cid)
 
 (* Allocate pages and create a fresh coffer root at the first granted page. *)
 let make_coffer t ~path ~ctype ~mode ~uid ~gid =
@@ -296,32 +341,48 @@ let gate t = t.gate
 let root_coffer t = t.root_cid
 let alloc_table t = t.at
 
-(* Wrap a kernel operation: syscall gate + kernel lock. *)
-(* Every kernel operation runs as one device atomic section: its NVM
-   metadata writes commit durably together on return, and a crash landing
+(* Wrap a kernel operation: syscall gate + kernel lock.  [f] runs under the
+   kernel lock and returns its result together with a tail, which runs
+   after the kernel lock is released but before the syscall returns: the
+   PTE work of [coffer_map]/[coffer_unmap], under a page-table lock taken
+   inside [f] (hand-over-hand). *)
+(* The locked part runs as one device atomic section: its NVM metadata
+   writes commit durably together on release, and a crash landing
    mid-operation rolls them all back — the observable semantics of the
    journaling a real kernel applies to this metadata (paper §3.5: KernFS
-   recovers its own structures; partial updates are never exposed). *)
-(* Kernel context is also a no-kill region: the chaos campaign models the
-   death of *user* threads (a process can die at any instruction of its own
-   code), but a thread inside a system call completes it — killing it while
-   it holds the kernel mutex would model a kernel panic, not a process
-   death.  The pending kill countdown resumes at syscall return. *)
-let kernel_op t f =
+   recovers its own structures; partial updates are never exposed).  The
+   tail stays outside it: PTE work writes no NVM. *)
+(* The whole syscall, tail included, is also a no-kill region: the chaos
+   campaign models the death of *user* threads (a process can die at any
+   instruction of its own code), but a thread inside a system call completes
+   it — killing it while it holds the kernel mutex or a page-table lock
+   would model a kernel panic, not a process death.  The pending kill
+   countdown resumes at syscall return. *)
+let kernel_op_then t f =
   Gate.syscall t.gate (fun () ->
       Sim.with_no_kill (fun () ->
-          Sim.Mutex.with_lock t.lock (fun () ->
-              Nvm.Device.begin_atomic t.dev;
-              Race.note "kernel atomic begin";
-              match f () with
-              | v ->
-                  Nvm.Device.commit_atomic t.dev;
-                  Race.note "kernel atomic commit";
-                  v
-              | exception e ->
-                  Nvm.Device.abort_atomic t.dev;
-                  Race.note "kernel atomic abort";
-                  raise e)))
+          let r =
+            Sim.Mutex.with_lock t.lock (fun () ->
+                Nvm.Device.begin_atomic t.dev;
+                Race.note "kernel atomic begin";
+                match f () with
+                | v ->
+                    Nvm.Device.commit_atomic t.dev;
+                    Race.note "kernel atomic commit";
+                    v
+                | exception e ->
+                    Nvm.Device.abort_atomic t.dev;
+                    Race.note "kernel atomic abort";
+                    raise e)
+          in
+          match r with
+          | Ok (v, tail) ->
+              tail ();
+              Ok v
+          | Error e -> Error e))
+
+let kernel_op t f =
+  kernel_op_then t (fun () -> Result.map (fun v -> (v, ignore)) (f ()))
 
 (* Trip one armed transient failure, if any (called from the allocation-path
    syscalls with the kernel lock held). *)
@@ -341,7 +402,12 @@ let fs_mount t =
       if Hashtbl.mem t.procs pid then Error Errno.EEXIST
       else begin
         Hashtbl.replace t.procs pid
-          { ps_pid = pid; ps_mapped = Hashtbl.create 8; ps_pkeys = 0 };
+          {
+            ps_pid = pid;
+            ps_pt = Sim.Mutex.create ~name:"page-table" ();
+            ps_mapped = Hashtbl.create 8;
+            ps_pkeys = 0;
+          };
         Ok ()
       end)
 
@@ -479,17 +545,7 @@ let coffer_enlarge t cid ~n =
       | Error e -> Error e
       | Ok runs ->
           (* New pages become visible to every process mapping the coffer. *)
-          List.iter
-            (fun pid ->
-              match Hashtbl.find_opt t.procs pid with
-              | None -> ()
-              | Some ps -> (
-                  match Hashtbl.find_opt ps.ps_mapped cid with
-                  | None -> ()
-                  | Some m ->
-                      map_runs t ~pid ~cid ~pkey:m.m_pkey ~writable:m.m_writable
-                        runs))
-            (mappers_of t cid);
+          map_everywhere t cid runs;
           Ok runs)
 
 let coffer_shrink t cid ~runs =
@@ -507,15 +563,15 @@ let coffer_shrink t cid ~runs =
       in
       if not valid then Error Errno.EINVAL
       else begin
-        List.iter
-          (fun pid -> unmap_runs t ~pid runs)
-          (mappers_of t cid);
+        unmap_runs_everywhere t cid runs;
         List.iter (fun (start, len) -> Alloc_table.free_run t.at ~start ~len) runs;
         Ok ()
       end)
 
+(* Bookkeeping under the kernel lock; the PTEs are installed after it is
+   released, under the caller's page-table lock alone. *)
 let coffer_map t cid =
-  kernel_op t (fun () ->
+  kernel_op_then t (fun () ->
       match trip_transient t with
       | Some e -> Error e
       | None ->
@@ -525,7 +581,11 @@ let coffer_map t cid =
       if c.Coffer.in_recovery then Error Errno.EBUSY
       else
         match Hashtbl.find_opt ps.ps_mapped cid with
-        | Some m -> Ok m (* already mapped *)
+        | Some m ->
+            (* Already mapped, possibly by a sibling thread still installing
+               the PTEs: wait for the page-table lock, so a mapping is never
+               handed back half-installed. *)
+            Ok (m, fun () -> Sim.Mutex.with_lock ps.ps_pt ignore)
         | None ->
             let cr = cred () in
             let readable =
@@ -547,9 +607,11 @@ let coffer_map t cid =
               match free_key 1 with
               | None -> Error Errno.EMFILE
               | Some pkey ->
+                  (* Taken before the kernel lock is dropped and held across
+                     the install (hand-over-hand). *)
+                  Sim.Mutex.lock ps.ps_pt;
                   ps.ps_pkeys <- ps.ps_pkeys lor (1 lsl pkey);
                   let runs = Alloc_table.runs_of t.at ~cid in
-                  map_runs t ~pid ~cid ~pkey ~writable runs;
                   let m =
                     {
                       m_pkey = pkey;
@@ -561,18 +623,29 @@ let coffer_map t cid =
                   in
                   Hashtbl.replace ps.ps_mapped cid m;
                   add_mapper t cid pid;
-                  Ok m
+                  Ok
+                    ( m,
+                      fun () ->
+                        map_runs t ~pid ~cid ~pkey ~writable runs;
+                        Sim.Mutex.unlock ps.ps_pt )
             end)
 
+(* The mirror image of [coffer_map]: bookkeeping under both locks, the PTE
+   teardown after the kernel lock is released. *)
 let coffer_unmap t cid =
-  kernel_op t (fun () ->
+  kernel_op_then t (fun () ->
       let pid = (Sim.self_proc ()).Sim.Proc.pid in
       let* ps = proc_state t pid in
-      if not (Hashtbl.mem ps.ps_mapped cid) then Error Errno.EINVAL
-      else begin
-        unmap_from_process t cid pid;
-        Ok ()
-      end)
+      match Hashtbl.find_opt ps.ps_mapped cid with
+      | None -> Error Errno.EINVAL
+      | Some m ->
+          Sim.Mutex.lock ps.ps_pt;
+          let runs = forget_mapping t ps cid m in
+          Ok
+            ( (),
+              fun () ->
+                unmap_runs t ~pid runs;
+                Sim.Mutex.unlock ps.ps_pt ))
 
 (* Change a coffer's permission in place (allowed only when the coffer's
    files all change permission together — e.g. the ZoFS-1coffer variant or a
@@ -623,9 +696,7 @@ let coffer_split t ~src ~new_path ~ctype ~mode ~uid ~gid ~runs ~root_file
               let id = match new_runs with (s, _) :: _ -> s | [] -> assert false in
               Alloc_table.reassign t.at ~start:id ~len:1 ~cid:id;
               (* Moved pages change owner; mappers of src lose them. *)
-              List.iter
-                (fun pid -> unmap_runs t ~pid runs)
-                (mappers_of t src);
+              unmap_runs_everywhere t src runs;
               List.iter
                 (fun (start, len) ->
                   Alloc_table.reassign t.at ~start ~len ~cid:id)
@@ -678,18 +749,7 @@ let coffer_merge t ~dst ~src =
           Hashtbl.remove t.coffers src;
           Hashtbl.remove t.mappers src;
           (* Make the adopted pages visible to dst's mappers. *)
-          let adopted = List.filter (fun (s, _l) -> s <> src) runs in
-          List.iter
-            (fun pid ->
-              match Hashtbl.find_opt t.procs pid with
-              | None -> ()
-              | Some ps -> (
-                  match Hashtbl.find_opt ps.ps_mapped dst with
-                  | None -> ()
-                  | Some m ->
-                      map_runs t ~pid ~cid:dst ~pkey:m.m_pkey
-                        ~writable:m.m_writable adopted))
-            (mappers_of t dst);
+          map_everywhere t dst (List.filter (fun (s, _l) -> s <> src) runs);
           Ok ()
         end)
 

@@ -7,10 +7,18 @@
     µFS stores inside.
 
     Every entry point is a system call: it pays the {!Gate} cost (trap +
-    cache pollution) and serializes on the kernel lock — the reason very
-    frequent [coffer_enlarge] calls bound ZoFS's scalability in the paper's
-    Figure 7(d)/(g).  All permission checks compare the *calling simulated
-    process*'s credentials against the coffer's owner/mode. *)
+    cache pollution) and serializes on the global kernel lock for its work
+    on KernFS's own structures (allocation table, path map, coffer table,
+    mapper and MPK-key bookkeeping) — the reason very frequent
+    [coffer_enlarge] calls bound ZoFS's scalability in the paper's Figure
+    7(d)/(g).  Each process's page table has its own lock: every PTE write
+    for a process holds that process's page-table lock, and the lock order
+    is global lock, then page-table lock.  {!coffer_map} and
+    {!coffer_unmap} write only the caller's PTEs, so they do that work
+    after releasing the global lock, under the caller's page-table lock
+    alone; two processes map in parallel.  All permission checks compare
+    the *calling simulated process*'s credentials against the coffer's
+    owner/mode. *)
 
 (** Reserved owner ids in the allocation table. *)
 
@@ -158,10 +166,16 @@ val coffer_shrink : t -> int -> runs:(int * int) list -> (unit, Errno.t) result
 val coffer_map : t -> int -> (mapping, Errno.t) result
 (** Permission-check the caller, assign a free MPK key (of the 15 usable),
     and map every page of the coffer — root page read-only — into the
-    calling process.  [EMFILE] when all 15 regions are taken (the µFS should
-    unmap something and retry, §3.4.2); [EBUSY] during recovery. *)
+    calling process.  The PTEs are installed after the global lock is
+    released, under the caller's page-table lock; a thread that finds the
+    coffer already mapped waits for that lock, so it never gets back a
+    half-installed mapping.  [EMFILE] when all 15 regions are taken (the
+    µFS should unmap something and retry, §3.4.2); [EBUSY] during
+    recovery. *)
 
 val coffer_unmap : t -> int -> (unit, Errno.t) result
+(** Drop the caller's mapping: bookkeeping under both locks, the PTE
+    teardown after the global lock is released. *)
 
 val coffer_chmod : t -> int -> mode:int -> uid:int -> gid:int -> (unit, Errno.t) result
 (** Change the whole coffer's permission in place (owner or root only) and

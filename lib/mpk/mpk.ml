@@ -184,6 +184,11 @@ let page_pkey t ~pid ~page =
       let pte = Char.code (Bytes.get b page) in
       if pte land pte_mapped = 0 then None else Some (pte lsr 4)
 
+let page_writable t ~pid ~page =
+  match Hashtbl.find_opt t.tables pid with
+  | None -> false
+  | Some b -> Char.code (Bytes.get b page) land pte_writable <> 0
+
 let wrpkru t perms =
   Hashtbl.replace t.pkru (Sim.self_tid ()) (pkru_of_perms perms);
   Sim.advance wrpkru_cost;

@@ -36,6 +36,7 @@ val unmap_page : t -> pid:int -> page:int -> unit
 val unmap_all : t -> pid:int -> unit
 val is_mapped : t -> pid:int -> page:int -> bool
 val page_pkey : t -> pid:int -> page:int -> pkey option
+val page_writable : t -> pid:int -> page:int -> bool
 
 (** {1 Process teardown (privileged; called by KernFS reaping)} *)
 

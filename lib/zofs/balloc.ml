@@ -8,8 +8,10 @@
    owner+lease word — without any cross-thread synchronization; when the slot
    runs dry it refills from the global list, and when that is empty too it
    asks KernFS for more pages with coffer_enlarge (the kernel call whose
-   contention flattens Figure 7(d)/(g)).  If a thread dies, its slot's lease
-   expires and the slot (with its pages) is reused by someone else. *)
+   contention flattens Figure 7(d)/(g)).  A thread that finds every slot
+   claimed allocates from the global list under its lease.  If a thread
+   dies, its slot's lease expires and the slot (with its pages) is reused
+   by someone else. *)
 
 (* Both knobs are exposed for the ablation benches: [enlarge_batch] trades
    kernel calls against space slack; [force_global] disables the per-thread
@@ -79,8 +81,9 @@ let create dev ~custom ~cid kfs =
 (* ---- per-thread slot management ---------------------------------------- *)
 
 (* Claim a slot whose lease is free or expired.  The paper pre-allocates
-   "sufficient" slots; with 63 slots per coffer this never fails in our
-   workloads, but we fall back to stealing the most-expired slot. *)
+   "sufficient" slots; with more live allocators than the 63 slots of a
+   coffer this fails, and [alloc_page] falls back to the coffer-global
+   list. *)
 let claim_slot t =
   let me = Lease.owner_code () in
   let tnow = Sim.now () in
@@ -284,7 +287,11 @@ let rec alloc_page t =
   if !force_global then alloc_page_global t
   else
     match my_slot t with
-    | None -> Error Treasury.Errno.EAGAIN
+    | None ->
+        (* Every slot is claimed by a live lease (more concurrent
+           allocators than slots): allocate from the coffer-global list,
+           as [free_page] frees to it. *)
+        alloc_page_global t
     | Some slot -> (
         let a = slot_addr t slot in
         match

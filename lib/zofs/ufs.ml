@@ -152,10 +152,17 @@ let evict_one t =
       true
   | None -> false
 
-let rec map_coffer t cid =
+(* The kernel mapping alone: when all 15 MPK regions are taken, evict an
+   idle coffer and retry (§3.4.2). *)
+let rec kernel_map t cid =
+  match Transient.retry (fun () -> K.coffer_map t.kfs cid) with
+  | Error E.EMFILE when evict_one t -> kernel_map t cid
+  | r -> r
+
+let map_coffer t cid =
   Obs.set_op_coffer cid;
   Obs.span ~cat:"coffer" ~name:"map" @@ fun () ->
-  match Transient.retry (fun () -> K.coffer_map t.kfs cid) with
+  match kernel_map t cid with
   | Ok m -> (
       let info =
         Mpk.with_keys t.mpk
@@ -195,8 +202,6 @@ let rec map_coffer t cid =
           ignore (K.coffer_unmap t.kfs cid);
           Obs.cnt "coffer.unmaps" 1;
           Error E.EIO)
-  | Error E.EMFILE ->
-      if evict_one t then map_coffer t cid else Error E.EMFILE
   | Error e -> Error e
 
 let session_of_cid t cid =
@@ -348,7 +353,7 @@ let create_sub_coffer t ~path ~kind ~mode ~uid ~gid =
   let* info = K.coffer_new t.kfs ~path ~ctype ~mode ~uid ~gid in
   (* Map first with the raw kernel mapping and initialize the µFS structures
      (custom page, root inode) before attaching the allocator. *)
-  let* m = Transient.retry (fun () -> K.coffer_map t.kfs info.Coffer.id) in
+  let* m = kernel_map t info.Coffer.id in
   Mpk.with_keys t.mpk
     [ (m.K.m_pkey, Mpk.Pk_read_write) ]
     (fun () ->

@@ -8,8 +8,8 @@ module D = Nvm.Device
 
 let zofs_ctype = 1
 
-let mk () =
-  let dev = D.create ~perf:Nvm.Perf.free ~size:(1024 * Nvm.page_size) () in
+let mk ?(pages = 1024) () =
+  let dev = D.create ~perf:Nvm.Perf.free ~size:(pages * Nvm.page_size) () in
   let mpk = Mpk.create dev in
   let kfs =
     K.mkfs dev mpk ~nbuckets:256 ~root_ctype:zofs_ctype ~root_mode:0o777
@@ -519,6 +519,173 @@ let test_syscall_costs_time () =
   Alcotest.(check bool) "costs at least the gate" true
     (elapsed >= Treasury.Gate.enter_cost + Treasury.Gate.exit_cost)
 
+(* ---- page-table invariants -------------------------------------------- *)
+
+(* Every PTE in [pid]'s table must belong to a coffer in [mapped] (that
+   process's mappings) and carry that mapping's key and writability, the
+   coffer root page read-only; every page of a mapped coffer must have a
+   PTE. *)
+let pte_violations kfs mpk ~pid mapped =
+  let at = K.alloc_table kfs in
+  let bad = ref [] in
+  let report fmt = Printf.ksprintf (fun s -> bad := s :: !bad) fmt in
+  for page = 0 to A.npages at - 1 do
+    let owner = A.owner_of at ~page in
+    match (Mpk.page_pkey mpk ~pid ~page, List.assoc_opt owner mapped) with
+    | None, None -> ()
+    | None, Some _ ->
+        report "pid %d: page %d of mapped coffer %d has no PTE" pid page owner
+    | Some _, None ->
+        report "pid %d: page %d has a PTE but its coffer %d is not mapped" pid
+          page owner
+    | Some key, Some m ->
+        if key <> m.K.m_pkey then
+          report "pid %d: page %d has key %d, its mapping %d" pid page key
+            m.K.m_pkey;
+        let writable = m.K.m_writable && page <> owner in
+        if Mpk.page_writable mpk ~pid ~page <> writable then
+          report "pid %d: page %d writable=%b, its mapping %b" pid page
+            (not writable) writable
+  done;
+  List.rev !bad
+
+(* [pte_violations] for [proc], read after its simulation has ended. *)
+let proc_pte_violations kfs mpk proc =
+  let mapped = Sim.run_thread ~proc (fun () -> K.mapped_coffers kfs) in
+  pte_violations kfs mpk ~pid:proc.Sim.Proc.pid mapped
+
+(* Two processes of two threads each interleave map, unmap, enlarge, shrink
+   and chmod over three shared coffers; afterwards every page table matches
+   its process's mappings exactly. *)
+let test_pte_invariant_under_interleaving () =
+  let _, mpk, kfs = mk ~pages:2048 () in
+  let cids =
+    as_user (fun () ->
+        ok_or_fail (K.fs_mount kfs);
+        List.map
+          (fun i ->
+            let c =
+              ok_or_fail
+                (K.coffer_new kfs ~path:(Printf.sprintf "/c%d" i)
+                   ~ctype:zofs_ctype ~mode:0o644 ~uid:1000 ~gid:1000)
+            in
+            ignore (ok_or_fail (K.coffer_enlarge kfs c.Coffer.id ~n:8));
+            c.Coffer.id)
+          [ 0; 1; 2 ])
+    |> Array.of_list
+  in
+  let world = Sim.create () in
+  let worker ~seed () =
+    let rng = Sim.Rng.create seed in
+    for _ = 1 to 150 do
+      let cid = cids.(Sim.Rng.int rng (Array.length cids)) in
+      (match Sim.Rng.int rng 5 with
+      | 0 -> ignore (K.coffer_map kfs cid)
+      | 1 -> ignore (K.coffer_unmap kfs cid)
+      | 2 -> ignore (K.coffer_enlarge kfs cid ~n:(1 + Sim.Rng.int rng 8))
+      | 3 -> (
+          match List.rev (A.runs_of (K.alloc_table kfs) ~cid) with
+          | (start, len) :: _ when start + len - 1 <> cid && len > 0 ->
+              ignore (K.coffer_shrink kfs cid ~runs:[ (start + len - 1, 1) ])
+          | _ -> ())
+      | _ ->
+          let mode = if Sim.Rng.bool rng then 0o644 else 0o444 in
+          ignore (K.coffer_chmod kfs cid ~mode ~uid:1000 ~gid:1000));
+      Sim.advance (Sim.Rng.int rng 2000)
+    done
+  in
+  let procs =
+    List.map
+      (fun p ->
+        let proc = Sim.Proc.create ~uid:1000 ~gid:1000 () in
+        Sim.spawn world ~proc ~name:(Printf.sprintf "p%d.0" p) (fun () ->
+            ok_or_fail (K.fs_mount kfs);
+            Sim.spawn world ~proc ~name:(Printf.sprintf "p%d.1" p)
+              (worker ~seed:(Int64.of_int ((10 * p) + 1)));
+            worker ~seed:(Int64.of_int (10 * p)) ());
+        proc)
+      [ 1; 2 ]
+  in
+  Sim.run world;
+  List.iter
+    (fun proc ->
+      Alcotest.(check (list string)) "page table matches mappings" []
+        (proc_pte_violations kfs mpk proc))
+    procs
+
+(* Negative: a PTE population that runs after the page-table lock was
+   dropped can land after a sibling's unmap tore the mapping down.  The
+   check must catch the stale PTEs it leaves. *)
+let test_pte_check_catches_late_install () =
+  let _, mpk, kfs = mk () in
+  let proc = Sim.Proc.create ~uid:1000 ~gid:1000 () in
+  let world = Sim.create () in
+  Sim.spawn world ~proc ~name:"mapper" (fun () ->
+      ok_or_fail (K.fs_mount kfs);
+      let c =
+        ok_or_fail
+          (K.coffer_new kfs ~path:"/late" ~ctype:zofs_ctype ~mode:0o600
+             ~uid:1000 ~gid:1000)
+      in
+      let cid = c.Coffer.id in
+      let m = ok_or_fail (K.coffer_map kfs cid) in
+      let runs = A.runs_of (K.alloc_table kfs) ~cid in
+      Sim.spawn world ~proc ~name:"unmapper" (fun () ->
+          ok_or_fail (K.coffer_unmap kfs cid));
+      Sim.advance 10_000;
+      let pid = proc.Sim.Proc.pid in
+      List.iter
+        (fun (start, len) ->
+          for page = start to start + len - 1 do
+            Mpk.map_page mpk ~pid ~page ~writable:(page <> cid)
+              ~pkey:m.K.m_pkey
+          done)
+        runs);
+  Sim.run world;
+  Alcotest.(check bool) "stale PTEs reported" true
+    (proc_pte_violations kfs mpk proc <> [])
+
+(* Two processes map two ~500-page coffers at the same instant.  Each writes
+   only its own page table, so both finish in about one map's time. *)
+let test_parallel_maps_overlap () =
+  let npages = 500 in
+  let _, _, kfs = mk ~pages:2048 () in
+  let cids =
+    as_user (fun () ->
+        ok_or_fail (K.fs_mount kfs);
+        List.map
+          (fun path ->
+            let c =
+              ok_or_fail
+                (K.coffer_new kfs ~path ~ctype:zofs_ctype ~mode:0o666 ~uid:1000
+                   ~gid:1000)
+            in
+            ignore (ok_or_fail (K.coffer_enlarge kfs c.Coffer.id ~n:(npages - 3)));
+            c.Coffer.id)
+          [ "/a"; "/b" ])
+  in
+  let start = 1_000_000 in
+  let elapsed = ref [] in
+  let world = Sim.create () in
+  List.iter
+    (fun cid ->
+      let proc = Sim.Proc.create ~uid:1000 ~gid:1000 () in
+      Sim.spawn world ~proc ~name:"mapper" (fun () ->
+          ok_or_fail (K.fs_mount kfs);
+          Sim.sleep_until start;
+          ignore (ok_or_fail (K.coffer_map kfs cid));
+          elapsed := (Sim.now () - start) :: !elapsed))
+    cids;
+  Sim.run world;
+  let one_map = npages * K.pte_update_cost in
+  List.iter
+    (fun ns ->
+      Alcotest.(check bool)
+        (Printf.sprintf "map took %d ns, one map's PTE work is %d ns" ns one_map)
+        true
+        (ns < one_map * 5 / 4))
+    !elapsed
+
 let () =
   Alcotest.run "kernfs"
     [
@@ -563,6 +730,15 @@ let () =
           Alcotest.test_case "chmod in place" `Quick test_chmod_in_place;
           Alcotest.test_case "rename descendants" `Quick
             test_rename_moves_descendants;
+        ] );
+      ( "page-tables",
+        [
+          Alcotest.test_case "PTEs match mappings under interleaving" `Quick
+            test_pte_invariant_under_interleaving;
+          Alcotest.test_case "late PTE install caught" `Quick
+            test_pte_check_catches_late_install;
+          Alcotest.test_case "two processes map in parallel" `Quick
+            test_parallel_maps_overlap;
         ] );
       ( "recovery+mmap",
         [

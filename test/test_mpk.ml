@@ -320,7 +320,10 @@ let test_page_pkey_query () =
   Alcotest.(check (option int)) "unmapped" None (Mpk.page_pkey mpk ~pid ~page:3);
   Mpk.map_page mpk ~pid ~page:3 ~writable:true ~pkey:9;
   Alcotest.(check (option int)) "mapped" (Some 9) (Mpk.page_pkey mpk ~pid ~page:3);
-  Alcotest.(check bool) "is_mapped" true (Mpk.is_mapped mpk ~pid ~page:3)
+  Alcotest.(check bool) "is_mapped" true (Mpk.is_mapped mpk ~pid ~page:3);
+  Alcotest.(check bool) "writable" true (Mpk.page_writable mpk ~pid ~page:3);
+  Mpk.map_page mpk ~pid ~page:3 ~writable:false ~pkey:9;
+  Alcotest.(check bool) "read-only" false (Mpk.page_writable mpk ~pid ~page:3)
 
 let test_wrpkru_cost () =
   let _dev, mpk = mk () in

@@ -4,6 +4,7 @@ open Testkit
 module V = Treasury.Vfs
 module Ft = Treasury.Fs_types
 module E = Treasury.Errno
+module K = Treasury.Kernfs
 
 let test_write_read_roundtrip () =
   let w = make_world () in
@@ -507,6 +508,53 @@ let test_balloc_stolen_slot_reclaimed () =
   Alcotest.(check bool) "owner moved to another slot" true
     (!owner_slot <> !stealer_slot)
 
+(* A coffer's custom page holds 63 allocator slots.  When 64 processes
+   allocate from one coffer at the same instant, every slot lease is live
+   when the 64th claims one: it must fall back to the coffer-global list,
+   not fail. *)
+let test_balloc_64_processes_one_lease_period () =
+  let w = make_world () in
+  let root = K.root_coffer w.kfs in
+  let start = 1_000_000 in
+  let results = ref [] in
+  let world = Sim.create () in
+  for i = 1 to 64 do
+    let proc = Sim.Proc.create ~uid:(1000 + i) ~gid:1000 () in
+    Sim.spawn world ~proc ~name:(Printf.sprintf "alloc%d" i) (fun () ->
+        ok_or_fail (K.fs_mount w.kfs);
+        let m = ok_or_fail (K.coffer_map w.kfs root) in
+        let rw = [ (m.K.m_pkey, Mpk.Pk_read_write) ] in
+        let b =
+          Mpk.with_keys w.mpk rw (fun () ->
+              Zofs.Balloc.attach w.dev ~custom:m.K.m_custom ~cid:root w.kfs)
+        in
+        Sim.sleep_until start;
+        let r = Mpk.with_keys w.mpk rw (fun () -> Zofs.Balloc.alloc_page b) in
+        results := r :: !results)
+  done;
+  Sim.run world;
+  Alcotest.(check int) "all 64 allocated" 64 (List.length !results);
+  let pages = List.map ok_or_fail !results in
+  Alcotest.(check int) "64 distinct pages" 64
+    (List.length (List.sort_uniq compare pages))
+
+(* Every directory whose mode differs from its parent's coffer becomes a
+   sub-coffer, mapped into the creating process: past the 15 MPK regions
+   the creation must evict an idle coffer instead of failing. *)
+let test_many_sub_coffers_no_emfile () =
+  let w = make_world () in
+  in_proc w (fun fs ->
+      for i = 1 to 20 do
+        let mode = if i mod 2 = 0 then 0o700 else 0o750 in
+        ok_or_fail (V.mkdir fs (Printf.sprintf "/d%d" i) mode)
+      done);
+  Sim.run_thread (fun () ->
+      let root = K.root_coffer w.kfs in
+      for i = 1 to 20 do
+        let cid = ok_or_fail (K.coffer_find w.kfs (Printf.sprintf "/d%d" i)) in
+        Alcotest.(check bool) "own coffer" true (cid <> root)
+      done)
+
 let qcheck_fs_matches_model =
   (* Model-based: random create/write/unlink sequences must match an
      in-memory model. *)
@@ -615,6 +663,10 @@ let () =
             test_cwd_and_relative_paths;
           Alcotest.test_case "stolen allocator slot re-claimed" `Quick
             test_balloc_stolen_slot_reclaimed;
+          Alcotest.test_case "64 allocators in one lease period" `Quick
+            test_balloc_64_processes_one_lease_period;
+          Alcotest.test_case "20 sub-coffers without EMFILE" `Quick
+            test_many_sub_coffers_no_emfile;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest qcheck_fs_matches_model ]);
     ]
