@@ -18,10 +18,10 @@ type trace_event =
 
 type t = {
   dev : Nvm.Device.t;
-  tables : (int, Bytes.t) Hashtbl.t;  (* pid -> per-page PTE bytes *)
-  pkru : (int, int) Hashtbl.t;  (* tid -> PKRU value *)
-  kernel_depth : (int, int) Hashtbl.t;  (* tid -> nesting *)
-  write_window : (int, int) Hashtbl.t;  (* tid -> nesting *)
+  tables : Bytes.t Sim.Idtbl.t;  (* pid -> per-page PTE bytes *)
+  pkru : int Sim.Idtbl.t;  (* tid -> PKRU value *)
+  kernel_depth : int Sim.Idtbl.t;  (* tid -> nesting *)
+  write_window : int Sim.Idtbl.t;  (* tid -> nesting *)
   mutable faults : int;
   trace : trace_event Nvm.Subscribers.t;
 }
@@ -59,25 +59,22 @@ let perms_of_pkru v =
 
 let fault t addr write reason =
   t.faults <- t.faults + 1;
-  (if Sys.getenv_opt "MPK_DEBUG_FAULT" <> None then
-     Printf.eprintf "FAULT addr=%d write=%b %s\n%s\n%!" addr write reason
-       (Printexc.raw_backtrace_to_string (Printexc.get_callstack 25)));
   raise (Nvm.Fault { addr; write; kind = Nvm.Protection; reason })
 
 let table t pid =
-  match Hashtbl.find_opt t.tables pid with
+  match Sim.Idtbl.find_opt t.tables pid with
   | Some b -> b
   | None ->
       let b = Bytes.make (Nvm.Device.pages t.dev) '\000' in
-      Hashtbl.replace t.tables pid b;
+      Sim.Idtbl.replace t.tables pid b;
       b
 
 let current_pkru t =
-  match Hashtbl.find_opt t.pkru (Sim.self_tid ()) with
+  match Sim.Idtbl.find_opt t.pkru (Sim.self_tid ()) with
   | Some v -> v
   | None -> pkru_all_disabled
 
-let depth tbl tid = match Hashtbl.find_opt tbl tid with Some d -> d | None -> 0
+let depth tbl tid = match Sim.Idtbl.find_opt tbl tid with Some d -> d | None -> 0
 
 let in_kernel t = depth t.kernel_depth (Sim.self_tid ()) > 0
 
@@ -95,7 +92,7 @@ let check t ~addr ~write =
       (* An address past the device end has no PTE at all: same SIGSEGV as
          an unmapped page (recovery relies on this when chasing torn
          pointers). *)
-      match Hashtbl.find_opt t.tables pid with
+      match Sim.Idtbl.find_opt t.tables pid with
       | None -> 0
       | Some b ->
           if page < 0 || page >= Bytes.length b then 0
@@ -118,10 +115,10 @@ let create dev =
   let t =
     {
       dev;
-      tables = Hashtbl.create 16;
-      pkru = Hashtbl.create 64;
-      kernel_depth = Hashtbl.create 64;
-      write_window = Hashtbl.create 64;
+      tables = Sim.Idtbl.create ();
+      pkru = Sim.Idtbl.create ();
+      kernel_depth = Sim.Idtbl.create ();
+      write_window = Sim.Idtbl.create ();
       faults = 0;
       trace = Nvm.Subscribers.create ();
     }
@@ -147,7 +144,7 @@ let map_page t ~pid ~page ~writable ~pkey =
 let unmap_page t ~pid ~page = Bytes.set (table t pid) page '\000'
 
 let unmap_all t ~pid =
-  match Hashtbl.find_opt t.tables pid with
+  match Sim.Idtbl.find_opt t.tables pid with
   | None -> ()
   | Some b -> Bytes.fill b 0 (Bytes.length b) '\000'
 
@@ -157,40 +154,40 @@ let unmap_all t ~pid =
    hardware; when a process dies, the next thread scheduled on that core must
    start from [pkru_all_disabled], never from the victim's register image —
    dropping the entries restores exactly that default. *)
-let drop_thread_state t ~tid =
-  Hashtbl.remove t.pkru tid;
-  Hashtbl.remove t.kernel_depth tid;
-  Hashtbl.remove t.write_window tid
+let drop_process t ~pid ~tids =
+  Sim.Idtbl.remove t.tables pid;
+  List.iter
+    (fun tid ->
+      Sim.Idtbl.remove t.pkru tid;
+      Sim.Idtbl.remove t.kernel_depth tid;
+      Sim.Idtbl.remove t.write_window tid)
+    tids
 
 let has_thread_state t ~tid =
-  Hashtbl.mem t.pkru tid || Hashtbl.mem t.kernel_depth tid
-  || Hashtbl.mem t.write_window tid
+  Sim.Idtbl.mem t.pkru tid || Sim.Idtbl.mem t.kernel_depth tid
+  || Sim.Idtbl.mem t.write_window tid
 
-let drop_process t ~pid ~tids =
-  Hashtbl.remove t.tables pid;
-  List.iter (fun tid -> drop_thread_state t ~tid) tids
-
-let has_table t ~pid = Hashtbl.mem t.tables pid
+let has_table t ~pid = Sim.Idtbl.mem t.tables pid
 
 let is_mapped t ~pid ~page =
-  match Hashtbl.find_opt t.tables pid with
+  match Sim.Idtbl.find_opt t.tables pid with
   | None -> false
   | Some b -> Char.code (Bytes.get b page) land pte_mapped <> 0
 
 let page_pkey t ~pid ~page =
-  match Hashtbl.find_opt t.tables pid with
+  match Sim.Idtbl.find_opt t.tables pid with
   | None -> None
   | Some b ->
       let pte = Char.code (Bytes.get b page) in
       if pte land pte_mapped = 0 then None else Some (pte lsr 4)
 
 let page_writable t ~pid ~page =
-  match Hashtbl.find_opt t.tables pid with
+  match Sim.Idtbl.find_opt t.tables pid with
   | None -> false
   | Some b -> Char.code (Bytes.get b page) land pte_writable <> 0
 
 let wrpkru t perms =
-  Hashtbl.replace t.pkru (Sim.self_tid ()) (pkru_of_perms perms);
+  Sim.Idtbl.replace t.pkru (Sim.self_tid ()) (pkru_of_perms perms);
   Sim.advance wrpkru_cost;
   if traced t then emit t (M_wrpkru { perms })
 
@@ -199,11 +196,11 @@ let rdpkru t = perms_of_pkru (current_pkru t)
 let with_keys t perms f =
   let tid = Sim.self_tid () in
   let saved = current_pkru t in
-  Hashtbl.replace t.pkru tid (pkru_of_perms perms);
+  Sim.Idtbl.replace t.pkru tid (pkru_of_perms perms);
   Sim.advance wrpkru_cost;
   if traced t then emit t (M_scope_enter { perms });
   let restore () =
-    Hashtbl.replace t.pkru tid saved;
+    Sim.Idtbl.replace t.pkru tid saved;
     Sim.advance wrpkru_cost;
     emit t M_scope_exit
   in
@@ -217,7 +214,7 @@ let with_keys t perms f =
 
 let bump tbl tid delta =
   let d = depth tbl tid + delta in
-  if d = 0 then Hashtbl.remove tbl tid else Hashtbl.replace tbl tid d
+  if d = 0 then Sim.Idtbl.remove tbl tid else Sim.Idtbl.replace tbl tid d
 
 let with_kernel t f =
   let tid = Sim.self_tid () in

@@ -47,9 +47,6 @@ val drop_process : t -> pid:int -> tids:int list -> unit
     simulated core starts from the all-disabled PKRU default — per-process
     protection context must never leak across a process switch. *)
 
-val drop_thread_state : t -> tid:int -> unit
-(** Drop one thread's PKRU / kernel-mode / write-window entries. *)
-
 val has_thread_state : t -> tid:int -> bool
 (** [true] iff the unit still holds any per-thread state for [tid]
     (no-leak assertions in tests). *)

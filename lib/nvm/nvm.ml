@@ -110,7 +110,22 @@ module Subscribers = struct
 end
 
 module Device = struct
-  type line_state = Dirty | Flushing
+  (* Per-line persistence state, one byte per cache line; a clean line is
+     durable.  Every state query reads this byte. *)
+  let st_clean = '\000'
+  let st_dirty = '\001'
+  let st_flushing = '\002'
+
+  (* Tables keyed by line index.  [pending] is a hash set, not a scan of the
+     state bytes, because [crash] draws one RNG bit per pending line in its
+     iteration order; [Hashtbl.hash] keeps that order what the generic
+     [Hashtbl] gave. *)
+  module Linetbl = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash = Hashtbl.hash
+  end)
 
   (* Trace events for analysis tooling (lib/check, lib/obs).  Unlike the
      protection hook, a trace subscriber observes every access *after* it
@@ -137,14 +152,15 @@ module Device = struct
     dev_perf : Perf.t;
     vol : bytes option array;
     shadow : bytes option array;
-    pending : (int, line_state) Hashtbl.t;  (* line index -> state *)
+    lstate : Bytes.t;  (* line index -> st_clean / st_dirty / st_flushing *)
+    pending : unit Linetbl.t;  (* lines whose state is not st_clean *)
     mutable flushing : int list;  (* lines initiated but not fenced *)
     mutable hook : (addr:int -> write:bool -> unit) option;
     trace : trace_event Subscribers.t;
     crash_rng : Sim.Rng.t;
     read_chan : Sim.Resource.t;
     write_chan : Sim.Resource.t;
-    line_caches : (int, int array) Hashtbl.t;  (* tid -> direct-mapped tags *)
+    line_caches : int array Sim.Idtbl.t;  (* tid -> direct-mapped tags *)
     mutable pollute_cursor : int;  (* rotating eviction window (per device!) *)
     mutable n_reads : int;
     mutable n_writes : int;
@@ -156,7 +172,7 @@ module Device = struct
     poison : (int, bool) Hashtbl.t;  (* line index -> sticky (media errors) *)
     mutable n_media_faults : int;
     mutable atomic_depth : int;  (* open kernel atomic sections (nesting) *)
-    atomic_undo : (int, bytes option) Hashtbl.t;
+    atomic_undo : bytes option Linetbl.t;
         (* line -> durable content at first in-section touch (None = unborn) *)
   }
 
@@ -169,14 +185,15 @@ module Device = struct
       dev_perf = perf;
       vol = Array.make (size / page_size) None;
       shadow = Array.make (size / page_size) None;
-      pending = Hashtbl.create 4096;
+      lstate = Bytes.make (size / line_size) st_clean;
+      pending = Linetbl.create 4096;
       flushing = [];
       hook = None;
       trace = Subscribers.create ();
       crash_rng = Sim.Rng.create seed;
       read_chan = Sim.Resource.create ~name:"nvm-read-bw" ();
       write_chan = Sim.Resource.create ~name:"nvm-write-bw" ();
-      line_caches = Hashtbl.create 16;
+      line_caches = Sim.Idtbl.create ();
       pollute_cursor = 0;
       n_reads = 0;
       n_writes = 0;
@@ -188,7 +205,7 @@ module Device = struct
       poison = Hashtbl.create 8;
       n_media_faults = 0;
       atomic_depth = 0;
-      atomic_undo = Hashtbl.create 64;
+      atomic_undo = Linetbl.create 64;
     }
 
   let size d = d.dev_size
@@ -292,11 +309,11 @@ module Device = struct
 
   let line_cache d =
     let tid = Sim.self_tid () in
-    match Hashtbl.find_opt d.line_caches tid with
+    match Sim.Idtbl.find_opt d.line_caches tid with
     | Some a -> a
     | None ->
         let a = Array.make cache_slots (-1) in
-        Hashtbl.replace d.line_caches tid a;
+        Sim.Idtbl.replace d.line_caches tid a;
         a
 
   (* A kernel crossing displaces part of the working set, not all of it:
@@ -307,7 +324,7 @@ module Device = struct
   let pollute_window = cache_slots / 8
 
   let pollute_cache d =
-    match Hashtbl.find_opt d.line_caches (Sim.self_tid ()) with
+    match Sim.Idtbl.find_opt d.line_caches (Sim.self_tid ()) with
     | Some a ->
         let start = d.pollute_cursor in
         for i = 0 to pollute_window - 1 do
@@ -377,7 +394,7 @@ module Device = struct
      crash behaviour. *)
 
   let atomic_note d line =
-    if d.atomic_depth > 0 && not (Hashtbl.mem d.atomic_undo line) then begin
+    if d.atomic_depth > 0 && not (Linetbl.mem d.atomic_undo line) then begin
       let addr = line * line_size in
       let page = addr / page_size and off = addr mod page_size in
       let saved =
@@ -385,8 +402,29 @@ module Device = struct
         | None -> None
         | Some s -> Some (Bytes.sub s off line_size)
       in
-      Hashtbl.replace d.atomic_undo line saved
+      Linetbl.replace d.atomic_undo line saved
     end
+
+  (* --- line state --------------------------------------------------------- *)
+
+  let line_state d line = Bytes.get d.lstate line
+
+  (* Move [line] to [st] (Dirty or Flushing); the set is touched only when
+     the line leaves the clean state. *)
+  let set_line_state d line st =
+    if line_state d line = st_clean then Linetbl.replace d.pending line ();
+    Bytes.set d.lstate line st
+
+  let clear_line_state d line =
+    if line_state d line <> st_clean then begin
+      Linetbl.remove d.pending line;
+      Bytes.set d.lstate line st_clean
+    end
+
+  (* Clean every pending line and empty the set. *)
+  let clear_pending d =
+    Linetbl.iter (fun line () -> Bytes.set d.lstate line st_clean) d.pending;
+    Linetbl.reset d.pending
 
   (* --- volatile view accessors ----------------------------------------- *)
 
@@ -395,17 +433,17 @@ module Device = struct
     for line = first to last do
       atomic_note d line;
       heal_poison d line;
-      match Hashtbl.find_opt d.pending line with
-      | Some _ -> ()
-      | None -> Hashtbl.replace d.pending line Dirty
+      if line_state d line = st_clean then set_line_state d line st_dirty
     done
 
-  let scalar_loc d addr len =
+  (* The page offset of a scalar access; the caller takes the page from
+     [addr / page_size], so the hot path builds no tuple. *)
+  let scalar_off d addr len =
     check_bounds d addr len;
-    let page = addr / page_size and off = addr mod page_size in
+    let off = addr mod page_size in
     if off + len > page_size then
       invalid_arg "Nvm: scalar access crosses a page boundary";
-    (page, off)
+    off
 
   let read_u8 d addr =
     check_protection d addr false;
@@ -413,8 +451,8 @@ module Device = struct
     let t0 = t_begin d in
     charge_read d addr 1;
     trace_load d addr 1 t0;
-    let page, off = scalar_loc d addr 1 in
-    Char.code (Bytes.get (vol_page d page) off)
+    let off = scalar_off d addr 1 in
+    Char.code (Bytes.get (vol_page d (addr / page_size)) off)
 
   let read_u16 d addr =
     check_protection d addr false;
@@ -422,8 +460,8 @@ module Device = struct
     let t0 = t_begin d in
     charge_read d addr 2;
     trace_load d addr 2 t0;
-    let page, off = scalar_loc d addr 2 in
-    Bytes.get_uint16_le (vol_page d page) off
+    let off = scalar_off d addr 2 in
+    Bytes.get_uint16_le (vol_page d (addr / page_size)) off
 
   let read_u32 d addr =
     check_protection d addr false;
@@ -431,8 +469,8 @@ module Device = struct
     let t0 = t_begin d in
     charge_read d addr 4;
     trace_load d addr 4 t0;
-    let page, off = scalar_loc d addr 4 in
-    Int32.to_int (Bytes.get_int32_le (vol_page d page) off) land 0xFFFFFFFF
+    let off = scalar_off d addr 4 in
+    Int32.to_int (Bytes.get_int32_le (vol_page d (addr / page_size)) off) land 0xFFFFFFFF
 
   let read_u64 d addr =
     check_protection d addr false;
@@ -440,15 +478,15 @@ module Device = struct
     let t0 = t_begin d in
     charge_read d addr 8;
     trace_load d addr 8 t0;
-    let page, off = scalar_loc d addr 8 in
-    Int64.to_int (Bytes.get_int64_le (vol_page d page) off)
+    let off = scalar_off d addr 8 in
+    Int64.to_int (Bytes.get_int64_le (vol_page d (addr / page_size)) off)
 
   let write_u8 d addr v =
     check_protection d addr true;
     let t0 = t_begin d in
     charge_store d addr 1;
-    let page, off = scalar_loc d addr 1 in
-    Bytes.set (vol_page d page) off (Char.chr (v land 0xFF));
+    let off = scalar_off d addr 1 in
+    Bytes.set (vol_page d (addr / page_size)) off (Char.chr (v land 0xFF));
     mark_dirty d addr 1;
     trace_store d addr 1 t0
 
@@ -456,8 +494,8 @@ module Device = struct
     check_protection d addr true;
     let t0 = t_begin d in
     charge_store d addr 2;
-    let page, off = scalar_loc d addr 2 in
-    Bytes.set_uint16_le (vol_page d page) off (v land 0xFFFF);
+    let off = scalar_off d addr 2 in
+    Bytes.set_uint16_le (vol_page d (addr / page_size)) off (v land 0xFFFF);
     mark_dirty d addr 2;
     trace_store d addr 2 t0
 
@@ -465,8 +503,8 @@ module Device = struct
     check_protection d addr true;
     let t0 = t_begin d in
     charge_store d addr 4;
-    let page, off = scalar_loc d addr 4 in
-    Bytes.set_int32_le (vol_page d page) off (Int32.of_int v);
+    let off = scalar_off d addr 4 in
+    Bytes.set_int32_le (vol_page d (addr / page_size)) off (Int32.of_int v);
     mark_dirty d addr 4;
     trace_store d addr 4 t0
 
@@ -474,8 +512,8 @@ module Device = struct
     check_protection d addr true;
     let t0 = t_begin d in
     charge_store d addr 8;
-    let page, off = scalar_loc d addr 8 in
-    Bytes.set_int64_le (vol_page d page) off (Int64.of_int v);
+    let off = scalar_off d addr 8 in
+    Bytes.set_int64_le (vol_page d (addr / page_size)) off (Int64.of_int v);
     mark_dirty d addr 8;
     trace_store d addr 8 t0
 
@@ -488,8 +526,8 @@ module Device = struct
     let t0 = t_begin d in
     charge_store d addr 8;
     if Sim.in_sim () then Sim.advance 20 (* lock prefix overhead *);
-    let page, off = scalar_loc d addr 8 in
-    let b = vol_page d page in
+    let off = scalar_off d addr 8 in
+    let b = vol_page d (addr / page_size) in
     let current = Int64.to_int (Bytes.get_int64_le b off) in
     if current = expected then begin
       Bytes.set_int64_le b off (Int64.of_int desired);
@@ -590,13 +628,12 @@ module Device = struct
        state change and its trace event stay adjacent, with no scheduling
        point between them; the state is re-read after the wait because the
        interleaved thread may have changed it. *)
-    if Hashtbl.find_opt d.pending line = Some Dirty then
-      charge_writeback d line_size;
-    (match Hashtbl.find_opt d.pending line with
-    | Some Dirty ->
-        Hashtbl.replace d.pending line Flushing;
-        d.flushing <- line :: d.flushing
-    | Some Flushing | None -> d.n_redundant_flushes <- d.n_redundant_flushes + 1);
+    if line_state d line = st_dirty then charge_writeback d line_size;
+    if line_state d line = st_dirty then begin
+      set_line_state d line st_flushing;
+      d.flushing <- line :: d.flushing
+    end
+    else d.n_redundant_flushes <- d.n_redundant_flushes + 1;
     (* The event fires before the trailing advance (keeping its ordering
        relative to the line-state change), so that known constant is folded
        into the reported cost instead of measured. *)
@@ -636,7 +673,7 @@ module Device = struct
     List.iter
       (fun line ->
         persist_line_now d line;
-        Hashtbl.remove d.pending line)
+        clear_line_state d line)
       d.flushing;
     d.flushing <- [];
     if Sim.in_sim () then begin
@@ -654,9 +691,9 @@ module Device = struct
      view from the durable one) or continues with the store-visible state it
      already had. *)
   let rollback_atomic d =
-    Hashtbl.iter
+    Linetbl.iter
       (fun line saved ->
-        Hashtbl.remove d.pending line;
+        clear_line_state d line;
         let addr = line * line_size in
         let page = addr / page_size and off = addr mod page_size in
         match saved with
@@ -667,8 +704,8 @@ module Device = struct
             | Some s -> Bytes.fill s off line_size '\000'))
       d.atomic_undo;
     d.flushing <-
-      List.filter (fun l -> not (Hashtbl.mem d.atomic_undo l)) d.flushing;
-    Hashtbl.reset d.atomic_undo;
+      List.filter (fun l -> not (Linetbl.mem d.atomic_undo l)) d.flushing;
+    Linetbl.reset d.atomic_undo;
     d.atomic_depth <- 0
 
   (* Close the section, making all its writes durable together (the journal
@@ -683,19 +720,16 @@ module Device = struct
     if d.atomic_depth > 1 then d.atomic_depth <- d.atomic_depth - 1
     else begin
       let need_fence = ref false in
-      let lines = Hashtbl.fold (fun l _ acc -> l :: acc) d.atomic_undo [] in
+      let lines = Linetbl.fold (fun l _ acc -> l :: acc) d.atomic_undo [] in
       List.iter
         (fun line ->
-          match Hashtbl.find_opt d.pending line with
-          | Some Dirty ->
-              clwb d (line * line_size);
-              need_fence := true
-          | Some Flushing -> need_fence := true
-          | None -> ())
-        (List.sort compare lines);
+          let st = line_state d line in
+          if st = st_dirty then clwb d (line * line_size);
+          if st <> st_clean then need_fence := true)
+        (List.sort Int.compare lines);
       if !need_fence then sfence d;
       d.atomic_depth <- 0;
-      Hashtbl.reset d.atomic_undo
+      Linetbl.reset d.atomic_undo
     end
 
   (* Abort on a non-crash exception escaping the section (e.g. a protection
@@ -705,27 +739,28 @@ module Device = struct
     if d.atomic_depth > 1 then d.atomic_depth <- d.atomic_depth - 1
     else if d.atomic_depth = 1 then rollback_atomic d
 
-  let in_atomic d = d.atomic_depth > 0
+  (* A non-temporal store leaves its line Flushing: durable at the next
+     fence, whatever state it was in. *)
+  let start_flushing d line =
+    if line_state d line <> st_flushing then begin
+      set_line_state d line st_flushing;
+      d.flushing <- line :: d.flushing
+    end
 
   let nt_write_u64 d addr v =
     check_protection d addr true;
     let t0 = t_begin d in
     charge_store d addr 8;
-    let page, off = scalar_loc d addr 8 in
-    Bytes.set_int64_le (vol_page d page) off (Int64.of_int v);
+    let off = scalar_off d addr 8 in
+    Bytes.set_int64_le (vol_page d (addr / page_size)) off (Int64.of_int v);
     let line = addr / line_size in
     (* As in [clwb]: charge (and possibly block) before the state change so
        the transition and its trace event are not separated by a scheduling
        point an interleaved fence could slip through. *)
-    if Hashtbl.find_opt d.pending line <> Some Flushing then
-      charge_writeback d line_size;
+    if line_state d line <> st_flushing then charge_writeback d line_size;
     atomic_note d line;
     heal_poison d line;
-    (match Hashtbl.find_opt d.pending line with
-    | Some Flushing -> ()
-    | Some Dirty | None ->
-        Hashtbl.replace d.pending line Flushing;
-        d.flushing <- line :: d.flushing);
+    start_flushing d line;
     trace_nt_store d addr 8 t0
 
   let nt_write_string d addr s =
@@ -753,11 +788,7 @@ module Device = struct
       for line = first to last do
         atomic_note d line;
         heal_poison d line;
-        match Hashtbl.find_opt d.pending line with
-        | Some Flushing -> ()
-        | Some Dirty | None ->
-            Hashtbl.replace d.pending line Flushing;
-            d.flushing <- line :: d.flushing
+        start_flushing d line
       done;
       trace_nt_store d addr len t0
     end
@@ -789,23 +820,18 @@ module Device = struct
       for line = first to last do
         atomic_note d line;
         heal_poison d line;
-        match Hashtbl.find_opt d.pending line with
-        | Some Flushing -> ()
-        | Some Dirty | None ->
-            Hashtbl.replace d.pending line Flushing;
-            d.flushing <- line :: d.flushing
+        start_flushing d line
       done;
       trace_nt_store d addr len t0
     end
 
   let persist_all d =
-    let lines = Hashtbl.fold (fun line _ acc -> line :: acc) d.pending [] in
-    List.iter (fun line -> persist_line_now d line) lines;
-    Hashtbl.reset d.pending;
+    Linetbl.iter (fun line () -> persist_line_now d line) d.pending;
+    clear_pending d;
     d.flushing <- [];
     if traced d then emit d T_reset
 
-  let pending_lines d = Hashtbl.length d.pending
+  let pending_lines d = Linetbl.length d.pending
 
   (* Line-grained state queries for software that keeps its own persist
      bookkeeping (the µFS commit-path batcher).  These model a library
@@ -816,9 +842,8 @@ module Device = struct
   let flushing_lines d = List.length d.flushing
 
   let line_needs_flush d addr =
-    match Hashtbl.find_opt d.pending (addr / line_size) with
-    | Some Dirty -> true
-    | Some Flushing | None -> false
+    let line = addr / line_size in
+    line >= 0 && line < Bytes.length d.lstate && line_state d line = st_dirty
 
   type crash_policy = [ `Random | `Drop_all | `Keep_all ]
 
@@ -832,10 +857,8 @@ module Device = struct
       | `Drop_all -> false
       | `Random -> Sim.Rng.bool d.crash_rng
     in
-    Hashtbl.iter
-      (fun line _state -> if keep line then persist_line_now d line)
-      d.pending;
-    Hashtbl.reset d.pending;
+    Linetbl.iter (fun line () -> if keep line then persist_line_now d line) d.pending;
+    clear_pending d;
     d.flushing <- [];
     if traced d then emit d T_reset;
     (* Volatile view := persistent view. *)
@@ -861,7 +884,7 @@ module Device = struct
   type snapshot = {
     snap_vol : (int * bytes) array;
     snap_shadow : (int * bytes) array;
-    snap_pending : (int * line_state) array;
+    snap_pending : (int * char) array;  (* line -> st_dirty / st_flushing *)
     snap_flushing : int list;
     snap_rng : int64;
     snap_stats : int array;
@@ -883,7 +906,7 @@ module Device = struct
       snap_shadow = sparse d.shadow;
       snap_pending =
         Array.of_list
-          (Hashtbl.fold (fun l s acc -> (l, s) :: acc) d.pending []);
+          (Linetbl.fold (fun l () acc -> (l, line_state d l) :: acc) d.pending []);
       snap_flushing = d.flushing;
       snap_rng = Sim.Rng.get_state d.crash_rng;
       snap_stats =
@@ -903,8 +926,8 @@ module Device = struct
     Array.iter
       (fun (i, b) -> d.shadow.(i) <- Some (Bytes.copy b))
       snap.snap_shadow;
-    Hashtbl.reset d.pending;
-    Array.iter (fun (l, s) -> Hashtbl.replace d.pending l s) snap.snap_pending;
+    clear_pending d;
+    Array.iter (fun (l, st) -> set_line_state d l st) snap.snap_pending;
     d.flushing <- snap.snap_flushing;
     Sim.Rng.set_state d.crash_rng snap.snap_rng;
     (match snap.snap_stats with
@@ -921,8 +944,8 @@ module Device = struct
     Array.iter (fun (l, s) -> Hashtbl.replace d.poison l s) snap.snap_poison;
     d.fences_to_drop <- 0;
     d.atomic_depth <- 0;
-    Hashtbl.reset d.atomic_undo;
-    Hashtbl.reset d.line_caches;
+    Linetbl.reset d.atomic_undo;
+    Sim.Idtbl.reset d.line_caches;
     if traced d then emit d T_reset
 
   (* ---- host-file image persistence (for the CLI tools) ----------------- *)

@@ -165,7 +165,6 @@ module Device : sig
   val read_string : t -> int -> int -> string
   val blit_to_bytes : t -> int -> bytes -> int -> int -> unit
   val write_string : t -> int -> string -> unit
-  val blit_from_bytes : t -> bytes -> int -> int -> int -> unit
   val fill : t -> int -> int -> char -> unit
   val copy_within : t -> src:int -> dst:int -> len:int -> unit
 
@@ -280,9 +279,6 @@ module Device : sig
       exception escapes a kernel operation): pre-section durable contents are
       restored and the section's lines leave the pending set.  Volatile
       (store-visible) bytes are left as written. *)
-
-  val in_atomic : t -> bool
-  (** Whether a section is currently open. *)
 
   (** {2 Snapshot / restore (crash-exploration branching)} *)
 

@@ -6,6 +6,8 @@
    the smallest timestamp always runs first, lock acquisition order and every
    other interleaving decision is a pure function of simulated time. *)
 
+module Idtbl = Idtbl
+
 module Proc = struct
   type t = {
     pid : int;
@@ -70,6 +72,8 @@ module Heap = struct
 
   let dummy = { time = 0; seq = 0; thunk = (fun () -> ()) }
   let create () = { arr = Array.make 64 dummy; len = 0 }
+  let is_empty h = h.len = 0
+  let top_time h = h.arr.(0).time
   let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
   let push h e =
@@ -137,9 +141,9 @@ and world = {
   mutable current : thread option;
   rng0 : Rng.t;
   kills : (int, int) Hashtbl.t;  (* tid -> remaining advances before death *)
-  nokill : (int, int) Hashtbl.t;  (* tid -> no-kill nesting depth *)
+  nokill : int Idtbl.t;  (* tid -> no-kill nesting depth *)
   mutable killed : int;
-  dead : (int, unit) Hashtbl.t;  (* tids that exited or were killed *)
+  dead : unit Idtbl.t;  (* tids that exited or were killed *)
   proc_threads : (int, int list ref) Hashtbl.t;  (* pid -> tids, spawn order *)
 }
 
@@ -178,9 +182,9 @@ let create ?(seed = 42L) () =
     current = None;
     rng0 = Rng.create seed;
     kills = Hashtbl.create 8;
-    nokill = Hashtbl.create 8;
+    nokill = Idtbl.create ();
     killed = 0;
-    dead = Hashtbl.create 8;
+    dead = Idtbl.create ();
     proc_threads = Hashtbl.create 8;
   }
 
@@ -190,12 +194,9 @@ let active : world option ref = ref None
 let current_thread () =
   match !active with None -> None | Some w -> w.current
 
-let in_sim () = current_thread () <> None
+let in_sim () = match current_thread () with None -> false | Some _ -> true
 let now () = match current_thread () with None -> 0 | Some t -> t.time
 let self_tid () = match current_thread () with None -> -1 | Some t -> t.tid
-
-let self_name () =
-  match current_thread () with None -> "main" | Some t -> t.tname
 
 let self_proc () =
   match current_thread () with None -> Proc.root | Some t -> t.proc
@@ -250,14 +251,14 @@ let reschedule w t = suspend (fun k -> resume w t k)
    (the paper's trust model keeps KernFS alive). *)
 
 let nokill_depth w tid =
-  match Hashtbl.find_opt w.nokill tid with Some d -> d | None -> 0
+  match Idtbl.find_opt w.nokill tid with Some d -> d | None -> 0
 
 let die t =
   let w = t.world in
   w.live <- w.live - 1;
   w.killed <- w.killed + 1;
   Hashtbl.remove w.kills t.tid;
-  Hashtbl.replace w.dead t.tid ();
+  Idtbl.replace w.dead t.tid ();
   sync_emit (S_kill { tid = t.tid });
   (* Drop the continuation: the thread never resumes and nothing unwinds. *)
   suspend (fun _k -> ())
@@ -284,7 +285,7 @@ let killed_threads () =
 let thread_alive tid =
   match !active with
   | None -> false
-  | Some w -> tid >= 0 && tid < w.next_tid && not (Hashtbl.mem w.dead tid)
+  | Some w -> tid >= 0 && tid < w.next_tid && not (Idtbl.mem w.dead tid)
 
 (* ---- whole-process kill ------------------------------------------------- *)
 
@@ -313,7 +314,7 @@ let kill_process ~pid =
   | Some w ->
       List.iter
         (fun tid ->
-          if not (Hashtbl.mem w.dead tid) then Hashtbl.replace w.kills tid 1)
+          if not (Idtbl.mem w.dead tid) then Hashtbl.replace w.kills tid 1)
         (proc_tids pid)
 
 let with_no_kill f =
@@ -321,11 +322,11 @@ let with_no_kill f =
   | None -> f ()
   | Some t ->
       let w = t.world in
-      Hashtbl.replace w.nokill t.tid (nokill_depth w t.tid + 1);
+      Idtbl.replace w.nokill t.tid (nokill_depth w t.tid + 1);
       let leave () =
         let d = nokill_depth w t.tid - 1 in
-        if d <= 0 then Hashtbl.remove w.nokill t.tid
-        else Hashtbl.replace w.nokill t.tid d
+        if d <= 0 then Idtbl.remove w.nokill t.tid
+        else Idtbl.replace w.nokill t.tid d
       in
       (match f () with
       | v ->
@@ -335,6 +336,16 @@ let with_no_kill f =
           leave ();
           raise e)
 
+(* Yield to the scheduler only when another entry could run first.
+   Rescheduling pushes (t.time, fresh seq) and pops the minimum; a fresh seq
+   loses every tie, so that minimum is this same thread exactly when the heap
+   is empty or its top is strictly later.  Skipping the round trip then
+   changes no order: seq only ranks entries against each other, and every
+   later seq still exceeds every earlier one. *)
+let switch_if_needed t =
+  let h = t.world.heap in
+  if not (Heap.is_empty h || t.time < Heap.top_time h) then reschedule t.world t
+
 let advance ns =
   if ns < 0 then invalid_arg "Sim.advance: negative duration";
   match current_thread () with
@@ -342,10 +353,10 @@ let advance ns =
   | Some t ->
       t.time <- t.time + ns;
       maybe_kill t;
-      reschedule t.world t
+      switch_if_needed t
 
 let yield () =
-  match current_thread () with None -> () | Some t -> reschedule t.world t
+  match current_thread () with None -> () | Some t -> switch_if_needed t
 
 let sleep_until at =
   match current_thread () with
@@ -383,7 +394,7 @@ let spawn_tid w ?proc ?at ~name body =
         retc =
           (fun () ->
             w.live <- w.live - 1;
-            Hashtbl.replace w.dead t.tid ();
+            Idtbl.replace w.dead t.tid ();
             sync_emit (S_exit { tid = t.tid }));
         exnc = (fun e -> raise e);
         effc =
@@ -599,8 +610,6 @@ module Resource = struct
         let finish = start + ns in
         r.free_at <- finish;
         advance (finish - t.time)
-
-  let busy_until r = r.free_at
 
   let _ = ignore the_current
 end

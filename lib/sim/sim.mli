@@ -59,8 +59,6 @@ val now : unit -> int
 val self_tid : unit -> int
 (** Current thread id; [-1] outside a sim. *)
 
-val self_name : unit -> string
-
 val self_proc : unit -> Proc.t
 (** The current thread's process, or {!Proc.root} outside a sim. *)
 
@@ -73,7 +71,9 @@ val world_uid : unit -> int
 
 val advance : int -> unit
 (** Charge [ns] nanoseconds of virtual time to the current thread and yield
-    to the scheduler.  No-op outside a simulation. *)
+    to the scheduler.  No-op outside a simulation.  The host context switch
+    is skipped when no other thread could run first (none is runnable at or
+    before the new time); the schedule is the same either way. *)
 
 val yield : unit -> unit
 (** Yield without advancing time (other threads at the same timestamp may
@@ -138,6 +138,10 @@ val proc_tids : int -> int list
     in spawn order.  Used by kernel-side reaping to drop per-thread
     protection state. *)
 
+(** {1 Dense per-id tables} *)
+
+module Idtbl = Idtbl
+
 (** {1 Synchronization trace}
 
     Scheduler-level events consumed by dynamic analyses (lib/race) that need
@@ -177,8 +181,6 @@ module Rwlock : sig
   type t
 
   val create : ?name:string -> unit -> t
-  val rdlock : t -> unit
-  val wrlock : t -> unit
   val unlock : t -> unit
   val with_rd : t -> (unit -> 'a) -> 'a
   val with_wr : t -> (unit -> 'a) -> 'a
@@ -195,8 +197,6 @@ module Resource : sig
   (** [use r ns] reserves the resource for [ns] nanoseconds starting at the
       earliest instant it is free, and advances the calling thread to the end
       of the reservation.  No-op outside a simulation. *)
-
-  val busy_until : t -> int
 end
 
 (** {1 Deterministic pseudo-random numbers (splitmix64)} *)

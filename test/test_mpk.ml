@@ -217,6 +217,63 @@ let test_drop_process_clears_context () =
   in
   Alcotest.(check (option string)) "nothing mapped" (Some "page not mapped") r
 
+(* Per-thread and per-process state lives in tables indexed by id + 1; these
+   pin the cases a hash table got for free: tid -1 outside a world, ids far
+   past the initial size, and removal. *)
+
+let test_kernel_mode_outside_world () =
+  let dev, mpk = mk () in
+  Alcotest.(check bool) "tid -1" true (Sim.self_tid () = -1);
+  Alcotest.(check bool) "user mode" false (Mpk.in_kernel mpk);
+  Mpk.with_kernel mpk (fun () ->
+      Alcotest.(check bool) "kernel mode" true (Mpk.in_kernel mpk);
+      Alcotest.(check (option string))
+        "write outside window"
+        (Some "kernel write outside CR0.WP write window")
+        (fault_reason (fun () -> D.write_u64 dev 0 1));
+      Mpk.with_write_window mpk (fun () -> D.write_u64 dev 0 42);
+      Alcotest.(check int) "written in window" 42 (D.read_u64 dev 0));
+  Alcotest.(check bool) "back in user mode" false (Mpk.in_kernel mpk);
+  Alcotest.(check bool) "no state left for tid -1" false
+    (Mpk.has_thread_state mpk ~tid:(-1))
+
+let test_pkru_for_200_threads () =
+  let dev, mpk = mk () in
+  let proc = Sim.Proc.create ~uid:1000 ~gid:1000 () in
+  let pid = proc.Sim.Proc.pid in
+  for key = 1 to Mpk.nkeys - 1 do
+    Mpk.map_page mpk ~pid ~page:key ~writable:true ~pkey:key
+  done;
+  let perms i = [ (1 + (i mod 15), if i mod 2 = 0 then Mpk.Pk_read else Mpk.Pk_read_write) ] in
+  let seen = Array.make 200 [] and tids = Array.make 200 0 in
+  let w = Sim.create () in
+  for i = 0 to 199 do
+    tids.(i) <-
+      Sim.spawn_tid w ~proc ~name:(Printf.sprintf "t%d" i) (fun () ->
+          Mpk.wrpkru mpk (perms i);
+          Sim.advance 100 (* every other thread writes its PKRU meanwhile *);
+          ignore (D.read_u64 dev ((1 + (i mod 15)) * Nvm.page_size));
+          seen.(i) <- Mpk.rdpkru mpk)
+  done;
+  Sim.run w;
+  Array.iteri
+    (fun i p ->
+      Alcotest.(check bool) (Printf.sprintf "thread %d keeps its PKRU" i) true
+        (p = perms i))
+    seen;
+  Alcotest.(check bool) "tid 199 has state" true
+    (Mpk.has_thread_state mpk ~tid:tids.(199));
+  Alcotest.(check bool) "tid past every table has none" false
+    (Mpk.has_thread_state mpk ~tid:100_000);
+  Alcotest.(check bool) "unknown pid has no table" false
+    (Mpk.has_table mpk ~pid:100_000);
+  Mpk.drop_process mpk ~pid ~tids:(List.init 100 (fun i -> tids.(i)));
+  Alcotest.(check bool) "table dropped" false (Mpk.has_table mpk ~pid);
+  Alcotest.(check bool) "dropped thread" false
+    (Mpk.has_thread_state mpk ~tid:tids.(0));
+  Alcotest.(check bool) "undropped thread keeps state" true
+    (Mpk.has_thread_state mpk ~tid:tids.(100))
+
 let test_unmap () =
   let dev, mpk = mk () in
   in_proc (fun p ->
@@ -365,6 +422,8 @@ let () =
           Alcotest.test_case "with_keys exclusive (G2)" `Quick
             test_with_keys_exclusive;
           Alcotest.test_case "per-thread PKRU" `Quick test_per_thread_pkru;
+          Alcotest.test_case "PKRU for 200 threads" `Quick
+            test_pkru_for_200_threads;
           Alcotest.test_case "rdpkru" `Quick test_rdpkru;
           Alcotest.test_case "rdpkru interleaved threads" `Quick
             test_rdpkru_interleaved_threads;
@@ -379,5 +438,7 @@ let () =
           Alcotest.test_case "window needs kernel" `Quick
             test_write_window_requires_kernel;
           Alcotest.test_case "fault count" `Quick test_fault_count;
+          Alcotest.test_case "kernel mode outside a world" `Quick
+            test_kernel_mode_outside_world;
         ] );
     ]

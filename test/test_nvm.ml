@@ -201,6 +201,38 @@ let test_snapshot_captures_pending_lines () =
   Alcotest.(check int) "dirty line lost" 0 (D.read_u64 d 0);
   Alcotest.(check int) "flushing line persisted" 2 (D.read_u64 d 64)
 
+(* Every line-state query reads the same after a snapshot/restore round
+   trip that holds clean, Dirty and Flushing lines (clwb'd and nt-stored). *)
+let test_snapshot_round_trips_line_states () =
+  let d = mk () in
+  D.write_u64 d 256 4;
+  D.persist_range d 256 8 (* clean again *);
+  D.write_u64 d 0 1 (* Dirty *);
+  D.write_u64 d 64 2;
+  D.clwb d 64 (* Flushing *);
+  D.nt_write_u64 d 128 3 (* Flushing *);
+  let addrs = [ 0; 64; 128; 192; 256 ] in
+  let queries () =
+    ( D.pending_lines d,
+      D.flushing_lines d,
+      List.map (D.line_needs_flush d) addrs )
+  in
+  let before = queries () in
+  let snap = D.snapshot d in
+  D.write_u64 d 192 5;
+  D.clwb d 0;
+  D.sfence d;
+  D.restore d snap;
+  let pp = Alcotest.(triple int int (list bool)) in
+  Alcotest.check pp "queries unchanged" before (queries ());
+  Alcotest.check pp "expected states" (3, 2, [ true; false; false; false; false ])
+    before;
+  D.sfence d;
+  D.crash ~policy:`Drop_all d;
+  Alcotest.(check (list int))
+    "only the Flushing lines persist" [ 0; 2; 3; 0; 4 ]
+    (List.map (D.read_u64 d) addrs)
+
 let test_restore_is_reusable () =
   let d = mk () in
   D.write_u64 d 0 7;
@@ -361,6 +393,52 @@ let test_protection_hook_can_block () =
     (Nvm.Fault { addr = 0; write = true; kind = Nvm.Protection; reason = "ro" }) (fun () ->
       D.write_u64 d 0 1)
 
+(* --- host cost of the hot path ------------------------------------------ *)
+
+(* Untraced scalar loads and stores in a lone thread neither allocate nor
+   switch context: no hashing into boxed options, no (page, off) tuple, and
+   an [advance] with nobody else runnable keeps the thread running. *)
+let test_scalar_access_allocates_nothing () =
+  let d = mk ~perf:Nvm.Perf.optane () in
+  let n = 1000 in
+  let reads, writes =
+    Sim.run_thread (fun () ->
+        D.write_u64 d 64 1;
+        ignore (D.read_u64 d 64);
+        let w0 = Gc.minor_words () in
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (D.read_u64 d 64))
+        done;
+        let w1 = Gc.minor_words () in
+        for i = 1 to n do
+          D.write_u64 d 64 i
+        done;
+        let w2 = Gc.minor_words () in
+        (w1 -. w0, w2 -. w1))
+  in
+  Alcotest.(check int) "read_u64 words per call" 0 (int_of_float reads / n);
+  Alcotest.(check int) "write_u64 words per call" 0 (int_of_float writes / n)
+
+(* Line caches are per thread: 200 threads read lines that share one cache
+   slot, and each still hits its own line afterwards. *)
+let test_line_caches_per_thread () =
+  let d = mk ~size:(65536 * Nvm.page_size) ~perf:Nvm.Perf.optane () in
+  let slot_stride = 4096 * Nvm.line_size in
+  let hit_ns = Array.make 200 (-1) in
+  let w = Sim.create () in
+  for i = 0 to 199 do
+    Sim.spawn w ~name:(Printf.sprintf "r%d" i) (fun () ->
+        ignore (D.read_u64 d (i * slot_stride));
+        Sim.advance 1000;
+        let t0 = Sim.now () in
+        ignore (D.read_u64 d (i * slot_stride));
+        hit_ns.(i) <- Sim.now () - t0)
+  done;
+  Sim.run w;
+  Array.iteri
+    (fun i ns -> Alcotest.(check int) (Printf.sprintf "thread %d hits" i) 2 ns)
+    hit_ns
+
 (* --- property tests ---------------------------------------------------- *)
 
 let qcheck_persisted_data_survives =
@@ -406,6 +484,13 @@ let () =
           Alcotest.test_case "bounds" `Quick test_bounds;
           Alcotest.test_case "fill and copy" `Quick test_fill_and_copy;
         ] );
+      ( "host cost",
+        [
+          Alcotest.test_case "scalar access allocates nothing" `Quick
+            test_scalar_access_allocates_nothing;
+          Alcotest.test_case "line caches per thread" `Quick
+            test_line_caches_per_thread;
+        ] );
       ( "persistence",
         [
           Alcotest.test_case "unflushed lost" `Quick test_unflushed_lost_on_crash;
@@ -432,6 +517,8 @@ let () =
             test_snapshot_restores_both_views;
           Alcotest.test_case "captures pending lines" `Quick
             test_snapshot_captures_pending_lines;
+          Alcotest.test_case "round-trips line states" `Quick
+            test_snapshot_round_trips_line_states;
           Alcotest.test_case "restore is reusable" `Quick test_restore_is_reusable;
           Alcotest.test_case "captures crash rng" `Quick
             test_snapshot_captures_crash_rng;

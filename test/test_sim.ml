@@ -329,6 +329,84 @@ let qcheck_resource_total_time =
       Sim.run w;
       !latest = List.fold_left ( + ) 0 durations)
 
+(* --- exactness of the advance fast path -------------------------------- *)
+
+(* Reference model of the scheduler with no fast path: every advance pushes
+   (time, fresh seq) onto the heap and pops the minimum.  It replays a
+   scenario and returns the global order of (tid, step).  Thread [i < n]
+   starts at [starts.(i)]; thread 0, at step [spawn_step], spawns thread [n]
+   [back] ns in its past. *)
+let reference_order ~starts ~scripts ~spawn_step ~back ~child =
+  let n = Array.length starts in
+  let scripts = Array.append scripts [| child |] in
+  let queue = ref [] and seq = ref 0 in
+  let push time tid step =
+    queue := (time, !seq, tid, step) :: !queue;
+    incr seq
+  in
+  Array.iteri (fun tid start -> push start tid 0) starts;
+  let order = ref [] in
+  let rec loop () =
+    match !queue with
+    | [] -> ()
+    | first :: rest ->
+        let ((time, _, tid, step) as top) = List.fold_left min first rest in
+        queue := List.filter (fun e -> e != top) !queue;
+        let script = scripts.(tid) in
+        if step < List.length script then begin
+          order := (tid, step) :: !order;
+          if tid = 0 && step = spawn_step then push (max 0 (time - back)) n 0;
+          push (time + List.nth script step) tid (step + 1)
+        end;
+        loop ()
+  in
+  loop ();
+  List.rev !order
+
+let simulated_order ~starts ~scripts ~spawn_step ~back ~child =
+  let w = Sim.create () in
+  let order = ref [] in
+  let rec body script () =
+    List.iteri
+      (fun step ns ->
+        let tid = Sim.self_tid () in
+        order := (tid, step) :: !order;
+        if tid = 0 && step = spawn_step then
+          Sim.spawn w ~at:(max 0 (Sim.now () - back)) ~name:"child" (body child);
+        Sim.advance ns)
+      script
+  in
+  Array.iteri
+    (fun i start ->
+      Sim.spawn w ~at:start ~name:(Printf.sprintf "t%d" i) (body scripts.(i)))
+    starts;
+  Sim.run w;
+  List.rev !order
+
+let qcheck_advance_matches_push_pop =
+  let script = QCheck.Gen.(list_size (int_range 1 6) (int_range 0 3)) in
+  let gen =
+    QCheck.Gen.(
+      int_range 3 6 >>= fun n ->
+      array_size (return n) (int_range 0 3) >>= fun starts ->
+      array_size (return n) script >>= fun scripts ->
+      int_range 0 5 >>= fun spawn_step ->
+      int_range 0 8 >>= fun back ->
+      script >|= fun child -> (starts, scripts, spawn_step, back, child))
+  in
+  let print (starts, scripts, spawn_step, back, child) =
+    let ints l = String.concat ";" (List.map string_of_int l) in
+    Printf.sprintf "starts=[%s] scripts=[%s] spawn_step=%d back=%d child=[%s]"
+      (ints (Array.to_list starts))
+      (String.concat " | " (List.map ints (Array.to_list scripts)))
+      spawn_step back (ints child)
+  in
+  QCheck.Test.make ~name:"advance keeps the push-then-pop order" ~count:300
+    (QCheck.make ~print gen)
+    (fun (starts, scripts, spawn_step, back, child) ->
+      simulated_order ~starts ~scripts ~spawn_step ~back ~child
+      = reference_order ~starts ~scripts ~spawn_step ~back ~child)
+
 let () =
   Alcotest.run "sim"
     [
@@ -348,6 +426,7 @@ let () =
             test_kill_process_semantics;
           Alcotest.test_case "kill-process defers past no-kill" `Quick
             test_kill_process_defers_past_no_kill;
+          QCheck_alcotest.to_alcotest qcheck_advance_matches_push_pop;
         ] );
       ( "sync",
         [
