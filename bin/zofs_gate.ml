@@ -70,8 +70,9 @@ let () =
       name (List.length violations) (List.length uncaught)
       (List.length differences);
   (* The run's host cost, for whoever tunes the simulator: allocated words
-     repeat exactly from run to run, CPU seconds do not.  Never part of the
-     summary and never compared. *)
-  Printf.eprintf "zofs_gate %s: host %.2f s CPU, %.0f minor words\n%!" name
-    (Sys.time ()) (Gc.minor_words ());
+     and context switches repeat exactly from run to run, CPU seconds do
+     not.  Never part of the summary and never compared. *)
+  Printf.eprintf
+    "zofs_gate %s: host %.2f s CPU, %.0f minor words, %d switches\n%!" name
+    (Sys.time ()) (Gc.minor_words ()) (Sim.total_switches ());
   if not ok then exit 1

@@ -30,7 +30,6 @@ type violation = {
 
 exception Violation of violation
 
-val checker_name : checker -> string
 val string_of_violation : violation -> string
 
 (** {1 Attach / detach} *)

@@ -25,8 +25,7 @@
    stays under the global lock and takes each target's page-table lock
    inside it. *)
 
-(* Reserved owner ids in the allocation table. *)
-let cid_free = 0
+(* Reserved owner ids in the allocation table (0 is free). *)
 let cid_meta = 1 (* superblock + allocation table + path-map fixed region *)
 let cid_pathmap = 2 (* path-map slab pages *)
 
@@ -136,6 +135,11 @@ let check_access t cid wants =
   then Ok c
   else Error Errno.EACCES
 
+(* Charge [n] pages of PTE work at [per_page] ns each, in one advance: the
+   PTEs of one run appear in one step, and other threads run once per run,
+   not once per page. *)
+let charge_pages ~per_page n = if n > 0 then Sim.advance (per_page * n)
+
 (* Map the pages of [runs] into [pid]'s page table ([pid]'s page-table lock
    held).  The coffer's root page (if part of the runs) is mapped read-only:
    user space may read coffer metadata but never change it. *)
@@ -144,18 +148,18 @@ let map_runs t ~pid ~cid ~pkey ~writable runs =
     (fun (start, len) ->
       for page = start to start + len - 1 do
         let w = writable && page <> cid in
-        Mpk.map_page t.mpk ~pid ~page ~writable:w ~pkey;
-        Sim.advance pte_update_cost
-      done)
+        Mpk.map_page t.mpk ~pid ~page ~writable:w ~pkey
+      done;
+      charge_pages ~per_page:pte_update_cost len)
     runs
 
 let unmap_runs t ~pid runs =
   List.iter
     (fun (start, len) ->
       for page = start to start + len - 1 do
-        Mpk.unmap_page t.mpk ~pid ~page;
-        Sim.advance pte_update_cost
-      done)
+        Mpk.unmap_page t.mpk ~pid ~page
+      done;
+      charge_pages ~per_page:pte_update_cost len)
     runs
 
 (* Drop [ps]'s mapping of [cid] from the bookkeeping (both locks held) and
@@ -847,7 +851,7 @@ let file_mmap t ~cid ~pages =
       else if
         List.for_all (fun p -> Alloc_table.owner_of t.at ~page:p = cid) pages
       then begin
-        List.iter (fun _ -> Sim.advance pte_update_cost) pages;
+        charge_pages ~per_page:pte_update_cost (List.length pages);
         Ok ()
       end
       else Error Errno.EINVAL)
@@ -863,9 +867,9 @@ let file_execve t ~cid ~pages =
       else if
         List.for_all (fun p -> Alloc_table.owner_of t.at ~page:p = cid) pages
       then begin
-        List.iter
-          (fun _ -> Sim.advance (pte_update_cost + (Nvm.page_size / 39)))
-          pages;
+        charge_pages
+          ~per_page:(pte_update_cost + (Nvm.page_size / 39))
+          (List.length pages);
         Ok ()
       end
       else Error Errno.EINVAL)
@@ -912,7 +916,6 @@ let page_owner t ~page =
 
 let enlarge_count t = t.enlarge_calls
 let free_pages t = Alloc_table.free_pages t.at
-let coffer_count t = Hashtbl.length t.coffers
 
 let mapped_coffers t =
   let pid = (Sim.self_proc ()).Sim.Proc.pid in

@@ -20,11 +20,10 @@
     the *calling simulated process*'s credentials against the coffer's
     owner/mode. *)
 
-(** Reserved owner ids in the allocation table. *)
-
-val cid_free : int
-val cid_meta : int
 val cid_pathmap : int
+(** Owner id of path-map slab pages in the allocation table: the largest
+    reserved id (0 is free, 1 the fixed metadata), so every coffer id is
+    larger. *)
 
 type t
 
@@ -46,8 +45,6 @@ val pte_update_cost : int
     and [Suspect] serve everything, [Quarantined] is read-only, [Offline]
     rejects every access.  Rebuilt (all-Healthy) on mount. *)
 type health = Healthy | Suspect | Quarantined | Offline
-
-val health_to_string : health -> string
 
 val coffer_health : t -> int -> health
 (** Not a syscall: modeled as a load from a read-only shared page. *)
@@ -219,11 +216,14 @@ val coffer_recover_end : t -> int -> in_use:int list -> (unit, Errno.t) result
 
 val file_mmap : t -> cid:int -> pages:int list -> (unit, Errno.t) result
 (** Validate that [pages] belong to a coffer the caller has mapped, then
-    install the user mapping (per-page PTE cost). *)
+    install the user mapping ({!pte_update_cost} per page, charged in one
+    advance). *)
 
 val file_execve : t -> cid:int -> pages:int list -> (unit, Errno.t) result
 (** Coffer pages are never executable; execve validates the image pages and
-    builds a private executable copy. *)
+    builds a private executable copy ({!pte_update_cost} plus a page copy
+    per page, charged in one advance).  [EACCES] unless the caller maps
+    [cid]; [EINVAL] if a page is not [cid]'s. *)
 
 (** {1 Introspection} *)
 
@@ -240,5 +240,4 @@ val page_owner : t -> page:int -> (int, Errno.t) result
 
 val enlarge_count : t -> int
 val free_pages : t -> int
-val coffer_count : t -> int
 val mapped_coffers : t -> (int * mapping) list

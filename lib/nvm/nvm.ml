@@ -116,17 +116,6 @@ module Device = struct
   let st_dirty = '\001'
   let st_flushing = '\002'
 
-  (* Tables keyed by line index.  [pending] is a hash set, not a scan of the
-     state bytes, because [crash] draws one RNG bit per pending line in its
-     iteration order; [Hashtbl.hash] keeps that order what the generic
-     [Hashtbl] gave. *)
-  module Linetbl = Hashtbl.Make (struct
-    type t = int
-
-    let equal = Int.equal
-    let hash = Hashtbl.hash
-  end)
-
   (* Trace events for analysis tooling (lib/check, lib/obs).  Unlike the
      protection hook, a trace subscriber observes every access *after* it
      happened and must never fault; it exists so checkers can mirror the
@@ -153,7 +142,7 @@ module Device = struct
     vol : bytes option array;
     shadow : bytes option array;
     lstate : Bytes.t;  (* line index -> st_clean / st_dirty / st_flushing *)
-    pending : unit Linetbl.t;  (* lines whose state is not st_clean *)
+    mutable npending : int;  (* lines whose state is not st_clean *)
     mutable flushing : int list;  (* lines initiated but not fenced *)
     mutable hook : (addr:int -> write:bool -> unit) option;
     trace : trace_event Subscribers.t;
@@ -172,8 +161,9 @@ module Device = struct
     poison : (int, bool) Hashtbl.t;  (* line index -> sticky (media errors) *)
     mutable n_media_faults : int;
     mutable atomic_depth : int;  (* open kernel atomic sections (nesting) *)
-    atomic_undo : bytes option Linetbl.t;
-        (* line -> durable content at first in-section touch (None = unborn) *)
+    mutable atomic_undo : (int * bytes option) list;
+        (* (line, durable content at first in-section touch; None = unborn) *)
+    undo_mark : Bytes.t;  (* line index -> '\001' iff in [atomic_undo] *)
   }
 
   let create ?(perf = Perf.optane) ?(seed = 7L) ~size () =
@@ -186,7 +176,7 @@ module Device = struct
       vol = Array.make (size / page_size) None;
       shadow = Array.make (size / page_size) None;
       lstate = Bytes.make (size / line_size) st_clean;
-      pending = Linetbl.create 4096;
+      npending = 0;
       flushing = [];
       hook = None;
       trace = Subscribers.create ();
@@ -205,7 +195,8 @@ module Device = struct
       poison = Hashtbl.create 8;
       n_media_faults = 0;
       atomic_depth = 0;
-      atomic_undo = Linetbl.create 64;
+      atomic_undo = [];
+      undo_mark = Bytes.make (size / line_size) '\000';
     }
 
   let size d = d.dev_size
@@ -393,8 +384,10 @@ module Device = struct
      (µFS) writes never run inside a section and keep raw line-granularity
      crash behaviour. *)
 
+  let in_undo d line = Bytes.get d.undo_mark line <> '\000'
+
   let atomic_note d line =
-    if d.atomic_depth > 0 && not (Linetbl.mem d.atomic_undo line) then begin
+    if d.atomic_depth > 0 && not (in_undo d line) then begin
       let addr = line * line_size in
       let page = addr / page_size and off = addr mod page_size in
       let saved =
@@ -402,29 +395,49 @@ module Device = struct
         | None -> None
         | Some s -> Some (Bytes.sub s off line_size)
       in
-      Linetbl.replace d.atomic_undo line saved
+      Bytes.set d.undo_mark line '\001';
+      d.atomic_undo <- (line, saved) :: d.atomic_undo
     end
+
+  (* Empty the undo log and clear its marks. *)
+  let reset_undo d =
+    List.iter (fun (line, _) -> Bytes.set d.undo_mark line '\000') d.atomic_undo;
+    d.atomic_undo <- []
 
   (* --- line state --------------------------------------------------------- *)
 
   let line_state d line = Bytes.get d.lstate line
 
-  (* Move [line] to [st] (Dirty or Flushing); the set is touched only when
-     the line leaves the clean state. *)
+  (* Move [line] to [st] (Dirty or Flushing); the count moves only when the
+     line leaves the clean state. *)
   let set_line_state d line st =
-    if line_state d line = st_clean then Linetbl.replace d.pending line ();
+    if line_state d line = st_clean then d.npending <- d.npending + 1;
     Bytes.set d.lstate line st
 
   let clear_line_state d line =
     if line_state d line <> st_clean then begin
-      Linetbl.remove d.pending line;
+      d.npending <- d.npending - 1;
       Bytes.set d.lstate line st_clean
     end
 
-  (* Clean every pending line and empty the set. *)
+  (* Apply [f] to every pending line in ascending line order.  No scan when
+     nothing is pending; otherwise eight state bytes are tested at a time
+     (the line count is a multiple of 64: devices are whole pages). *)
+  let iter_pending d f =
+    if d.npending > 0 then
+      for w = 0 to (Bytes.length d.lstate / 8) - 1 do
+        if Bytes.get_int64_ne d.lstate (8 * w) <> 0L then
+          for line = 8 * w to (8 * w) + 7 do
+            if Bytes.get d.lstate line <> st_clean then f line
+          done
+      done
+
+  (* Clean every pending line. *)
   let clear_pending d =
-    Linetbl.iter (fun line () -> Bytes.set d.lstate line st_clean) d.pending;
-    Linetbl.reset d.pending
+    if d.npending > 0 then begin
+      Bytes.fill d.lstate 0 (Bytes.length d.lstate) st_clean;
+      d.npending <- 0
+    end
 
   (* --- volatile view accessors ----------------------------------------- *)
 
@@ -691,8 +704,8 @@ module Device = struct
      view from the durable one) or continues with the store-visible state it
      already had. *)
   let rollback_atomic d =
-    Linetbl.iter
-      (fun line saved ->
+    List.iter
+      (fun (line, saved) ->
         clear_line_state d line;
         let addr = line * line_size in
         let page = addr / page_size and off = addr mod page_size in
@@ -703,9 +716,8 @@ module Device = struct
             | None -> ()
             | Some s -> Bytes.fill s off line_size '\000'))
       d.atomic_undo;
-    d.flushing <-
-      List.filter (fun l -> not (Linetbl.mem d.atomic_undo l)) d.flushing;
-    Linetbl.reset d.atomic_undo;
+    d.flushing <- List.filter (fun l -> not (in_undo d l)) d.flushing;
+    reset_undo d;
     d.atomic_depth <- 0
 
   (* Close the section, making all its writes durable together (the journal
@@ -720,7 +732,7 @@ module Device = struct
     if d.atomic_depth > 1 then d.atomic_depth <- d.atomic_depth - 1
     else begin
       let need_fence = ref false in
-      let lines = Linetbl.fold (fun l _ acc -> l :: acc) d.atomic_undo [] in
+      let lines = List.rev_map fst d.atomic_undo in
       List.iter
         (fun line ->
           let st = line_state d line in
@@ -729,7 +741,7 @@ module Device = struct
         (List.sort Int.compare lines);
       if !need_fence then sfence d;
       d.atomic_depth <- 0;
-      Linetbl.reset d.atomic_undo
+      reset_undo d
     end
 
   (* Abort on a non-crash exception escaping the section (e.g. a protection
@@ -826,12 +838,12 @@ module Device = struct
     end
 
   let persist_all d =
-    Linetbl.iter (fun line () -> persist_line_now d line) d.pending;
+    iter_pending d (persist_line_now d);
     clear_pending d;
     d.flushing <- [];
     if traced d then emit d T_reset
 
-  let pending_lines d = Linetbl.length d.pending
+  let pending_lines d = d.npending
 
   (* Line-grained state queries for software that keeps its own persist
      bookkeeping (the µFS commit-path batcher).  These model a library
@@ -851,13 +863,14 @@ module Device = struct
     (* A crash inside an open kernel atomic section aborts it: none of the
        section's writes survive, regardless of policy. *)
     if d.atomic_depth > 0 then rollback_atomic d;
-    let keep _line =
-      match policy with
-      | `Keep_all -> true
-      | `Drop_all -> false
-      | `Random -> Sim.Rng.bool d.crash_rng
-    in
-    Linetbl.iter (fun line () -> if keep line then persist_line_now d line) d.pending;
+    (* `Random draws one survival bit per pending line, in ascending line
+       order. *)
+    (match policy with
+    | `Keep_all -> iter_pending d (persist_line_now d)
+    | `Drop_all -> ()
+    | `Random ->
+        iter_pending d (fun line ->
+            if Sim.Rng.bool d.crash_rng then persist_line_now d line));
     clear_pending d;
     d.flushing <- [];
     if traced d then emit d T_reset;
@@ -905,8 +918,9 @@ module Device = struct
       snap_vol = sparse d.vol;
       snap_shadow = sparse d.shadow;
       snap_pending =
-        Array.of_list
-          (Linetbl.fold (fun l () acc -> (l, line_state d l) :: acc) d.pending []);
+        (let acc = ref [] in
+         iter_pending d (fun l -> acc := (l, line_state d l) :: !acc);
+         Array.of_list !acc);
       snap_flushing = d.flushing;
       snap_rng = Sim.Rng.get_state d.crash_rng;
       snap_stats =
@@ -944,7 +958,7 @@ module Device = struct
     Array.iter (fun (l, s) -> Hashtbl.replace d.poison l s) snap.snap_poison;
     d.fences_to_drop <- 0;
     d.atomic_depth <- 0;
-    Linetbl.reset d.atomic_undo;
+    reset_undo d;
     Sim.Idtbl.reset d.line_caches;
     if traced d then emit d T_reset
 

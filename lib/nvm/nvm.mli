@@ -212,7 +212,9 @@ module Device : sig
   (** {2 Crash simulation} *)
 
   type crash_policy =
-    [ `Random  (** each pending line independently persists or is lost *)
+    [ `Random
+      (** each pending line independently persists or is lost: one draw of
+          the crash PRNG per pending line, in ascending line order *)
     | `Drop_all  (** no pending line persists *)
     | `Keep_all  (** every pending line persists (power-fail-safe cache) *) ]
 

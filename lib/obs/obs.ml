@@ -784,11 +784,6 @@ let current_op () =
   | Some fr -> fr.op
   | None -> 0
 
-let current_op_coffer () =
-  match Hashtbl.find_opt frames (Sim.self_tid ()) with
-  | Some fr when fr.coffer >= 0 -> Some fr.coffer
-  | _ -> None
-
 let set_op_coffer cid =
   if !on then begin
     let fr = frame (Sim.self_tid ()) in

@@ -204,8 +204,6 @@ val current_op : unit -> int
 (** Op-id of the calling thread's in-flight dispatched operation, or 0 when
     none (op-ids start at 1). *)
 
-val current_op_coffer : unit -> int option
-
 (** {1 Snapshots} *)
 
 module Snapshot : sig

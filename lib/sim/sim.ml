@@ -145,6 +145,7 @@ and world = {
   mutable killed : int;
   dead : unit Idtbl.t;  (* tids that exited or were killed *)
   proc_threads : (int, int list ref) Hashtbl.t;  (* pid -> tids, spawn order *)
+  mutable switches : int;  (* reschedules: host context switches *)
 }
 
 exception Deadlock of string
@@ -186,6 +187,7 @@ let create ?(seed = 42L) () =
     killed = 0;
     dead = Idtbl.create ();
     proc_threads = Hashtbl.create 8;
+    switches = 0;
   }
 
 (* The world currently executing [run]; single-domain, so a plain ref. *)
@@ -234,7 +236,18 @@ let park w t ~on:objname register =
       in
       register wake)
 
-let reschedule w t = suspend (fun k -> resume w t k)
+(* Reschedules, counted per world and over every world of this process:
+   a deterministic count of the host context switches [advance] and
+   [yield] could not skip. *)
+let total_switches = ref 0
+
+let reschedule w t =
+  w.switches <- w.switches + 1;
+  incr total_switches;
+  suspend (fun k -> resume w t k)
+
+let world_switches w = w.switches
+let total_switches () = !total_switches
 
 (* ---- thread-kill injection --------------------------------------------- *)
 

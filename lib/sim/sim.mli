@@ -48,6 +48,14 @@ val run_thread : ?seed:int64 -> ?proc:Proc.t -> (unit -> 'a) -> 'a
 (** Convenience: create a world, run [f] in a single thread, return its
     result. *)
 
+val world_switches : world -> int
+(** Reschedules so far in [world]: the {!advance}/{!yield} calls that did
+    switch context because another thread could run first.  Deterministic,
+    so it measures the scheduling grain where host time cannot. *)
+
+val total_switches : unit -> int
+(** {!world_switches} summed over every world of this process. *)
+
 (** {1 Inside a thread} *)
 
 val in_sim : unit -> bool

@@ -507,6 +507,104 @@ let test_file_mmap_validation () =
       expect_err E.EINVAL
         (K.file_mmap kfs ~cid:c.Coffer.id ~pages:[ K.root_coffer kfs ]))
 
+(* Every page a coffer owns, in run order. *)
+let coffer_pages kfs cid =
+  List.concat_map
+    (fun (start, len) -> List.init len (fun i -> start + i))
+    (A.runs_of (K.alloc_table kfs) ~cid)
+
+(* file_execve validates like file_mmap and charges each image page one PTE
+   update plus a page copy, all in one advance. *)
+let test_file_execve () =
+  let _, _, kfs = mk () in
+  let per_page = K.pte_update_cost + (Nvm.page_size / 39) in
+  as_user (fun () ->
+      ok_or_fail (K.fs_mount kfs);
+      let mk_coffer path =
+        ok_or_fail
+          (K.coffer_new kfs ~path ~ctype:zofs_ctype ~mode:0o600 ~uid:1000
+             ~gid:1000)
+      in
+      let c = mk_coffer "/exe" and other = mk_coffer "/other" in
+      ignore (ok_or_fail (K.coffer_enlarge kfs c.Coffer.id ~n:8));
+      ignore (ok_or_fail (K.coffer_map kfs c.Coffer.id));
+      let cid = c.Coffer.id in
+      let pages = List.filter (fun p -> p <> cid) (coffer_pages kfs cid) in
+      expect_err E.EACCES
+        (K.file_execve kfs ~cid:other.Coffer.id
+           ~pages:[ other.Coffer.custom / Nvm.page_size ]);
+      expect_err E.EINVAL
+        (K.file_execve kfs ~cid ~pages:[ K.root_coffer kfs ]);
+      let cost pages =
+        let t0 = Sim.now () in
+        ok_or_fail (K.file_execve kfs ~cid ~pages);
+        Sim.now () - t0
+      in
+      let empty = cost [] in
+      Alcotest.(check int) "pages x (PTE + copy)"
+        (List.length pages * per_page)
+        (cost pages - empty));
+  (* One advance, whatever the page count: beside a thread that steps every
+     10 ns, a 1-page and a 10-page execve switch context equally often. *)
+  let switches_during npages =
+    let world = Sim.create () in
+    let proc = Sim.Proc.create ~uid:1000 ~gid:1000 () in
+    let stop = ref false and switches = ref 0 in
+    Sim.spawn world ~proc ~name:"exec" (fun () ->
+        ok_or_fail (K.fs_mount kfs);
+        let cid = ok_or_fail (K.coffer_find kfs "/exe") in
+        ignore (ok_or_fail (K.coffer_map kfs cid));
+        let pages = List.filter (fun p -> p <> cid) (coffer_pages kfs cid) in
+        let s0 = Sim.world_switches world in
+        ok_or_fail
+          (K.file_execve kfs ~cid ~pages:(List.filteri (fun i _ -> i < npages) pages));
+        switches := Sim.world_switches world - s0;
+        stop := true);
+    Sim.spawn world ~name:"ticker" (fun () ->
+        while not !stop do
+          Sim.advance 10
+        done);
+    Sim.run world;
+    !switches
+  in
+  Alcotest.(check int) "one advance for 1 or 10 pages" (switches_during 1)
+    (switches_during 10)
+
+(* setuid tears down every mapping of the calling process; the process can
+   map again afterwards, under a fresh permission check. *)
+let test_on_setuid_unmaps_everything () =
+  let _, mpk, kfs = mk () in
+  let proc = Sim.Proc.create ~uid:1000 ~gid:1000 () in
+  Sim.run_thread ~proc (fun () ->
+      ok_or_fail (K.fs_mount kfs);
+      let cids =
+        List.map
+          (fun path ->
+            let c =
+              ok_or_fail
+                (K.coffer_new kfs ~path ~ctype:zofs_ctype ~mode:0o600 ~uid:1000
+                   ~gid:1000)
+            in
+            ignore (ok_or_fail (K.coffer_map kfs c.Coffer.id));
+            c.Coffer.id)
+          [ "/s1"; "/s2" ]
+      in
+      let pid = proc.Sim.Proc.pid in
+      let mapped_pages () =
+        List.concat_map (coffer_pages kfs) cids
+        |> List.filter (fun page -> Mpk.is_mapped mpk ~pid ~page)
+        |> List.length
+      in
+      Alcotest.(check int) "both coffers mapped" 6 (mapped_pages ());
+      ok_or_fail (K.on_setuid kfs);
+      Alcotest.(check int) "no mapping left" 0 (List.length (K.mapped_coffers kfs));
+      Alcotest.(check int) "no PTE left" 0 (mapped_pages ());
+      ok_or_fail (K.on_setuid kfs);
+      ignore (ok_or_fail (K.coffer_map kfs (List.hd cids)));
+      Alcotest.(check int) "remapped" 1 (List.length (K.mapped_coffers kfs)));
+  (* A process that never mounted has nothing to tear down. *)
+  as_user (fun () -> ok_or_fail (K.on_setuid kfs))
+
 let test_syscall_costs_time () =
   let _, _, kfs = mk () in
   let elapsed =
@@ -645,6 +743,80 @@ let test_pte_check_catches_late_install () =
   Alcotest.(check bool) "stale PTEs reported" true
     (proc_pte_violations kfs mpk proc <> [])
 
+(* coffer_map writes a run's PTEs in one step and charges the run in one
+   advance.  Process A maps a coffer laid out as two runs while a thread of
+   process B polls A's page table every 10 ns: A's mapped-page count jumps
+   once per run, the second jump one run's PTE time after the first, and the
+   map costs exactly pages x 120 ns over a map of a one-run coffer. *)
+let test_map_installs_a_run_at_a_time () =
+  let _, mpk, kfs = mk ~pages:2048 () in
+  let cid, small =
+    as_user (fun () ->
+        ok_or_fail (K.fs_mount kfs);
+        let mk_coffer path =
+          (ok_or_fail
+             (K.coffer_new kfs ~path ~ctype:zofs_ctype ~mode:0o666 ~uid:1000
+                ~gid:1000))
+            .Coffer.id
+        in
+        let cid = mk_coffer "/two" in
+        let small = mk_coffer "/gap" in
+        ignore (ok_or_fail (K.coffer_enlarge kfs cid ~n:40));
+        (cid, small))
+  in
+  let lens = List.map snd (A.runs_of (K.alloc_table kfs) ~cid) in
+  Alcotest.(check int) "two runs" 2 (List.length lens);
+  let pages = List.fold_left ( + ) 0 lens in
+  let start = 1_000_000 in
+  let map_cost = ref [] and seen = ref [] in
+  let a = Sim.Proc.create ~uid:1000 ~gid:1000 () in
+  let world = Sim.create () in
+  Sim.spawn world ~proc:a ~name:"mapper" (fun () ->
+      ok_or_fail (K.fs_mount kfs);
+      let timed cid =
+        let t0 = Sim.now () in
+        ignore (ok_or_fail (K.coffer_map kfs cid));
+        Sim.now () - t0
+      in
+      let one_run = timed small in
+      Sim.sleep_until start;
+      map_cost := [ timed cid; one_run ]);
+  Sim.spawn world
+    ~proc:(Sim.Proc.create ~uid:1000 ~gid:1000 ())
+    ~name:"poller"
+    (fun () ->
+      Sim.sleep_until (start - 5);
+      let all = coffer_pages kfs cid in
+      let count () =
+        List.length
+          (List.filter
+             (fun page -> Mpk.is_mapped mpk ~pid:a.Sim.Proc.pid ~page)
+             all)
+      in
+      let last = ref 0 in
+      while !last < pages do
+        let n = count () in
+        if n <> !last then seen := (Sim.now (), n) :: !seen;
+        last := n;
+        Sim.advance 10
+      done);
+  Sim.run world;
+  let seen = List.rev !seen in
+  Alcotest.(check (list int)) "count jumps once per run"
+    [ List.hd lens; pages ] (List.map snd seen);
+  (match seen with
+  | [ (t1, _); (t2, _) ] ->
+      Alcotest.(check int) "second run one run's PTE time later"
+        (List.hd lens * K.pte_update_cost)
+        (t2 - t1)
+  | _ -> ());
+  match !map_cost with
+  | [ two_runs; one_run ] ->
+      Alcotest.(check int) "map costs pages x 120 ns"
+        ((pages - 3) * K.pte_update_cost)
+        (two_runs - one_run)
+  | _ -> Alcotest.fail "mapper did not finish"
+
 (* Two processes map two ~500-page coffers at the same instant.  Each writes
    only its own page table, so both finish in about one map's time. *)
 let test_parallel_maps_overlap () =
@@ -739,11 +911,16 @@ let () =
             test_pte_check_catches_late_install;
           Alcotest.test_case "two processes map in parallel" `Quick
             test_parallel_maps_overlap;
+          Alcotest.test_case "map installs a run at a time" `Quick
+            test_map_installs_a_run_at_a_time;
         ] );
       ( "recovery+mmap",
         [
           Alcotest.test_case "recover reclaims" `Quick
             test_recover_reclaims_leaked_pages;
           Alcotest.test_case "file_mmap" `Quick test_file_mmap_validation;
+          Alcotest.test_case "file_execve" `Quick test_file_execve;
+          Alcotest.test_case "on_setuid unmaps everything" `Quick
+            test_on_setuid_unmaps_everything;
         ] );
     ]

@@ -160,6 +160,25 @@ let test_random_crash_policy_is_per_line () =
   Alcotest.(check bool) "some kept" true (!kept > 0);
   Alcotest.(check bool) "some dropped" true (!kept < 64)
 
+(* A `Random crash draws one survival bit per pending line in ascending
+   line order, whatever order the lines were written in. *)
+let test_random_crash_draws_in_line_order () =
+  let d = mk () in
+  let lines = List.init 40 (fun i -> (i * 37) + (i mod 3)) in
+  List.iter
+    (fun line -> D.write_u64 d (line * Nvm.line_size) (line + 1))
+    (List.rev lines);
+  let seed = 2024L in
+  D.set_crash_seed d seed;
+  D.crash d;
+  let rng = Sim.Rng.create seed in
+  let expected = List.filter (fun _ -> Sim.Rng.bool rng) lines in
+  let survived =
+    List.filter (fun line -> D.read_u64 d (line * Nvm.line_size) <> 0) lines
+  in
+  Alcotest.(check (list int)) "survivors follow ascending draws" expected
+    survived
+
 (* --- snapshot / restore ------------------------------------------------- *)
 
 let test_snapshot_restores_both_views () =
@@ -469,6 +488,191 @@ let qcheck_unpersisted_never_leaks_past_drop_all =
       D.crash ~policy:`Drop_all d;
       List.for_all (fun off -> D.read_u8 d off = 0) offs)
 
+(* --- line-state model ------------------------------------------------- *)
+
+(* Random sequences of stores, flushes, fences, nt stores, nested atomic
+   sections, snapshots, restores and crashes, checked against a reference
+   model of each line's state (clean, dirty, flushing) and of the open
+   section's undo set. *)
+type op =
+  | Store of int
+  | Clwb of int
+  | Nt of int
+  | Sfence
+  | Begin
+  | Commit
+  | Abort
+  | Snap
+  | Restore of int
+  | Crash
+
+let model_lines = [| 0; 1; 2; 63; 64; 65; 127; 200 |]
+let model_addr i = model_lines.(i) * Nvm.line_size
+
+let show_op = function
+  | Store i -> Printf.sprintf "store %d" i
+  | Clwb i -> Printf.sprintf "clwb %d" i
+  | Nt i -> Printf.sprintf "nt %d" i
+  | Sfence -> "sfence"
+  | Begin -> "begin"
+  | Commit -> "commit"
+  | Abort -> "abort"
+  | Snap -> "snap"
+  | Restore k -> Printf.sprintf "restore %d" k
+  | Crash -> "crash"
+
+let gen_op =
+  let line = QCheck.Gen.int_bound (Array.length model_lines - 1) in
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun i -> Store i) line);
+        (3, map (fun i -> Clwb i) line);
+        (2, map (fun i -> Nt i) line);
+        (2, return Sfence);
+        (2, return Begin);
+        (2, return Commit);
+        (1, return Abort);
+        (1, return Snap);
+        (1, map (fun k -> Restore k) small_nat);
+        (1, return Crash);
+      ])
+
+(* 0 clean, 1 dirty, 2 flushing *)
+type model = {
+  st : int array;
+  mutable depth : int;
+  mutable undo : int list;
+  mutable snaps : (D.snapshot * int array) list;
+}
+
+let model_step d m op =
+  let touch i = if m.depth > 0 && not (List.mem i m.undo) then m.undo <- i :: m.undo in
+  let fence () = Array.iteri (fun i s -> if s = 2 then m.st.(i) <- 0) m.st in
+  let close () =
+    m.depth <- 0;
+    m.undo <- []
+  in
+  match op with
+  | Store i ->
+      D.write_u64 d (model_addr i) (i + 1);
+      touch i;
+      if m.st.(i) = 0 then m.st.(i) <- 1
+  | Clwb i ->
+      D.clwb d (model_addr i);
+      if m.st.(i) = 1 then m.st.(i) <- 2
+  | Nt i ->
+      D.nt_write_u64 d (model_addr i) (i + 1);
+      touch i;
+      m.st.(i) <- 2
+  | Sfence ->
+      D.sfence d;
+      fence ()
+  | Begin ->
+      D.begin_atomic d;
+      m.depth <- m.depth + 1
+  | Commit ->
+      if m.depth = 0 then begin
+        match D.commit_atomic d with
+        | () -> Alcotest.fail "commit with no open section did not raise"
+        | exception Invalid_argument _ -> ()
+      end
+      else begin
+        D.commit_atomic d;
+        if m.depth > 1 then m.depth <- m.depth - 1
+        else begin
+          let need_fence = List.exists (fun i -> m.st.(i) <> 0) m.undo in
+          List.iter (fun i -> if m.st.(i) = 1 then m.st.(i) <- 2) m.undo;
+          if need_fence then fence ();
+          close ()
+        end
+      end
+  | Abort ->
+      D.abort_atomic d;
+      if m.depth > 1 then m.depth <- m.depth - 1
+      else if m.depth = 1 then begin
+        List.iter (fun i -> m.st.(i) <- 0) m.undo;
+        close ()
+      end
+  | Snap -> m.snaps <- (D.snapshot d, Array.copy m.st) :: m.snaps
+  | Restore k -> (
+      match m.snaps with
+      | [] -> ()
+      | l ->
+          let snap, st = List.nth l (k mod List.length l) in
+          D.restore d snap;
+          Array.blit st 0 m.st 0 (Array.length st);
+          close ())
+  | Crash ->
+      D.crash d;
+      Array.fill m.st 0 (Array.length m.st) 0;
+      close ()
+
+let model_agrees d m =
+  let count p = Array.fold_left (fun n s -> if p s then n + 1 else n) 0 m.st in
+  D.pending_lines d = count (fun s -> s <> 0)
+  && D.flushing_lines d = count (fun s -> s = 2)
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun i s -> D.line_needs_flush d (model_addr i) = (s = 1))
+          m.st)
+
+exception Subscriber_abort
+
+(* A subscriber raising inside the outermost commit leaves the section
+   open: the next crash rolls back every line in it, even under
+   `Keep_all. *)
+let raising_commit_rolls_back d m =
+  while m.depth > 0 do
+    model_step d m Commit
+  done;
+  Array.iteri
+    (fun i _ ->
+      D.write_u64 d (model_addr i) (500 + i);
+      D.persist_range d (model_addr i) 8)
+    model_lines;
+  D.begin_atomic d;
+  Array.iteri (fun i _ -> D.write_u64 d (model_addr i) (1000 + i)) model_lines;
+  let sub =
+    D.add_trace_subscriber d (function
+      | D.T_clwb _ | D.T_fence _ -> raise Subscriber_abort
+      | _ -> ())
+  in
+  let raised =
+    match D.commit_atomic d with
+    | () -> false
+    | exception Subscriber_abort -> true
+  in
+  D.remove_trace_subscriber d sub;
+  D.crash ~policy:`Keep_all d;
+  raised
+  && Array.for_all Fun.id
+       (Array.mapi (fun i _ -> D.read_u64 d (model_addr i) = 500 + i) model_lines)
+
+let qcheck_line_states_match_model =
+  QCheck.Test.make ~name:"line states and pending count match a model"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+        Gen.(list_size (int_range 1 60) gen_op))
+    (fun ops ->
+      let d = mk ~size:(8 * Nvm.page_size) () in
+      let m =
+        {
+          st = Array.make (Array.length model_lines) 0;
+          depth = 0;
+          undo = [];
+          snaps = [];
+        }
+      in
+      List.for_all
+        (fun op ->
+          model_step d m op;
+          model_agrees d m)
+        ops
+      && raising_commit_rolls_back d m)
+
 let () =
   Alcotest.run "nvm"
     [
@@ -508,6 +712,9 @@ let () =
           Alcotest.test_case "persist_all durable" `Quick test_persist_all_durable;
           Alcotest.test_case "random crash is per-line" `Quick
             test_random_crash_policy_is_per_line;
+          Alcotest.test_case "random crash draws in line order" `Quick
+            test_random_crash_draws_in_line_order;
+          QCheck_alcotest.to_alcotest qcheck_line_states_match_model;
           QCheck_alcotest.to_alcotest qcheck_persisted_data_survives;
           QCheck_alcotest.to_alcotest qcheck_unpersisted_never_leaks_past_drop_all;
         ] );
