@@ -251,6 +251,20 @@ module Device = struct
   let check_protection d addr write =
     match d.hook with None -> () | Some f -> f ~addr ~write
 
+  (* A bulk access is checked like the scalar accesses it stands for: the
+     hook sees every page the range touches, and sees it before the bounds
+     check, so a user-mode range that runs into an unmapped page or past the
+     device end raises [Fault] (which recovery and the µFS contain), never
+     [Invalid_argument]. *)
+  let check_range_protection d addr len write =
+    match d.hook with
+    | Some f when len > 0 ->
+        f ~addr ~write;
+        for page = (addr / page_size) + 1 to (addr + len - 1) / page_size do
+          f ~addr:(page * page_size) ~write
+        done
+    | _ -> ()
+
   (* --- media-error (poison) injection ----------------------------------- *)
 
   (* A poisoned cache line models an uncorrectable NVM media error: any load
@@ -551,9 +565,9 @@ module Device = struct
     else false
 
   let blit_to_bytes d addr buf boff len =
+    check_range_protection d addr len false;
     check_bounds d addr len;
     if len > 0 then begin
-      check_protection d addr false;
       check_poison_read d addr len;
       let t0 = t_begin d in
       charge_read d addr len;
@@ -577,9 +591,9 @@ module Device = struct
   let read_string d addr len = Bytes.unsafe_to_string (read_bytes d addr len)
 
   let blit_from_bytes d buf boff addr len =
+    check_range_protection d addr len true;
     check_bounds d addr len;
     if len > 0 then begin
-      check_protection d addr true;
       let t0 = t_begin d in
       charge_store d addr len;
       let remaining = ref len and src = ref boff and dst = ref addr in
@@ -599,9 +613,9 @@ module Device = struct
     blit_from_bytes d (Bytes.unsafe_of_string s) 0 addr (String.length s)
 
   let fill d addr len c =
+    check_range_protection d addr len true;
     check_bounds d addr len;
     if len > 0 then begin
-      check_protection d addr true;
       let t0 = t_begin d in
       charge_store d addr len;
       let remaining = ref len and dst = ref addr in
@@ -777,9 +791,9 @@ module Device = struct
 
   let nt_write_string d addr s =
     let len = String.length s in
+    check_range_protection d addr len true;
     check_bounds d addr len;
     if len > 0 then begin
-      check_protection d addr true;
       let t0 = t_begin d in
       d.n_writes <- d.n_writes + 1;
       if Sim.in_sim () then Sim.advance d.dev_perf.Perf.hit_cost;
@@ -812,9 +826,9 @@ module Device = struct
   (* Non-temporal memset: one bandwidth reservation for the whole range,
      durable after the next fence (used to zero fresh structure pages). *)
   let nt_fill d addr len c =
+    check_range_protection d addr len true;
     check_bounds d addr len;
     if len > 0 then begin
-      check_protection d addr true;
       let t0 = t_begin d in
       d.n_writes <- d.n_writes + 1;
       if Sim.in_sim () then Sim.advance d.dev_perf.Perf.hit_cost;

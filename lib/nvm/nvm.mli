@@ -103,8 +103,9 @@ module Device : sig
   val perf : t -> Perf.t
 
   val set_protection_hook : t -> (addr:int -> write:bool -> unit) -> unit
-  (** Installed by the MPK layer; called once per access with the first
-      byte's address.  May raise {!Fault}. *)
+  (** Installed by the MPK layer; called before the bounds check, once per
+      page an access touches, with the address of the access's first byte
+      in that page.  May raise {!Fault}. *)
 
   val clear_protection_hook : t -> unit
 

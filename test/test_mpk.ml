@@ -382,6 +382,46 @@ let test_page_pkey_query () =
   Mpk.map_page mpk ~pid ~page:3 ~writable:false ~pkey:9;
   Alcotest.(check bool) "read-only" false (Mpk.page_writable mpk ~pid ~page:3)
 
+(* Bulk accessors are checked like the scalar loads they stand for: every
+   page of the range passes the protection hook, before the bounds check. *)
+let test_bulk_past_device_end_faults () =
+  let dev, mpk = mk () in
+  let last = D.pages dev - 1 in
+  in_proc (fun p ->
+      Mpk.map_page mpk ~pid:p.Sim.Proc.pid ~page:last ~writable:true ~pkey:0;
+      Alcotest.(check (option string))
+        "read_bytes wholly past the end" (Some "page not mapped")
+        (fault_reason (fun () -> D.read_bytes dev (D.size dev) 8));
+      Alcotest.(check (option string))
+        "read_bytes running off the end" (Some "page not mapped")
+        (fault_reason (fun () -> D.read_bytes dev (D.size dev - 100) 200)))
+
+let test_bulk_into_unmapped_page_faults () =
+  let dev, mpk = mk () in
+  in_proc (fun p ->
+      let pid = p.Sim.Proc.pid in
+      Mpk.map_page mpk ~pid ~page:0 ~writable:true ~pkey:0;
+      Mpk.map_page mpk ~pid ~page:2 ~writable:false ~pkey:0;
+      let buf = Bytes.create 200 in
+      Alcotest.(check (option string))
+        "blit_to_bytes into an unmapped page" (Some "page not mapped")
+        (fault_reason (fun () ->
+             D.blit_to_bytes dev (Nvm.page_size - 100) buf 0 200));
+      Alcotest.(check (option string))
+        "write_string into an unmapped page" (Some "page not mapped")
+        (fault_reason (fun () ->
+             D.write_string dev (Nvm.page_size - 100) (Bytes.to_string buf)));
+      Mpk.map_page mpk ~pid ~page:1 ~writable:true ~pkey:0;
+      Alcotest.(check (option string))
+        "fill into a read-only page" (Some "page mapped read-only")
+        (fault_reason (fun () -> D.fill dev (Nvm.page_size + 4000) 200 'x'));
+      Alcotest.(check (option string))
+        "nt_fill into a read-only page" (Some "page mapped read-only")
+        (fault_reason (fun () -> D.nt_fill dev (Nvm.page_size + 4000) 200 'x'));
+      Alcotest.(check (option string))
+        "in-range blit still allowed" None
+        (fault_reason (fun () -> D.blit_to_bytes dev 0 buf 0 200)))
+
 let test_wrpkru_cost () =
   let _dev, mpk = mk () in
   let t =
@@ -411,6 +451,10 @@ let () =
           Alcotest.test_case "unmap" `Quick test_unmap;
           Alcotest.test_case "unmap_all" `Quick test_unmap_all;
           Alcotest.test_case "page_pkey query" `Quick test_page_pkey_query;
+          Alcotest.test_case "bulk access past the device end faults" `Quick
+            test_bulk_past_device_end_faults;
+          Alcotest.test_case "bulk access into an unmapped page faults" `Quick
+            test_bulk_into_unmapped_page_faults;
         ] );
       ( "mpk",
         [

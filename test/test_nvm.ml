@@ -412,6 +412,28 @@ let test_protection_hook_can_block () =
     (Nvm.Fault { addr = 0; write = true; kind = Nvm.Protection; reason = "ro" }) (fun () ->
       D.write_u64 d 0 1)
 
+(* A bulk access passes every page it touches to the hook, in address
+   order, and before its bounds check. *)
+let test_protection_hook_every_page () =
+  let d = mk ~size:(4 * Nvm.page_size) () in
+  let log = ref [] in
+  D.set_protection_hook d (fun ~addr ~write -> log := (addr, write) :: !log);
+  let ps = Nvm.page_size in
+  ignore (D.read_bytes d (ps - 8) (ps + 16));
+  D.fill d (3 * ps) 8 'x';
+  Alcotest.(check (list (pair int bool)))
+    "one call per page"
+    [ (ps - 8, false); (ps, false); (2 * ps, false); (3 * ps, true) ]
+    (List.rev !log);
+  log := [];
+  Alcotest.check_raises "bounds checked after the hook"
+    (Invalid_argument "Nvm: access [16376, 16392) out of device [0, 16384)")
+    (fun () -> ignore (D.read_bytes d ((4 * ps) - 8) 16));
+  Alcotest.(check (list (pair int bool)))
+    "hook saw the page past the end"
+    [ ((4 * ps) - 8, false); (4 * ps, false) ]
+    (List.rev !log)
+
 (* --- host cost of the hot path ------------------------------------------ *)
 
 (* Untraced scalar loads and stores in a lone thread neither allocate nor
@@ -745,5 +767,7 @@ let () =
         [
           Alcotest.test_case "hook called" `Quick test_protection_hook_called;
           Alcotest.test_case "hook can block" `Quick test_protection_hook_can_block;
+          Alcotest.test_case "bulk access hooks every page" `Quick
+            test_protection_hook_every_page;
         ] );
     ]
