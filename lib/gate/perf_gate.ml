@@ -2,8 +2,9 @@
 
    A pinned set of deterministic single-thread experiments exercises the
    batched µFS commit paths — append growth (the Figure 7(d) staircase),
-   create, unlink, same-directory rename, and truncate — on a fresh
-   simulated world each, and records per-operation simulated latency,
+   create, unlink, same-directory rename, and truncate — and the readdir
+   scan of the two-level hash directory, each in a fresh simulated
+   world, and records per-operation simulated latency,
    persistence-instruction counts (clwb/sfence, with the redundancy split
    the device tracks), kernel crossings, and coffer_enlarge calls.  Two
    multi-process experiments ride along: 64 tenant processes — each with
@@ -156,6 +157,46 @@ let exp_truncate ~ops () =
       done)
     ()
 
+(* Names that all hash to the first-level slot of [seed]: once more than
+   16 of them live in one directory they spill from the second-level page's
+   inline area into its bucket chains. *)
+let same_l1_slot_names ~seed n =
+  let slot = Zofs.Layout.(l1_index (dir_hash seed)) in
+  let rec go i acc k =
+    if k = 0 then List.rev acc
+    else
+      let name = Printf.sprintf "%s%d" seed i in
+      if Zofs.Layout.(l1_index (dir_hash name)) = slot then
+        go (i + 1) (name :: acc) (k - 1)
+      else go (i + 1) acc k
+  in
+  go 0 [] n
+
+(* Listing a 96-entry directory (read-large's readdir) and one whose 48
+   entries share one first-level slot and so fill bucket chains. *)
+let exp_readdir ~rounds () =
+  let dirs = [ ("/wide", 96); ("/chained", 48) ] in
+  in_world ~ops:(rounds * List.length dirs)
+    ~setup:(fun fs ->
+      ok (V.mkdir fs "/wide" 0o755);
+      for i = 0 to 95 do
+        ok (V.write_file fs (Printf.sprintf "/wide/f%02d" i) ~mode:0o644 "")
+      done;
+      ok (V.mkdir fs "/chained" 0o755);
+      List.iter
+        (fun n -> ok (V.write_file fs ("/chained/" ^ n) ~mode:0o644 ""))
+        (same_l1_slot_names ~seed:"c" 48))
+    ~measured:(fun fs ->
+      for _ = 1 to rounds do
+        List.iter
+          (fun (d, n) ->
+            let got = List.length (ok (V.readdir fs d)) in
+            if got <> n then
+              failwith (Printf.sprintf "perf_gate: readdir %s: %d entries" d got))
+          dirs
+      done)
+    ()
+
 (* Like [in_world], but [nprocs] tenant processes.  Each tenant is a
    fresh [Sim.Proc] with its own FSLib built over the one shared KernFS —
    so every op crosses the syscall gate of its own process and contends
@@ -256,6 +297,7 @@ let experiments =
     ("unlink", fun () -> exp_unlink ~ops:48 ());
     ("rename", fun () -> exp_rename ~ops:48 ());
     ("truncate", fun () -> exp_truncate ~ops:24 ());
+    ("readdir", fun () -> exp_readdir ~rounds:4 ());
     ( "shared-append-64p",
       fun () -> exp_shared_append ~nprocs:64 ~ops_per_proc:4 () );
     ( "shared-create-64p",
