@@ -244,38 +244,71 @@ let retarget dev ~ino name ~coffer ~inode =
 
 (* ---- iteration ----------------------------------------------------------- *)
 
-let iter dev ~ino f =
+(* A full scan reads each index array -- the first-level page's 512 slots, a
+   second-level page's 256 bucket heads -- with one sequential load into a
+   buffer and decodes the slots from it.  The device charges a load wider
+   than a line as one read latency plus bandwidth, where slot-by-slot loads
+   miss once per line.  A full scan reads every slot of both arrays anyway,
+   so the load touches no line the slot-by-slot scan did not; dentries and
+   chain pages keep their scalar loads (a whole-page load would also touch
+   the unused tail of every dentry slot).  The buffers belong to one scan:
+   the callback may start another scan and may yield to other threads.
+
+   A scan that may stop early ([is_empty]) loads slot by slot ([~bulk:false])
+   so it never reads a line past the point where it stops. *)
+let load_index dev ~bulk buf addr =
+  if bulk then Nvm.Device.blit_to_bytes dev addr buf 0 (Bytes.length buf)
+
+let index_slot dev ~bulk buf addr i =
+  if bulk then Int64.to_int (Bytes.get_int64_le buf (i * 8))
+  else Nvm.Device.read_u64 dev (addr + (i * 8))
+
+(* Visit the index below first-level page [l1] in slot order: [on_l2] for a
+   second-level page, then [on_chain] for every page of its bucket chains,
+   bucket by bucket. *)
+let walk ~bulk dev l1 ~on_l2 ~on_chain =
+  let l1_buf = Bytes.create (if bulk then l1_entries * 8 else 0) in
+  let heads_buf = Bytes.create (if bulk then l2_buckets * 8 else 0) in
+  load_index dev ~bulk l1_buf l1;
+  for l1i = 0 to l1_entries - 1 do
+    let l2 = index_slot dev ~bulk l1_buf l1 l1i in
+    if l2 <> 0 then begin
+      on_l2 l2;
+      let heads = l2 + l2_bucket_base in
+      load_index dev ~bulk heads_buf heads;
+      for b = 0 to l2_buckets - 1 do
+        let rec chase page =
+          if page <> 0 then begin
+            on_chain page;
+            chase (chain_next dev page)
+          end
+        in
+        chase (index_slot dev ~bulk heads_buf heads b)
+      done
+    end
+  done
+
+let scan ~bulk dev ~ino f =
+  let visit page first last =
+    for i = first to last do
+      let a = page + (i * dentry_size) in
+      if dentry_valid dev a then
+        match read_dentry dev a with Some de -> f de | None -> ()
+    done
+  in
   let l1 = l1_page dev ~ino in
   if l1 <> 0 then
-    for l1i = 0 to l1_entries - 1 do
-      let l2 = Nvm.Device.read_u64 dev (l1 + (l1i * 8)) in
-      if l2 <> 0 then begin
-        for i = 0 to l2_inline_dentries - 1 do
-          let a = inline_slot l2 i in
-          if dentry_valid dev a then
-            match read_dentry dev a with Some de -> f de | None -> ()
-        done;
-        for b = 0 to l2_buckets - 1 do
-          let rec chase page =
-            if page <> 0 then begin
-              for i = 1 to chain_dentries do
-                let a = chain_slot page i in
-                if dentry_valid dev a then
-                  match read_dentry dev a with Some de -> f de | None -> ()
-              done;
-              chase (chain_next dev page)
-            end
-          in
-          chase (Nvm.Device.read_u64 dev (l2 + l2_bucket_base + (b * 8)))
-        done
-      end
-    done
+    walk ~bulk dev l1
+      ~on_l2:(fun l2 -> visit l2 0 (l2_inline_dentries - 1))
+      ~on_chain:(fun page -> visit page 1 chain_dentries)
+
+let iter dev ~ino f = scan ~bulk:true dev ~ino f
 
 exception Stop
 
 let is_empty dev ~ino =
   try
-    iter dev ~ino (fun _ -> raise Stop);
+    scan ~bulk:false dev ~ino (fun _ -> raise Stop);
     true
   with Stop -> false
 
@@ -287,24 +320,11 @@ let count dev ~ino =
 (* All pages used by the directory index itself (L1 page, second-level
    pages, chain pages) — for deletion and recovery. *)
 let structure_pages dev ~ino =
-  let pages = ref [] in
   let l1 = l1_page dev ~ino in
-  if l1 <> 0 then begin
-    pages := [ l1 ];
-    for l1i = 0 to l1_entries - 1 do
-      let l2 = Nvm.Device.read_u64 dev (l1 + (l1i * 8)) in
-      if l2 <> 0 then begin
-        pages := l2 :: !pages;
-        for b = 0 to l2_buckets - 1 do
-          let rec chase page =
-            if page <> 0 then begin
-              pages := page :: !pages;
-              chase (chain_next dev page)
-            end
-          in
-          chase (Nvm.Device.read_u64 dev (l2 + l2_bucket_base + (b * 8)))
-        done
-      end
-    done
-  end;
-  !pages
+  if l1 = 0 then []
+  else begin
+    let pages = ref [ l1 ] in
+    let push page = pages := page :: !pages in
+    walk ~bulk:true dev l1 ~on_l2:push ~on_chain:push;
+    !pages
+  end

@@ -264,6 +264,77 @@ let test_recovery_torn_coffer_root_page () =
         (ok_or_fail (V.read_file fs "/keep"));
       ignore (ok_or_fail (V.readdir fs "/")))
 
+(* Torn directory index: a first-level slot, or a bucket head, of /d is
+   scribbled with an address past the device end or with a page of another
+   coffer.  readdir fails with EIO and the process carries on; recovery
+   drops /d without an uncaught exception, and its second run is a
+   fixpoint. *)
+let torn_index ~where ~target () =
+  let w = make_world ~pages:8192 () in
+  (* 16 names fill the inline area of one second-level page, the last 8
+     hang off its bucket chains *)
+  let names = Gates.Perf_gate.same_l1_slot_names ~seed:"t" 24 in
+  in_proc ~uid:0 w (fun fs ->
+      ok_or_fail (V.write_file fs "/keep" ~mode:0o777 "keep");
+      ok_or_fail (V.write_file fs "/other" ~mode:0o600 "other");
+      ok_or_fail (V.mkdir fs "/d" 0o777);
+      List.iter
+        (fun n -> ok_or_fail (V.write_file fs ("/d/" ^ n) ~mode:0o777 n))
+        names);
+  Sim.run_thread (fun () ->
+      Mpk.with_kernel w.mpk (fun () ->
+          Mpk.with_write_window w.mpk (fun () ->
+              let root = Option.get (Treasury.Coffer.read w.dev ~id:(K.root_coffer w.kfs)) in
+              let d =
+                match Zofs.Dir.lookup w.dev ~ino:root.Treasury.Coffer.root_file "d" with
+                | Some de when de.Zofs.Dir.de_coffer = 0 -> de.Zofs.Dir.de_inode
+                | _ -> Alcotest.fail "/d is not a local directory"
+              in
+              let value =
+                match target with
+                | `Past_end -> D.size w.dev
+                | `Other_coffer ->
+                    let cid =
+                      match K.coffer_find w.kfs "/other" with
+                      | Ok c -> c
+                      | Error _ -> Alcotest.fail "other coffer"
+                    in
+                    (Option.get (Treasury.Coffer.read w.dev ~id:cid))
+                      .Treasury.Coffer.root_file
+              in
+              let chained = Zofs.Layout.dir_hash (List.nth names 23) in
+              let l1 = Zofs.Dir.l1_page w.dev ~ino:d in
+              let slot =
+                match where with
+                | `L1_slot -> Zofs.Dir.l1_slot_addr l1 chained
+                | `Bucket_head ->
+                    let l2 = Zofs.Dir.l2_page w.dev l1 chained in
+                    Alcotest.(check bool) "the bucket heads a chain" true
+                      (D.read_u64 w.dev (Zofs.Dir.bucket_addr l2 chained) <> 0);
+                    Zofs.Dir.bucket_addr l2 chained
+              in
+              D.write_u64 w.dev slot value;
+              D.persist_all w.dev)));
+  in_proc ~uid:0 w (fun fs ->
+      expect_err E.EIO (V.readdir fs "/d");
+      Alcotest.(check string) "the process carries on" "keep"
+        (ok_or_fail (V.read_file fs "/keep")));
+  let report = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
+  Alcotest.(check bool) "/d dropped" true
+    (List.exists
+       (function
+         | Zofs.Recovery.Dropped_dentry { path = "/d"; _ } -> true | _ -> false)
+       (Zofs.Recovery.findings report));
+  let report2 = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
+  Alcotest.(check (list string)) "second run is a fixpoint" []
+    (List.map Zofs.Recovery.finding_to_string (Zofs.Recovery.findings report2));
+  in_proc ~uid:0 w (fun fs ->
+      expect_err E.ENOENT (V.stat fs "/d");
+      Alcotest.(check string) "bystander intact" "keep"
+        (ok_or_fail (V.read_file fs "/keep"));
+      Alcotest.(check string) "other coffer intact" "other"
+        (ok_or_fail (V.read_file fs "/other")))
+
 let qcheck_crash_recovery_preserves_completed_ops =
   QCheck.Test.make
     ~name:"completed ops survive random crashes + recovery" ~count:15
@@ -329,5 +400,13 @@ let () =
             `Quick test_recovery_orphan_inode_without_dentry;
           Alcotest.test_case "repairs torn coffer root page" `Quick
             test_recovery_torn_coffer_root_page;
+          Alcotest.test_case "torn L1 slot past the device end" `Quick
+            (torn_index ~where:`L1_slot ~target:`Past_end);
+          Alcotest.test_case "torn L1 slot into another coffer" `Quick
+            (torn_index ~where:`L1_slot ~target:`Other_coffer);
+          Alcotest.test_case "torn bucket head past the device end" `Quick
+            (torn_index ~where:`Bucket_head ~target:`Past_end);
+          Alcotest.test_case "torn bucket head into another coffer" `Quick
+            (torn_index ~where:`Bucket_head ~target:`Other_coffer);
         ] );
     ]

@@ -273,6 +273,115 @@ let test_many_files_in_one_dir () =
       Alcotest.(check int) "after unlink" 400
         (List.length (ok_or_fail (V.readdir fs "/big"))))
 
+(* The directory scans against a slot-by-slot reference walk written here:
+   every first-level slot, inline dentry and bucket head is loaded on its
+   own, as a scan did before index arrays were read in one load.  Returns
+   the valid dentries (when [~dentries]) and the index pages, both in visit
+   order, and how many chain pages were seen. *)
+let reference_walk dev ~ino ~dentries =
+  let module L = Zofs.Layout in
+  let des = ref [] and pages = ref [] and chained = ref 0 in
+  let visit page first last =
+    if dentries then
+      for i = first to last do
+        let a = page + (i * L.dentry_size) in
+        if Nvm.Device.read_u8 dev (a + L.d_valid) = 1 then
+          match Zofs.Dir.read_dentry dev a with
+          | Some de -> des := de :: !des
+          | None -> ()
+      done
+  in
+  let l1 = Zofs.Inode.read_direct dev ~ino 0 in
+  if l1 <> 0 then begin
+    pages := [ l1 ];
+    for slot = 0 to L.l1_entries - 1 do
+      let l2 = Nvm.Device.read_u64 dev (l1 + (slot * 8)) in
+      if l2 <> 0 then begin
+        pages := l2 :: !pages;
+        visit l2 0 (L.l2_inline_dentries - 1);
+        for b = 0 to L.l2_buckets - 1 do
+          let rec chase page =
+            if page <> 0 then begin
+              pages := page :: !pages;
+              incr chained;
+              visit page 1 L.chain_dentries;
+              chase (Nvm.Device.read_u64 dev page)
+            end
+          in
+          chase (Nvm.Device.read_u64 dev (l2 + L.l2_bucket_base + (b * 8)))
+        done
+      end
+    done
+  end;
+  (List.rev !des, !pages, !chained)
+
+(* The cache lines [f] loads from [dev], ascending. *)
+let lines_loaded dev f =
+  let lines = ref [] in
+  let id =
+    Nvm.Device.add_trace_subscriber dev (function
+      | Nvm.Device.T_load { addr; len; _ } ->
+          for l = addr / Nvm.line_size to (addr + len - 1) / Nvm.line_size do
+            lines := l :: !lines
+          done
+      | _ -> ())
+  in
+  Fun.protect ~finally:(fun () -> Nvm.Device.remove_trace_subscriber dev id) f;
+  List.sort_uniq compare !lines
+
+let test_bulk_scan_matches_reference () =
+  let w = make_world ~pages:8192 () in
+  (* 40 names in one first-level slot: 16 fill the inline area, 24 spill
+     into bucket chains; 30 more spread over other slots. *)
+  let crowd = Gates.Perf_gate.same_l1_slot_names ~seed:"s" 40 in
+  let spread = List.init 30 (fun i -> Printf.sprintf "spread%d" i) in
+  let removed = [ List.nth crowd 2; List.nth crowd 9; List.nth crowd 20;
+                  List.nth crowd 33; "spread7" ] in
+  in_proc ~uid:0 w (fun fs ->
+      List.iter
+        (fun n -> ok_or_fail (V.write_file fs ("/" ^ n) ~mode:0o777 ""))
+        (crowd @ spread);
+      List.iter (fun n -> ok_or_fail (V.unlink fs ("/" ^ n))) removed;
+      (* the holes refill in scan order *)
+      ok_or_fail (V.write_file fs "/late" ~mode:0o777 ""));
+  let show de =
+    Printf.sprintf "%s@%d kind=%d coffer=%d inode=%d" de.Zofs.Dir.de_name
+      de.Zofs.Dir.de_addr de.Zofs.Dir.de_kind de.Zofs.Dir.de_coffer
+      de.Zofs.Dir.de_inode
+  in
+  Sim.run_thread (fun () ->
+      Mpk.with_kernel w.mpk (fun () ->
+          let root = Option.get (Treasury.Coffer.read w.dev ~id:(K.root_coffer w.kfs)) in
+          let ino = root.Treasury.Coffer.root_file in
+          let ref_des, ref_pages, chained = reference_walk w.dev ~ino ~dentries:true in
+          Alcotest.(check bool) "names spilled into bucket chains" true (chained > 0);
+          Alcotest.(check int) "every live name listed"
+            (List.length crowd + List.length spread - List.length removed + 1)
+            (List.length ref_des);
+          let des = ref [] in
+          let iter_lines =
+            lines_loaded w.dev (fun () ->
+                Zofs.Dir.iter w.dev ~ino (fun de -> des := de :: !des))
+          in
+          Alcotest.(check (list string)) "iter: same dentries, same order"
+            (List.map show ref_des)
+            (List.map show (List.rev !des));
+          Alcotest.(check (list int)) "iter: same lines loaded"
+            (lines_loaded w.dev (fun () ->
+                 ignore (reference_walk w.dev ~ino ~dentries:true)))
+            iter_lines;
+          let pages = ref [] in
+          let page_lines =
+            lines_loaded w.dev (fun () ->
+                pages := Zofs.Dir.structure_pages w.dev ~ino)
+          in
+          Alcotest.(check (list int)) "structure_pages: same pages" ref_pages
+            !pages;
+          Alcotest.(check (list int)) "structure_pages: same lines loaded"
+            (lines_loaded w.dev (fun () ->
+                 ignore (reference_walk w.dev ~ino ~dentries:false)))
+            page_lines))
+
 let test_different_perm_creates_sub_coffer () =
   let w = make_world () in
   let root_cid = Treasury.Kernfs.root_coffer w.kfs in
@@ -618,6 +727,8 @@ let () =
           Alcotest.test_case "unlink" `Quick test_unlink;
           Alcotest.test_case "rmdir" `Quick test_rmdir;
           Alcotest.test_case "large directory" `Slow test_many_files_in_one_dir;
+          Alcotest.test_case "bulk scan matches slot-by-slot walk" `Quick
+            test_bulk_scan_matches_reference;
         ] );
       ( "rename",
         [
