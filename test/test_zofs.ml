@@ -380,7 +380,23 @@ let test_bulk_scan_matches_reference () =
           Alcotest.(check (list int)) "structure_pages: same lines loaded"
             (lines_loaded w.dev (fun () ->
                  ignore (reference_walk w.dev ~ino ~dentries:false)))
-            page_lines))
+            page_lines;
+          (* is_empty stops at the first dentry: it loads no first-level
+             line past the one holding the first used slot. *)
+          let l1 = Zofs.Inode.read_direct w.dev ~ino 0 in
+          let rec first_used i =
+            if Nvm.Device.read_u64 w.dev (l1 + (i * 8)) <> 0 then i
+            else first_used (i + 1)
+          in
+          let stop_line = (l1 + (first_used 0 * 8)) / Nvm.line_size in
+          let l1_last = (l1 + Nvm.page_size - 1) / Nvm.line_size in
+          let empty_lines =
+            lines_loaded w.dev (fun () ->
+                Alcotest.(check bool) "not empty" false
+                  (Zofs.Dir.is_empty w.dev ~ino))
+          in
+          Alcotest.(check (list int)) "is_empty: no line past its stop" []
+            (List.filter (fun l -> l > stop_line && l <= l1_last) empty_lines)))
 
 let test_different_perm_creates_sub_coffer () =
   let w = make_world () in
