@@ -175,6 +175,131 @@ let qcheck_owner_matches_runs =
       done;
       !ok)
 
+(* Model-based test: random table operations against a per-page owner
+   array.  The table keeps runs maximal (equal-owner neighbours coalesce),
+   so after every step its free and per-coffer runs are exactly the
+   maximal runs of the model, and [alloc] grants the first free run that
+   fits, else the lowest-addressed runs in order. *)
+type op =
+  | Format
+  | Alloc of int * int  (* cid, n *)
+  | Free_run of int * int  (* start, len *)
+  | Reassign of int * int * int  (* start, len, cid *)
+  | Free_coffer of int
+
+let model_pages = 40
+let model_cids = 4
+
+let show_op = function
+  | Format -> "format"
+  | Alloc (cid, n) -> Printf.sprintf "alloc cid=%d n=%d" cid n
+  | Free_run (s, l) -> Printf.sprintf "free_run %d+%d" s l
+  | Reassign (s, l, cid) -> Printf.sprintf "reassign %d+%d cid=%d" s l cid
+  | Free_coffer cid -> Printf.sprintf "free_coffer cid=%d" cid
+
+let gen_op =
+  let open QCheck.Gen in
+  let cid = int_range 1 model_cids in
+  let range =
+    int_range 0 (model_pages - 1) >>= fun s ->
+    int_range 1 (model_pages - s) >|= fun l -> (s, l)
+  in
+  frequency
+    [
+      (1, return Format);
+      (6, map2 (fun c n -> Alloc (c, n)) cid (int_range 1 (model_pages / 2)));
+      (3, map (fun (s, l) -> Free_run (s, l)) range);
+      (3, map2 (fun (s, l) c -> Reassign (s, l, c)) range cid);
+      (2, map (fun c -> Free_coffer c) cid);
+    ]
+
+(* Maximal runs of pages owned by [cid], in address order. *)
+let model_runs owner cid =
+  let runs = ref [] and p = ref 0 in
+  while !p < model_pages do
+    if owner.(!p) <> cid then incr p
+    else begin
+      let s = !p in
+      while !p < model_pages && owner.(!p) = cid do
+        incr p
+      done;
+      runs := (s, !p - s) :: !runs
+    end
+  done;
+  List.rev !runs
+
+(* What [alloc] must grant on the model, or [None]. *)
+let model_grant owner n =
+  let free = model_runs owner 0 in
+  if List.fold_left (fun a (_, l) -> a + l) 0 free < n then None
+  else
+    match List.find_opt (fun (_, l) -> l >= n) free with
+    | Some (s, _) -> Some [ (s, n) ]
+    | None ->
+        let rec take rem = function
+          | (s, l) :: rest when rem > 0 ->
+              let k = min l rem in
+              (s, k) :: take (rem - k) rest
+          | _ -> []
+        in
+        Some (take n free)
+
+let check_against_model t owner =
+  A.verify t;
+  for p = 0 to model_pages - 1 do
+    if A.owner_of t ~page:p <> owner.(p) then
+      QCheck.Test.fail_reportf "owner_of %d: table %d, model %d" p
+        (A.owner_of t ~page:p) owner.(p)
+  done;
+  for cid = 1 to model_cids do
+    if A.runs_of t ~cid <> model_runs owner cid then
+      QCheck.Test.fail_reportf "runs_of cid=%d differ" cid
+  done;
+  let free = Array.fold_left (fun a c -> if c = 0 then a + 1 else a) 0 owner in
+  if A.free_pages t <> free then
+    QCheck.Test.fail_reportf "free_pages: table %d, model %d" (A.free_pages t)
+      free
+
+let qcheck_table_matches_owner_model =
+  QCheck.Test.make ~name:"table matches a per-page owner model" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_op))
+    (fun ops ->
+      let dev =
+        D.create ~perf:Nvm.Perf.free ~size:(model_pages * Nvm.page_size) ()
+      in
+      let t = ref (A.format dev ~base:0 ~npages:model_pages) in
+      let owner = Array.make model_pages 0 in
+      let set s l c = Array.fill owner s l c in
+      List.iter
+        (fun op ->
+          (match op with
+          | Format ->
+              t := A.format dev ~base:0 ~npages:model_pages;
+              set 0 model_pages 0
+          | Alloc (cid, n) ->
+              let expected = model_grant owner n in
+              let granted = A.alloc !t ~cid ~n in
+              if granted <> expected then
+                QCheck.Test.fail_reportf "%s granted the wrong runs"
+                  (show_op op);
+              Option.iter (List.iter (fun (s, l) -> set s l cid)) granted
+          | Free_run (start, len) ->
+              A.free_run !t ~start ~len;
+              set start len 0
+          | Reassign (start, len, cid) ->
+              A.reassign !t ~start ~len ~cid;
+              set start len cid
+          | Free_coffer cid ->
+              A.free_coffer !t ~cid;
+              Array.iteri (fun p c -> if c = cid then owner.(p) <- 0) owner);
+          check_against_model !t owner)
+        ops;
+      D.persist_all dev;
+      check_against_model (A.load dev ~base:0 ~npages:model_pages) owner;
+      true)
+
 let () =
   Alcotest.run "alloc_table"
     [
@@ -202,5 +327,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_random_ops_keep_invariants;
           QCheck_alcotest.to_alcotest qcheck_owner_matches_runs;
+          QCheck_alcotest.to_alcotest qcheck_table_matches_owner_model;
         ] );
     ]
