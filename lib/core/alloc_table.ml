@@ -2,14 +2,20 @@
 
    One 8-byte entry per NVM page: a 32-bit coffer-ID (0 = free) and a 32-bit
    run length counting how many consecutive pages starting here share that
-   coffer-ID.  Volatile red-black trees accelerate allocation: one over free
-   runs and one over all runs (the paper's free-space and allocated-space
-   trees).
+   coffer-ID.  Volatile ordered indexes accelerate allocation: one over free
+   runs and one over all runs, plus each coffer's run starts.  The paper's
+   free-space and allocated-space red-black trees are modelled by
+   [Map.Make (Int)]: KernFS only asks them for ordered lookups (the run at
+   or before a page, the run at or after one, the first free run that
+   fits), and no simulated cost depends on a tree's shape.
 
    Crash consistency: per-page owner words are written before the table
    region is flushed; recovery rescans the table, and leaked pages (allocated
    in the table but unreachable in their coffer) are reclaimed by the
    coffer_recover protocol, so a torn multi-page update is always repairable. *)
+
+module IM = Map.Make (Int)
+module IS = Set.Make (Int)
 
 type run = { cid : int; len : int }
 
@@ -17,9 +23,9 @@ type t = {
   dev : Nvm.Device.t;
   base : int;  (* byte offset of the table on the device *)
   npages : int;  (* pages covered by the table *)
-  runs : run Rbtree.t;  (* start page -> run (free and allocated) *)
-  free_runs : int Rbtree.t;  (* start page -> len, free only *)
-  by_coffer : (int, unit Rbtree.t) Hashtbl.t;  (* cid -> start pages *)
+  mutable runs : run IM.t;  (* start page -> run (free and allocated) *)
+  mutable free_runs : int IM.t;  (* start page -> len, free only *)
+  mutable by_coffer : IS.t IM.t;  (* cid -> start pages of its runs *)
 }
 
 let entry_size = 8
@@ -40,26 +46,28 @@ let write_entry t page cid len =
 let persist_entries t start len =
   Nvm.Device.persist_range t.dev (entry_addr t start) (len * entry_size)
 
-let coffer_index t cid =
-  match Hashtbl.find_opt t.by_coffer cid with
-  | Some r -> r
-  | None ->
-      let r = Rbtree.create () in
-      Hashtbl.replace t.by_coffer cid r;
-      r
+let coffer_starts t cid =
+  Option.value ~default:IS.empty (IM.find_opt cid t.by_coffer)
 
 let index_add t start ({ cid; len } as run) =
-  Rbtree.insert t.runs start run;
-  if cid = 0 then Rbtree.insert t.free_runs start len
-  else Rbtree.insert (coffer_index t cid) start ()
+  t.runs <- IM.add start run t.runs;
+  if cid = 0 then t.free_runs <- IM.add start len t.free_runs
+  else
+    t.by_coffer <- IM.add cid (IS.add start (coffer_starts t cid)) t.by_coffer
 
 let index_remove t start { cid; _ } =
-  ignore (Rbtree.remove t.runs start);
-  if cid = 0 then ignore (Rbtree.remove t.free_runs start)
+  t.runs <- IM.remove start t.runs;
+  if cid = 0 then t.free_runs <- IM.remove start t.free_runs
   else
-    match Hashtbl.find_opt t.by_coffer cid with
-    | Some r -> ignore (Rbtree.remove r start)
-    | None -> ()
+    let starts = IS.remove start (coffer_starts t cid) in
+    t.by_coffer <-
+      (if IS.is_empty starts then IM.remove cid t.by_coffer
+       else IM.add cid starts t.by_coffer)
+
+(* The run starting at or before / at or after page [x] (both predicates
+   are monotone in the key, as [find_last_opt] / [find_first_opt] need). *)
+let find_leq t x = IM.find_last_opt (fun k -> k <= x) t.runs
+let find_geq t x = IM.find_first_opt (fun k -> k >= x) t.runs
 
 (* Write the persistent entries of a whole run (paper format: page j of a
    run of length L starting at s stores L - (j - s)). *)
@@ -68,17 +76,18 @@ let write_run t start { cid; len } =
     write_entry t (start + j) cid (len - j)
   done
 
+let empty dev ~base ~npages =
+  {
+    dev;
+    base;
+    npages;
+    runs = IM.empty;
+    free_runs = IM.empty;
+    by_coffer = IM.empty;
+  }
+
 let format dev ~base ~npages =
-  let t =
-    {
-      dev;
-      base;
-      npages;
-      runs = Rbtree.create ();
-      free_runs = Rbtree.create ();
-      by_coffer = Hashtbl.create 64;
-    }
-  in
+  let t = empty dev ~base ~npages in
   let all_free = { cid = 0; len = npages } in
   write_run t 0 all_free;
   persist_entries t 0 npages;
@@ -86,16 +95,7 @@ let format dev ~base ~npages =
   t
 
 let load dev ~base ~npages =
-  let t =
-    {
-      dev;
-      base;
-      npages;
-      runs = Rbtree.create ();
-      free_runs = Rbtree.create ();
-      by_coffer = Hashtbl.create 64;
-    }
-  in
+  let t = empty dev ~base ~npages in
   (* Rebuild volatile indexes by scanning page-by-page (we do not trust the
      run lengths after a crash: owner words are authoritative). *)
   let page = ref 0 in
@@ -125,7 +125,7 @@ let npages t = t.npages
 
 let owner_of t ~page =
   if page < 0 || page >= t.npages then invalid_arg "Alloc_table.owner_of";
-  match Rbtree.find_leq t.runs page with
+  match find_leq t page with
   | Some (start, run) when page < start + run.len -> run.cid
   | _ -> 0
 
@@ -140,12 +140,12 @@ let set_range t ~start ~len ~cid =
   let rec collect acc pos =
     if pos >= range_end then acc
     else
-      match Rbtree.find_geq t.runs pos with
+      match find_geq t pos with
       | Some (s, run) when s < range_end -> collect ((s, run) :: acc) (s + run.len)
       | _ -> acc
   in
   let first =
-    match Rbtree.find_leq t.runs start with
+    match find_leq t start with
     | Some (s, run) when s + run.len > start -> [ (s, run) ]
     | _ -> []
   in
@@ -183,13 +183,13 @@ let set_range t ~start ~len ~cid =
         else true)
       !leftovers
   in
-  (match Rbtree.find_leq t.runs (!new_start - 1) with
+  (match find_leq t (!new_start - 1) with
   | Some (s, run) when run.cid = cid && s + run.len = !new_start ->
       index_remove t s run;
       new_start := s;
       new_len := !new_len + run.len
   | _ -> ());
-  (match Rbtree.find_geq t.runs (!new_start + !new_len) with
+  (match find_geq t (!new_start + !new_len) with
   | Some (s, run) when run.cid = cid && s = !new_start + !new_len ->
       index_remove t s run;
       new_len := !new_len + run.len
@@ -205,7 +205,7 @@ let set_range t ~start ~len ~cid =
   write_run t start { cid; len };
   persist_entries t start len
 
-let free_pages t = Rbtree.fold t.free_runs (fun _ len acc -> acc + len) 0
+let free_pages t = IM.fold (fun _ len acc -> acc + len) t.free_runs 0
 
 (* First-fit allocation of up to [n] pages for [cid]; returns the runs
    granted (possibly several if no single free run is big enough).  Returns
@@ -215,7 +215,7 @@ let alloc t ~cid ~n =
   if n <= 0 then invalid_arg "Alloc_table.alloc: n must be positive";
   if free_pages t < n then None
   else begin
-    match Rbtree.find_first t.free_runs (fun _ len -> len >= n) with
+    match Seq.find (fun (_, len) -> len >= n) (IM.to_seq t.free_runs) with
     | Some (start, _) ->
         set_range t ~start ~len:n ~cid;
         Some [ (start, n) ]
@@ -224,7 +224,7 @@ let alloc t ~cid ~n =
         let granted = ref [] in
         let remaining = ref n in
         while !remaining > 0 do
-          match Rbtree.min_binding t.free_runs with
+          match IM.min_binding_opt t.free_runs with
           | None -> failwith "Alloc_table.alloc: accounting mismatch"
           | Some (start, len) ->
               let take = min len !remaining in
@@ -242,16 +242,9 @@ let reassign t ~start ~len ~cid =
   set_range t ~start ~len ~cid
 
 let runs_of t ~cid =
-  match Hashtbl.find_opt t.by_coffer cid with
-  | None -> []
-  | Some idx ->
-      Rbtree.fold idx
-        (fun start () acc ->
-          match Rbtree.find_opt t.runs start with
-          | Some run when run.cid = cid -> (start, run.len) :: acc
-          | _ -> acc)
-        []
-      |> List.rev
+  List.map
+    (fun start -> (start, (IM.find start t.runs).len))
+    (IS.elements (coffer_starts t cid))
 
 let pages_of t ~cid =
   List.concat_map
@@ -264,23 +257,37 @@ let free_coffer t ~cid =
 let coffer_page_count t ~cid =
   List.fold_left (fun acc (_, len) -> acc + len) 0 (runs_of t ~cid)
 
-(* Consistency check for tests: the volatile trees must tile [0, npages)
-   and agree with the persistent owner words.  (Run-length words are hints
-   and are not checked; [load] never trusts them either.) *)
+(* Consistency check for tests: the volatile indexes must tile [0, npages)
+   and agree with the persistent owner words, and each coffer's start set
+   must name exactly its runs.  (Run-length words are hints and are not
+   checked; [load] never trusts them either.) *)
 let verify t =
   let pos = ref 0 in
-  Rbtree.iter t.runs (fun start run ->
+  IM.iter
+    (fun start run ->
       if start <> !pos then failwith "Alloc_table.verify: gap or overlap";
       if run.len <= 0 then failwith "Alloc_table.verify: empty run";
       for j = 0 to run.len - 1 do
         let c, _hint = read_entry t (start + j) in
         if c <> run.cid then failwith "Alloc_table.verify: owner mismatch"
       done;
-      (match Rbtree.find_opt t.free_runs start with
+      (match IM.find_opt start t.free_runs with
       | Some l ->
           if run.cid <> 0 || l <> run.len then
             failwith "Alloc_table.verify: free index mismatch"
       | None ->
           if run.cid = 0 then failwith "Alloc_table.verify: free run not indexed");
-      pos := start + run.len);
-  if !pos <> t.npages then failwith "Alloc_table.verify: does not tile device"
+      if run.cid <> 0 && not (IS.mem start (coffer_starts t run.cid)) then
+        failwith "Alloc_table.verify: run missing from its coffer index";
+      pos := start + run.len)
+    t.runs;
+  if !pos <> t.npages then failwith "Alloc_table.verify: does not tile device";
+  IM.iter
+    (fun cid starts ->
+      IS.iter
+        (fun start ->
+          match IM.find_opt start t.runs with
+          | Some run when run.cid = cid -> ()
+          | _ -> failwith "Alloc_table.verify: stale coffer index entry")
+        starts)
+    t.by_coffer

@@ -552,20 +552,24 @@ let coffer_enlarge t cid ~n =
           map_everywhere t cid runs;
           Ok runs)
 
+(* Does [cid] own every page of the run [(start, len)]?  Runs come from
+   untrusted user space: a run that is empty or reaches outside the table is
+   not owned (the bound is tested without overflow).  Runs that are
+   [~moving] out of the coffer must not include its root page. *)
+let owns_run t cid ~moving (start, len) =
+  let rec owned p =
+    p = start + len
+    || Alloc_table.owner_of t.at ~page:p = cid
+       && (not (moving && p = cid))
+       && owned (p + 1)
+  in
+  start >= 0 && len > 0 && len <= Alloc_table.npages t.at - start && owned start
+
 let coffer_shrink t cid ~runs =
   kernel_op t (fun () ->
       let* _ = check_access t cid [ `W ] in
-      let valid =
-        List.for_all
-          (fun (start, len) ->
-            len > 0
-            && start + len <= Alloc_table.npages t.at
-            && List.for_all
-                 (fun p -> Alloc_table.owner_of t.at ~page:p = cid && p <> cid)
-                 (List.init len (fun i -> start + i)))
-          runs
-      in
-      if not valid then Error Errno.EINVAL
+      if not (List.for_all (owns_run t cid ~moving:true) runs) then
+        Error Errno.EINVAL
       else begin
         unmap_runs_everywhere t cid runs;
         List.iter (fun (start, len) -> Alloc_table.free_run t.at ~start ~len) runs;
@@ -681,48 +685,38 @@ let coffer_split t ~src ~new_path ~ctype ~mode ~uid ~gid ~runs ~root_file
       if cr.Fs_types.uid <> 0 && cr.Fs_types.uid <> c.Coffer.uid then
         Error Errno.EPERM
       else if Path_map.lookup t.pm new_path <> None then Error Errno.EEXIST
+      else if not (List.for_all (owns_run t src ~moving:true) runs) then
+        Error Errno.EINVAL
       else
-        let pages_valid =
-          List.for_all
-            (fun (start, len) ->
-              len > 0
-              && List.for_all
-                   (fun p ->
-                     Alloc_table.owner_of t.at ~page:p = src && p <> src)
-                   (List.init len (fun i -> start + i)))
-            runs
-        in
-        if not pages_valid then Error Errno.EINVAL
-        else
-          match Alloc_table.alloc t.at ~cid:(-1) ~n:1 with
-          | None -> Error Errno.ENOSPC
-          | Some new_runs ->
-              let id = match new_runs with (s, _) :: _ -> s | [] -> assert false in
-              Alloc_table.reassign t.at ~start:id ~len:1 ~cid:id;
-              (* Moved pages change owner; mappers of src lose them. *)
-              unmap_runs_everywhere t src runs;
-              List.iter
-                (fun (start, len) ->
-                  Alloc_table.reassign t.at ~start ~len ~cid:id)
-                runs;
-              Coffer.write t.dev ~id ~ctype ~mode ~uid ~gid ~path:new_path
-                ~root_file ~custom;
-              let* () = Path_map.insert t.pm ~path:new_path ~cid:id in
-              let info =
-                {
-                  Coffer.id;
-                  ctype;
-                  mode;
-                  uid;
-                  gid;
-                  path = new_path;
-                  root_file;
-                  custom;
-                  in_recovery = false;
-                }
-              in
-              Hashtbl.replace t.coffers id info;
-              Ok info)
+        match Alloc_table.alloc t.at ~cid:(-1) ~n:1 with
+        | None -> Error Errno.ENOSPC
+        | Some new_runs ->
+            let id = match new_runs with (s, _) :: _ -> s | [] -> assert false in
+            Alloc_table.reassign t.at ~start:id ~len:1 ~cid:id;
+            (* Moved pages change owner; mappers of src lose them. *)
+            unmap_runs_everywhere t src runs;
+            List.iter
+              (fun (start, len) ->
+                Alloc_table.reassign t.at ~start ~len ~cid:id)
+              runs;
+            Coffer.write t.dev ~id ~ctype ~mode ~uid ~gid ~path:new_path
+              ~root_file ~custom;
+            let* () = Path_map.insert t.pm ~path:new_path ~cid:id in
+            let info =
+              {
+                Coffer.id;
+                ctype;
+                mode;
+                uid;
+                gid;
+                path = new_path;
+                root_file;
+                custom;
+                in_recovery = false;
+              }
+            in
+            Hashtbl.replace t.coffers id info;
+            Ok info)
 
 (* Merge [src] into [dst]: all of [src]'s pages change owner to [dst]; the
    src root page is freed.  Both coffers must carry the same permission. *)
@@ -849,7 +843,7 @@ let file_mmap t ~cid ~pages =
       let* ps = proc_state t pid in
       if not (Hashtbl.mem ps.ps_mapped cid) then Error Errno.EACCES
       else if
-        List.for_all (fun p -> Alloc_table.owner_of t.at ~page:p = cid) pages
+        List.for_all (fun p -> owns_run t cid ~moving:false (p, 1)) pages
       then begin
         charge_pages ~per_page:pte_update_cost (List.length pages);
         Ok ()
@@ -865,7 +859,7 @@ let file_execve t ~cid ~pages =
       let* ps = proc_state t pid in
       if not (Hashtbl.mem ps.ps_mapped cid) then Error Errno.EACCES
       else if
-        List.for_all (fun p -> Alloc_table.owner_of t.at ~page:p = cid) pages
+        List.for_all (fun p -> owns_run t cid ~moving:false (p, 1)) pages
       then begin
         charge_pages
           ~per_page:(pte_update_cost + (Nvm.page_size / 39))

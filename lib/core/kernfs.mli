@@ -158,7 +158,8 @@ val coffer_enlarge : t -> int -> n:int -> ((int * int) list, Errno.t) result
 
 val coffer_shrink : t -> int -> runs:(int * int) list -> (unit, Errno.t) result
 (** Return pages to the global pool (validated to belong to the coffer and
-    to exclude its root page). *)
+    to exclude its root page).  [EINVAL] for any run that fails this,
+    including an empty run or one reaching outside the table. *)
 
 val coffer_map : t -> int -> (mapping, Errno.t) result
 (** Permission-check the caller, assign a free MPK key (of the 15 usable),
@@ -215,7 +216,8 @@ val coffer_recover_end : t -> int -> in_use:int list -> (unit, Errno.t) result
 (** {1 File operations needing the kernel (paper §3.3)} *)
 
 val file_mmap : t -> cid:int -> pages:int list -> (unit, Errno.t) result
-(** Validate that [pages] belong to a coffer the caller has mapped, then
+(** Validate that [pages] belong to a coffer the caller has mapped ([EINVAL]
+    for a page that is not the coffer's, out-of-range pages included), then
     install the user mapping ({!pte_update_cost} per page, charged in one
     advance). *)
 

@@ -858,6 +858,76 @@ let test_parallel_maps_overlap () =
         (ns < one_map * 5 / 4))
     !elapsed
 
+(* Page arguments come from untrusted user space: a page outside the table
+   or a run that is empty or reaches past the table's end is EINVAL, never
+   an exception, and KernFS stays usable. *)
+let bad_args_coffer kfs =
+  ok_or_fail (K.fs_mount kfs);
+  let c =
+    ok_or_fail
+      (K.coffer_new kfs ~path:"/bad" ~ctype:zofs_ctype ~mode:0o600 ~uid:1000
+         ~gid:1000)
+  in
+  ignore (ok_or_fail (K.coffer_enlarge kfs c.Coffer.id ~n:4));
+  ignore (ok_or_fail (K.coffer_map kfs c.Coffer.id));
+  c.Coffer.id
+
+let split_runs kfs cid i runs =
+  K.coffer_split kfs ~src:cid
+    ~new_path:(Printf.sprintf "/bad/split%d" i)
+    ~ctype:zofs_ctype ~mode:0o600 ~uid:1000 ~gid:1000 ~runs ~root_file:0
+    ~custom:0
+
+let test_bad_page_arguments () =
+  let _, mpk, kfs = mk () in
+  let npages = A.npages (K.alloc_table kfs) in
+  as_user (fun () ->
+      let cid = bad_args_coffer kfs in
+      expect_err E.EINVAL (K.coffer_shrink kfs cid ~runs:[ (-1, 1) ]);
+      expect_err E.EINVAL (K.coffer_shrink kfs cid ~runs:[ (1, max_int) ]);
+      expect_err E.EINVAL (split_runs kfs cid 0 [ (npages, 1) ]);
+      expect_err E.EINVAL (K.file_mmap kfs ~cid ~pages:[ npages ]);
+      expect_err E.EINVAL (K.file_mmap kfs ~cid ~pages:[ -1 ]);
+      expect_err E.EINVAL (K.file_execve kfs ~cid ~pages:[ npages ]);
+      Mpk.with_kernel mpk (fun () -> A.verify (K.alloc_table kfs));
+      ignore (ok_or_fail (K.coffer_enlarge kfs cid ~n:2));
+      let other =
+        ok_or_fail
+          (K.coffer_new kfs ~path:"/after" ~ctype:zofs_ctype ~mode:0o600
+             ~uid:1000 ~gid:1000)
+      in
+      ignore (ok_or_fail (K.coffer_map kfs other.Coffer.id)))
+
+let qcheck_page_arguments_never_raise =
+  let npages = 1024 in
+  let edge =
+    QCheck.Gen.(
+      oneof
+        [
+          int_range (-3) (npages + 3);
+          oneofl [ min_int; -1; 0; 1; npages - 1; npages; max_int ];
+        ])
+  in
+  QCheck.Test.make ~name:"random page runs give Ok or an errno" ~count:100
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair int int))
+       QCheck.Gen.(list_size (int_range 1 8) (pair edge edge)))
+    (fun pairs ->
+      let _, mpk, kfs = mk ~pages:npages () in
+      assert (A.npages (K.alloc_table kfs) = npages);
+      as_user (fun () ->
+          let cid = bad_args_coffer kfs in
+          List.iteri
+            (fun i (start, len) ->
+              let run = [ (start, len) ] in
+              ignore (K.coffer_shrink kfs cid ~runs:run);
+              ignore (split_runs kfs cid i run);
+              ignore (K.file_mmap kfs ~cid ~pages:[ start; len ]);
+              ignore (K.file_execve kfs ~cid ~pages:[ start; len ]))
+            pairs);
+      Mpk.with_kernel mpk (fun () -> A.verify (K.alloc_table kfs));
+      true)
+
 let () =
   Alcotest.run "kernfs"
     [
@@ -922,5 +992,11 @@ let () =
           Alcotest.test_case "file_execve" `Quick test_file_execve;
           Alcotest.test_case "on_setuid unmaps everything" `Quick
             test_on_setuid_unmaps_everything;
+        ] );
+      ( "bad-arguments",
+        [
+          Alcotest.test_case "out-of-range pages are EINVAL" `Quick
+            test_bad_page_arguments;
+          QCheck_alcotest.to_alcotest qcheck_page_arguments_never_raise;
         ] );
     ]
