@@ -616,9 +616,7 @@ let safety () =
     !faults;
   Sim.run_thread ~proc:(root_proc ()) (fun () ->
       let kfs = Option.get i.FL.kernfs in
-      let disp = Treasury.Dispatcher.create kfs in
-      let ufs = Zofs.Ufs.create kfs in
-      Treasury.Dispatcher.register_ufs disp (module Zofs.Ufs) ufs;
+      let disp = FL.zofs_dispatcher kfs in
       let fs = Treasury.Dispatcher.as_vfs disp in
       Mpk.with_kernel (Treasury.Kernfs.mpk kfs) (fun () ->
           Mpk.with_write_window (Treasury.Kernfs.mpk kfs) (fun () ->
@@ -679,6 +677,13 @@ let safety () =
 
 (* ==== Ablations (DESIGN.md §5) =================================================== *)
 
+(* Run [f] with the allocator knob [knob] set to [v], then restore its
+   prior value. *)
+let with_knob knob v f =
+  let prior = !knob in
+  knob := v;
+  Fun.protect ~finally:(fun () -> knob := prior) f
+
 let ablations () =
   Report.section "Ablations";
   let dwol_with_protection = Fx.dwol.Fx.run FL.Zofs ~nthreads:1 ~ops:!fx_ops in
@@ -712,16 +717,12 @@ let ablations () =
       ];
     ];
   let mwcl_points force =
-    Zofs.Balloc.force_global := force;
-    let r =
-      List.map
-        (fun n ->
-          let r = Fx.mwcl.Fx.run FL.Zofs ~nthreads:n ~ops:(max 20 (!fx_ops / 2)) in
-          (n, r.Workloads.Runner.mops_per_sec))
-        [ 1; 4; 8; 16 ]
-    in
-    Zofs.Balloc.force_global := false;
-    r
+    with_knob Zofs.Balloc.force_global force (fun () ->
+        List.map
+          (fun n ->
+            let r = Fx.mwcl.Fx.run FL.Zofs ~nthreads:n ~ops:(max 20 (!fx_ops / 2)) in
+            (n, r.Workloads.Runner.mops_per_sec))
+          [ 1; 4; 8; 16 ])
   in
   let per_thread = mwcl_points false in
   let global = mwcl_points true in
@@ -735,9 +736,10 @@ let ablations () =
       "global list" :: List.map (fun (_, v) -> Report.f3 v) global;
     ];
   let batch_row b =
-    Zofs.Balloc.enlarge_batch := b;
-    let r = Fx.dwal.Fx.run FL.Zofs ~nthreads:8 ~ops:!fx_ops in
-    Zofs.Balloc.enlarge_batch := 16;
+    let r =
+      with_knob Zofs.Balloc.enlarge_batch b (fun () ->
+          Fx.dwal.Fx.run FL.Zofs ~nthreads:8 ~ops:!fx_ops)
+    in
     [ string_of_int b; Report.f3 r.Workloads.Runner.mops_per_sec ]
   in
   Report.table ~title:"(c) coffer_enlarge batch size (DWAL, 8 threads, Mops/s)"

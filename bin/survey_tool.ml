@@ -19,12 +19,7 @@ let table3 () =
       ~root_uid:0 ~root_gid:0 ()
   in
   Zofs.Ufs.mkfs kfs;
-  let fslib () =
-    let disp = Treasury.Dispatcher.create kfs in
-    let ufs = Zofs.Ufs.create kfs in
-    Treasury.Dispatcher.register_ufs disp (module Zofs.Ufs) ufs;
-    Treasury.Dispatcher.as_vfs disp
-  in
+  let fslib () = Workloads.Fslab.zofs_fslib kfs in
   Printf.printf "%-12s %-10s %-6s %-9s %9s %10s\n" "System" "Type" "Perm"
     "Uid/Gid" "# Files" "Bytes";
   List.iter

@@ -72,10 +72,7 @@ let demo () =
   Zofs.Ufs.mkfs kfs;
   let proc = Sim.Proc.create ~uid:0 ~gid:0 () in
   Sim.run_thread ~proc (fun () ->
-      let disp = Treasury.Dispatcher.create kfs in
-      let ufs = Zofs.Ufs.create kfs in
-      Treasury.Dispatcher.register_ufs disp (module Zofs.Ufs) ufs;
-      let fs = Treasury.Dispatcher.as_vfs disp in
+      let fs = Workloads.Fslab.zofs_fslib kfs in
       for i = 0 to 49 do
         ok (V.write_file fs (Printf.sprintf "/f%02d" i) (String.make 5000 'x'))
       done;
@@ -102,10 +99,7 @@ let demo () =
   print_report report;
   (* verify what's left *)
   Sim.run_thread ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ()) (fun () ->
-      let disp = Treasury.Dispatcher.create kfs in
-      let ufs = Zofs.Ufs.create kfs in
-      Treasury.Dispatcher.register_ufs disp (module Zofs.Ufs) ufs;
-      let fs = Treasury.Dispatcher.as_vfs disp in
+      let fs = Workloads.Fslab.zofs_fslib kfs in
       let alive = ref 0 in
       for i = 0 to 49 do
         if V.exists fs (Printf.sprintf "/f%02d" i) then incr alive

@@ -43,10 +43,7 @@ let make_world ~image ~pages =
   let proc = Sim.Proc.create ~uid:0 ~gid:0 () in
   let disp = ref None in
   Sim.run_thread ~proc (fun () ->
-      let d = Treasury.Dispatcher.create kfs in
-      let ufs = Zofs.Ufs.create kfs in
-      Treasury.Dispatcher.register_ufs d (module Zofs.Ufs) ufs;
-      disp := Some d);
+      disp := Some (Workloads.Fslab.zofs_dispatcher kfs));
   let disp = Option.get !disp in
   Obs.attach_device dev;
   { dev; kfs; disp; fs = Treasury.Dispatcher.as_vfs disp; proc }

@@ -23,9 +23,7 @@ let () =
   in
   Zofs.Ufs.mkfs kfs;
   let fslib () =
-    let disp = Treasury.Dispatcher.create kfs in
-    let ufs = Zofs.Ufs.create kfs in
-    Treasury.Dispatcher.register_ufs disp (module Zofs.Ufs) ufs;
+    let disp = Workloads.Fslab.zofs_dispatcher kfs in
     (disp, Treasury.Dispatcher.as_vfs disp)
   in
 

@@ -24,10 +24,7 @@ let () =
   (* 2. Everything runs inside the deterministic simulator: one simulated
      process with its own FSLibs (dispatcher + µFS). *)
   Sim.run_thread ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ()) (fun () ->
-      let disp = Treasury.Dispatcher.create kfs in
-      let ufs = Zofs.Ufs.create kfs in
-      Treasury.Dispatcher.register_ufs disp (module Zofs.Ufs) ufs;
-      let fs = Treasury.Dispatcher.as_vfs disp in
+      let fs = Workloads.Fslab.zofs_fslib kfs in
 
       (* 3. Ordinary file operations — all handled in user space. *)
       ok (V.mkdir fs "/projects" 0o755);

@@ -25,12 +25,7 @@ let () =
       ~root_gid:0 ()
   in
   Zofs.Ufs.mkfs kfs;
-  let fslib () =
-    let disp = Treasury.Dispatcher.create kfs in
-    let ufs = Zofs.Ufs.create kfs in
-    Treasury.Dispatcher.register_ufs disp (module Zofs.Ufs) ufs;
-    Treasury.Dispatcher.as_vfs disp
-  in
+  let fslib () = Workloads.Fslab.zofs_fslib kfs in
   let as_user uid f =
     Sim.run_thread ~proc:(Sim.Proc.create ~uid ~gid:uid ()) (fun () -> f (fslib ()))
   in

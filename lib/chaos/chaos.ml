@@ -86,9 +86,7 @@ let shared_path = "/work/shared"
 (* One FSLibs instance for the CALLING process: must run inside the sim
    thread of the process that will use it (fs_mount registers that pid). *)
 let fslib_for kfs =
-  let disp = Treasury.Dispatcher.create kfs in
-  let ufs = Zofs.Ufs.create kfs in
-  Treasury.Dispatcher.register_ufs disp (module Zofs.Ufs) ufs;
+  let disp = Workloads.Fslab.zofs_dispatcher kfs in
   Treasury.Dispatcher.set_repair disp (fun cid ->
       Zofs.Recovery.recover_one kfs cid);
   Treasury.Dispatcher.as_vfs disp
@@ -577,10 +575,7 @@ let run ?(seed = 11L) ?(pages = 16384) ?(min_faults = 200) ?(max_rounds = 600)
          violation ("post-campaign fsck raised " ^ Printexc.to_string e));
       (* after recovery, a fresh FSLib must still see the canary intact *)
       (try
-         let disp2 = Treasury.Dispatcher.create kfs in
-         let ufs2 = Zofs.Ufs.create kfs in
-         Treasury.Dispatcher.register_ufs disp2 (module Zofs.Ufs) ufs2;
-         let fs2 = Treasury.Dispatcher.as_vfs disp2 in
+         let fs2 = Workloads.Fslab.zofs_fslib kfs in
          match V.read_file fs2 canary_path with
          | Ok d when d = canary_data -> ()
          | Ok _ -> violation "post-fsck: canary content changed"

@@ -1,23 +1,20 @@
 (* FSLibs: the user-space half of Treasury (paper §4.2).
 
-   One dispatcher instance per process.  It intercepts the file-system calls
-   of the application (here: the Vfs.S interface), translates user FDs
-   through the FD mapping table, tracks the current working directory,
-   routes each request to the µFS in charge, follows symbolic links by
-   re-dispatching the expanded path, and converts any fault raised while a
-   µFS walks possibly-corrupted coffers into a graceful EIO (the
+   One dispatcher instance per process, serving the one µFS registered with
+   it.  It intercepts the file-system calls of the application (here: the
+   Vfs.S interface), translates user FDs through the FD mapping table,
+   resolves paths against the current working directory, follows symbolic
+   links by re-dispatching the expanded path, and converts any fault raised
+   while the µFS walks possibly-corrupted coffers into a graceful EIO (the
    sigsetjmp/siglongjmp trick of §3.4.2). *)
 
 type ufs = U : (module Ufs_intf.S with type t = 'a) * 'a -> ufs
 
 type t = {
   kfs : Kernfs.t;
-  mount_path : string;
   mutable cwd : string;
   fds : Fd_table.t;
-  ufss : (int, ufs) Hashtbl.t;  (* ctype -> µFS *)
-  mutable default_ctype : int;
-  kernel_fs : Vfs.fs option;  (* handles paths outside the mount, if any *)
+  mutable ufs : ufs option;  (* a call that reaches it is ENOSYS until set *)
   mutable graceful_errors : int;  (* faults converted into errno (§6.5) *)
   mutable repair : (int -> bool) option;
       (* online scoped fsck for one coffer (wired by the embedder; e.g.
@@ -33,82 +30,59 @@ type t = {
 
 let ( let* ) = Result.bind
 
-let create ?(mount_path = "/") ?kernel_fs kfs =
+let create kfs =
   (match Kernfs.fs_mount kfs with
   | Ok () | Error Errno.EEXIST -> ()
   | Error e -> failwith ("Dispatcher.create: fs_mount: " ^ Errno.to_string e));
   {
     kfs;
-    mount_path = Pathx.normalize mount_path;
     cwd = "/";
     fds = Fd_table.create ();
-    ufss = Hashtbl.create 4;
-    default_ctype = -1;
-    kernel_fs;
+    ufs = None;
     graceful_errors = 0;
     repair = None;
     admission = None;
   }
 
 let register_ufs t (type a) (module F : Ufs_intf.S with type t = a) (inst : a) =
-  Hashtbl.replace t.ufss F.ctype (U ((module F), inst));
-  if t.default_ctype = -1 then t.default_ctype <- F.ctype
+  t.ufs <- Some (U ((module F), inst))
 
 let shutdown t = ignore (Kernfs.fs_umount t.kfs)
-
-let kernfs t = t.kfs
 let graceful_error_count t = t.graceful_errors
 
-(* ---- path routing ------------------------------------------------------ *)
+let the_ufs t = match t.ufs with Some u -> Ok u | None -> Error Errno.ENOSYS
 
-type route =
-  | To_ufs of string (* path inside the mount, mount prefix stripped *)
-  | To_kernel of string
-
-let resolve_user_path t path =
-  let abs = if Pathx.is_absolute path then Pathx.normalize path else Pathx.concat t.cwd path in
-  if Pathx.is_prefix ~prefix:t.mount_path abs then
-    To_ufs (Pathx.strip_prefix ~prefix:t.mount_path abs)
-  else To_kernel abs
-
-let ufs_for t _path =
-  (* With several µFSs the coffer type of the longest matching prefix would
-     pick the library; with one registered µFS it handles the whole mount. *)
-  match Hashtbl.find_opt t.ufss t.default_ctype with
-  | Some u -> Ok u
-  | None -> Error Errno.ENOSYS
+(* Every path reaches the µFS absolute and normalized. *)
+let resolve t path = Pathx.concat t.cwd path
 
 (* ---- admission control (serving plane) ---------------------------------- *)
 
 let set_admission t f = t.admission <- Some f
-let clear_admission t = t.admission <- None
 
 (* Consulted at the head of every dispatched operation.  A refusal is
    counted per-tenant so shed traffic is always observable.  A request
    whose end-to-end budget is already gone is refused before any µFS work:
    this is the cheapest safe-to-abort point there is. *)
+let count_for_tenant name =
+  Obs.cnt_l name
+    (Obs.Labels.v [ ("tenant", string_of_int (Obs.current_tenant ())) ])
+    1
+
 let admit t ~op =
   if op <> "close" && Deadline.expired () then begin
     (* close is exempt: refusing resource release on an expired budget
        would leak the descriptor — the op a timed-out request MUST still
        be allowed to finish its cleanup with. *)
-    Obs.cnt_l "dispatch.deadline_expired"
-      (Obs.Labels.v [ ("tenant", string_of_int (Obs.current_tenant ())) ])
-      1;
+    count_for_tenant "dispatch.deadline_expired";
     Error Errno.ETIMEDOUT
   end
   else
     match t.admission with
-  | None -> Ok ()
-  | Some f -> (
-      match f ~op with
-      | Ok () -> Ok ()
-      | Error e ->
-          Obs.cnt_l "dispatch.refused"
-            (Obs.Labels.v
-               [ ("tenant", string_of_int (Obs.current_tenant ())) ])
-            1;
-          Error e)
+    | None -> Ok ()
+    | Some f ->
+        let r = f ~op in
+        if Result.is_error r then count_for_tenant "dispatch.refused";
+        r
 
 (* ---- fault handling and online self-healing (graceful error return) ----- *)
 
@@ -119,10 +93,12 @@ let max_repair_attempts = 3 (* scoped-fsck attempts per fault *)
 let repair_backoff = 10_000 (* ns; doubled per attempt, capped below *)
 let max_repair_backoff = 200_000
 
-(* After a repair rewrote coffer structures, every µFS must drop its cached
+(* After a repair rewrote coffer structures, the µFS must drop its cached
    session state for that coffer so stale addresses are re-walked. *)
-let invalidate_everywhere t cid =
-  Hashtbl.iter (fun _ (U ((module F), u)) -> F.invalidate_coffer u cid) t.ufss
+let invalidate t cid =
+  match t.ufs with
+  | Some (U ((module F), u)) -> F.invalidate_coffer u cid
+  | None -> ()
 
 (* Attribute a faulting NVM address to the coffer owning its page; metadata
    regions and free pages have no coffer to quarantine. *)
@@ -170,13 +146,13 @@ let handle_media_fault t addr =
       | Kernfs.Quarantined ->
           (* Still faulting on the read-only path: take it fully offline. *)
           Kernfs.set_coffer_health t.kfs cid Kernfs.Offline;
-          invalidate_everywhere t cid;
+          invalidate t cid;
           false
       | Kernfs.Healthy | Kernfs.Suspect ->
           Kernfs.set_coffer_health t.kfs cid Kernfs.Suspect;
           if attempt_repair t cid then begin
             Obs.cnt "health.repairs_ok" 1;
-            invalidate_everywhere t cid;
+            invalidate t cid;
             Kernfs.set_coffer_health t.kfs cid Kernfs.Healthy;
             true
           end
@@ -184,7 +160,7 @@ let handle_media_fault t addr =
             Obs.cnt "health.repairs_failed" 1;
             if Kernfs.quarantine_enabled t.kfs then begin
               Kernfs.set_coffer_health t.kfs cid Kernfs.Quarantined;
-              invalidate_everywhere t cid
+              invalidate t cid
             end;
             false
           end)
@@ -225,9 +201,7 @@ let protect_gen t wrap f =
            (lease wait, kernel-retry backoff).  Not a fault: the µFS state
            is exactly as a crash at that point would leave it — any pending
            intention record is repaired by the next lease holder. *)
-        Obs.cnt_l "dispatch.deadline_expired"
-          (Obs.Labels.v [ ("tenant", string_of_int (Obs.current_tenant ())) ])
-          1;
+        count_for_tenant "dispatch.deadline_expired";
         Error (wrap Errno.ETIMEDOUT)
   in
   run 0
@@ -238,35 +212,23 @@ let protect_fd t f = protect_gen t (fun e -> e) f
 let max_symlink_depth = 40
 
 (* Dispatch a path operation, following symlink redirects. *)
-let rec dispatch_path :
-    'a.
-    t ->
-    string ->
-    depth:int ->
-    on_ufs:(ufs -> string -> 'a Ufs_intf.outcome) ->
-    on_kernel:(Vfs.fs -> string -> ('a, Errno.t) result) ->
-    ('a, Errno.t) result =
- fun t path ~depth ~on_ufs ~on_kernel ->
+let rec dispatch_path t path ~depth f =
   if depth > max_symlink_depth then Error Errno.ELOOP
   else
-    match resolve_user_path t path with
-    | To_kernel p -> (
-        match t.kernel_fs with
-        | Some fs -> on_kernel fs p
-        | None -> Error Errno.ENOENT)
-    | To_ufs p -> (
-        let* u = ufs_for t p in
-        match protect t (fun () -> on_ufs u p) with
-        | Ok v -> Ok v
-        | Error (Ufs_intf.Errno e) -> Error e
-        | Error (Ufs_intf.Symlink target) ->
-            (* Re-dispatch the expanded path (which is FS-internal). *)
-            let user_path =
-              if t.mount_path = "/" then target
-              else if Pathx.is_absolute target then t.mount_path ^ target
-              else target
-            in
-            dispatch_path t user_path ~depth:(depth + 1) ~on_ufs ~on_kernel)
+    let* u = the_ufs t in
+    let p = resolve t path in
+    match protect t (fun () -> f u p) with
+    | Ok v -> Ok v
+    | Error (Ufs_intf.Errno e) -> Error e
+    | Error (Ufs_intf.Symlink target) ->
+        dispatch_path t target ~depth:(depth + 1) f
+
+(* The head every path call shares: the syscall span, admission, then the
+   dispatch. *)
+let path_call t ~op path f =
+  Obs.with_syscall op @@ fun () ->
+  let* () = admit t ~op in
+  dispatch_path t path ~depth:0 f
 
 (* ---- Vfs.S implementation ---------------------------------------------- *)
 
@@ -278,146 +240,74 @@ let openf t path flags mode =
   let* () =
     admit t ~op:(if List.mem Fs_types.O_CREAT flags then "creat" else "open")
   in
-  let* fd_target =
-    dispatch_path t path ~depth:0
-      ~on_ufs:(fun (U ((module F), u)) p ->
-        match F.openf u p flags mode with
-        | Ok h -> Ok (Fd_table.Ufs { ctype = F.ctype; handle = h })
-        | Error e -> Error e)
-      ~on_kernel:(fun fs p ->
-        match Vfs.openf fs p flags mode with
-        | Ok kfd -> Ok (Fd_table.Kernel kfd)
-        | Error e -> Error e)
+  let* handle =
+    dispatch_path t path ~depth:0 (fun (U ((module F), u)) p ->
+        F.openf u p flags mode)
   in
   let append = Fs_types.flag_mem Fs_types.O_APPEND flags in
-  Ok (Fd_table.alloc t.fds ~append fd_target)
+  Ok (Fd_table.alloc t.fds ~append handle)
 
 let mkdir t path mode =
-  Obs.with_syscall "mkdir" @@ fun () ->
-  let* () = admit t ~op:"mkdir" in
-  dispatch_path t path ~depth:0
-    ~on_ufs:(fun (U ((module F), u)) p -> F.mkdir u p mode)
-    ~on_kernel:(fun fs p -> Vfs.mkdir fs p mode)
+  path_call t ~op:"mkdir" path (fun (U ((module F), u)) p -> F.mkdir u p mode)
 
 let rmdir t path =
-  Obs.with_syscall "rmdir" @@ fun () ->
-  let* () = admit t ~op:"rmdir" in
-  dispatch_path t path ~depth:0
-    ~on_ufs:(fun (U ((module F), u)) p -> F.rmdir u p)
-    ~on_kernel:(fun fs p -> Vfs.rmdir fs p)
+  path_call t ~op:"rmdir" path (fun (U ((module F), u)) p -> F.rmdir u p)
 
 let unlink t path =
-  Obs.with_syscall "unlink" @@ fun () ->
-  let* () = admit t ~op:"unlink" in
-  dispatch_path t path ~depth:0
-    ~on_ufs:(fun (U ((module F), u)) p -> F.unlink u p)
-    ~on_kernel:(fun fs p -> Vfs.unlink fs p)
+  path_call t ~op:"unlink" path (fun (U ((module F), u)) p -> F.unlink u p)
 
 let stat t path =
-  Obs.with_syscall "stat" @@ fun () ->
-  let* () = admit t ~op:"stat" in
-  dispatch_path t path ~depth:0
-    ~on_ufs:(fun (U ((module F), u)) p -> F.stat u p)
-    ~on_kernel:(fun fs p -> Vfs.stat fs p)
+  path_call t ~op:"stat" path (fun (U ((module F), u)) p -> F.stat u p)
 
 let lstat t path =
-  Obs.with_syscall "lstat" @@ fun () ->
-  let* () = admit t ~op:"lstat" in
-  dispatch_path t path ~depth:0
-    ~on_ufs:(fun (U ((module F), u)) p -> F.lstat u p)
-    ~on_kernel:(fun fs p -> Vfs.lstat fs p)
+  path_call t ~op:"lstat" path (fun (U ((module F), u)) p -> F.lstat u p)
 
 let readdir t path =
-  Obs.with_syscall "readdir" @@ fun () ->
-  let* () = admit t ~op:"readdir" in
-  dispatch_path t path ~depth:0
-    ~on_ufs:(fun (U ((module F), u)) p -> F.readdir u p)
-    ~on_kernel:(fun fs p -> Vfs.readdir fs p)
+  path_call t ~op:"readdir" path (fun (U ((module F), u)) p -> F.readdir u p)
 
 let chmod t path mode =
-  Obs.with_syscall "chmod" @@ fun () ->
-  let* () = admit t ~op:"chmod" in
-  dispatch_path t path ~depth:0
-    ~on_ufs:(fun (U ((module F), u)) p -> F.chmod u p mode)
-    ~on_kernel:(fun fs p -> Vfs.chmod fs p mode)
+  path_call t ~op:"chmod" path (fun (U ((module F), u)) p -> F.chmod u p mode)
 
 let chown t path uid gid =
-  Obs.with_syscall "chown" @@ fun () ->
-  let* () = admit t ~op:"chown" in
-  dispatch_path t path ~depth:0
-    ~on_ufs:(fun (U ((module F), u)) p -> F.chown u p uid gid)
-    ~on_kernel:(fun fs p -> Vfs.chown fs p uid gid)
+  path_call t ~op:"chown" path (fun (U ((module F), u)) p ->
+      F.chown u p uid gid)
 
 let readlink t path =
-  Obs.with_syscall "readlink" @@ fun () ->
-  let* () = admit t ~op:"readlink" in
-  dispatch_path t path ~depth:0
-    ~on_ufs:(fun (U ((module F), u)) p -> F.readlink u p)
-    ~on_kernel:(fun fs p -> Vfs.readlink fs p)
+  path_call t ~op:"readlink" path (fun (U ((module F), u)) p ->
+      F.readlink u p)
 
 let symlink t ~target ~link =
-  Obs.with_syscall "symlink" @@ fun () ->
-  let* () = admit t ~op:"symlink" in
-  dispatch_path t link ~depth:0
-    ~on_ufs:(fun (U ((module F), u)) p -> F.symlink u ~target ~link:p)
-    ~on_kernel:(fun fs p -> Vfs.symlink fs ~target ~link:p)
+  path_call t ~op:"symlink" link (fun (U ((module F), u)) p ->
+      F.symlink u ~target ~link:p)
 
 let rename t src dst =
-  Obs.with_syscall "rename" @@ fun () ->
-  let* () = admit t ~op:"rename" in
-  (* Both paths must land in the same file system. *)
-  match (resolve_user_path t src, resolve_user_path t dst) with
-  | To_kernel a, To_kernel b -> (
-      match t.kernel_fs with
-      | Some fs -> Vfs.rename fs a b
-      | None -> Error Errno.ENOENT)
-  | To_ufs _, To_ufs _ ->
-      dispatch_path t src ~depth:0
-        ~on_ufs:(fun (U ((module F), u)) p ->
-          match resolve_user_path t dst with
-          | To_ufs q -> F.rename u p q
-          | To_kernel _ -> Ufs_intf.errno Errno.EXDEV)
-        ~on_kernel:(fun _ _ -> Error Errno.EXDEV)
-  | _ -> Error Errno.EXDEV
+  path_call t ~op:"rename" src (fun (U ((module F), u)) p ->
+      F.rename u p (resolve t dst))
 
 let truncate t path len =
   Obs.with_syscall "truncate" @@ fun () ->
   let* () = admit t ~op:"truncate" in
   let* fd = openf t path [ Fs_types.O_WRONLY ] 0 in
-  let finish r =
-    match Fd_table.close t.fds fd with
-    | Ok _ | Error _ -> r
+  let r =
+    let* ofd = Fd_table.lookup t.fds fd in
+    let* (U ((module F), u)) = the_ufs t in
+    let r = protect_fd t (fun () -> F.ftruncate u ofd.Fd_table.handle len) in
+    ignore (F.close u ofd.Fd_table.handle);
+    r
   in
-  finish
-    (match Fd_table.lookup t.fds fd with
-    | Error e -> Error e
-    | Ok ofd -> (
-        match ofd.Fd_table.target with
-        | Fd_table.Ufs { ctype; handle } -> (
-            match Hashtbl.find_opt t.ufss ctype with
-            | Some (U ((module F), u)) ->
-                let r = protect_fd t (fun () -> F.ftruncate u handle len) in
-                ignore (F.close u handle);
-                r
-            | None -> Error Errno.ENOSYS)
-        | Fd_table.Kernel kfd -> (
-            match t.kernel_fs with
-            | Some fs ->
-                let r = Vfs.ftruncate fs kfd len in
-                ignore (Vfs.close fs kfd);
-                r
-            | None -> Error Errno.EBADF)))
+  ignore (Fd_table.close t.fds fd);
+  r
 
 (* ---- descriptor operations --------------------------------------------- *)
 
-let with_ofd t fd f =
+(* The head every descriptor call shares: the syscall span, admission, the
+   FD lookup, then the µFS call under fault protection. *)
+let fd_call t ~op fd f =
+  Obs.with_syscall op @@ fun () ->
+  let* () = admit t ~op in
   let* ofd = Fd_table.lookup t.fds fd in
-  f ofd
-
-let ufs_of_ctype t ctype =
-  match Hashtbl.find_opt t.ufss ctype with
-  | Some u -> Ok u
-  | None -> Error Errno.ENOSYS
+  let* u = the_ufs t in
+  protect_fd t (fun () -> f u ofd)
 
 let close t fd =
   Obs.with_syscall "close" @@ fun () ->
@@ -425,143 +315,71 @@ let close t fd =
   let* closed = Fd_table.close t.fds fd in
   match closed with
   | None -> Ok ()
-  | Some (Fd_table.Ufs { ctype; handle }) ->
-      let* (U ((module F), u)) = ufs_of_ctype t ctype in
+  | Some handle ->
+      let* (U ((module F), u)) = the_ufs t in
       protect_fd t (fun () -> F.close u handle)
-  | Some (Fd_table.Kernel kfd) -> (
-      match t.kernel_fs with
-      | Some fs -> Vfs.close fs kfd
-      | None -> Error Errno.EBADF)
 
 let read t fd buf boff len =
-  Obs.with_syscall "read" @@ fun () ->
-  let* () = admit t ~op:"read" in
-  with_ofd t fd (fun ofd ->
-      match ofd.Fd_table.target with
-      | Fd_table.Ufs { ctype; handle } ->
-          let* (U ((module F), u)) = ufs_of_ctype t ctype in
-          let* n =
-            protect_fd t (fun () ->
-                F.read u handle ~off:ofd.Fd_table.offset buf boff len)
-          in
-          ofd.Fd_table.offset <- ofd.Fd_table.offset + n;
-          Ok n
-      | Fd_table.Kernel kfd -> (
-          match t.kernel_fs with
-          | Some fs -> Vfs.read fs kfd buf boff len
-          | None -> Error Errno.EBADF))
+  fd_call t ~op:"read" fd (fun (U ((module F), u)) ofd ->
+      let* n = F.read u ofd.Fd_table.handle ~off:ofd.offset buf boff len in
+      ofd.offset <- ofd.offset + n;
+      Ok n)
 
 let pread t fd ~off buf boff len =
-  Obs.with_syscall "pread" @@ fun () ->
-  let* () = admit t ~op:"pread" in
-  with_ofd t fd (fun ofd ->
-      match ofd.Fd_table.target with
-      | Fd_table.Ufs { ctype; handle } ->
-          let* (U ((module F), u)) = ufs_of_ctype t ctype in
-          protect_fd t (fun () -> F.read u handle ~off buf boff len)
-      | Fd_table.Kernel kfd -> (
-          match t.kernel_fs with
-          | Some fs -> Vfs.pread fs kfd ~off buf boff len
-          | None -> Error Errno.EBADF))
+  fd_call t ~op:"pread" fd (fun (U ((module F), u)) ofd ->
+      F.read u ofd.Fd_table.handle ~off buf boff len)
 
 let write t fd data =
-  Obs.with_syscall "write" @@ fun () ->
-  let* () = admit t ~op:"write" in
-  with_ofd t fd (fun ofd ->
-      match ofd.Fd_table.target with
-      | Fd_table.Ufs { ctype; handle } ->
-          let* (U ((module F), u)) = ufs_of_ctype t ctype in
-          let off =
-            if ofd.Fd_table.append then `Append else `At ofd.Fd_table.offset
-          in
-          let* n, end_off = protect_fd t (fun () -> F.write u handle ~off data) in
-          ofd.Fd_table.offset <- end_off;
-          Ok n
-      | Fd_table.Kernel kfd -> (
-          match t.kernel_fs with
-          | Some fs -> Vfs.write fs kfd data
-          | None -> Error Errno.EBADF))
+  fd_call t ~op:"write" fd (fun (U ((module F), u)) ofd ->
+      let off = if ofd.Fd_table.append then `Append else `At ofd.offset in
+      let* n, end_off = F.write u ofd.handle ~off data in
+      ofd.offset <- end_off;
+      Ok n)
 
 let pwrite t fd ~off data =
-  Obs.with_syscall "pwrite" @@ fun () ->
-  let* () = admit t ~op:"pwrite" in
-  with_ofd t fd (fun ofd ->
-      match ofd.Fd_table.target with
-      | Fd_table.Ufs { ctype; handle } ->
-          let* (U ((module F), u)) = ufs_of_ctype t ctype in
-          let* n, _ = protect_fd t (fun () -> F.write u handle ~off:(`At off) data) in
-          Ok n
-      | Fd_table.Kernel kfd -> (
-          match t.kernel_fs with
-          | Some fs -> Vfs.pwrite fs kfd ~off data
-          | None -> Error Errno.EBADF))
+  fd_call t ~op:"pwrite" fd (fun (U ((module F), u)) ofd ->
+      let* n, _ = F.write u ofd.Fd_table.handle ~off:(`At off) data in
+      Ok n)
 
 let fstat t fd =
-  Obs.with_syscall "fstat" @@ fun () ->
-  let* () = admit t ~op:"fstat" in
-  with_ofd t fd (fun ofd ->
-      match ofd.Fd_table.target with
-      | Fd_table.Ufs { ctype; handle } ->
-          let* (U ((module F), u)) = ufs_of_ctype t ctype in
-          protect_fd t (fun () -> F.fstat u handle)
-      | Fd_table.Kernel kfd -> (
-          match t.kernel_fs with
-          | Some fs -> Vfs.fstat fs kfd
-          | None -> Error Errno.EBADF))
+  fd_call t ~op:"fstat" fd (fun (U ((module F), u)) ofd ->
+      F.fstat u ofd.Fd_table.handle)
 
 let fsync t fd =
-  Obs.with_syscall "fsync" @@ fun () ->
-  let* () = admit t ~op:"fsync" in
-  with_ofd t fd (fun ofd ->
-      match ofd.Fd_table.target with
-      | Fd_table.Ufs { ctype; handle } ->
-          let* (U ((module F), u)) = ufs_of_ctype t ctype in
-          protect_fd t (fun () -> F.fsync u handle)
-      | Fd_table.Kernel kfd -> (
-          match t.kernel_fs with
-          | Some fs -> Vfs.fsync fs kfd
-          | None -> Error Errno.EBADF))
+  fd_call t ~op:"fsync" fd (fun (U ((module F), u)) ofd ->
+      F.fsync u ofd.Fd_table.handle)
 
 let ftruncate t fd len =
-  Obs.with_syscall "ftruncate" @@ fun () ->
-  let* () = admit t ~op:"ftruncate" in
-  with_ofd t fd (fun ofd ->
-      match ofd.Fd_table.target with
-      | Fd_table.Ufs { ctype; handle } ->
-          let* (U ((module F), u)) = ufs_of_ctype t ctype in
-          protect_fd t (fun () -> F.ftruncate u handle len)
-      | Fd_table.Kernel kfd -> (
-          match t.kernel_fs with
-          | Some fs -> Vfs.ftruncate fs kfd len
-          | None -> Error Errno.EBADF))
+  fd_call t ~op:"ftruncate" fd (fun (U ((module F), u)) ofd ->
+      F.ftruncate u ofd.Fd_table.handle len)
 
 let lseek t fd pos whence =
   Obs.with_syscall "lseek" @@ fun () ->
-  with_ofd t fd (fun ofd ->
-      let* size =
-        match whence with
-        | Fs_types.SEEK_END ->
-            let* st = fstat t fd in
-            Ok st.Fs_types.st_size
-        | _ -> Ok 0
-      in
-      let target =
-        match whence with
-        | Fs_types.SEEK_SET -> pos
-        | Fs_types.SEEK_CUR -> ofd.Fd_table.offset + pos
-        | Fs_types.SEEK_END -> size + pos
-      in
-      if target < 0 then Error Errno.EINVAL
-      else begin
-        ofd.Fd_table.offset <- target;
-        Ok target
-      end)
+  let* ofd = Fd_table.lookup t.fds fd in
+  let* size =
+    match whence with
+    | Fs_types.SEEK_END ->
+        let* st = fstat t fd in
+        Ok st.Fs_types.st_size
+    | _ -> Ok 0
+  in
+  let target =
+    match whence with
+    | Fs_types.SEEK_SET -> pos
+    | Fs_types.SEEK_CUR -> ofd.Fd_table.offset + pos
+    | Fs_types.SEEK_END -> size + pos
+  in
+  if target < 0 then Error Errno.EINVAL
+  else begin
+    ofd.Fd_table.offset <- target;
+    Ok target
+  end
 
 (* ---- process-level calls ------------------------------------------------ *)
 
 let chdir t path =
   Obs.with_syscall "chdir" @@ fun () ->
-  let abs = if Pathx.is_absolute path then Pathx.normalize path else Pathx.concat t.cwd path in
+  let abs = resolve t path in
   let* st = stat t abs in
   if st.Fs_types.st_kind = Fs_types.Directory then begin
     t.cwd <- abs;
@@ -575,21 +393,10 @@ let dup t fd = Obs.with_syscall "dup" @@ fun () -> Fd_table.dup t.fds fd
 let dup2 t fd nfd =
   Obs.with_syscall "dup2" @@ fun () ->
   let* nfd, displaced = Fd_table.dup2 t.fds fd nfd in
-  (match displaced with
-  | Some (Fd_table.Ufs { ctype; handle }) -> (
-      match ufs_of_ctype t ctype with
-      | Ok (U ((module F), u)) -> ignore (F.close u handle)
-      | Error _ -> ())
-  | Some (Fd_table.Kernel kfd) -> (
-      match t.kernel_fs with Some fs -> ignore (Vfs.close fs kfd) | None -> ())
-  | None -> ());
+  (match (displaced, t.ufs) with
+  | Some handle, Some (U ((module F), u)) -> ignore (F.close u handle)
+  | _ -> ());
   Ok nfd
-
-(* The FD table serialized for exec (passed via an environment variable in
-   the paper). *)
-let serialize_fds t = Fd_table.serialize t.fds
-
-let fd_table t = t.fds
 
 (* Pack a dispatcher as a Vfs.fs. *)
 module As_vfs = struct

@@ -1,17 +1,15 @@
 (* The user-space FD mapping table (paper §4.2).
 
-   Applications see ordinary small integers; the table maps them to µFS file
-   handles or kernel FDs.  Allocation always returns the lowest available
+   Applications see ordinary small integers; the table maps them to the
+   µFS's open-file handles.  Allocation always returns the lowest available
    number — the property Strata's threshold scheme breaks and bash's dup
    depends on — and dup/dup2 share the open-file description (offset), as
    POSIX requires.  The table can be serialized to a base64 string and
    rebuilt on the other side of an exec (the paper passes it in a dedicated
    environment variable). *)
 
-type target = Ufs of { ctype : int; handle : int } | Kernel of int
-
 type ofd = {
-  target : target;
+  handle : int;  (* the µFS's open-file token *)
   mutable offset : int;
   mutable refcount : int;
   append : bool;
@@ -54,10 +52,10 @@ let lowest_free t =
 let note_filled t fd = if fd = t.free_hint then t.free_hint <- fd + 1
 let note_freed t fd = if fd < t.free_hint then t.free_hint <- fd
 
-let alloc t ?(append = false) target =
+let alloc t ?(append = false) handle =
   let fd = lowest_free t in
   ensure t fd;
-  t.slots.(fd) <- Some { target; offset = 0; refcount = 1; append };
+  t.slots.(fd) <- Some { handle; offset = 0; refcount = 1; append };
   note_filled t fd;
   fd
 
@@ -78,7 +76,7 @@ let dup t fd =
       note_filled t nfd;
       Ok nfd
 
-(* Returns the target to really close if the new fd displaced the last
+(* Returns the handle to really close if the new fd displaced the last
    reference to an open file. *)
 let dup2 t fd nfd =
   if nfd < 0 then Error Errno.EBADF
@@ -94,7 +92,7 @@ let dup2 t fd nfd =
               match existing with
               | Some old ->
                   old.refcount <- old.refcount - 1;
-                  if old.refcount = 0 then Some old.target else None
+                  if old.refcount = 0 then Some old.handle else None
               | None -> None
             in
             ofd.refcount <- ofd.refcount + 1;
@@ -102,7 +100,7 @@ let dup2 t fd nfd =
             note_filled t nfd;
             Ok (nfd, displaced))
 
-(* Returns the target to really close when the last reference drops. *)
+(* Returns the handle to really close when the last reference drops. *)
 let close t fd =
   match get t fd with
   | None -> Error Errno.EBADF
@@ -110,7 +108,7 @@ let close t fd =
       t.slots.(fd) <- None;
       note_freed t fd;
       ofd.refcount <- ofd.refcount - 1;
-      if ofd.refcount = 0 then Ok (Some ofd.target) else Ok None
+      if ofd.refcount = 0 then Ok (Some ofd.handle) else Ok None
 
 let open_count t =
   Array.fold_left (fun acc s -> if s = None then acc else acc + 1) 0 t.slots
@@ -169,8 +167,8 @@ let b64_decode s =
   done;
   Buffer.contents buf
 
-(* Wire format, one record per fd: "fd,kind,a,b,offset,append" — where dup'd
-   fds sharing an open file description carry a shared group id instead. *)
+(* Wire format, one record per fd: "fd,handle,offset,append,group", where
+   dup'd fds sharing an open file description carry the same group id. *)
 let serialize t =
   (* Assign group ids so dup-shared descriptions stay shared after exec. *)
   let groups : (ofd * int) list ref = ref [] in
@@ -186,13 +184,8 @@ let serialize t =
   in
   let records = ref [] in
   iter t (fun fd ofd ->
-      let kind, a, b =
-        match ofd.target with
-        | Ufs { ctype; handle } -> ("u", ctype, handle)
-        | Kernel k -> ("k", k, 0)
-      in
       records :=
-        Printf.sprintf "%d,%s,%d,%d,%d,%b,%d" fd kind a b ofd.offset ofd.append
+        Printf.sprintf "%d,%d,%d,%b,%d" fd ofd.handle ofd.offset ofd.append
           (group_of ofd)
         :: !records);
   b64_encode (String.concat ";" (List.rev !records))
@@ -206,10 +199,9 @@ let deserialize ?(first_fd = 3) s =
     List.iter
       (fun record ->
         match String.split_on_char ',' record with
-        | [ fd; kind; a; b; offset; append; group ] ->
+        | [ fd; handle; offset; append; group ] ->
             let fd = int_of_string fd
-            and a = int_of_string a
-            and b = int_of_string b
+            and handle = int_of_string handle
             and offset = int_of_string offset
             and append = bool_of_string append
             and group = int_of_string group in
@@ -219,11 +211,7 @@ let deserialize ?(first_fd = 3) s =
                   ofd.refcount <- ofd.refcount + 1;
                   ofd
               | None ->
-                  let target =
-                    if kind = "u" then Ufs { ctype = a; handle = b }
-                    else Kernel a
-                  in
-                  let ofd = { target; offset; refcount = 1; append } in
+                  let ofd = { handle; offset; refcount = 1; append } in
                   Hashtbl.replace by_group group ofd;
                   ofd
             in

@@ -31,11 +31,6 @@ let redirect p : 'a outcome = Error (Symlink p)
 module type S = sig
   type t
 
-  val name : string
-
-  val ctype : int
-  (** The coffer-type this µFS manages (stored in coffer root pages). *)
-
   (* Path operations (paths absolute within the FS, normalized). *)
   val openf : t -> string -> Fs_types.open_flag list -> int -> int outcome
   val mkdir : t -> string -> int -> unit outcome

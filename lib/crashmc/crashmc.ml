@@ -44,11 +44,7 @@ exception Crash_now
 (* ---- running a script against ZoFS ------------------------------------- *)
 
 (* A per-"boot" FSLibs instance: dispatcher + ZoFS µFS, as a Vfs. *)
-let make_fs kfs =
-  let disp = Treasury.Dispatcher.create kfs in
-  let ufs = Zofs.Ufs.create kfs in
-  Treasury.Dispatcher.register_ufs disp (module Zofs.Ufs) ufs;
-  Treasury.Dispatcher.as_vfs disp
+let make_fs kfs = Workloads.Fslab.zofs_fslib kfs
 
 (* Full recursive listing of the mounted tree, in {!Model.entry} form. *)
 let read_fs fs : Model.entry list =

@@ -75,9 +75,7 @@ let with_world ~seed f =
 
 (* One FSLib for the calling process (fs_mount registers that pid). *)
 let fslib_for kfs =
-  let disp = Treasury.Dispatcher.create kfs in
-  let ufs = Zofs.Ufs.create kfs in
-  Treasury.Dispatcher.register_ufs disp (module Zofs.Ufs) ufs;
+  let disp = Workloads.Fslab.zofs_dispatcher kfs in
   (disp, Treasury.Dispatcher.as_vfs disp)
 
 let make_fs ~pages =

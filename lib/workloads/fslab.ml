@@ -59,13 +59,18 @@ let make_zofs ?(root_mode = 0o755) ~pages ~perf () =
   Zofs.Ufs.mkfs kfs;
   (dev, kfs)
 
-(* FSLibs must be instantiated per process (it holds the FD table and the
-   mapped-coffer cache). *)
-let zofs_fslib ?variant kfs =
+(* The one FSLib constructor: a dispatcher serving ZoFS.  FSLibs must be
+   instantiated per process (it holds the FD table and the mapped-coffer
+   cache), inside a sim thread of that process: fs_mount registers its pid.
+   Callers that want online repair wire [Dispatcher.set_repair] themselves. *)
+let zofs_dispatcher ?variant kfs =
   let disp = Treasury.Dispatcher.create kfs in
-  let ufs = Zofs.Ufs.create ?variant kfs in
-  Treasury.Dispatcher.register_ufs disp (module Zofs.Ufs) ufs;
-  Treasury.Dispatcher.as_vfs disp
+  Treasury.Dispatcher.register_ufs disp (module Zofs.Ufs)
+    (Zofs.Ufs.create ?variant kfs);
+  disp
+
+let zofs_fslib ?variant kfs =
+  Treasury.Dispatcher.as_vfs (zofs_dispatcher ?variant kfs)
 
 let make ?(pages = 65536) ?(perf = Nvm.Perf.optane) sys : instance =
   let inst =

@@ -27,7 +27,7 @@ let force_global = ref false
    while a thread that stops allocating keeps at most cap-1 slack pages.  A
    partial grant (the kernel under allocation pressure) resets the thread to
    the base batch. *)
-let enlarge_cap = ref 256
+let enlarge_cap = 256
 
 type t = {
   dev : Nvm.Device.t;
@@ -217,7 +217,7 @@ let enlarge_into_slot t slot =
   | Ok runs ->
       let granted = List.fold_left (fun acc (_, len) -> acc + len) 0 runs in
       Hashtbl.replace t.next_enlarge tid
-        (if granted >= want then min (want * 2) (max !enlarge_cap !enlarge_batch)
+        (if granted >= want then min (want * 2) (max enlarge_cap !enlarge_batch)
          else !enlarge_batch);
       (if own_slot t slot then
          let a = slot_addr t slot in

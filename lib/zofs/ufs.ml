@@ -18,8 +18,9 @@ module Ft = Treasury.Fs_types
 module Ui = Treasury.Ufs_intf
 module Coffer = Treasury.Coffer
 
+(* The coffer type ZoFS manages: stored in every coffer root page; mkfs
+   callers pass it as [root_ctype]. *)
 let ctype = 1
-let name = "zofs"
 
 (* Cost of checking one path prefix against the user-space coffer cache
    (string hash + table probe); ZoFS parses paths backwards, so deep paths

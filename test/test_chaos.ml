@@ -133,9 +133,7 @@ let mk_zofs () =
       ~root_uid:0 ~root_gid:0 ()
   in
   Zofs.Ufs.mkfs kfs;
-  let disp = Treasury.Dispatcher.create kfs in
-  let ufs = Zofs.Ufs.create kfs in
-  Treasury.Dispatcher.register_ufs disp (module Zofs.Ufs) ufs;
+  let disp = Workloads.Fslab.zofs_dispatcher kfs in
   Treasury.Dispatcher.set_repair disp (fun cid ->
       Zofs.Recovery.recover_one kfs cid);
   (dev, kfs, Treasury.Dispatcher.as_vfs disp)
@@ -171,9 +169,7 @@ let kill_one_attempt w proc ~after fails op =
    the sim thread that runs this): cross-process tests give every simulated
    process its own dispatcher + FD table this way. *)
 let mk_fslib kfs =
-  let disp = Treasury.Dispatcher.create kfs in
-  let ufs = Zofs.Ufs.create kfs in
-  Treasury.Dispatcher.register_ufs disp (module Zofs.Ufs) ufs;
+  let disp = Workloads.Fslab.zofs_dispatcher kfs in
   Treasury.Dispatcher.set_repair disp (fun cid ->
       Zofs.Recovery.recover_one kfs cid);
   Treasury.Dispatcher.as_vfs disp

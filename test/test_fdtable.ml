@@ -2,27 +2,20 @@
 
 module F = Treasury.Fd_table
 
-let ufs h = F.Ufs { ctype = 1; handle = h }
-
 let test_lowest_available () =
   let t = F.create () in
-  Alcotest.(check int) "first" 3 (F.alloc t (ufs 100));
-  Alcotest.(check int) "second" 4 (F.alloc t (ufs 101));
-  Alcotest.(check int) "third" 5 (F.alloc t (ufs 102));
+  Alcotest.(check int) "first" 3 (F.alloc t 100);
+  Alcotest.(check int) "second" 4 (F.alloc t 101);
+  Alcotest.(check int) "third" 5 (F.alloc t 102);
   ignore (F.close t 4);
   (* dup-critical property: the hole is refilled first *)
-  Alcotest.(check int) "hole reused" 4 (F.alloc t (ufs 103))
+  Alcotest.(check int) "hole reused" 4 (F.alloc t 103)
 
 let test_lookup () =
   let t = F.create () in
-  let fd = F.alloc t (ufs 7) in
+  let fd = F.alloc t 7 in
   (match F.lookup t fd with
-  | Ok ofd -> (
-      match ofd.F.target with
-      | F.Ufs { ctype; handle } ->
-          Alcotest.(check int) "ctype" 1 ctype;
-          Alcotest.(check int) "handle" 7 handle
-      | _ -> Alcotest.fail "wrong target")
+  | Ok ofd -> Alcotest.(check int) "handle" 7 ofd.F.handle
   | Error _ -> Alcotest.fail "lookup failed");
   match F.lookup t 99 with
   | Error Treasury.Errno.EBADF -> ()
@@ -30,7 +23,7 @@ let test_lookup () =
 
 let test_dup_shares_offset () =
   let t = F.create () in
-  let fd = F.alloc t (ufs 7) in
+  let fd = F.alloc t 7 in
   let fd2 =
     match F.dup t fd with Ok f -> f | Error _ -> Alcotest.fail "dup"
   in
@@ -46,23 +39,20 @@ let test_dup_shares_offset () =
   | Ok None -> ()
   | _ -> Alcotest.fail "refcount should keep it open");
   match F.close t fd2 with
-  | Ok (Some (F.Ufs { handle = 7; _ })) -> ()
-  | _ -> Alcotest.fail "last close returns target"
+  | Ok (Some 7) -> ()
+  | _ -> Alcotest.fail "last close returns the handle"
 
 let test_dup2 () =
   let t = F.create () in
-  let fd = F.alloc t (ufs 1) in
-  let other = F.alloc t (ufs 2) in
+  let fd = F.alloc t 1 in
+  let other = F.alloc t 2 in
   (match F.dup2 t fd other with
-  | Ok (nfd, Some (F.Ufs { handle = 2; _ })) ->
+  | Ok (nfd, Some 2) ->
       Alcotest.(check int) "targeted" other nfd
   | _ -> Alcotest.fail "dup2 should displace");
   (* both fds now share the description of handle 1 *)
   (match F.lookup t other with
-  | Ok ofd -> (
-      match ofd.F.target with
-      | F.Ufs { handle = 1; _ } -> ()
-      | _ -> Alcotest.fail "wrong target after dup2")
+  | Ok ofd -> Alcotest.(check int) "handle after dup2" 1 ofd.F.handle
   | Error _ -> Alcotest.fail "lookup");
   (* dup2 to itself is a no-op *)
   match F.dup2 t fd fd with
@@ -71,7 +61,7 @@ let test_dup2 () =
 
 let test_dup2_to_fresh_slot () =
   let t = F.create () in
-  let fd = F.alloc t (ufs 1) in
+  let fd = F.alloc t 1 in
   match F.dup2 t fd 17 with
   | Ok (17, None) -> (
       match F.lookup t 17 with
@@ -81,8 +71,8 @@ let test_dup2_to_fresh_slot () =
 
 let test_open_count_iter () =
   let t = F.create () in
-  ignore (F.alloc t (ufs 1));
-  ignore (F.alloc t (F.Kernel 5));
+  ignore (F.alloc t 1);
+  ignore (F.alloc t 5);
   Alcotest.(check int) "count" 2 (F.open_count t);
   let seen = ref 0 in
   F.iter t (fun _ _ -> incr seen);
@@ -90,8 +80,8 @@ let test_open_count_iter () =
 
 let test_serialize_roundtrip () =
   let t = F.create () in
-  let a = F.alloc t ~append:true (ufs 7) in
-  let b = F.alloc t (F.Kernel 42) in
+  let a = F.alloc t ~append:true 7 in
+  let b = F.alloc t 42 in
   (match F.lookup t a with Ok o -> o.F.offset <- 100 | Error _ -> ());
   let c = match F.dup t a with Ok c -> c | Error _ -> Alcotest.fail "dup" in
   let s = F.serialize t in
@@ -101,15 +91,12 @@ let test_serialize_roundtrip () =
   | Ok o ->
       Alcotest.(check int) "offset" 100 o.F.offset;
       Alcotest.(check bool) "append" true o.F.append;
-      (match o.F.target with
-      | F.Ufs { handle = 7; ctype = 1 } -> ()
-      | _ -> Alcotest.fail "target a")
+      Alcotest.(check int) "handle a" 7 o.F.handle
   | Error _ -> Alcotest.fail "fd a");
   (match F.lookup t' b with
-  | Ok o -> (
-      match o.F.target with
-      | F.Kernel 42 -> ()
-      | _ -> Alcotest.fail "target b")
+  | Ok o ->
+      Alcotest.(check int) "handle b" 42 o.F.handle;
+      Alcotest.(check bool) "no append" false o.F.append
   | Error _ -> Alcotest.fail "fd b");
   (* dup-sharing survives exec: offset updates still propagate *)
   (match F.lookup t' a with Ok o -> o.F.offset <- 777 | Error _ -> ());
@@ -134,7 +121,7 @@ let qcheck_alloc_always_lowest =
         (fun op ->
           match op with
           | None ->
-              let fd = F.alloc t (ufs 0) in
+              let fd = F.alloc t 0 in
               (* check it is the smallest non-open fd >= 3 *)
               let rec smallest i =
                 if List.mem i !open_fds then smallest (i + 1) else i

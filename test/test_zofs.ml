@@ -581,6 +581,41 @@ let test_cwd_and_relative_paths () =
         "created relative"
         (ok_or_fail (V.read_file fs "/work/local")))
 
+(* The dispatcher's call heads: every descriptor op on a closed fd is
+   EBADF, every path op with no µFS registered is ENOSYS, and both paths of
+   a rename resolve against the working directory. *)
+let test_dispatcher_surface () =
+  let w = make_world () in
+  Sim.run_thread (fun () ->
+      let disp = fslib w in
+      let fs = Treasury.Dispatcher.as_vfs disp in
+      let fd = ok_or_fail (V.openf fs "/f" [ Ft.O_CREAT; Ft.O_RDWR ] 0o644) in
+      ok_or_fail (V.close fs fd);
+      let buf = Bytes.create 4 in
+      expect_err E.EBADF (V.read fs fd buf 0 4);
+      expect_err E.EBADF (V.pread fs fd ~off:0 buf 0 4);
+      expect_err E.EBADF (V.write fs fd "x");
+      expect_err E.EBADF (V.pwrite fs fd ~off:0 "x");
+      expect_err E.EBADF (V.fstat fs fd);
+      expect_err E.EBADF (V.fsync fs fd);
+      expect_err E.EBADF (V.ftruncate fs fd 0);
+      expect_err E.EBADF (V.lseek fs fd 0 Ft.SEEK_SET);
+      expect_err E.EBADF (Treasury.Dispatcher.dup disp fd);
+      expect_err E.EBADF (V.close fs fd);
+      let bare = Treasury.Dispatcher.as_vfs (Treasury.Dispatcher.create w.kfs) in
+      expect_err E.ENOSYS (V.stat bare "/f");
+      expect_err E.ENOSYS (V.openf bare "/f" [ Ft.O_RDONLY ] 0);
+      expect_err E.ENOSYS (V.mkdir bare "/d" 0o755);
+      expect_err E.ENOSYS (V.rename bare "/f" "/g");
+      ok_or_fail (V.mkdir fs "/w" 0o755);
+      ok_or_fail (V.write_file fs "/w/a" "moved");
+      ok_or_fail (Treasury.Dispatcher.chdir disp "/w");
+      ok_or_fail (V.rename fs "a" "b");
+      Alcotest.(check string) "lands at /w/b" "moved"
+        (ok_or_fail (V.read_file fs "/w/b"));
+      expect_err E.ENOENT (V.stat fs "/w/a");
+      expect_err E.ENOENT (V.stat fs "/b"))
+
 let test_write_to_readonly_fd_rejected () =
   let w = make_world () in
   in_proc w (fun fs ->
@@ -794,6 +829,8 @@ let () =
             test_balloc_64_processes_one_lease_period;
           Alcotest.test_case "20 sub-coffers without EMFILE" `Quick
             test_many_sub_coffers_no_emfile;
+          Alcotest.test_case "dispatcher surface" `Quick
+            test_dispatcher_surface;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest qcheck_fs_matches_model ]);
     ]

@@ -23,11 +23,7 @@ let make_world ?(pages = 4096) ?(perf = Nvm.Perf.free) ?(root_mode = 0o777) () =
   { dev; mpk; kfs }
 
 (* An FSLibs instance (dispatcher + ZoFS µFS) for the calling process. *)
-let fslib ?variant w =
-  let disp = Treasury.Dispatcher.create w.kfs in
-  let ufs = Zofs.Ufs.create ?variant w.kfs in
-  Treasury.Dispatcher.register_ufs disp (module Zofs.Ufs) ufs;
-  disp
+let fslib ?variant w = Workloads.Fslab.zofs_dispatcher ?variant w.kfs
 
 let vfs ?variant w = Treasury.Dispatcher.as_vfs (fslib ?variant w)
 
