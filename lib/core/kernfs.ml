@@ -97,15 +97,21 @@ let meta_pages npages nbuckets =
 
 (* ---- internal helpers (called with the kernel lock held) -------------- *)
 
+(* Every cid a syscall takes reaches the coffer table through here.  A cid
+   names its coffer's root page, so one outside the device is EINVAL (like
+   the page arguments of [owns_run] and [page_owner]), never a root-page
+   read past the device end. *)
 let coffer_info t cid =
-  match Hashtbl.find_opt t.coffers cid with
-  | Some c -> Ok c
-  | None -> (
-      match Coffer.read t.dev ~id:cid with
-      | Some c ->
-          Hashtbl.replace t.coffers cid c;
-          Ok c
-      | None -> Error Errno.EINVAL)
+  if cid < 0 || cid >= Alloc_table.npages t.at then Error Errno.EINVAL
+  else
+    match Hashtbl.find_opt t.coffers cid with
+    | Some c -> Ok c
+    | None -> (
+        match Coffer.read t.dev ~id:cid with
+        | Some c ->
+            Hashtbl.replace t.coffers cid c;
+            Ok c
+        | None -> Error Errno.EINVAL)
 
 let proc_state t pid =
   match Hashtbl.find_opt t.procs pid with

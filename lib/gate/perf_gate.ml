@@ -2,11 +2,12 @@
 
    A pinned set of deterministic single-thread experiments exercises the
    batched µFS commit paths — append growth (the Figure 7(d) staircase),
-   create, unlink, same-directory rename, and truncate — and the readdir
-   scan of the two-level hash directory, each in a fresh simulated
-   world, and records per-operation simulated latency,
-   persistence-instruction counts (clwb/sfence, with the redundancy split
-   the device tracks), kernel crossings, and coffer_enlarge calls.  Two
+   create, unlink, same-directory rename, and truncate — the readdir
+   scan of the two-level hash directory, the offline recovery scan and a
+   truncate through an indirect page, each in a fresh simulated world,
+   and records per-operation simulated latency, persistence-instruction
+   counts (clwb/sfence, with the redundancy split the device tracks),
+   kernel crossings, and coffer_enlarge calls.  Two
    multi-process experiments ride along: 64 tenant processes — each with
    its own FSLib (dispatcher + FD table + per-process mappings) — hammer
    one shared file / one shared directory through the syscall gate, so the
@@ -47,7 +48,8 @@ let ok = function
 
 (* Run [measured] in a fresh single-thread ZoFS world after [setup], with
    device stats, the syscall counter and the enlarge counter bracketing
-   exactly the measured phase. *)
+   exactly the measured phase.  [measured] gets the whole instance, so it
+   can reach KernFS as well as the file system. *)
 let in_world ~ops ~setup ~measured () =
   Sim.run_thread ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ()) (fun () ->
       let inst = FL.make ~pages:16384 FL.Zofs in
@@ -58,7 +60,7 @@ let in_world ~ops ~setup ~measured () =
       let c0 = Treasury.Gate.syscall_count (Treasury.Kernfs.gate kfs) in
       let e0 = Treasury.Kernfs.enlarge_count kfs in
       let t0 = Sim.now () in
-      measured inst.FL.fs;
+      measured inst;
       {
         ops;
         sim_ns = Sim.now () - t0;
@@ -79,7 +81,7 @@ let block = String.make 4096 'p'
 let exp_append ~ops () =
   in_world ~ops
     ~setup:(fun fs -> ok (V.write_file fs "/a" ~mode:0o644 ""))
-    ~measured:(fun fs ->
+    ~measured:(fun { FL.fs; _ } ->
       let fd = ok (V.openf fs "/a" [ Ft.O_WRONLY; Ft.O_APPEND ] 0) in
       for _ = 1 to ops do
         ignore (ok (V.write fs fd block))
@@ -91,7 +93,7 @@ let exp_append ~ops () =
 let exp_create ~ops () =
   in_world ~ops
     ~setup:(fun fs -> ok (V.mkdir fs "/d" 0o755))
-    ~measured:(fun fs ->
+    ~measured:(fun { FL.fs; _ } ->
       for i = 1 to ops do
         let fd =
           ok
@@ -111,7 +113,7 @@ let exp_unlink ~ops () =
       for i = 1 to ops do
         ok (V.write_file fs (Printf.sprintf "/d/u%d" i) ~mode:0o644 block)
       done)
-    ~measured:(fun fs ->
+    ~measured:(fun { FL.fs; _ } ->
       for i = 1 to ops do
         ok (V.unlink fs (Printf.sprintf "/d/u%d" i))
       done)
@@ -125,7 +127,7 @@ let exp_rename ~ops () =
       for i = 1 to ops do
         ok (V.write_file fs (Printf.sprintf "/d/r%d" i) ~mode:0o644 "")
       done)
-    ~measured:(fun fs ->
+    ~measured:(fun { FL.fs; _ } ->
       for i = 1 to ops do
         ok
           (V.rename fs
@@ -151,7 +153,7 @@ let exp_truncate ~ops () =
         done;
         ok (V.close fs fd)
       done)
-    ~measured:(fun fs ->
+    ~measured:(fun { FL.fs; _ } ->
       for i = 1 to ops do
         ok (V.truncate fs (Printf.sprintf "/d/t%d" i) 4096)
       done)
@@ -172,28 +174,65 @@ let same_l1_slot_names ~seed n =
   in
   go 0 [] n
 
-(* Listing a 96-entry directory (read-large's readdir) and one whose 48
-   entries share one first-level slot and so fill bucket chains. *)
+(* A 96-entry directory (read-large's readdir) and one whose 48 entries
+   share one first-level slot and so fill bucket chains. *)
+let listed_dirs = [ ("/wide", 96); ("/chained", 48) ]
+
+let make_listed_dirs fs =
+  ok (V.mkdir fs "/wide" 0o755);
+  for i = 0 to 95 do
+    ok (V.write_file fs (Printf.sprintf "/wide/f%02d" i) ~mode:0o644 "")
+  done;
+  ok (V.mkdir fs "/chained" 0o755);
+  List.iter
+    (fun n -> ok (V.write_file fs ("/chained/" ^ n) ~mode:0o644 ""))
+    (same_l1_slot_names ~seed:"c" 48)
+
+(* A [blocks]-block file written 4 KB at a time. *)
+let write_blocks fs path blocks =
+  let fd = ok (V.openf fs path [ Ft.O_CREAT; Ft.O_WRONLY ] 0o644) in
+  for _ = 1 to blocks do
+    ignore (ok (V.write fs fd block))
+  done;
+  ok (V.close fs fd)
+
 let exp_readdir ~rounds () =
-  let dirs = [ ("/wide", 96); ("/chained", 48) ] in
-  in_world ~ops:(rounds * List.length dirs)
-    ~setup:(fun fs ->
-      ok (V.mkdir fs "/wide" 0o755);
-      for i = 0 to 95 do
-        ok (V.write_file fs (Printf.sprintf "/wide/f%02d" i) ~mode:0o644 "")
-      done;
-      ok (V.mkdir fs "/chained" 0o755);
-      List.iter
-        (fun n -> ok (V.write_file fs ("/chained/" ^ n) ~mode:0o644 ""))
-        (same_l1_slot_names ~seed:"c" 48))
-    ~measured:(fun fs ->
+  in_world ~ops:(rounds * List.length listed_dirs)
+    ~setup:make_listed_dirs
+    ~measured:(fun { FL.fs; _ } ->
       for _ = 1 to rounds do
         List.iter
           (fun (d, n) ->
             let got = List.length (ok (V.readdir fs d)) in
             if got <> n then
               failwith (Printf.sprintf "perf_gate: readdir %s: %d entries" d got))
-          dirs
+          listed_dirs
+      done)
+    ()
+
+(* The offline scan of paper §6.5 over one coffer holding both listed
+   directories and a 40-block file, whose last 8 blocks sit behind an
+   indirect page. *)
+let exp_recovery () =
+  in_world ~ops:1
+    ~setup:(fun fs ->
+      make_listed_dirs fs;
+      write_blocks fs "/indirect" 40)
+    ~measured:(fun inst ->
+      ignore (Zofs.Recovery.recover_all (Option.get inst.FL.kernfs)))
+    ()
+
+(* Truncate to 0 of 64-block files: 32 direct blocks and 32 behind the
+   indirect page, whose whole pointer array the shrink walks. *)
+let exp_truncate_indirect ~ops () =
+  in_world ~ops
+    ~setup:(fun fs ->
+      for i = 1 to ops do
+        write_blocks fs (Printf.sprintf "/ti%d" i) 64
+      done)
+    ~measured:(fun { FL.fs; _ } ->
+      for i = 1 to ops do
+        ok (V.truncate fs (Printf.sprintf "/ti%d" i) 0)
       done)
     ()
 
@@ -298,6 +337,8 @@ let experiments =
     ("rename", fun () -> exp_rename ~ops:48 ());
     ("truncate", fun () -> exp_truncate ~ops:24 ());
     ("readdir", fun () -> exp_readdir ~rounds:4 ());
+    ("recovery", exp_recovery);
+    ("truncate-indirect", fun () -> exp_truncate_indirect ~ops:4 ());
     ( "shared-append-64p",
       fun () -> exp_shared_append ~nprocs:64 ~ops_per_proc:4 () );
     ( "shared-create-64p",

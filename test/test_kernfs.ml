@@ -928,6 +928,83 @@ let qcheck_page_arguments_never_raise =
       Mpk.with_kernel mpk (fun () -> A.verify (K.alloc_table kfs));
       true)
 
+(* Every syscall that takes a coffer ID, with [cid] in its cid position
+   ([good] fills the other side of a merge), and the errno a cid outside
+   the device gets: EINVAL where the cid is looked up, EACCES where the
+   call only asks whether the caller maps it. *)
+let cid_calls kfs ~good cid =
+  let unit r = Result.map ignore r in
+  [
+    ("coffer_stat", E.EINVAL, fun () -> unit (K.coffer_stat kfs cid));
+    ("coffer_delete", E.EINVAL, fun () -> K.coffer_delete kfs cid);
+    ("coffer_enlarge", E.EINVAL, fun () -> unit (K.coffer_enlarge kfs cid ~n:1));
+    ("coffer_shrink", E.EINVAL, fun () -> K.coffer_shrink kfs cid ~runs:[]);
+    ("coffer_map", E.EINVAL, fun () -> unit (K.coffer_map kfs cid));
+    ("coffer_unmap", E.EINVAL, fun () -> K.coffer_unmap kfs cid);
+    ( "coffer_chmod",
+      E.EINVAL,
+      fun () -> K.coffer_chmod kfs cid ~mode:0o600 ~uid:1000 ~gid:1000 );
+    ("coffer_split", E.EINVAL, fun () -> unit (split_runs kfs cid 99 []));
+    ("coffer_merge dst", E.EINVAL, fun () -> K.coffer_merge kfs ~dst:cid ~src:good);
+    ("coffer_merge src", E.EINVAL, fun () -> K.coffer_merge kfs ~dst:good ~src:cid);
+    ( "coffer_rename",
+      E.EINVAL,
+      fun () -> K.coffer_rename kfs cid ~new_path:"/bad/renamed" );
+    ("coffer_recover_begin", E.EINVAL, fun () -> unit (K.coffer_recover_begin kfs cid));
+    ("coffer_recover_end", E.EINVAL, fun () -> K.coffer_recover_end kfs cid ~in_use:[]);
+    ("file_mmap", E.EACCES, fun () -> K.file_mmap kfs ~cid ~pages:[]);
+    ("file_execve", E.EACCES, fun () -> K.file_execve kfs ~cid ~pages:[]);
+  ]
+
+(* Coffer IDs come from untrusted user space too: one that names no page
+   of the device gets an errno from every syscall, and KernFS stays
+   usable. *)
+let test_bad_cid_arguments () =
+  let _, mpk, kfs = mk () in
+  let npages = A.npages (K.alloc_table kfs) in
+  as_user (fun () ->
+      let good = bad_args_coffer kfs in
+      List.iter
+        (fun cid ->
+          List.iter
+            (fun (name, errno, call) ->
+              match call () with
+              | Ok () -> Alcotest.failf "%s %d: Ok" name cid
+              | Error e ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s %d" name cid)
+                    (E.to_string errno) (E.to_string e))
+            (cid_calls kfs ~good cid))
+        [ -1; npages; 1 lsl 20; max_int; min_int ];
+      Mpk.with_kernel mpk (fun () -> A.verify (K.alloc_table kfs));
+      ignore (ok_or_fail (K.coffer_enlarge kfs good ~n:2));
+      ignore (ok_or_fail (K.coffer_stat kfs good)))
+
+let qcheck_cid_arguments_never_raise =
+  let npages = 1024 in
+  let cid =
+    QCheck.Gen.(
+      oneof
+        [
+          int_range (-3) (npages + 3);
+          oneofl [ min_int; -1; 0; 1; npages - 1; npages; 1 lsl 20; max_int ];
+        ])
+  in
+  QCheck.Test.make ~name:"random cids give Ok or an errno" ~count:100
+    (QCheck.make ~print:QCheck.Print.(list int) QCheck.Gen.(list_size (int_range 1 4) cid))
+    (fun cids ->
+      let _, mpk, kfs = mk ~pages:npages () in
+      as_user (fun () ->
+          let good = bad_args_coffer kfs in
+          List.iter
+            (fun cid ->
+              List.iter
+                (fun (_, _, call) -> ignore (call ()))
+                (cid_calls kfs ~good cid))
+            cids);
+      Mpk.with_kernel mpk (fun () -> A.verify (K.alloc_table kfs));
+      true)
+
 let () =
   Alcotest.run "kernfs"
     [
@@ -998,5 +1075,8 @@ let () =
           Alcotest.test_case "out-of-range pages are EINVAL" `Quick
             test_bad_page_arguments;
           QCheck_alcotest.to_alcotest qcheck_page_arguments_never_raise;
+          Alcotest.test_case "out-of-range cids are EINVAL" `Quick
+            test_bad_cid_arguments;
+          QCheck_alcotest.to_alcotest qcheck_cid_arguments_never_raise;
         ] );
     ]

@@ -335,6 +335,66 @@ let torn_index ~where ~target () =
       Alcotest.(check string) "other coffer intact" "other"
         (ok_or_fail (V.read_file fs "/other")))
 
+(* Media errors on lines a per-slot scan never reads -- the unused tail
+   (line 1) of an empty dentry slot and of a valid dentry whose name ends
+   in line 0 -- in a second-level page's inline area and in a chain page.
+   readdir lists every name and recovery drops no dentry, as if the lines
+   were healthy. *)
+let test_poisoned_dentry_tails () =
+  let w = make_world ~pages:8192 () in
+  (* 16 names fill the inline area, 4 spill into a chain page; one inline
+     and one chained slot are then emptied *)
+  let names = Gates.Perf_gate.same_l1_slot_names ~seed:"m" 20 in
+  let gone = [ List.nth names 5; List.nth names 18 ] in
+  let live = List.filter (fun n -> not (List.mem n gone)) names in
+  in_proc ~uid:0 w (fun fs ->
+      ok_or_fail (V.mkdir fs "/m" 0o777);
+      List.iter
+        (fun n -> ok_or_fail (V.write_file fs ("/m/" ^ n) ~mode:0o777 n))
+        names;
+      List.iter (fun n -> ok_or_fail (V.unlink fs ("/m/" ^ n))) gone);
+  Sim.run_thread (fun () ->
+      Mpk.with_kernel w.mpk (fun () ->
+          let root =
+            Option.get (Treasury.Coffer.read w.dev ~id:(K.root_coffer w.kfs))
+          in
+          let m =
+            match Zofs.Dir.lookup w.dev ~ino:root.Treasury.Coffer.root_file "m" with
+            | Some de -> de.Zofs.Dir.de_inode
+            | None -> Alcotest.fail "/m"
+          in
+          let slot_of n =
+            match Zofs.Dir.lookup w.dev ~ino:m n with
+            | Some de -> de.Zofs.Dir.de_addr
+            | None -> Alcotest.failf "/m/%s" n
+          in
+          let inline_valid = slot_of (List.nth names 0) in
+          let chained_valid = slot_of (List.nth names 17) in
+          let l2 = inline_valid - (inline_valid mod Nvm.page_size) in
+          let chain = chained_valid - (chained_valid mod Nvm.page_size) in
+          Alcotest.(check bool) "a chain page" true (l2 <> chain);
+          List.iter
+            (fun slot -> D.inject_poison w.dev (slot + Nvm.line_size))
+            [
+              inline_valid;
+              Zofs.Dir.inline_slot l2 5;
+              chained_valid;
+              Zofs.Dir.chain_slot chain 3;
+            ]));
+  let listing () =
+    in_proc ~uid:0 w (fun fs ->
+        Alcotest.(check (list string)) "readdir lists every name"
+          (List.sort compare live)
+          (List.sort compare
+             (List.map (fun d -> d.Treasury.Fs_types.d_name)
+                (ok_or_fail (V.readdir fs "/m")))))
+  in
+  listing ();
+  let report = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
+  Alcotest.(check int) "no dentry dropped" 0
+    report.Zofs.Recovery.dentries_dropped;
+  listing ()
+
 let qcheck_crash_recovery_preserves_completed_ops =
   QCheck.Test.make
     ~name:"completed ops survive random crashes + recovery" ~count:15
@@ -408,5 +468,7 @@ let () =
             (torn_index ~where:`Bucket_head ~target:`Past_end);
           Alcotest.test_case "torn bucket head into another coffer" `Quick
             (torn_index ~where:`Bucket_head ~target:`Other_coffer);
+          Alcotest.test_case "poisoned dentry tails" `Quick
+            test_poisoned_dentry_tails;
         ] );
     ]
