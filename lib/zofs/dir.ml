@@ -244,15 +244,20 @@ let retarget dev ~ino name ~coffer ~inode =
 
 (* ---- iteration ----------------------------------------------------------- *)
 
-(* A full scan reads each index array -- the first-level page's 512 slots, a
-   second-level page's 256 bucket heads -- with one sequential load into a
-   buffer and decodes the slots from it.  The device charges a load wider
-   than a line as one read latency plus bandwidth, where slot-by-slot loads
-   miss once per line.  A full scan reads every slot of both arrays anyway,
-   so the load touches no line the slot-by-slot scan did not; dentries and
-   chain pages keep their scalar loads (a whole-page load would also touch
-   the unused tail of every dentry slot).  The buffers belong to one scan:
-   the callback may start another scan and may yield to other threads.
+(* A full scan reads each array it visits with one sequential load into a
+   buffer and decodes the slots from it: the first-level page's 512 slots,
+   a second-level page's 256 bucket heads and 16 inline dentries, and the
+   31 dentries of a chain page (its next pointer, in slot 0, stays a scalar
+   load).  The device charges a load wider than a line as one read latency
+   plus bandwidth, where slot-by-slot loads miss once per line.  Dentries
+   are decoded with [read_dentry]'s checks.  The buffers belong to one
+   scan: the callbacks may start another scan and may yield to other
+   threads.
+
+   A dentry-area load also touches lines the slot-by-slot scan never read:
+   the unused tail of each slot.  A media error there must not fail a scan
+   that would not have read it, so a [Media] fault from a dentry-area load
+   falls back to slot-by-slot loads for that page.
 
    A scan that may stop early ([is_empty]) loads slot by slot ([~bulk:false])
    so it never reads a line past the point where it stops. *)
@@ -263,52 +268,98 @@ let index_slot dev ~bulk buf addr i =
   if bulk then Int64.to_int (Bytes.get_int64_le buf (i * 8))
   else Nvm.Device.read_u64 dev (addr + (i * 8))
 
-(* Visit the index below first-level page [l1] in slot order: [on_l2] for a
-   second-level page, then [on_chain] for every page of its bucket chains,
-   bucket by bucket. *)
-let walk ~bulk dev l1 ~on_l2 ~on_chain =
-  let l1_buf = Bytes.create (if bulk then l1_entries * 8 else 0) in
-  let heads_buf = Bytes.create (if bulk then l2_buckets * 8 else 0) in
-  load_index dev ~bulk l1_buf l1;
-  for l1i = 0 to l1_entries - 1 do
-    let l2 = index_slot dev ~bulk l1_buf l1 l1i in
-    if l2 <> 0 then begin
-      on_l2 l2;
-      let heads = l2 + l2_bucket_base in
-      load_index dev ~bulk heads_buf heads;
-      for b = 0 to l2_buckets - 1 do
-        let rec chase page =
-          if page <> 0 then begin
-            on_chain page;
-            chase (chain_next dev page)
-          end
-        in
-        chase (index_slot dev ~bulk heads_buf heads b)
-      done
-    end
-  done
+(* [read_dentry] over the slot at offset [off] of [buf], loaded from [addr]. *)
+let decode_dentry dev buf off addr =
+  let name_len = Bytes.get_uint16_le buf (off + d_name_len) in
+  if name_len = 0 || name_len > max_name then None
+  else begin
+    let de_coffer = Int64.to_int (Bytes.get_int64_le buf (off + d_coffer)) in
+    let de_inode = Int64.to_int (Bytes.get_int64_le buf (off + d_inode)) in
+    if de_coffer <> 0 then Check.taint_cross dev de_inode;
+    Some
+      {
+        de_addr = addr;
+        de_name = Bytes.sub_string buf (off + d_name) name_len;
+        de_kind = Bytes.get_uint8 buf (off + d_kind);
+        de_coffer;
+        de_inode;
+      }
+  end
 
-let scan ~bulk dev ~ino f =
-  let visit page first last =
+(* Hand [f] every valid dentry in slots [first..last] of [page]. *)
+let visit_dentries ~bulk dev buf page first last f =
+  let one_by_one () =
     for i = first to last do
       let a = page + (i * dentry_size) in
       if dentry_valid dev a then
         match read_dentry dev a with Some de -> f de | None -> ()
     done
   in
-  let l1 = l1_page dev ~ino in
-  if l1 <> 0 then
-    walk ~bulk dev l1
-      ~on_l2:(fun l2 -> visit l2 0 (l2_inline_dentries - 1))
-      ~on_chain:(fun page -> visit page 1 chain_dentries)
+  if not bulk then one_by_one ()
+  else
+    let base = page + (first * dentry_size) in
+    match
+      Nvm.Device.blit_to_bytes dev base buf 0 ((last - first + 1) * dentry_size)
+    with
+    | exception Nvm.Fault { kind = Nvm.Media; _ } -> one_by_one ()
+    | () ->
+        for i = 0 to last - first do
+          let off = i * dentry_size in
+          if Bytes.get_uint8 buf (off + d_valid) = 1 then
+            match decode_dentry dev buf off (base + off) with
+            | Some de -> f de
+            | None -> ()
+        done
 
-let iter dev ~ino f = scan ~bulk:true dev ~ino f
+(* Visit the directory of [ino] in slot order: [on_page] for its first-level
+   page, then for each second-level page and every page of its bucket
+   chains, bucket by bucket; [on_dentry] for every valid dentry, right after
+   the page holding it.  Without [on_dentry] no dentry is loaded. *)
+let scan ~bulk ?(on_page = ignore) ?on_dentry dev ~ino =
+  let l1 = l1_page dev ~ino in
+  if l1 <> 0 then begin
+    let sized n = Bytes.create (if bulk then n else 0) in
+    let l1_buf = sized (l1_entries * 8) and heads_buf = sized (l2_buckets * 8) in
+    let de_buf = sized (if on_dentry = None then 0 else chain_dentries * dentry_size) in
+    let dentries page first last =
+      match on_dentry with
+      | Some f -> visit_dentries ~bulk dev de_buf page first last f
+      | None -> ()
+    in
+    on_page l1;
+    load_index dev ~bulk l1_buf l1;
+    for l1i = 0 to l1_entries - 1 do
+      let l2 = index_slot dev ~bulk l1_buf l1 l1i in
+      if l2 <> 0 then begin
+        on_page l2;
+        dentries l2 0 (l2_inline_dentries - 1);
+        let heads = l2 + l2_bucket_base in
+        load_index dev ~bulk heads_buf heads;
+        for b = 0 to l2_buckets - 1 do
+          let rec chase page =
+            if page <> 0 then begin
+              on_page page;
+              dentries page 1 chain_dentries;
+              chase (chain_next dev page)
+            end
+          in
+          chase (index_slot dev ~bulk heads_buf heads b)
+        done
+      end
+    done
+  end
+
+(* One pass over the index pages and the valid dentries together — for
+   recovery and subtree collection, which need both. *)
+let walk dev ~ino ~on_page ~on_dentry = scan ~bulk:true ~on_page ~on_dentry dev ~ino
+
+let iter dev ~ino f = scan ~bulk:true ~on_dentry:f dev ~ino
 
 exception Stop
 
 let is_empty dev ~ino =
   try
-    scan ~bulk:false dev ~ino (fun _ -> raise Stop);
+    scan ~bulk:false ~on_dentry:(fun _ -> raise Stop) dev ~ino;
     true
   with Stop -> false
 
@@ -318,13 +369,8 @@ let count dev ~ino =
   !n
 
 (* All pages used by the directory index itself (L1 page, second-level
-   pages, chain pages) — for deletion and recovery. *)
+   pages, chain pages), last visited first — for deletion and recovery. *)
 let structure_pages dev ~ino =
-  let l1 = l1_page dev ~ino in
-  if l1 = 0 then []
-  else begin
-    let pages = ref [ l1 ] in
-    let push page = pages := page :: !pages in
-    walk ~bulk:true dev l1 ~on_l2:push ~on_chain:push;
-    !pages
-  end
+  let pages = ref [] in
+  scan ~bulk:true ~on_page:(fun page -> pages := page :: !pages) dev ~ino;
+  !pages

@@ -167,19 +167,41 @@ let write dev balloc ~ino ~off data =
 
 (* ---- truncate -------------------------------------------------------------- *)
 
-(* Zero (and optionally free) one block pointer.  The reference is always
-   scrubbed and flushed BEFORE the page goes to a free list — whose chaining
-   writes into the page — so no interruption point leaves a page both
-   referenced and freed, and a repair re-run can use "pointer still set" as
-   "page still mine".  [free] is [None] during offline intent repair, where
-   the page is simply leaked until fsck's reachability rebuild reclaims it. *)
+(* The pointer words [lo, hi) of the pointer page at [page], read with one
+   sequential load (element [k] is slot [lo + k]).  The full walks below read
+   every word of such a range anyway; the device charges a load wider than a
+   line as one read latency plus bandwidth, where word-by-word loads miss
+   once per line. *)
+let load_ptrs dev page lo hi =
+  if hi <= lo then [||]
+  else begin
+    let buf = Bytes.create ((hi - lo) * 8) in
+    Nvm.Device.blit_to_bytes dev (page + (lo * 8)) buf 0 (Bytes.length buf);
+    Array.init (hi - lo) (fun k -> Int64.to_int (Bytes.get_int64_le buf (k * 8)))
+  end
+
+(* Zero the block pointer at [ptr], which holds page [addr], then free the
+   page.  The reference is always scrubbed and flushed BEFORE the page goes
+   to a free list — whose chaining writes into the page — so no
+   interruption point leaves a page both referenced and freed, and a repair
+   re-run can use "pointer still set" as "page still mine".  [free] is
+   [None] during offline intent repair, where the page is simply leaked
+   until fsck's reachability rebuild reclaims it. *)
+let scrub_ptr dev ~free ptr addr =
+  Nvm.Device.write_u64 dev ptr 0;
+  Pbatch.flush dev ptr 8;
+  match free with Some f -> f addr | None -> ()
+
 let drop_ptr dev ~free ptr =
   let addr = Nvm.Device.read_u64 dev ptr in
-  if addr <> 0 then begin
-    Nvm.Device.write_u64 dev ptr 0;
-    Pbatch.flush dev ptr 8;
-    match free with Some f -> f addr | None -> ()
-  end
+  if addr <> 0 then scrub_ptr dev ~free ptr addr
+
+(* Drop pointers [lo, ptrs_per_page) of pointer page [page], in slot order. *)
+let drop_range dev ~free page lo =
+  Array.iteri
+    (fun k addr ->
+      if addr <> 0 then scrub_ptr dev ~free (page + ((lo + k) * 8)) addr)
+    (load_ptrs dev page lo ptrs_per_page)
 
 (* The shrink body shared by [truncate] and the Trunc intent repair.  It
    walks the pointer STRUCTURE (not the size): a repair must not trust
@@ -195,33 +217,29 @@ let shrink_to dev ~free ~ino new_size =
   (* single-indirect tree: blocks [n_direct, n_direct + ptrs_per_page) *)
   let ind = Inode.indirect dev ~ino in
   if ind <> 0 then begin
-    let lo = max 0 (first_dead - n_direct) in
-    for i = lo to ptrs_per_page - 1 do
-      drop_ptr dev ~free (ind + (i * 8))
-    done;
+    drop_range dev ~free ind (max 0 (first_dead - n_direct));
     if first_dead <= n_direct then begin
       Inode.set_indirect dev ~ino 0;
       (match free with Some f -> f ind | None -> ())
     end
   end;
-  (* double-indirect tree *)
+  (* double-indirect tree: mid page [o] maps the [ptrs_per_page] blocks from
+     [base + o * ptrs_per_page]; those below [o_lo] are wholly live *)
   let dind = Inode.double_indirect dev ~ino in
   if dind <> 0 then begin
     let base = n_direct + ptrs_per_page in
-    for o = 0 to ptrs_per_page - 1 do
-      let mid = Nvm.Device.read_u64 dev (dind + (o * 8)) in
-      if mid <> 0 then begin
-        let mid_base = base + (o * ptrs_per_page) in
-        let lo = max 0 (first_dead - mid_base) in
-        if lo < ptrs_per_page then
-          for i = lo to ptrs_per_page - 1 do
-            drop_ptr dev ~free (mid + (i * 8))
-          done;
-        if first_dead <= mid_base then
-          (* the mid page itself is dead: scrub its reference first *)
-          drop_ptr dev ~free (dind + (o * 8))
-      end
-    done;
+    let o_lo = max 0 (first_dead - base) / ptrs_per_page in
+    Array.iteri
+      (fun k mid ->
+        if mid <> 0 then begin
+          let o = o_lo + k in
+          let mid_base = base + (o * ptrs_per_page) in
+          drop_range dev ~free mid (max 0 (first_dead - mid_base));
+          if first_dead <= mid_base then
+            (* the mid page itself is dead: scrub its reference first *)
+            scrub_ptr dev ~free (dind + (o * 8)) mid
+        end)
+      (load_ptrs dev dind o_lo ptrs_per_page);
     if first_dead <= base then begin
       Inode.set_double_indirect dev ~ino 0;
       (match free with Some f -> f dind | None -> ())
@@ -269,24 +287,30 @@ let () =
       if Inode.size dev ~ino <> new_size then Inode.set_size dev ~ino new_size;
       Nvm.Device.sfence dev)
 
-(* Every data / indirect page of the file — for unlink and recovery. *)
+(* Every data / indirect page of the file — for unlink and recovery: the
+   data pages of blocks below the size, last block first, then the
+   indirect page, the double-indirect page and its mid pages (last first). *)
 let data_pages dev ~ino =
+  let nblocks = min (blocks_for (Inode.size dev ~ino)) max_blocks in
+  let live from = max 0 (min ptrs_per_page (nblocks - from)) in
   let pages = ref [] in
-  let nblocks = blocks_for (Inode.size dev ~ino) in
-  for b = 0 to min nblocks max_blocks - 1 do
-    let a = block_addr dev ~ino b in
-    if a <> 0 then pages := a :: !pages
+  let add addr = if addr <> 0 then pages := addr :: !pages in
+  for b = 0 to min nblocks n_direct - 1 do
+    add (Inode.read_direct dev ~ino b)
   done;
   let ind = Inode.indirect dev ~ino in
-  if ind <> 0 then pages := ind :: !pages;
+  if ind <> 0 then Array.iter add (load_ptrs dev ind 0 (live n_direct));
   let dind = Inode.double_indirect dev ~ino in
-  if dind <> 0 then begin
-    pages := dind :: !pages;
-    for o = 0 to ptrs_per_page - 1 do
-      let mid = Nvm.Device.read_u64 dev (dind + (o * 8)) in
-      if mid <> 0 then pages := mid :: !pages
-    done
-  end;
+  let mids = if dind = 0 then [||] else load_ptrs dev dind 0 ptrs_per_page in
+  let base = n_direct + ptrs_per_page in
+  Array.iteri
+    (fun o mid ->
+      if mid <> 0 then
+        Array.iter add (load_ptrs dev mid 0 (live (base + (o * ptrs_per_page)))))
+    mids;
+  add ind;
+  add dind;
+  Array.iter add mids;
   !pages
 
 (* Free every page backing the file (not the inode page itself). *)

@@ -150,11 +150,16 @@ let scan_coffer dev kfs report ~cid ~root_file ~coffer_path xrefs =
             (File.data_pages dev ~ino)
       | Some Inode.Symlink -> ()
       | Some Inode.Directory ->
-          List.iter
-            (fun p -> if owned p then mark p)
-            (Dir.structure_pages dev ~ino);
+          (* The whole directory is read before any page is marked or any
+             child scanned: a fault in its index drops it untouched. *)
+          let pages = ref [] and children = ref [] in
+          Dir.walk dev ~ino
+            ~on_page:(fun p -> pages := p :: !pages)
+            ~on_dentry:(fun de -> children := de :: !children);
+          List.iter (fun p -> if owned p then mark p) !pages;
           let to_drop = ref [] in
-          Dir.iter dev ~ino (fun de ->
+          List.rev !children
+          |> List.iter (fun de ->
               let child_path = Treasury.Pathx.concat cur_path de.Dir.de_name in
               if de.Dir.de_coffer <> 0 then begin
                 let registered =

@@ -685,11 +685,13 @@ let rec subtree_pages t dev ~ino acc =
   | Inode.Regular -> File.data_pages dev ~ino @ acc
   | Inode.Symlink -> acc
   | Inode.Directory ->
-      let acc = ref (Dir.structure_pages dev ~ino @ acc) in
-      Dir.iter dev ~ino (fun de ->
+      let pages = ref [] and below = ref [] in
+      Dir.walk dev ~ino
+        ~on_page:(fun p -> pages := p :: !pages)
+        ~on_dentry:(fun de ->
           if de.Dir.de_coffer = 0 then
-            acc := subtree_pages t dev ~ino:de.Dir.de_inode !acc);
-      !acc
+            below := subtree_pages t dev ~ino:de.Dir.de_inode !below);
+      !below @ !pages @ acc
 
 (* Turn a page list (byte addresses) into page-number runs. *)
 let runs_of_pages pages =

@@ -113,6 +113,118 @@ let test_truncate () =
         (String.make 100 'a' ^ String.make 100 '\000')
         s)
 
+(* Truncate and data_pages against word-by-word reference walks written
+   here, as both read pointer pages before they read whole pointer ranges:
+   the same pages in the same order, on a file whose blocks reach through
+   the indirect page into two double-indirect mid pages, with holes. *)
+let reference_data_pages dev ~ino =
+  let module L = Zofs.Layout in
+  let pages = ref [] in
+  let add a = if a <> 0 then pages := a :: !pages in
+  let nblocks = Zofs.File.blocks_for (Zofs.Inode.size dev ~ino) in
+  for b = 0 to min nblocks L.max_blocks - 1 do
+    add (Zofs.File.block_addr dev ~ino b)
+  done;
+  add (Zofs.Inode.indirect dev ~ino);
+  let dind = Zofs.Inode.double_indirect dev ~ino in
+  if dind <> 0 then begin
+    add dind;
+    for o = 0 to L.ptrs_per_page - 1 do
+      add (Nvm.Device.read_u64 dev (dind + (o * 8)))
+    done
+  end;
+  !pages
+
+(* The pages a shrink to [new_size] frees, in order. *)
+let reference_frees dev ~ino new_size =
+  let module L = Zofs.Layout in
+  let first_dead = Zofs.File.blocks_for new_size in
+  let freed = ref [] in
+  let drop ptr =
+    let a = Nvm.Device.read_u64 dev ptr in
+    if a <> 0 then freed := a :: !freed
+  in
+  for b = first_dead to L.n_direct - 1 do
+    drop (Zofs.Inode.direct_addr ~ino b)
+  done;
+  let ind = Zofs.Inode.indirect dev ~ino in
+  if ind <> 0 then begin
+    for i = max 0 (first_dead - L.n_direct) to L.ptrs_per_page - 1 do
+      drop (ind + (i * 8))
+    done;
+    if first_dead <= L.n_direct then freed := ind :: !freed
+  end;
+  let dind = Zofs.Inode.double_indirect dev ~ino in
+  if dind <> 0 then begin
+    let base = L.n_direct + L.ptrs_per_page in
+    for o = 0 to L.ptrs_per_page - 1 do
+      let mid = Nvm.Device.read_u64 dev (dind + (o * 8)) in
+      if mid <> 0 then begin
+        let mid_base = base + (o * L.ptrs_per_page) in
+        for i = max 0 (first_dead - mid_base) to L.ptrs_per_page - 1 do
+          drop (mid + (i * 8))
+        done;
+        if first_dead <= mid_base then drop (dind + (o * 8))
+      end
+    done;
+    if first_dead <= base then freed := dind :: !freed
+  end;
+  List.rev !freed
+
+let test_bulk_truncate_matches_reference () =
+  let module L = Zofs.Layout in
+  let w = make_world ~pages:4096 () in
+  let nblocks = L.n_direct + L.ptrs_per_page + 600 in
+  in_proc ~uid:0 w (fun fs ->
+      let fd = ok_or_fail (V.openf fs "/dt" [ Ft.O_CREAT; Ft.O_RDWR ] 0o777) in
+      for b = 0 to nblocks - 1 do
+        if b mod 7 <> 3 || b = nblocks - 1 then
+          ignore (ok_or_fail (V.pwrite fs fd ~off:(b * 4096) (String.make 4096 'd')))
+      done;
+      ok_or_fail (V.close fs fd));
+  Sim.run_thread (fun () ->
+      Mpk.with_kernel w.mpk (fun () ->
+          Mpk.with_write_window w.mpk (fun () ->
+              let root =
+                Option.get (Treasury.Coffer.read w.dev ~id:(K.root_coffer w.kfs))
+              in
+              let ino =
+                match Zofs.Dir.lookup w.dev ~ino:root.Treasury.Coffer.root_file "dt" with
+                | Some de -> de.Zofs.Dir.de_inode
+                | None -> Alcotest.fail "/dt"
+              in
+              Alcotest.(check bool) "two mid pages" true
+                (Nvm.Device.read_u64 w.dev (Zofs.Inode.double_indirect w.dev ~ino + 8)
+                <> 0);
+              let shrink size =
+                let freed = ref [] in
+                Zofs.File.shrink_to w.dev
+                  ~free:(Some (fun p -> freed := p :: !freed))
+                  ~ino size;
+                List.rev !freed
+              in
+              List.iter
+                (fun size ->
+                  Alcotest.(check (list int))
+                    (Printf.sprintf "data_pages at %d" (Zofs.Inode.size w.dev ~ino))
+                    (reference_data_pages w.dev ~ino)
+                    (Zofs.File.data_pages w.dev ~ino);
+                  let expected = reference_frees w.dev ~ino size in
+                  Alcotest.(check (list int))
+                    (Printf.sprintf "shrink to %d: same frees" size)
+                    expected (shrink size);
+                  Alcotest.(check (list int))
+                    (Printf.sprintf "shrink to %d again: idempotent" size)
+                    [] (shrink size);
+                  Zofs.Inode.set_size w.dev ~ino size)
+                [
+                  ((L.n_direct + L.ptrs_per_page + 300) * 4096) + 100;
+                  (40 * 4096) + 5;
+                  0;
+                ];
+              Alcotest.(check (list int)) "nothing left" []
+                (Zofs.File.data_pages w.dev ~ino))))
+
 let test_o_trunc () =
   let w = make_world () in
   in_proc w (fun fs ->
@@ -274,14 +386,17 @@ let test_many_files_in_one_dir () =
         (List.length (ok_or_fail (V.readdir fs "/big"))))
 
 (* The directory scans against a slot-by-slot reference walk written here:
-   every first-level slot, inline dentry and bucket head is loaded on its
-   own, as a scan did before index arrays were read in one load.  Returns
-   the valid dentries (when [~dentries]) and the index pages, both in visit
-   order, and how many chain pages were seen. *)
+   every first-level slot, dentry and bucket head is loaded on its own, as
+   a scan did before it read whole arrays.  Returns the valid dentries
+   (when [~dentries]) and the index pages, both in visit order, and the
+   dentry areas visited, as [(addr, len)]: a second-level page's 16 inline
+   slots and a chain page's slots 1..31. *)
 let reference_walk dev ~ino ~dentries =
   let module L = Zofs.Layout in
-  let des = ref [] and pages = ref [] and chained = ref 0 in
+  let des = ref [] and pages = ref [] and areas = ref [] in
   let visit page first last =
+    areas := (page + (first * L.dentry_size), (last - first + 1) * L.dentry_size)
+             :: !areas;
     if dentries then
       for i = first to last do
         let a = page + (i * L.dentry_size) in
@@ -303,7 +418,6 @@ let reference_walk dev ~ino ~dentries =
           let rec chase page =
             if page <> 0 then begin
               pages := page :: !pages;
-              incr chained;
               visit page 1 L.chain_dentries;
               chase (Nvm.Device.read_u64 dev page)
             end
@@ -313,21 +427,31 @@ let reference_walk dev ~ino ~dentries =
       end
     done
   end;
-  (List.rev !des, !pages, !chained)
+  (List.rev !des, !pages, List.rev !areas)
 
-(* The cache lines [f] loads from [dev], ascending. *)
-let lines_loaded dev f =
-  let lines = ref [] in
+(* The loads [f] issues on [dev], as [(addr, len)] in issue order. *)
+let loads_issued dev f =
+  let loads = ref [] in
   let id =
     Nvm.Device.add_trace_subscriber dev (function
-      | Nvm.Device.T_load { addr; len; _ } ->
-          for l = addr / Nvm.line_size to (addr + len - 1) / Nvm.line_size do
-            lines := l :: !lines
-          done
+      | Nvm.Device.T_load { addr; len; _ } -> loads := (addr, len) :: !loads
       | _ -> ())
   in
   Fun.protect ~finally:(fun () -> Nvm.Device.remove_trace_subscriber dev id) f;
-  List.sort_uniq compare !lines
+  List.rev !loads
+
+(* The cache lines covered by [(addr, len)] ranges, ascending. *)
+let lines_of ranges =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun (addr, len) ->
+         List.init
+           (((addr + len - 1) / Nvm.line_size) - (addr / Nvm.line_size) + 1)
+           (fun k -> (addr / Nvm.line_size) + k))
+       ranges)
+
+(* The cache lines [f] loads from [dev], ascending. *)
+let lines_loaded dev f = lines_of (loads_issued dev f)
 
 let test_bulk_scan_matches_reference () =
   let w = make_world ~pages:8192 () in
@@ -353,23 +477,60 @@ let test_bulk_scan_matches_reference () =
       Mpk.with_kernel w.mpk (fun () ->
           let root = Option.get (Treasury.Coffer.read w.dev ~id:(K.root_coffer w.kfs)) in
           let ino = root.Treasury.Coffer.root_file in
-          let ref_des, ref_pages, chained = reference_walk w.dev ~ino ~dentries:true in
+          let ref_des, ref_pages, areas = reference_walk w.dev ~ino ~dentries:true in
+          let l2s = List.length (List.filter (fun (_, len) -> len = 2048) areas) in
+          let chained = List.length areas - l2s in
           Alcotest.(check bool) "names spilled into bucket chains" true (chained > 0);
           Alcotest.(check int) "every live name listed"
             (List.length crowd + List.length spread - List.length removed + 1)
             (List.length ref_des);
           let des = ref [] in
-          let iter_lines =
-            lines_loaded w.dev (fun () ->
+          let iter_loads =
+            loads_issued w.dev (fun () ->
                 Zofs.Dir.iter w.dev ~ino (fun de -> des := de :: !des))
           in
           Alcotest.(check (list string)) "iter: same dentries, same order"
             (List.map show ref_des)
             (List.map show (List.rev !des));
-          Alcotest.(check (list int)) "iter: same lines loaded"
-            (lines_loaded w.dev (fun () ->
-                 ignore (reference_walk w.dev ~ino ~dentries:true)))
-            iter_lines;
+          (* iter reads the index arrays' lines and every line of each
+             dentry area it visits -- the unused slot tails included -- with
+             one load per array; the inode's first pointer and each chain
+             page's next pointer stay word loads. *)
+          let l1 = Zofs.Inode.read_direct w.dev ~ino 0 in
+          let heads =
+            List.filter_map
+              (fun (a, len) ->
+                if len = 2048 then Some (a + Zofs.Layout.l2_bucket_base, 2048)
+                else None)
+              areas
+          in
+          Alcotest.(check (list int)) "iter: index lines plus dentry areas"
+            (List.sort_uniq compare
+               (lines_loaded w.dev (fun () ->
+                    ignore (reference_walk w.dev ~ino ~dentries:false))
+               @ lines_of areas))
+            (lines_of iter_loads);
+          Alcotest.(check (list (pair int int))) "iter: one load per array"
+            (List.sort compare (((l1, Nvm.page_size) :: heads) @ areas))
+            (List.sort compare
+               (List.filter (fun (_, len) -> len > 8) iter_loads));
+          Alcotest.(check int) "iter: word loads" (1 + chained)
+            (List.length (List.filter (fun (_, len) -> len <= 8) iter_loads));
+          (* The fused walk: the pages of structure_pages and the dentries
+             of iter, from iter's loads alone. *)
+          let walk_pages = ref [] and walk_des = ref [] in
+          let walk_loads =
+            loads_issued w.dev (fun () ->
+                Zofs.Dir.walk w.dev ~ino
+                  ~on_page:(fun p -> walk_pages := p :: !walk_pages)
+                  ~on_dentry:(fun de -> walk_des := de :: !walk_des))
+          in
+          Alcotest.(check (list int)) "walk: same pages" ref_pages !walk_pages;
+          Alcotest.(check (list string)) "walk: same dentries, same order"
+            (List.map show ref_des)
+            (List.map show (List.rev !walk_des));
+          Alcotest.(check (list (pair int int))) "walk: iter's loads" iter_loads
+            walk_loads;
           let pages = ref [] in
           let page_lines =
             lines_loaded w.dev (fun () ->
@@ -383,7 +544,6 @@ let test_bulk_scan_matches_reference () =
             page_lines;
           (* is_empty stops at the first dentry: it loads no first-level
              line past the one holding the first used slot. *)
-          let l1 = Zofs.Inode.read_direct w.dev ~ino 0 in
           let rec first_used i =
             if Nvm.Device.read_u64 w.dev (l1 + (i * 8)) <> 0 then i
             else first_used (i + 1)
@@ -766,6 +926,8 @@ let () =
             test_large_file_indirect_blocks;
           Alcotest.test_case "sparse holes" `Quick test_sparse_holes_read_zero;
           Alcotest.test_case "truncate" `Quick test_truncate;
+          Alcotest.test_case "bulk truncate matches word-by-word walk" `Quick
+            test_bulk_truncate_matches_reference;
           Alcotest.test_case "O_TRUNC" `Quick test_o_trunc;
           Alcotest.test_case "read-only fd" `Quick test_write_to_readonly_fd_rejected;
         ] );
