@@ -287,9 +287,10 @@ let () =
       if Inode.size dev ~ino <> new_size then Inode.set_size dev ~ino new_size;
       Nvm.Device.sfence dev)
 
-(* Every data / indirect page of the file — for unlink and recovery: the
-   data pages of blocks below the size, last block first, then the
-   indirect page, the double-indirect page and its mid pages (last first). *)
+(* Every data / indirect page of the file — for unlink and recovery.  The
+   list runs backwards: the mid pages (last first), the double-indirect
+   page, the indirect page, then the data pages of the blocks below the
+   size, last block first. *)
 let data_pages dev ~ino =
   let nblocks = min (blocks_for (Inode.size dev ~ino)) max_blocks in
   let live from = max 0 (min ptrs_per_page (nblocks - from)) in
