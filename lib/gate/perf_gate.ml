@@ -3,7 +3,8 @@
    A pinned set of deterministic single-thread experiments exercises the
    batched µFS commit paths — append growth (the Figure 7(d) staircase),
    create, unlink, same-directory rename, and truncate — the readdir
-   scan of the two-level hash directory, the offline recovery scan and a
+   scan of the two-level hash directory, the offline recovery scan (of one
+   coffer, and of 21 coffers, more than a process has MPK keys) and a
    truncate through an indirect page, each in a fresh simulated world,
    and records per-operation simulated latency, persistence-instruction
    counts (clwb/sfence, with the redundancy split the device tracks),
@@ -222,6 +223,26 @@ let exp_recovery () =
       ignore (Zofs.Recovery.recover_all (Option.get inst.FL.kernfs)))
     ()
 
+(* The offline scan over more coffers than a process has MPK keys: "/"
+   with four files, and 20 sub-coffers (directories whose mode differs
+   from their parent's), each holding four one-block files. *)
+let exp_recovery_multi_coffer () =
+  in_world ~ops:1
+    ~setup:(fun fs ->
+      for f = 0 to 3 do
+        ok (V.write_file fs (Printf.sprintf "/r%d" f) ~mode:0o644 block)
+      done;
+      for d = 0 to 19 do
+        let dir = Printf.sprintf "/c%02d" d in
+        ok (V.mkdir fs dir 0o700);
+        for f = 0 to 3 do
+          ok (V.write_file fs (Printf.sprintf "%s/f%d" dir f) ~mode:0o600 block)
+        done
+      done)
+    ~measured:(fun inst ->
+      ignore (Zofs.Recovery.recover_all (Option.get inst.FL.kernfs)))
+    ()
+
 (* Truncate to 0 of 64-block files: 32 direct blocks and 32 behind the
    indirect page, whose whole pointer array the shrink walks. *)
 let exp_truncate_indirect ~ops () =
@@ -338,6 +359,7 @@ let experiments =
     ("truncate", fun () -> exp_truncate ~ops:24 ());
     ("readdir", fun () -> exp_readdir ~rounds:4 ());
     ("recovery", exp_recovery);
+    ("recovery-multi-coffer", exp_recovery_multi_coffer);
     ("truncate-indirect", fun () -> exp_truncate_indirect ~ops:4 ());
     ( "shared-append-64p",
       fun () -> exp_shared_append ~nprocs:64 ~ops_per_proc:4 () );
@@ -376,13 +398,13 @@ let to_json results =
 let render_results results =
   let b = Buffer.create 512 in
   Buffer.add_string b
-    (Printf.sprintf "  %-17s %6s %12s %10s %9s %10s %9s\n" "experiment" "ops"
+    (Printf.sprintf "  %-21s %6s %12s %10s %9s %10s %9s\n" "experiment" "ops"
        "sim-ns/op" "flush/op" "fence/op" "cross/op" "enlarge");
   List.iter
     (fun r ->
       let m = r.r_m in
       Buffer.add_string b
-        (Printf.sprintf "  %-17s %6d %12.0f %10.2f %9.2f %10.3f %9d\n" r.r_name
+        (Printf.sprintf "  %-21s %6d %12.0f %10.2f %9.2f %10.3f %9d\n" r.r_name
            m.ops (per_op m m.sim_ns) (per_op m m.flushes) (per_op m m.fences)
            (per_op m m.crossings) m.enlarge_calls))
     results;
