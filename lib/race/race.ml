@@ -6,7 +6,8 @@
    (epoch = the accessor's own clock component at access time).  The
    happens-before skeleton is fed by:
 
-   - thread spawn (child inherits the parent's clock) — [Sim.sync_event];
+   - thread spawn (child inherits the parent's clock) and join (the joiner
+     takes the ended child's clock) — [Sim.sync_event];
    - [Sim.Mutex] lock/unlock (the KernFS gate serializes kernel NVM writes
      under the "kernfs" mutex);
    - successful CAS ([Nvm.Device.T_cas]): lease words and allocator
@@ -371,6 +372,10 @@ let on_sync t (ev : Sim.sync_event) =
   | S_kill { tid } ->
       (* State is kept: a lease stealer joins the dead holder's clock. *)
       note_ts (get_ts t tid) (Printf.sprintf "t=%d killed" (Sim.now ()))
+  | S_join { tid; child } ->
+      let ts = get_ts t tid in
+      ts.vc <- join ts.vc (get_ts t child).vc;
+      note_ts ts (Printf.sprintf "t=%d join #%d" (Sim.now ()) child)
   | S_mutex_lock { tid; id } ->
       let ts = get_ts t tid in
       (match Hashtbl.find_opt t.mutex_clocks id with

@@ -143,7 +143,8 @@ and world = {
   kills : (int, int) Hashtbl.t;  (* tid -> remaining advances before death *)
   nokill : int Idtbl.t;  (* tid -> no-kill nesting depth *)
   mutable killed : int;
-  dead : unit Idtbl.t;  (* tids that exited or were killed *)
+  dead : int Idtbl.t;  (* tids that exited or were killed -> end time *)
+  joiners : (int, (int -> unit) list) Hashtbl.t;  (* tid -> parked joins *)
   proc_threads : (int, int list ref) Hashtbl.t;  (* pid -> tids, spawn order *)
   mutable switches : int;  (* reschedules: host context switches *)
 }
@@ -161,6 +162,7 @@ type sync_event =
   | S_spawn of { parent : int; child : int }
   | S_exit of { tid : int }  (* normal return *)
   | S_kill of { tid : int }  (* death via arm_kill: no unwinding happened *)
+  | S_join of { tid : int; child : int }  (* [tid] saw [child] end *)
   | S_mutex_lock of { tid : int; id : int }
   | S_mutex_unlock of { tid : int; id : int }
 
@@ -186,6 +188,7 @@ let create ?(seed = 42L) () =
     nokill = Idtbl.create ();
     killed = 0;
     dead = Idtbl.create ();
+    joiners = Hashtbl.create 4;
     proc_threads = Hashtbl.create 8;
     switches = 0;
   }
@@ -266,13 +269,23 @@ let total_switches () = !total_switches
 let nokill_depth w tid =
   match Idtbl.find_opt w.nokill tid with Some d -> d | None -> 0
 
-let die t =
+(* A thread's end, by return or by death: joiners resume at its end time. *)
+let thread_ended t ev =
   let w = t.world in
   w.live <- w.live - 1;
+  Idtbl.replace w.dead t.tid t.time;
+  sync_emit ev;
+  match Hashtbl.find_opt w.joiners t.tid with
+  | None -> ()
+  | Some wakes ->
+      Hashtbl.remove w.joiners t.tid;
+      List.iter (fun wake -> wake t.time) (List.rev wakes)
+
+let die t =
+  let w = t.world in
   w.killed <- w.killed + 1;
   Hashtbl.remove w.kills t.tid;
-  Idtbl.replace w.dead t.tid ();
-  sync_emit (S_kill { tid = t.tid });
+  thread_ended t (S_kill { tid = t.tid });
   (* Drop the continuation: the thread never resumes and nothing unwinds. *)
   suspend (fun _k -> ())
 
@@ -404,11 +417,7 @@ let spawn_tid w ?proc ?at ~name body =
     w.current <- Some t;
     Effect.Deep.match_with body ()
       {
-        retc =
-          (fun () ->
-            w.live <- w.live - 1;
-            Idtbl.replace w.dead t.tid ();
-            sync_emit (S_exit { tid = t.tid }));
+        retc = (fun () -> thread_ended t (S_exit { tid = t.tid }));
         exnc = (fun e -> raise e);
         effc =
           (fun (type a) (eff : a Effect.t) ->
@@ -422,6 +431,28 @@ let spawn_tid w ?proc ?at ~name body =
   tid
 
 let spawn w ?proc ?at ~name body = ignore (spawn_tid w ?proc ?at ~name body)
+
+let the_current () =
+  match current_thread () with
+  | Some t -> t
+  | None -> failwith "Sim: blocking operation outside a simulated thread"
+
+let fork ?proc ~name body = spawn_tid (the_current ()).world ?proc ~name body
+
+let join tid =
+  let t = the_current () in
+  let w = t.world in
+  if tid = t.tid || tid < 0 || tid >= w.next_tid then
+    invalid_arg "Sim.join: not another thread of this world";
+  (match Idtbl.find_opt w.dead tid with
+  | Some ended -> sleep_until ended
+  | None ->
+      park w t ~on:(Printf.sprintf "join #%d" tid) (fun wake ->
+          let wakes =
+            Option.value ~default:[] (Hashtbl.find_opt w.joiners tid)
+          in
+          Hashtbl.replace w.joiners tid (wake :: wakes)));
+  sync_emit (S_join { tid = t.tid; child = tid })
 
 let run w =
   let saved = !active in
@@ -460,11 +491,6 @@ let run_thread ?seed ?proc f =
   match !result with
   | Some r -> r
   | None -> failwith "Sim.run_thread: thread did not complete"
-
-let the_current () =
-  match current_thread () with
-  | Some t -> t
-  | None -> failwith "Sim: blocking operation outside a simulated thread"
 
 module Mutex = struct
   type t = {
@@ -623,8 +649,6 @@ module Resource = struct
         let finish = start + ns in
         r.free_at <- finish;
         advance (finish - t.time)
-
-  let _ = ignore the_current
 end
 
 module Stats = struct

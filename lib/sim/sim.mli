@@ -38,6 +38,18 @@ val spawn_tid :
 (** Like {!spawn} but returns the new thread's id, so fault injectors can
     target it (see {!arm_kill}). *)
 
+val fork : ?proc:Proc.t -> name:string -> (unit -> unit) -> int
+(** [fork ~name f] spawns a thread into the running world, runnable at the
+    caller's current time, in the caller's process unless [proc] is given;
+    returns its id for {!join}.  Fails outside a simulated thread. *)
+
+val join : int -> unit
+(** [join tid] blocks until thread [tid] has returned or been killed and
+    resumes no earlier than that thread's end time.  Emits [S_join], the
+    happens-before edge from everything [tid] did to what the caller does
+    next.  [Invalid_argument] when [tid] is the caller or no thread of this
+    world. *)
+
 exception Deadlock of string
 (** Raised by {!run} if threads remain blocked with no runnable thread. *)
 
@@ -163,6 +175,8 @@ type sync_event =
   | S_exit of { tid : int }  (** normal thread return *)
   | S_kill of { tid : int }
       (** death via {!arm_kill}: the thread vanished without unwinding *)
+  | S_join of { tid : int; child : int }
+      (** {!join}: [tid] resumes after [child] ended *)
   | S_mutex_lock of { tid : int; id : int }
   | S_mutex_unlock of { tid : int; id : int }
 

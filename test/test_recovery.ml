@@ -395,6 +395,164 @@ let test_poisoned_dentry_tails () =
     report.Zofs.Recovery.dentries_dropped;
   listing ()
 
+(* ---- parallel recovery ---------------------------------------------------- *)
+
+let coffer_of kfs path =
+  match K.coffer_find kfs path with
+  | Ok c -> c
+  | Error _ -> Alcotest.failf "no coffer at %s" path
+
+let dentry_of dev ~dir name =
+  match Zofs.Dir.lookup dev ~ino:dir name with
+  | Some de -> de
+  | None -> Alcotest.failf "no dentry %s" name
+
+(* Scribble on the inode of [dir]/[name] (a coffer's top-level entry) from
+   kernel mode: a stray write that slipped past protection. *)
+let tear_inode kfs ~coffer name =
+  let dev = K.device kfs and mpk = K.mpk kfs in
+  Mpk.with_kernel mpk (fun () ->
+      Mpk.with_write_window mpk (fun () ->
+          let info =
+            Option.get (Treasury.Coffer.read dev ~id:(coffer_of kfs coffer))
+          in
+          let de = dentry_of dev ~dir:info.Treasury.Coffer.root_file name in
+          D.write_u32 dev de.Zofs.Dir.de_inode 0xDEAD))
+
+(* Stage 1 of a cross-coffer rename of the root coffer's [name] to [dst],
+   and nothing after it: the file's pages sit in a transient coffer
+   registered at "<dst>.zofs-mv", as a crash right after the split leaves
+   them. *)
+let split_into_transient kfs ~name ~dst =
+  let dev = K.device kfs in
+  let ufs = Zofs.Ufs.create kfs in
+  let src = ok_or_fail (Zofs.Ufs.session_of_cid ufs (K.root_coffer kfs)) in
+  let dcs =
+    ok_or_fail
+      (Zofs.Ufs.session_of_cid ufs
+         (coffer_of kfs (Treasury.Pathx.dirname dst)))
+  in
+  let ino, custom =
+    Zofs.Ufs.with_coffer ufs src ~write:true (fun () ->
+        let de = dentry_of dev ~dir:src.Zofs.Ufs.cs_root_file name in
+        let custom = ok_or_fail (Zofs.Balloc.alloc_page src.Zofs.Ufs.cs_balloc) in
+        Zofs.Balloc.format dev ~custom;
+        (de.Zofs.Dir.de_inode, custom))
+  in
+  let pages =
+    Zofs.Ufs.with_coffer ufs src ~write:false (fun () ->
+        ino :: Zofs.File.data_pages dev ~ino)
+  in
+  ignore
+    (ok_or_fail
+       (K.coffer_split kfs ~src:src.Zofs.Ufs.cs_cid ~new_path:(dst ^ ".zofs-mv")
+          ~ctype:Zofs.Ufs.ctype ~mode:dcs.Zofs.Ufs.cs_mode
+          ~uid:dcs.Zofs.Ufs.cs_uid ~gid:dcs.Zofs.Ufs.cs_gid
+          ~runs:(Zofs.Ufs.runs_of_pages (custom :: pages))
+          ~root_file:ino ~custom))
+
+(* The findings a one-by-one walk of the coffers gives for the tree below,
+   in its order. *)
+let sequential_findings =
+  [
+    "completed migration of coffer 532 to /c05/moved.zofs-mv";
+    "dropped dentry /mover (coffer 26)";
+    "dropped dentry /c02/f1 (coffer 84)";
+    "dropped dentry /c09/f1 (coffer 249)";
+    "dropped dentry /c15/f1 (coffer 363)";
+    "repaired cross-coffer ref /decoy (from coffer 26)";
+  ]
+
+(* 25 coffers ("/", 21 directories, two file coffers and a transient
+   rename coffer) with damage planted in several of them, recovered by the
+   worker pool with the race detector failing on the first race.  The
+   findings are the one-by-one walk's, a second pass finds nothing, every
+   surviving file reads back, and the coffer scans overlapped in time. *)
+let test_parallel_recovery_matches_sequential () =
+  Race.reset_report ();
+  Race.enable_auto Race.Fail;
+  let files = Hashtbl.create 128 in
+  let r1, r2 =
+    Fun.protect
+      ~finally:(fun () ->
+        Race.disable_auto ();
+        Race.detach ())
+      (fun () ->
+        Sim.run_thread ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ()) (fun () ->
+            let inst = Workloads.Fslab.make ~pages:8192 Workloads.Fslab.Zofs in
+            let fs = inst.Workloads.Fslab.fs in
+            let kfs = Option.get inst.Workloads.Fslab.kernfs in
+            let put path mode data =
+              ok_or_fail (V.write_file fs path ~mode data);
+              Hashtbl.replace files path data
+            in
+            for f = 0 to 3 do
+              put (Printf.sprintf "/r%d" f) 0o644 (Printf.sprintf "root %d" f)
+            done;
+            for d = 0 to 20 do
+              let dir = Printf.sprintf "/c%02d" d in
+              ok_or_fail (V.mkdir fs dir 0o700);
+              for f = 0 to 3 do
+                put
+                  (Printf.sprintf "%s/f%d" dir f)
+                  0o600
+                  (String.make (1000 * (f + 1)) (Char.chr (Char.code 'a' + d)))
+              done
+            done;
+            put "/victim" 0o600 "private";
+            put "/decoy" 0o640 "decoy";
+            put "/mover" 0o644 "moving";
+            (* torn dentries in three coffers, and in the quarantined one *)
+            List.iter
+              (fun c ->
+                tear_inode kfs ~coffer:c "f1";
+                Hashtbl.remove files (c ^ "/f1"))
+              [ "/c02"; "/c09"; "/c15"; "/c12" ];
+            (* /decoy's cross-coffer dentry names /victim's coffer *)
+            Mpk.with_kernel (K.mpk kfs) (fun () ->
+                Mpk.with_write_window (K.mpk kfs) (fun () ->
+                    let root =
+                      Option.get
+                        (Treasury.Coffer.read inst.Workloads.Fslab.device
+                           ~id:(K.root_coffer kfs))
+                    in
+                    let de =
+                      dentry_of inst.Workloads.Fslab.device
+                        ~dir:root.Treasury.Coffer.root_file "decoy"
+                    in
+                    D.write_u64 inst.Workloads.Fslab.device
+                      (de.Zofs.Dir.de_addr + Zofs.Layout.d_coffer)
+                      (coffer_of kfs "/victim")));
+            split_into_transient kfs ~name:"mover" ~dst:"/c05/moved";
+            Hashtbl.remove files "/mover";
+            Hashtbl.replace files "/c05/moved" "moving";
+            D.persist_all inst.Workloads.Fslab.device;
+            K.set_coffer_health kfs (coffer_of kfs "/c12") K.Quarantined;
+            (* offline: the set-up's mappings are gone *)
+            ok_or_fail (K.fs_umount kfs);
+            let r1 = Zofs.Recovery.recover_all kfs in
+            let r2 = Zofs.Recovery.recover_all kfs in
+            Mpk.with_kernel (K.mpk kfs) (fun () ->
+                Treasury.Alloc_table.verify (K.alloc_table kfs));
+            let fs = Workloads.Fslab.zofs_fslib kfs in
+            Hashtbl.iter
+              (fun path data ->
+                Alcotest.(check string) path data (ok_or_fail (V.read_file fs path)))
+              files;
+            (r1, r2)))
+  in
+  Alcotest.(check (list string)) "the one-by-one walk's findings"
+    sequential_findings
+    (List.map Zofs.Recovery.finding_to_string (Zofs.Recovery.findings r1));
+  Alcotest.(check (list string)) "second run is a fixpoint" []
+    (List.map Zofs.Recovery.finding_to_string (Zofs.Recovery.findings r2));
+  Alcotest.(check int) "every coffer but the quarantined one scanned" 23
+    r1.Zofs.Recovery.coffers_scanned;
+  Alcotest.(check bool) "the scans overlapped" true
+    (r1.Zofs.Recovery.wall_ns
+    < r1.Zofs.Recovery.user_ns + r1.Zofs.Recovery.kernel_ns);
+  Alcotest.(check int) "no race" 0 (List.length (Race.report ()).Race.r_races)
+
 let qcheck_crash_recovery_preserves_completed_ops =
   QCheck.Test.make
     ~name:"completed ops survive random crashes + recovery" ~count:15
@@ -470,5 +628,7 @@ let () =
             (torn_index ~where:`Bucket_head ~target:`Other_coffer);
           Alcotest.test_case "poisoned dentry tails" `Quick
             test_poisoned_dentry_tails;
+          Alcotest.test_case "parallel recovery repairs what sequential did"
+            `Quick test_parallel_recovery_matches_sequential;
         ] );
     ]

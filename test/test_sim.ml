@@ -293,6 +293,73 @@ let test_nested_spawn () =
   Sim.run w;
   Alcotest.(check int) "children ran" 6 !total
 
+(* Join parks until the child ends and resumes at the child's end time,
+   never earlier; joining an ended thread returns at once, and a killed
+   child ends a join as a returning one does. *)
+let test_fork_join () =
+  let log = ref [] in
+  let note what = log := (what, Sim.now ()) :: !log in
+  let proc = Sim.Proc.create () in
+  Sim.run_thread (fun () ->
+      Sim.advance 10;
+      let child =
+        Sim.fork ~proc ~name:"child" (fun () ->
+            note "child starts";
+            Alcotest.(check int) "child's process" proc.Sim.Proc.pid
+              (Sim.self_proc ()).Sim.Proc.pid;
+            Sim.advance 500;
+            note "child ends")
+      in
+      Sim.advance 100;
+      Sim.join child;
+      note "joined";
+      Sim.join child;
+      note "joined again";
+      let victim =
+        Sim.fork ~name:"victim" (fun () ->
+            for _ = 1 to 10 do
+              Sim.advance 100
+            done;
+            note "victim ends")
+      in
+      Sim.arm_kill ~tid:victim ~after:3;
+      Sim.join victim;
+      note "joined victim");
+  Alcotest.(check (list (pair string int)))
+    "order and times"
+    [
+      ("child starts", 10);
+      ("child ends", 510);
+      ("joined", 510);
+      ("joined again", 510);
+      ("joined victim", 810);
+    ]
+    (List.rev !log)
+
+(* The join is a happens-before edge for lib/race: the child's NVM write,
+   read by the parent after the join, is ordered; the same read after
+   merely waiting past the child's end is a race. *)
+let test_join_orders_child_writes () =
+  let races ~join =
+    Race.reset_report ();
+    let dev =
+      Nvm.Device.create ~perf:Nvm.Perf.free ~size:(4 * Nvm.page_size) ()
+    in
+    ignore (Race.attach ~mode:Race.Log dev);
+    Fun.protect ~finally:Race.detach (fun () ->
+        Sim.run_thread (fun () ->
+            let child =
+              Sim.fork ~name:"writer" (fun () ->
+                  Nvm.Device.write_u64 dev 64 7;
+                  Sim.advance 100)
+            in
+            if join then Sim.join child else Sim.advance 1000;
+            ignore (Nvm.Device.read_u64 dev 64)));
+    List.length (Race.report ()).Race.r_races
+  in
+  Alcotest.(check int) "after join" 0 (races ~join:true);
+  Alcotest.(check int) "without join" 1 (races ~join:false)
+
 let qcheck_mutex_never_negative =
   QCheck.Test.make ~name:"mutex critical sections never overlap" ~count:30
     QCheck.(list_of_size (Gen.int_range 1 8) (int_range 1 50))
@@ -420,6 +487,9 @@ let () =
           Alcotest.test_case "sleep_until" `Quick test_sleep_until;
           Alcotest.test_case "yield fairness" `Quick test_yield_fairness;
           Alcotest.test_case "nested spawn" `Quick test_nested_spawn;
+          Alcotest.test_case "fork and join" `Quick test_fork_join;
+          Alcotest.test_case "join orders the child's writes" `Quick
+            test_join_orders_child_writes;
           Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
           Alcotest.test_case "proc identity" `Quick test_proc_identity;
           Alcotest.test_case "kill-whole-process semantics" `Quick
