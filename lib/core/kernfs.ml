@@ -135,6 +135,20 @@ let remove_mapper t cid pid =
 
 let cred () = Fs_types.cred_of_proc (Sim.self_proc ())
 
+(* Paths and modes come from untrusted user space too, and are checked
+   before anything changes.  A new coffer path (already normalized) must fit
+   a path-map entry and the root page, and hold no NUL: no dentry name can,
+   so no dentry could ever reach that coffer.  A mode carries permission
+   bits only; the root page keeps it in 32 bits. *)
+let check_new_path path =
+  if String.contains path '\000' then Error Errno.EINVAL
+  else if String.length path > Pathx.max_path_length then
+    Error Errno.ENAMETOOLONG
+  else Ok ()
+
+let check_mode mode =
+  if mode < 0 || mode > 0o7777 then Error Errno.EINVAL else Ok ()
+
 let check_access t cid wants =
   let* c = coffer_info t cid in
   if Fs_types.permits ~mode:c.Coffer.mode ~uid:c.Coffer.uid ~gid:c.Coffer.gid (cred ()) wants
@@ -488,16 +502,15 @@ let coffer_locate t path =
 let coffer_new t ~path ~ctype ~mode ~uid ~gid =
   kernel_op t (fun () ->
       let path = Pathx.normalize path in
-      if String.length path > Pathx.max_path_length then
-        Error Errno.ENAMETOOLONG
-      else
-        (* The caller must be able to write the enclosing coffer. *)
-        let parent = Pathx.dirname path in
-        match Path_map.longest_prefix t.pm parent with
-        | None -> Error Errno.ENOENT
-        | Some (_, parent_cid) ->
-            let* _ = check_access t parent_cid [ `W ] in
-            make_coffer t ~path ~ctype ~mode ~uid ~gid)
+      let* () = check_new_path path in
+      let* () = check_mode mode in
+      (* The caller must be able to write the enclosing coffer. *)
+      let parent = Pathx.dirname path in
+      match Path_map.longest_prefix t.pm parent with
+      | None -> Error Errno.ENOENT
+      | Some (_, parent_cid) ->
+          let* _ = check_access t parent_cid [ `W ] in
+          make_coffer t ~path ~ctype ~mode ~uid ~gid)
 
 let coffer_delete t cid =
   kernel_op t (fun () ->
@@ -667,6 +680,7 @@ let coffer_unmap t cid =
 let coffer_chmod t cid ~mode ~uid ~gid =
   kernel_op t (fun () ->
       let* c = coffer_info t cid in
+      let* () = check_mode mode in
       let cr = cred () in
       if cr.Fs_types.uid <> 0 && cr.Fs_types.uid <> c.Coffer.uid then
         Error Errno.EPERM
@@ -687,6 +701,8 @@ let coffer_split t ~src ~new_path ~ctype ~mode ~uid ~gid ~runs ~root_file
   kernel_op t (fun () ->
       let new_path = Pathx.normalize new_path in
       let* c = coffer_info t src in
+      let* () = check_new_path new_path in
+      let* () = check_mode mode in
       let cr = cred () in
       if cr.Fs_types.uid <> 0 && cr.Fs_types.uid <> c.Coffer.uid then
         Error Errno.EPERM
@@ -764,9 +780,8 @@ let coffer_rename t cid ~new_path =
       let new_path = Pathx.normalize new_path in
       let* c = coffer_info t cid in
       let* _ = check_access t cid [ `W ] in
-      if String.length new_path > Pathx.max_path_length then
-        Error Errno.ENAMETOOLONG
-      else if Path_map.lookup t.pm new_path <> None then Error Errno.EEXIST
+      let* () = check_new_path new_path in
+      if Path_map.lookup t.pm new_path <> None then Error Errno.EEXIST
       else begin
         let old_path = c.Coffer.path in
         let to_move = ref [] in

@@ -1005,6 +1005,106 @@ let qcheck_cid_arguments_never_raise =
       Mpk.with_kernel mpk (fun () -> A.verify (K.alloc_table kfs));
       true)
 
+(* Every syscall that takes a path or a mode, with [path] and [mode] in
+   those positions; [cid] is a coffer the caller owns. *)
+let path_mode_calls kfs ~cid path mode =
+  let unit r = Result.map ignore r in
+  [
+    ( "coffer_new",
+      fun () ->
+        unit
+          (K.coffer_new kfs ~path ~ctype:zofs_ctype ~mode ~uid:1000 ~gid:1000)
+    );
+    ("coffer_find", fun () -> unit (K.coffer_find kfs path));
+    ("coffer_locate", fun () -> unit (K.coffer_locate kfs path));
+    ("coffer_chmod", fun () -> K.coffer_chmod kfs cid ~mode ~uid:1000 ~gid:1000);
+    ( "coffer_split",
+      fun () ->
+        unit
+          (K.coffer_split kfs ~src:cid ~new_path:path ~ctype:zofs_ctype ~mode
+             ~uid:1000 ~gid:1000 ~runs:[] ~root_file:0 ~custom:0) );
+  ]
+
+let long_path = "/" ^ String.make 4095 'p'
+
+let edge_paths =
+  [ ""; "/"; "//"; ".."; "/a/../.."; "/bad/x"; long_path; "/bad/a\000b"; "\000" ]
+
+let edge_modes = [ -1; 0; 0o600; 0o7777; 0o10000; max_int; min_int ]
+
+(* What the sweep below found, pinned.  A split to a path too long for
+   the path map moved its runs to a coffer that was never registered, and
+   wrote the path past the end of the new root page.  A NUL in a new
+   coffer's path, or a mode outside 0..0o7777, was stored as given. *)
+let test_bad_path_mode_arguments () =
+  let _, mpk, kfs = mk () in
+  as_user (fun () ->
+      let cid = bad_args_coffer kfs in
+      let at = K.alloc_table kfs in
+      let moving = ok_or_fail (K.coffer_enlarge kfs cid ~n:2) in
+      let runs = A.runs_of at ~cid and free = K.free_pages kfs in
+      let split ?(mode = 0o600) new_path =
+        K.coffer_split kfs ~src:cid ~new_path ~ctype:zofs_ctype ~mode
+          ~uid:1000 ~gid:1000 ~runs:moving ~root_file:0 ~custom:0
+      in
+      expect_err E.ENAMETOOLONG (split long_path);
+      Alcotest.(check (list (pair int int))) "the runs stay" runs
+        (A.runs_of at ~cid);
+      Alcotest.(check int) "no page taken" free (K.free_pages kfs);
+      expect_err E.EINVAL (split "/bad/a\000b");
+      expect_err E.EINVAL
+        (K.coffer_new kfs ~path:"/bad/a\000b" ~ctype:zofs_ctype ~mode:0o600
+           ~uid:1000 ~gid:1000);
+      expect_err E.EINVAL (K.coffer_rename kfs cid ~new_path:"/a\000");
+      List.iter
+        (fun mode ->
+          expect_err E.EINVAL (split ~mode "/bad/s");
+          expect_err E.EINVAL
+            (K.coffer_new kfs ~path:"/m" ~ctype:zofs_ctype ~mode ~uid:1000
+               ~gid:1000);
+          expect_err E.EINVAL (K.coffer_chmod kfs cid ~mode ~uid:1000 ~gid:1000))
+        [ -1; 0o10000; max_int; min_int ];
+      Alcotest.(check (list (pair int int))) "the runs still stay" runs
+        (A.runs_of at ~cid);
+      ok_or_fail (K.coffer_chmod kfs cid ~mode:0o7777 ~uid:1000 ~gid:1000);
+      let c =
+        ok_or_fail
+          (K.coffer_new kfs ~path:"//bad//ok/" ~ctype:zofs_ctype ~mode:0
+             ~uid:1000 ~gid:1000)
+      in
+      Alcotest.(check string) "normalized" "/bad/ok" c.Coffer.path);
+  Mpk.with_kernel mpk (fun () -> A.verify (K.alloc_table kfs))
+
+let qcheck_path_mode_arguments_never_raise =
+  let path =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl edge_paths;
+          string_size ~gen:(oneofl [ '/'; '.'; 'a'; '\000' ]) (int_range 0 12);
+        ])
+  in
+  let mode =
+    QCheck.Gen.(oneof [ oneofl edge_modes; int_range (-2) 0o20000; int ])
+  in
+  QCheck.Test.make ~name:"random paths and modes give Ok or an errno"
+    ~count:100
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair string int))
+       QCheck.Gen.(list_size (int_range 1 6) (pair path mode)))
+    (fun args ->
+      let _, mpk, kfs = mk () in
+      as_user (fun () ->
+          let cid = bad_args_coffer kfs in
+          List.iter
+            (fun (path, mode) ->
+              List.iter
+                (fun (_, call) -> ignore (call ()))
+                (path_mode_calls kfs ~cid path mode))
+            args);
+      Mpk.with_kernel mpk (fun () -> A.verify (K.alloc_table kfs));
+      true)
+
 let () =
   Alcotest.run "kernfs"
     [
@@ -1078,5 +1178,8 @@ let () =
           Alcotest.test_case "out-of-range cids are EINVAL" `Quick
             test_bad_cid_arguments;
           QCheck_alcotest.to_alcotest qcheck_cid_arguments_never_raise;
+          Alcotest.test_case "bad paths and modes are errnos" `Quick
+            test_bad_path_mode_arguments;
+          QCheck_alcotest.to_alcotest qcheck_path_mode_arguments_never_raise;
         ] );
     ]
