@@ -142,7 +142,9 @@ val coffer_new :
   gid:int ->
   (Coffer.info, Errno.t) result
 (** Create a coffer (3 pages) under the coffer owning the parent path; the
-    caller must be able to write that parent coffer. *)
+    caller must be able to write that parent coffer.  [ENAMETOOLONG] when
+    the normalized path does not fit the path map; [EINVAL] for a NUL in
+    the path or a mode outside [0..0o7777]. *)
 
 val coffer_delete : t -> int -> (unit, Errno.t) result
 (** Unmap everywhere, free all pages, remove the path-map entry. *)
@@ -177,7 +179,8 @@ val coffer_unmap : t -> int -> (unit, Errno.t) result
 
 val coffer_chmod : t -> int -> mode:int -> uid:int -> gid:int -> (unit, Errno.t) result
 (** Change the whole coffer's permission in place (owner or root only) and
-    unmap it everywhere so mappings are re-checked. *)
+    unmap it everywhere so mappings are re-checked.  [EINVAL] for a mode
+    outside [0..0o7777]. *)
 
 val coffer_split :
   t ->
@@ -193,7 +196,8 @@ val coffer_split :
   (Coffer.info, Errno.t) result
 (** Move [runs] (chosen by the µFS) out of [src] into a brand-new coffer
     with a new permission — the expensive operation behind ZoFS's chmod
-    (paper §6.4, Table 9). *)
+    (paper §6.4, Table 9).  Path and mode are checked as in {!coffer_new}
+    before any run moves. *)
 
 val coffer_merge : t -> dst:int -> src:int -> (unit, Errno.t) result
 (** Absorb [src] (same permission required) into [dst]; src's root page is
@@ -201,7 +205,7 @@ val coffer_merge : t -> dst:int -> src:int -> (unit, Errno.t) result
 
 val coffer_rename : t -> int -> new_path:string -> (unit, Errno.t) result
 (** Re-key the coffer and every descendant coffer in the path map, and
-    update their root pages. *)
+    update their root pages.  The new path is checked as in {!coffer_new}. *)
 
 (** {1 Recovery protocol (paper §3.5)} *)
 

@@ -575,9 +575,10 @@ type job = {
   mutable j_by_helper : bool;
 }
 
-(* Fold a job's report into the total; called in coffer order, so the
-   findings and the cross-refs (both newest first) read as if the coffers
-   had been scanned one after another. *)
+(* Fold a job's report (the fields [recover_coffer] writes) into the
+   total; called in coffer order, so the findings and the cross-refs (both
+   newest first) read as if the coffers had been scanned one after
+   another. *)
 let merge_job report xrefs j =
   let r = j.j_report in
   report.coffers_scanned <- report.coffers_scanned + r.coffers_scanned;
@@ -586,14 +587,8 @@ let merge_job report xrefs j =
   report.dentries_dropped <- report.dentries_dropped + r.dentries_dropped;
   report.inodes_reinitialized <-
     report.inodes_reinitialized + r.inodes_reinitialized;
-  report.cross_refs_checked <- report.cross_refs_checked + r.cross_refs_checked;
   report.cross_refs_repaired <-
     report.cross_refs_repaired + r.cross_refs_repaired;
-  report.cross_refs_dropped <- report.cross_refs_dropped + r.cross_refs_dropped;
-  report.orphan_coffers_dropped <-
-    report.orphan_coffers_dropped + r.orphan_coffers_dropped;
-  report.orphan_coffers_reattached <-
-    report.orphan_coffers_reattached + r.orphan_coffers_reattached;
   report.findings <- r.findings @ report.findings;
   report.user_ns <- report.user_ns + r.user_ns;
   report.kernel_ns <- report.kernel_ns + r.kernel_ns;
