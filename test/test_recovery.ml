@@ -407,8 +407,8 @@ let dentry_of dev ~dir name =
   | Some de -> de
   | None -> Alcotest.failf "no dentry %s" name
 
-(* Scribble on the inode of [dir]/[name] (a coffer's top-level entry) from
-   kernel mode: a stray write that slipped past protection. *)
+(* Scribble on the inode of [coffer]/[name] from kernel mode: a stray
+   write that slipped past protection. *)
 let tear_inode kfs ~coffer name =
   let dev = K.device kfs and mpk = K.mpk kfs in
   Mpk.with_kernel mpk (fun () ->
