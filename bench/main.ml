@@ -677,13 +677,6 @@ let safety () =
 
 (* ==== Ablations (DESIGN.md §5) =================================================== *)
 
-(* Run [f] with the allocator knob [knob] set to [v], then restore its
-   prior value. *)
-let with_knob knob v f =
-  let prior = !knob in
-  knob := v;
-  Fun.protect ~finally:(fun () -> knob := prior) f
-
 let ablations () =
   Report.section "Ablations";
   let dwol_with_protection = Fx.dwol.Fx.run FL.Zofs ~nthreads:1 ~ops:!fx_ops in
@@ -716,13 +709,14 @@ let ablations () =
         Report.f3 unprotected.Workloads.Runner.mops_per_sec;
       ];
     ];
-  let mwcl_points force =
-    with_knob Zofs.Balloc.force_global force (fun () ->
-        List.map
-          (fun n ->
-            let r = Fx.mwcl.Fx.run FL.Zofs ~nthreads:n ~ops:(max 20 (!fx_ops / 2)) in
-            (n, r.Workloads.Runner.mops_per_sec))
-          [ 1; 4; 8; 16 ])
+  let allocator v = FL.Zofs_variant (v, "ZoFS") in
+  let mwcl_points global_alloc =
+    let sys = allocator { Zofs.Ufs.default_variant with global_alloc } in
+    List.map
+      (fun n ->
+        let r = Fx.mwcl.Fx.run sys ~nthreads:n ~ops:(max 20 (!fx_ops / 2)) in
+        (n, r.Workloads.Runner.mops_per_sec))
+      [ 1; 4; 8; 16 ]
   in
   let per_thread = mwcl_points false in
   let global = mwcl_points true in
@@ -736,10 +730,8 @@ let ablations () =
       "global list" :: List.map (fun (_, v) -> Report.f3 v) global;
     ];
   let batch_row b =
-    let r =
-      with_knob Zofs.Balloc.enlarge_batch b (fun () ->
-          Fx.dwal.Fx.run FL.Zofs ~nthreads:8 ~ops:!fx_ops)
-    in
+    let sys = allocator { Zofs.Ufs.default_variant with enlarge_batch = b } in
+    let r = Fx.dwal.Fx.run sys ~nthreads:8 ~ops:!fx_ops in
     [ string_of_int b; Report.f3 r.Workloads.Runner.mops_per_sec ]
   in
   Report.table ~title:"(c) coffer_enlarge batch size (DWAL, 8 threads, Mops/s)"

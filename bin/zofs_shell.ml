@@ -13,10 +13,15 @@ module Ft = Treasury.Fs_types
 type world = {
   dev : Nvm.Device.t;
   kfs : K.t;
-  disp : Treasury.Dispatcher.t;
-  fs : V.fs;
   proc : Sim.Proc.t;
+  mutable disp : Treasury.Dispatcher.t;
+  mutable fs : V.fs;
 }
+
+(* A fresh FSLib for the shell's process; call inside its sim thread. *)
+let fslib kfs =
+  let disp = Workloads.Fslab.zofs_dispatcher kfs in
+  (disp, Treasury.Dispatcher.as_vfs disp)
 
 let make_world ~image ~pages =
   (* The shell always runs with observability on: every syscall it issues
@@ -41,12 +46,9 @@ let make_world ~image ~pages =
     else K.mount dev mpk
   in
   let proc = Sim.Proc.create ~uid:0 ~gid:0 () in
-  let disp = ref None in
-  Sim.run_thread ~proc (fun () ->
-      disp := Some (Workloads.Fslab.zofs_dispatcher kfs));
-  let disp = Option.get !disp in
+  let disp, fs = Sim.run_thread ~proc (fun () -> fslib kfs) in
   Obs.attach_device dev;
-  { dev; kfs; disp; fs = Treasury.Dispatcher.as_vfs disp; proc }
+  { dev; kfs; proc; disp; fs }
 
 let commas n =
   let s = string_of_int n in
@@ -158,7 +160,14 @@ let run_command w line =
             "fsck: %d coffers scanned, %d dentries dropped, %d cross-refs \
              repaired, %d pages reclaimed\n"
             r.Zofs.Recovery.coffers_scanned r.Zofs.Recovery.dentries_dropped
-            r.Zofs.Recovery.cross_refs_repaired r.Zofs.Recovery.pages_reclaimed
+            r.Zofs.Recovery.cross_refs_repaired r.Zofs.Recovery.pages_reclaimed;
+          (* Recovery ends by unmounting this process's coffers, so the
+             shell's FSLib is stale: attach a fresh one in the same cwd. *)
+          let cwd = Treasury.Dispatcher.getcwd w.disp in
+          let disp, fs = fslib w.kfs in
+          w.disp <- disp;
+          w.fs <- fs;
+          show (Treasury.Dispatcher.chdir disp cwd)
       | [ "save"; path ] ->
           Nvm.Device.save_image w.dev path;
           Printf.printf "saved NVM image to %s\n" path

@@ -62,7 +62,6 @@ type t = {
   log_area_per_proc : int;
   mutable next_log_slot : int;
   mutable digests : int;  (* observability *)
-  mutable lease_acquires : int;
   lease_lock : Sim.Mutex.t;  (* serializes lease acquisition in the kernel *)
 }
 
@@ -96,7 +95,6 @@ let create ?(pages = 65536) ?(perf = Nvm.Perf.optane) () =
     log_area_per_proc = 256 * Nvm.page_size;
     next_log_slot = 0;
     digests = 0;
-    lease_acquires = 0;
     lease_lock = Sim.Mutex.create ~name:"strata-leases" ();
   }
 
@@ -215,7 +213,6 @@ let digest t ps =
 let ensure_lease t ps path =
   if Hashtbl.mem ps.ps_leases path then Sim.advance 15 (* cached lease check *)
   else begin
-    t.lease_acquires <- t.lease_acquires + 1;
     (* Lease acquisition is a kernel operation, serialized by the lease
        manager's lock: the check, the revocation (which digests the current
        holder's log) and the handover are one atomic step. *)
@@ -543,7 +540,6 @@ let ftruncate t fdn len =
   slow_path t ps (fun () -> Engine.truncate t.kernel s.fd_path len)
 
 let digest_count t = t.digests
-let lease_acquire_count t = t.lease_acquires
 
 let fs ?pages ?perf () = Treasury.Vfs.Fs ((module struct
   type nonrec t = t

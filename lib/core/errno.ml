@@ -73,7 +73,6 @@ let message = function
 
 let pp fmt e = Format.pp_print_string fmt (to_string e)
 let equal (a : t) b = a = b
-let testable_pp = pp
 
 (* Convenience combinators for the pervasive [('a, t) result] style. *)
 let ( let* ) = Result.bind

@@ -14,8 +14,6 @@ type cred = { uid : int; gid : int; groups : int list }
 let cred_of_proc (p : Sim.Proc.t) =
   { uid = p.Sim.Proc.uid; gid = p.Sim.Proc.gid; groups = p.Sim.Proc.groups }
 
-let root_cred = { uid = 0; gid = 0; groups = [] }
-
 type want = [ `R | `W | `X ]
 
 (* Classic owner/group/other check; uid 0 bypasses (as in Linux, modulo the

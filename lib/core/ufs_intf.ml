@@ -26,7 +26,6 @@ exception Coffer_unavailable of { cid : int; write : bool }
 type 'a outcome = ('a, fail) result
 
 let errno e : 'a outcome = Error (Errno e)
-let redirect p : 'a outcome = Error (Symlink p)
 
 module type S = sig
   type t

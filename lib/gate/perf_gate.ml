@@ -47,32 +47,39 @@ let ok = function
   | Ok v -> v
   | Error e -> failwith ("perf_gate: " ^ Treasury.Errno.to_string e)
 
+(* Open the measured phase of [ops] operations on [inst]: reset the device
+   stats, read the syscall and enlarge counters and the clock.  The
+   returned closure closes the phase and reads every metric. *)
+let measure ~ops inst =
+  let kfs = Option.get inst.FL.kernfs in
+  let dev = inst.FL.device in
+  let gate = Treasury.Kernfs.gate kfs in
+  Nvm.Device.reset_stats dev;
+  let c0 = Treasury.Gate.syscall_count gate in
+  let e0 = Treasury.Kernfs.enlarge_count kfs in
+  let t0 = Sim.now () in
+  fun () ->
+    {
+      ops;
+      sim_ns = Sim.now () - t0;
+      flushes = Nvm.Device.stat_flushes dev;
+      redundant_flushes = Nvm.Device.stat_redundant_flushes dev;
+      fences = Nvm.Device.stat_fences dev;
+      redundant_fences = Nvm.Device.stat_redundant_fences dev;
+      crossings = Treasury.Gate.syscall_count gate - c0;
+      enlarge_calls = Treasury.Kernfs.enlarge_count kfs - e0;
+    }
+
 (* Run [measured] in a fresh single-thread ZoFS world after [setup], with
-   device stats, the syscall counter and the enlarge counter bracketing
-   exactly the measured phase.  [measured] gets the whole instance, so it
-   can reach KernFS as well as the file system. *)
+   [measure] bracketing exactly the measured phase.  [measured] gets the
+   whole instance, so it can reach KernFS as well as the file system. *)
 let in_world ~ops ~setup ~measured () =
   Sim.run_thread ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ()) (fun () ->
       let inst = FL.make ~pages:16384 FL.Zofs in
-      let kfs = Option.get inst.FL.kernfs in
-      let dev = inst.FL.device in
       setup inst.FL.fs;
-      Nvm.Device.reset_stats dev;
-      let c0 = Treasury.Gate.syscall_count (Treasury.Kernfs.gate kfs) in
-      let e0 = Treasury.Kernfs.enlarge_count kfs in
-      let t0 = Sim.now () in
+      let stop = measure ~ops inst in
       measured inst;
-      {
-        ops;
-        sim_ns = Sim.now () - t0;
-        flushes = Nvm.Device.stat_flushes dev;
-        redundant_flushes = Nvm.Device.stat_redundant_flushes dev;
-        fences = Nvm.Device.stat_fences dev;
-        redundant_fences = Nvm.Device.stat_redundant_fences dev;
-        crossings =
-          Treasury.Gate.syscall_count (Treasury.Kernfs.gate kfs) - c0;
-        enlarge_calls = Treasury.Kernfs.enlarge_count kfs - e0;
-      })
+      stop ())
 
 let block = String.make 4096 'p'
 
@@ -275,12 +282,8 @@ let in_shared_world ~nprocs ~ops_per_proc ~setup ~worker () =
     (fun () ->
       let inst = FL.make ~pages:16384 FL.Zofs in
       let kfs = Option.get inst.FL.kernfs in
-      let dev = inst.FL.device in
       setup inst.FL.fs;
-      Nvm.Device.reset_stats dev;
-      let c0 = Treasury.Gate.syscall_count (Treasury.Kernfs.gate kfs) in
-      let e0 = Treasury.Kernfs.enlarge_count kfs in
-      let t0 = Sim.now () in
+      let stop = measure ~ops:(nprocs * ops_per_proc) inst in
       let live = ref nprocs in
       for p = 0 to nprocs - 1 do
         Sim.spawn world
@@ -296,21 +299,7 @@ let in_shared_world ~nprocs ~ops_per_proc ~setup ~worker () =
             done;
             decr live;
             (* the last tenant to drain closes the measured phase *)
-            if !live = 0 then
-              result :=
-                Some
-                  {
-                    ops = nprocs * ops_per_proc;
-                    sim_ns = Sim.now () - t0;
-                    flushes = Nvm.Device.stat_flushes dev;
-                    redundant_flushes = Nvm.Device.stat_redundant_flushes dev;
-                    fences = Nvm.Device.stat_fences dev;
-                    redundant_fences = Nvm.Device.stat_redundant_fences dev;
-                    crossings =
-                      Treasury.Gate.syscall_count (Treasury.Kernfs.gate kfs)
-                      - c0;
-                    enlarge_calls = Treasury.Kernfs.enlarge_count kfs - e0;
-                  })
+            if !live = 0 then result := Some (stop ()))
       done);
   Sim.run world;
   Option.get !result

@@ -5,7 +5,7 @@
    the happens-before + lockset detector of lib/race attached in fail
    mode; any unannotated race is a violation.  The summary pins each
    workload's shadow-map shape.  Two negatives MUST race: a lease-elided
-   append and a torn dual-thread dentry insert. *)
+   append and a torn two-process dentry insert. *)
 
 module FL = Workloads.Fslab
 module V = Treasury.Vfs
@@ -82,7 +82,9 @@ let chaos_lite () =
 
 (* Both scenarios run with the detector in fail mode and must raise
    {!Race.Race_found}: they exist to prove the sanitizer still has teeth.
-   The [Lease.elide_for_tid] knob makes one thread skip its leases — the
+   [body] sets up a ZoFS world in a root process; [pair] then runs [f] as
+   two processes over its KernFS, each with its own FSLib.  Process 0's
+   FSLib is the [elide_leases] variant: it skips its inode leases, the
    simulated equivalent of the locking bug the sanitizer is for. *)
 let run_negative body =
   Race.enable_auto Race.Fail;
@@ -90,61 +92,63 @@ let run_negative body =
   let caught = ref None in
   Fun.protect
     ~finally:(fun () ->
-      Zofs.Lease.elide_for_tid := None;
       Race.disable_auto ();
       Race.detach ())
     (fun () ->
       let world = Sim.create () in
-      let proc = Sim.Proc.create ~uid:0 ~gid:0 () in
-      Sim.spawn world ~proc ~name:"setup" (fun () -> body world proc caught);
+      let pair kfs name f =
+        for w = 0 to 1 do
+          let variant =
+            { Zofs.Ufs.default_variant with Zofs.Ufs.elide_leases = w = 0 }
+          in
+          Sim.spawn world
+            ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ())
+            ~name:(Printf.sprintf "%s%d" name w)
+            (fun () ->
+              try f w (FL.zofs_fslib ~variant kfs)
+              with Race.Race_found v -> caught := Some v)
+        done
+      in
+      Sim.spawn world
+        ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ())
+        ~name:"setup"
+        (fun () ->
+          let inst = FL.make FL.Zofs in
+          body inst.FL.fs (pair (Option.get inst.FL.kernfs)));
       (try Sim.run world with Race.Race_found v -> caught := Some v);
       Option.iter (fun v -> print_endline (Race.string_of_violation v)) !caught;
       !caught <> None || (Race.report ()).Race.r_races <> [])
 
 (* Two appenders overwrite the same file block; one elides the inode
-   lease.  The elided thread's size/mtime/data stores conflict with the
-   leased thread's. *)
+   lease.  The elided process's size/mtime/data stores conflict with the
+   leased process's. *)
 let elided_append () =
-  run_negative (fun world proc caught ->
-      let inst = FL.make FL.Zofs in
-      let fs = inst.FL.fs in
+  run_negative (fun fs pair ->
       let fd0 = ok (V.openf fs "/shared" [ Ft.O_CREAT; Ft.O_WRONLY ] 0o644) in
       for _ = 1 to 2 do
         ignore (ok (V.write fs fd0 block))
       done;
       ok (V.close fs fd0);
-      for w = 0 to 1 do
-        Sim.spawn world ~proc ~name:(Printf.sprintf "appender%d" w) (fun () ->
-            if w = 0 then Zofs.Lease.elide_for_tid := Some (Sim.self_tid ());
-            try
-              let fd = ok (V.openf fs "/shared" [ Ft.O_WRONLY ] 0) in
-              for _ = 1 to 24 do
-                ignore (ok (V.pwrite fs fd ~off:4096 block))
-              done;
-              ok (V.close fs fd)
-            with Race.Race_found v -> caught := Some v)
-      done)
+      pair "appender" (fun _ fs ->
+          let fd = ok (V.openf fs "/shared" [ Ft.O_WRONLY ] 0) in
+          for _ = 1 to 24 do
+            ignore (ok (V.pwrite fs fd ~off:4096 block))
+          done;
+          ok (V.close fs fd)))
 
 (* Two creators insert dentries into the same directory; one elides the
    directory lease, so both scan to the same free dentry slot and tear
    each other's insert. *)
 let torn_insert () =
-  run_negative (fun world proc caught ->
-      let inst = FL.make FL.Zofs in
-      let fs = inst.FL.fs in
+  run_negative (fun fs pair ->
       ok (V.mkdir fs "/d" 0o755);
-      for w = 0 to 1 do
-        Sim.spawn world ~proc ~name:(Printf.sprintf "creator%d" w) (fun () ->
-            if w = 0 then Zofs.Lease.elide_for_tid := Some (Sim.self_tid ());
-            try
-              for i = 0 to 15 do
-                let path = Printf.sprintf "/d/w%d_%d" w i in
-                let fd = ok (V.openf fs path [ Ft.O_CREAT; Ft.O_WRONLY ] 0o644) in
-                ignore (ok (V.write fs fd "x"));
-                ok (V.close fs fd)
-              done
-            with Race.Race_found v -> caught := Some v)
-      done)
+      pair "creator" (fun w fs ->
+          for i = 0 to 15 do
+            let path = Printf.sprintf "/d/w%d_%d" w i in
+            let fd = ok (V.openf fs path [ Ft.O_CREAT; Ft.O_WRONLY ] 0o644) in
+            ignore (ok (V.write fs fd "x"));
+            ok (V.close fs fd)
+          done))
 
 (* The committed baseline records the negatives' verdicts next to the
    suite, so [run] and the harness share one run of each. *)

@@ -210,17 +210,4 @@ let commit t =
     Ok ()
   end
 
-let with_txn t f =
-  begin_txn t;
-  match f () with
-  | Ok v ->
-      let* () = commit t in
-      Ok v
-  | Error e ->
-      rollback t;
-      Error e
-  | exception e ->
-      rollback t;
-      raise e
-
 let commit_count t = t.txn_commits

@@ -20,7 +20,6 @@ let as_int = function
   | Real f -> int_of_float f
   | Str s -> int_of_string s
 
-let as_str = function Str s -> s | v -> to_string v
 let as_real = function Real f -> f | Int i -> float_of_int i | Str s -> float_of_string s
 
 let encode values =

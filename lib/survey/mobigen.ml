@@ -16,18 +16,6 @@ type syscall =
   | Unlink of string
   | Stat of string
 
-let syscall_name = function
-  | Open _ -> "open"
-  | Read _ -> "read"
-  | Write _ -> "write"
-  | Close _ -> "close"
-  | Create _ -> "create"
-  | Chmod _ -> "chmod"
-  | Chown _ -> "chown"
-  | Rename _ -> "rename"
-  | Unlink _ -> "unlink"
-  | Stat _ -> "stat"
-
 let background_ops rng i =
   let f = Printf.sprintf "/data/cache/f%d" (i mod 500) in
   match Sim.Rng.int rng 5 with

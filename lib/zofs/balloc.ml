@@ -13,12 +13,13 @@
    dies, its slot's lease expires and the slot (with its pages) is reused
    by someone else. *)
 
-(* Both knobs are exposed for the ablation benches: [enlarge_batch] trades
-   kernel calls against space slack; [force_global] disables the per-thread
-   lists so every allocation takes the coffer-global lease (the paper's
-   motivation for Figure 6). *)
-let enlarge_batch = ref 16
-let force_global = ref false
+(* The default [coffer_enlarge] request, in pages.  Each allocator carries
+   its own batch and its own [global] flag (set per FSLib through
+   [Ufs.variant], for the ablation benches): the batch trades kernel calls
+   against space slack; [global] disables the per-thread lists so every
+   allocation takes the coffer-global lease (the paper's motivation for
+   Figure 6). *)
+let default_enlarge_batch = 16
 
 (* Append-heavy workloads drain a fixed-size batch at a constant rate, so the
    kernel-crossing staircase of Figure 7(d) has a step every [enlarge_batch]
@@ -36,6 +37,8 @@ type t = {
   kfs : Treasury.Kernfs.t;
   my_slot : (int, int) Hashtbl.t;  (* tid -> claimed slot index *)
   next_enlarge : (int, int) Hashtbl.t;  (* tid -> next request size *)
+  enlarge_batch : int;  (* base coffer_enlarge request, in pages *)
+  global : bool;  (* ablation: every allocation from the global list *)
 }
 
 let slot_addr t i = t.custom + Layout.c_slots + (i * Layout.slot_size)
@@ -59,7 +62,8 @@ let format dev ~custom =
     ~lease:(custom + Layout.c_global_lease)
     ~addr:(custom + Layout.c_global_head) ~len:16
 
-let attach dev ~custom ~cid kfs =
+let attach ?(enlarge_batch = default_enlarge_batch) ?(global = false) dev
+    ~custom ~cid kfs =
   if Nvm.Device.read_u32 dev (custom + Layout.c_magic) <> Layout.custom_magic
   then
     raise
@@ -72,6 +76,8 @@ let attach dev ~custom ~cid kfs =
     kfs;
     my_slot = Hashtbl.create 8;
     next_enlarge = Hashtbl.create 8;
+    enlarge_batch;
+    global;
   }
 
 let create dev ~custom ~cid kfs =
@@ -207,7 +213,7 @@ let enlarge_into_slot t slot =
   let want =
     match Hashtbl.find_opt t.next_enlarge tid with
     | Some v -> v
-    | None -> !enlarge_batch
+    | None -> t.enlarge_batch
   in
   match
     Transient.retry (fun () ->
@@ -217,8 +223,8 @@ let enlarge_into_slot t slot =
   | Ok runs ->
       let granted = List.fold_left (fun acc (_, len) -> acc + len) 0 runs in
       Hashtbl.replace t.next_enlarge tid
-        (if granted >= want then min (want * 2) (max enlarge_cap !enlarge_batch)
-         else !enlarge_batch);
+        (if granted >= want then min (want * 2) (max enlarge_cap t.enlarge_batch)
+         else t.enlarge_batch);
       (if own_slot t slot then
          let a = slot_addr t slot in
          Race.locked t.dev ~addr:(a + Layout.s_owner) (fun () ->
@@ -267,7 +273,7 @@ let rec alloc_page_global t =
   | None -> (
       match
         Transient.retry (fun () ->
-            Treasury.Kernfs.coffer_enlarge t.kfs t.cid ~n:!enlarge_batch)
+            Treasury.Kernfs.coffer_enlarge t.kfs t.cid ~n:t.enlarge_batch)
       with
       | Error e -> Error e
       | Ok runs ->
@@ -284,7 +290,7 @@ let rec alloc_page_global t =
           alloc_page_global t)
 
 let rec alloc_page t =
-  if !force_global then alloc_page_global t
+  if t.global then alloc_page_global t
   else
     match my_slot t with
     | None ->
@@ -330,7 +336,7 @@ let rec alloc_page t =
               then 0
               else
                 Lease.with_lease t.dev (t.custom + Layout.c_global_lease)
-                  (fun () -> refill_from_global t slot !enlarge_batch)
+                  (fun () -> refill_from_global t slot t.enlarge_batch)
             in
             if got > 0 then alloc_page t
             else (
@@ -354,7 +360,7 @@ let free_page t page =
      guards the page, and the free-list chaining below writes into it. *)
   Check.on_free t.dev page Layout.page_size;
   Race.on_recycle t.dev page Layout.page_size;
-  if !force_global then
+  if t.global then
     Lease.with_lease t.dev (t.custom + Layout.c_global_lease) (fun () ->
         push t
           ~head_addr:(t.custom + Layout.c_global_head)
@@ -374,18 +380,3 @@ let free_page t page =
             ~head_addr:(t.custom + Layout.c_global_head)
             ~count_addr:(t.custom + Layout.c_global_count)
             page)
-
-(* Pages sitting on free lists (for tests and for recovery accounting). *)
-let free_list_pages t =
-  let acc = ref [] in
-  let rec chase addr =
-    if addr <> 0 then begin
-      acc := addr :: !acc;
-      chase (read_next t addr)
-    end
-  in
-  chase (Nvm.Device.read_u64 t.dev (t.custom + Layout.c_global_head));
-  for i = 0 to Layout.n_slots - 1 do
-    chase (Nvm.Device.read_u64 t.dev (slot_addr t i + Layout.s_head))
-  done;
-  !acc

@@ -84,10 +84,6 @@ let set_owner dev ~ino ~uid:u ~gid:g =
   Nvm.Device.write_u32 dev (ino + i_gid) g;
   Nvm.Device.persist_range dev (ino + i_uid) 8
 
-let set_nlink dev ~ino v =
-  Nvm.Device.write_u32 dev (ino + i_nlink) v;
-  Nvm.Device.persist_range dev (ino + i_nlink) 4
-
 (* Size and mtime updates happen under the inode lease; their flush rides
    the lease-release fence (the publish point that audits them), so neither
    issues a fence of its own. *)

@@ -153,21 +153,12 @@ let holds dev addr =
   let v = Nvm.Device.read_u64 dev addr in
   code_of v = owner_code () && expiry_of v > Sim.now ()
 
-(* Negative self-check knob (mirroring Pbatch.over_elide): when set to a
-   thread id, [with_lease] on that thread skips the lease entirely and runs
-   [f] bare.  Only the race gate's negatives set it, to prove the race sanitizer
-   catches a lease-elided mutation; never set in production paths. *)
-let elide_for_tid : int option ref = ref None
-
 let with_lease ?duration ?deadline dev addr f =
-  if !elide_for_tid = Some (Sim.self_tid ()) then f ()
-  else begin
-    acquire ?duration ?deadline dev addr;
-    match f () with
-    | v ->
-        release dev addr;
-        v
-    | exception e ->
-        release dev addr;
-        raise e
-  end
+  acquire ?duration ?deadline dev addr;
+  match f () with
+  | v ->
+      release dev addr;
+      v
+  | exception e ->
+      release dev addr;
+      raise e

@@ -31,12 +31,10 @@
    a skipped clwb is one the device would have counted redundant, and a
    skipped sfence is one with nothing in flight to order.
 
-   [over_elide] is the negative self-check knob: when set, [barrier]
-   drops fences it knows are needed — modeling an over-aggressive
-   optimizer — so tests can assert that the persistence checker and the
-   crash model checker both catch the resulting missing-fence bug. *)
-
-let over_elide = ref false
+   The negative self-check for an over-aggressive elision is the device's
+   own fault, [Nvm.Device.inject_drop_fences]: the needed fence is not
+   issued, and the persistence checker and the crash model checker must
+   both catch the resulting missing-fence bug. *)
 
 (* Elision counters (lib/obs): how much work the batcher saved. *)
 let flushes_elided = "pbatch.flushes_elided"
@@ -51,10 +49,7 @@ let flush dev addr len =
   done
 
 let barrier dev =
-  if Nvm.Device.flushing_lines dev > 0 then begin
-    if !over_elide then Obs.cnt "pbatch.fences_overelided" 1
-    else Nvm.Device.sfence dev
-  end
+  if Nvm.Device.flushing_lines dev > 0 then Nvm.Device.sfence dev
   else Obs.cnt_coffer fences_elided 1
 
 (* [flush] + [barrier]: a batched [persist_range] for the spots that are

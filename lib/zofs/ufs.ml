@@ -27,9 +27,28 @@ let ctype = 1
    pay this per prefix (paper §6.2). *)
 let prefix_check_cost = 45
 
-type variant = { sysempty : bool; kwrite : bool; one_coffer : bool }
+(* One FSLib's configuration: the paper's ablations (Fig. 8's sysempty and
+   kwrite, Table 9's one_coffer, §5.2's allocator batch and global list)
+   and the race gate's negative, [elide_leases]: every inode lease of this
+   FSLib is skipped, the locking bug the race sanitizer exists for. *)
+type variant = {
+  sysempty : bool;
+  kwrite : bool;
+  one_coffer : bool;
+  enlarge_batch : int;
+  global_alloc : bool;
+  elide_leases : bool;
+}
 
-let default_variant = { sysempty = false; kwrite = false; one_coffer = false }
+let default_variant =
+  {
+    sysempty = false;
+    kwrite = false;
+    one_coffer = false;
+    enlarge_batch = Balloc.default_enlarge_batch;
+    global_alloc = false;
+    elide_leases = false;
+  }
 
 type coffer_sess = {
   cs_cid : int;
@@ -121,12 +140,16 @@ let with_coffer t cs ~write f =
 
    The batched commit paths leave their last stores (size/mtime, intention
    clear, dentry valid byte) flushed but unfenced; [Lease.release] is the
-   operation's final ordering point and fences them exactly once. *)
+   operation's final ordering point and fences them exactly once.  The
+   [elide_leases] variant runs [f] with no lease at all. *)
 let with_inode_lease t ?balloc ~ino f =
-  Lease.with_lease t.dev (Inode.lease_addr ~ino) (fun () ->
-      let free = Option.map (fun b page -> Balloc.free_page b page) balloc in
-      if Intent.repair ?free t.dev ~ino then Obs.cnt "lease.steals_repaired" 1;
-      f ())
+  let body () =
+    let free = Option.map (fun b page -> Balloc.free_page b page) balloc in
+    if Intent.repair ?free t.dev ~ino then Obs.cnt "lease.steals_repaired" 1;
+    f ()
+  in
+  if t.variant.elide_leases then body ()
+  else Lease.with_lease t.dev (Inode.lease_addr ~ino) body
 
 let forget_session t cs =
   Hashtbl.remove t.sessions cs.cs_cid;
@@ -175,7 +198,10 @@ let map_coffer t cid =
           let balloc =
             Mpk.with_keys t.mpk
               [ (m.K.m_pkey, Mpk.Pk_read) ]
-              (fun () -> Balloc.attach t.dev ~custom:m.K.m_custom ~cid t.kfs)
+              (fun () ->
+                Balloc.attach ~enlarge_batch:t.variant.enlarge_batch
+                  ~global:t.variant.global_alloc t.dev ~custom:m.K.m_custom
+                  ~cid t.kfs)
           in
           let cs =
             {

@@ -262,32 +262,45 @@ let test_exhaustive_mixed_ops () =
 
 (* A deliberately dropped fence (acknowledged op whose lines never reach
    NVM) must be reported as a divergence — otherwise the checker is blind
-   to its entire reason for existing. *)
+   to its entire reason for existing.  Two inputs: the fslab script, and a
+   two-op create + append whose append is the persist batcher's batched
+   path, so a fence the batcher needed and did not issue is caught too. *)
 let test_missing_fence_is_caught () =
-  match C.check_missing_fence (Op.find "fslab") with
-  | Some _reason -> ()
-  | None -> Alcotest.fail "injected missing fence was not caught"
+  let create_append =
+    {
+      Op.sname = "unit-dropped-fence";
+      setup = [ Op.Mkdir "/d" ];
+      body =
+        [
+          Op.Create { path = "/d/f"; mode = 0o644; data = "hello" };
+          Op.Append { path = "/d/f"; data = String.make 150 'w' };
+        ];
+    }
+  in
+  List.iter
+    (fun s ->
+      match C.check_missing_fence s with
+      | Some _reason -> ()
+      | None ->
+          Alcotest.failf "%s: injected missing fence was not caught" s.Op.sname)
+    [ Op.find "fslab"; create_append ]
 
-(* The persist batcher's own negative knob: [Zofs.Pbatch.over_elide] makes
-   [Pbatch.barrier] drop fences it knows are needed — an over-aggressive
-   optimizer.  Both independent auditors must catch the resulting bug
-   class; if either goes quiet, an elision bug could ship silently. *)
-
-(* 1. The persistence checker: publish points see lines flushed but never
-   fenced, and flag missing-fence. *)
+(* The persistence checker is the other auditor of a fence not issued
+   (the device fault [Nvm.Device.inject_drop_fences], standing for an
+   over-aggressive elision in the persist batcher): publish points see
+   lines flushed but never fenced, and it must flag missing-fence. *)
 let test_over_elide_flagged_by_persistence_checker () =
   Check.enable_auto ~persist:Check.Log ~guideline:Check.Off ~lock:Check.Off;
   Check.reset_report ();
-  Zofs.Pbatch.over_elide := true;
   Fun.protect
     ~finally:(fun () ->
-      Zofs.Pbatch.over_elide := false;
       Check.disable_auto ();
       Check.detach ();
       Check.reset_report ())
     (fun () ->
       Sim.run_thread ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ()) (fun () ->
           let inst = Workloads.Fslab.make ~pages:2048 Workloads.Fslab.Zofs in
+          Nvm.Device.inject_drop_fences inst.Workloads.Fslab.device max_int;
           let fs = inst.Workloads.Fslab.fs in
           let module V = Treasury.Vfs in
           ignore (V.mkdir fs "/d" 0o755);
@@ -302,29 +315,6 @@ let test_over_elide_flagged_by_persistence_checker () =
            (String.concat "," rules))
         true
         (List.mem "missing-fence" rules))
-
-(* 2. The crash model checker: some crash point now loses an acknowledged
-   op (its lines were flushed but never ordered), and recovery lands on a
-   state the oracle rejects. *)
-let test_over_elide_caught_by_crashmc () =
-  Zofs.Pbatch.over_elide := true;
-  Fun.protect
-    ~finally:(fun () -> Zofs.Pbatch.over_elide := false)
-    (fun () ->
-      let s =
-        {
-          Op.sname = "unit-over-elide";
-          setup = [ Op.Mkdir "/d" ];
-          body =
-            [
-              Op.Create { path = "/d/f"; mode = 0o644; data = "hello" };
-              Op.Append { path = "/d/f"; data = String.make 150 'w' };
-            ];
-        }
-      in
-      let rep = C.check s in
-      Alcotest.(check bool) "crashmc reports divergences" true
-        (rep.C.r_divergences <> []))
 
 let () =
   Alcotest.run "crashmc"
@@ -363,7 +353,5 @@ let () =
             test_missing_fence_is_caught;
           Alcotest.test_case "over-elided fence: persistence checker" `Quick
             test_over_elide_flagged_by_persistence_checker;
-          Alcotest.test_case "over-elided fence: crashmc" `Slow
-            test_over_elide_caught_by_crashmc;
         ] );
     ]

@@ -858,6 +858,64 @@ let test_balloc_64_processes_one_lease_period () =
   Alcotest.(check int) "64 distinct pages" 64
     (List.length (List.sort_uniq compare pages))
 
+(* A variant configures one FSLib, not the process.  Three worlds of 64
+   4 KB appends run in one process: a default world, a world whose
+   allocator asks KernFS for 4 pages at a time, and a default world again.
+   The small batch makes more coffer_enlarge calls; the last world matches
+   the first exactly, so nothing of the variant outlived its instance.  A
+   [global_alloc] world takes every page from the coffer-global list and
+   never claims a per-thread slot. *)
+let test_variants_are_per_instance () =
+  let block = String.make 4096 'v' in
+  let appends variant =
+    let w = make_world ~perf:Nvm.Perf.optane () in
+    let elapsed = ref 0 in
+    in_proc ~variant w (fun fs ->
+        let t0 = Sim.now () in
+        let fd =
+          ok_or_fail
+            (V.openf fs "/a" [ Ft.O_CREAT; Ft.O_WRONLY; Ft.O_APPEND ] 0o644)
+        in
+        for _ = 1 to 64 do
+          ignore (ok_or_fail (V.write fs fd block))
+        done;
+        ok_or_fail (V.close fs fd);
+        elapsed := Sim.now () - t0);
+    (w, (K.enlarge_count w.kfs, !elapsed, Nvm.Device.stat_fences w.dev))
+  in
+  let default = Zofs.Ufs.default_variant in
+  let _, fresh = appends default in
+  let _, small = appends { default with Zofs.Ufs.enlarge_batch = 4 } in
+  let _, after = appends default in
+  let enlarges (n, _, _) = n in
+  Alcotest.(check bool)
+    (Printf.sprintf "batch 4 enlarges more (%d > %d)" (enlarges small)
+       (enlarges fresh))
+    true
+    (enlarges small > enlarges fresh);
+  Alcotest.(check (triple int int int))
+    "default world after a variant = fresh default world" fresh after;
+  let w, (global_enlarges, _, _) =
+    appends { default with Zofs.Ufs.global_alloc = true }
+  in
+  Alcotest.(check bool) "global list refilled from KernFS" true
+    (global_enlarges > 0);
+  Sim.run_thread (fun () ->
+      Mpk.with_kernel w.mpk (fun () ->
+          let info =
+            Option.get (Treasury.Coffer.read w.dev ~id:(K.root_coffer w.kfs))
+          in
+          for i = 0 to Zofs.Layout.n_slots - 1 do
+            let owner =
+              info.Treasury.Coffer.custom + Zofs.Layout.c_slots
+              + (i * Zofs.Layout.slot_size) + Zofs.Layout.s_owner
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "slot %d unclaimed" i)
+              0
+              (Nvm.Device.read_u64 w.dev owner)
+          done))
+
 (* Every directory whose mode differs from its parent's coffer becomes a
    sub-coffer, mapped into the creating process: past the 15 MPK regions
    the creation must evict an idle coffer instead of failing. *)
@@ -993,6 +1051,8 @@ let () =
             test_many_sub_coffers_no_emfile;
           Alcotest.test_case "dispatcher surface" `Quick
             test_dispatcher_surface;
+          Alcotest.test_case "variants are per instance" `Quick
+            test_variants_are_per_instance;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest qcheck_fs_matches_model ]);
     ]
