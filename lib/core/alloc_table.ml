@@ -10,7 +10,7 @@
    fits), and no simulated cost depends on a tree's shape.
 
    Crash consistency: per-page owner words are written before the table
-   region is flushed; recovery rescans the table, and leaked pages (allocated
+   region is flushed; mount rescans the table, and leaked pages (allocated
    in the table but unreachable in their coffer) are reclaimed by the
    coffer_recover protocol, so a torn multi-page update is always repairable. *)
 
@@ -94,31 +94,56 @@ let format dev ~base ~npages =
   index_add t 0 all_free;
   t
 
+(* Rebuild the volatile indexes at mount.  Owner words are authoritative;
+   run-length words are hints that a crash, or [set_range]'s coalescing,
+   can leave wrong.  The table is read a page at a time, and a run's entries
+   are rewritten only if one of its length words is wrong; the lines those
+   rewrites dirtied are flushed under one fence, so a clean table costs no
+   store and no flush. *)
 let load dev ~base ~npages =
   let t = empty dev ~base ~npages in
-  (* Rebuild volatile indexes by scanning page-by-page (we do not trust the
-     run lengths after a crash: owner words are authoritative). *)
+  let table = Bytes.create (table_bytes npages) in
+  let off = ref 0 in
+  while !off < Bytes.length table do
+    let n = min Nvm.page_size (Bytes.length table - !off) in
+    Nvm.Device.blit_to_bytes dev (base + !off) table !off n;
+    off := !off + n
+  done;
+  let word p field =
+    Int32.to_int (Bytes.get_int32_le table ((p * entry_size) + field))
+    land 0xFFFF_FFFF
+  in
+  let repaired = ref [] in
   let page = ref 0 in
   while !page < npages do
-    let cid, _len = read_entry t !page in
     let start = !page in
-    let n = ref 1 in
+    let cid = word start 0 in
     incr page;
-    let continue_run = ref true in
-    while !continue_run && !page < npages do
-      let cid', _ = read_entry t !page in
-      if cid' = cid then begin
-        incr n;
-        incr page
-      end
-      else continue_run := false
+    while !page < npages && word !page 0 = cid do
+      incr page
     done;
-    let run = { cid; len = !n } in
-    (* Repair run lengths in place if a crash tore them. *)
-    write_run t start run;
+    let run = { cid; len = !page - start } in
+    let rec lengths_ok j =
+      j = run.len || (word (start + j) 4 = run.len - j && lengths_ok (j + 1))
+    in
+    if not (lengths_ok 0) then begin
+      write_run t start run;
+      repaired := (start, run.len) :: !repaired
+    end;
     index_add t start run
   done;
-  persist_entries t 0 npages;
+  if !repaired <> [] then begin
+    List.iter
+      (fun (start, len) ->
+        let line = ref (entry_addr t start / Nvm.line_size * Nvm.line_size) in
+        while !line < entry_addr t (start + len) do
+          if Nvm.Device.line_needs_flush dev !line then
+            Nvm.Device.clwb dev !line;
+          line := !line + Nvm.line_size
+        done)
+      !repaired;
+    Nvm.Device.sfence dev
+  end;
   t
 
 let npages t = t.npages
@@ -197,8 +222,9 @@ let set_range t ~start ~len ~cid =
   (* Persistent writes cover only the pages whose owner actually changed:
      the requested range.  Leftover pieces keep their owner words, and the
      run-length words of coalesced neighbours are left stale — they are an
-     acceleration hint; recovery scans owner words page by page (see
-     [load]).  This keeps every update O(len) even as coffers grow. *)
+     acceleration hint; [load] rebuilds the runs from the owner words and
+     repairs the stale lengths at the next mount.  This keeps every update
+     O(len) even as coffers grow. *)
   List.iter (fun (s, run) -> index_add t s run) leftovers;
   let merged = { cid; len = !new_len } in
   index_add t !new_start merged;

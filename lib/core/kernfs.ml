@@ -71,6 +71,8 @@ type t = {
   coffers : (int, Coffer.info) Hashtbl.t;  (* volatile cache of root pages *)
   procs : (int, proc_state) Hashtbl.t;
   mappers : (int, int list ref) Hashtbl.t;  (* cid -> pids mapping it *)
+  recoveries : (int, int * int) Hashtbl.t;
+      (* cid in recovery -> pid that began it, sim ns its lease runs to *)
   mutable root_cid : int;
   mutable enlarge_calls : int;
   health : (int, health) Hashtbl.t;  (* cid -> health; absent = Healthy *)
@@ -154,6 +156,19 @@ let check_access t cid wants =
   if Fs_types.permits ~mode:c.Coffer.mode ~uid:c.Coffer.uid ~gid:c.Coffer.gid (cred ()) wants
   then Ok c
   else Error Errno.EACCES
+
+(* A coffer is in recovery from coffer_recover_begin until
+   coffer_recover_end or the expiry of its recovery lease (paper §3.5).
+   Meanwhile no other process may map it, and nobody may change which pages
+   it owns: the recoverer checks every pointer it follows against the runs
+   coffer_recover_begin handed it.  A recoverer that died or stalled past
+   the lease leaves the coffer to whoever recovers it next. *)
+let recovering t cid =
+  match Hashtbl.find_opt t.recoveries cid with
+  | Some (_, lease) -> Sim.now () < lease
+  | None -> false
+
+let not_recovering t cid = if recovering t cid then Error Errno.EBUSY else Ok ()
 
 (* Charge [n] pages of PTE work at [per_page] ns each, in one advance: the
    PTEs of one run appear in one step, and other threads run once per run,
@@ -301,6 +316,7 @@ let mkfs dev mpk ?(nbuckets = 4096) ~root_ctype ~root_mode ~root_uid ~root_gid (
       coffers = Hashtbl.create 64;
       procs = Hashtbl.create 16;
       mappers = Hashtbl.create 64;
+      recoveries = Hashtbl.create 8;
       root_cid = 0;
       enlarge_calls = 0;
       health = Hashtbl.create 16;
@@ -342,6 +358,7 @@ let mount dev mpk =
       coffers = Hashtbl.create 64;
       procs = Hashtbl.create 16;
       mappers = Hashtbl.create 64;
+      recoveries = Hashtbl.create 8;
       root_cid = 0;
       enlarge_calls = 0;
       health = Hashtbl.create 16;
@@ -353,6 +370,15 @@ let mount dev mpk =
   Path_map.iter pm (fun path cid ->
       match Coffer.read dev ~id:cid with
       | Some info ->
+          (* No recovery survives a mount: a flag a crash left set would
+             fence the coffer off for good. *)
+          let info =
+            if not info.Coffer.in_recovery then info
+            else begin
+              Coffer.set_recovery dev ~id:cid ~active:false ~lease:0;
+              { info with Coffer.in_recovery = false }
+            end
+          in
           Hashtbl.replace t.coffers cid info;
           if path = "/" then t.root_cid <- cid
       | None -> ());
@@ -515,7 +541,7 @@ let coffer_new t ~path ~ctype ~mode ~uid ~gid =
 let coffer_delete t cid =
   kernel_op t (fun () ->
       let* c = coffer_info t cid in
-      if cid = t.root_cid then Error Errno.EBUSY
+      if cid = t.root_cid || recovering t cid then Error Errno.EBUSY
       else
         let parent = Pathx.dirname c.Coffer.path in
         match Path_map.longest_prefix t.pm parent with
@@ -528,6 +554,7 @@ let coffer_delete t cid =
             Alloc_table.free_coffer t.at ~cid;
             Hashtbl.remove t.coffers cid;
             Hashtbl.remove t.mappers cid;
+            Hashtbl.remove t.recoveries cid;
             Ok ())
 
 (* Pages are granted in chunks so one large batched request degrades
@@ -553,6 +580,7 @@ let coffer_enlarge t cid ~n =
          7(d)/(g). *)
       Sim.advance (1500 + (200 * Sim.live_threads ()));
       let* _ = check_access t cid [ `W ] in
+      let* () = not_recovering t cid in
       let rec grab acc got =
         if got >= n then Ok (List.rev acc)
         else if got > 0 && trip_transient t <> None then
@@ -587,6 +615,7 @@ let owns_run t cid ~moving (start, len) =
 let coffer_shrink t cid ~runs =
   kernel_op t (fun () ->
       let* _ = check_access t cid [ `W ] in
+      let* () = not_recovering t cid in
       if not (List.for_all (owns_run t cid ~moving:true) runs) then
         Error Errno.EINVAL
       else begin
@@ -605,7 +634,7 @@ let coffer_map t cid =
       let pid = (Sim.self_proc ()).Sim.Proc.pid in
       let* ps = proc_state t pid in
       let* c = coffer_info t cid in
-      if c.Coffer.in_recovery then Error Errno.EBUSY
+      if recovering t cid then Error Errno.EBUSY
       else
         match Hashtbl.find_opt ps.ps_mapped cid with
         | Some m ->
@@ -701,6 +730,7 @@ let coffer_split t ~src ~new_path ~ctype ~mode ~uid ~gid ~runs ~root_file
   kernel_op t (fun () ->
       let new_path = Pathx.normalize new_path in
       let* c = coffer_info t src in
+      let* () = not_recovering t src in
       let* () = check_new_path new_path in
       let* () = check_mode mode in
       let cr = cred () in
@@ -748,6 +778,8 @@ let coffer_merge t ~dst ~src =
       else
         let* csrc = coffer_info t src in
         let* cdst = coffer_info t dst in
+        let* () = not_recovering t src in
+        let* () = not_recovering t dst in
         let* _ = check_access t dst [ `W ] in
         let* _ = check_access t src [ `W ] in
         if
@@ -768,6 +800,7 @@ let coffer_merge t ~dst ~src =
           let* () = Path_map.remove t.pm csrc.Coffer.path in
           Hashtbl.remove t.coffers src;
           Hashtbl.remove t.mappers src;
+          Hashtbl.remove t.recoveries src;
           (* Make the adopted pages visible to dst's mappers. *)
           map_everywhere t dst (List.filter (fun (s, _l) -> s <> src) runs);
           Ok ()
@@ -816,42 +849,54 @@ let recovery_lease_ns = 1_000_000_000
 let coffer_recover_begin t cid =
   kernel_op t (fun () ->
       let* c = coffer_info t cid in
-      let now = Sim.now () in
-      if c.Coffer.in_recovery then Error Errno.EBUSY
-      else begin
-        let* _ = check_access t cid [ `W ] in
-        Coffer.set_recovery t.dev ~id:cid ~active:true
-          ~lease:(now + recovery_lease_ns);
-        Hashtbl.replace t.coffers cid { c with Coffer.in_recovery = true };
-        (* Unmap from every process except the initiator. *)
-        let me = (Sim.self_proc ()).Sim.Proc.pid in
-        List.iter
-          (fun pid -> if pid <> me then unmap_from_process t cid pid)
-          (mappers_of t cid);
-        Ok (Alloc_table.runs_of t.at ~cid)
-      end)
+      let* () = not_recovering t cid in
+      let* _ = check_access t cid [ `W ] in
+      let lease = Sim.now () + recovery_lease_ns in
+      Coffer.set_recovery t.dev ~id:cid ~active:true ~lease;
+      Hashtbl.replace t.coffers cid { c with Coffer.in_recovery = true };
+      let me = (Sim.self_proc ()).Sim.Proc.pid in
+      Hashtbl.replace t.recoveries cid (me, lease);
+      (* Unmap from every process except the initiator. *)
+      List.iter
+        (fun pid -> if pid <> me then unmap_from_process t cid pid)
+        (mappers_of t cid);
+      Ok (Alloc_table.runs_of t.at ~cid))
 
-(* The initiator reports the pages still in use; KernFS reclaims the rest. *)
+(* The initiator reports the pages still in use; KernFS reclaims the rest.
+   Only the process that began the recovery may end it: one whose lease
+   expired and was taken over would report an in-use set from its own,
+   abandoned scan. *)
 let coffer_recover_end t cid ~in_use =
   kernel_op t (fun () ->
       let* c = coffer_info t cid in
-      if not c.Coffer.in_recovery then Error Errno.EINVAL
-      else begin
-        let keep = Hashtbl.create 256 in
-        Hashtbl.replace keep cid ();
-        List.iter (fun p -> Hashtbl.replace keep p ()) in_use;
-        let runs = Alloc_table.runs_of t.at ~cid in
-        List.iter
-          (fun (start, len) ->
-            for p = start to start + len - 1 do
-              if not (Hashtbl.mem keep p) then
-                Alloc_table.free_run t.at ~start:p ~len:1
-            done)
-          runs;
-        Coffer.set_recovery t.dev ~id:cid ~active:false ~lease:0;
-        Hashtbl.replace t.coffers cid { c with Coffer.in_recovery = false };
-        Ok ()
-      end)
+      match Hashtbl.find_opt t.recoveries cid with
+      | None -> Error Errno.EINVAL
+      | Some (pid, _) when pid <> (Sim.self_proc ()).Sim.Proc.pid ->
+          Error Errno.EBUSY
+      | Some _ ->
+          Hashtbl.remove t.recoveries cid;
+          let keep = Hashtbl.create 256 in
+          Hashtbl.replace keep cid ();
+          List.iter (fun p -> Hashtbl.replace keep p ()) in_use;
+          (* Free each maximal stretch of unkept pages with one call. *)
+          List.iter
+            (fun (start, len) ->
+              let stop = start + len in
+              let p = ref start in
+              while !p < stop do
+                if Hashtbl.mem keep !p then incr p
+                else begin
+                  let first = !p in
+                  while !p < stop && not (Hashtbl.mem keep !p) do
+                    incr p
+                  done;
+                  Alloc_table.free_run t.at ~start:first ~len:(!p - first)
+                end
+              done)
+            (Alloc_table.runs_of t.at ~cid);
+          Coffer.set_recovery t.dev ~id:cid ~active:false ~lease:0;
+          Hashtbl.replace t.coffers cid { c with Coffer.in_recovery = false };
+          Ok ())
 
 (* ---- file operations that need the kernel (paper §3.3) ----------------- *)
 
@@ -920,8 +965,8 @@ let reclaim_orphan_runs t =
       done;
       Ok (List.rev !orphans))
 
-(* Which coffer owns [page] (0 = free)?  Used by the offline recovery tool
-   to validate pointers before trusting them. *)
+(* Which coffer owns [page] (0 = free)?  The dispatcher asks it to name the
+   coffer a fault hit. *)
 let page_owner t ~page =
   kernel_op t (fun () ->
       if page < 0 || page >= Alloc_table.npages t.at then Error Errno.EINVAL

@@ -94,7 +94,8 @@ val mkfs :
 val mount : Nvm.Device.t -> Mpk.t -> t
 (** Reload an existing file system: rescans the allocation table (owner
     words are authoritative; run-length hints are repaired) and the path
-    map. *)
+    map.  A coffer a crash left marked in recovery is durably unmarked: no
+    recovery survives a mount. *)
 
 val device : t -> Nvm.Device.t
 val mpk : t -> Mpk.t
@@ -147,7 +148,8 @@ val coffer_new :
     the path or a mode outside [0..0o7777]. *)
 
 val coffer_delete : t -> int -> (unit, Errno.t) result
-(** Unmap everywhere, free all pages, remove the path-map entry. *)
+(** Unmap everywhere, free all pages, remove the path-map entry.  [EBUSY]
+    for the root coffer and during recovery. *)
 
 val coffer_enlarge : t -> int -> n:int -> ((int * int) list, Errno.t) result
 (** Grant up to [n] more pages (as page runs) to the coffer and map them
@@ -156,12 +158,14 @@ val coffer_enlarge : t -> int -> n:int -> ((int * int) list, Errno.t) result
     in chunks: allocation pressure (a transient fault, or the table filling
     up) after the first chunk returns a partial, nonempty grant instead of
     an error, and the call's metrics ([enlarge_count], the shootdown) are
-    paid exactly once either way.  An error means no pages were granted. *)
+    paid exactly once either way.  An error means no pages were granted;
+    [EBUSY] during recovery. *)
 
 val coffer_shrink : t -> int -> runs:(int * int) list -> (unit, Errno.t) result
 (** Return pages to the global pool (validated to belong to the coffer and
     to exclude its root page).  [EINVAL] for any run that fails this,
-    including an empty run or one reaching outside the table. *)
+    including an empty run or one reaching outside the table; [EBUSY]
+    during recovery. *)
 
 val coffer_map : t -> int -> (mapping, Errno.t) result
 (** Permission-check the caller, assign a free MPK key (of the 15 usable),
@@ -197,11 +201,12 @@ val coffer_split :
 (** Move [runs] (chosen by the µFS) out of [src] into a brand-new coffer
     with a new permission — the expensive operation behind ZoFS's chmod
     (paper §6.4, Table 9).  Path and mode are checked as in {!coffer_new}
-    before any run moves. *)
+    before any run moves.  [EBUSY] while [src] is in recovery. *)
 
 val coffer_merge : t -> dst:int -> src:int -> (unit, Errno.t) result
 (** Absorb [src] (same permission required) into [dst]; src's root page is
-    freed and dst's mappers see the adopted pages. *)
+    freed and dst's mappers see the adopted pages.  [EBUSY] while either is
+    in recovery. *)
 
 val coffer_rename : t -> int -> new_path:string -> (unit, Errno.t) result
 (** Re-key the coffer and every descendant coffer in the path map, and
@@ -209,13 +214,23 @@ val coffer_rename : t -> int -> new_path:string -> (unit, Errno.t) result
 
 (** {1 Recovery protocol (paper §3.5)} *)
 
+val recovery_lease_ns : int
+(** How long a recovery holds its coffer: 1 s of simulated time. *)
+
 val coffer_recover_begin : t -> int -> ((int * int) list, Errno.t) result
-(** Mark in-recovery (with a lease in the root page), unmap the coffer from
-    everyone but the caller, and return its page runs. *)
+(** Mark in-recovery (with a lease of {!recovery_lease_ns} in the root
+    page), unmap the coffer from everyone but the caller, and return its
+    page runs, sorted by start.  Until the matching [coffer_recover_end] or
+    the lease's expiry, the coffer is in recovery: [coffer_map],
+    [coffer_recover_begin] and every call that changes which pages it owns
+    return [EBUSY], so the runs stay exact.  A recovery whose lease has
+    expired is taken over. *)
 
 val coffer_recover_end : t -> int -> in_use:int list -> (unit, Errno.t) result
 (** The initiator reports the page numbers still in use; every other page of
-    the coffer is reclaimed into the global pool. *)
+    the coffer is reclaimed into the global pool.  [EINVAL] if the coffer
+    is not in recovery; [EBUSY] if the caller did not begin its recovery,
+    as when its lease expired and another process took over. *)
 
 (** {1 File operations needing the kernel (paper §3.3)} *)
 
@@ -241,8 +256,8 @@ val reclaim_orphan_runs : t -> ((int * int * int) list, Errno.t) result
     persisted).  Returns the reclaimed [(owner, start, len)] runs. *)
 
 val page_owner : t -> page:int -> (int, Errno.t) result
-(** Owning coffer-ID of a page (0 = free); used by fsck to validate
-    pointers. *)
+(** Owning coffer-ID of a page (0 = free); the dispatcher names the coffer
+    a fault hit with it. *)
 
 val enlarge_count : t -> int
 val free_pages : t -> int

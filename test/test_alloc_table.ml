@@ -127,6 +127,37 @@ let test_reload_after_crash () =
   A.verify t';
   Alcotest.check runs "allocation durable" [ (0, 16) ] (A.runs_of t' ~cid:9)
 
+(* A run-length word torn durably (or left stale) is repaired at load:
+   owner words decide the runs, the repaired words are persisted, and a
+   later load finds nothing to rewrite.  A clean table loads with no store
+   and no flush. *)
+let test_load_repairs_torn_lengths () =
+  let dev, t = mk () in
+  ignore (A.alloc t ~cid:3 ~n:10);
+  ignore (A.alloc t ~cid:4 ~n:5);
+  let flushes_of_load () =
+    let writes = D.stat_writes dev and flushes = D.stat_flushes dev in
+    let t' = A.load dev ~base:0 ~npages in
+    A.verify t';
+    Alcotest.check runs "cid 3" [ (0, 10) ] (A.runs_of t' ~cid:3);
+    Alcotest.check runs "cid 4" [ (10, 5) ] (A.runs_of t' ~cid:4);
+    (D.stat_writes dev - writes, D.stat_flushes dev - flushes)
+  in
+  Alcotest.(check (pair int int)) "a clean table: no store, no flush" (0, 0)
+    (flushes_of_load ());
+  (* page 3 of cid 3's run should read 7 *)
+  let len_word = (3 * A.entry_size) + 4 in
+  D.write_u32 dev len_word 99;
+  D.persist_range dev len_word 4;
+  D.crash ~policy:`Drop_all dev;
+  let writes, flushes = flushes_of_load () in
+  Alcotest.(check bool) "the torn run is rewritten" true (writes > 0);
+  Alcotest.(check bool) "and flushed" true (flushes > 0);
+  D.crash ~policy:`Drop_all dev;
+  Alcotest.(check (pair int int)) "the repair was durable" (0, 0)
+    (flushes_of_load ());
+  Alcotest.(check int) "length word" 7 (D.read_u32 dev len_word)
+
 let qcheck_random_ops_keep_invariants =
   QCheck.Test.make ~name:"random alloc/free keeps table consistent" ~count:60
     QCheck.(
@@ -322,6 +353,8 @@ let () =
         [
           Alcotest.test_case "reload" `Quick test_persistence_across_reload;
           Alcotest.test_case "crash + reload" `Quick test_reload_after_crash;
+          Alcotest.test_case "load repairs torn run lengths" `Quick
+            test_load_repairs_torn_lengths;
         ] );
       ( "properties",
         [

@@ -466,6 +466,46 @@ let test_recover_reclaims_leaked_pages () =
       let info = ok_or_fail (K.coffer_stat kfs c.Coffer.id) in
       Alcotest.(check bool) "recovery done" false info.Coffer.in_recovery)
 
+(* While a coffer is in recovery nobody may change which pages it owns:
+   the recoverer checks every pointer it follows against the runs
+   coffer_recover_begin returned.  Once recovery ends the same calls go
+   through. *)
+let test_recovery_freezes_ownership () =
+  let _, _, kfs = mk () in
+  as_user (fun () ->
+      ok_or_fail (K.fs_mount kfs);
+      let coffer path =
+        (ok_or_fail
+           (K.coffer_new kfs ~path ~ctype:zofs_ctype ~mode:0o600 ~uid:1000
+              ~gid:1000))
+          .Coffer.id
+      in
+      let r = coffer "/r" and s = coffer "/s" in
+      let start, _ = List.hd (ok_or_fail (K.coffer_enlarge kfs r ~n:4)) in
+      let runs = ok_or_fail (K.coffer_recover_begin kfs r) in
+      expect_err E.EBUSY (K.coffer_enlarge kfs r ~n:2);
+      expect_err E.EBUSY (K.coffer_shrink kfs r ~runs:[ (start, 1) ]);
+      expect_err E.EBUSY
+        (K.coffer_split kfs ~src:r ~new_path:"/r/x" ~ctype:zofs_ctype
+           ~mode:0o600 ~uid:1000 ~gid:1000
+           ~runs:[ (start + 2, 2) ]
+           ~root_file:((start + 2) * Nvm.page_size)
+           ~custom:((start + 3) * Nvm.page_size));
+      expect_err E.EBUSY (K.coffer_merge kfs ~dst:s ~src:r);
+      expect_err E.EBUSY (K.coffer_merge kfs ~dst:r ~src:s);
+      expect_err E.EBUSY (K.coffer_delete kfs r);
+      Alcotest.(check (list (pair int int)))
+        "the coffer owns what recover_begin returned" runs
+        (A.runs_of (K.alloc_table kfs) ~cid:r);
+      Alcotest.(check int) "/s untouched" s (ok_or_fail (K.coffer_find kfs "/s"));
+      ok_or_fail
+        (K.coffer_recover_end kfs r
+           ~in_use:
+             (List.concat_map (fun (p, n) -> List.init n (fun i -> p + i)) runs));
+      ignore (ok_or_fail (K.coffer_enlarge kfs r ~n:2));
+      ok_or_fail (K.coffer_merge kfs ~dst:r ~src:s);
+      ok_or_fail (K.coffer_delete kfs r))
+
 let test_remount_preserves_everything () =
   let dev, mpk, kfs = mk () in
   as_user (fun () ->
@@ -1169,6 +1209,8 @@ let () =
           Alcotest.test_case "file_execve" `Quick test_file_execve;
           Alcotest.test_case "on_setuid unmaps everything" `Quick
             test_on_setuid_unmaps_everything;
+          Alcotest.test_case "recovery freezes ownership" `Quick
+            test_recovery_freezes_ownership;
         ] );
       ( "bad-arguments",
         [

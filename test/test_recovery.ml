@@ -553,6 +553,167 @@ let test_parallel_recovery_matches_sequential () =
     < r1.Zofs.Recovery.user_ns + r1.Zofs.Recovery.kernel_ns);
   Alcotest.(check int) "no race" 0 (List.length (Race.report ()).Race.r_races)
 
+(* ---- the recovery protocol's own failures --------------------------------- *)
+
+let errno_of = function Ok _ -> "ok" | Error e -> E.to_string e
+
+(* A crash between coffer_recover_begin and coffer_recover_end leaves the
+   in-recovery flag durable on the root page.  The mount clears it
+   durably, and the next recovery scans the coffer; its file reads back. *)
+let test_crash_during_recovery () =
+  let w = make_world () in
+  in_proc ~uid:0 w (fun fs ->
+      ok_or_fail (V.write_file fs "/solo" ~mode:0o600 "alone"));
+  let cid =
+    Sim.run_thread (fun () ->
+        ok_or_fail (K.fs_mount w.kfs);
+        let cid = coffer_of w.kfs "/solo" in
+        ignore (ok_or_fail (K.coffer_recover_begin w.kfs cid));
+        cid)
+  in
+  let flag_set () =
+    Mpk.with_kernel w.mpk (fun () ->
+        (Option.get (Treasury.Coffer.read w.dev ~id:cid))
+          .Treasury.Coffer.in_recovery)
+  in
+  D.crash ~policy:`Drop_all w.dev;
+  Alcotest.(check bool) "the crash left the flag set" true (flag_set ());
+  ignore (remount w);
+  D.crash ~policy:`Drop_all w.dev;
+  Alcotest.(check bool) "the mount cleared it durably" false (flag_set ());
+  let w = remount w in
+  let report = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
+  Alcotest.(check int) "/ and /solo scanned" 2
+    report.Zofs.Recovery.coffers_scanned;
+  in_proc ~uid:0 w (fun fs ->
+      Alcotest.(check string) "/solo" "alone" (ok_or_fail (V.read_file fs "/solo")))
+
+(* A recoverer that stalls before coffer_recover_end holds its coffer only
+   until its recovery lease expires; then a second process takes over, and
+   the first one's late coffer_recover_end (here with an empty in-use set)
+   is refused. *)
+let test_expired_recovery_lease_taken_over () =
+  let w = make_world () in
+  in_proc ~uid:0 w (fun fs ->
+      ok_or_fail (V.write_file fs "/solo" ~mode:0o600 "alone"));
+  let before = ref "" and map_before = ref "" and after = ref "" in
+  let stale_end = ref "" in
+  Sim.run_thread (fun () ->
+      let cid = coffer_of w.kfs "/solo" in
+      ok_or_fail (K.fs_mount w.kfs);
+      ignore (ok_or_fail (K.coffer_recover_begin w.kfs cid));
+      let second =
+        Sim.fork ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ()) ~name:"second"
+          (fun () ->
+            ok_or_fail (K.fs_mount w.kfs);
+            before := errno_of (K.coffer_recover_begin w.kfs cid);
+            map_before := errno_of (K.coffer_map w.kfs cid);
+            Sim.advance K.recovery_lease_ns;
+            match K.coffer_recover_begin w.kfs cid with
+            | Error e -> after := E.to_string e
+            | Ok runs ->
+                after := "ok";
+                Sim.advance 1_000_000;
+                ok_or_fail
+                  (K.coffer_recover_end w.kfs cid
+                     ~in_use:
+                       (List.concat_map
+                          (fun (p, n) -> List.init n (fun i -> p + i))
+                          runs)))
+      in
+      Sim.advance (K.recovery_lease_ns + 500_000);
+      stale_end := errno_of (K.coffer_recover_end w.kfs cid ~in_use:[]);
+      Sim.join second);
+  let busy = E.to_string E.EBUSY in
+  Alcotest.(check string) "recover_begin while the lease runs" busy !before;
+  Alcotest.(check string) "coffer_map while the lease runs" busy !map_before;
+  Alcotest.(check string) "recover_begin once it expired" "ok" !after;
+  Alcotest.(check string) "the first recoverer's late recover_end" busy
+    !stale_end;
+  in_proc ~uid:0 w (fun fs ->
+      Alcotest.(check string) "/solo" "alone" (ok_or_fail (V.read_file fs "/solo")))
+
+(* Pointers that leave the coffer: /f's data pointers name a page of
+   /other's coffer, a free page and an
+   address past the device end, and
+   /g's dentry names /other's inode page.  Recovery follows none of them:
+   /g is dropped, /f keeps its name, /other keeps its pages and its
+   contents, the free page stays free, and a second run finds nothing. *)
+let test_pointers_leaving_the_coffer () =
+  let w = make_world () in
+  in_proc ~uid:0 w (fun fs ->
+      ok_or_fail (V.write_file fs "/other" ~mode:0o600 (String.make 5000 'o'));
+      ok_or_fail (V.write_file fs "/f" ~mode:0o777 (String.make 12288 'f'));
+      ok_or_fail (V.write_file fs "/g" ~mode:0o777 "g"));
+  let free_page = D.pages w.dev - 1 in
+  let other_cid, other_ino, other_data =
+    Sim.run_thread (fun () ->
+        Alcotest.(check int) "the last page is free" 0
+          (ok_or_fail (K.page_owner w.kfs ~page:free_page));
+        let other_cid = coffer_of w.kfs "/other" in
+        Mpk.with_kernel w.mpk (fun () ->
+            Mpk.with_write_window w.mpk (fun () ->
+                let root =
+                  Option.get (Treasury.Coffer.read w.dev ~id:(K.root_coffer w.kfs))
+                in
+                let other =
+                  Option.get (Treasury.Coffer.read w.dev ~id:other_cid)
+                in
+                let other_ino = other.Treasury.Coffer.root_file in
+                let other_data = List.hd (Zofs.File.data_pages w.dev ~ino:other_ino) in
+                let dir = root.Treasury.Coffer.root_file in
+                let f = (dentry_of w.dev ~dir "f").Zofs.Dir.de_inode in
+                List.iteri
+                  (fun b target ->
+                    D.write_u64 w.dev (f + Zofs.Layout.i_direct + (b * 8)) target)
+                  [ other_data; free_page * Nvm.page_size; D.size w.dev ];
+                D.write_u64 w.dev
+                  ((dentry_of w.dev ~dir "g").Zofs.Dir.de_addr + Zofs.Layout.d_inode)
+                  other_ino;
+                D.persist_all w.dev;
+                (other_cid, other_ino, other_data))))
+  in
+  let r1 = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
+  let r2 = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
+  let root = K.root_coffer w.kfs in
+  Alcotest.(check (list string)) "findings"
+    [ Printf.sprintf "dropped dentry /g (coffer %d)" root ]
+    (List.map Zofs.Recovery.finding_to_string (Zofs.Recovery.findings r1));
+  Alcotest.(check (list string)) "second run is a fixpoint" []
+    (List.map Zofs.Recovery.finding_to_string (Zofs.Recovery.findings r2));
+  Sim.run_thread (fun () ->
+      let owner addr = ok_or_fail (K.page_owner w.kfs ~page:(addr / Nvm.page_size)) in
+      Alcotest.(check int) "/other keeps its inode page" other_cid (owner other_ino);
+      Alcotest.(check int) "/other keeps its data page" other_cid (owner other_data);
+      Alcotest.(check int) "the free page stays free" 0
+        (owner (free_page * Nvm.page_size)));
+  in_proc ~uid:0 w (fun fs ->
+      Alcotest.(check string) "/other" (String.make 5000 'o')
+        (ok_or_fail (V.read_file fs "/other"));
+      expect_err E.ENOENT (V.stat fs "/g");
+      ignore (ok_or_fail (V.stat fs "/f")))
+
+(* The scan's ownership test: a binary search over the coffer's sorted
+   runs agrees with a linear scan, at every run boundary too. *)
+let qcheck_in_runs_matches_linear_scan =
+  QCheck.Test.make ~name:"run lookup matches a linear scan" ~count:200
+    QCheck.(list_of_size (Gen.int_range 0 12) (pair (int_range 0 4) (int_range 1 5)))
+    (fun gaps_lens ->
+      (* disjoint runs, sorted by start, with gaps of 0..4 pages *)
+      let runs, _ =
+        List.fold_left
+          (fun (acc, next) (gap, len) ->
+            ((next + gap, len) :: acc, next + gap + len))
+          ([], 0) gaps_lens
+      in
+      let runs = List.rev runs in
+      let arr = Array.of_list runs in
+      List.for_all
+        (fun page ->
+          Zofs.Recovery.in_runs arr page
+          = List.exists (fun (s, l) -> s <= page && page < s + l) runs)
+        (List.init 120 (fun i -> i - 2)))
+
 let qcheck_crash_recovery_preserves_completed_ops =
   QCheck.Test.make
     ~name:"completed ops survive random crashes + recovery" ~count:15
@@ -630,5 +791,12 @@ let () =
             test_poisoned_dentry_tails;
           Alcotest.test_case "parallel recovery repairs what sequential did"
             `Quick test_parallel_recovery_matches_sequential;
+          Alcotest.test_case "a crash during recovery strands no coffer"
+            `Quick test_crash_during_recovery;
+          Alcotest.test_case "an expired recovery lease is taken over" `Quick
+            test_expired_recovery_lease_taken_over;
+          Alcotest.test_case "pointers leaving the coffer are not followed"
+            `Quick test_pointers_leaving_the_coffer;
+          QCheck_alcotest.to_alcotest qcheck_in_runs_matches_linear_scan;
         ] );
     ]
