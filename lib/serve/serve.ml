@@ -32,15 +32,17 @@
                   tiers once probes come back clean after a cooldown
 
    Everything is deterministic under the simulated clock: grants happen in
-   (vfinish, tenant, seq) order, polling cadences are decorrelated by
+   (vfinish, tenant, seq) order, sweep cadences are decorrelated by
    per-thread offsets, and no shared RNG stream is consumed.
 
-   There are NO condition variables: a simulated client that dies never
-   unwinds, so nothing here may depend on a waiter running a handoff.
-   Grants are performed by whichever live client polls next (grant-by-
-   polling), and a periodic sweep reclaims the slots and tickets of dead
-   clients ([Sim.thread_alive]) so a killed client can cost at most one
-   slot for one sweep interval. *)
+   Grants are direct: whichever live client frees a slot (or submits into
+   a free one) grants the next tickets and wakes their owners
+   ([Sim.wake]), so a grantee starts at the instant its slot freed.  A
+   simulated client that dies never unwinds, so nothing here depends on a
+   waiter running a handoff: only the live granter does.  Waiters still
+   wake every [poll_quantum] to sweep — the sweep reclaims the slots and
+   tickets of dead clients ([Sim.thread_alive]) — so a killed client can
+   cost at most one slot for one sweep interval. *)
 
 module E = Treasury.Errno
 module K = Treasury.Kernfs
@@ -76,6 +78,7 @@ type ticket = {
   tk_tid : int;
   tk_vf : int;  (* virtual finish time, fixed-point *)
   tk_seq : int;  (* global submission order: the deterministic tiebreak *)
+  tk_wake : Sim.waker;  (* the owner's queue wait, cut short by its grant *)
   mutable tk_state : ticket_state;
 }
 
@@ -130,7 +133,7 @@ type t = {
 
 let fp_scale = 1_000_000 (* token bucket fixed point; rates are per ms *)
 let wfq_scale = 1_024 (* virtual-time fixed point *)
-let poll_quantum = 2_000 (* ns between grant polls *)
+let poll_quantum = 2_000 (* ns between a waiter's dead-client sweeps *)
 let min_window_samples = 8 (* don't judge a window on fewer outcomes *)
 let probe_every = 16 (* in Rejecting, admit 1 request in N as a probe *)
 let down_frac = 0.5 (* window bad fraction that degrades a tier *)
@@ -301,7 +304,7 @@ let attach_dispatcher t disp =
               Error E.EAGAIN
             end)
 
-(* ---- grant-by-polling --------------------------------------------------- *)
+(* ---- direct grants ------------------------------------------------------ *)
 
 (* Earlier virtual finish wins; ties (same vfinish) break by submission
    order, so grants are a deterministic total order. *)
@@ -349,10 +352,10 @@ let rec live_head t tn =
           ignore (Queue.pop tn.tn_queue);
           live_head t tn)
 
-(* Fill free slots with the globally smallest-vfinish waiting tickets.
-   ANY live client may perform grants (for itself or others): the server
-   has no thread of its own, and a dead grantee can never wedge a slot
-   for longer than one sweep. *)
+(* Fill free slots with the globally smallest-vfinish waiting tickets and
+   wake their owners.  ANY live client may perform grants (for itself or
+   others): the server has no thread of its own, and a grantee killed
+   before it resumes wedges its slot only until the next sweep. *)
 let try_grant t =
   sweep_running t;
   let continue_ = ref true in
@@ -373,7 +376,8 @@ let try_grant t =
         tk.tk_state <- Granted;
         Hashtbl.replace t.sv_running tk.tk_tid tk;
         t.sv_inflight <- t.sv_inflight + 1;
-        if tk.tk_vf > t.sv_vtime then t.sv_vtime <- tk.tk_vf
+        if tk.tk_vf > t.sv_vtime then t.sv_vtime <- tk.tk_vf;
+        Sim.wake tk.tk_wake
   done
 
 (* ---- token buckets ------------------------------------------------------ *)
@@ -472,13 +476,14 @@ let submit t ~tenant_id ?(cost = 1) ?(write = true) ?deadline_ns f =
           tk_tid = Sim.self_tid ();
           tk_vf = vf;
           tk_seq = t.sv_seq;
+          tk_wake = Sim.waker ();
           tk_state = Waiting;
         }
       in
       Queue.push tk tn.tn_queue;
       tn.tn_qlen <- tn.tn_qlen + 1;
-      (* --- wait for a slot (grant-by-polling) ------------------------- *)
-      (* decorrelate poll cadences so a herd of waiters doesn't re-poll on
+      (* --- wait for a slot: a grant wakes us, a sweep every quantum --- *)
+      (* decorrelate sweep cadences so a herd of waiters doesn't sweep on
          the same instants forever *)
       let quantum = poll_quantum + 97 * (Sim.self_tid () mod 13) in
       let rec await () =
@@ -493,10 +498,10 @@ let submit t ~tenant_id ?(cost = 1) ?(write = true) ?deadline_ns f =
                 tn.tn_qlen <- tn.tn_qlen - 1;
                 `Dead
             | Some d ->
-                Sim.advance (min quantum (max 1 (d - Sim.now ())));
+                Sim.sleep_until_woken tk.tk_wake (min (Sim.now () + quantum) d);
                 await ()
             | None ->
-                Sim.advance quantum;
+                Sim.sleep_until_woken tk.tk_wake (Sim.now () + quantum);
                 await ())
       in
       (* Only execution-stage timeouts feed the degrade window: a budget

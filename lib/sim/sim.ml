@@ -240,13 +240,16 @@ let park w t ~on:objname register =
       register wake)
 
 (* Reschedules, counted per world and over every world of this process:
-   a deterministic count of the host context switches [advance] and
-   [yield] could not skip. *)
+   a deterministic count of the host context switches [advance],
+   [yield] and [sleep_until_woken] could not skip. *)
 let total_switches = ref 0
 
-let reschedule w t =
+let count_switch w =
   w.switches <- w.switches + 1;
-  incr total_switches;
+  incr total_switches
+
+let reschedule w t =
+  count_switch w;
   suspend (fun k -> resume w t k)
 
 let world_switches w = w.switches
@@ -389,6 +392,68 @@ let sleep_until at =
   | None -> ()
   | Some t -> if at > t.time then advance (at - t.time)
 
+(* ---- sleeps a wake can cut short ---------------------------------------- *)
+
+(* One reusable record per sleeper: [wk_k] holds the suspended continuation
+   while its owner sleeps.  A wake and the timer race to take it; whichever
+   comes second finds [None] (or a later sleep's continuation, which the
+   timer tells apart by physical identity) and does nothing. *)
+type waker = {
+  wk_thread : thread option;  (* the owner; [None] outside a simulation *)
+  mutable wk_k : (unit, unit) Effect.Deep.continuation option;
+  mutable wk_at : int;  (* the pending sleep's timer *)
+}
+
+let waker () = { wk_thread = current_thread (); wk_k = None; wk_at = 0 }
+
+let wake wk =
+  match (wk.wk_k, wk.wk_thread) with
+  | Some k, Some t ->
+      wk.wk_k <- None;
+      t.time <- max t.time (now ());
+      resume t.world t k
+  | _ -> ()
+
+let fire wk k =
+  match (wk.wk_k, wk.wk_thread) with
+  | Some k', Some t when k' == k ->
+      wk.wk_k <- None;
+      t.time <- wk.wk_at;
+      t.world.current <- Some t;
+      Effect.Deep.continue k ()
+  | _ -> ()
+
+(* The waker being put to sleep, handed to [park_sleeper] through a ref so
+   that a sleep builds no closure of its own: only its timer's. *)
+let parking = ref (waker ())
+
+let park_sleeper k =
+  let wk = !parking in
+  wk.wk_k <- Some k;
+  (* [sleep_until_woken] checked that the caller owns [wk] *)
+  schedule (Option.get wk.wk_thread).world wk.wk_at (fun () -> fire wk k)
+
+let sleep_until_woken wk at =
+  match current_thread () with
+  | None -> ()
+  | Some t ->
+      (match wk.wk_thread with
+      | Some owner when owner == t -> ()
+      | _ -> invalid_arg "Sim.sleep_until_woken: not the waker's owner");
+      if at > t.time then begin
+        let h = t.world.heap in
+        (* Nothing runs before [at], so nothing can wake us before it:
+           skip the round trip, as [switch_if_needed] does. *)
+        if Heap.is_empty h || at < Heap.top_time h then t.time <- at
+        else begin
+          count_switch t.world;
+          wk.wk_at <- at;
+          parking := wk;
+          suspend park_sleeper
+        end;
+        maybe_kill t
+      end
+
 let spawn_tid w ?proc ?at ~name body =
   let proc =
     match proc with
@@ -423,7 +488,7 @@ let spawn_tid w ?proc ?at ~name body =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
             | Suspend f ->
-                Some (fun (k : (a, unit) Effect.Deep.continuation) -> f k)
+                Some (f : (a, unit) Effect.Deep.continuation -> unit)
             | _ -> None);
       }
   in

@@ -62,7 +62,8 @@ val run_thread : ?seed:int64 -> ?proc:Proc.t -> (unit -> 'a) -> 'a
 
 val world_switches : world -> int
 (** Reschedules so far in [world]: the {!advance}/{!yield} calls that did
-    switch context because another thread could run first.  Deterministic,
+    switch context because another thread could run first, and the
+    {!sleep_until_woken} calls that did suspend.  Deterministic,
     so it measures the scheduling grain where host time cannot. *)
 
 val total_switches : unit -> int
@@ -102,6 +103,29 @@ val yield : unit -> unit
 val sleep_until : int -> unit
 (** Advance the current thread to the given absolute virtual time (no-op if
     already past it). *)
+
+type waker
+(** A reusable wake record owned by one thread, for a sleep that another
+    thread can cut short. *)
+
+val waker : unit -> waker
+(** A fresh waker owned by the calling thread (inert outside a
+    simulation: sleeping on it is a no-op). *)
+
+val sleep_until_woken : waker -> int -> unit
+(** [sleep_until_woken wk t] suspends the owner of [wk] until virtual time
+    [t] or until another thread calls [wake wk], whichever comes first.
+    Returns at once if [t] is not later than now.  On resuming it runs the
+    same kill check as {!advance}, so an armed kill fires here.  When
+    nothing else can run before [t], nothing can wake the sleeper either,
+    and the host context switch is skipped as in {!advance}.
+    [Invalid_argument] if the caller does not own [wk]. *)
+
+val wake : waker -> unit
+(** [wake wk] resumes [wk]'s owner, if it sleeps in {!sleep_until_woken},
+    at the caller's current time.  Its timer entry then does nothing when
+    it comes due.  A no-op when the owner is not sleeping: a second wake,
+    or one after the timer fired, does nothing. *)
 
 (** {1 Thread-kill injection}
 

@@ -7,8 +7,10 @@
    - the shared backoff helper: deterministic jitter, capped steps,
      deadline-aware waits
    - ambient deadline plumbing: nesting can only shrink the budget
-   - the server itself: quota sheds, bounded queues, and a late success
-     reported as the timeout it is to the client *)
+   - the server itself: quota sheds, bounded queues, a late success
+     reported as the timeout it is to the client, a freed slot granted
+     straight to the next waiter, and a grantee that dies before it
+     resumes *)
 
 module D = Nvm.Device
 module E = Treasury.Errno
@@ -271,6 +273,94 @@ let test_serve_late_success_is_timeout () =
       Alcotest.(check int) "books balance" s.Serve.ts_submitted
         (Serve.accounted s))
 
+(* ---- direct grants ------------------------------------------------------ *)
+
+(* A freed slot goes straight to the next ticket: with one slot, B's body
+   starts at the very instant A's ends, not at B's next sweep.  A budget
+   still ends a queued wait at exactly its deadline. *)
+let test_grant_wakes_waiter () =
+  obs_on ();
+  in_world ~seed:41L (fun w ->
+      let srv = Serve.create ~max_inflight:1 () in
+      Serve.add_tenant srv ~id:0 ~weight:1 ~rate_per_ms:1_000 ~burst:10
+        ~queue_cap:8 ();
+      let t0 = Sim.now () in
+      let a_end = ref (-1) and b_start = ref (-1) and c_out = ref None in
+      let client ~at f = Sim.spawn w ~name:"c" ~at:(t0 + at) f in
+      client ~at:0 (fun () ->
+          ignore
+            (Serve.submit srv ~tenant_id:0 (fun () ->
+                 Sim.advance 10_000;
+                 a_end := Sim.now ();
+                 Ok ())));
+      client ~at:1_000 (fun () ->
+          ignore
+            (Serve.submit srv ~tenant_id:0 (fun () ->
+                 b_start := Sim.now ();
+                 Sim.advance 1_000;
+                 Ok ())));
+      client ~at:2_000 (fun () ->
+          let o =
+            Serve.submit srv ~tenant_id:0 ~deadline_ns:3_000 (fun () -> Ok ())
+          in
+          c_out := Some (o, Sim.now ()));
+      Sim.advance 50_000;
+      Alcotest.(check int) "A ran its 10 us" (t0 + 10_000) !a_end;
+      Alcotest.(check int) "B queued exactly A's end - B's submit" 9_000
+        (!b_start - (t0 + 1_000));
+      (match !c_out with
+      | Some (Serve.Timed_out { stage = Serve.Queued }, at) ->
+          Alcotest.(check int) "C gave up at its deadline" (t0 + 5_000) at
+      | _ -> Alcotest.fail "C must time out in the queue");
+      let s = List.hd (Serve.tenant_stats srv) in
+      Alcotest.(check int) "two done" 2 s.Serve.ts_done_ok;
+      Alcotest.(check int) "books balance" s.Serve.ts_submitted
+        (Serve.accounted s);
+      Alcotest.(check int) "no slot leak" 0 (Serve.inflight srv))
+
+(* A client killed after its grant but before it resumes holds its slot
+   only until the next sweep, which counts it lost exactly once. *)
+let test_killed_grantee_reclaimed () =
+  obs_on ();
+  in_world ~seed:42L (fun w ->
+      let srv = Serve.create ~max_inflight:1 () in
+      Serve.add_tenant srv ~id:0 ~weight:1 ~rate_per_ms:1_000 ~burst:10
+        ~queue_cap:8 ();
+      let t0 = Sim.now () in
+      let b = ref (-1) and at_grant = ref None in
+      Sim.spawn w ~name:"a" ~at:t0 (fun () ->
+          ignore
+            (Serve.submit srv ~tenant_id:0 (fun () ->
+                 Sim.advance 10_000;
+                 (* B is queued and alive: it will be granted when this
+                    body returns, and die when it next resumes *)
+                 Sim.arm_kill ~tid:!b ~after:1;
+                 Ok ()));
+          at_grant := Some (Serve.inflight srv, Sim.thread_alive !b));
+      b :=
+        Sim.spawn_tid w ~name:"b" ~at:(t0 + 1_000) (fun () ->
+            ignore
+              (Serve.submit srv ~tenant_id:0 (fun () ->
+                   Sim.advance 1_000;
+                   Ok ())));
+      Sim.advance 20_000;
+      Alcotest.(check (option (pair int bool)))
+        "B granted the slot while still alive" (Some (1, true)) !at_grant;
+      Alcotest.(check bool) "B is dead" false (Sim.thread_alive !b);
+      Alcotest.(check int) "its slot is held until a sweep" 1
+        (Serve.inflight srv);
+      (match
+         Serve.submit srv ~tenant_id:0 ~deadline_ns:50_000 (fun () -> Ok ())
+       with
+      | Serve.Done (Ok ()) -> ()
+      | _ -> Alcotest.fail "the next request must get the reclaimed slot");
+      Serve.sweep srv;
+      let s = List.hd (Serve.tenant_stats srv) in
+      Alcotest.(check int) "lost once" 1 s.Serve.ts_lost;
+      Alcotest.(check int) "books balance" s.Serve.ts_submitted
+        (Serve.accounted s);
+      Alcotest.(check int) "no slot leak" 0 (Serve.inflight srv))
+
 let () =
   Alcotest.run "serve"
     [
@@ -305,5 +395,9 @@ let () =
             test_serve_queue_full_shed;
           Alcotest.test_case "late success is a timeout" `Quick
             test_serve_late_success_is_timeout;
+          Alcotest.test_case "a grant wakes its waiter" `Quick
+            test_grant_wakes_waiter;
+          Alcotest.test_case "a grantee killed before it resumes is reclaimed"
+            `Quick test_killed_grantee_reclaimed;
         ] );
     ]

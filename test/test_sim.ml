@@ -474,6 +474,102 @@ let qcheck_advance_matches_push_pop =
       simulated_order ~starts ~scripts ~spawn_step ~back ~child
       = reference_order ~starts ~scripts ~spawn_step ~back ~child)
 
+(* ---- sleeps a wake can cut short ---------------------------------------- *)
+
+let test_wake_before_timer () =
+  let w = Sim.create () in
+  let wk = ref None and woke_at = ref (-1) in
+  Sim.spawn w ~name:"sleeper" (fun () ->
+      let k = Sim.waker () in
+      wk := Some k;
+      Sim.sleep_until_woken k 1_000;
+      woke_at := Sim.now ());
+  Sim.spawn w ~name:"waker" (fun () ->
+      Sim.advance 300;
+      Option.iter Sim.wake !wk);
+  Sim.run w;
+  Alcotest.(check int) "resumed at the waker's time" 300 !woke_at
+
+(* The timer alone ends a sleep at [t]; a wake that finds its target not
+   sleeping, a second wake, and a stale timer entry all do nothing. *)
+let test_timer_and_stale_wakes () =
+  let w = Sim.create () in
+  let wk = ref None and times = ref [] in
+  let mark () = times := Sim.now () :: !times in
+  Sim.spawn w ~name:"sleeper" (fun () ->
+      let k = Sim.waker () in
+      wk := Some k;
+      Sim.sleep_until_woken k 1_000 (* no wake: the timer ends it *);
+      mark ();
+      Sim.advance 500 (* the wake at 1,200 lands here: no effect *);
+      mark ();
+      Sim.sleep_until_woken k 3_000 (* woken twice at 2,000 *);
+      mark ();
+      Sim.sleep_until_woken k 4_000 (* the stale 3,000 timer must not end it *);
+      mark ());
+  Sim.spawn w ~name:"waker" (fun () ->
+      let wake () = Option.iter Sim.wake !wk in
+      Sim.advance 1_200;
+      wake ();
+      Sim.advance 800;
+      wake ();
+      wake ());
+  Sim.run w;
+  Alcotest.(check (list int))
+    "resume times" [ 1_000; 1_500; 2_000; 4_000 ] (List.rev !times)
+
+let test_kill_fires_on_wakeup () =
+  let w = Sim.create () in
+  let after = ref 0 and wk2 = ref None in
+  let sleeper name set =
+    Sim.spawn_tid w ~name (fun () ->
+        let k = Sim.waker () in
+        set k;
+        Sim.sleep_until_woken k 1_000;
+        incr after)
+  in
+  let s1 = sleeper "by-timer" ignore in
+  let s2 = sleeper "by-wake" (fun k -> wk2 := Some k) in
+  Sim.spawn w ~name:"driver" (fun () ->
+      Sim.advance 200;
+      Sim.arm_kill ~tid:s1 ~after:1;
+      Sim.arm_kill ~tid:s2 ~after:1;
+      Sim.advance 100;
+      Option.iter Sim.wake !wk2;
+      Sim.join s2;
+      Alcotest.(check int) "woken sleeper died at the wake" 300 (Sim.now ());
+      Sim.join s1;
+      Alcotest.(check int) "timed sleeper died at its timer" 1_000 (Sim.now ());
+      Alcotest.(check bool) "both dead" false
+        (Sim.thread_alive s1 || Sim.thread_alive s2));
+  Sim.run w;
+  Alcotest.(check int) "neither ran past its sleep" 0 !after
+
+let test_sleep_not_later_returns () =
+  let w = Sim.create () in
+  let ok = ref false in
+  Sim.spawn w ~name:"sleeper" (fun () ->
+      let k = Sim.waker () in
+      Sim.advance 100;
+      let s0 = Sim.world_switches w in
+      Sim.sleep_until_woken k 100;
+      Sim.sleep_until_woken k 50;
+      Alcotest.(check int) "time unchanged" 100 (Sim.now ());
+      Alcotest.(check int) "no switch" s0 (Sim.world_switches w);
+      (* alone in the world, nothing can wake it early: no switch either *)
+      Sim.sleep_until_woken k 1_000;
+      Alcotest.(check int) "slept to the timer" 1_000 (Sim.now ());
+      Alcotest.(check int) "still no switch" s0 (Sim.world_switches w);
+      ok := true;
+      let other = Sim.fork ~name:"intruder" (fun () ->
+          Alcotest.check_raises "only the owner sleeps on a waker"
+            (Invalid_argument "Sim.sleep_until_woken: not the waker's owner")
+            (fun () -> Sim.sleep_until_woken k 5_000))
+      in
+      Sim.join other);
+  Sim.run w;
+  Alcotest.(check bool) "sleeper finished" true !ok
+
 let () =
   Alcotest.run "sim"
     [
@@ -496,6 +592,14 @@ let () =
             test_kill_process_semantics;
           Alcotest.test_case "kill-process defers past no-kill" `Quick
             test_kill_process_defers_past_no_kill;
+          Alcotest.test_case "a wake cuts a sleep short" `Quick
+            test_wake_before_timer;
+          Alcotest.test_case "timer ends a sleep; stale wakes do nothing" `Quick
+            test_timer_and_stale_wakes;
+          Alcotest.test_case "a kill armed in a sleep fires on wakeup" `Quick
+            test_kill_fires_on_wakeup;
+          Alcotest.test_case "a sleep to the past returns at once" `Quick
+            test_sleep_not_later_returns;
           QCheck_alcotest.to_alcotest qcheck_advance_matches_push_pop;
         ] );
       ( "sync",
