@@ -16,10 +16,11 @@
    the same graceful-error discipline as the fault paths.
 
    Entries are keyed by (world uid, tid): a thread killed by chaos
-   injection never unwinds, so its deadline entry survives it — the world
-   uid guarantees such residue can never apply to a thread of a later
-   simulation that happens to reuse the tid, and [scrub_dead] lets a
-   long-lived world drop residue of its own dead threads. *)
+   injection never unwinds, so its deadline entry survives it.  Nothing
+   reads that entry again: tids are never reused within a world, the world
+   uid keeps it from applying to a thread of a later simulation that
+   reuses the tid, and the first use of the table in a new world
+   ([roll_world]) drops it. *)
 
 exception Expired of { deadline : int; now : int }
 
@@ -76,16 +77,3 @@ let check () =
   match current () with
   | Some d when Sim.now () >= d -> raise (Expired { deadline = d; now = Sim.now () })
   | _ -> ()
-
-(* Drop entries left behind by dead threads of the active world (killed
-   threads never unwind their [with_deadline] frames). *)
-let scrub_dead () =
-  roll_world ();
-  let w = Sim.world_uid () in
-  let stale =
-    Hashtbl.fold
-      (fun ((kw, tid) as k) _ acc ->
-        if kw = w && not (Sim.thread_alive tid) then k :: acc else acc)
-      table []
-  in
-  List.iter (Hashtbl.remove table) stale

@@ -150,6 +150,7 @@ module Device = struct
     read_chan : Sim.Resource.t;
     write_chan : Sim.Resource.t;
     line_caches : int array Sim.Idtbl.t;  (* tid -> direct-mapped tags *)
+    mutable caches_world : int;  (* the world [line_caches] belong to *)
     mutable pollute_cursor : int;  (* rotating eviction window (per device!) *)
     mutable n_reads : int;
     mutable n_writes : int;
@@ -184,6 +185,7 @@ module Device = struct
       read_chan = Sim.Resource.create ~name:"nvm-read-bw" ();
       write_chan = Sim.Resource.create ~name:"nvm-write-bw" ();
       line_caches = Sim.Idtbl.create ();
+      caches_world = 0;
       pollute_cursor = 0;
       n_reads = 0;
       n_writes = 0;
@@ -312,9 +314,19 @@ module Device = struct
      would on real hardware. *)
   let cache_slots = 4096
 
-  let line_cache d =
-    let tid = Sim.self_tid () in
-    match Sim.Idtbl.find_opt d.line_caches tid with
+  (* The line caches of the active world.  Tids restart at 0 in every
+     world, so a new world's first access drops the previous world's
+     caches: its threads start cold, however warm the device was left. *)
+  let caches d =
+    let w = Sim.world_uid () in
+    if w <> d.caches_world then begin
+      d.caches_world <- w;
+      Sim.Idtbl.reset d.line_caches
+    end;
+    d.line_caches
+
+  let line_cache d tid =
+    match Sim.Idtbl.find_opt (caches d) tid with
     | Some a -> a
     | None ->
         let a = Array.make cache_slots (-1) in
@@ -329,7 +341,7 @@ module Device = struct
   let pollute_window = cache_slots / 8
 
   let pollute_cache d =
-    match Sim.Idtbl.find_opt d.line_caches (Sim.self_tid ()) with
+    match Sim.Idtbl.find_opt (caches d) (Sim.self_tid ()) with
     | Some a ->
         let start = d.pollute_cursor in
         for i = 0 to pollute_window - 1 do
@@ -342,13 +354,16 @@ module Device = struct
     d.dev_perf.Perf.write_bandwidth
     *. d.dev_perf.Perf.write_bw_scale (Sim.live_threads ())
 
+  (* The per-access charges ask [Sim] once for the thread (-1 outside a
+     simulation): every call into [Sim] is paid on every simulated access. *)
   let charge_read d addr len =
     d.n_reads <- d.n_reads + 1;
-    if Sim.in_sim () then
+    let tid = Sim.self_tid () in
+    if tid >= 0 then
       let p = d.dev_perf in
       if len <= line_size then begin
         let line = addr / line_size in
-        let cache = line_cache d in
+        let cache = line_cache d tid in
         let slot = line mod cache_slots in
         if cache.(slot) = line then Sim.advance p.Perf.hit_cost
         else begin
@@ -365,13 +380,14 @@ module Device = struct
 
   let charge_store d addr len =
     d.n_writes <- d.n_writes + 1;
-    if Sim.in_sim () then begin
+    let tid = Sim.self_tid () in
+    if tid >= 0 then begin
       let p = d.dev_perf in
       Sim.advance p.Perf.hit_cost;
       if len <= line_size then begin
         (* write-allocate in the simulated line cache *)
         let line = addr / line_size in
-        let cache = line_cache d in
+        let cache = line_cache d tid in
         cache.(line mod cache_slots) <- line
       end
     end

@@ -96,7 +96,9 @@ module Device : sig
   val create : ?perf:Perf.t -> ?seed:int64 -> size:int -> unit -> t
   (** [create ~size ()] makes a device of [size] bytes ([size] must be
       page-aligned).  Pages are allocated lazily, so large address spaces are
-      cheap until touched. *)
+      cheap until touched.  A device outlives simulated worlds, but its cost
+      state does not: each world starts with cold per-thread line caches and
+      idle bandwidth channels, whatever an earlier world left booked. *)
 
   val size : t -> int
   val pages : t -> int

@@ -191,7 +191,6 @@ let join finished n =
 (* The per-tenant books must balance exactly: submitted = done + errors +
    timeouts + sheds + lost.  Every scenario closes with this audit. *)
 let audit_accounting ~name srv violation =
-  Serve.sweep srv;
   List.iter
     (fun s ->
       if Serve.accounted s <> s.Serve.ts_submitted then
@@ -589,7 +588,6 @@ let kills ~seed ~procs ~per_proc violation =
       let survivors = clients - ((clients + 2) / 3) in
       join finished survivors;
       Sim.advance 40_000_000;
-      Serve.sweep srv;
       let killed = Sim.killed_threads () - kills0 in
       if killed = 0 then violation "kills: injector armed nothing";
       let stats = List.hd (Serve.tenant_stats srv) in

@@ -32,17 +32,17 @@
                   tiers once probes come back clean after a cooldown
 
    Everything is deterministic under the simulated clock: grants happen in
-   (vfinish, tenant, seq) order, sweep cadences are decorrelated by
-   per-thread offsets, and no shared RNG stream is consumed.
+   (vfinish, tenant, seq) order and no shared RNG stream is consumed.
 
-   Grants are direct: whichever live client frees a slot (or submits into
-   a free one) grants the next tickets and wakes their owners
-   ([Sim.wake]), so a grantee starts at the instant its slot freed.  A
-   simulated client that dies never unwinds, so nothing here depends on a
-   waiter running a handoff: only the live granter does.  Waiters still
-   wake every [poll_quantum] to sweep — the sweep reclaims the slots and
-   tickets of dead clients ([Sim.thread_alive]) — so a killed client can
-   cost at most one slot for one sweep interval. *)
+   Grants are direct: whichever client frees a slot (or submits into a
+   free one) grants the next tickets and wakes their owners ([Sim.wake]),
+   so a grantee starts at the instant its slot freed.  A waiting ticket
+   sleeps until its grant or its deadline, and nothing polls.  A simulated
+   client that dies never unwinds, so its death is reclaimed by the death
+   notice ([Sim.on_end]) the server arms on the client's thread at its
+   first submit: at the instant of death the notice frees the client's
+   granted slot, or abandons its waiting ticket, counts the request lost,
+   and grants the freed slot on. *)
 
 module E = Treasury.Errno
 module K = Treasury.Kernfs
@@ -75,7 +75,6 @@ type ticket_state = Waiting | Granted | Abandoned
 
 type ticket = {
   tk_tenant : int;
-  tk_tid : int;
   tk_vf : int;  (* virtual finish time, fixed-point *)
   tk_seq : int;  (* global submission order: the deterministic tiebreak *)
   tk_wake : Sim.waker;  (* the owner's queue wait, cut short by its grant *)
@@ -118,7 +117,10 @@ type t = {
   mutable sv_inflight : int;
   mutable sv_vtime : int;
   mutable sv_seq : int;
-  sv_running : (int, ticket) Hashtbl.t;  (* tid -> granted ticket *)
+  sv_clients : (int, ticket option ref) Hashtbl.t;
+      (* tid -> that client's live ticket, waiting or granted; the entry
+         exists from the client's first submit, when its death notice is
+         armed, to its death *)
   sv_probing : (int, unit) Hashtbl.t;  (* tids bypassing the tier gate *)
   (* degradation machine *)
   mutable sv_tier : tier;
@@ -133,7 +135,7 @@ type t = {
 
 let fp_scale = 1_000_000 (* token bucket fixed point; rates are per ms *)
 let wfq_scale = 1_024 (* virtual-time fixed point *)
-let poll_quantum = 2_000 (* ns between a waiter's dead-client sweeps *)
+let ticket_drain_ns = 2_000 (* one queued ticket's estimated drain time *)
 let min_window_samples = 8 (* don't judge a window on fewer outcomes *)
 let probe_every = 16 (* in Rejecting, admit 1 request in N as a probe *)
 let down_frac = 0.5 (* window bad fraction that degrades a tier *)
@@ -152,7 +154,7 @@ let create ?(max_inflight = 32) ?(window_ns = 2_000_000)
     sv_inflight = 0;
     sv_vtime = 0;
     sv_seq = 0;
-    sv_running = Hashtbl.create 64;
+    sv_clients = Hashtbl.create 64;
     sv_probing = Hashtbl.create 8;
     sv_tier = Normal;
     sv_window_end = Sim.now () + window_ns;
@@ -313,57 +315,29 @@ let better a b =
   | None -> true
   | Some b -> a.tk_vf < b.tk_vf || (a.tk_vf = b.tk_vf && a.tk_seq < b.tk_seq)
 
-(* Reclaim slots held by clients that died mid-execution.  Cheap: the
-   running table is at most [max_inflight] entries. *)
-let sweep_running t =
-  Hashtbl.iter
-    (fun tid tk ->
-      if not (Sim.thread_alive tid) then begin
-        Hashtbl.remove t.sv_running tid;
-        t.sv_inflight <- t.sv_inflight - 1;
-        let tn = tenant t tk.tk_tenant in
-        tn.tn_lost <- tn.tn_lost + 1;
-        Obs.cnt "serve.lost_clients" 1;
-        Obs.Flight.note "serve_reclaim"
-          [ ("tid", string_of_int tid); ("tenant", string_of_int tk.tk_tenant) ]
-      end)
-    t.sv_running
-
-(* Drop dead and abandoned tickets off a queue head.  An abandoned ticket
-   was already accounted by its owner (queue-stage timeout); a dead one is
-   accounted here as lost. *)
-let rec live_head t tn =
+(* Drop abandoned tickets off a queue head: each was already accounted,
+   by its owner (queue-stage timeout) or by its owner's death notice. *)
+let rec live_head tn =
   match Queue.peek_opt tn.tn_queue with
   | None -> None
   | Some tk -> (
       match tk.tk_state with
-      | Abandoned ->
-          ignore (Queue.pop tn.tn_queue);
-          live_head t tn
-      | Waiting when not (Sim.thread_alive tk.tk_tid) ->
-          ignore (Queue.pop tn.tn_queue);
-          tn.tn_qlen <- tn.tn_qlen - 1;
-          tn.tn_lost <- tn.tn_lost + 1;
-          Obs.cnt "serve.lost_clients" 1;
-          live_head t tn
       | Waiting -> Some tk
-      | Granted ->
-          (* cannot happen: granted tickets are popped at grant time *)
+      | Abandoned | Granted (* cannot happen: popped at grant time *) ->
           ignore (Queue.pop tn.tn_queue);
-          live_head t tn)
+          live_head tn)
 
 (* Fill free slots with the globally smallest-vfinish waiting tickets and
-   wake their owners.  ANY live client may perform grants (for itself or
-   others): the server has no thread of its own, and a grantee killed
-   before it resumes wedges its slot only until the next sweep. *)
+   wake their owners.  ANY client may perform grants (for itself or
+   others), and so may a client's death notice: the server has no thread
+   of its own. *)
 let try_grant t =
-  sweep_running t;
   let continue_ = ref true in
   while t.sv_inflight < t.sv_max_inflight && !continue_ do
     let best = ref None in
     List.iter
       (fun tn ->
-        match live_head t tn with
+        match live_head tn with
         | Some tk when better tk !best -> best := Some tk
         | _ -> ())
       t.sv_tenant_order;
@@ -374,7 +348,6 @@ let try_grant t =
         ignore (Queue.pop tn.tn_queue);
         tn.tn_qlen <- tn.tn_qlen - 1;
         tk.tk_state <- Granted;
-        Hashtbl.replace t.sv_running tk.tk_tid tk;
         t.sv_inflight <- t.sv_inflight + 1;
         if tk.tk_vf > t.sv_vtime then t.sv_vtime <- tk.tk_vf;
         Sim.wake tk.tk_wake
@@ -400,6 +373,41 @@ let eta_for tn ~cost_fp =
 (* ---- the serving path --------------------------------------------------- *)
 
 let labels_of tn = Obs.Labels.v [ ("tenant", string_of_int tn.tn_id) ]
+
+(* A client's death notice: a simulated client that dies never unwinds, so
+   whatever ticket it holds is reclaimed here, at the instant of death.  A
+   granted ticket frees its slot, a waiting one is abandoned in its queue;
+   either way the request is counted lost, once, and the slot granted on. *)
+let reclaim t tid live () =
+  Hashtbl.remove t.sv_clients tid;
+  Hashtbl.remove t.sv_probing tid;
+  match !live with
+  | None -> ()
+  | Some tk ->
+      live := None;
+      let tn = tenant t tk.tk_tenant in
+      if tk.tk_state = Granted then t.sv_inflight <- t.sv_inflight - 1
+      else begin
+        tk.tk_state <- Abandoned;
+        tn.tn_qlen <- tn.tn_qlen - 1
+      end;
+      tn.tn_lost <- tn.tn_lost + 1;
+      Obs.cnt "serve.lost_clients" 1;
+      Obs.Flight.note "serve_reclaim"
+        [ ("tid", string_of_int tid); ("tenant", string_of_int tk.tk_tenant) ];
+      try_grant t
+
+(* The calling client's live-ticket cell, made and its death notice armed
+   at the client's first submit. *)
+let client t =
+  let tid = Sim.self_tid () in
+  match Hashtbl.find_opt t.sv_clients tid with
+  | Some live -> live
+  | None ->
+      let live = ref None in
+      Hashtbl.replace t.sv_clients tid live;
+      Sim.on_end tid (reclaim t tid live);
+      live
 
 let shed _t tn ~reason ~retry_after =
   (match reason with
@@ -449,7 +457,7 @@ let submit t ~tenant_id ?(cost = 1) ?(write = true) ?deadline_ns f =
                retry, and its budget should still be there when it does *)
             Error
               (shed t tn ~reason:Queue_full
-                 ~retry_after:(poll_quantum * tn.tn_qcap))
+                 ~retry_after:(ticket_drain_ns * tn.tn_qcap))
           else begin
             tn.tn_tokens <- tn.tn_tokens - cost_fp;
             Ok ()
@@ -473,35 +481,31 @@ let submit t ~tenant_id ?(cost = 1) ?(write = true) ?deadline_ns f =
       let tk =
         {
           tk_tenant = tenant_id;
-          tk_tid = Sim.self_tid ();
           tk_vf = vf;
           tk_seq = t.sv_seq;
           tk_wake = Sim.waker ();
           tk_state = Waiting;
         }
       in
+      let live = client t in
+      live := Some tk;
       Queue.push tk tn.tn_queue;
       tn.tn_qlen <- tn.tn_qlen + 1;
-      (* --- wait for a slot: a grant wakes us, a sweep every quantum --- *)
-      (* decorrelate sweep cadences so a herd of waiters doesn't sweep on
-         the same instants forever *)
-      let quantum = poll_quantum + 97 * (Sim.self_tid () mod 13) in
+      (* --- wait for a slot: until a grant wakes us or the budget dies --- *)
       let rec await () =
         try_grant t;
         match tk.tk_state with
         | Granted -> `Run
-        | Abandoned -> `Dead (* unreachable: only the owner abandons *)
+        | Abandoned -> `Dead (* unreachable: only a timeout or death abandons *)
         | Waiting -> (
             match deadline with
             | Some d when Sim.now () >= d ->
                 tk.tk_state <- Abandoned;
                 tn.tn_qlen <- tn.tn_qlen - 1;
+                live := None;
                 `Dead
-            | Some d ->
-                Sim.sleep_until_woken tk.tk_wake (min (Sim.now () + quantum) d);
-                await ()
-            | None ->
-                Sim.sleep_until_woken tk.tk_wake (Sim.now () + quantum);
+            | _ ->
+                Sim.sleep_until_woken ?until:deadline tk.tk_wake;
                 await ())
       in
       (* Only execution-stage timeouts feed the degrade window: a budget
@@ -521,7 +525,7 @@ let submit t ~tenant_id ?(cost = 1) ?(write = true) ?deadline_ns f =
           (* the budget can die between grant and first instruction *)
           match deadline with
           | Some d when Sim.now () >= d ->
-              Hashtbl.remove t.sv_running tk.tk_tid;
+              live := None;
               t.sv_inflight <- t.sv_inflight - 1;
               try_grant t;
               timed_out ~stage:Queued
@@ -530,7 +534,7 @@ let submit t ~tenant_id ?(cost = 1) ?(write = true) ?deadline_ns f =
                 Hashtbl.replace t.sv_probing (Sim.self_tid ()) ();
               let finish () =
                 Hashtbl.remove t.sv_probing (Sim.self_tid ());
-                Hashtbl.remove t.sv_running tk.tk_tid;
+                live := None;
                 t.sv_inflight <- t.sv_inflight - 1;
                 try_grant t
               in
@@ -583,14 +587,6 @@ let submit t ~tenant_id ?(cost = 1) ?(write = true) ?deadline_ns f =
               match res with
               | Error E.ETIMEDOUT -> Timed_out { stage = Executing }
               | r -> Done r))
-
-(* Reclaim residue of dead clients outside the serving path (e.g. between
-   campaign scenarios): slots, queue tickets, and stale ambient deadlines. *)
-let sweep t =
-  sweep_running t;
-  List.iter (fun tn -> ignore (live_head t tn)) t.sv_tenant_order;
-  try_grant t;
-  Treasury.Deadline.scrub_dead ()
 
 (* ---- introspection (campaign + zofs_top) -------------------------------- *)
 

@@ -30,3 +30,8 @@ let remove t id =
   if i >= 0 && i < Array.length t.slots then t.slots.(i) <- None
 
 let reset t = Array.fill t.slots 0 (Array.length t.slots) None
+
+let iter f t =
+  Array.iteri
+    (fun i v -> match v with Some v -> f (i - 1) v | None -> ())
+    t.slots

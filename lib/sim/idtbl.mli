@@ -14,3 +14,6 @@ val replace : 'a t -> int -> 'a -> unit
 
 val remove : 'a t -> int -> unit
 val reset : 'a t -> unit
+
+val iter : (int -> 'a -> unit) -> 'a t -> unit
+(** [iter f t] applies [f id v] to every binding, in ascending id order. *)

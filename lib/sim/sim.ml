@@ -65,16 +65,55 @@ module Rng = struct
     done
 end
 
-(* Min-heap of (time, seq, thunk); seq breaks ties FIFO. *)
+(* Min-heap of (time, seq, thunk); seq breaks ties FIFO.  Each entry keeps
+   its slot in [arr] ([idx], -1 once out of the heap), so a pending entry
+   can be taken out early ([remove]): a woken sleeper's timer. *)
 module Heap = struct
-  type entry = { time : int; seq : int; thunk : unit -> unit }
+  type entry = {
+    time : int;
+    seq : int;
+    thunk : unit -> unit;
+    mutable idx : int;  (* slot in [arr], or -1 *)
+  }
   type t = { mutable arr : entry array; mutable len : int }
 
-  let dummy = { time = 0; seq = 0; thunk = (fun () -> ()) }
+  let dummy = { time = 0; seq = 0; thunk = (fun () -> ()); idx = -1 }
   let create () = { arr = Array.make 64 dummy; len = 0 }
   let is_empty h = h.len = 0
   let top_time h = h.arr.(0).time
   let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+  let set h i e =
+    h.arr.(i) <- e;
+    e.idx <- i
+
+  (* Place [e] from the hole at [i], moving larger parents down into it. *)
+  let sift_up h e i =
+    let i = ref i in
+    while !i > 0 && lt e h.arr.((!i - 1) / 2) do
+      let parent = (!i - 1) / 2 in
+      set h !i h.arr.(parent);
+      i := parent
+    done;
+    set h !i e
+
+  (* Place [e] from the hole at [i], moving smaller children up into it. *)
+  let sift_down h e i =
+    let i = ref i and continue_ = ref true in
+    while !continue_ do
+      let l = (2 * !i) + 1 in
+      if l >= h.len then continue_ := false
+      else begin
+        let r = l + 1 in
+        let c = if r < h.len && lt h.arr.(r) h.arr.(l) then r else l in
+        if lt h.arr.(c) e then begin
+          set h !i h.arr.(c);
+          i := c
+        end
+        else continue_ := false
+      end
+    done;
+    set h !i e
 
   let push h e =
     if h.len = Array.length h.arr then begin
@@ -82,45 +121,26 @@ module Heap = struct
       Array.blit h.arr 0 bigger 0 h.len;
       h.arr <- bigger
     end;
-    let i = ref h.len in
     h.len <- h.len + 1;
-    h.arr.(!i) <- e;
-    let continue_up = ref true in
-    while !continue_up && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      if lt h.arr.(!i) h.arr.(parent) then begin
-        let tmp = h.arr.(parent) in
-        h.arr.(parent) <- h.arr.(!i);
-        h.arr.(!i) <- tmp;
-        i := parent
-      end
-      else continue_up := false
-    done
+    sift_up h e (h.len - 1)
 
-  let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = h.arr.(0) in
-      h.len <- h.len - 1;
-      h.arr.(0) <- h.arr.(h.len);
-      h.arr.(h.len) <- dummy;
-      let i = ref 0 in
-      let continue_down = ref true in
-      while !continue_down do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && lt h.arr.(l) h.arr.(!smallest) then smallest := l;
-        if r < h.len && lt h.arr.(r) h.arr.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = h.arr.(!smallest) in
-          h.arr.(!smallest) <- h.arr.(!i);
-          h.arr.(!i) <- tmp;
-          i := !smallest
-        end
-        else continue_down := false
-      done;
-      Some top
-    end
+  (* Take out the entry at [i]: the last entry fills the hole, moving up
+     or down from it. *)
+  let remove_at h i =
+    let e = h.arr.(i) in
+    e.idx <- -1;
+    let n = h.len - 1 in
+    h.len <- n;
+    let last = h.arr.(n) in
+    h.arr.(n) <- dummy;
+    if i < n then begin
+      if i > 0 && lt last h.arr.((i - 1) / 2) then sift_up h last i
+      else sift_down h last i
+    end;
+    e
+
+  let pop h = remove_at h 0 (* the heap must not be empty *)
+  let remove h e = if e.idx >= 0 then ignore (remove_at h e.idx)
 end
 
 type thread = {
@@ -136,7 +156,7 @@ and world = {
   mutable next_tid : int;
   mutable next_seq : int;
   mutable live : int;
-  mutable blocked : (int * string) list;  (* threads parked on sync objects *)
+  blocked : string Idtbl.t;  (* tid -> what it is parked on, no timer *)
   heap : Heap.t;
   mutable current : thread option;
   rng0 : Rng.t;
@@ -144,7 +164,7 @@ and world = {
   nokill : int Idtbl.t;  (* tid -> no-kill nesting depth *)
   mutable killed : int;
   dead : int Idtbl.t;  (* tids that exited or were killed -> end time *)
-  joiners : (int, (int -> unit) list) Hashtbl.t;  (* tid -> parked joins *)
+  notices : (int, (unit -> unit) list) Hashtbl.t;  (* tid -> death notices *)
   proc_threads : (int, int list ref) Hashtbl.t;  (* pid -> tids, spawn order *)
   mutable switches : int;  (* reschedules: host context switches *)
 }
@@ -180,7 +200,7 @@ let create ?(seed = 42L) () =
     next_tid = 0;
     next_seq = 0;
     live = 0;
-    blocked = [];
+    blocked = Idtbl.create ();
     heap = Heap.create ();
     current = None;
     rng0 = Rng.create seed;
@@ -188,7 +208,7 @@ let create ?(seed = 42L) () =
     nokill = Idtbl.create ();
     killed = 0;
     dead = Idtbl.create ();
-    joiners = Hashtbl.create 4;
+    notices = Hashtbl.create 4;
     proc_threads = Hashtbl.create 8;
     switches = 0;
   }
@@ -215,10 +235,12 @@ let live_threads () = match !active with None -> 1 | Some w -> max 1 w.live
 type _ Effect.t +=
   | Suspend : ((unit, unit) Effect.Deep.continuation -> unit) -> unit Effect.t
 
-let schedule w time thunk =
+let entry w time thunk =
   let seq = w.next_seq in
   w.next_seq <- seq + 1;
-  Heap.push w.heap { Heap.time; seq; thunk }
+  { Heap.time; seq; thunk; idx = -1 }
+
+let schedule w time thunk = Heap.push w.heap (entry w time thunk)
 
 let suspend f = Effect.perform (Suspend f)
 
@@ -230,10 +252,10 @@ let resume w t k =
       Effect.Deep.continue k ())
 
 let park w t ~on:objname register =
-  w.blocked <- (t.tid, objname) :: w.blocked;
+  Idtbl.replace w.blocked t.tid objname;
   suspend (fun k ->
       let wake at =
-        w.blocked <- List.filter (fun (tid, _) -> tid <> t.tid) w.blocked;
+        Idtbl.remove w.blocked t.tid;
         t.time <- max t.time at;
         resume w t k
       in
@@ -272,17 +294,18 @@ let total_switches () = !total_switches
 let nokill_depth w tid =
   match Idtbl.find_opt w.nokill tid with Some d -> d | None -> 0
 
-(* A thread's end, by return or by death: joiners resume at its end time. *)
+(* A thread's end, by return or by death: its death notices run, in the
+   order they were armed, as the ending thread at its end time. *)
 let thread_ended t ev =
   let w = t.world in
   w.live <- w.live - 1;
   Idtbl.replace w.dead t.tid t.time;
   sync_emit ev;
-  match Hashtbl.find_opt w.joiners t.tid with
+  match Hashtbl.find_opt w.notices t.tid with
   | None -> ()
-  | Some wakes ->
-      Hashtbl.remove w.joiners t.tid;
-      List.iter (fun wake -> wake t.time) (List.rev wakes)
+  | Some fs ->
+      Hashtbl.remove w.notices t.tid;
+      List.iter (fun f -> f ()) (List.rev fs)
 
 let die t =
   let w = t.world in
@@ -395,64 +418,99 @@ let sleep_until at =
 (* ---- sleeps a wake can cut short ---------------------------------------- *)
 
 (* One reusable record per sleeper: [wk_k] holds the suspended continuation
-   while its owner sleeps.  A wake and the timer race to take it; whichever
-   comes second finds [None] (or a later sleep's continuation, which the
-   timer tells apart by physical identity) and does nothing. *)
+   while its owner sleeps.  A sleep with a timer keeps that timer's heap
+   entry in [wk_timer]; whichever of the wake and the timer comes first
+   takes the continuation and, for a wake, takes the timer out of the heap,
+   so nothing stale is left to run.  A sleep without a timer is parked on
+   [w.blocked] instead, so a wake that never comes ends the world in a
+   [Deadlock] that names the sleeper. *)
 type waker = {
   wk_thread : thread option;  (* the owner; [None] outside a simulation *)
   mutable wk_k : (unit, unit) Effect.Deep.continuation option;
-  mutable wk_at : int;  (* the pending sleep's timer *)
+  mutable wk_at : int;  (* the sleep being parked: its timer, or [no_timer] *)
+  mutable wk_timer : Heap.entry;  (* the pending timer, or [Heap.dummy] *)
+  wk_fire : unit -> unit;  (* the timer's thunk, built once per waker *)
 }
 
-let waker () = { wk_thread = current_thread (); wk_k = None; wk_at = 0 }
+let no_timer = -1
 
-let wake wk =
+let fire wk =
   match (wk.wk_k, wk.wk_thread) with
   | Some k, Some t ->
       wk.wk_k <- None;
-      t.time <- max t.time (now ());
-      resume t.world t k
-  | _ -> ()
-
-let fire wk k =
-  match (wk.wk_k, wk.wk_thread) with
-  | Some k', Some t when k' == k ->
-      wk.wk_k <- None;
-      t.time <- wk.wk_at;
+      t.time <- wk.wk_timer.Heap.time;
+      wk.wk_timer <- Heap.dummy;
       t.world.current <- Some t;
       Effect.Deep.continue k ()
   | _ -> ()
 
+let waker () =
+  let rec wk =
+    {
+      wk_thread = current_thread ();
+      wk_k = None;
+      wk_at = no_timer;
+      wk_timer = Heap.dummy;
+      wk_fire = (fun () -> fire wk);
+    }
+  in
+  wk
+
+let wake wk =
+  match (wk.wk_k, wk.wk_thread) with
+  | Some k, Some t ->
+      let w = t.world in
+      wk.wk_k <- None;
+      if wk.wk_timer == Heap.dummy then Idtbl.remove w.blocked t.tid
+      else begin
+        Heap.remove w.heap wk.wk_timer;
+        wk.wk_timer <- Heap.dummy
+      end;
+      t.time <- max t.time (now ());
+      resume w t k
+  | _ -> ()
+
 (* The waker being put to sleep, handed to [park_sleeper] through a ref so
-   that a sleep builds no closure of its own: only its timer's. *)
+   that a sleep builds no closure of its own. *)
 let parking = ref (waker ())
 
 let park_sleeper k =
   let wk = !parking in
   wk.wk_k <- Some k;
   (* [sleep_until_woken] checked that the caller owns [wk] *)
-  schedule (Option.get wk.wk_thread).world wk.wk_at (fun () -> fire wk k)
+  let t = Option.get wk.wk_thread in
+  if wk.wk_at = no_timer then Idtbl.replace t.world.blocked t.tid "waker"
+  else begin
+    wk.wk_timer <- entry t.world wk.wk_at wk.wk_fire;
+    Heap.push t.world.heap wk.wk_timer
+  end
 
-let sleep_until_woken wk at =
+let sleep_on t wk at =
+  count_switch t.world;
+  wk.wk_at <- at;
+  parking := wk;
+  suspend park_sleeper;
+  maybe_kill t
+
+let sleep_until_woken ?until wk =
   match current_thread () with
   | None -> ()
   | Some t ->
       (match wk.wk_thread with
       | Some owner when owner == t -> ()
       | _ -> invalid_arg "Sim.sleep_until_woken: not the waker's owner");
-      if at > t.time then begin
-        let h = t.world.heap in
-        (* Nothing runs before [at], so nothing can wake us before it:
-           skip the round trip, as [switch_if_needed] does. *)
-        if Heap.is_empty h || at < Heap.top_time h then t.time <- at
-        else begin
-          count_switch t.world;
-          wk.wk_at <- at;
-          parking := wk;
-          suspend park_sleeper
-        end;
-        maybe_kill t
-      end
+      match until with
+      | None -> sleep_on t wk no_timer
+      | Some at when at > t.time ->
+          let h = t.world.heap in
+          (* Nothing runs before [at], so nothing can wake us before it:
+             skip the round trip, as [switch_if_needed] does. *)
+          if Heap.is_empty h || at < Heap.top_time h then begin
+            t.time <- at;
+            maybe_kill t
+          end
+          else sleep_on t wk at
+      | Some _ -> ()
 
 let spawn_tid w ?proc ?at ~name body =
   let proc =
@@ -504,6 +562,16 @@ let the_current () =
 
 let fork ?proc ~name body = spawn_tid (the_current ()).world ?proc ~name body
 
+let on_end tid f =
+  match !active with
+  | Some w when tid >= 0 && tid < w.next_tid -> (
+      match Idtbl.find_opt w.dead tid with
+      | Some _ -> f ()
+      | None ->
+          let fs = Option.value ~default:[] (Hashtbl.find_opt w.notices tid) in
+          Hashtbl.replace w.notices tid (f :: fs))
+  | _ -> invalid_arg "Sim.on_end: no thread of the running world"
+
 let join tid =
   let t = the_current () in
   let w = t.world in
@@ -513,10 +581,7 @@ let join tid =
   | Some ended -> sleep_until ended
   | None ->
       park w t ~on:(Printf.sprintf "join #%d" tid) (fun wake ->
-          let wakes =
-            Option.value ~default:[] (Hashtbl.find_opt w.joiners tid)
-          in
-          Hashtbl.replace w.joiners tid (wake :: wakes)));
+          on_end tid (fun () -> wake (now ()))));
   sync_emit (S_join { tid = t.tid; child = tid })
 
 let run w =
@@ -527,23 +592,22 @@ let run w =
     active := saved
   in
   let rec loop () =
-    match Heap.pop w.heap with
-    | Some { Heap.thunk; _ } ->
-        thunk ();
-        w.current <- None;
-        loop ()
-    | None ->
-        if w.live > 0 then begin
-          let names =
-            List.map (fun (tid, obj) -> Printf.sprintf "#%d on %s" tid obj)
-              w.blocked
-          in
-          restore ();
-          raise
-            (Deadlock
-               (Printf.sprintf "%d thread(s) blocked: %s" w.live
-                  (String.concat ", " names)))
-        end
+    if not (Heap.is_empty w.heap) then begin
+      (Heap.pop w.heap).Heap.thunk ();
+      w.current <- None;
+      loop ()
+    end
+    else if w.live > 0 then begin
+      let names = ref [] in
+      Idtbl.iter
+        (fun tid obj -> names := Printf.sprintf "#%d on %s" tid obj :: !names)
+        w.blocked;
+      restore ();
+      raise
+        (Deadlock
+           (Printf.sprintf "%d thread(s) blocked: %s" w.live
+              (String.concat ", " (List.rev !names))))
+    end
   in
   (try loop () with e -> restore (); raise e);
   restore ()
@@ -701,15 +765,22 @@ module Rwlock = struct
         raise e
 end
 
+(* [free_at] is a time on the clock of world [wuid], the last world that
+   used the resource: another world's booking ends with that world, so a
+   world that finds a foreign stamp starts with the resource free. *)
 module Resource = struct
-  type t = { mutable free_at : int; name : string }
+  type t = { mutable free_at : int; mutable wuid : int; name : string }
 
-  let create ?(name = "resource") () = { free_at = 0; name }
+  let create ?(name = "resource") () = { free_at = 0; wuid = 0; name }
 
   let use r ns =
     match current_thread () with
     | None -> ()
     | Some t ->
+        if r.wuid <> t.world.wuid then begin
+          r.wuid <- t.world.wuid;
+          r.free_at <- 0
+        end;
         let start = max t.time r.free_at in
         let finish = start + ns in
         r.free_at <- finish;

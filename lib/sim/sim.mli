@@ -43,12 +43,20 @@ val fork : ?proc:Proc.t -> name:string -> (unit -> unit) -> int
     caller's current time, in the caller's process unless [proc] is given;
     returns its id for {!join}.  Fails outside a simulated thread. *)
 
+val on_end : int -> (unit -> unit) -> unit
+(** [on_end tid f] arms a death notice: [f] runs once, when thread [tid]
+    returns or is killed, as that ending thread and at its end time
+    (notices on one thread run in the order they were armed).  If [tid]
+    has already ended, [f] runs at once, as the caller.  [f] must not
+    suspend: no {!advance}, lock or sleep.  [Invalid_argument] outside a
+    running world or for a [tid] that is no thread of it. *)
+
 val join : int -> unit
 (** [join tid] blocks until thread [tid] has returned or been killed and
-    resumes no earlier than that thread's end time.  Emits [S_join], the
-    happens-before edge from everything [tid] did to what the caller does
-    next.  [Invalid_argument] when [tid] is the caller or no thread of this
-    world. *)
+    resumes no earlier than that thread's end time (an {!on_end} notice).
+    Emits [S_join], the happens-before edge from everything [tid] did to
+    what the caller does next.  [Invalid_argument] when [tid] is the
+    caller or no thread of this world. *)
 
 exception Deadlock of string
 (** Raised by {!run} if threads remain blocked with no runnable thread. *)
@@ -112,20 +120,23 @@ val waker : unit -> waker
 (** A fresh waker owned by the calling thread (inert outside a
     simulation: sleeping on it is a no-op). *)
 
-val sleep_until_woken : waker -> int -> unit
-(** [sleep_until_woken wk t] suspends the owner of [wk] until virtual time
-    [t] or until another thread calls [wake wk], whichever comes first.
-    Returns at once if [t] is not later than now.  On resuming it runs the
-    same kill check as {!advance}, so an armed kill fires here.  When
+val sleep_until_woken : ?until:int -> waker -> unit
+(** [sleep_until_woken ~until:t wk] suspends the owner of [wk] until
+    virtual time [t] or until another thread calls [wake wk], whichever
+    comes first.  Returns at once if [t] is not later than now.  When
     nothing else can run before [t], nothing can wake the sleeper either,
-    and the host context switch is skipped as in {!advance}.
-    [Invalid_argument] if the caller does not own [wk]. *)
+    and the host context switch is skipped as in {!advance}.  Without
+    [until] the sleep has no timer: only a wake ends it, and a world whose
+    other threads all end first raises {!Deadlock} naming the sleeper as
+    blocked ["on waker"].  On
+    resuming it runs the same kill check as {!advance}, so an armed kill
+    fires here.  [Invalid_argument] if the caller does not own [wk]. *)
 
 val wake : waker -> unit
 (** [wake wk] resumes [wk]'s owner, if it sleeps in {!sleep_until_woken},
-    at the caller's current time.  Its timer entry then does nothing when
-    it comes due.  A no-op when the owner is not sleeping: a second wake,
-    or one after the timer fired, does nothing. *)
+    at the caller's current time, and takes that sleep's timer out of the
+    scheduler's heap.  A no-op when the owner is not sleeping: a second
+    wake, or one after the timer fired, does nothing. *)
 
 (** {1 Thread-kill injection}
 
@@ -242,7 +253,9 @@ module Resource : sig
   val use : t -> int -> unit
   (** [use r ns] reserves the resource for [ns] nanoseconds starting at the
       earliest instant it is free, and advances the calling thread to the end
-      of the reservation.  No-op outside a simulation. *)
+      of the reservation.  A booking belongs to the world that made it: the
+      first use from another world finds the resource free.  No-op outside a
+      simulation. *)
 end
 
 (** {1 Deterministic pseudo-random numbers (splitmix64)} *)

@@ -363,6 +363,41 @@ let test_pollute_cache () =
   in
   Alcotest.(check int) "miss again after pollution" 305 t
 
+(* One world's load must not reach into the next: a measured world times
+   the same on a fresh device as on one that an earlier world left with
+   both bandwidth channels booked and thread 0's line cache warm on the
+   very lines the measured world reads. *)
+let test_worlds_isolated () =
+  let size = 64 * Nvm.page_size in
+  let measured d =
+    Sim.run_thread (fun () ->
+        let times = ref [] in
+        let mark () = times := Sim.now () :: !times in
+        for i = 0 to 15 do
+          ignore (D.read_u64 d (i * Nvm.line_size));
+          mark ()
+        done;
+        ignore (D.read_bytes d 0 (4 * Nvm.page_size));
+        mark ();
+        for i = 0 to 15 do
+          D.write_u64 d (Nvm.page_size + (i * Nvm.line_size)) i
+        done;
+        D.persist_range d Nvm.page_size (16 * Nvm.line_size);
+        mark ();
+        List.rev !times)
+  in
+  let fresh = measured (D.create ~perf:Nvm.Perf.optane ~size ()) in
+  let loaded = D.create ~perf:Nvm.Perf.optane ~size () in
+  Sim.run_thread (fun () ->
+      for i = 0 to 15 do
+        ignore (D.read_u64 loaded (i * Nvm.line_size))
+      done;
+      ignore (D.read_bytes loaded 0 (32 * Nvm.page_size));
+      D.fill loaded (2 * Nvm.page_size) (32 * Nvm.page_size) 'x';
+      D.persist_range loaded (2 * Nvm.page_size) (32 * Nvm.page_size));
+  Alcotest.(check (list int)) "every simulated time matches" fresh
+    (measured loaded)
+
 let test_fence_cost () =
   let d = D.create ~perf:Nvm.Perf.optane ~size:(64 * Nvm.page_size) () in
   let t =
@@ -761,6 +796,8 @@ let () =
           Alcotest.test_case "cache hit" `Quick test_cache_hit_cheap;
           Alcotest.test_case "pollute cache" `Quick test_pollute_cache;
           Alcotest.test_case "flush+fence cost" `Quick test_fence_cost;
+          Alcotest.test_case "worlds do not share time" `Quick
+            test_worlds_isolated;
           Alcotest.test_case "stats" `Quick test_stats_counted;
         ] );
       ( "protection-hook",

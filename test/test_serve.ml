@@ -9,8 +9,8 @@
    - ambient deadline plumbing: nesting can only shrink the budget
    - the server itself: quota sheds, bounded queues, a late success
      reported as the timeout it is to the client, a freed slot granted
-     straight to the next waiter, and a grantee that dies before it
-     resumes *)
+     straight to the next waiter, and a client that dies holding its
+     slot or before it resumes, reclaimed at its death *)
 
 module D = Nvm.Device
 module E = Treasury.Errno
@@ -318,8 +318,8 @@ let test_grant_wakes_waiter () =
         (Serve.accounted s);
       Alcotest.(check int) "no slot leak" 0 (Serve.inflight srv))
 
-(* A client killed after its grant but before it resumes holds its slot
-   only until the next sweep, which counts it lost exactly once. *)
+(* A client killed after its grant but before it resumes frees its slot at
+   its death, which counts it lost exactly once. *)
 let test_killed_grantee_reclaimed () =
   obs_on ();
   in_world ~seed:42L (fun w ->
@@ -347,16 +347,58 @@ let test_killed_grantee_reclaimed () =
       Alcotest.(check (option (pair int bool)))
         "B granted the slot while still alive" (Some (1, true)) !at_grant;
       Alcotest.(check bool) "B is dead" false (Sim.thread_alive !b);
-      Alcotest.(check int) "its slot is held until a sweep" 1
-        (Serve.inflight srv);
+      Alcotest.(check int) "freed at its death" 0 (Serve.inflight srv);
       (match
          Serve.submit srv ~tenant_id:0 ~deadline_ns:50_000 (fun () -> Ok ())
        with
       | Serve.Done (Ok ()) -> ()
       | _ -> Alcotest.fail "the next request must get the reclaimed slot");
-      Serve.sweep srv;
       let s = List.hd (Serve.tenant_stats srv) in
       Alcotest.(check int) "lost once" 1 s.Serve.ts_lost;
+      Alcotest.(check int) "books balance" s.Serve.ts_submitted
+        (Serve.accounted s);
+      Alcotest.(check int) "no slot leak" 0 (Serve.inflight srv))
+
+(* A slot holder killed mid-body frees its slot at its death: the waiter,
+   which has no deadline and so no timer, starts its body at exactly the
+   holder's death time, its wait having suspended once.  The death is
+   counted lost and the books balance with no sweep of any kind. *)
+let test_holder_death_grants_at_once () =
+  obs_on ();
+  in_world ~seed:43L (fun w ->
+      let srv = Serve.create ~max_inflight:1 () in
+      Serve.add_tenant srv ~id:0 ~weight:1 ~rate_per_ms:1_000 ~burst:10
+        ~queue_cap:8 ();
+      let t0 = Sim.now () in
+      let died_at = ref (-1) and b_start = ref (-1) and b_runs = ref 0 in
+      let b_switches = ref (-1) in
+      let a =
+        Sim.spawn_tid w ~name:"a" ~at:t0 (fun () ->
+            ignore
+              (Serve.submit srv ~tenant_id:0 (fun () ->
+                   Sim.advance 10_000;
+                   Sim.arm_kill ~tid:(Sim.self_tid ()) ~after:1;
+                   died_at := Sim.now () + 1_000;
+                   Sim.advance 1_000 (* dies at its end *);
+                   Alcotest.fail "the holder outlived its kill")))
+      in
+      Sim.spawn w ~name:"b" ~at:(t0 + 1_000) (fun () ->
+          let s0 = Sim.world_switches w in
+          ignore
+            (Serve.submit srv ~tenant_id:0 (fun () ->
+                 b_start := Sim.now ();
+                 b_switches := Sim.world_switches w - s0;
+                 incr b_runs;
+                 Ok ())));
+      Sim.advance 50_000;
+      Alcotest.(check bool) "A died mid-body" false (Sim.thread_alive a);
+      Alcotest.(check int) "at 11 us" (t0 + 11_000) !died_at;
+      Alcotest.(check int) "B starts at A's death" !died_at !b_start;
+      Alcotest.(check int) "B's body ran once" 1 !b_runs;
+      Alcotest.(check int) "B's wait suspended once" 1 !b_switches;
+      let s = List.hd (Serve.tenant_stats srv) in
+      Alcotest.(check int) "lost once" 1 s.Serve.ts_lost;
+      Alcotest.(check int) "B done" 1 s.Serve.ts_done_ok;
       Alcotest.(check int) "books balance" s.Serve.ts_submitted
         (Serve.accounted s);
       Alcotest.(check int) "no slot leak" 0 (Serve.inflight srv))
@@ -399,5 +441,7 @@ let () =
             test_grant_wakes_waiter;
           Alcotest.test_case "a grantee killed before it resumes is reclaimed"
             `Quick test_killed_grantee_reclaimed;
+          Alcotest.test_case "a holder's death grants its slot at once" `Quick
+            test_holder_death_grants_at_once;
         ] );
     ]

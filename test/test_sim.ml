@@ -482,7 +482,7 @@ let test_wake_before_timer () =
   Sim.spawn w ~name:"sleeper" (fun () ->
       let k = Sim.waker () in
       wk := Some k;
-      Sim.sleep_until_woken k 1_000;
+      Sim.sleep_until_woken ~until:1_000 k;
       woke_at := Sim.now ());
   Sim.spawn w ~name:"waker" (fun () ->
       Sim.advance 300;
@@ -491,7 +491,7 @@ let test_wake_before_timer () =
   Alcotest.(check int) "resumed at the waker's time" 300 !woke_at
 
 (* The timer alone ends a sleep at [t]; a wake that finds its target not
-   sleeping, a second wake, and a stale timer entry all do nothing. *)
+   sleeping, a second wake, and a woken sleep's old timer all do nothing. *)
 let test_timer_and_stale_wakes () =
   let w = Sim.create () in
   let wk = ref None and times = ref [] in
@@ -499,13 +499,13 @@ let test_timer_and_stale_wakes () =
   Sim.spawn w ~name:"sleeper" (fun () ->
       let k = Sim.waker () in
       wk := Some k;
-      Sim.sleep_until_woken k 1_000 (* no wake: the timer ends it *);
+      Sim.sleep_until_woken ~until:1_000 k (* no wake: the timer ends it *);
       mark ();
       Sim.advance 500 (* the wake at 1,200 lands here: no effect *);
       mark ();
-      Sim.sleep_until_woken k 3_000 (* woken twice at 2,000 *);
+      Sim.sleep_until_woken ~until:3_000 k (* woken twice at 2,000 *);
       mark ();
-      Sim.sleep_until_woken k 4_000 (* the stale 3,000 timer must not end it *);
+      Sim.sleep_until_woken ~until:4_000 k (* must not end at the old 3,000 *);
       mark ());
   Sim.spawn w ~name:"waker" (fun () ->
       let wake () = Option.iter Sim.wake !wk in
@@ -525,7 +525,7 @@ let test_kill_fires_on_wakeup () =
     Sim.spawn_tid w ~name (fun () ->
         let k = Sim.waker () in
         set k;
-        Sim.sleep_until_woken k 1_000;
+        Sim.sleep_until_woken ~until:1_000 k;
         incr after)
   in
   let s1 = sleeper "by-timer" ignore in
@@ -552,23 +552,101 @@ let test_sleep_not_later_returns () =
       let k = Sim.waker () in
       Sim.advance 100;
       let s0 = Sim.world_switches w in
-      Sim.sleep_until_woken k 100;
-      Sim.sleep_until_woken k 50;
+      Sim.sleep_until_woken ~until:100 k;
+      Sim.sleep_until_woken ~until:50 k;
       Alcotest.(check int) "time unchanged" 100 (Sim.now ());
       Alcotest.(check int) "no switch" s0 (Sim.world_switches w);
       (* alone in the world, nothing can wake it early: no switch either *)
-      Sim.sleep_until_woken k 1_000;
+      Sim.sleep_until_woken ~until:1_000 k;
       Alcotest.(check int) "slept to the timer" 1_000 (Sim.now ());
       Alcotest.(check int) "still no switch" s0 (Sim.world_switches w);
       ok := true;
       let other = Sim.fork ~name:"intruder" (fun () ->
           Alcotest.check_raises "only the owner sleeps on a waker"
             (Invalid_argument "Sim.sleep_until_woken: not the waker's owner")
-            (fun () -> Sim.sleep_until_woken k 5_000))
+            (fun () -> Sim.sleep_until_woken ~until:5_000 k))
       in
       Sim.join other);
   Sim.run w;
   Alcotest.(check bool) "sleeper finished" true !ok
+
+(* A wake takes its sleep's timer out of the heap: the sleeper woken at 300
+   then advances past the old 1,000 timer with nothing left to switch to. *)
+let test_wake_removes_timer () =
+  let w = Sim.create () in
+  let wk = ref None and result = ref None in
+  Sim.spawn w ~name:"sleeper" (fun () ->
+      let k = Sim.waker () in
+      wk := Some k;
+      Sim.sleep_until_woken ~until:1_000 k;
+      let s0 = Sim.world_switches w in
+      Sim.advance 2_000;
+      result := Some (Sim.now (), Sim.world_switches w - s0));
+  Sim.spawn w ~name:"waker" (fun () ->
+      Sim.advance 300;
+      Option.iter Sim.wake !wk);
+  Sim.run w;
+  Alcotest.(check (option (pair int int)))
+    "past the old timer, no switch" (Some (2_300, 0)) !result
+
+(* Without a timer only a wake ends the sleep; a wake that never comes is
+   a deadlock, and the message names the sleeper. *)
+let test_timerless_sleep () =
+  let w = Sim.create () in
+  let wk = ref None and woke_at = ref (-1) in
+  Sim.spawn w ~name:"sleeper" (fun () ->
+      let k = Sim.waker () in
+      wk := Some k;
+      Sim.sleep_until_woken k;
+      woke_at := Sim.now ());
+  Sim.spawn w ~name:"waker" (fun () ->
+      Sim.advance 700;
+      Option.iter Sim.wake !wk);
+  Sim.run w;
+  Alcotest.(check int) "ended by the wake" 700 !woke_at;
+  let w = Sim.create () in
+  Sim.spawn w ~name:"forgotten" (fun () ->
+      Sim.sleep_until_woken (Sim.waker ()));
+  Sim.spawn w ~name:"other" (fun () -> Sim.advance 1_000);
+  Alcotest.check_raises "a lost wake deadlocks"
+    (Sim.Deadlock "1 thread(s) blocked: #0 on waker") (fun () ->
+      Sim.run w)
+
+(* A death notice runs once, as the ending thread at its end time, on
+   return and on kill alike; armed on a thread already ended, it runs at
+   once as the caller. *)
+let test_on_end () =
+  let w = Sim.create () in
+  let log = ref [] in
+  let note what () = log := (what, Sim.self_tid (), Sim.now ()) :: !log in
+  let returns = Sim.spawn_tid w ~name:"returns" (fun () -> Sim.advance 500) in
+  let killed =
+    Sim.spawn_tid w ~name:"killed" (fun () ->
+        for _ = 1 to 100 do
+          Sim.advance 100
+        done)
+  in
+  let watcher =
+    Sim.spawn_tid w ~name:"watcher" (fun () ->
+        Sim.on_end returns (note "returned");
+        Sim.on_end killed (note "killed");
+        Sim.advance 250;
+        Sim.arm_kill ~tid:killed ~after:1;
+        Sim.advance 1_000;
+        Sim.on_end returns (note "already ended"))
+  in
+  Sim.run w;
+  Alcotest.(check (list (triple string int int)))
+    "notices"
+    [
+      ("killed", killed, 400);
+      ("returned", returns, 500);
+      ("already ended", watcher, 1_250);
+    ]
+    (List.rev !log);
+  Alcotest.check_raises "outside a running world"
+    (Invalid_argument "Sim.on_end: no thread of the running world") (fun () ->
+      Sim.on_end 0 ignore)
 
 let () =
   Alcotest.run "sim"
@@ -598,6 +676,11 @@ let () =
             test_timer_and_stale_wakes;
           Alcotest.test_case "a kill armed in a sleep fires on wakeup" `Quick
             test_kill_fires_on_wakeup;
+          Alcotest.test_case "a wake takes its timer out" `Quick
+            test_wake_removes_timer;
+          Alcotest.test_case "a timer-less sleep ends only by a wake" `Quick
+            test_timerless_sleep;
+          Alcotest.test_case "death notices" `Quick test_on_end;
           Alcotest.test_case "a sleep to the past returns at once" `Quick
             test_sleep_not_later_returns;
           QCheck_alcotest.to_alcotest qcheck_advance_matches_push_pop;
