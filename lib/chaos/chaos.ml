@@ -83,6 +83,9 @@ let victim_path i = Printf.sprintf "/v%d" i
 let n_tenants = 4
 let shared_path = "/work/shared"
 
+(* A victim or tenant still alive this long after its wait began is wedged. *)
+let victim_budget_ns = 20_000_000
+
 (* One FSLibs instance for the CALLING process: must run inside the sim
    thread of the process that will use it (fs_mount registers that pid). *)
 let fslib_for kfs =
@@ -325,37 +328,30 @@ let run ?(seed = 11L) ?(pages = 16384) ?(min_faults = 200) ?(max_rounds = 600)
             | [] -> fresh_work_create ()
           else fresh_work_create ()
         in
-        let finished = ref false in
         let killed0 = Sim.killed_threads () in
         let tid =
           Sim.spawn_tid w ~proc ~name:"chaos-victim" (fun () ->
               incr ops;
-              (try ignore (Op.apply fs op)
-               with e ->
-                 violation
-                   (Printf.sprintf
-                      "exception escaped the dispatcher in victim thread: %s"
-                      (Printexc.to_string e)));
-              finished := true)
+              try ignore (Op.apply fs op)
+              with e ->
+                violation
+                  (Printf.sprintf
+                     "exception escaped the dispatcher in victim thread: %s"
+                     (Printexc.to_string e)))
         in
         Sim.arm_kill ~tid ~after:(10 + Sim.Rng.int rng 250);
         incr armed_kills;
         Obs.Flight.note "inject_kill" [ ("tid", string_of_int tid) ];
-        (* Wait for the victim to finish or die; a thread that does neither
-           within the budget is wedged — itself a containment violation. *)
-        let budget = ref 200_000 in
-        while (not !finished) && Sim.killed_threads () = killed0 && !budget > 0 do
-          decr budget;
-          Sim.advance 100
-        done;
-        if !finished then Sim.disarm_kill ~tid
+        Sim.join ~until:(Sim.now () + victim_budget_ns) tid;
+        if Sim.thread_alive tid then
+          violation "kill round: victim thread neither finished nor died"
         else if Sim.killed_threads () > killed0 then begin
           incr kills_fired;
           (* The next op on the same structure must steal the dead
              thread's lease and roll its intention record. *)
           guard op
         end
-        else violation "kill round: victim thread neither finished nor died"
+        else Sim.disarm_kill ~tid
       in
       let inject_kill_process () =
         (* A whole victim PROCESS: two threads, each with the shared
@@ -395,11 +391,8 @@ let run ?(seed = 11L) ?(pages = 16384) ?(min_faults = 200) ?(max_rounds = 600)
           !armed_kills
           + List.length (List.filter Sim.thread_alive (Sim.proc_tids pid));
         Sim.kill_process ~pid;
-        let budget = ref 200_000 in
-        while Sim.proc_alive pid && !budget > 0 do
-          decr budget;
-          Sim.advance 100
-        done;
+        let until = Sim.now () + victim_budget_ns in
+        List.iter (Sim.join ~until) (Sim.proc_tids pid);
         if Sim.proc_alive pid then
           violation "process kill: victim process still alive after budget"
         else begin
@@ -498,11 +491,7 @@ let run ?(seed = 11L) ?(pages = 16384) ?(min_faults = 200) ?(max_rounds = 600)
       stop_tenants := true;
       List.iter
         (fun tid ->
-          let budget = ref 200_000 in
-          while Sim.thread_alive tid && !budget > 0 do
-            decr budget;
-            Sim.advance 100
-          done;
+          Sim.join ~until:(Sim.now () + victim_budget_ns) tid;
           if Sim.thread_alive tid then
             violation "tenant thread failed to quiesce")
         tenant_tids;

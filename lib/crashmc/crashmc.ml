@@ -191,17 +191,22 @@ let replay ?crash_at ?fence_drop ?(procs = 1) w =
        let wld = Sim.create () in
        let n = Array.length w.w_body in
        let next = ref 0 in
-       (* one op in flight at a time, in body order; everyone else idles *)
+       (* one op in flight at a time, in body order; everyone else sleeps
+          on its own waker (inert until its process makes it) *)
+       let turn = Array.init procs (fun _ -> Sim.waker ()) in
        let apply_slice me fs =
+         turn.(me) <- Sim.waker ();
          while !next < n do
            if !next mod procs = me then begin
              let i = !next in
              arm_fence_drop i;
              ignore (Op.apply fs w.w_body.(i));
              acked := i + 1;
-             incr next
+             incr next;
+             if !next < n then Sim.wake turn.(!next mod procs)
+             else Array.iter Sim.wake turn
            end
-           else Sim.advance 50
+           else Sim.sleep_until_woken turn.(me)
          done
        in
        Sim.spawn wld

@@ -298,7 +298,10 @@ let in_shared_world ~nprocs ~ops_per_proc ~setup ~worker () =
               Sim.advance 200
             done;
             decr live;
-            (* the last tenant to drain closes the measured phase *)
+            (* The last tenant to drain closes the measured phase.  Not a
+               join by the setup thread: [Sim.live_threads] would still
+               count it, parked, and that count prices NVM write
+               bandwidth and [coffer_enlarge]. *)
             if !live = 0 then result := Some (stop ()))
       done);
   Sim.run world;

@@ -98,23 +98,20 @@ let ok = function
    FSLib (the file system lives in the client's address space), attaches
    the server's admission gate to its dispatcher, then spawns the other
    workers.  [body fs i] runs in every worker, i in [0, threads); workers
-   after the leader start [stagger] ns apart. *)
-let spawn_clients w kfs srv ~name ~threads ?(stagger = 0) ~finished body =
+   after the leader start [stagger] ns apart.  Returns the process's pid. *)
+let spawn_clients w kfs srv ~name ~threads ?(stagger = 0) body =
   let proc = Sim.Proc.create ~uid:0 ~gid:0 () in
   Sim.spawn w ~proc ~name:(name ^ "-0") (fun () ->
       let disp, fs = fslib_for kfs in
       Serve.attach_dispatcher srv disp;
       for i = 1 to threads - 1 do
-        ignore
-          (Sim.spawn_tid w ~proc
-             ~name:(Printf.sprintf "%s-%d" name i)
-             ~at:(Sim.now () + (i * stagger))
-             (fun () ->
-               body fs i;
-               incr finished))
+        Sim.spawn w ~proc
+          ~name:(Printf.sprintf "%s-%d" name i)
+          ~at:(Sim.now () + (i * stagger))
+          (fun () -> body fs i)
       done;
-      body fs 0;
-      incr finished)
+      body fs 0);
+  proc.Sim.Proc.pid
 
 (* ---- request bodies ------------------------------------------------------ *)
 
@@ -182,11 +179,14 @@ let count tally = function
         tally.t_bad_retry_after <- tally.t_bad_retry_after + 1
   | Serve.Timed_out _ -> tally.t_timed <- tally.t_timed + 1
 
-(* Wait until [n] client threads have finished (cooperative join). *)
-let join finished n =
-  while !finished < n do
-    Sim.advance 20_000
-  done
+(* Join every client thread of the processes [pids], dead or alive.  A
+   leader has spawned all its workers by the time it ends. *)
+let join pids =
+  List.iter
+    (fun pid ->
+      Sim.join (List.hd (Sim.proc_tids pid));
+      List.iter Sim.join (Sim.proc_tids pid))
+    pids
 
 (* The per-tenant books must balance exactly: submitted = done + errors +
    timeouts + sheds + lost.  Every scenario closes with this audit. *)
@@ -232,17 +232,18 @@ let calibrate ~seed ~ops_per_client =
                 (Printf.sprintf "/cal/f%d" i)
                 ~mode:0o644 huge_block))
       done;
-      let finished = ref 0 in
       let t0 = Sim.now () in
-      spawn_clients w kfs srv ~name:"cal" ~threads:16 ~finished (fun fs i ->
-          Obs.set_tenant 0;
-          let path = Printf.sprintf "/cal/f%d" i in
-          for _ = 1 to ops_per_client do
-            ignore
-              (Serve.submit srv ~tenant_id:0 (fun () ->
-                   overwrite_req fs path huge_block))
-          done);
-      join finished 16;
+      let pid =
+        spawn_clients w kfs srv ~name:"cal" ~threads:16 (fun fs i ->
+            Obs.set_tenant 0;
+            let path = Printf.sprintf "/cal/f%d" i in
+            for _ = 1 to ops_per_client do
+              ignore
+                (Serve.submit srv ~tenant_id:0 (fun () ->
+                     overwrite_req fs path huge_block))
+            done)
+      in
+      join [ pid ];
       let elapsed = Sim.now () - t0 in
       let total = 16 * ops_per_client in
       if elapsed = 0 then 0
@@ -267,36 +268,34 @@ let herd ~seed ~procs ~threads_per violation =
                 ~mode:0o644 (String.make 512 'h')))
       done;
       let n = procs * threads_per in
-      let finished = ref 0 in
       let tally = mk_tally () in
-      for p = 0 to procs - 1 do
-        spawn_clients w kfs srv
-          ~name:(Printf.sprintf "herd%d" p)
-          ~threads:threads_per ~stagger:800 ~finished
-          (fun fs i ->
-            let cid = (p * threads_per) + i in
-            let tenant_id = cid mod n_tenants in
-            Obs.set_tenant tenant_id;
-            let path = Printf.sprintf "/hot%d" (cid mod 4) in
-            let give_up_at = Sim.now () + 80_000_000 in
-            let rec attempt tries =
-              tally.t_sub <- tally.t_sub + 1;
-              let o =
-                Serve.submit srv ~tenant_id ~write:false
-                  ~deadline_ns:10_000_000 (fun () -> read_req fs path)
-              in
-              count tally o;
-              match o with
-              | Serve.Shed { retry_after; _ }
-                when tries < 6 && Sim.now () + retry_after < give_up_at ->
-                  (* honest retry-after: wait it out, then try again *)
-                  Sim.advance (retry_after + (cid mod 17 * 311));
-                  attempt (tries + 1)
-              | _ -> ()
-            in
-            attempt 0)
-      done;
-      join finished n;
+      join
+        (List.init procs (fun p ->
+             spawn_clients w kfs srv
+               ~name:(Printf.sprintf "herd%d" p)
+               ~threads:threads_per ~stagger:800
+               (fun fs i ->
+                 let cid = (p * threads_per) + i in
+                 let tenant_id = cid mod n_tenants in
+                 Obs.set_tenant tenant_id;
+                 let path = Printf.sprintf "/hot%d" (cid mod 4) in
+                 let give_up_at = Sim.now () + 80_000_000 in
+                 let rec attempt tries =
+                   tally.t_sub <- tally.t_sub + 1;
+                   let o =
+                     Serve.submit srv ~tenant_id ~write:false
+                       ~deadline_ns:10_000_000 (fun () -> read_req fs path)
+                   in
+                   count tally o;
+                   match o with
+                   | Serve.Shed { retry_after; _ }
+                     when tries < 6 && Sim.now () + retry_after < give_up_at ->
+                       (* honest retry-after: wait it out, then try again *)
+                       Sim.advance (retry_after + (cid mod 17 * 311));
+                       attempt (tries + 1)
+                   | _ -> ()
+                 in
+                 attempt 0)));
       if Serve.inflight srv <> 0 then
         violation "herd: slots leaked (inflight != 0 after drain)";
       if tally.t_ok < Serve.max_inflight srv then
@@ -349,40 +348,42 @@ let mixed ~seed ~admission ~capacity_rps ~floods ~per_flood ~duration_ns
       Obs.Slo.define ~name:"serve-hi" ~op:"req" ~p99_target_ns:1_500_000;
       let snap0 = Obs.Snapshot.take () in
       let stop_at = Sim.now () + duration_ns in
-      let finished = ref 0 in
       let n_hi = 16 in
       let n = n_hi + (floods * per_flood) in
       (* high-priority clients: open-loop, paced inside their quota *)
-      spawn_clients w kfs srv ~name:"hi" ~threads:n_hi ~stagger:3_000 ~finished
-        (fun fs c ->
-          Obs.set_tenant 0;
-          while Sim.now () < stop_at do
-            ignore
-              (Serve.submit srv ~tenant_id:0 ~write:false
-                 ~deadline_ns:1_500_000 (fun () -> read_req fs "/m/f0"));
-            Sim.advance (90_000 + (c * 1_009))
-          done);
+      let hi =
+        spawn_clients w kfs srv ~name:"hi" ~threads:n_hi ~stagger:3_000
+          (fun fs c ->
+            Obs.set_tenant 0;
+            while Sim.now () < stop_at do
+              ignore
+                (Serve.submit srv ~tenant_id:0 ~write:false
+                   ~deadline_ns:1_500_000 (fun () -> read_req fs "/m/f0"));
+              Sim.advance (90_000 + (c * 1_009))
+            done)
+      in
       (* flood clients: closed-loop expensive overwrites, resubmitting the
          moment a shed's retry-after allows *)
-      for fl = 1 to floods do
-        spawn_clients w kfs srv
-          ~name:(Printf.sprintf "flood%d" fl)
-          ~threads:per_flood ~stagger:1_500 ~finished
-          (fun fs c ->
-            Obs.set_tenant fl;
-            let path = Printf.sprintf "/m/f%d" fl in
-            while Sim.now () < stop_at do
-              (match
-                 Serve.submit srv ~tenant_id:fl (fun () ->
-                     overwrite_req fs path huge_block)
-               with
-              | Serve.Shed { retry_after; _ } ->
-                  Sim.advance (retry_after + 30_000)
-              | _ -> Sim.advance 2_000);
-              Sim.advance (1_000 + (c * 97))
-            done)
-      done;
-      join finished n;
+      join
+        (hi
+        :: List.init floods (fun i ->
+               let fl = i + 1 in
+               spawn_clients w kfs srv
+                 ~name:(Printf.sprintf "flood%d" fl)
+                 ~threads:per_flood ~stagger:1_500
+                 (fun fs c ->
+                   Obs.set_tenant fl;
+                   let path = Printf.sprintf "/m/f%d" fl in
+                   while Sim.now () < stop_at do
+                     (match
+                        Serve.submit srv ~tenant_id:fl (fun () ->
+                            overwrite_req fs path huge_block)
+                      with
+                     | Serve.Shed { retry_after; _ } ->
+                         Sim.advance (retry_after + 30_000)
+                     | _ -> Sim.advance 2_000);
+                     Sim.advance (1_000 + (c * 97))
+                   done)));
       let req, _, _, _, _, _ = fold_stats srv (0, 0, 0, 0, 0, 0) in
       let offered_rps =
         int_of_float (float_of_int req /. (float_of_int duration_ns /. 1e9))
@@ -452,25 +453,23 @@ let hotfile ~seed ~procs ~per_proc violation =
       in
       let aborts0 = aborts_at () in
       let writers = procs * per_proc in
-      let finished = ref 0 in
       let tally = mk_tally () in
-      for p = 0 to procs - 1 do
-        spawn_clients w kfs srv
-          ~name:(Printf.sprintf "fan%d" p)
-          ~threads:per_proc ~stagger:500 ~finished
-          (fun fs _i ->
-            Obs.set_tenant 0;
-            for _ = 1 to 6 do
-              tally.t_sub <- tally.t_sub + 1;
-              (* deadline of the order of ONE leased append: most of the
-                 herd must give up inside lease acquisition *)
-              count tally
-                (Serve.submit srv ~tenant_id:0 ~deadline_ns:120_000 (fun () ->
-                     append_req fs "/fanin" payload));
-              Sim.advance 3_000
-            done)
-      done;
-      join finished writers;
+      join
+        (List.init procs (fun p ->
+             spawn_clients w kfs srv
+               ~name:(Printf.sprintf "fan%d" p)
+               ~threads:per_proc ~stagger:500
+               (fun fs _i ->
+                 Obs.set_tenant 0;
+                 for _ = 1 to 6 do
+                   tally.t_sub <- tally.t_sub + 1;
+                   (* deadline of the order of ONE leased append: most of the
+                      herd must give up inside lease acquisition *)
+                   count tally
+                     (Serve.submit srv ~tenant_id:0 ~deadline_ns:120_000
+                        (fun () -> append_req fs "/fanin" payload));
+                   Sim.advance 3_000
+                 done)));
       let aborts = aborts_at () - aborts0 in
       if aborts = 0 then
         violation
@@ -499,37 +498,40 @@ let slow ~seed violation =
         ~queue_cap:6 () (* elephant: expensive writes, short queue *);
       ignore (ok (V.write_file fs "/cheap" ~mode:0o644 (String.make 256 'c')));
       ignore (ok (V.write_file fs "/slowf" ~mode:0o644 big_block));
-      let finished = ref 0 in
       let cheap_lat = Sim.Stats.create () in
       let n_cheap = 12 and n_slow = 16 in
-      spawn_clients w kfs srv ~name:"cheap" ~threads:n_cheap ~stagger:2_000
-        ~finished (fun fs _ ->
-          Obs.set_tenant 0;
-          for _ = 1 to 40 do
-            let t0 = Sim.now () in
-            (match
-               Serve.submit srv ~tenant_id:0 ~write:false
-                 ~deadline_ns:20_000_000 (fun () -> read_req fs "/cheap")
-             with
-            | Serve.Done (Ok ()) ->
-                Sim.Stats.add cheap_lat (float_of_int (Sim.now () - t0))
-            | _ -> ());
-            Sim.advance 25_000
-          done);
-      spawn_clients w kfs srv ~name:"slow" ~threads:n_slow ~stagger:2_000
-        ~finished (fun fs _ ->
-          Obs.set_tenant 1;
-          for _ = 1 to 25 do
-            (match
-               Serve.submit srv ~tenant_id:1 ~cost:8 ~deadline_ns:50_000_000
-                 (fun () -> overwrite_req fs "/slowf" big_block)
-             with
-            | Serve.Shed { retry_after; _ } ->
-                Sim.advance (min retry_after 200_000)
-            | _ -> Sim.advance 4_000);
-            Sim.advance 2_000
-          done);
-      join finished (n_cheap + n_slow);
+      let cheap_clients =
+        spawn_clients w kfs srv ~name:"cheap" ~threads:n_cheap ~stagger:2_000
+          (fun fs _ ->
+            Obs.set_tenant 0;
+            for _ = 1 to 40 do
+              let t0 = Sim.now () in
+              (match
+                 Serve.submit srv ~tenant_id:0 ~write:false
+                   ~deadline_ns:20_000_000 (fun () -> read_req fs "/cheap")
+               with
+              | Serve.Done (Ok ()) ->
+                  Sim.Stats.add cheap_lat (float_of_int (Sim.now () - t0))
+              | _ -> ());
+              Sim.advance 25_000
+            done)
+      in
+      let slow_clients =
+        spawn_clients w kfs srv ~name:"slow" ~threads:n_slow ~stagger:2_000
+          (fun fs _ ->
+            Obs.set_tenant 1;
+            for _ = 1 to 25 do
+              (match
+                 Serve.submit srv ~tenant_id:1 ~cost:8 ~deadline_ns:50_000_000
+                   (fun () -> overwrite_req fs "/slowf" big_block)
+               with
+              | Serve.Shed { retry_after; _ } ->
+                  Sim.advance (min retry_after 200_000)
+              | _ -> Sim.advance 4_000);
+              Sim.advance 2_000
+            done)
+      in
+      join [ cheap_clients; slow_clients ];
       let stats = Serve.tenant_stats srv in
       let cheap = List.nth stats 0 and slowt = List.nth stats 1 in
       if cheap.Serve.ts_done_ok * 10 < cheap.Serve.ts_submitted * 9 then
@@ -558,37 +560,27 @@ let kills ~seed ~procs ~per_proc violation =
         ~queue_cap:128 ();
       ignore (ok (V.write_file fs "/kf" ~mode:0o644 (String.make 256 'k')));
       let clients = procs * per_proc in
-      let finished = ref 0 in
-      let kills0 = Sim.killed_threads () in
-      let armed = ref 0 in
-      for p = 0 to procs - 1 do
-        spawn_clients w kfs srv
-          ~name:(Printf.sprintf "kc%d" p)
-          ~threads:per_proc ~stagger:2_000 ~finished
-          (fun fs i ->
-            let cid = (p * per_proc) + i in
-            (* every third client schedules its own death at a staggered
-               depth: some die waiting in the queue, some die holding an
-               execution slot *)
-            if cid mod 3 = 0 then begin
-              incr armed;
-              Sim.arm_kill ~tid:(Sim.self_tid ())
-                ~after:(20 + (cid * 29 mod 2_000))
-            end;
-            Obs.set_tenant 0;
-            for _ = 1 to 8 do
-              ignore
-                (Serve.submit srv ~tenant_id:0 ~write:false
-                   ~deadline_ns:20_000_000 (fun () -> read_req fs "/kf"));
-              Sim.advance 5_000
-            done)
-      done;
-      (* dead clients never bump [finished]; join on the survivors, then
-         give stragglers time to drain *)
-      let survivors = clients - ((clients + 2) / 3) in
-      join finished survivors;
-      Sim.advance 40_000_000;
-      let killed = Sim.killed_threads () - kills0 in
+      join
+        (List.init procs (fun p ->
+             spawn_clients w kfs srv
+               ~name:(Printf.sprintf "kc%d" p)
+               ~threads:per_proc ~stagger:2_000
+               (fun fs i ->
+                 let cid = (p * per_proc) + i in
+                 (* every third client schedules its own death at a staggered
+                    depth: some die waiting in the queue, some die holding an
+                    execution slot *)
+                 if cid mod 3 = 0 then
+                   Sim.arm_kill ~tid:(Sim.self_tid ())
+                     ~after:(20 + (cid * 29 mod 2_000));
+                 Obs.set_tenant 0;
+                 for _ = 1 to 8 do
+                   ignore
+                     (Serve.submit srv ~tenant_id:0 ~write:false
+                        ~deadline_ns:20_000_000 (fun () -> read_req fs "/kf"));
+                   Sim.advance 5_000
+                 done)));
+      let killed = Sim.killed_threads () (* the world's own kills *) in
       if killed = 0 then violation "kills: injector armed nothing";
       let stats = List.hd (Serve.tenant_stats srv) in
       if stats.Serve.ts_lost > killed then

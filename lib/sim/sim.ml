@@ -572,17 +572,25 @@ let on_end tid f =
           Hashtbl.replace w.notices tid (f :: fs))
   | _ -> invalid_arg "Sim.on_end: no thread of the running world"
 
-let join tid =
+(* A timed join sleeps on a waker of its own, so the notice a timed-out
+   join leaves armed wakes nothing when [tid] ends later. *)
+let join ?until tid =
   let t = the_current () in
   let w = t.world in
   if tid = t.tid || tid < 0 || tid >= w.next_tid then
     invalid_arg "Sim.join: not another thread of this world";
-  (match Idtbl.find_opt w.dead tid with
-  | Some ended -> sleep_until ended
-  | None ->
+  (match (Idtbl.find_opt w.dead tid, until) with
+  | Some ended, _ -> sleep_until ended
+  | None, None ->
       park w t ~on:(Printf.sprintf "join #%d" tid) (fun wake ->
-          on_end tid (fun () -> wake (now ()))));
-  sync_emit (S_join { tid = t.tid; child = tid })
+          on_end tid (fun () -> wake (now ())))
+  | None, Some at ->
+      if at > t.time then begin
+        let wk = waker () in
+        on_end tid (fun () -> wake wk);
+        sleep_until_woken ~until:at wk
+      end);
+  if Idtbl.mem w.dead tid then sync_emit (S_join { tid = t.tid; child = tid })
 
 let run w =
   let saved = !active in

@@ -51,12 +51,17 @@ val on_end : int -> (unit -> unit) -> unit
     suspend: no {!advance}, lock or sleep.  [Invalid_argument] outside a
     running world or for a [tid] that is no thread of it. *)
 
-val join : int -> unit
+val join : ?until:int -> int -> unit
 (** [join tid] blocks until thread [tid] has returned or been killed and
-    resumes no earlier than that thread's end time (an {!on_end} notice).
-    Emits [S_join], the happens-before edge from everything [tid] did to
-    what the caller does next.  [Invalid_argument] when [tid] is the
-    caller or no thread of this world. *)
+    resumes at that thread's end time (an {!on_end} notice), or at once
+    if that time has passed.  With [until], an absolute virtual time, it
+    resumes at [until] (or now, if later) when [tid] is still alive then;
+    {!thread_alive} tells the two apart, and a timed-out join's notice
+    later wakes nothing.  A timed join that suspends counts a switch, as
+    {!sleep_until_woken}.  Emits [S_join], the happens-before edge from
+    everything [tid] did to what the caller does next, only if [tid]
+    ended.  [Invalid_argument] when [tid] is the caller or no thread of
+    this world. *)
 
 exception Deadlock of string
 (** Raised by {!run} if threads remain blocked with no runnable thread. *)

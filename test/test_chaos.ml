@@ -138,32 +138,29 @@ let mk_zofs () =
       Zofs.Recovery.recover_one kfs cid);
   (dev, kfs, Treasury.Dispatcher.as_vfs disp)
 
-(* Spawn [op] in a victim thread, arm a kill, and pump the world until the
-   victim finishes or dies.  Returns [true] if the kill landed. *)
+(* Spawn [op] in a victim thread, arm a kill, and join the victim until it
+   finishes or dies, for at most 10 ms.  Returns [true] if the kill landed. *)
 let kill_one_attempt w proc ~after fails op =
-  let finished = ref false in
   let k0 = Sim.killed_threads () in
   let tid =
     Sim.spawn_tid w ~proc ~name:"victim" (fun () ->
-        (try ignore (op ())
-         with e -> fails ("exception escaped: " ^ Printexc.to_string e));
-        finished := true)
+        try ignore (op ())
+        with e -> fails ("exception escaped: " ^ Printexc.to_string e))
   in
   Sim.arm_kill ~tid ~after;
-  let budget = ref 100_000 in
-  while (not !finished) && Sim.killed_threads () = k0 && !budget > 0 do
-    decr budget;
-    Sim.advance 100
-  done;
-  if !finished then begin
-    Sim.disarm_kill ~tid;
+  Sim.join ~until:(Sim.now () + 10_000_000) tid;
+  if Sim.thread_alive tid then begin
+    fails "victim thread neither finished nor died";
     false
   end
   else if Sim.killed_threads () > k0 then true
   else begin
-    fails "victim thread neither finished nor died";
+    Sim.disarm_kill ~tid;
     false
   end
+
+(* Join every thread of process [pid] under one deadline. *)
+let join_proc ~until pid = List.iter (Sim.join ~until) (Sim.proc_tids pid)
 
 (* A FSLibs instance for the CALLING process (fs_mount registers the pid of
    the sim thread that runs this): cross-process tests give every simulated
@@ -173,6 +170,41 @@ let mk_fslib kfs =
   Treasury.Dispatcher.set_repair disp (fun cid ->
       Zofs.Recovery.recover_one kfs cid);
   Treasury.Dispatcher.as_vfs disp
+
+(* Run [op] in a fresh process A with its own FSLib; once A is ready, let
+   it run [steps] x 75 ns, kill the whole process and join it.  A dead A
+   is reaped, then [reaped landed ok] runs: [landed] tells whether the kill
+   landed before A's op finished, [ok] whether the reap succeeded. *)
+let kill_process_attempt w kfs ~name ~steps fails op ~reaped =
+  let proc_a = Sim.Proc.create ~uid:0 ~gid:0 () in
+  let pid = proc_a.Sim.Proc.pid in
+  let ready = ref false in
+  ignore
+    (Sim.spawn_tid w ~proc:proc_a ~name (fun () ->
+         let fs_a = mk_fslib kfs in
+         ready := true;
+         try match op fs_a with Ok () | Error _ -> ()
+         with e -> fails ("exception escaped in A: " ^ Printexc.to_string e)));
+  let budget = ref 100_000 in
+  while (not !ready) && !budget > 0 do
+    decr budget;
+    Sim.advance 100
+  done;
+  if not !ready then fails "process A never became ready";
+  for _ = 1 to steps do
+    Sim.advance 75
+  done;
+  let k0 = Sim.killed_threads () in
+  Sim.kill_process ~pid;
+  join_proc ~until:(Sim.now () + 10_000_000) pid;
+  if Sim.proc_alive pid then fails "process A still alive after kill budget"
+  else
+    let landed = Sim.killed_threads () > k0 in
+    match K.reap_process kfs ~pid with
+    | Ok () -> reaped landed true
+    | Error e ->
+        fails ("reap: " ^ E.to_string e);
+        reaped landed false
 
 let orig = String.make 120 'o'
 let vblock = String.make 80 'V'
@@ -367,46 +399,15 @@ let test_cross_process_kill_mid_append_steal_repairs () =
       let attempt = ref 0 in
       while (not (repaired ())) && !attempt < 200 && !failures = [] do
         incr attempt;
-        let proc_a = Sim.Proc.create ~uid:0 ~gid:0 () in
-        let pid = proc_a.Sim.Proc.pid in
-        let ready = ref false in
-        ignore
-          (Sim.spawn_tid w ~proc:proc_a ~name:"A-appender" (fun () ->
-               let fs_a = mk_fslib kfs in
-               ready := true;
-               try
-                 match V.append_file fs_a "/f" vblock with Ok () | Error _ -> ()
-               with e ->
-                 fails ("exception escaped in A: " ^ Printexc.to_string e)));
-        (* wait for A's FSLib, then sweep the kill point through the append *)
-        let budget = ref 100_000 in
-        while (not !ready) && !budget > 0 do
-          decr budget;
-          Sim.advance 100
-        done;
-        if not !ready then fails "process A never became ready";
-        for _ = 1 to !attempt do
-          Sim.advance 75
-        done;
-        let k0 = Sim.killed_threads () in
-        Sim.kill_process ~pid;
-        let budget = ref 100_000 in
-        while Sim.proc_alive pid && !budget > 0 do
-          decr budget;
-          Sim.advance 100
-        done;
-        if Sim.proc_alive pid then
-          fails "process A still alive after kill budget"
-        else begin
-          if Sim.killed_threads () > k0 then incr kills;
-          (match K.reap_process kfs ~pid with
-          | Ok () -> incr reaps
-          | Error e -> fails ("reap: " ^ E.to_string e));
-          (* B's op on the shared file is the cross-process stealer *)
-          match V.append_file fs "/f" dblock with
-          | Ok () -> ()
-          | Error e -> fails ("B append: " ^ E.to_string e)
-        end
+        kill_process_attempt w kfs ~name:"A-appender" ~steps:!attempt fails
+          (fun fs_a -> V.append_file fs_a "/f" vblock)
+          ~reaped:(fun landed ok ->
+            if landed then incr kills;
+            if ok then incr reaps;
+            (* B's op on the shared file is the cross-process stealer *)
+            match V.append_file fs "/f" dblock with
+            | Ok () -> ()
+            | Error e -> fails ("B append: " ^ E.to_string e))
       done;
       match V.read_file fs "/f" with
       | Ok d ->
@@ -449,40 +450,9 @@ let test_cross_process_kill_mid_ftruncate_rolls_forward () =
         (match V.write_file fs "/t" big with
         | Ok () -> ()
         | Error e -> fails ("reset write: " ^ E.to_string e));
-        let proc_a = Sim.Proc.create ~uid:0 ~gid:0 () in
-        let pid = proc_a.Sim.Proc.pid in
-        let ready = ref false in
-        ignore
-          (Sim.spawn_tid w ~proc:proc_a ~name:"A-truncator" (fun () ->
-               let fs_a = mk_fslib kfs in
-               ready := true;
-               try match V.truncate fs_a "/t" 2000 with Ok () | Error _ -> ()
-               with e ->
-                 fails ("exception escaped in A: " ^ Printexc.to_string e)));
-        let budget = ref 100_000 in
-        while (not !ready) && !budget > 0 do
-          decr budget;
-          Sim.advance 100
-        done;
-        if not !ready then fails "process A never became ready";
-        for _ = 1 to !attempt do
-          Sim.advance 75
-        done;
-        let k0 = Sim.killed_threads () in
-        Sim.kill_process ~pid;
-        let budget = ref 100_000 in
-        while Sim.proc_alive pid && !budget > 0 do
-          decr budget;
-          Sim.advance 100
-        done;
-        if Sim.proc_alive pid then
-          fails "process A still alive after kill budget"
-        else begin
-          if Sim.killed_threads () > k0 then incr kills;
-          match K.reap_process kfs ~pid with
-          | Ok () -> ()
-          | Error e -> fails ("reap: " ^ E.to_string e)
-        end
+        kill_process_attempt w kfs ~name:"A-truncator" ~steps:!attempt fails
+          (fun fs_a -> V.truncate fs_a "/t" 2000)
+          ~reaped:(fun landed _ -> if landed then incr kills)
       done;
       (match V.truncate fs "/t" 2000 with Ok () | Error _ -> ());
       match V.read_file fs "/t" with
@@ -566,11 +536,7 @@ let test_whole_process_kill_under_hammer () =
         spawn_appender ();
         Sim.advance (2_000 + (137 * !attempt));
         Sim.kill_process ~pid;
-        let budget = ref 200_000 in
-        while Sim.proc_alive pid && !budget > 0 do
-          decr budget;
-          Sim.advance 100
-        done;
+        join_proc ~until:(Sim.now () + 20_000_000) pid;
         if Sim.proc_alive pid then fails "victim process did not die"
         else begin
           proc_killed := true;
@@ -582,11 +548,7 @@ let test_whole_process_kill_under_hammer () =
       stop := true;
       List.iter
         (fun tid ->
-          let b = ref 200_000 in
-          while Sim.thread_alive tid && !b > 0 do
-            decr b;
-            Sim.advance 100
-          done;
+          Sim.join ~until:(Sim.now () + 20_000_000) tid;
           if Sim.thread_alive tid then fails "hammer thread failed to stop")
         hammer_tids;
       (match V.append_file fs "/f" dblock with

@@ -283,11 +283,8 @@ let test_killed_process_reaped_without_residue () =
   Sim.spawn world ~name:"driver" (fun () ->
       Sim.advance 20_000;
       Sim.kill_process ~pid:pa.Sim.Proc.pid;
-      let budget = ref 1000 in
-      while Sim.proc_alive pa.Sim.Proc.pid && !budget > 0 do
-        decr budget;
-        Sim.advance 1_000
-      done;
+      let until = Sim.now () + 1_000_000 in
+      List.iter (Sim.join ~until) (Sim.proc_tids pa.Sim.Proc.pid);
       Alcotest.(check bool) "victim dead" false
         (Sim.proc_alive pa.Sim.Proc.pid);
       (match K.reap_process w.kfs ~pid:pa.Sim.Proc.pid with

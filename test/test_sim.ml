@@ -1,5 +1,11 @@
 (* Tests for the discrete-event simulation kernel. *)
 
+(* A thread body: [n] advances of [ns] each. *)
+let steps n ns () =
+  for _ = 1 to n do
+    Sim.advance ns
+  done
+
 let test_run_thread () =
   let r = Sim.run_thread (fun () -> 41 + 1) in
   Alcotest.(check int) "result" 42 r
@@ -172,22 +178,15 @@ let test_kill_process_semantics () =
         (fun () ->
           Fun.protect
             ~finally:(fun () -> incr finalizers_ran)
-            (fun () ->
-              for _ = 1 to 1000 do
-                Sim.advance 10
-              done))
+            (steps 1000 10))
     in
     victim_tids := tid :: !victim_tids
   done;
   Sim.spawn w ~name:"driver" (fun () ->
       Sim.advance 100;
       Sim.kill_process ~pid:victim.Sim.Proc.pid;
-      (* Victims die at their next advance; pump until none is left. *)
-      let budget = ref 100 in
-      while Sim.proc_alive victim.Sim.Proc.pid && !budget > 0 do
-        decr budget;
-        Sim.advance 50
-      done;
+      let until = Sim.now () + 5_000 in
+      List.iter (Sim.join ~until) (Sim.proc_tids victim.Sim.Proc.pid);
       observed :=
         Some
           ( Sim.proc_alive victim.Sim.Proc.pid,
@@ -219,20 +218,15 @@ let test_kill_process_defers_past_no_kill () =
   Sim.spawn w ~proc:victim ~name:"victim" (fun () ->
       Sim.advance 10;
       Sim.with_no_kill (fun () ->
-          for _ = 1 to 20 do
-            Sim.advance 10
-          done;
+          steps 20 10 ();
           section_done := true);
       Sim.advance 10;
       after_section := true);
   Sim.spawn w ~name:"driver" (fun () ->
       Sim.advance 5;
       Sim.kill_process ~pid:victim.Sim.Proc.pid;
-      let budget = ref 100 in
-      while Sim.proc_alive victim.Sim.Proc.pid && !budget > 0 do
-        decr budget;
-        Sim.advance 50
-      done);
+      let until = Sim.now () + 5_000 in
+      List.iter (Sim.join ~until) (Sim.proc_tids victim.Sim.Proc.pid));
   Sim.run w;
   Alcotest.(check bool) "no-kill section completed" true !section_done;
   Alcotest.(check bool) "died at first advance outside" false !after_section
@@ -294,8 +288,9 @@ let test_nested_spawn () =
   Alcotest.(check int) "children ran" 6 !total
 
 (* Join parks until the child ends and resumes at the child's end time,
-   never earlier; joining an ended thread returns at once, and a killed
-   child ends a join as a returning one does. *)
+   never earlier, with no switch counted (recovery's joins have no
+   deadline); joining an ended thread returns at once, and a killed child
+   ends a join as a returning one does. *)
 let test_fork_join () =
   let log = ref [] in
   let note what = log := (what, Sim.now ()) :: !log in
@@ -311,15 +306,15 @@ let test_fork_join () =
             note "child ends")
       in
       Sim.advance 100;
+      let s0 = Sim.total_switches () in
       Sim.join child;
+      Alcotest.(check int) "no switch" s0 (Sim.total_switches ());
       note "joined";
       Sim.join child;
       note "joined again";
       let victim =
         Sim.fork ~name:"victim" (fun () ->
-            for _ = 1 to 10 do
-              Sim.advance 100
-            done;
+            steps 10 100 ();
             note "victim ends")
       in
       Sim.arm_kill ~tid:victim ~after:3;
@@ -621,10 +616,7 @@ let test_on_end () =
   let note what () = log := (what, Sim.self_tid (), Sim.now ()) :: !log in
   let returns = Sim.spawn_tid w ~name:"returns" (fun () -> Sim.advance 500) in
   let killed =
-    Sim.spawn_tid w ~name:"killed" (fun () ->
-        for _ = 1 to 100 do
-          Sim.advance 100
-        done)
+    Sim.spawn_tid w ~name:"killed" (steps 100 100)
   in
   let watcher =
     Sim.spawn_tid w ~name:"watcher" (fun () ->
@@ -647,6 +639,49 @@ let test_on_end () =
   Alcotest.check_raises "outside a running world"
     (Invalid_argument "Sim.on_end: no thread of the running world") (fun () ->
       Sim.on_end 0 ignore)
+
+(* Timed joins.  A victim killed at 1,234 ns: the join resumes at that
+   instant, with the join edge.  One absolute deadline over four tids, two
+   of them ended by then: those return at once, the third at its end, the
+   last at the deadline, alive and with no edge.  Killing that one later
+   runs the notice its join left, which must not end the next join. *)
+let test_timed_join () =
+  let w = Sim.create () in
+  let killed = Sim.spawn_tid w ~name:"killed" (steps 100 617) in
+  let tids =
+    List.map
+      (fun (n, ns) -> Sim.spawn_tid w ~name:"t" (steps n ns))
+      [ (1, 200); (1, 700); (1, 5_000); (90, 100) ]
+  in
+  let last = List.nth tids 3 in
+  let long = Sim.spawn_tid w ~name:"long" (steps 1 50_000) in
+  let seen = ref [] and edges = ref [] in
+  let mark tid = seen := (Sim.now (), Sim.thread_alive tid) :: !seen in
+  Sim.spawn w ~name:"joiner" (fun () ->
+      Sim.arm_kill ~tid:killed ~after:1 (* its advance from 617 *);
+      Sim.join ~until:20_000_000 killed;
+      mark killed;
+      List.iter
+        (fun tid ->
+          Sim.join ~until:6_000 tid;
+          mark tid)
+        tids;
+      Sim.arm_kill ~tid:last ~after:1 (* dies at 6,100 *);
+      Sim.join ~until:8_000 long;
+      mark long;
+      mark last);
+  Sim.set_sync_hook (function
+    | Sim.S_join { child; _ } -> edges := child :: !edges
+    | _ -> ());
+  Fun.protect ~finally:Sim.clear_sync_hook (fun () -> Sim.run w);
+  Alcotest.(check (list (pair int bool)))
+    "resume times, alive"
+    [ (1_234, false); (1_234, false); (1_234, false); (5_000, false);
+      (6_000, true); (8_000, true); (8_000, false) ]
+    (List.rev !seen);
+  Alcotest.(check (list int))
+    "edges for the ended" (killed :: List.filteri (fun i _ -> i < 3) tids)
+    (List.rev !edges)
 
 let () =
   Alcotest.run "sim"
@@ -681,6 +716,8 @@ let () =
           Alcotest.test_case "a timer-less sleep ends only by a wake" `Quick
             test_timerless_sleep;
           Alcotest.test_case "death notices" `Quick test_on_end;
+          Alcotest.test_case "a timed join: at the death or at until" `Quick
+            test_timed_join;
           Alcotest.test_case "a sleep to the past returns at once" `Quick
             test_sleep_not_later_returns;
           QCheck_alcotest.to_alcotest qcheck_advance_matches_push_pop;
