@@ -96,28 +96,24 @@ type shared_sys = {
 }
 
 let shared_systems () =
+  (* Strata and NOVA: one instance serves every process *)
+  let single sys =
+    {
+      ss_label = FL.label sys;
+      ss_make =
+        (fun () ->
+          let fs = (FL.make ~pages:65536 sys).FL.fs in
+          fun () -> fs);
+    }
+  in
   [
-    {
-      ss_label = "Strata";
-      ss_make =
-        (fun () ->
-          let fs = Baselines.Strata.fs ~pages:65536 () in
-          fun () -> fs);
-    };
-    {
-      ss_label = "NOVA";
-      ss_make =
-        (fun () ->
-          let t = Baselines.Nova.create ~pages:65536 () in
-          let fs = V.Fs ((module Baselines.Engine_vfs), t) in
-          fun () -> fs);
-    };
+    single FL.Strata;
+    single FL.Nova;
     {
       ss_label = "ZoFS";
       ss_make =
         (fun () ->
           let _dev, kfs = FL.make_zofs ~pages:65536 ~perf:Nvm.Perf.optane () in
-          Zofs.Ufs.mkfs kfs;
           fun () -> FL.zofs_fslib kfs);
     };
   ]
@@ -782,7 +778,7 @@ let bechamel () =
       ok (V.write_file i.FL.fs "/bdir/sample" ~mode:0o644 "s");
       zofs := Some i);
   let zofs = Option.get !zofs in
-  let pmfs = Baselines.Pmfs.fs ~pages:16384 () in
+  let pmfs = (FL.make ~pages:16384 FL.Pmfs).FL.fs in
   Sim.run_thread ~proc:bproc (fun () ->
       ok (V.write_file pmfs "/bench" ~mode:0o644 (String.make 4096 'b')));
   let dev = D.create ~perf:Nvm.Perf.optane ~size:(256 * Nvm.page_size) () in

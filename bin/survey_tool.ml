@@ -12,13 +12,9 @@ let ok = function
   | Error e -> failwith (Treasury.Errno.to_string e)
 
 let table3 () =
-  let dev = Nvm.Device.create ~perf:Nvm.Perf.free ~size:(131072 * Nvm.page_size) () in
-  let mpk = Mpk.create dev in
-  let kfs =
-    Treasury.Kernfs.mkfs dev mpk ~root_ctype:Zofs.Ufs.ctype ~root_mode:0o777
-      ~root_uid:0 ~root_gid:0 ()
+  let _dev, kfs =
+    Workloads.Fslab.make_zofs ~root_mode:0o777 ~pages:131072 ~perf:Nvm.Perf.free ()
   in
-  Zofs.Ufs.mkfs kfs;
   let fslib () = Workloads.Fslab.zofs_fslib kfs in
   Printf.printf "%-12s %-10s %-6s %-9s %9s %10s\n" "System" "Type" "Perm"
     "Uid/Gid" "# Files" "Bytes";

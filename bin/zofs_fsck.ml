@@ -67,13 +67,8 @@ let demo () =
   Obs.enable ();
   Obs.Flight.set_autodump true;
   print_endline "demo: building a file system, corrupting it, repairing it";
-  let dev = Nvm.Device.create ~perf:Nvm.Perf.optane ~size:(16384 * Nvm.page_size) () in
-  let mpk = Mpk.create dev in
-  let kfs =
-    K.mkfs dev mpk ~root_ctype:Zofs.Ufs.ctype ~root_mode:0o755 ~root_uid:0
-      ~root_gid:0 ()
-  in
-  Zofs.Ufs.mkfs kfs;
+  let dev, kfs = Workloads.Fslab.make_zofs ~pages:16384 ~perf:Nvm.Perf.optane () in
+  let mpk = K.mpk kfs in
   let proc = Sim.Proc.create ~uid:0 ~gid:0 () in
   Sim.run_thread ~proc (fun () ->
       let fs = Workloads.Fslab.zofs_fslib kfs in

@@ -15,13 +15,8 @@ let ok = function
   | Error e -> failwith ("protection_demo: " ^ Treasury.Errno.to_string e)
 
 let () =
-  let dev = D.create ~perf:Nvm.Perf.optane ~size:(16384 * Nvm.page_size) () in
-  let mpk = Mpk.create dev in
-  let kfs =
-    K.mkfs dev mpk ~root_ctype:Zofs.Ufs.ctype ~root_mode:0o755 ~root_uid:0
-      ~root_gid:0 ()
-  in
-  Zofs.Ufs.mkfs kfs;
+  let dev, kfs = Workloads.Fslab.make_zofs ~pages:16384 ~perf:Nvm.Perf.optane () in
+  let mpk = K.mpk kfs in
   let fslib () =
     let disp = Workloads.Fslab.zofs_dispatcher kfs in
     (disp, Treasury.Dispatcher.as_vfs disp)

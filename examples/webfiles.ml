@@ -18,13 +18,9 @@ let uid_mysql = 970
 let uid_pg = 969
 
 let () =
-  let dev = Nvm.Device.create ~perf:Nvm.Perf.optane ~size:(65536 * Nvm.page_size) () in
-  let mpk = Mpk.create dev in
-  let kfs =
-    K.mkfs dev mpk ~root_ctype:Zofs.Ufs.ctype ~root_mode:0o777 ~root_uid:0
-      ~root_gid:0 ()
+  let _dev, kfs =
+    Workloads.Fslab.make_zofs ~root_mode:0o777 ~pages:65536 ~perf:Nvm.Perf.optane ()
   in
-  Zofs.Ufs.mkfs kfs;
   let fslib () = Workloads.Fslab.zofs_fslib kfs in
   let as_user uid f =
     Sim.run_thread ~proc:(Sim.Proc.create ~uid ~gid:uid ()) (fun () -> f (fslib ()))

@@ -7,7 +7,8 @@
    kernel boundary, how the journal/log is written, whether data writes are
    in-place or copy-on-write, how the allocator is partitioned, and how
    directories are searched.  Those decisions are the [config] knobs; see
-   pmfs.ml / nova.ml / ext4_dax.ml for the paper-faithful settings.
+   pmfs.ml / nova.ml / ext4_dax.ml for the paper-faithful settings.  The
+   module is itself a [Treasury.Vfs.S]: pack it as [(module Engine)].
 
    The on-NVM format is shared (a simplification documented in DESIGN.md):
    what differs between the baselines is charged through the cost model and
@@ -509,6 +510,11 @@ let format cfg dev mpk =
           (* root directory = inode 1 *)
           init_inode t 1 ~kind:kind_directory ~mode:0o777 ~uid:0 ~gid:0));
   t
+
+(* A fresh device of [pages] pages, formatted as [cfg]. *)
+let create cfg ~pages ~perf =
+  let dev = Nvm.Device.create ~perf ~size:(pages * Nvm.page_size) () in
+  format cfg dev (Mpk.create dev)
 
 let root_ino = 1
 

@@ -15,11 +15,3 @@ let config () =
     gated = true;
     op_overhead = 650;
   }
-
-let create ?(pages = 65536) ?(perf = Nvm.Perf.optane) () =
-  let dev = Nvm.Device.create ~perf ~size:(pages * Nvm.page_size) () in
-  let mpk = Mpk.create dev in
-  Engine.format (config ()) dev mpk
-
-let fs ?pages ?perf () =
-  Treasury.Vfs.Fs ((module Engine_vfs), create ?pages ?perf ())

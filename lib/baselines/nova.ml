@@ -26,13 +26,3 @@ let config ?(in_place = false) ?(noindex = false) ?(cores = 20) () =
     gated = true;
     op_overhead = 150;
   }
-
-let create ?in_place ?noindex ?cores ?(pages = 65536) ?(perf = Nvm.Perf.optane)
-    () =
-  let dev = Nvm.Device.create ~perf ~size:(pages * Nvm.page_size) () in
-  let mpk = Mpk.create dev in
-  Engine.format (config ?in_place ?noindex ?cores ()) dev mpk
-
-let fs ?in_place ?noindex ?cores ?pages ?perf () =
-  Treasury.Vfs.Fs
-    ((module Engine_vfs), create ?in_place ?noindex ?cores ?pages ?perf ())

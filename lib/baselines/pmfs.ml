@@ -17,11 +17,3 @@ let config ?(nocache = false) () =
     gated = true;
     op_overhead = 180;
   }
-
-let create ?nocache ?(pages = 65536) ?(perf = Nvm.Perf.optane) () =
-  let dev = Nvm.Device.create ~perf ~size:(pages * Nvm.page_size) () in
-  let mpk = Mpk.create dev in
-  Engine.format (config ?nocache ()) dev mpk
-
-let fs ?nocache ?pages ?perf () =
-  Treasury.Vfs.Fs ((module Engine_vfs), create ?nocache ?pages ?perf ())

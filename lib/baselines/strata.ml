@@ -14,7 +14,8 @@
 
    The digested (shared) area is an ungated Engine instance; digests enter
    the kernel once per batch.  Pending data lives in the DRAM overlay and
-   its NVM log writes are charged against the device. *)
+   its NVM log writes are charged against the device.  The module is itself
+   a [Treasury.Vfs.S]: pack it as [(module Strata)]. *)
 
 module E = Treasury.Errno
 module Ft = Treasury.Fs_types
@@ -68,8 +69,6 @@ type t = {
 let ( let* ) = Result.bind
 
 let create ?(pages = 65536) ?(perf = Nvm.Perf.optane) () =
-  let dev = Nvm.Device.create ~perf ~size:(pages * Nvm.page_size) () in
-  let mpk = Mpk.create dev in
   let cfg =
     {
       Engine.label = "strata-shared";
@@ -82,11 +81,11 @@ let create ?(pages = 65536) ?(perf = Nvm.Perf.optane) () =
       op_overhead = 60;
     }
   in
-  let kernel = Engine.format cfg dev mpk in
+  let kernel = Engine.create cfg ~pages ~perf in
   {
     kernel;
-    dev;
-    gate = Gate.create mpk;
+    dev = kernel.Engine.dev;
+    gate = Gate.create kernel.Engine.mpk;
     procs = Hashtbl.create 8;
     leases = Hashtbl.create 64;
     (* Log regions are carved from the top of the device address space; log
@@ -540,31 +539,3 @@ let ftruncate t fdn len =
   slow_path t ps (fun () -> Engine.truncate t.kernel s.fd_path len)
 
 let digest_count t = t.digests
-
-let fs ?pages ?perf () = Treasury.Vfs.Fs ((module struct
-  type nonrec t = t
-
-  let name = name
-  let openf = openf
-  let mkdir = mkdir
-  let rmdir = rmdir
-  let unlink = unlink
-  let rename = rename
-  let stat = stat
-  let lstat = lstat
-  let readdir = readdir
-  let chmod = chmod
-  let chown = chown
-  let symlink = symlink
-  let readlink = readlink
-  let truncate = truncate
-  let close = close
-  let read = read
-  let pread = pread
-  let write = write
-  let pwrite = pwrite
-  let lseek = lseek
-  let fsync = fsync
-  let fstat = fstat
-  let ftruncate = ftruncate
-end), create ?pages ?perf ())

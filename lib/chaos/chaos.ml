@@ -97,14 +97,9 @@ let fslib_for kfs =
 (* Build ZoFS + the driver's own FSLibs instance, wiring the online
    self-healing callback (scoped fsck of one coffer). *)
 let make_fs ~pages ~quarantine =
-  let dev = D.create ~perf:Nvm.Perf.optane ~size:(pages * Nvm.page_size) () in
-  let mpk = Mpk.create dev in
-  Obs.attach_device dev;
-  let kfs =
-    K.mkfs dev mpk ~nbuckets:1024 ~root_ctype:Zofs.Ufs.ctype ~root_mode:0o755
-      ~root_uid:0 ~root_gid:0 ()
+  let dev, kfs =
+    Workloads.Fslab.make_zofs ~nbuckets:1024 ~pages ~perf:Nvm.Perf.optane ()
   in
-  Zofs.Ufs.mkfs kfs;
   K.set_quarantine_enabled kfs quarantine;
   (dev, kfs, fslib_for kfs)
 
@@ -120,7 +115,7 @@ let run ?(seed = 11L) ?(pages = 16384) ?(min_faults = 200) ?(max_rounds = 600)
   Obs.Flight.set_autodump ~dir:flight_dir true;
   let dumps0 = List.length (Obs.Flight.dump_paths ()) in
   let snap0 = Obs.Snapshot.take () in
-  let w = Sim.create ~seed () in
+  let w = Sim.create () in
   let proc = Sim.Proc.create ~uid:0 ~gid:0 () in
   let out = ref None in
   Sim.spawn w ~proc ~name:"chaos-driver" (fun () ->

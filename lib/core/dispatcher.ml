@@ -232,155 +232,160 @@ let path_call t ~op path f =
 
 (* ---- Vfs.S implementation ---------------------------------------------- *)
 
-let name _ = "zofs-fslibs"
+(* The dispatcher is a Vfs.S: [as_vfs] packs it. *)
+module As_vfs = struct
+  type nonrec t = t
 
-let openf t path flags mode =
-  Obs.with_syscall "open" @@ fun () ->
-  (* creating opens are write-class for the serving plane's tier gate *)
-  let* () =
-    admit t ~op:(if List.mem Fs_types.O_CREAT flags then "creat" else "open")
-  in
-  let* handle =
-    dispatch_path t path ~depth:0 (fun (U ((module F), u)) p ->
-        F.openf u p flags mode)
-  in
-  let append = Fs_types.flag_mem Fs_types.O_APPEND flags in
-  Ok (Fd_table.alloc t.fds ~append handle)
+  let name _ = "zofs-fslibs"
 
-let mkdir t path mode =
-  path_call t ~op:"mkdir" path (fun (U ((module F), u)) p -> F.mkdir u p mode)
+  let openf t path flags mode =
+    Obs.with_syscall "open" @@ fun () ->
+    (* creating opens are write-class for the serving plane's tier gate *)
+    let* () =
+      admit t ~op:(if List.mem Fs_types.O_CREAT flags then "creat" else "open")
+    in
+    let* handle =
+      dispatch_path t path ~depth:0 (fun (U ((module F), u)) p ->
+          F.openf u p flags mode)
+    in
+    let append = Fs_types.flag_mem Fs_types.O_APPEND flags in
+    Ok (Fd_table.alloc t.fds ~append handle)
 
-let rmdir t path =
-  path_call t ~op:"rmdir" path (fun (U ((module F), u)) p -> F.rmdir u p)
+  let mkdir t path mode =
+    path_call t ~op:"mkdir" path (fun (U ((module F), u)) p -> F.mkdir u p mode)
 
-let unlink t path =
-  path_call t ~op:"unlink" path (fun (U ((module F), u)) p -> F.unlink u p)
+  let rmdir t path =
+    path_call t ~op:"rmdir" path (fun (U ((module F), u)) p -> F.rmdir u p)
 
-let stat t path =
-  path_call t ~op:"stat" path (fun (U ((module F), u)) p -> F.stat u p)
+  let unlink t path =
+    path_call t ~op:"unlink" path (fun (U ((module F), u)) p -> F.unlink u p)
 
-let lstat t path =
-  path_call t ~op:"lstat" path (fun (U ((module F), u)) p -> F.lstat u p)
+  let stat t path =
+    path_call t ~op:"stat" path (fun (U ((module F), u)) p -> F.stat u p)
 
-let readdir t path =
-  path_call t ~op:"readdir" path (fun (U ((module F), u)) p -> F.readdir u p)
+  let lstat t path =
+    path_call t ~op:"lstat" path (fun (U ((module F), u)) p -> F.lstat u p)
 
-let chmod t path mode =
-  path_call t ~op:"chmod" path (fun (U ((module F), u)) p -> F.chmod u p mode)
+  let readdir t path =
+    path_call t ~op:"readdir" path (fun (U ((module F), u)) p -> F.readdir u p)
 
-let chown t path uid gid =
-  path_call t ~op:"chown" path (fun (U ((module F), u)) p ->
-      F.chown u p uid gid)
+  let chmod t path mode =
+    path_call t ~op:"chmod" path (fun (U ((module F), u)) p -> F.chmod u p mode)
 
-let readlink t path =
-  path_call t ~op:"readlink" path (fun (U ((module F), u)) p ->
-      F.readlink u p)
+  let chown t path uid gid =
+    path_call t ~op:"chown" path (fun (U ((module F), u)) p ->
+        F.chown u p uid gid)
 
-let symlink t ~target ~link =
-  path_call t ~op:"symlink" link (fun (U ((module F), u)) p ->
-      F.symlink u ~target ~link:p)
+  let readlink t path =
+    path_call t ~op:"readlink" path (fun (U ((module F), u)) p ->
+        F.readlink u p)
 
-let rename t src dst =
-  path_call t ~op:"rename" src (fun (U ((module F), u)) p ->
-      F.rename u p (resolve t dst))
+  let symlink t ~target ~link =
+    path_call t ~op:"symlink" link (fun (U ((module F), u)) p ->
+        F.symlink u ~target ~link:p)
 
-let truncate t path len =
-  Obs.with_syscall "truncate" @@ fun () ->
-  let* () = admit t ~op:"truncate" in
-  let* fd = openf t path [ Fs_types.O_WRONLY ] 0 in
-  let r =
-    let* ofd = Fd_table.lookup t.fds fd in
-    let* (U ((module F), u)) = the_ufs t in
-    let r = protect_fd t (fun () -> F.ftruncate u ofd.Fd_table.handle len) in
-    ignore (F.close u ofd.Fd_table.handle);
-    r
-  in
-  ignore (Fd_table.close t.fds fd);
-  r
+  let rename t src dst =
+    path_call t ~op:"rename" src (fun (U ((module F), u)) p ->
+        F.rename u p (resolve t dst))
 
-(* ---- descriptor operations --------------------------------------------- *)
-
-(* The head every descriptor call shares: the syscall span, admission, the
-   FD lookup, then the µFS call under fault protection. *)
-let fd_call t ~op fd f =
-  Obs.with_syscall op @@ fun () ->
-  let* () = admit t ~op in
-  let* ofd = Fd_table.lookup t.fds fd in
-  let* u = the_ufs t in
-  protect_fd t (fun () -> f u ofd)
-
-let close t fd =
-  Obs.with_syscall "close" @@ fun () ->
-  let* () = admit t ~op:"close" in
-  let* closed = Fd_table.close t.fds fd in
-  match closed with
-  | None -> Ok ()
-  | Some handle ->
+  let truncate t path len =
+    Obs.with_syscall "truncate" @@ fun () ->
+    let* () = admit t ~op:"truncate" in
+    let* fd = openf t path [ Fs_types.O_WRONLY ] 0 in
+    let r =
+      let* ofd = Fd_table.lookup t.fds fd in
       let* (U ((module F), u)) = the_ufs t in
-      protect_fd t (fun () -> F.close u handle)
+      let r = protect_fd t (fun () -> F.ftruncate u ofd.Fd_table.handle len) in
+      ignore (F.close u ofd.Fd_table.handle);
+      r
+    in
+    ignore (Fd_table.close t.fds fd);
+    r
 
-let read t fd buf boff len =
-  fd_call t ~op:"read" fd (fun (U ((module F), u)) ofd ->
-      let* n = F.read u ofd.Fd_table.handle ~off:ofd.offset buf boff len in
-      ofd.offset <- ofd.offset + n;
-      Ok n)
+  (* ---- descriptor operations --------------------------------------------- *)
 
-let pread t fd ~off buf boff len =
-  fd_call t ~op:"pread" fd (fun (U ((module F), u)) ofd ->
-      F.read u ofd.Fd_table.handle ~off buf boff len)
+  (* The head every descriptor call shares: the syscall span, admission, the
+     FD lookup, then the µFS call under fault protection. *)
+  let fd_call t ~op fd f =
+    Obs.with_syscall op @@ fun () ->
+    let* () = admit t ~op in
+    let* ofd = Fd_table.lookup t.fds fd in
+    let* u = the_ufs t in
+    protect_fd t (fun () -> f u ofd)
 
-let write t fd data =
-  fd_call t ~op:"write" fd (fun (U ((module F), u)) ofd ->
-      let off = if ofd.Fd_table.append then `Append else `At ofd.offset in
-      let* n, end_off = F.write u ofd.handle ~off data in
-      ofd.offset <- end_off;
-      Ok n)
+  let close t fd =
+    Obs.with_syscall "close" @@ fun () ->
+    let* () = admit t ~op:"close" in
+    let* closed = Fd_table.close t.fds fd in
+    match closed with
+    | None -> Ok ()
+    | Some handle ->
+        let* (U ((module F), u)) = the_ufs t in
+        protect_fd t (fun () -> F.close u handle)
 
-let pwrite t fd ~off data =
-  fd_call t ~op:"pwrite" fd (fun (U ((module F), u)) ofd ->
-      let* n, _ = F.write u ofd.Fd_table.handle ~off:(`At off) data in
-      Ok n)
+  let read t fd buf boff len =
+    fd_call t ~op:"read" fd (fun (U ((module F), u)) ofd ->
+        let* n = F.read u ofd.Fd_table.handle ~off:ofd.offset buf boff len in
+        ofd.offset <- ofd.offset + n;
+        Ok n)
 
-let fstat t fd =
-  fd_call t ~op:"fstat" fd (fun (U ((module F), u)) ofd ->
-      F.fstat u ofd.Fd_table.handle)
+  let pread t fd ~off buf boff len =
+    fd_call t ~op:"pread" fd (fun (U ((module F), u)) ofd ->
+        F.read u ofd.Fd_table.handle ~off buf boff len)
 
-let fsync t fd =
-  fd_call t ~op:"fsync" fd (fun (U ((module F), u)) ofd ->
-      F.fsync u ofd.Fd_table.handle)
+  let write t fd data =
+    fd_call t ~op:"write" fd (fun (U ((module F), u)) ofd ->
+        let off = if ofd.Fd_table.append then `Append else `At ofd.offset in
+        let* n, end_off = F.write u ofd.handle ~off data in
+        ofd.offset <- end_off;
+        Ok n)
 
-let ftruncate t fd len =
-  fd_call t ~op:"ftruncate" fd (fun (U ((module F), u)) ofd ->
-      F.ftruncate u ofd.Fd_table.handle len)
+  let pwrite t fd ~off data =
+    fd_call t ~op:"pwrite" fd (fun (U ((module F), u)) ofd ->
+        let* n, _ = F.write u ofd.Fd_table.handle ~off:(`At off) data in
+        Ok n)
 
-let lseek t fd pos whence =
-  Obs.with_syscall "lseek" @@ fun () ->
-  let* ofd = Fd_table.lookup t.fds fd in
-  let* size =
-    match whence with
-    | Fs_types.SEEK_END ->
-        let* st = fstat t fd in
-        Ok st.Fs_types.st_size
-    | _ -> Ok 0
-  in
-  let target =
-    match whence with
-    | Fs_types.SEEK_SET -> pos
-    | Fs_types.SEEK_CUR -> ofd.Fd_table.offset + pos
-    | Fs_types.SEEK_END -> size + pos
-  in
-  if target < 0 then Error Errno.EINVAL
-  else begin
-    ofd.Fd_table.offset <- target;
-    Ok target
-  end
+  let fstat t fd =
+    fd_call t ~op:"fstat" fd (fun (U ((module F), u)) ofd ->
+        F.fstat u ofd.Fd_table.handle)
+
+  let fsync t fd =
+    fd_call t ~op:"fsync" fd (fun (U ((module F), u)) ofd ->
+        F.fsync u ofd.Fd_table.handle)
+
+  let ftruncate t fd len =
+    fd_call t ~op:"ftruncate" fd (fun (U ((module F), u)) ofd ->
+        F.ftruncate u ofd.Fd_table.handle len)
+
+  let lseek t fd pos whence =
+    Obs.with_syscall "lseek" @@ fun () ->
+    let* ofd = Fd_table.lookup t.fds fd in
+    let* size =
+      match whence with
+      | Fs_types.SEEK_END ->
+          let* st = fstat t fd in
+          Ok st.Fs_types.st_size
+      | _ -> Ok 0
+    in
+    let target =
+      match whence with
+      | Fs_types.SEEK_SET -> pos
+      | Fs_types.SEEK_CUR -> ofd.Fd_table.offset + pos
+      | Fs_types.SEEK_END -> size + pos
+    in
+    if target < 0 then Error Errno.EINVAL
+    else begin
+      ofd.Fd_table.offset <- target;
+      Ok target
+    end
+end
 
 (* ---- process-level calls ------------------------------------------------ *)
 
 let chdir t path =
   Obs.with_syscall "chdir" @@ fun () ->
   let abs = resolve t path in
-  let* st = stat t abs in
+  let* st = As_vfs.stat t abs in
   if st.Fs_types.st_kind = Fs_types.Directory then begin
     t.cwd <- abs;
     Ok ()
@@ -397,34 +402,5 @@ let dup2 t fd nfd =
   | Some handle, Some (U ((module F), u)) -> ignore (F.close u handle)
   | _ -> ());
   Ok nfd
-
-(* Pack a dispatcher as a Vfs.fs. *)
-module As_vfs = struct
-  type nonrec t = t
-
-  let name = name
-  let openf = openf
-  let mkdir = mkdir
-  let rmdir = rmdir
-  let unlink = unlink
-  let rename = rename
-  let stat = stat
-  let lstat = lstat
-  let readdir = readdir
-  let chmod = chmod
-  let chown = chown
-  let symlink = symlink
-  let readlink = readlink
-  let truncate = truncate
-  let close = close
-  let read = read
-  let pread = pread
-  let write = write
-  let pwrite = pwrite
-  let lseek = lseek
-  let fsync = fsync
-  let fstat = fstat
-  let ftruncate = ftruncate
-end
 
 let as_vfs t = Vfs.Fs ((module As_vfs), t)

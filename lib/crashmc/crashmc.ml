@@ -82,25 +82,25 @@ type world = {
 }
 
 let prepare ?(pages = 1024) (s : Op.script) =
-  let dev = D.create ~perf:Nvm.Perf.free ~size:(pages * Nvm.page_size) () in
-  Sim.run_thread (fun () ->
-      let mpk = Mpk.create dev in
-      let kfs =
-        K.mkfs dev mpk ~nbuckets:512 ~root_ctype:Zofs.Ufs.ctype ~root_mode:0o777
-          ~root_uid:0 ~root_gid:0 ()
-      in
-      Zofs.Ufs.mkfs kfs;
-      let fs = make_fs kfs in
-      List.iter
-        (fun op ->
-          match Op.apply fs op with
-          | Ok () -> ()
-          | Error e ->
-              failwith
-                (Printf.sprintf "crashmc %s: setup op %s failed: %s" s.Op.sname
-                   (Op.op_to_string op) (E.to_string e)))
-        s.Op.setup;
-      D.persist_all dev);
+  let dev =
+    Sim.run_thread (fun () ->
+        let dev, kfs =
+          Workloads.Fslab.make_zofs ~root_mode:0o777 ~nbuckets:512 ~pages
+            ~perf:Nvm.Perf.free ()
+        in
+        let fs = make_fs kfs in
+        List.iter
+          (fun op ->
+            match Op.apply fs op with
+            | Ok () -> ()
+            | Error e ->
+                failwith
+                  (Printf.sprintf "crashmc %s: setup op %s failed: %s"
+                     s.Op.sname (Op.op_to_string op) (E.to_string e)))
+          s.Op.setup;
+        D.persist_all dev;
+        dev)
+  in
   let snap = D.snapshot dev in
   let m0 = Model.create () in
   List.iter (fun op -> ignore (Model.apply m0 op)) s.Op.setup;

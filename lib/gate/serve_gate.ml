@@ -17,7 +17,7 @@ module C = Serving.Campaign
 module J = Obs.Json
 
 let run () =
-  let r = C.run ~seed:21L ~quick:true () in
+  let r = C.run ~quick:true () in
   Printf.printf
     "serve campaign: %d clients, %d requests\n\
     \  outcomes: ok=%d err=%d shed=%d timed-out=%d lost=%d (client kills=%d)\n\

@@ -37,7 +37,6 @@
    produce a starvation violation — proving the campaign can see the
    failure class the serving plane exists to prevent. *)
 
-module D = Nvm.Device
 module K = Treasury.Kernfs
 module V = Treasury.Vfs
 module E = Treasury.Errno
@@ -65,8 +64,8 @@ type report = {
 
 (* ---- scenario plumbing --------------------------------------------------- *)
 
-let with_world ~seed f =
-  let w = Sim.create ~seed () in
+let with_world f =
+  let w = Sim.create () in
   let proc = Sim.Proc.create ~uid:0 ~gid:0 () in
   let out = ref None in
   Sim.spawn w ~proc ~name:"serve-driver" (fun () -> out := Some (f w));
@@ -79,14 +78,9 @@ let fslib_for kfs =
   (disp, Treasury.Dispatcher.as_vfs disp)
 
 let make_fs ~pages =
-  let dev = D.create ~perf:Nvm.Perf.optane ~size:(pages * Nvm.page_size) () in
-  let mpk = Mpk.create dev in
-  Obs.attach_device dev;
-  let kfs =
-    K.mkfs dev mpk ~nbuckets:1024 ~root_ctype:Zofs.Ufs.ctype ~root_mode:0o755
-      ~root_uid:0 ~root_gid:0 ()
+  let dev, kfs =
+    Workloads.Fslab.make_zofs ~nbuckets:1024 ~pages ~perf:Nvm.Perf.optane ()
   in
-  Zofs.Ufs.mkfs kfs;
   let disp, fs = fslib_for kfs in
   (dev, kfs, disp, fs)
 
@@ -218,8 +212,8 @@ let fold_stats srv acc =
    the mixed scenario must exceed.  Deterministic. *)
 let mixed_inflight = 2
 
-let calibrate ~seed ~ops_per_client =
-  with_world ~seed (fun w ->
+let calibrate ~ops_per_client =
+  with_world (fun w ->
       let _dev, kfs, _disp, fs = make_fs ~pages:4096 in
       let srv = Serve.create ~max_inflight:mixed_inflight () in
       Serve.add_tenant srv ~id:0 ~weight:1 ~rate_per_ms:1_000_000
@@ -251,8 +245,8 @@ let calibrate ~seed ~ops_per_client =
 
 (* ---- scenario: thundering herd ------------------------------------------- *)
 
-let herd ~seed ~procs ~threads_per violation =
-  with_world ~seed (fun w ->
+let herd ~procs ~threads_per violation =
+  with_world (fun w ->
       let _dev, kfs, _disp, fs = make_fs ~pages:4096 in
       let srv = Serve.create ~max_inflight:16 () in
       let n_tenants = 4 in
@@ -325,9 +319,9 @@ let herd ~seed ~procs ~threads_per violation =
 (* Also the negative self-check body: with [admission:false] the server
    degenerates to a naive unbounded FIFO and the starvation check below
    MUST fire. *)
-let mixed ~seed ~admission ~capacity_rps ~floods ~per_flood ~duration_ns
+let mixed ~admission ~capacity_rps ~floods ~per_flood ~duration_ns
     violation =
-  with_world ~seed (fun w ->
+  with_world (fun w ->
       let _dev, kfs, _disp, fs = make_fs ~pages:8192 in
       let srv = Serve.create ~max_inflight:mixed_inflight ~admission () in
       (* tenant 0: high priority — weight 8 and budget for its whole rate;
@@ -436,8 +430,8 @@ let mixed ~seed ~admission ~capacity_rps ~floods ~per_flood ~duration_ns
 
 (* ---- scenario: hot-file write fan-in with tight deadlines ---------------- *)
 
-let hotfile ~seed ~procs ~per_proc violation =
-  with_world ~seed (fun w ->
+let hotfile ~procs ~per_proc violation =
+  with_world (fun w ->
       let _dev, kfs, _disp, fs = make_fs ~pages:4096 in
       (* slots exceed the herd's concurrency appetite: the contention this
          scenario is about lives at the LEASE, not in the queue *)
@@ -488,8 +482,8 @@ let hotfile ~seed ~procs ~per_proc violation =
 
 (* ---- scenario: slow-client isolation ------------------------------------- *)
 
-let slow ~seed violation =
-  with_world ~seed (fun w ->
+let slow violation =
+  with_world (fun w ->
       let _dev, kfs, _disp, fs = make_fs ~pages:8192 in
       let srv = Serve.create ~max_inflight:4 () in
       Serve.add_tenant srv ~id:0 ~weight:4 ~rate_per_ms:2_000 ~burst:64
@@ -552,8 +546,8 @@ let slow ~seed violation =
 
 (* ---- scenario: clients killed mid-request -------------------------------- *)
 
-let kills ~seed ~procs ~per_proc violation =
-  with_world ~seed (fun w ->
+let kills ~procs ~per_proc violation =
+  with_world (fun w ->
       let _dev, kfs, _disp, fs = make_fs ~pages:4096 in
       let srv = Serve.create ~max_inflight:8 () in
       Serve.add_tenant srv ~id:0 ~weight:1 ~rate_per_ms:2_000 ~burst:256
@@ -601,8 +595,8 @@ let kills ~seed ~procs ~per_proc violation =
 
 (* ---- scenario: degrade / recover round-trip ------------------------------ *)
 
-let degrade ~seed violation =
-  with_world ~seed (fun _w ->
+let degrade violation =
+  with_world (fun _w ->
       let _dev, kfs, disp, fs = make_fs ~pages:4096 in
       ignore (ok (V.write_file fs "/deg" ~mode:0o600 (String.make 128 'd')));
       let cid = ok (K.coffer_find kfs "/deg") in
@@ -676,7 +670,7 @@ let degrade ~seed violation =
 
 (* ---- the campaign -------------------------------------------------------- *)
 
-let run ?(seed = 21L) ?(quick = false) () =
+let run ?(quick = false) () =
   Obs.enable ();
   Obs.reset ();
   let violations = ref [] in
@@ -691,42 +685,33 @@ let run ?(seed = 21L) ?(quick = false) () =
     acc := fold_stats srv !acc
   in
   (* 0. ceiling *)
-  let capacity = calibrate ~seed ~ops_per_client:(if quick then 12 else 30) in
+  let capacity = calibrate ~ops_per_client:(if quick then 12 else 30) in
   if capacity = 0 then violation "calibrate: zero sustainable throughput";
   (* 1. thundering herd: 16 procs x 64 threads = 1024 clients *)
-  let herd_n, herd_srv =
-    herd ~seed:(Int64.add seed 1L) ~procs:16 ~threads_per:64 violation
-  in
+  let herd_n, herd_srv = herd ~procs:16 ~threads_per:64 violation in
   add_srv herd_n herd_srv;
   (* 2. mixed priorities at >= 2x sustainable *)
   let mixed_n, mixed_srv, overload_x100, hi_p99, hi_slo =
-    mixed ~seed:(Int64.add seed 2L) ~admission:true ~capacity_rps:capacity
-      ~floods:16 ~per_flood:20
+    mixed ~admission:true ~capacity_rps:capacity ~floods:16 ~per_flood:20
       ~duration_ns:(if quick then 20_000_000 else 40_000_000)
       violation
   in
   add_srv mixed_n mixed_srv;
   (* 3. hot-file fan-in with deadlines inside lease acquisition *)
   let fan_n, fan_srv, lease_aborts =
-    hotfile ~seed:(Int64.add seed 3L)
-      ~procs:(if quick then 4 else 8)
-      ~per_proc:20 violation
+    hotfile ~procs:(if quick then 4 else 8) ~per_proc:20 violation
   in
   add_srv fan_n fan_srv;
   (* 4. slow-client isolation *)
-  let slow_n, slow_srv = slow ~seed:(Int64.add seed 4L) violation in
+  let slow_n, slow_srv = slow violation in
   add_srv slow_n slow_srv;
   (* 5. killed clients *)
   let kill_n, kill_srv, killed =
-    kills ~seed:(Int64.add seed 5L) ~procs:4
-      ~per_proc:(if quick then 15 else 30)
-      violation
+    kills ~procs:4 ~per_proc:(if quick then 15 else 30) violation
   in
   add_srv kill_n kill_srv;
   (* 6. degrade / recover *)
-  let deg_n, deg_srv, downs, ups, final_tier =
-    degrade ~seed:(Int64.add seed 6L) violation
-  in
+  let deg_n, deg_srv, downs, ups, final_tier = degrade violation in
   add_srv deg_n deg_srv;
   let req, ok_, err, shed_, timed, lost = !acc in
   if !clients < 1000 then
@@ -761,13 +746,13 @@ let contains s sub =
 (* The campaign must be able to DETECT the failure it polices: a naive
    FIFO server (admission off) under the same mixed overload must produce
    a starvation (or SLO) violation.  Returns true when it was caught. *)
-let negative_selfcheck ?(seed = 77L) ?(quick = false) () =
+let negative_selfcheck ?(quick = false) () =
   Obs.enable ();
   Obs.reset ();
   let violations = ref [] in
   let violation msg = violations := msg :: !violations in
   let _ =
-    mixed ~seed ~admission:false ~capacity_rps:1 ~floods:16 ~per_flood:20
+    mixed ~admission:false ~capacity_rps:1 ~floods:16 ~per_flood:20
       ~duration_ns:(if quick then 20_000_000 else 40_000_000)
       violation
   in

@@ -159,7 +159,6 @@ and world = {
   blocked : string Idtbl.t;  (* tid -> what it is parked on, no timer *)
   heap : Heap.t;
   mutable current : thread option;
-  rng0 : Rng.t;
   kills : (int, int) Hashtbl.t;  (* tid -> remaining advances before death *)
   nokill : int Idtbl.t;  (* tid -> no-kill nesting depth *)
   mutable killed : int;
@@ -193,7 +192,7 @@ let sync_emit ev = match !sync_hook with None -> () | Some f -> f ev
 
 let next_wuid = ref 0
 
-let create ?(seed = 42L) () =
+let create ?seed:_ () =
   incr next_wuid;
   {
     wuid = !next_wuid;
@@ -203,7 +202,6 @@ let create ?(seed = 42L) () =
     blocked = Idtbl.create ();
     heap = Heap.create ();
     current = None;
-    rng0 = Rng.create seed;
     kills = Hashtbl.create 8;
     nokill = Idtbl.create ();
     killed = 0;
@@ -228,8 +226,6 @@ let self_proc () =
 
 let world_uid () = match !active with None -> 0 | Some w -> w.wuid
 
-let fallback_rng = Rng.create 0x5EEDL
-let rng () = match !active with None -> fallback_rng | Some w -> w.rng0
 let live_threads () = match !active with None -> 1 | Some w -> max 1 w.live
 
 type _ Effect.t +=
@@ -294,11 +290,13 @@ let total_switches () = !total_switches
 let nokill_depth w tid =
   match Idtbl.find_opt w.nokill tid with Some d -> d | None -> 0
 
-(* A thread's end, by return or by death: its death notices run, in the
-   order they were armed, as the ending thread at its end time. *)
+(* A thread's end, by return or by death: a kill still armed on it is
+   dropped, and its death notices run, in the order they were armed, as
+   the ending thread at its end time. *)
 let thread_ended t ev =
   let w = t.world in
   w.live <- w.live - 1;
+  Hashtbl.remove w.kills t.tid;
   Idtbl.replace w.dead t.tid t.time;
   sync_emit ev;
   match Hashtbl.find_opt w.notices t.tid with
@@ -310,7 +308,6 @@ let thread_ended t ev =
 let die t =
   let w = t.world in
   w.killed <- w.killed + 1;
-  Hashtbl.remove w.kills t.tid;
   thread_ended t (S_kill { tid = t.tid });
   (* Drop the continuation: the thread never resumes and nothing unwinds. *)
   suspend (fun _k -> ())
@@ -620,8 +617,8 @@ let run w =
   (try loop () with e -> restore (); raise e);
   restore ()
 
-let run_thread ?seed ?proc f =
-  let w = create ?seed () in
+let run_thread ?proc f =
+  let w = create () in
   let result = ref None in
   spawn w ?proc ~name:"main" (fun () -> result := Some (f ()));
   run w;
@@ -643,8 +640,6 @@ module Mutex = struct
     let id = !next_id in
     incr next_id;
     { owner = None; waiters = Queue.create (); name; id }
-
-  let id m = m.id
 
   let lock m =
     match current_thread () with
@@ -692,8 +687,6 @@ module Mutex = struct
     | exception e ->
         unlock m;
         raise e
-
-  let locked m = m.owner <> None
 end
 
 module Rwlock = struct

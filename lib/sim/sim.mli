@@ -27,6 +27,9 @@ end
 type world
 
 val create : ?seed:int64 -> unit -> world
+(** A fresh world.  [seed] is ignored: a world draws no random numbers
+    (randomness comes from explicit {!Rng}s); it is accepted only for
+    callers that still pass one. *)
 
 val spawn : world -> ?proc:Proc.t -> ?at:int -> name:string -> (unit -> unit) -> unit
 (** [spawn w ~name f] registers a new logical thread.  [at] is the virtual
@@ -69,7 +72,7 @@ exception Deadlock of string
 val run : world -> unit
 (** Run the simulation until all threads have finished. *)
 
-val run_thread : ?seed:int64 -> ?proc:Proc.t -> (unit -> 'a) -> 'a
+val run_thread : ?proc:Proc.t -> (unit -> 'a) -> 'a
 (** Convenience: create a world, run [f] in a single thread, return its
     result. *)
 
@@ -233,10 +236,6 @@ module Mutex : sig
   val try_lock : t -> bool
   val unlock : t -> unit
   val with_lock : t -> (unit -> 'a) -> 'a
-  val locked : t -> bool
-
-  val id : t -> int
-  (** Unique id of this mutex, as it appears in {!sync_event}. *)
 end
 
 module Rwlock : sig
@@ -281,9 +280,6 @@ module Rng : sig
 
   val set_state : t -> int64 -> unit
 end
-
-val rng : unit -> Rng.t
-(** The current world's RNG (a fresh standalone RNG outside a sim). *)
 
 val live_threads : unit -> int
 (** Number of live threads in the active world (1 outside a sim); used by

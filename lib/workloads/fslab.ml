@@ -1,5 +1,7 @@
-(* Factories for every file system under evaluation, behind one label, so
-   benchmark tables can iterate over systems uniformly.
+(* The one factory for every file system under evaluation: benchmarks,
+   gates, campaigns, tools and tests build ZoFS and the baselines here, so
+   each system is assembled the same way everywhere, and tables iterate
+   over systems behind one label.
 
    Each call builds a fresh simulated NVM device and a freshly formatted
    file system; ZoFS additionally builds KernFS and a per-process FSLibs
@@ -39,8 +41,9 @@ type instance = {
   device : Nvm.Device.t;
 }
 
-(* Build a ZoFS world and an FSLibs instance for the calling process. *)
-let make_zofs ?(root_mode = 0o755) ~pages ~perf () =
+(* Build a ZoFS world: every file system under test that runs ZoFS is
+   formatted here.  [nbuckets] sizes KernFS's path map. *)
+let make_zofs ?(root_mode = 0o755) ?(nbuckets = 4096) ~pages ~perf () =
   let dev = Nvm.Device.create ~perf ~size:(pages * Nvm.page_size) () in
   let mpk = Mpk.create dev in
   (* No-ops unless the check gate enabled the checkers / obs is enabled;
@@ -53,7 +56,7 @@ let make_zofs ?(root_mode = 0o755) ~pages ~perf () =
      the workloads create, so they share the root coffer as the paper's
      grouping analysis predicts. *)
   let kfs =
-    Treasury.Kernfs.mkfs dev mpk ~nbuckets:4096 ~root_ctype:Zofs.Ufs.ctype
+    Treasury.Kernfs.mkfs dev mpk ~nbuckets ~root_ctype:Zofs.Ufs.ctype
       ~root_mode ~root_uid:0 ~root_gid:0 ()
   in
   Zofs.Ufs.mkfs kfs;
@@ -72,84 +75,42 @@ let zofs_dispatcher ?variant kfs =
 let zofs_fslib ?variant kfs =
   Treasury.Dispatcher.as_vfs (zofs_dispatcher ?variant kfs)
 
+(* The configuration of a kernel baseline built on [Baselines.Engine]. *)
+let engine_config = function
+  | Ext4_dax -> Baselines.Ext4_dax.config ()
+  | Pmfs -> Baselines.Pmfs.config ()
+  | Pmfs_nocache -> Baselines.Pmfs.config ~nocache:true ()
+  | Nova -> Baselines.Nova.config ()
+  | Nova_noindex -> Baselines.Nova.config ~noindex:true ()
+  | Novai -> Baselines.Nova.config ~in_place:true ()
+  | Novai_noindex -> Baselines.Nova.config ~in_place:true ~noindex:true ()
+  | (Zofs | Zofs_variant _ | Strata) as sys ->
+      invalid_arg ("Fslab.engine_config: " ^ label sys)
+
 let make ?(pages = 65536) ?(perf = Nvm.Perf.optane) sys : instance =
-  let inst =
-    match sys with
-  | Zofs ->
+  match sys with
+  | Zofs | Zofs_variant _ ->
+      let variant = match sys with Zofs_variant (v, _) -> Some v | _ -> None in
       let dev, kfs = make_zofs ~pages ~perf () in
-      { fs = zofs_fslib kfs; sys; kernfs = Some kfs; device = dev }
-  | Zofs_variant (variant, _) ->
-      let dev, kfs = make_zofs ~pages ~perf () in
-      { fs = zofs_fslib ~variant kfs; sys; kernfs = Some kfs; device = dev }
-  | Ext4_dax ->
-      let t = Baselines.Ext4_dax.create ~pages ~perf () in
-      {
-        fs = V.Fs ((module Baselines.Engine_vfs), t);
-        sys;
-        kernfs = None;
-        device = t.Baselines.Engine.dev;
-      }
-  | Pmfs ->
-      let t = Baselines.Pmfs.create ~pages ~perf () in
-      {
-        fs = V.Fs ((module Baselines.Engine_vfs), t);
-        sys;
-        kernfs = None;
-        device = t.Baselines.Engine.dev;
-      }
-  | Pmfs_nocache ->
-      let t = Baselines.Pmfs.create ~nocache:true ~pages ~perf () in
-      {
-        fs = V.Fs ((module Baselines.Engine_vfs), t);
-        sys;
-        kernfs = None;
-        device = t.Baselines.Engine.dev;
-      }
-  | Nova ->
-      let t = Baselines.Nova.create ~pages ~perf () in
-      {
-        fs = V.Fs ((module Baselines.Engine_vfs), t);
-        sys;
-        kernfs = None;
-        device = t.Baselines.Engine.dev;
-      }
-  | Nova_noindex ->
-      let t = Baselines.Nova.create ~noindex:true ~pages ~perf () in
-      {
-        fs = V.Fs ((module Baselines.Engine_vfs), t);
-        sys;
-        kernfs = None;
-        device = t.Baselines.Engine.dev;
-      }
-  | Novai ->
-      let t = Baselines.Nova.create ~in_place:true ~pages ~perf () in
-      {
-        fs = V.Fs ((module Baselines.Engine_vfs), t);
-        sys;
-        kernfs = None;
-        device = t.Baselines.Engine.dev;
-      }
-  | Novai_noindex ->
-      let t = Baselines.Nova.create ~in_place:true ~noindex:true ~pages ~perf () in
-      {
-        fs = V.Fs ((module Baselines.Engine_vfs), t);
-        sys;
-        kernfs = None;
-        device = t.Baselines.Engine.dev;
-      }
+      { fs = zofs_fslib ?variant kfs; sys; kernfs = Some kfs; device = dev }
   | Strata ->
-      let fs = Baselines.Strata.fs ~pages ~perf () in
-      let device =
-        match fs with V.Fs (_, _) ->
-          (* the Strata device is private; expose a dummy reference *)
-          Nvm.Device.create ~perf:Nvm.Perf.free ~size:Nvm.page_size ()
-      in
-      { fs; sys; kernfs = None; device }
-  in
-  (match inst.sys with
-  | Zofs | Zofs_variant _ -> ()  (* make_zofs already attached *)
-  | _ -> Obs.attach_device inst.device);
-  inst
+      let t = Baselines.Strata.create ~pages ~perf () in
+      Obs.attach_device t.Baselines.Strata.dev;
+      {
+        fs = V.Fs ((module Baselines.Strata), t);
+        sys;
+        kernfs = None;
+        device = t.Baselines.Strata.dev;
+      }
+  | _ ->
+      let t = Baselines.Engine.create (engine_config sys) ~pages ~perf in
+      Obs.attach_device t.Baselines.Engine.dev;
+      {
+        fs = V.Fs ((module Baselines.Engine), t);
+        sys;
+        kernfs = None;
+        device = t.Baselines.Engine.dev;
+      }
 
 let one_coffer_variant =
   Zofs_variant

@@ -5,6 +5,7 @@
 module V = Treasury.Vfs
 module Ft = Treasury.Fs_types
 module E = Treasury.Errno
+module FL = Workloads.Fslab
 
 let ok_or_fail = function
   | Ok v -> v
@@ -16,14 +17,13 @@ let expect_err expected = function
       Alcotest.(check string) "errno" (E.to_string expected) (E.to_string e)
 
 let free = Nvm.Perf.free
+let optane = Nvm.Perf.optane
 
-let all_fses () =
-  [
-    Baselines.Ext4_dax.fs ~pages:8192 ~perf:free ();
-    Baselines.Pmfs.fs ~pages:8192 ~perf:free ();
-    Baselines.Nova.fs ~pages:8192 ~perf:free ();
-    Baselines.Strata.fs ~pages:8192 ~perf:free ();
-  ]
+(* A fresh instance of baseline [sys], built the way every benchmark
+   builds it. *)
+let make ?(perf = free) pages sys = (FL.make ~pages ~perf sys).FL.fs
+
+let all_fses () = List.map (make 8192) [ FL.Ext4_dax; FL.Pmfs; FL.Nova; FL.Strata ]
 
 let for_each_fs f =
   List.iter
@@ -94,14 +94,14 @@ let test_rename_all () =
 
 let test_permission_enforcement_engine () =
   (* kernel FSes check per-file permissions on open *)
-  let fs = Baselines.Pmfs.fs ~pages:4096 ~perf:free () in
+  let fs = make 4096 FL.Pmfs in
   Sim.run_thread ~proc:(Sim.Proc.create ~uid:100 ~gid:100 ()) (fun () ->
       ok_or_fail (V.write_file fs "/p" ~mode:0o600 "secret"));
   Sim.run_thread ~proc:(Sim.Proc.create ~uid:200 ~gid:200 ()) (fun () ->
       expect_err E.EACCES (V.openf fs "/p" [ Ft.O_RDONLY ] 0))
 
 let test_symlink_engine () =
-  let fs = Baselines.Nova.fs ~pages:4096 ~perf:free () in
+  let fs = make 4096 FL.Nova in
   Sim.run_thread (fun () ->
       ok_or_fail (V.mkdir fs "/real" 0o755);
       ok_or_fail (V.write_file fs "/real/f" "via link");
@@ -110,7 +110,7 @@ let test_symlink_engine () =
         (ok_or_fail (V.read_file fs "/ln/f")))
 
 let test_truncate_engine () =
-  let fs = Baselines.Ext4_dax.fs ~pages:4096 ~perf:free () in
+  let fs = make 4096 FL.Ext4_dax in
   Sim.run_thread (fun () ->
       ok_or_fail (V.write_file fs "/t" (String.make 10000 'z'));
       ok_or_fail (V.truncate fs "/t" 5);
@@ -121,7 +121,7 @@ let test_truncate_engine () =
 let measure f = Sim.run_thread (fun () -> let t0 = Sim.now () in f (); Sim.now () - t0)
 
 let test_kernel_fs_pays_syscalls () =
-  let fs = Baselines.Pmfs.fs ~pages:4096 ~perf:Nvm.Perf.optane () in
+  let fs = make ~perf:optane 4096 FL.Pmfs in
   let t =
     measure (fun () ->
         ignore (V.stat fs "/") )
@@ -133,7 +133,9 @@ let test_pmfs_clwb_slower_than_nocache () =
   (* Figure 8: default PMFS (store+clwb) is much slower than PMFS-nocache
      (non-temporal stores) for 4 KB overwrites. *)
   let run nocache =
-    let fs = Baselines.Pmfs.fs ~nocache ~pages:4096 ~perf:Nvm.Perf.optane () in
+    let fs =
+      make ~perf:optane 4096 (if nocache then FL.Pmfs_nocache else FL.Pmfs)
+    in
     measure (fun () ->
         ok_or_fail (V.write_file fs "/w" (String.make 4096 'x'));
         let fd = ok_or_fail (V.openf fs "/w" [ Ft.O_WRONLY ] 0) in
@@ -160,10 +162,8 @@ let test_nova_cow_slower_than_pmfs_inplace () =
         done;
         ok_or_fail (V.close fs fd))
   in
-  let nova = overwrites (Baselines.Nova.fs ~pages:8192 ~perf:Nvm.Perf.optane ()) in
-  let pmfs =
-    overwrites (Baselines.Pmfs.fs ~nocache:true ~pages:8192 ~perf:Nvm.Perf.optane ())
-  in
+  let nova = overwrites (make ~perf:optane 8192 FL.Nova) in
+  let pmfs = overwrites (make ~perf:optane 8192 FL.Pmfs_nocache) in
   Alcotest.(check bool)
     (Printf.sprintf "nova (%d) slower than pmfs-nocache (%d)" nova pmfs)
     true (nova > pmfs)
@@ -180,42 +180,15 @@ let test_strata_fast_append_no_syscall () =
           ok_or_fail (V.append_file fs "/f" (String.make 4096 'x'))
         done)
   in
-  let strata = append_time (Baselines.Strata.fs ~pages:8192 ~perf:Nvm.Perf.optane ()) in
-  let ext4 = append_time (Baselines.Ext4_dax.fs ~pages:8192 ~perf:Nvm.Perf.optane ()) in
+  let strata = append_time (make ~perf:optane 8192 FL.Strata) in
+  let ext4 = append_time (make ~perf:optane 8192 FL.Ext4_dax) in
   Alcotest.(check bool)
     (Printf.sprintf "strata (%d) beats ext4 (%d)" strata ext4)
     true (strata < ext4)
 
 let test_strata_read_sees_pending_writes () =
   let t = Baselines.Strata.create ~pages:8192 ~perf:free () in
-  let fs = Treasury.Vfs.Fs ((module struct
-    type nonrec t = Baselines.Strata.t
-
-    let name = Baselines.Strata.name
-    let openf = Baselines.Strata.openf
-    let mkdir = Baselines.Strata.mkdir
-    let rmdir = Baselines.Strata.rmdir
-    let unlink = Baselines.Strata.unlink
-    let rename = Baselines.Strata.rename
-    let stat = Baselines.Strata.stat
-    let lstat = Baselines.Strata.lstat
-    let readdir = Baselines.Strata.readdir
-    let chmod = Baselines.Strata.chmod
-    let chown = Baselines.Strata.chown
-    let symlink = Baselines.Strata.symlink
-    let readlink = Baselines.Strata.readlink
-    let truncate = Baselines.Strata.truncate
-    let close = Baselines.Strata.close
-    let read = Baselines.Strata.read
-    let pread = Baselines.Strata.pread
-    let write = Baselines.Strata.write
-    let pwrite = Baselines.Strata.pwrite
-    let lseek = Baselines.Strata.lseek
-    let fsync = Baselines.Strata.fsync
-    let fstat = Baselines.Strata.fstat
-    let ftruncate = Baselines.Strata.ftruncate
-  end), t)
-  in
+  let fs = V.Fs ((module Baselines.Strata), t) in
   Sim.run_thread (fun () ->
       (* data written but not yet digested must be readable *)
       ok_or_fail (V.write_file fs "/pend" "undigested data");
@@ -226,11 +199,7 @@ let test_strata_read_sees_pending_writes () =
 let test_strata_sharing_forces_digest () =
   (* Table 2: when a second process touches the same file, the holder's log
      must be digested (lease revocation), making the op far slower. *)
-  let fs = Baselines.Strata.fs ~pages:16384 ~perf:Nvm.Perf.optane () in
-  let t =
-    match fs with Treasury.Vfs.Fs (_, _) -> fs
-  in
-  ignore t;
+  let fs = make ~perf:optane 16384 FL.Strata in
   let p1 = Sim.Proc.create ~uid:0 ~gid:0 () in
   let p2 = Sim.Proc.create ~uid:0 ~gid:0 () in
   let world = Sim.create () in
@@ -252,7 +221,7 @@ let test_strata_sharing_forces_digest () =
 
 let test_strata_crossing_preserves_data () =
   (* After the lease ping-pong, both processes' appends are present. *)
-  let fs = Baselines.Strata.fs ~pages:16384 ~perf:free () in
+  let fs = make 16384 FL.Strata in
   let p1 = Sim.Proc.create ~uid:0 ~gid:0 () in
   let p2 = Sim.Proc.create ~uid:0 ~gid:0 () in
   let world = Sim.create () in

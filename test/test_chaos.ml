@@ -44,7 +44,7 @@ let test_poison_sticky () =
 (* ---- thread-kill injection ---------------------------------------------- *)
 
 let test_kill_fires () =
-  let w = Sim.create ~seed:3L () in
+  let w = Sim.create () in
   let finished = ref false and killed = ref (-1) in
   let tid =
     Sim.spawn_tid w ~name:"victim" (fun () ->
@@ -61,7 +61,7 @@ let test_kill_fires () =
   Alcotest.(check int) "one thread killed" 1 !killed
 
 let test_no_kill_defers () =
-  let w = Sim.create ~seed:4L () in
+  let w = Sim.create () in
   let region_done = ref false and after_region = ref false in
   let killed = ref (-1) in
   let tid =
@@ -91,7 +91,7 @@ let test_stale_release_cannot_clobber () =
   let snap0 = Obs.Snapshot.take () in
   let dev = D.create ~perf:Nvm.Perf.free ~size:Nvm.page_size () in
   let addr = 512 in
-  let w = Sim.create ~seed:5L () in
+  let w = Sim.create () in
   let a_acquired = ref false and b_stole = ref false in
   let b_code = ref 0 in
   Sim.spawn w ~name:"holder" (fun () ->
@@ -121,22 +121,23 @@ let test_stale_release_cannot_clobber () =
 
 (* ---- lease-holder death in a live µFS ----------------------------------- *)
 
-(* ZoFS + FSLib built inside the calling sim thread (the dispatcher's repair
-   hook wired like the chaos campaign does). *)
-let mk_zofs () =
-  let dev =
-    D.create ~perf:Nvm.Perf.optane ~size:(1024 * Nvm.page_size) ()
-  in
-  let mpk = Mpk.create dev in
-  let kfs =
-    K.mkfs dev mpk ~nbuckets:256 ~root_ctype:Zofs.Ufs.ctype ~root_mode:0o777
-      ~root_uid:0 ~root_gid:0 ()
-  in
-  Zofs.Ufs.mkfs kfs;
+(* A FSLibs instance for the CALLING process (fs_mount registers the pid of
+   the sim thread that runs this): cross-process tests give every simulated
+   process its own dispatcher + FD table this way. *)
+let mk_fslib kfs =
   let disp = Workloads.Fslab.zofs_dispatcher kfs in
   Treasury.Dispatcher.set_repair disp (fun cid ->
       Zofs.Recovery.recover_one kfs cid);
-  (dev, kfs, Treasury.Dispatcher.as_vfs disp)
+  Treasury.Dispatcher.as_vfs disp
+
+(* ZoFS + FSLib built inside the calling sim thread (the dispatcher's repair
+   hook wired like the chaos campaign does). *)
+let mk_zofs () =
+  let dev, kfs =
+    Workloads.Fslab.make_zofs ~root_mode:0o777 ~nbuckets:256 ~pages:1024
+      ~perf:Nvm.Perf.optane ()
+  in
+  (dev, kfs, mk_fslib kfs)
 
 (* Spawn [op] in a victim thread, arm a kill, and join the victim until it
    finishes or dies, for at most 10 ms.  Returns [true] if the kill landed. *)
@@ -161,15 +162,6 @@ let kill_one_attempt w proc ~after fails op =
 
 (* Join every thread of process [pid] under one deadline. *)
 let join_proc ~until pid = List.iter (Sim.join ~until) (Sim.proc_tids pid)
-
-(* A FSLibs instance for the CALLING process (fs_mount registers the pid of
-   the sim thread that runs this): cross-process tests give every simulated
-   process its own dispatcher + FD table this way. *)
-let mk_fslib kfs =
-  let disp = Workloads.Fslab.zofs_dispatcher kfs in
-  Treasury.Dispatcher.set_repair disp (fun cid ->
-      Zofs.Recovery.recover_one kfs cid);
-  Treasury.Dispatcher.as_vfs disp
 
 (* Run [op] in a fresh process A with its own FSLib; once A is ready, let
    it run [steps] x 75 ns, kill the whole process and join it.  A dead A
@@ -229,7 +221,7 @@ let untorn s =
 let test_kill_mid_append_steal_repairs () =
   obs_on ();
   let snap0 = Obs.Snapshot.take () in
-  let w = Sim.create ~seed:6L () in
+  let w = Sim.create () in
   let proc = Sim.Proc.create ~uid:0 ~gid:0 () in
   let failures = ref [] in
   let fails m = failures := m :: !failures in
@@ -283,7 +275,7 @@ let test_kill_mid_append_steal_repairs () =
    fixpoint. *)
 let test_kill_mid_truncate_converges () =
   obs_on ();
-  let w = Sim.create ~seed:8L () in
+  let w = Sim.create () in
   let proc = Sim.Proc.create ~uid:0 ~gid:0 () in
   let failures = ref [] in
   let fails m = failures := m :: !failures in
@@ -331,7 +323,7 @@ let test_kill_mid_truncate_converges () =
 let test_kill_mid_ftruncate_steal_rolls_forward () =
   obs_on ();
   let snap0 = Obs.Snapshot.take () in
-  let w = Sim.create ~seed:9L () in
+  let w = Sim.create () in
   let proc = Sim.Proc.create ~uid:0 ~gid:0 () in
   let failures = ref [] in
   let fails m = failures := m :: !failures in
@@ -382,7 +374,7 @@ let test_kill_mid_ftruncate_steal_rolls_forward () =
 let test_cross_process_kill_mid_append_steal_repairs () =
   obs_on ();
   let snap0 = Obs.Snapshot.take () in
-  let w = Sim.create ~seed:16L () in
+  let w = Sim.create () in
   let proc_b = Sim.Proc.create ~uid:0 ~gid:0 () in
   let failures = ref [] in
   let fails m = failures := m :: !failures in
@@ -433,7 +425,7 @@ let test_cross_process_kill_mid_append_steal_repairs () =
 let test_cross_process_kill_mid_ftruncate_rolls_forward () =
   obs_on ();
   let snap0 = Obs.Snapshot.take () in
-  let w = Sim.create ~seed:18L () in
+  let w = Sim.create () in
   let proc_b = Sim.Proc.create ~uid:0 ~gid:0 () in
   let failures = ref [] in
   let fails m = failures := m :: !failures in
@@ -476,7 +468,7 @@ let test_cross_process_kill_mid_ftruncate_rolls_forward () =
 let test_whole_process_kill_under_hammer () =
   obs_on ();
   let snap0 = Obs.Snapshot.take () in
-  let w = Sim.create ~seed:17L () in
+  let w = Sim.create () in
   let proc_d = Sim.Proc.create ~uid:0 ~gid:0 () in
   let failures = ref [] in
   let fails m = failures := m :: !failures in

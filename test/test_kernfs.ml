@@ -260,7 +260,7 @@ let test_enlarge_midbatch_transient_counts_once () =
     Option.value ~default:0 (Obs.Snapshot.counter_value d name)
   in
   let _, _, kfs = mk () in
-  let w = Sim.create ~seed:11L () in
+  let w = Sim.create () in
   let proc = Sim.Proc.create ~uid:1000 ~gid:1000 () in
   let result = ref None in
   let free0 = ref 0 in

@@ -24,8 +24,8 @@ let counter_delta snap0 name =
   let d = Obs.Snapshot.diff snap0 (Obs.Snapshot.take ()) in
   Option.value ~default:0 (Obs.Snapshot.counter_value d name)
 
-let in_world ~seed f =
-  let w = Sim.create ~seed () in
+let in_world f =
+  let w = Sim.create () in
   let done_ = ref false in
   Sim.spawn w ~name:"t" (fun () ->
       f w;
@@ -39,7 +39,7 @@ let in_world ~seed f =
    one CAS, so a deadline already in the past must not fail it. *)
 let test_zero_deadline_uncontended () =
   obs_on ();
-  in_world ~seed:31L (fun _w ->
+  in_world (fun _w ->
       let dev = D.create ~perf:Nvm.Perf.free ~size:Nvm.page_size () in
       Sim.advance 1_000;
       Zofs.Lease.acquire ~deadline:(Sim.now () - 500) dev 512;
@@ -50,7 +50,7 @@ let test_zero_deadline_uncontended () =
 let test_zero_deadline_contended () =
   obs_on ();
   let snap0 = Obs.Snapshot.take () in
-  in_world ~seed:32L (fun w ->
+  in_world (fun w ->
       let dev = D.create ~perf:Nvm.Perf.free ~size:Nvm.page_size () in
       let held = ref false in
       Sim.spawn w ~name:"holder" (fun () ->
@@ -73,7 +73,7 @@ let test_zero_deadline_contended () =
    expiry raises at — not beyond — the budget's edge. *)
 let test_deadline_shorter_than_backoff () =
   obs_on ();
-  in_world ~seed:33L (fun w ->
+  in_world (fun w ->
       let dev = D.create ~perf:Nvm.Perf.free ~size:Nvm.page_size () in
       let held = ref false in
       Sim.spawn w ~name:"holder" (fun () ->
@@ -98,7 +98,7 @@ let test_deadline_shorter_than_backoff () =
 let test_deadline_while_steal_in_flight () =
   obs_on ();
   let snap0 = Obs.Snapshot.take () in
-  in_world ~seed:34L (fun w ->
+  in_world (fun w ->
       let dev = D.create ~perf:Nvm.Perf.free ~size:Nvm.page_size () in
       let tid =
         Sim.spawn_tid w ~name:"doomed-holder" (fun () ->
@@ -134,7 +134,7 @@ let test_deadline_while_steal_in_flight () =
 (* ---- the shared backoff helper ------------------------------------------ *)
 
 let test_backoff_deterministic_and_capped () =
-  in_world ~seed:35L (fun _w ->
+  in_world (fun _w ->
       let seq salt =
         let b = Bk.create ~base:200 ~cap:6_400 ~salt () in
         List.init 12 (fun _ ->
@@ -154,7 +154,7 @@ let test_backoff_deterministic_and_capped () =
       Alcotest.(check bool) "tail near cap" true (tail >= 6_400 - 1_600))
 
 let test_backoff_wait_until_clamps () =
-  in_world ~seed:36L (fun _w ->
+  in_world (fun _w ->
       let b = Bk.create ~base:1_000 ~cap:8_000 ~salt:1 () in
       let d = Sim.now () + 2_500 in
       (* keep waiting: each sleep is clamped, and the helper reports the
@@ -169,7 +169,7 @@ let test_backoff_wait_until_clamps () =
 (* ---- ambient deadline nesting ------------------------------------------- *)
 
 let test_deadline_nesting_shrinks () =
-  in_world ~seed:37L (fun _w ->
+  in_world (fun _w ->
       Sim.advance 1_000;
       let outer = Sim.now () + 100 in
       Dl.with_deadline outer (fun () ->
@@ -190,7 +190,7 @@ let test_deadline_nesting_shrinks () =
 
 let test_serve_quota_shed () =
   obs_on ();
-  in_world ~seed:38L (fun _w ->
+  in_world (fun _w ->
       let srv = Serve.create ~max_inflight:4 () in
       Serve.add_tenant srv ~id:0 ~weight:1 ~rate_per_ms:1 ~burst:1
         ~queue_cap:8 ();
@@ -214,7 +214,7 @@ let test_serve_quota_shed () =
 
 let test_serve_queue_full_shed () =
   obs_on ();
-  in_world ~seed:39L (fun w ->
+  in_world (fun w ->
       let srv = Serve.create ~max_inflight:1 () in
       Serve.add_tenant srv ~id:0 ~weight:1 ~rate_per_ms:1_000 ~burst:100
         ~queue_cap:1 ();
@@ -256,7 +256,7 @@ let test_serve_queue_full_shed () =
    client — and an Executing-stage one, so it feeds the degrade window. *)
 let test_serve_late_success_is_timeout () =
   obs_on ();
-  in_world ~seed:40L (fun _w ->
+  in_world (fun _w ->
       let srv = Serve.create ~max_inflight:2 () in
       Serve.add_tenant srv ~id:0 ~weight:1 ~rate_per_ms:1_000 ~burst:10
         ~queue_cap:8 ();
@@ -280,7 +280,7 @@ let test_serve_late_success_is_timeout () =
    still ends a queued wait at exactly its deadline. *)
 let test_grant_wakes_waiter () =
   obs_on ();
-  in_world ~seed:41L (fun w ->
+  in_world (fun w ->
       let srv = Serve.create ~max_inflight:1 () in
       Serve.add_tenant srv ~id:0 ~weight:1 ~rate_per_ms:1_000 ~burst:10
         ~queue_cap:8 ();
@@ -322,7 +322,7 @@ let test_grant_wakes_waiter () =
    its death, which counts it lost exactly once. *)
 let test_killed_grantee_reclaimed () =
   obs_on ();
-  in_world ~seed:42L (fun w ->
+  in_world (fun w ->
       let srv = Serve.create ~max_inflight:1 () in
       Serve.add_tenant srv ~id:0 ~weight:1 ~rate_per_ms:1_000 ~burst:10
         ~queue_cap:8 ();
@@ -365,7 +365,7 @@ let test_killed_grantee_reclaimed () =
    counted lost and the books balance with no sweep of any kind. *)
 let test_holder_death_grants_at_once () =
   obs_on ();
-  in_world ~seed:43L (fun w ->
+  in_world (fun w ->
       let srv = Serve.create ~max_inflight:1 () in
       Serve.add_tenant srv ~id:0 ~weight:1 ~rate_per_ms:1_000 ~burst:10
         ~queue_cap:8 ();

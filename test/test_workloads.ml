@@ -147,9 +147,52 @@ let test_file_tree_builder () =
   Alcotest.(check bool) "nested has depth" true
     (List.exists (fun p -> List.length (Treasury.Pathx.components p) > 3) nested)
 
+(* ---- fslab -------------------------------------------------------------- *)
+
+(* Every system [FL.make] builds answers to its own label and is wired to
+   the device its instance reports: a write/read round trip goes through,
+   and the write shows in that device's write count. *)
+let test_fslab_systems_own_their_device () =
+  List.iter
+    (fun (sys, name) ->
+      Sim.run_thread ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ()) (fun () ->
+          let i = FL.make ~pages:8192 ~perf:Nvm.Perf.free sys in
+          let module V = Treasury.Vfs in
+          let label = FL.label sys in
+          Alcotest.(check string) (label ^ " name") name (V.name i.FL.fs);
+          let w0 = Nvm.Device.stat_writes i.FL.device in
+          (match V.write_file i.FL.fs "/f" "round trip" with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s write: %s" label (Treasury.Errno.to_string e));
+          Alcotest.(check (result string reject))
+            (label ^ " read back") (Ok "round trip")
+            (V.read_file i.FL.fs "/f");
+          Alcotest.(check bool)
+            (label ^ " write reached its device") true
+            (Nvm.Device.stat_writes i.FL.device > w0)))
+    [
+      (FL.Zofs, "zofs-fslibs");
+      (FL.one_coffer_variant, "zofs-fslibs");
+      (FL.sysempty_variant, "zofs-fslibs");
+      (FL.kwrite_variant, "zofs-fslibs");
+      (FL.Ext4_dax, "ext4-dax");
+      (FL.Pmfs, "pmfs");
+      (FL.Pmfs_nocache, "pmfs-nocache");
+      (FL.Nova, "nova");
+      (FL.Nova_noindex, "nova-noindex");
+      (FL.Novai, "novai");
+      (FL.Novai_noindex, "novai-noindex");
+      (FL.Strata, "strata");
+    ]
+
 let () =
   Alcotest.run "workloads"
     [
+      ( "fslab",
+        [
+          Alcotest.test_case "every system on its own device" `Quick
+            test_fslab_systems_own_their_device;
+        ] );
       ( "runner",
         [
           Alcotest.test_case "counts ops" `Quick test_runner_counts_ops;

@@ -13,14 +13,10 @@ type world = {
 (* Create a formatted ZoFS world.  [root_mode] defaults to 0o777 so arbitrary
    test users can create files under "/". *)
 let make_world ?(pages = 4096) ?(perf = Nvm.Perf.free) ?(root_mode = 0o777) () =
-  let dev = Nvm.Device.create ~perf ~size:(pages * Nvm.page_size) () in
-  let mpk = Mpk.create dev in
-  let kfs =
-    K.mkfs dev mpk ~nbuckets:512 ~root_ctype:Zofs.Ufs.ctype ~root_mode
-      ~root_uid:0 ~root_gid:0 ()
+  let dev, kfs =
+    Workloads.Fslab.make_zofs ~root_mode ~nbuckets:512 ~pages ~perf ()
   in
-  Zofs.Ufs.mkfs kfs;
-  { dev; mpk; kfs }
+  { dev; mpk = K.mpk kfs; kfs }
 
 (* An FSLibs instance (dispatcher + ZoFS µFS) for the calling process. *)
 let fslib ?variant w = Workloads.Fslab.zofs_dispatcher ?variant w.kfs
