@@ -177,26 +177,40 @@ let pool_of_thread t =
   | A_global_lock | A_global_bitmap -> 0
   | A_per_thread n -> (Sim.self_tid () land max_int) mod n
 
-(* Free pages are chained through their first u64. *)
+(* Free pages are chained through their first u64.  A thread allocates
+   from its own pool; when that one is empty it takes from the next pools in
+   turn, as NOVA's per-CPU allocator does, so ENOSPC means every pool is
+   empty. *)
 let alloc_page t =
-  let pool_idx = pool_of_thread t in
-  let pool = t.free_pools.(pool_idx) in
-  let _, lock = !pool in
-  Sim.Mutex.with_lock lock (fun () ->
-      (* Work performed while holding the allocator lock: this is what makes
-         PMFS's global allocator stop scaling after a few threads
-         (Figure 7(d)) while NOVA's per-core pools barely serialize. *)
-      (match t.cfg.alloc with
-      | A_global_lock -> Sim.advance 700 (* free-list bookkeeping + undo log *)
-      | A_global_bitmap -> Sim.advance 900 (* bitmap scan + jbd2 credit *)
-      | A_per_thread _ -> Sim.advance 80);
-      let head, _ = !pool in
-      if head = 0 then Error E.ENOSPC
-      else begin
-        let next = rd64 t (head * page_size) in
-        pool := (next, lock);
-        Ok head
-      end)
+  let own = pool_of_thread t in
+  let npools = Array.length t.free_pools in
+  let rec from i =
+    if i = npools then Error E.ENOSPC
+    else
+      let pool = t.free_pools.((own + i) mod npools) in
+      let _, lock = !pool in
+      let r =
+        Sim.Mutex.with_lock lock (fun () ->
+            (* Work performed while holding the allocator lock: this is what
+               makes PMFS's global allocator stop scaling after a few
+               threads (Figure 7(d)) while NOVA's per-core pools barely
+               serialize. *)
+            (match t.cfg.alloc with
+            | A_global_lock ->
+                Sim.advance 700 (* free-list bookkeeping + undo log *)
+            | A_global_bitmap -> Sim.advance 900 (* bitmap scan + jbd2 credit *)
+            | A_per_thread _ -> Sim.advance 80);
+            let head, _ = !pool in
+            if head = 0 then None
+            else begin
+              let next = rd64 t (head * page_size) in
+              pool := (next, lock);
+              Some head
+            end)
+      in
+      match r with Some page -> Ok page | None -> from (i + 1)
+  in
+  from 0
 
 let free_page t page =
   let pool_idx = pool_of_thread t in
@@ -458,8 +472,12 @@ let dir_is_empty t ino = dir_entries t ino = []
 
 (* ---- format / create --------------------------------------------------------------- *)
 
-let format cfg dev mpk =
+(* Format [dev] as [cfg].  The free pools get the pages from the first data
+   page up to [data_end] (default: the device end); pages from [data_end]
+   on are left to the caller (Strata's per-process logs). *)
+let format ?data_end cfg dev mpk =
   let npages = Nvm.Device.pages dev in
+  let data_end = Option.value data_end ~default:npages in
   let ninodes = max 1024 (min 65536 (npages / 4 * inodes_per_page / 16)) in
   let inode_pages = (ninodes + inodes_per_page - 1) / inodes_per_page in
   let data_first = 1 + inode_pages in
@@ -492,11 +510,11 @@ let format cfg dev mpk =
   Mpk.with_kernel mpk (fun () ->
       Mpk.with_write_window mpk (fun () ->
           (* chain the free pages, split across the pools *)
-          let per_pool = (npages - data_first) / npools in
+          let per_pool = (data_end - data_first) / npools in
           for pool = 0 to npools - 1 do
             let first = data_first + (pool * per_pool) in
             let last =
-              if pool = npools - 1 then npages - 1 else first + per_pool - 1
+              if pool = npools - 1 then data_end - 1 else first + per_pool - 1
             in
             let head = ref 0 in
             for p = last downto first do
@@ -512,9 +530,9 @@ let format cfg dev mpk =
   t
 
 (* A fresh device of [pages] pages, formatted as [cfg]. *)
-let create cfg ~pages ~perf =
+let create ?data_end cfg ~pages ~perf =
   let dev = Nvm.Device.create ~perf ~size:(pages * Nvm.page_size) () in
-  format cfg dev (Mpk.create dev)
+  format ?data_end cfg dev (Mpk.create dev)
 
 let root_ino = 1
 

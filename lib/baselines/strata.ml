@@ -30,6 +30,7 @@ type pending_file = {
   mutable p_extents : (int * string) list;  (* newest first *)
   mutable p_size : int;  (* size including pending writes; -1 = unknown *)
   mutable p_unlinked : bool;
+  p_shared : bool;  (* the path existed in the shared area when first logged *)
 }
 
 type pstate = {
@@ -81,16 +82,18 @@ let create ?(pages = 65536) ?(perf = Nvm.Perf.optane) () =
       op_overhead = 60;
     }
   in
-  let kernel = Engine.create cfg ~pages ~perf in
+  (* Log regions are carved from the top 1,024 pages of the device address
+     space, which the shared area therefore never allocates from; log writes
+     are charged as NVM traffic against a per-process window. *)
+  let log_pages = 1024 in
+  let kernel = Engine.create ~data_end:(pages - log_pages) cfg ~pages ~perf in
   {
     kernel;
     dev = kernel.Engine.dev;
     gate = Gate.create kernel.Engine.mpk;
     procs = Hashtbl.create 8;
     leases = Hashtbl.create 64;
-    (* Log regions are carved from the top of the device address space; log
-       writes are charged as NVM traffic against a per-process window. *)
-    log_area_base = (pages - 1024) * Nvm.page_size;
+    log_area_base = (pages - log_pages) * Nvm.page_size;
     log_area_per_proc = 256 * Nvm.page_size;
     next_log_slot = 0;
     digests = 0;
@@ -137,7 +140,13 @@ let pending t ps path =
         | Error _ -> -1
       in
       let p =
-        { p_created = None; p_extents = []; p_size = size; p_unlinked = false }
+        {
+          p_created = None;
+          p_extents = [];
+          p_size = size;
+          p_unlinked = false;
+          p_shared = size >= 0;
+        }
       in
       Hashtbl.replace ps.ps_pending path p;
       p
@@ -161,7 +170,10 @@ let log_append t ps ~bytes =
 
 (* Digest a process's log into the shared area (runs in the kernel).  Each
    pending op is re-applied — the double write the paper charges Strata
-   for. *)
+   for.  Every entry is applied even after one fails; the first error is
+   returned (the log is consumed either way).  A path created and unlinked
+   within the log never reached the shared area, so only a path that was
+   shared is unlinked there. *)
 let digest t ps =
   t.digests <- t.digests + 1;
   Gate.syscall t.gate (fun () ->
@@ -173,6 +185,11 @@ let digest t ps =
          plus per-entry validation — the reason shared files are 19x slower
          on Strata (paper 2.2) *)
       Sim.advance (6000 + (2000 * List.length entries));
+      let first_error = ref None in
+      let note = function
+        | Ok _ -> ()
+        | Error e -> if !first_error = None then first_error := Some e
+      in
       List.iter
         (fun (path, p) ->
           (* re-read the log (charged) *)
@@ -184,33 +201,34 @@ let digest t ps =
           (match p.p_created with
           | Some (kind, mode) when not p.p_unlinked ->
               if kind = Engine.kind_directory then
-                ignore (Engine.mkdir t.kernel path mode)
-              else (
-                match
-                  Engine.openf t.kernel path [ Ft.O_CREAT; Ft.O_WRONLY ] mode
-                with
-                | Ok fd -> ignore (Engine.close t.kernel fd)
-                | Error _ -> ())
+                note (Engine.mkdir t.kernel path mode)
+              else
+                note
+                  (let* fd =
+                     Engine.openf t.kernel path [ Ft.O_CREAT; Ft.O_WRONLY ] mode
+                   in
+                   Engine.close t.kernel fd)
           | _ -> ());
-          if (not p.p_unlinked) && p.p_extents <> [] then begin
-            match Engine.openf t.kernel path [ Ft.O_WRONLY ] 0 with
-            | Ok fd ->
-                List.iter
-                  (fun (off, data) ->
-                    ignore (Engine.pwrite t.kernel fd ~off data))
-                  (List.rev p.p_extents);
-                ignore (Engine.close t.kernel fd)
-            | Error _ -> ()
-          end;
-          if p.p_unlinked then ignore (Engine.unlink t.kernel path))
+          if (not p.p_unlinked) && p.p_extents <> [] then
+            note
+              (let* fd = Engine.openf t.kernel path [ Ft.O_WRONLY ] 0 in
+               List.iter
+                 (fun (off, data) -> note (Engine.pwrite t.kernel fd ~off data))
+                 (List.rev p.p_extents);
+               Engine.close t.kernel fd);
+          if p.p_unlinked && p.p_shared then note (Engine.unlink t.kernel path))
         entries;
       Hashtbl.reset ps.ps_pending;
-      ps.ps_log_used <- 0)
+      ps.ps_log_used <- 0;
+      match !first_error with None -> Ok () | Some e -> Error e)
 
 (* Acquire the lease on [path] for the calling process.  If another process
    holds it, its log is digested first (lease revocation). *)
 let ensure_lease t ps path =
-  if Hashtbl.mem ps.ps_leases path then Sim.advance 15 (* cached lease check *)
+  if Hashtbl.mem ps.ps_leases path then begin
+    Sim.advance 15 (* cached lease check *);
+    Ok ()
+  end
   else begin
     (* Lease acquisition is a kernel operation, serialized by the lease
        manager's lock: the check, the revocation (which digests the current
@@ -224,23 +242,26 @@ let ensure_lease t ps path =
                 | None -> ())
             | _ -> ());
         (* revocation digests the holder's log before the lease moves *)
-        (match Hashtbl.find_opt t.leases path with
-        | Some holder when holder <> ps.ps_pid -> (
-            match Hashtbl.find_opt t.procs holder with
-            | Some hps -> digest t hps
-            | None -> ())
-        | _ -> ());
+        let digested =
+          match Hashtbl.find_opt t.leases path with
+          | Some holder when holder <> ps.ps_pid -> (
+              match Hashtbl.find_opt t.procs holder with
+              | Some hps -> digest t hps
+              | None -> Ok ())
+          | _ -> Ok ()
+        in
         Hashtbl.replace t.leases path ps.ps_pid;
-        Hashtbl.replace ps.ps_leases path ())
+        Hashtbl.replace ps.ps_leases path ();
+        digested)
   end
 
 let maybe_self_digest t ps =
-  if ps.ps_log_used > digest_threshold then digest t ps
+  if ps.ps_log_used > digest_threshold then digest t ps else Ok ()
 
 (* Any operation we did not give a fast path digests first and falls back to
    the shared area. *)
 let slow_path t ps f =
-  digest t ps;
+  let* () = digest t ps in
   f ()
 
 (* ---- Vfs.S ------------------------------------------------------------------- *)
@@ -260,12 +281,12 @@ let openf t path flags mode =
   let ps = pstate t in
   Sim.Mutex.with_lock ps.ps_lock @@ fun () ->
   let path = Pathx.normalize path in
-  ensure_lease t ps path;
+  let* () = ensure_lease t ps path in
   let wants = Ft.wants_of_flags flags in
   let writable = List.mem `W wants in
   (* take the parent's lease first: a revocation digests whoever created
      the directory, making it visible in the shared area *)
-  ensure_lease t ps (Pathx.dirname path);
+  let* () = ensure_lease t ps (Pathx.dirname path) in
   let present = exists_now t ps path in
   if (not present) && not (Ft.flag_mem Ft.O_CREAT flags) then Error E.ENOENT
   else if (not present) && not (parent_exists t ps path) then Error E.ENOENT
@@ -288,7 +309,7 @@ let openf t path flags mode =
       p.p_size <- 0;
       if p.p_created = None then p.p_created <- Some (Engine.kind_regular, mode)
     end;
-    maybe_self_digest t ps;
+    let* () = maybe_self_digest t ps in
     let fd = ps.ps_next_fd in
     ps.ps_next_fd <- fd + 1;
     Hashtbl.replace ps.ps_fds fd
@@ -318,14 +339,14 @@ let write t fdn data =
   else
     Sim.Mutex.with_lock ps.ps_lock @@ fun () ->
     begin
-    ensure_lease t ps s.fd_path;
+    let* () = ensure_lease t ps s.fd_path in
     let off = if s.fd_append then file_size t ps s.fd_path else s.fd_offset in
     log_append t ps ~bytes:(String.length data);
     let p = pending t ps s.fd_path in
     p.p_extents <- (off, data) :: p.p_extents;
     p.p_size <- max (max p.p_size 0) (off + String.length data);
     s.fd_offset <- off + String.length data;
-    maybe_self_digest t ps;
+    let* () = maybe_self_digest t ps in
     Ok (String.length data)
     end
 
@@ -335,12 +356,12 @@ let pwrite t fdn ~off data =
   else
     Sim.Mutex.with_lock ps.ps_lock @@ fun () ->
     begin
-    ensure_lease t ps s.fd_path;
+    let* () = ensure_lease t ps s.fd_path in
     log_append t ps ~bytes:(String.length data);
     let p = pending t ps s.fd_path in
     p.p_extents <- (off, data) :: p.p_extents;
     p.p_size <- max (max p.p_size 0) (off + String.length data);
-    maybe_self_digest t ps;
+    let* () = maybe_self_digest t ps in
     Ok (String.length data)
     end
 
@@ -379,7 +400,7 @@ let read_merged t ps path ~off buf boff len =
 let read t fdn buf boff len =
   let* ps, s = fd_of t fdn in
   Sim.Mutex.with_lock ps.ps_lock @@ fun () ->
-  ensure_lease t ps s.fd_path;
+  let* () = ensure_lease t ps s.fd_path in
   let* n = read_merged t ps s.fd_path ~off:s.fd_offset buf boff len in
   s.fd_offset <- s.fd_offset + n;
   Ok n
@@ -387,7 +408,7 @@ let read t fdn buf boff len =
 let pread t fdn ~off buf boff len =
   let* ps, s = fd_of t fdn in
   Sim.Mutex.with_lock ps.ps_lock @@ fun () ->
-  ensure_lease t ps s.fd_path;
+  let* () = ensure_lease t ps s.fd_path in
   read_merged t ps s.fd_path ~off buf boff len
 
 let close t fdn =
@@ -441,8 +462,8 @@ let mkdir t path mode =
   let ps = pstate t in
   Sim.Mutex.with_lock ps.ps_lock @@ fun () ->
   let path = Pathx.normalize path in
-  ensure_lease t ps (Pathx.dirname path);
-  ensure_lease t ps path;
+  let* () = ensure_lease t ps (Pathx.dirname path) in
+  let* () = ensure_lease t ps path in
   if exists_now t ps path then Error E.EEXIST
   else if not (parent_exists t ps path) then Error E.ENOENT
   else begin
@@ -451,7 +472,7 @@ let mkdir t path mode =
     let p = pending t ps path in
     p.p_created <- Some (Engine.kind_directory, mode);
     p.p_size <- 0;
-    maybe_self_digest t ps;
+    let* () = maybe_self_digest t ps in
     Ok ()
   end
 
@@ -459,8 +480,8 @@ let unlink t path =
   let ps = pstate t in
   Sim.Mutex.with_lock ps.ps_lock @@ fun () ->
   let path = Pathx.normalize path in
-  ensure_lease t ps path;
-  ensure_lease t ps (Pathx.dirname path);
+  let* () = ensure_lease t ps path in
+  let* () = ensure_lease t ps (Pathx.dirname path) in
   if not (exists_now t ps path) then Error E.ENOENT
   else begin
     log_append t ps ~bytes:64;
@@ -469,7 +490,7 @@ let unlink t path =
     p.p_created <- None;
     p.p_extents <- [];
     p.p_size <- -1;
-    maybe_self_digest t ps;
+    let* () = maybe_self_digest t ps in
     Ok ()
   end
 

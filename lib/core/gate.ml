@@ -1,8 +1,9 @@
 (* The user/kernel boundary.  Every kernel entry charges the syscall cost
    and pollutes the calling thread's simulated line cache (the context-switch
    and cache-pollution penalty the paper attributes kernel file systems'
-   slowness to, §6.1); the body then runs in kernel mode with a CR0.WP write
-   window open (kernel FS code is trusted to write NVM). *)
+   slowness to, §6.1).  A system call's body then runs in kernel mode with a
+   CR0.WP write window open (kernel FS code is trusted to write NVM); a
+   demand fault's runs in kernel mode without one. *)
 
 let enter_cost = 250 (* ns: trap + switch in *)
 let exit_cost = 150 (* ns: return to user *)
@@ -11,16 +12,28 @@ type t = { mpk : Mpk.t; dev : Nvm.Device.t; mutable syscalls : int }
 
 let create mpk = { mpk; dev = Mpk.device mpk; syscalls = 0 }
 
-let syscall t f =
-  t.syscalls <- t.syscalls + 1;
-  Obs.with_kernel_crossing @@ fun () ->
+(* One kernel entry: trap in, the line-cache pollution, [f] in kernel mode,
+   return. *)
+let enter t f =
   Sim.advance enter_cost;
   Nvm.Device.pollute_cache t.dev;
   Race.on_gate_enter ();
-  let r = Mpk.with_kernel t.mpk (fun () -> Mpk.with_write_window t.mpk f) in
+  let r = Mpk.with_kernel t.mpk f in
   Race.on_gate_exit ();
   Sim.advance exit_cost;
   r
+
+let syscall t f =
+  t.syscalls <- t.syscalls + 1;
+  Obs.with_kernel_crossing @@ fun () ->
+  enter t (fun () -> Mpk.with_write_window t.mpk f)
+
+(* A demand fault on a pending PTE: a kernel entry that pays what a syscall
+   pays, but is no syscall (not counted in [syscalls]) and opens no write
+   window, since it writes no NVM.  The calling thread completes it like any
+   kernel entry (no-kill). *)
+let fault t f =
+  Obs.with_kernel_fault @@ fun () -> Sim.with_no_kill @@ fun () -> enter t f
 
 (* An empty system call (the ZoFS-sysempty variant of Figure 8). *)
 let empty_syscall t = syscall t (fun () -> ())

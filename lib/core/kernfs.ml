@@ -176,25 +176,25 @@ let not_recovering t cid = if recovering t cid then Error Errno.EBUSY else Ok ()
 let charge_pages ~per_page n = if n > 0 then Sim.advance (per_page * n)
 
 (* Map the pages of [runs] into [pid]'s page table ([pid]'s page-table lock
-   held).  The coffer's root page (if part of the runs) is mapped read-only:
-   user space may read coffer metadata but never change it. *)
-let map_runs t ~pid ~cid ~pkey ~writable runs =
+   held), one run at a time.  The coffer's root page (if part of the runs)
+   is mapped read-only: user space may read coffer metadata but never
+   change it.  With [populate] every PTE is installed and paid for now;
+   without it the PTEs are left pending, for free, and each page is
+   installed and paid for on its first touch ([demand_fault]). *)
+let map_runs ?(populate = true) t ~pid ~cid ~pkey ~writable runs =
   List.iter
     (fun (start, len) ->
-      for page = start to start + len - 1 do
-        let w = writable && page <> cid in
-        Mpk.map_page t.mpk ~pid ~page ~writable:w ~pkey
-      done;
-      charge_pages ~per_page:pte_update_cost len)
+      Mpk.map_run t.mpk ~pid ~start ~len ~writable ~pkey ~read_only:cid
+        ~populate;
+      if populate then charge_pages ~per_page:pte_update_cost len)
     runs
 
+(* Teardown pays for the present PTEs only; pending ones go for free. *)
 let unmap_runs t ~pid runs =
   List.iter
     (fun (start, len) ->
-      for page = start to start + len - 1 do
-        Mpk.unmap_page t.mpk ~pid ~page
-      done;
-      charge_pages ~per_page:pte_update_cost len)
+      charge_pages ~per_page:pte_update_cost
+        (Mpk.unmap_run t.mpk ~pid ~start ~len))
     runs
 
 (* Drop [ps]'s mapping of [cid] from the bookkeeping (both locks held) and
@@ -241,6 +241,22 @@ let unmap_runs_everywhere t cid runs =
       | None -> ()
       | Some ps -> Sim.Mutex.with_lock ps.ps_pt (fun () -> unmap_runs t ~pid runs))
     (mappers_of t cid)
+
+(* The trap a user-mode touch of a pending page takes (installed as the
+   MPK unit's demand-fault handler at mkfs and mount).  It pays the gate
+   and, if the page is still pending, one PTE; it takes only the faulting
+   process's page-table lock, never the kernel lock, so a fault taken
+   under an inode lease never queues behind the coffer_enlarge convoy.  A
+   page torn down meanwhile (unmap, shrink, split, chmod...) is no longer
+   pending and is left alone: the access then faults "page not mapped". *)
+let demand_fault t ~pid ~page =
+  Gate.fault t.gate (fun () ->
+      match Hashtbl.find_opt t.procs pid with
+      | None -> ()
+      | Some ps ->
+          Sim.Mutex.with_lock ps.ps_pt (fun () ->
+              if Mpk.install_pending t.mpk ~pid ~page then
+                Sim.advance pte_update_cost))
 
 (* Allocate pages and create a fresh coffer root at the first granted page. *)
 let make_coffer t ~path ~ctype ~mode ~uid ~gid =
@@ -325,6 +341,7 @@ let mkfs dev mpk ?(nbuckets = 4096) ~root_ctype ~root_mode ~root_uid ~root_gid (
       transient_errno = Errno.ENOMEM;
     }
   in
+  Mpk.set_demand_fault mpk (demand_fault t);
   (match
      make_coffer t ~path:"/" ~ctype:root_ctype ~mode:root_mode ~uid:root_uid
        ~gid:root_gid
@@ -367,6 +384,7 @@ let mount dev mpk =
       transient_errno = Errno.ENOMEM;
     }
   in
+  Mpk.set_demand_fault mpk (demand_fault t);
   Path_map.iter pm (fun path cid ->
       match Coffer.read dev ~id:cid with
       | Some info ->
@@ -626,7 +644,7 @@ let coffer_shrink t cid ~runs =
 
 (* Bookkeeping under the kernel lock; the PTEs are installed after it is
    released, under the caller's page-table lock alone. *)
-let coffer_map t cid =
+let coffer_map ?(populate = true) t cid =
   kernel_op_then t (fun () ->
       match trip_transient t with
       | Some e -> Error e
@@ -682,7 +700,7 @@ let coffer_map t cid =
                   Ok
                     ( m,
                       fun () ->
-                        map_runs t ~pid ~cid ~pkey ~writable runs;
+                        map_runs ~populate t ~pid ~cid ~pkey ~writable runs;
                         Sim.Mutex.unlock ps.ps_pt )
             end)
 
@@ -982,6 +1000,38 @@ let mapped_coffers t =
   match Hashtbl.find_opt t.procs pid with
   | None -> []
   | Some ps -> Hashtbl.fold (fun cid m acc -> (cid, m) :: acc) ps.ps_mapped []
+
+(* The page-table invariant: every PTE of [pid], present or pending, belongs
+   to a coffer [pid] maps and carries that mapping's key and writability
+   (the coffer root page read-only), and every page of a mapped coffer has
+   one.  Read-only; the tests and the perf gate audit with it. *)
+let pte_violations t ~pid =
+  let mapped =
+    match Hashtbl.find_opt t.procs pid with
+    | Some ps -> ps.ps_mapped
+    | None -> Hashtbl.create 0
+  in
+  let bad = ref [] in
+  let report fmt = Printf.ksprintf (fun s -> bad := s :: !bad) fmt in
+  for page = 0 to Alloc_table.npages t.at - 1 do
+    let owner = Alloc_table.owner_of t.at ~page in
+    match (Mpk.page_pkey t.mpk ~pid ~page, Hashtbl.find_opt mapped owner) with
+    | None, None -> ()
+    | None, Some _ ->
+        report "pid %d: page %d of mapped coffer %d has no PTE" pid page owner
+    | Some _, None ->
+        report "pid %d: page %d has a PTE but its coffer %d is not mapped" pid
+          page owner
+    | Some key, Some m ->
+        if key <> m.m_pkey then
+          report "pid %d: page %d has key %d, its mapping %d" pid page key
+            m.m_pkey;
+        let writable = m.m_writable && page <> owner in
+        if Mpk.page_writable t.mpk ~pid ~page <> writable then
+          report "pid %d: page %d writable=%b, its mapping %b" pid page
+            (not writable) writable
+  done;
+  List.rev !bad
 
 (* ---- fault-domain health ------------------------------------------------ *)
 

@@ -37,7 +37,8 @@ type mapping = {
 }
 
 val pte_update_cost : int
-(** ns charged per page (un)mapped — PTE write + TLB bookkeeping. *)
+(** ns charged per PTE installed or torn down — PTE write + TLB
+    bookkeeping. *)
 
 (** {1 Fault-domain health (runtime state, volatile)} *)
 
@@ -167,15 +168,29 @@ val coffer_shrink : t -> int -> runs:(int * int) list -> (unit, Errno.t) result
     including an empty run or one reaching outside the table; [EBUSY]
     during recovery. *)
 
-val coffer_map : t -> int -> (mapping, Errno.t) result
+val coffer_map : ?populate:bool -> t -> int -> (mapping, Errno.t) result
 (** Permission-check the caller, assign a free MPK key (of the 15 usable),
     and map every page of the coffer — root page read-only — into the
-    calling process.  The PTEs are installed after the global lock is
-    released, under the caller's page-table lock; a thread that finds the
-    coffer already mapped waits for that lock, so it never gets back a
-    half-installed mapping.  [EMFILE] when all 15 regions are taken (the
-    µFS should unmap something and retry, §3.4.2); [EBUSY] during
-    recovery. *)
+    calling process.  The PTEs are written after the global lock is
+    released, under the caller's page-table lock, one run at a time; a
+    thread that finds the coffer already mapped waits for that lock, so it
+    never gets back a half-written mapping.  [EMFILE] when all 15 regions
+    are taken (the µFS should unmap something and retry, §3.4.2); [EBUSY]
+    during recovery.
+
+    With [populate] (the default, like [MAP_POPULATE]) every PTE is
+    {e present}: the map pays {!pte_update_cost} per page.  With
+    [~populate:false] every PTE is {e pending} — key and writability
+    recorded, nothing charged — and the first user-mode touch of a page
+    traps: the fault pays the {!Gate} enter and exit cost and its cache
+    pollution plus one {!pte_update_cost}, under the faulting process's
+    page-table lock alone (never the kernel lock), as a no-kill region;
+    it counts in [coffer.faults], not in the syscall count.  The usual
+    paging and PKRU checks then run on the installed PTE, so a touch with
+    the coffer's key closed still faults.  Every teardown ({!coffer_unmap}
+    and everything that unmaps pages from a process) clears pending PTEs
+    for free and pays {!pte_update_cost} per present one.  Pages granted
+    later by {!coffer_enlarge} or {!coffer_merge} are installed present. *)
 
 val coffer_unmap : t -> int -> (unit, Errno.t) result
 (** Drop the caller's mapping: bookkeeping under both locks, the PTE
@@ -258,6 +273,12 @@ val reclaim_orphan_runs : t -> ((int * int * int) list, Errno.t) result
 val page_owner : t -> page:int -> (int, Errno.t) result
 (** Owning coffer-ID of a page (0 = free); the dispatcher names the coffer
     a fault hit with it. *)
+
+val pte_violations : t -> pid:int -> string list
+(** The page-table invariant, one line per broken page: every PTE of
+    [pid], present or pending, belongs to a coffer [pid] maps and carries
+    that mapping's key and writability (the root page read-only), and every
+    page of a mapped coffer has one.  Not a syscall; reads no NVM. *)
 
 val enlarge_count : t -> int
 val free_pages : t -> int

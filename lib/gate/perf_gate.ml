@@ -8,7 +8,11 @@
    truncate through an indirect page, each in a fresh simulated world,
    and records per-operation simulated latency, persistence-instruction
    counts (clwb/sfence, with the redundancy split the device tracks),
-   kernel crossings, and coffer_enlarge calls.  Two
+   kernel crossings, and coffer_enlarge calls.  One more cycles one
+   process over 20 coffers, more than it has MPK keys, so its remaps fault
+   their pages in; it audits the page table after every op, and two
+   planted fault handlers (a page outside the coffer, a wrong key) must be
+   caught by that audit.  Two
    multi-process experiments ride along: 64 tenant processes — each with
    its own FSLib (dispatcher + FD table + per-process mappings) — hammer
    one shared file / one shared directory through the syscall gate, so the
@@ -37,7 +41,7 @@ type metrics = {
   enlarge_calls : int;
 }
 
-type result = { r_name : string; r_m : metrics }
+type result = { r_name : string; r_m : metrics; r_violations : string list }
 
 let per_op m total = float_of_int total /. float_of_int (max 1 m.ops)
 
@@ -264,6 +268,87 @@ let exp_truncate_indirect ~ops () =
       done)
     ()
 
+(* One process cycles stat, then open+pread+close, over 20 sub-coffers of
+   ~70 pages, more than its 15 MPK keys: an access that finds its coffer
+   evicted pays an eviction and a remap whose PTEs are left pending and
+   installed on first touch (DESIGN.md §17).  Populating those remaps
+   instead costs 12,807 sim-ns/op here, against 4,813.  After every op the
+   process's page table is audited against its mappings
+   ([Kernfs.pte_violations]), so a fault that installs a page outside the
+   faulting coffer, or under another key, is a violation; so is a failed
+   op.  [fault_handler], when given, replaces KernFS's demand-fault handler
+   once set-up is done (the negatives plant a broken one). *)
+let remap_coffers = 20
+
+let exp_remap_under_key_pressure ?fault_handler ~rounds () =
+  let violations = ref [] in
+  let m =
+    in_world ~ops:(rounds * remap_coffers * 2)
+      ~setup:(fun fs ->
+        for d = 0 to remap_coffers - 1 do
+          let dir = Printf.sprintf "/k%02d" d in
+          ok (V.mkdir fs dir 0o700);
+          ok
+            (V.write_file fs (dir ^ "/f") ~mode:0o600
+               (String.make (64 * 4096) 'p'))
+        done)
+      ~measured:(fun inst ->
+        let fs = inst.FL.fs and kfs = Option.get inst.FL.kernfs in
+        let mpk = Treasury.Kernfs.mpk kfs in
+        Option.iter (fun h -> Mpk.set_demand_fault mpk (h mpk)) fault_handler;
+        let pid = (Sim.self_proc ()).Sim.Proc.pid in
+        let buf = Bytes.create 4096 in
+        let step what r =
+          (match r with
+          | Ok () -> ()
+          | Error e ->
+              violations :=
+                Printf.sprintf "%s: %s" what (Treasury.Errno.to_string e)
+                :: !violations);
+          violations :=
+            List.rev_append
+              (Treasury.Kernfs.pte_violations kfs ~pid)
+              !violations
+        in
+        let pread path off =
+          let ( let* ) = Result.bind in
+          let* fd = V.openf fs path [ Ft.O_RDONLY ] 0 in
+          let* _ = V.pread fs fd ~off buf 0 4096 in
+          V.close fs fd
+        in
+        for r = 0 to rounds - 1 do
+          for d = 0 to remap_coffers - 1 do
+            let path = Printf.sprintf "/k%02d/f" d in
+            step ("stat " ^ path) (Result.map ignore (V.stat fs path))
+          done;
+          for d = 0 to remap_coffers - 1 do
+            let path = Printf.sprintf "/k%02d/f" d in
+            step ("pread " ^ path) (pread path ((r + d) mod 64 * 4096))
+          done
+        done)
+      ()
+  in
+  (m, List.rev !violations)
+
+(* The planted faults: a handler that installs the 16 pages from the
+   faulting one, present under its key, whoever owns them (a fault-around
+   that ignores the coffer's runs), and one that installs the faulting
+   page under the next key. *)
+let fault_around_blindly mpk ~pid ~page =
+  let key = Option.value ~default:0 (Mpk.page_pkey mpk ~pid ~page) in
+  let last = Nvm.Device.pages (Mpk.device mpk) - 1 in
+  for p = page to min last (page + 15) do
+    Mpk.map_page mpk ~pid ~page:p ~writable:true ~pkey:key
+  done
+
+let fault_under_next_key mpk ~pid ~page =
+  let key = Option.value ~default:0 (Mpk.page_pkey mpk ~pid ~page) in
+  Mpk.map_page mpk ~pid ~page ~writable:(Mpk.page_writable mpk ~pid ~page)
+    ~pkey:((key mod (Mpk.nkeys - 1)) + 1)
+
+let planted_fault fault_handler () =
+  snd (exp_remap_under_key_pressure ~fault_handler ~rounds:1 ()) <> []
+
 (* Like [in_world], but [nprocs] tenant processes.  Each tenant is a
    fresh [Sim.Proc] with its own FSLib built over the one shared KernFS —
    so every op crosses the syscall gate of its own process and contends
@@ -360,7 +445,12 @@ let experiments =
   ]
 
 let run_all () =
-  List.map (fun (name, f) -> { r_name = name; r_m = f () }) experiments
+  List.map
+    (fun (name, f) -> { r_name = name; r_m = f (); r_violations = [] })
+    experiments
+  @
+  let r_m, r_violations = exp_remap_under_key_pressure ~rounds:4 () in
+  [ { r_name = "remap-under-key-pressure"; r_m; r_violations } ]
 
 let to_json results =
   let metrics m =
@@ -409,6 +499,13 @@ let gate =
       (fun () ->
         let results = run_all () in
         print_string (render_results results);
-        (to_json results, []));
-    negatives = [];
+        ( to_json results,
+          List.concat_map
+            (fun r -> List.map (fun v -> r.r_name ^ ": " ^ v) r.r_violations)
+            results ));
+    negatives =
+      [
+        ("fault_installs_foreign_pages", planted_fault fault_around_blindly);
+        ("fault_installs_under_wrong_key", planted_fault fault_under_next_key);
+      ];
   }

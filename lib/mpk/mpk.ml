@@ -5,9 +5,12 @@ let wrpkru_cost = 6 (* ns: ~16 cycles at 2.5 GHz (paper §3.4.1) *)
 
 type perm = Pk_none | Pk_read | Pk_read_write
 
-(* Per-process page-table byte: bit0 mapped, bit1 writable, bits 4..7 pkey. *)
+(* Per-process page-table byte: bit0 present, bit1 writable, bit2 pending,
+   bits 4..7 pkey.  A pending PTE carries its key and writability but is not
+   present: the first access traps to the demand-fault handler. *)
 let pte_mapped = 0x01
 let pte_writable = 0x02
+let pte_pending = 0x04
 
 (* Trace events for the guideline checker (lib/check): every PKRU update and
    every [with_keys] window boundary, tagged with the perms installed. *)
@@ -23,6 +26,7 @@ type t = {
   kernel_depth : int Sim.Idtbl.t;  (* tid -> nesting *)
   write_window : int Sim.Idtbl.t;  (* tid -> nesting *)
   mutable faults : int;
+  mutable demand_fault : pid:int -> page:int -> unit;
   trace : trace_event Nvm.Subscribers.t;
 }
 
@@ -74,6 +78,15 @@ let current_pkru t =
   | Some v -> v
   | None -> pkru_all_disabled
 
+(* An address past the device end has no PTE at all: same SIGSEGV as an
+   unmapped page (recovery relies on this when chasing torn pointers). *)
+let pte_of t ~pid ~page =
+  match Sim.Idtbl.find_opt t.tables pid with
+  | None -> 0
+  | Some b ->
+      if page < 0 || page >= Bytes.length b then 0
+      else Char.code (Bytes.get b page)
+
 let depth tbl tid = match Sim.Idtbl.find_opt tbl tid with Some d -> d | None -> 0
 
 let in_kernel t = depth t.kernel_depth (Sim.self_tid ()) > 0
@@ -89,14 +102,22 @@ let check t ~addr ~write =
     let pid = (Sim.self_proc ()).Sim.Proc.pid in
     let page = addr / Nvm.page_size in
     let pte =
-      (* An address past the device end has no PTE at all: same SIGSEGV as
-         an unmapped page (recovery relies on this when chasing torn
-         pointers). *)
+      (* [pte_of], written out: this runs on every user-mode access. *)
       match Sim.Idtbl.find_opt t.tables pid with
       | None -> 0
       | Some b ->
           if page < 0 || page >= Bytes.length b then 0
           else Char.code (Bytes.get b page)
+    in
+    let pte =
+      if pte land pte_pending = 0 then pte
+      else begin
+        (* First touch of a pending page: the trap installs it (or finds it
+           torn down meanwhile), then the checks below run on what the
+           table holds now. *)
+        t.demand_fault ~pid ~page;
+        pte_of t ~pid ~page
+      end
     in
     if pte land pte_mapped = 0 then fault t addr write "page not mapped";
     if write && pte land pte_writable = 0 then
@@ -120,6 +141,7 @@ let create dev =
       kernel_depth = Sim.Idtbl.create ();
       write_window = Sim.Idtbl.create ();
       faults = 0;
+      demand_fault = (fun ~pid:_ ~page:_ -> ());
       trace = Nvm.Subscribers.create ();
     }
   in
@@ -141,7 +163,39 @@ let map_page t ~pid ~page ~writable ~pkey =
   let pte = pte_mapped lor (if writable then pte_writable else 0) lor (pkey lsl 4) in
   Bytes.set b page (Char.chr pte)
 
-let unmap_page t ~pid ~page = Bytes.set (table t pid) page '\000'
+let set_demand_fault t f = t.demand_fault <- f
+
+let map_run t ~pid ~start ~len ~writable ~pkey ~read_only ~populate =
+  if pkey < 0 || pkey >= nkeys then invalid_arg "Mpk.map_run: bad pkey";
+  let b = table t pid in
+  let pte w =
+    Char.chr
+      ((if populate then pte_mapped else pte_pending)
+      lor (if w then pte_writable else 0)
+      lor (pkey lsl 4))
+  in
+  Bytes.fill b start len (pte writable);
+  if writable && read_only >= start && read_only < start + len then
+    Bytes.set b read_only (pte false)
+
+let unmap_run t ~pid ~start ~len =
+  match Sim.Idtbl.find_opt t.tables pid with
+  | None -> 0
+  | Some b ->
+      let present = ref 0 in
+      for page = start to start + len - 1 do
+        if Char.code (Bytes.get b page) land pte_mapped <> 0 then incr present
+      done;
+      Bytes.fill b start len '\000';
+      !present
+
+let install_pending t ~pid ~page =
+  match Sim.Idtbl.find_opt t.tables pid with
+  | Some b when Char.code (Bytes.get b page) land pte_pending <> 0 ->
+      let pte = Char.code (Bytes.get b page) in
+      Bytes.set b page (Char.chr (pte land lnot pte_pending lor pte_mapped));
+      true
+  | Some _ | None -> false
 
 let unmap_all t ~pid =
   match Sim.Idtbl.find_opt t.tables pid with
@@ -169,22 +223,14 @@ let has_thread_state t ~tid =
 
 let has_table t ~pid = Sim.Idtbl.mem t.tables pid
 
-let is_mapped t ~pid ~page =
-  match Sim.Idtbl.find_opt t.tables pid with
-  | None -> false
-  | Some b -> Char.code (Bytes.get b page) land pte_mapped <> 0
+let is_mapped t ~pid ~page = pte_of t ~pid ~page land pte_mapped <> 0
+let is_pending t ~pid ~page = pte_of t ~pid ~page land pte_pending <> 0
 
 let page_pkey t ~pid ~page =
-  match Sim.Idtbl.find_opt t.tables pid with
-  | None -> None
-  | Some b ->
-      let pte = Char.code (Bytes.get b page) in
-      if pte land pte_mapped = 0 then None else Some (pte lsr 4)
+  let pte = pte_of t ~pid ~page in
+  if pte land (pte_mapped lor pte_pending) = 0 then None else Some (pte lsr 4)
 
-let page_writable t ~pid ~page =
-  match Sim.Idtbl.find_opt t.tables pid with
-  | None -> false
-  | Some b -> Char.code (Bytes.get b page) land pte_writable <> 0
+let page_writable t ~pid ~page = pte_of t ~pid ~page land pte_writable <> 0
 
 let wrpkru t perms =
   Sim.Idtbl.replace t.pkru (Sim.self_tid ()) (pkru_of_perms perms);

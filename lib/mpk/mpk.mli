@@ -31,11 +31,53 @@ val device : t -> Nvm.Device.t
 
 (** {1 Page tables (privileged; called by KernFS)} *)
 
+(** A PTE is absent, {e present}, or {e pending}: a pending PTE carries
+    its key and writability but is not present, so the first user-mode
+    access to its page traps to the {!set_demand_fault} handler, which
+    installs it (the simulated page fault of a mapping made without
+    [MAP_POPULATE]).  The paging and PKRU checks then run on the installed
+    PTE, so a pending page whose key is closed still faults. *)
+
 val map_page : t -> pid:int -> page:int -> writable:bool -> pkey:pkey -> unit
-val unmap_page : t -> pid:int -> page:int -> unit
 val unmap_all : t -> pid:int -> unit
+
+val map_run :
+  t ->
+  pid:int ->
+  start:int ->
+  len:int ->
+  writable:bool ->
+  pkey:pkey ->
+  read_only:int ->
+  populate:bool ->
+  unit
+(** Map the pages [start .. start + len - 1] with one table lookup and one
+    fill: present PTEs when [populate], pending ones otherwise.  Page
+    [read_only] (the coffer root page), if inside the run, is mapped
+    read-only whatever [writable] says. *)
+
+val unmap_run : t -> pid:int -> start:int -> len:int -> int
+(** Clear the run's PTEs, present and pending, and return how many were
+    present (teardown pays only for those). *)
+
+val install_pending : t -> pid:int -> page:int -> bool
+(** Make [page]'s pending PTE present; [false] (and no change) when the
+    PTE is not pending: never mapped, torn down, or already installed. *)
+
+val set_demand_fault : t -> (pid:int -> page:int -> unit) -> unit
+(** The handler a user-mode access to a pending page traps to (KernFS
+    installs its own at mkfs/mount).  It runs before the access's checks
+    and may block; afterwards the checks re-read the PTE.  The default does
+    nothing, so the access faults "page not mapped". *)
+
 val is_mapped : t -> pid:int -> page:int -> bool
+(** The PTE is present. *)
+
+val is_pending : t -> pid:int -> page:int -> bool
+
 val page_pkey : t -> pid:int -> page:int -> pkey option
+(** Key of a present or pending PTE. *)
+
 val page_writable : t -> pid:int -> page:int -> bool
 
 (** {1 Process teardown (privileged; called by KernFS reaping)} *)

@@ -340,13 +340,12 @@ module Device = struct
      time differently (the perf gate's determinism test catches this). *)
   let pollute_window = cache_slots / 8
 
+  (* The cursor moves a whole window at a time, so a window never wraps. *)
   let pollute_cache d =
     match Sim.Idtbl.find_opt (caches d) (Sim.self_tid ()) with
     | Some a ->
         let start = d.pollute_cursor in
-        for i = 0 to pollute_window - 1 do
-          a.((start + i) land (cache_slots - 1)) <- -1
-        done;
+        Array.fill a start pollute_window (-1);
         d.pollute_cursor <- (start + pollute_window) land (cache_slots - 1)
     | None -> ()
 

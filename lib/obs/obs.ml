@@ -985,19 +985,22 @@ let with_syscall name f =
         raise e
   end
 
-let with_kernel_crossing f =
+(* One kernel entry, a system call or a page fault: its span, its counter,
+   and, inside a syscall, its time less the media time within it to
+   [layer.kernfs_ns]. *)
+let kernel_entry counter ~name f =
   if not !on then f ()
   else begin
     let tid = Sim.self_tid () in
     let fr = frame tid in
-    Counter.incr c_gate;
+    Counter.incr counter;
     let ts = Sim.now () in
     fr.gate_depth <- fr.gate_depth + 1;
     if fr.gate_depth = 1 then begin
       fr.gate_start <- ts;
       fr.gate_media0 <- fr.media
     end;
-    let _id = push_span fr ~cat:"kernfs" ~name:"trap" ~ts in
+    let _id = push_span fr ~cat:"kernfs" ~name ~ts in
     incr Trace.open_count;
     let finish () =
       decr Trace.open_count;
@@ -1017,23 +1020,44 @@ let with_kernel_crossing f =
         raise e
   end
 
-type lease_token = { lt_t0 : int; lt_media0 : int; lt_live : bool }
+let c_faults = Counter.make "coffer.faults"
+let with_kernel_crossing f = kernel_entry c_gate ~name:"trap" f
+let with_kernel_fault f = kernel_entry c_faults ~name:"fault" f
 
-let dead_token = { lt_t0 = 0; lt_media0 = 0; lt_live = false }
+(* A lease wait is its elapsed time less the media and kernel time within
+   it (a page fault taken on the lease word), which have layers of their
+   own. *)
+type lease_token = {
+  lt_t0 : int;
+  lt_media0 : int;
+  lt_kern0 : int;
+  lt_live : bool;
+}
+
+let dead_token = { lt_t0 = 0; lt_media0 = 0; lt_kern0 = 0; lt_live = false }
 
 let lease_begin () =
   if not !on then dead_token
   else
     let fr = frame (Sim.self_tid ()) in
-    { lt_t0 = Sim.now (); lt_media0 = fr.media; lt_live = true }
+    {
+      lt_t0 = Sim.now ();
+      lt_media0 = fr.media;
+      lt_kern0 = fr.kern;
+      lt_live = true;
+    }
+
+let lease_wait fr tok =
+  max 0
+    (Sim.now () - tok.lt_t0
+    - (fr.media - tok.lt_media0)
+    - (fr.kern - tok.lt_kern0))
 
 let lease_end tok ~retries =
   if tok.lt_live && !on then begin
     let tid = Sim.self_tid () in
     let fr = frame tid in
-    let wait =
-      max 0 (Sim.now () - tok.lt_t0 - (fr.media - tok.lt_media0))
-    in
+    let wait = lease_wait fr tok in
     Counter.incr c_lease_acq;
     Counter.add c_lease_retries retries;
     Counter.add c_lease_wait wait;
@@ -1059,7 +1083,7 @@ let lease_abort tok ~retries =
   if tok.lt_live && !on then begin
     let tid = Sim.self_tid () in
     let fr = frame tid in
-    let wait = max 0 (Sim.now () - tok.lt_t0 - (fr.media - tok.lt_media0)) in
+    let wait = lease_wait fr tok in
     cnt "lease.aborts" 1;
     Counter.add c_lease_retries retries;
     Counter.add c_lease_wait wait;

@@ -312,6 +312,12 @@ val with_kernel_crossing : (unit -> 'a) -> 'a
     crossing's time (minus NVM media time spent within) goes to
     [layer.kernfs_ns]. *)
 
+val with_kernel_fault : (unit -> 'a) -> 'a
+(** Wraps one demand fault on a pending PTE: a [kernfs]/[fault] span and
+    the [coffer.faults] counter (not [gate.crossings]: a fault is no
+    system call); inside a syscall its time goes to [layer.kernfs_ns] as a
+    crossing's does. *)
+
 type lease_token
 
 val lease_begin : unit -> lease_token
@@ -320,7 +326,7 @@ val lease_end : lease_token -> retries:int -> unit
 (** Records [lease.acquires]/[lease.retries]/[lease.wait_ns] (plus the
     coffer-labelled variants when an ambient coffer is set) and, when the
     wait was nonzero, a [lease]/[wait] span; inside a syscall the wait
-    (minus media time within) goes to [layer.lease_ns]. *)
+    (minus the media and kernel time within) goes to [layer.lease_ns]. *)
 
 val lease_abort : lease_token -> retries:int -> unit
 (** An acquisition abandoned (request deadline expired while camped on a

@@ -264,7 +264,7 @@ let recover_coffer ufs kfs report xrefs (info : Coffer.info) =
       if not magic_ok then
         Mpk.with_write_window mpk (fun () ->
             Balloc.format dev ~custom:info.Coffer.custom));
-  match Ufs.map_coffer ufs info.Coffer.id with
+  match Ufs.map_coffer ~dense:true ufs info.Coffer.id with
   | Error _ -> false
   | Ok cs -> (
       let t_user0 = Sim.now () in

@@ -177,16 +177,27 @@ let evict_one t =
   | None -> false
 
 (* The kernel mapping alone: when all 15 MPK regions are taken, evict an
-   idle coffer and retry (§3.4.2). *)
-let rec kernel_map t cid =
-  match Transient.retry (fun () -> K.coffer_map t.kfs cid) with
-  | Error E.EMFILE when evict_one t -> kernel_map t cid
-  | r -> r
+   idle coffer and retry (§3.4.2).  A first map populates every PTE: a
+   coffer mapped while keys are free tends to stay mapped, and its pages
+   get touched (64 processes would otherwise fault on a shared log's
+   pages while holding its lease).  A map that had to evict is a coffer
+   cycling through the keys, likely evicted again after touching a handful
+   of its pages, so the retry leaves the PTEs pending and each page is
+   installed on first touch -- unless the caller is [dense]: about to
+   touch nearly every page of the coffer (recovery's scan, or the
+   initialization of a coffer just created). *)
+let kernel_map ?(dense = false) t cid =
+  let rec go ~populate =
+    match Transient.retry (fun () -> K.coffer_map ~populate t.kfs cid) with
+    | Error E.EMFILE when evict_one t -> go ~populate:dense
+    | r -> r
+  in
+  go ~populate:true
 
-let map_coffer t cid =
+let map_coffer ?dense t cid =
   Obs.set_op_coffer cid;
   Obs.span ~cat:"coffer" ~name:"map" @@ fun () ->
-  match kernel_map t cid with
+  match kernel_map ?dense t cid with
   | Ok m -> (
       let info =
         Mpk.with_keys t.mpk
@@ -380,7 +391,7 @@ let create_sub_coffer t ~path ~kind ~mode ~uid ~gid =
   let* info = K.coffer_new t.kfs ~path ~ctype ~mode ~uid ~gid in
   (* Map first with the raw kernel mapping and initialize the µFS structures
      (custom page, root inode) before attaching the allocator. *)
-  let* m = kernel_map t info.Coffer.id in
+  let* m = kernel_map ~dense:true t info.Coffer.id in
   Mpk.with_keys t.mpk
     [ (m.K.m_pkey, Mpk.Pk_read_write) ]
     (fun () ->

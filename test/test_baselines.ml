@@ -235,6 +235,40 @@ let test_strata_crossing_preserves_data () =
       Alcotest.(check string) "both appends visible" "AAAABBBB"
         (ok_or_fail (V.read_file fs "/both")))
 
+(* The per-process logs live in the top 1,024 pages, which the shared area
+   must never allocate.  On 2,048 pages the Engine's per-thread pools 2 and
+   3 would reach into them: a thread with tid 2 digests /a's 64 KB, then
+   logs enough to overwrite whatever the shared area put there, and /a must
+   still read back intact. *)
+let test_strata_log_area_not_allocated () =
+  let t = Baselines.Strata.create ~pages:2048 ~perf:free () in
+  let fs = V.Fs ((module Baselines.Strata), t) in
+  let a = String.init 65536 (fun i -> Char.chr (65 + (i mod 26))) in
+  let result = ref None in
+  let world = Sim.create () in
+  let rec spawn_until_tid_2 () =
+    let tid =
+      Sim.spawn_tid world ~name:"writer" (fun () ->
+          if Sim.self_tid () = 2 then begin
+            ok_or_fail (V.write_file fs "/a" a);
+            ok_or_fail (V.write_file fs "/b" "");
+            ok_or_fail (V.append_file fs "/b" (String.make 1_200_000 'b'));
+            ok_or_fail (V.write_file fs "/c" "");
+            ok_or_fail (V.append_file fs "/c" (String.make 400_000 'c'));
+            result := Some (V.read_file fs "/a")
+          end)
+    in
+    if tid < 2 then spawn_until_tid_2 ()
+  in
+  spawn_until_tid_2 ();
+  Sim.run world;
+  match !result with
+  | None -> Alcotest.fail "no thread with tid 2 ran"
+  | Some r ->
+      Alcotest.(check bool) "digests happened" true
+        (Baselines.Strata.digest_count t > 0);
+      Alcotest.(check bool) "/a reads back intact" true (ok_or_fail r = a)
+
 let () =
   Alcotest.run "baselines"
     [
@@ -270,5 +304,7 @@ let () =
             test_strata_sharing_forces_digest;
           Alcotest.test_case "crossing preserves data" `Quick
             test_strata_crossing_preserves_data;
+          Alcotest.test_case "log area never allocated" `Quick
+            test_strata_log_area_not_allocated;
         ] );
     ]

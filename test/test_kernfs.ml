@@ -659,44 +659,15 @@ let test_syscall_costs_time () =
 
 (* ---- page-table invariants -------------------------------------------- *)
 
-(* Every PTE in [pid]'s table must belong to a coffer in [mapped] (that
-   process's mappings) and carry that mapping's key and writability, the
-   coffer root page read-only; every page of a mapped coffer must have a
-   PTE. *)
-let pte_violations kfs mpk ~pid mapped =
-  let at = K.alloc_table kfs in
-  let bad = ref [] in
-  let report fmt = Printf.ksprintf (fun s -> bad := s :: !bad) fmt in
-  for page = 0 to A.npages at - 1 do
-    let owner = A.owner_of at ~page in
-    match (Mpk.page_pkey mpk ~pid ~page, List.assoc_opt owner mapped) with
-    | None, None -> ()
-    | None, Some _ ->
-        report "pid %d: page %d of mapped coffer %d has no PTE" pid page owner
-    | Some _, None ->
-        report "pid %d: page %d has a PTE but its coffer %d is not mapped" pid
-          page owner
-    | Some key, Some m ->
-        if key <> m.K.m_pkey then
-          report "pid %d: page %d has key %d, its mapping %d" pid page key
-            m.K.m_pkey;
-        let writable = m.K.m_writable && page <> owner in
-        if Mpk.page_writable mpk ~pid ~page <> writable then
-          report "pid %d: page %d writable=%b, its mapping %b" pid page
-            (not writable) writable
-  done;
-  List.rev !bad
+(* [K.pte_violations] for [proc], read after its simulation has ended. *)
+let proc_pte_violations kfs proc = K.pte_violations kfs ~pid:proc.Sim.Proc.pid
 
-(* [pte_violations] for [proc], read after its simulation has ended. *)
-let proc_pte_violations kfs mpk proc =
-  let mapped = Sim.run_thread ~proc (fun () -> K.mapped_coffers kfs) in
-  pte_violations kfs mpk ~pid:proc.Sim.Proc.pid mapped
-
-(* Two processes of two threads each interleave map, unmap, enlarge, shrink
-   and chmod over three shared coffers; afterwards every page table matches
-   its process's mappings exactly. *)
+(* Two processes of two threads each interleave map (populated or with
+   pending PTEs), first touches of pending pages, unmap, enlarge, shrink
+   and chmod over three shared coffers; afterwards every page table,
+   pending entries included, matches its process's mappings exactly. *)
 let test_pte_invariant_under_interleaving () =
-  let _, mpk, kfs = mk ~pages:2048 () in
+  let dev, mpk, kfs = mk ~pages:2048 () in
   let cids =
     as_user (fun () ->
         ok_or_fail (K.fs_mount kfs);
@@ -712,13 +683,33 @@ let test_pte_invariant_under_interleaving () =
           [ 0; 1; 2 ])
     |> Array.of_list
   in
+  let installed = ref 0 in
+  (* Read one page of [cid] through its key, if this process maps it; a
+     sibling may tear the page down at any point, and then the read
+     faults. *)
+  let touch rng cid =
+    match List.assoc_opt cid (K.mapped_coffers kfs) with
+    | None -> ()
+    | Some m -> (
+        let pages = coffer_pages kfs cid in
+        let page = List.nth pages (Sim.Rng.int rng (List.length pages)) in
+        let pid = (Sim.self_proc ()).Sim.Proc.pid in
+        let pending = Mpk.is_pending mpk ~pid ~page in
+        match
+          Mpk.with_keys mpk
+            [ (m.K.m_pkey, Mpk.Pk_read) ]
+            (fun () -> D.read_u8 dev (page * Nvm.page_size))
+        with
+        | _ -> if pending then incr installed
+        | exception Nvm.Fault _ -> ())
+  in
   let world = Sim.create () in
   let worker ~seed () =
     let rng = Sim.Rng.create seed in
     for _ = 1 to 150 do
       let cid = cids.(Sim.Rng.int rng (Array.length cids)) in
-      (match Sim.Rng.int rng 5 with
-      | 0 -> ignore (K.coffer_map kfs cid)
+      (match Sim.Rng.int rng 6 with
+      | 0 -> ignore (K.coffer_map ~populate:(Sim.Rng.bool rng) kfs cid)
       | 1 -> ignore (K.coffer_unmap kfs cid)
       | 2 -> ignore (K.coffer_enlarge kfs cid ~n:(1 + Sim.Rng.int rng 8))
       | 3 -> (
@@ -726,6 +717,7 @@ let test_pte_invariant_under_interleaving () =
           | (start, len) :: _ when start + len - 1 <> cid && len > 0 ->
               ignore (K.coffer_shrink kfs cid ~runs:[ (start + len - 1, 1) ])
           | _ -> ())
+      | 4 -> touch rng cid
       | _ ->
           let mode = if Sim.Rng.bool rng then 0o644 else 0o444 in
           ignore (K.coffer_chmod kfs cid ~mode ~uid:1000 ~gid:1000));
@@ -745,10 +737,13 @@ let test_pte_invariant_under_interleaving () =
       [ 1; 2 ]
   in
   Sim.run world;
+  Alcotest.(check bool)
+    (Printf.sprintf "pending pages installed on touch (%d)" !installed)
+    true (!installed > 0);
   List.iter
     (fun proc ->
       Alcotest.(check (list string)) "page table matches mappings" []
-        (proc_pte_violations kfs mpk proc))
+        (proc_pte_violations kfs proc))
     procs
 
 (* Negative: a PTE population that runs after the page-table lock was
@@ -781,7 +776,7 @@ let test_pte_check_catches_late_install () =
         runs);
   Sim.run world;
   Alcotest.(check bool) "stale PTEs reported" true
-    (proc_pte_violations kfs mpk proc <> [])
+    (proc_pte_violations kfs proc <> [])
 
 (* coffer_map writes a run's PTEs in one step and charges the run in one
    advance.  Process A maps a coffer laid out as two runs while a thread of
@@ -856,6 +851,301 @@ let test_map_installs_a_run_at_a_time () =
         ((pages - 3) * K.pte_update_cost)
         (two_runs - one_run)
   | _ -> Alcotest.fail "mapper did not finish"
+
+(* ---- pending PTEs (a map without populate) ---------------------------- *)
+
+(* As user 1000 with [proc]: mount, create "/lazy" (0o600) with [extra]
+   pages beyond its three, and map it without populate. *)
+let lazy_coffer ?(extra = 8) kfs =
+  ok_or_fail (K.fs_mount kfs);
+  let c =
+    ok_or_fail
+      (K.coffer_new kfs ~path:"/lazy" ~ctype:zofs_ctype ~mode:0o600 ~uid:1000
+         ~gid:1000)
+  in
+  let cid = c.Coffer.id in
+  ignore (ok_or_fail (K.coffer_enlarge kfs cid ~n:extra));
+  (cid, ok_or_fail (K.coffer_map ~populate:false kfs cid))
+
+let self_pid () = (Sim.self_proc ()).Sim.Proc.pid
+
+(* Read [page] in user mode with [keys] open. *)
+let touch dev mpk ?(keys = []) page =
+  Mpk.with_keys mpk keys (fun () -> ignore (D.read_u8 dev (page * Nvm.page_size)))
+
+let fault_reason f =
+  match f () with
+  | () -> "no fault"
+  | exception Nvm.Fault { reason; _ } -> reason
+
+(* A map without populate records every PTE as pending and charges none;
+   a first touch pays the gate and one PTE, a second touch nothing; the
+   unmap pays for the installed PTEs only.  No fault is a syscall. *)
+let test_pending_ptes_exact_cost () =
+  let dev, mpk, kfs = mk ~pages:2048 () in
+  as_user (fun () ->
+      let cid, _ = lazy_coffer ~extra:37 kfs in
+      ok_or_fail (K.coffer_unmap kfs cid);
+      let pages = coffer_pages kfs cid in
+      let npages = List.length pages in
+      let timed f =
+        let t0 = Sim.now () in
+        f ();
+        Sim.now () - t0
+      in
+      let map populate () =
+        ignore (ok_or_fail (K.coffer_map ~populate kfs cid))
+      in
+      let unmap () = ok_or_fail (K.coffer_unmap kfs cid) in
+      let eager_map = timed (map true) in
+      let eager_unmap = timed unmap in
+      let lazy_map = timed (map false) in
+      Alcotest.(check int) "a lazy map charges no PTE"
+        (npages * K.pte_update_cost) (eager_map - lazy_map);
+      let pid = self_pid () in
+      Alcotest.(check bool) "every PTE pending, none present" true
+        (List.for_all
+           (fun page ->
+             Mpk.is_pending mpk ~pid ~page && not (Mpk.is_mapped mpk ~pid ~page))
+           pages);
+      let m = List.assoc cid (K.mapped_coffers kfs) in
+      let keys = [ (m.K.m_pkey, Mpk.Pk_read) ] in
+      let syscalls0 = Treasury.Gate.syscall_count (K.gate kfs) in
+      let touched = [ List.nth pages 3; List.nth pages 10; List.nth pages 20 ] in
+      List.iter
+        (fun page ->
+          let first = timed (fun () -> touch dev mpk ~keys page) in
+          let second = timed (fun () -> touch dev mpk ~keys page) in
+          Alcotest.(check int) "first touch: gate + one PTE"
+            (first - second)
+            (Treasury.Gate.enter_cost + Treasury.Gate.exit_cost
+           + K.pte_update_cost);
+          Alcotest.(check bool) "installed" true (Mpk.is_mapped mpk ~pid ~page))
+        touched;
+      Alcotest.(check int) "faults are no syscalls" syscalls0
+        (Treasury.Gate.syscall_count (K.gate kfs));
+      Alcotest.(check int) "the unmap pays for the installed PTEs only"
+        ((npages - List.length touched) * K.pte_update_cost)
+        (eager_unmap - timed unmap);
+      Alcotest.(check bool) "pending PTEs cleared" true
+        (List.for_all (fun page -> Mpk.page_pkey mpk ~pid ~page = None) pages))
+
+(* A pending page is installed by its first touch, then checked like any
+   PTE: with its key closed, or with only another key open (G1/G2), the
+   touch faults; a write through a read-only mapping faults too. *)
+let test_pending_page_checked_after_install () =
+  let dev, mpk, kfs = mk () in
+  as_user (fun () ->
+      let cid, m = lazy_coffer kfs in
+      let other =
+        ok_or_fail
+          (K.coffer_new kfs ~path:"/other" ~ctype:zofs_ctype ~mode:0o600
+             ~uid:1000 ~gid:1000)
+      in
+      let om = ok_or_fail (K.coffer_map kfs other.Coffer.id) in
+      let pid = self_pid () in
+      match coffer_pages kfs cid with
+      | _root :: a :: b :: c :: _ ->
+          Alcotest.(check string) "key closed"
+            (Printf.sprintf "MPK: region %d access-disabled" m.K.m_pkey)
+            (fault_reason (fun () -> touch dev mpk a));
+          Alcotest.(check bool) "installed by the trap" true
+            (Mpk.is_mapped mpk ~pid ~page:a);
+          Alcotest.(check string) "only another coffer's key open"
+            (Printf.sprintf "MPK: region %d access-disabled" m.K.m_pkey)
+            (fault_reason (fun () ->
+                 touch dev mpk ~keys:[ (om.K.m_pkey, Mpk.Pk_read_write) ] b));
+          Alcotest.(check string) "own key open" "no fault"
+            (fault_reason (fun () ->
+                 touch dev mpk ~keys:[ (m.K.m_pkey, Mpk.Pk_read) ] c));
+          Alcotest.(check string) "root page stays read-only"
+            "page mapped read-only"
+            (fault_reason (fun () ->
+                 Mpk.with_keys mpk
+                   [ (m.K.m_pkey, Mpk.Pk_read_write) ]
+                   (fun () -> D.write_u8 dev (cid * Nvm.page_size) 1)))
+      | _ -> Alcotest.fail "coffer too small")
+
+(* A page of a coffer the process does not map faults "page not mapped",
+   and the touch installs nothing: no trap runs for an absent PTE. *)
+let test_unmapped_coffer_page_installs_nothing () =
+  let dev, mpk, kfs = mk () in
+  as_user (fun () ->
+      let _, m = lazy_coffer kfs in
+      let stranger =
+        ok_or_fail
+          (K.coffer_new kfs ~path:"/stranger" ~ctype:zofs_ctype ~mode:0o600
+             ~uid:1000 ~gid:1000)
+      in
+      let pid = self_pid () in
+      let page = List.nth (coffer_pages kfs stranger.Coffer.id) 1 in
+      let t0 = Sim.now () in
+      Alcotest.(check string) "faults" "page not mapped"
+        (fault_reason (fun () ->
+             touch dev mpk ~keys:[ (m.K.m_pkey, Mpk.Pk_read_write) ] page));
+      Alcotest.(check bool) "no trap paid" true
+        (Sim.now () - t0 < Treasury.Gate.enter_cost);
+      Alcotest.(check (option int)) "nothing installed" None
+        (Mpk.page_pkey mpk ~pid ~page);
+      Alcotest.(check (list string)) "page table matches mappings" []
+        (K.pte_violations kfs ~pid))
+
+(* Every path that takes pages from a process's mapping clears their
+   pending PTEs.  Each case maps "/lazy" without populate, runs one
+   operation and names the pages that must have no PTE left. *)
+let test_teardowns_clear_pending () =
+  let case name op =
+    let _, mpk, kfs = mk ~pages:2048 () in
+    let proc = Sim.Proc.create ~uid:1000 ~gid:1000 () in
+    let gone =
+      Sim.run_thread ~proc (fun () ->
+          let cid, _ = lazy_coffer kfs in
+          let pid = self_pid () in
+          Alcotest.(check bool) (name ^ ": pending before") true
+            (List.for_all
+               (fun page -> Mpk.is_pending mpk ~pid ~page)
+               (coffer_pages kfs cid));
+          op kfs cid)
+    in
+    let pid = proc.Sim.Proc.pid in
+    List.iter
+      (fun page ->
+        Alcotest.(check (option int))
+          (Printf.sprintf "%s: page %d has no PTE" name page)
+          None
+          (Mpk.page_pkey mpk ~pid ~page))
+      gone;
+    Alcotest.(check (list string)) (name ^ ": page table matches mappings") []
+      (K.pte_violations kfs ~pid)
+  in
+  let last_page kfs cid =
+    match List.rev (coffer_pages kfs cid) with
+    | p :: _ -> p
+    | [] -> assert false
+  in
+  case "shrink" (fun kfs cid ->
+      let p = last_page kfs cid in
+      ok_or_fail (K.coffer_shrink kfs cid ~runs:[ (p, 1) ]);
+      [ p ]);
+  case "split" (fun kfs cid ->
+      let p = last_page kfs cid in
+      ignore
+        (ok_or_fail
+           (K.coffer_split kfs ~src:cid ~new_path:"/lazy/s" ~ctype:zofs_ctype
+              ~mode:0o644 ~uid:1000 ~gid:1000 ~runs:[ (p, 1) ] ~root_file:0
+              ~custom:0));
+      [ p ]);
+  case "merge" (fun kfs cid ->
+      let dst =
+        ok_or_fail
+          (K.coffer_new kfs ~path:"/dst" ~ctype:zofs_ctype ~mode:0o600
+             ~uid:1000 ~gid:1000)
+      in
+      let gone = coffer_pages kfs cid in
+      ok_or_fail (K.coffer_merge kfs ~dst:dst.Coffer.id ~src:cid);
+      gone);
+  case "chmod" (fun kfs cid ->
+      let gone = coffer_pages kfs cid in
+      ok_or_fail (K.coffer_chmod kfs cid ~mode:0o644 ~uid:1000 ~gid:1000);
+      gone);
+  case "delete" (fun kfs cid ->
+      let gone = coffer_pages kfs cid in
+      ok_or_fail (K.coffer_delete kfs cid);
+      gone);
+  case "on_setuid" (fun kfs cid ->
+      let gone = coffer_pages kfs cid in
+      ok_or_fail (K.on_setuid kfs);
+      gone);
+  (* A dead process is reaped by a survivor: its whole table goes. *)
+  let _, mpk, kfs = mk () in
+  let proc = Sim.Proc.create ~uid:1000 ~gid:1000 () in
+  let pages =
+    Sim.run_thread ~proc (fun () ->
+        let cid, _ = lazy_coffer kfs in
+        coffer_pages kfs cid)
+  in
+  let pid = proc.Sim.Proc.pid in
+  as_user (fun () -> ok_or_fail (K.reap_process kfs ~pid));
+  Alcotest.(check bool) "reap: table dropped" false (Mpk.has_table mpk ~pid);
+  List.iter
+    (fun page ->
+      Alcotest.(check bool) "reap: not pending" false
+        (Mpk.is_pending mpk ~pid ~page))
+    pages
+
+(* A fault waits for its process's page-table lock, so a sibling thread's
+   teardown can run first: the fault then finds the page no longer pending
+   and installs nothing.  Thread B holds the lock populating a 500-page
+   coffer; C's unmap of "/lazy" queues for it, then A touches a pending page
+   of "/lazy" and queues behind C. *)
+let test_fault_after_teardown_installs_nothing () =
+  let dev, mpk, kfs = mk ~pages:2048 () in
+  let proc = Sim.Proc.create ~uid:1000 ~gid:1000 () in
+  let setup =
+    Sim.run_thread ~proc (fun () ->
+        let cid, m = lazy_coffer kfs in
+        let big =
+          ok_or_fail
+            (K.coffer_new kfs ~path:"/big" ~ctype:zofs_ctype ~mode:0o600
+               ~uid:1000 ~gid:1000)
+        in
+        ignore (ok_or_fail (K.coffer_enlarge kfs big.Coffer.id ~n:497));
+        (cid, m, big.Coffer.id))
+  in
+  let cid, m, big = setup in
+  let page = List.nth (coffer_pages kfs cid) 2 in
+  let reason = ref "" in
+  let world = Sim.create () in
+  let start = Sim.now () + 1_000_000 in
+  Sim.spawn world ~proc ~at:start ~name:"B" (fun () ->
+      ignore (ok_or_fail (K.coffer_map kfs big)));
+  Sim.spawn world ~proc ~at:(start + 10_000) ~name:"C" (fun () ->
+      ok_or_fail (K.coffer_unmap kfs cid));
+  Sim.spawn world ~proc ~at:(start + 20_000) ~name:"A" (fun () ->
+      reason :=
+        fault_reason (fun () ->
+            touch dev mpk ~keys:[ (m.K.m_pkey, Mpk.Pk_read) ] page));
+  Sim.run world;
+  Alcotest.(check string) "the touch faults" "page not mapped" !reason;
+  Alcotest.(check (option int)) "nothing installed" None
+    (Mpk.page_pkey mpk ~pid:proc.Sim.Proc.pid ~page);
+  Alcotest.(check (list string)) "page table matches mappings" []
+    (K.pte_violations kfs ~pid:proc.Sim.Proc.pid)
+
+(* A page shrunk out of a lazily mapped coffer and granted to a coffer the
+   process does not map is never installed under the old key: the touch
+   faults "page not mapped". *)
+let test_regranted_page_not_installed_under_old_key () =
+  let dev, mpk, kfs = mk ~pages:2048 () in
+  let proc = Sim.Proc.create ~uid:1000 ~gid:1000 () in
+  let cid, m, page =
+    Sim.run_thread ~proc (fun () ->
+        let cid, m = lazy_coffer kfs in
+        let page = List.nth (List.rev (coffer_pages kfs cid)) 0 in
+        ok_or_fail (K.coffer_shrink kfs cid ~runs:[ (page, 1) ]);
+        (cid, m, page))
+  in
+  let other =
+    as_user (fun () ->
+        ok_or_fail (K.fs_mount kfs);
+        let c =
+          ok_or_fail
+            (K.coffer_new kfs ~path:"/other" ~ctype:zofs_ctype ~mode:0o600
+               ~uid:1000 ~gid:1000)
+        in
+        ignore (ok_or_fail (K.coffer_enlarge kfs c.Coffer.id ~n:8));
+        c.Coffer.id)
+  in
+  Alcotest.(check int) "the page was granted to the other coffer" other
+    (A.owner_of (K.alloc_table kfs) ~page);
+  Sim.run_thread ~proc (fun () ->
+      Alcotest.(check string) "touch under the old key" "page not mapped"
+        (fault_reason (fun () ->
+             touch dev mpk ~keys:[ (m.K.m_pkey, Mpk.Pk_read_write) ] page));
+      Alcotest.(check (option int)) "never installed" None
+        (Mpk.page_pkey mpk ~pid:(self_pid ()) ~page);
+      Alcotest.(check bool) "still maps its coffer" true
+        (List.mem_assoc cid (K.mapped_coffers kfs)))
 
 (* Two processes map two ~500-page coffers at the same instant.  Each writes
    only its own page table, so both finish in about one map's time. *)
@@ -1194,6 +1484,18 @@ let () =
         [
           Alcotest.test_case "PTEs match mappings under interleaving" `Quick
             test_pte_invariant_under_interleaving;
+          Alcotest.test_case "pending PTEs: exact cost" `Quick
+            test_pending_ptes_exact_cost;
+          Alcotest.test_case "pending page checked after install" `Quick
+            test_pending_page_checked_after_install;
+          Alcotest.test_case "unmapped coffer's page installs nothing" `Quick
+            test_unmapped_coffer_page_installs_nothing;
+          Alcotest.test_case "teardowns clear pending PTEs" `Quick
+            test_teardowns_clear_pending;
+          Alcotest.test_case "a fault after a teardown installs nothing"
+            `Quick test_fault_after_teardown_installs_nothing;
+          Alcotest.test_case "re-granted page not installed under old key"
+            `Quick test_regranted_page_not_installed_under_old_key;
           Alcotest.test_case "late PTE install caught" `Quick
             test_pte_check_catches_late_install;
           Alcotest.test_case "two processes map in parallel" `Quick

@@ -274,13 +274,21 @@ let test_pkru_for_200_threads () =
   Alcotest.(check bool) "undropped thread keeps state" true
     (Mpk.has_thread_state mpk ~tid:tids.(100))
 
+(* An unmap clears present and pending PTEs alike and counts the present
+   ones: teardown is paid per installed PTE. *)
 let test_unmap () =
   let dev, mpk = mk () in
   in_proc (fun p ->
       let pid = p.Sim.Proc.pid in
       Mpk.map_page mpk ~pid ~page:0 ~writable:true ~pkey:0;
+      Mpk.map_run mpk ~pid ~start:1 ~len:2 ~writable:true ~pkey:0 ~read_only:1
+        ~populate:false;
       ignore (D.read_u64 dev 0);
-      Mpk.unmap_page mpk ~pid ~page:0;
+      Alcotest.(check bool) "pending" true (Mpk.is_pending mpk ~pid ~page:2);
+      Alcotest.(check int) "one present PTE" 1
+        (Mpk.unmap_run mpk ~pid ~start:0 ~len:3);
+      Alcotest.(check bool) "pending cleared" false
+        (Mpk.is_pending mpk ~pid ~page:2);
       Alcotest.(check (option string))
         "unmapped" (Some "page not mapped")
         (fault_reason (fun () -> D.read_u64 dev 0)))

@@ -385,6 +385,25 @@ let test_with_syscall_histogram_and_layers () =
       Alcotest.(check bool) "parts <= total" true
         (parts <= cval "layer.total_ns"))
 
+(* A fault taken inside a lease wait (the first touch of a pending page
+   that holds the lease word) is kernel time, not wait: each nanosecond
+   lands in exactly one layer. *)
+let test_fault_inside_lease_wait_counted_once () =
+  with_obs (fun () ->
+      Sim.run_thread (fun () ->
+          Obs.with_syscall "probe" (fun () ->
+              let tok = Obs.lease_begin () in
+              Sim.advance 30;
+              Obs.with_kernel_fault (fun () -> Sim.advance 500);
+              Sim.advance 20;
+              Obs.lease_end tok ~retries:0));
+      Alcotest.(check int) "total" 550 (cval "layer.total_ns");
+      Alcotest.(check int) "kernfs: the fault" 500 (cval "layer.kernfs_ns");
+      Alcotest.(check int) "lease: the wait around it" 50 (cval "layer.lease_ns");
+      Alcotest.(check int) "fslib: nothing" 0 (cval "layer.fslib_ns");
+      Alcotest.(check int) "one fault, no crossing" 1 (cval "coffer.faults");
+      Alcotest.(check int) "no crossing" 0 (cval "gate.crossings"))
+
 (* End-to-end through the real FS: the layer split must account the full
    syscall time and the trace must stay balanced. *)
 let run_fs_ops w =
@@ -419,6 +438,50 @@ let test_layer_split_end_to_end () =
       match Obs.Trace.validate (Obs.Trace.to_json ()) with
       | Ok () -> ()
       | Error e -> Alcotest.failf "trace invalid: %s" e)
+
+(* A remap under MPK key pressure installs its pages on first touch: each
+   fault is a [kernfs]/[fault] span counted in [coffer.faults], never in
+   [gate.crossings], and its time lands in [layer.kernfs_ns] without being
+   counted twice, so the layers sum exactly to the syscalls' total. *)
+let test_fault_is_kernfs_time_not_a_crossing () =
+  let w = Testkit.make_world ~pages:8192 () in
+  let dirs = List.init 17 (Printf.sprintf "/k%02d") in
+  Testkit.in_proc ~uid:0 w (fun fs ->
+      List.iter
+        (fun d ->
+          Testkit.ok_or_fail (V.mkdir fs d 0o700);
+          Testkit.ok_or_fail
+            (V.write_file fs (d ^ "/f") ~mode:0o600 (String.make 65536 'k')))
+        dirs);
+  with_obs (fun () ->
+      Obs.attach_device w.Testkit.dev;
+      let gate = Treasury.Kernfs.gate w.Testkit.kfs in
+      let s0 = Treasury.Gate.syscall_count gate in
+      let syscalls =
+        Testkit.in_proc ~uid:0 w (fun fs ->
+            for _ = 1 to 2 do
+              List.iter
+                (fun d ->
+                  Alcotest.(check int) "read back" 65536
+                    (String.length (Testkit.ok_or_fail (V.read_file fs (d ^ "/f")))))
+                dirs
+            done;
+            Treasury.Gate.syscall_count gate - s0)
+      in
+      let faults = cval "coffer.faults" in
+      Alcotest.(check bool) "faults taken" true (faults > 0);
+      Alcotest.(check int) "crossings are the syscalls only" syscalls
+        (cval "gate.crossings");
+      let fault_spans =
+        List.filter
+          (fun sp -> sp.Obs.Trace.sp_cat = "kernfs" && sp.Obs.Trace.sp_name = "fault")
+          (Obs.Trace.spans ())
+      in
+      Alcotest.(check int) "one span per fault" faults (List.length fault_spans);
+      Alcotest.(check int) "layers sum to the total" (cval "layer.total_ns")
+        (cval "layer.fslib_ns" + cval "layer.kernfs_ns" + cval "layer.media_ns"
+       + cval "layer.lease_ns");
+      Alcotest.(check int) "trace balanced" 0 (Obs.Trace.open_spans ()))
 
 (* Acceptance criterion: enabling obs must not change simulated time — not
    with spans, and not with the full plane (labels + tracing + flight
@@ -927,6 +990,10 @@ let () =
             test_with_syscall_histogram_and_layers;
           Alcotest.test_case "end-to-end layer split" `Quick
             test_layer_split_end_to_end;
+          Alcotest.test_case "a fault is kernfs time, not a crossing" `Quick
+            test_fault_is_kernfs_time_not_a_crossing;
+          Alcotest.test_case "a fault in a lease wait counted once" `Quick
+            test_fault_inside_lease_wait_counted_once;
           Alcotest.test_case "obs costs no sim time" `Quick
             test_obs_costs_no_sim_time;
         ] );

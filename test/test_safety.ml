@@ -316,6 +316,66 @@ let test_killed_process_reaped_without_residue () =
       Alcotest.(check bool) "B's append landed last" true
         (String.length s > 0 && s.[String.length s - 1] = 'b')
 
+(* Under MPK key pressure a remap leaves its coffer's PTEs pending (DESIGN.md
+   §17), and protection still holds for them: a process that stats files in
+   17 sub-coffers holds 15 keys, the maps past the 14th evict, and the
+   remapped coffers keep pages that were never touched pending.  Touching
+   one with no window open (G1) or with another coffer's window open (G2)
+   faults, exactly as for a populated page; a coffer mapped before the
+   keys ran out has no pending page at all. *)
+let test_pending_pages_keep_protection () =
+  let w = make_world ~pages:8192 () in
+  let dirs = List.init 17 (Printf.sprintf "/k%02d") in
+  in_proc ~uid:0 w (fun fs ->
+      List.iter
+        (fun d ->
+          ok_or_fail (V.mkdir fs d 0o700);
+          ok_or_fail
+            (V.write_file fs (d ^ "/f") ~mode:0o600 (String.make 65536 'k')))
+        dirs);
+  in_proc ~uid:0 w (fun fs ->
+      List.iter (fun d -> ignore (ok_or_fail (V.stat fs (d ^ "/f")))) dirs;
+      let pid = (Sim.self_proc ()).Sim.Proc.pid in
+      let at = K.alloc_table w.kfs in
+      let pending_pages cid =
+        List.concat_map
+          (fun (start, len) -> List.init len (fun i -> start + i))
+          (Treasury.Alloc_table.runs_of at ~cid)
+        |> List.filter (fun page -> Mpk.is_pending w.mpk ~pid ~page)
+      in
+      let mapped = K.mapped_coffers w.kfs in
+      let lazy_, eager =
+        List.partition (fun (cid, _) -> pending_pages cid <> []) mapped
+      in
+      Alcotest.(check bool) "some remaps left pages pending" true (lazy_ <> []);
+      Alcotest.(check bool) "the maps before the keys ran out populated" true
+        (List.length eager >= List.length lazy_);
+      match (lazy_, eager) with
+      | (cid, m) :: _, (_, other) :: _ ->
+          let closed, other_open =
+            match pending_pages cid with
+            | a :: b :: _ -> (a, b)
+            | _ -> Alcotest.fail "want two pending pages"
+          in
+          let faults f =
+            match f () with
+            | _ -> false
+            | exception Nvm.Fault { kind = Nvm.Protection; _ } -> true
+          in
+          Alcotest.(check bool) "G1: no window open" true
+            (faults (fun () -> D.read_u8 w.dev (closed * Nvm.page_size)));
+          Alcotest.(check bool) "G2: another coffer's window open" true
+            (faults (fun () ->
+                 Mpk.with_keys w.mpk
+                   [ (other.K.m_pkey, Mpk.Pk_read_write) ]
+                   (fun () -> D.write_u8 w.dev (other_open * Nvm.page_size) 1)));
+          Alcotest.(check bool) "its own window open" false
+            (faults (fun () ->
+                 Mpk.with_keys w.mpk
+                   [ (m.K.m_pkey, Mpk.Pk_read) ]
+                   (fun () -> D.read_u8 w.dev (other_open * Nvm.page_size))))
+      | _ -> Alcotest.fail "want a lazily and an eagerly mapped coffer")
+
 let test_dos_is_bounded_by_leases () =
   (* The paper notes FSLibs can mount DoS attacks by holding leases; leases
      expire, so a stalled holder only delays others. *)
@@ -363,6 +423,8 @@ let () =
             test_readonly_mapping_blocks_modification;
           Alcotest.test_case "cross-process read-only vs writable" `Quick
             test_cross_process_readonly_cannot_write_writable_pages;
+          Alcotest.test_case "pending pages keep protection" `Quick
+            test_pending_pages_keep_protection;
           Alcotest.test_case "killed process reaped without residue" `Quick
             test_killed_process_reaped_without_residue;
         ] );
