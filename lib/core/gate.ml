@@ -8,9 +8,14 @@
 let enter_cost = 250 (* ns: trap + switch in *)
 let exit_cost = 150 (* ns: return to user *)
 
-type t = { mpk : Mpk.t; dev : Nvm.Device.t; mutable syscalls : int }
+type t = {
+  mpk : Mpk.t;
+  dev : Nvm.Device.t;
+  mutable syscalls : int;
+  mutable faults : int;  (* demand faults on pending PTEs *)
+}
 
-let create mpk = { mpk; dev = Mpk.device mpk; syscalls = 0 }
+let create mpk = { mpk; dev = Mpk.device mpk; syscalls = 0; faults = 0 }
 
 (* One kernel entry: trap in, the line-cache pollution, [f] in kernel mode,
    return. *)
@@ -29,13 +34,15 @@ let syscall t f =
   enter t (fun () -> Mpk.with_write_window t.mpk f)
 
 (* A demand fault on a pending PTE: a kernel entry that pays what a syscall
-   pays, but is no syscall (not counted in [syscalls]) and opens no write
-   window, since it writes no NVM.  The calling thread completes it like any
+   pays, but is no syscall (counted in [faults], not [syscalls]) and opens
+   no write window, since it writes no NVM.  The calling thread completes it like any
    kernel entry (no-kill). *)
 let fault t f =
+  t.faults <- t.faults + 1;
   Obs.with_kernel_fault @@ fun () -> Sim.with_no_kill @@ fun () -> enter t f
 
 (* An empty system call (the ZoFS-sysempty variant of Figure 8). *)
 let empty_syscall t = syscall t (fun () -> ())
 
 let syscall_count t = t.syscalls
+let fault_count t = t.faults

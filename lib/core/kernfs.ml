@@ -642,9 +642,28 @@ let coffer_shrink t cid ~runs =
         Ok ()
       end)
 
+(* The three pages every access to a coffer starts from: its root page,
+   root-file inode and custom page.  A pending map installs them present in
+   its tail ([pid]'s page-table lock held), one PTE each and no trap: the
+   µFS reads all three as soon as it has the mapping. *)
+let install_header_pages t ~pid c =
+  charge_pages ~per_page:pte_update_cost
+    (List.length
+       (List.filter
+          (fun page -> Mpk.install_pending t.mpk ~pid ~page)
+          [
+            c.Coffer.id;
+            c.Coffer.root_file / Nvm.page_size;
+            c.Coffer.custom / Nvm.page_size;
+          ]))
+
 (* Bookkeeping under the kernel lock; the PTEs are installed after it is
-   released, under the caller's page-table lock alone. *)
-let coffer_map ?(populate = true) t cid =
+   released, under the caller's page-table lock alone.  With [evict], the
+   caller's mapping of that coffer is forgotten under the same locks and
+   its key handed to the new mapping; the tail tears its PTEs down before
+   the new ones go in.  Every error returns before anything changes, so a
+   failed map leaves the victim mapped. *)
+let coffer_map ?(populate = true) ?evict t cid =
   kernel_op_then t (fun () ->
       match trip_transient t with
       | Some e -> Error e
@@ -654,12 +673,33 @@ let coffer_map ?(populate = true) t cid =
       let* c = coffer_info t cid in
       if recovering t cid then Error Errno.EBUSY
       else
+        let victim =
+          match evict with
+          | Some v when v <> cid ->
+              Option.map (fun vm -> (v, vm)) (Hashtbl.find_opt ps.ps_mapped v)
+          | Some _ | None -> None
+        in
+        (* Forget the victim (both locks held) and return the runs whose
+           PTEs the tail tears down. *)
+        let forget_victim () =
+          match victim with
+          | Some (v, vm) -> forget_mapping t ps v vm
+          | None -> []
+        in
         match Hashtbl.find_opt ps.ps_mapped cid with
-        | Some m ->
+        | Some m when victim = None ->
             (* Already mapped, possibly by a sibling thread still installing
                the PTEs: wait for the page-table lock, so a mapping is never
                handed back half-installed. *)
             Ok (m, fun () -> Sim.Mutex.with_lock ps.ps_pt ignore)
+        | Some m ->
+            Sim.Mutex.lock ps.ps_pt;
+            let torn = forget_victim () in
+            Ok
+              ( m,
+                fun () ->
+                  unmap_runs t ~pid torn;
+                  Sim.Mutex.unlock ps.ps_pt )
         | None ->
             let cr = cred () in
             let readable =
@@ -672,18 +712,24 @@ let coffer_map ?(populate = true) t cid =
             in
             if not (readable || writable) then Error Errno.EACCES
             else begin
-              (* Find a free MPK key (1..15). *)
+              (* The victim's key, or a free one (1..15). *)
               let rec free_key k =
                 if k >= Mpk.nkeys then None
                 else if ps.ps_pkeys land (1 lsl k) = 0 then Some k
                 else free_key (k + 1)
               in
-              match free_key 1 with
+              let key =
+                match victim with
+                | Some (_, vm) -> Some vm.m_pkey
+                | None -> free_key 1
+              in
+              match key with
               | None -> Error Errno.EMFILE
               | Some pkey ->
                   (* Taken before the kernel lock is dropped and held across
-                     the install (hand-over-hand). *)
+                     the teardown and the install (hand-over-hand). *)
                   Sim.Mutex.lock ps.ps_pt;
+                  let torn = forget_victim () in
                   ps.ps_pkeys <- ps.ps_pkeys lor (1 lsl pkey);
                   let runs = Alloc_table.runs_of t.at ~cid in
                   let m =
@@ -700,7 +746,9 @@ let coffer_map ?(populate = true) t cid =
                   Ok
                     ( m,
                       fun () ->
+                        unmap_runs t ~pid torn;
                         map_runs ~populate t ~pid ~cid ~pkey ~writable runs;
+                        if not populate then install_header_pages t ~pid c;
                         Sim.Mutex.unlock ps.ps_pt )
             end)
 

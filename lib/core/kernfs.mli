@@ -168,26 +168,40 @@ val coffer_shrink : t -> int -> runs:(int * int) list -> (unit, Errno.t) result
     including an empty run or one reaching outside the table; [EBUSY]
     during recovery. *)
 
-val coffer_map : ?populate:bool -> t -> int -> (mapping, Errno.t) result
+val coffer_map :
+  ?populate:bool -> ?evict:int -> t -> int -> (mapping, Errno.t) result
 (** Permission-check the caller, assign a free MPK key (of the 15 usable),
     and map every page of the coffer — root page read-only — into the
     calling process.  The PTEs are written after the global lock is
     released, under the caller's page-table lock, one run at a time; a
     thread that finds the coffer already mapped waits for that lock, so it
     never gets back a half-written mapping.  [EMFILE] when all 15 regions
-    are taken (the µFS should unmap something and retry, §3.4.2); [EBUSY]
+    are taken (the µFS should name a victim in [evict], §3.4.2); [EBUSY]
     during recovery.
+
+    With [evict] naming another coffer the caller maps, the same call
+    unmaps it: its mapping is forgotten under the global and page-table
+    locks, the new mapping takes its key, and the tail tears its PTEs down
+    ({!pte_update_cost} per present one, pending ones for free) before the
+    new ones go in.  It is all-or-nothing: a map that fails (a transient,
+    [EACCES], [EBUSY]) leaves the victim mapped, and one that succeeds
+    leaves it unmapped, even when [cid] turns out to be mapped already.
+    An [evict] naming [cid] itself or a coffer the caller does not map is
+    ignored.
 
     With [populate] (the default, like [MAP_POPULATE]) every PTE is
     {e present}: the map pays {!pte_update_cost} per page.  With
     [~populate:false] every PTE is {e pending} — key and writability
-    recorded, nothing charged — and the first user-mode touch of a page
-    traps: the fault pays the {!Gate} enter and exit cost and its cache
-    pollution plus one {!pte_update_cost}, under the faulting process's
-    page-table lock alone (never the kernel lock), as a no-kill region;
-    it counts in [coffer.faults], not in the syscall count.  The usual
-    paging and PKRU checks then run on the installed PTE, so a touch with
-    the coffer's key closed still faults.  Every teardown ({!coffer_unmap}
+    recorded, nothing charged — except the coffer's three header pages
+    (root page, root-file inode, custom page), which the tail installs
+    present at {!pte_update_cost} each: the µFS reads them as soon as it
+    has the mapping.  The first user-mode touch of a pending page traps:
+    the fault pays the {!Gate} enter and exit cost and its cache pollution
+    plus one {!pte_update_cost}, under the faulting process's page-table
+    lock alone (never the kernel lock), as a no-kill region; it counts in
+    [coffer.faults] and {!Gate.fault_count}, not in the syscall count.
+    The usual paging and PKRU checks then run on the installed PTE, so a
+    touch with the coffer's key closed still faults.  Every teardown ({!coffer_unmap}
     and everything that unmaps pages from a process) clears pending PTEs
     for free and pays {!pte_update_cost} per present one.  Pages granted
     later by {!coffer_enlarge} or {!coffer_merge} are installed present. *)

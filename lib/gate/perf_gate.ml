@@ -8,11 +8,11 @@
    truncate through an indirect page, each in a fresh simulated world,
    and records per-operation simulated latency, persistence-instruction
    counts (clwb/sfence, with the redundancy split the device tracks),
-   kernel crossings, and coffer_enlarge calls.  One more cycles one
-   process over 20 coffers, more than it has MPK keys, so its remaps fault
-   their pages in; it audits the page table after every op, and two
-   planted fault handlers (a page outside the coffer, a wrong key) must be
-   caught by that audit.  Two
+   kernel crossings, demand faults, and coffer_enlarge calls.  One more
+   cycles one process over 20 coffers, more than it has MPK keys, so its
+   remaps fault their pages in; it audits the page table after every op,
+   and two planted fault handlers (a page outside the coffer, a wrong key)
+   must be caught by that audit.  Two
    multi-process experiments ride along: 64 tenant processes — each with
    its own FSLib (dispatcher + FD table + per-process mappings) — hammer
    one shared file / one shared directory through the syscall gate, so the
@@ -38,6 +38,7 @@ type metrics = {
   fences : int;
   redundant_fences : int;
   crossings : int;  (* kernel syscalls during the measured phase *)
+  faults : int;  (* demand faults on pending PTEs, no syscalls *)
   enlarge_calls : int;
 }
 
@@ -52,14 +53,15 @@ let ok = function
   | Error e -> failwith ("perf_gate: " ^ Treasury.Errno.to_string e)
 
 (* Open the measured phase of [ops] operations on [inst]: reset the device
-   stats, read the syscall and enlarge counters and the clock.  The
-   returned closure closes the phase and reads every metric. *)
+   stats, read the syscall, demand-fault and enlarge counters and the
+   clock.  The returned closure closes the phase and reads every metric. *)
 let measure ~ops inst =
   let kfs = Option.get inst.FL.kernfs in
   let dev = inst.FL.device in
   let gate = Treasury.Kernfs.gate kfs in
   Nvm.Device.reset_stats dev;
   let c0 = Treasury.Gate.syscall_count gate in
+  let f0 = Treasury.Gate.fault_count gate in
   let e0 = Treasury.Kernfs.enlarge_count kfs in
   let t0 = Sim.now () in
   fun () ->
@@ -71,6 +73,7 @@ let measure ~ops inst =
       fences = Nvm.Device.stat_fences dev;
       redundant_fences = Nvm.Device.stat_redundant_fences dev;
       crossings = Treasury.Gate.syscall_count gate - c0;
+      faults = Treasury.Gate.fault_count gate - f0;
       enlarge_calls = Treasury.Kernfs.enlarge_count kfs - e0;
     }
 
@@ -270,17 +273,23 @@ let exp_truncate_indirect ~ops () =
 
 (* One process cycles stat, then open+pread+close, over 20 sub-coffers of
    ~70 pages, more than its 15 MPK keys: an access that finds its coffer
-   evicted pays an eviction and a remap whose PTEs are left pending and
-   installed on first touch (DESIGN.md §17).  Populating those remaps
-   instead costs 12,807 sim-ns/op here, against 4,813.  After every op the
-   process's page table is audited against its mappings
-   ([Kernfs.pte_violations]), so a fault that installs a page outside the
-   faulting coffer, or under another key, is a violation; so is a failed
-   op.  [fault_handler], when given, replaces KernFS's demand-fault handler
+   evicted pays a remap that unmaps the victim in the same syscall and
+   leaves its PTEs pending, each installed on first touch, but for the
+   coffer's three header pages, which the map installs (DESIGN.md §17).
+   That costs 4,001 sim-ns/op here: 4,813 when the eviction was its own
+   syscall after a failed map and the header pages faulted in, 12,807
+   when those remaps also populated.  After every op the process's page
+   table is audited against its mappings ([Kernfs.pte_violations]), so a
+   fault that installs a page outside the faulting coffer, or under
+   another key, is a violation; so is a failed op.  Round [r] preads the
+   blocks [blocks r d] of the file in coffer [d], one open for them all.
+   [fault_handler], when given, replaces KernFS's demand-fault handler
    once set-up is done (the negatives plant a broken one). *)
 let remap_coffers = 20
+let remap_file_pages = 64
 
-let exp_remap_under_key_pressure ?fault_handler ~rounds () =
+let exp_remap_under_key_pressure ?fault_handler
+    ?(blocks = fun r d -> [ (r + d) mod remap_file_pages ]) ~rounds () =
   let violations = ref [] in
   let m =
     in_world ~ops:(rounds * remap_coffers * 2)
@@ -290,7 +299,7 @@ let exp_remap_under_key_pressure ?fault_handler ~rounds () =
           ok (V.mkdir fs dir 0o700);
           ok
             (V.write_file fs (dir ^ "/f") ~mode:0o600
-               (String.make (64 * 4096) 'p'))
+               (String.make (remap_file_pages * 4096) 'p'))
         done)
       ~measured:(fun inst ->
         let fs = inst.FL.fs and kfs = Option.get inst.FL.kernfs in
@@ -310,10 +319,16 @@ let exp_remap_under_key_pressure ?fault_handler ~rounds () =
               (Treasury.Kernfs.pte_violations kfs ~pid)
               !violations
         in
-        let pread path off =
+        let pread path blocks =
           let ( let* ) = Result.bind in
           let* fd = V.openf fs path [ Ft.O_RDONLY ] 0 in
-          let* _ = V.pread fs fd ~off buf 0 4096 in
+          let* () =
+            List.fold_left
+              (fun acc b ->
+                let* () = acc in
+                Result.map ignore (V.pread fs fd ~off:(b * 4096) buf 0 4096))
+              (Ok ()) blocks
+          in
           V.close fs fd
         in
         for r = 0 to rounds - 1 do
@@ -323,7 +338,7 @@ let exp_remap_under_key_pressure ?fault_handler ~rounds () =
           done;
           for d = 0 to remap_coffers - 1 do
             let path = Printf.sprintf "/k%02d/f" d in
-            step ("pread " ^ path) (pread path ((r + d) mod 64 * 4096))
+            step ("pread " ^ path) (pread path (blocks r d))
           done
         done)
       ()
@@ -333,7 +348,9 @@ let exp_remap_under_key_pressure ?fault_handler ~rounds () =
 (* The planted faults: a handler that installs the 16 pages from the
    faulting one, present under its key, whoever owns them (a fault-around
    that ignores the coffer's runs), and one that installs the faulting
-   page under the next key. *)
+   page under the next key.  The planted runs pread each file whole: its
+   pages reach the end of its coffer's run, where that fault-around runs
+   into the next coffer's pages. *)
 let fault_around_blindly mpk ~pid ~page =
   let key = Option.value ~default:0 (Mpk.page_pkey mpk ~pid ~page) in
   let last = Nvm.Device.pages (Mpk.device mpk) - 1 in
@@ -347,7 +364,11 @@ let fault_under_next_key mpk ~pid ~page =
     ~pkey:((key mod (Mpk.nkeys - 1)) + 1)
 
 let planted_fault fault_handler () =
-  snd (exp_remap_under_key_pressure ~fault_handler ~rounds:1 ()) <> []
+  snd
+    (exp_remap_under_key_pressure ~fault_handler
+       ~blocks:(fun _ _ -> List.init remap_file_pages Fun.id)
+       ~rounds:1 ())
+  <> []
 
 (* Like [in_world], but [nprocs] tenant processes.  Each tenant is a
    fresh [Sim.Proc] with its own FSLib built over the one shared KernFS —
@@ -462,6 +483,7 @@ let to_json results =
       ("fences", Gate.int m.fences);
       ("redundant_fences", Gate.int m.redundant_fences);
       ("crossings", Gate.int m.crossings);
+      ("faults", Gate.int m.faults);
       ("enlarge_calls", Gate.int m.enlarge_calls);
     ]
   in
@@ -480,15 +502,16 @@ let to_json results =
 let render_results results =
   let b = Buffer.create 512 in
   Buffer.add_string b
-    (Printf.sprintf "  %-21s %6s %12s %10s %9s %10s %9s\n" "experiment" "ops"
-       "sim-ns/op" "flush/op" "fence/op" "cross/op" "enlarge");
+    (Printf.sprintf "  %-24s %6s %12s %10s %9s %10s %10s %9s\n" "experiment"
+       "ops" "sim-ns/op" "flush/op" "fence/op" "cross/op" "fault/op" "enlarge");
   List.iter
     (fun r ->
       let m = r.r_m in
       Buffer.add_string b
-        (Printf.sprintf "  %-21s %6d %12.0f %10.2f %9.2f %10.3f %9d\n" r.r_name
-           m.ops (per_op m m.sim_ns) (per_op m m.flushes) (per_op m m.fences)
-           (per_op m m.crossings) m.enlarge_calls))
+        (Printf.sprintf "  %-24s %6d %12.0f %10.2f %9.2f %10.3f %10.3f %9d\n"
+           r.r_name m.ops (per_op m m.sim_ns) (per_op m m.flushes)
+           (per_op m m.fences) (per_op m m.crossings) (per_op m m.faults)
+           m.enlarge_calls))
     results;
   Buffer.contents b
 

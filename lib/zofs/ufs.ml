@@ -62,6 +62,7 @@ type coffer_sess = {
   mutable cs_uid : int;
   mutable cs_gid : int;
   mutable cs_refs : int;  (* open handles into this coffer *)
+  mutable cs_pins : int;  (* ops inside this coffer ([with_pinned]) *)
 }
 
 type handle = { h_ino : int; h_cid : int; h_readable : bool; h_writable : bool }
@@ -157,42 +158,64 @@ let forget_session t cs =
   | Some cid when cid = cs.cs_cid -> Hashtbl.remove t.by_path cs.cs_path
   | _ -> ())
 
-(* Evict one mapped coffer with no open handles to free an MPK region. *)
-let evict_one t =
-  let victim =
-    Hashtbl.fold
-      (fun _ cs acc ->
-        match acc with
-        | Some _ -> acc
-        | None -> if cs.cs_refs = 0 && cs.cs_path <> "/" then Some cs else None)
-      t.sessions None
-  in
-  match victim with
-  | Some cs ->
-      forget_session t cs;
-      ignore (K.coffer_unmap t.kfs cs.cs_cid);
-      Obs.cnt "coffer.evictions" 1;
-      Obs.cnt "coffer.unmaps" 1;
-      true
-  | None -> false
+(* Coffers an op is inside stay mapped for the op: [with_pinned cs f]
+   runs [f] with [cs] out of reach of eviction, as an open handle keeps its
+   coffer (a parent directory across the creation of a sub-coffer under
+   it, say). *)
+let with_pinned cs f =
+  cs.cs_pins <- cs.cs_pins + 1;
+  Fun.protect ~finally:(fun () -> cs.cs_pins <- cs.cs_pins - 1) f
 
-(* The kernel mapping alone: when all 15 MPK regions are taken, evict an
-   idle coffer and retry (§3.4.2).  A first map populates every PTE: a
-   coffer mapped while keys are free tends to stay mapped, and its pages
-   get touched (64 processes would otherwise fault on a shared log's
-   pages while holding its lease).  A map that had to evict is a coffer
-   cycling through the keys, likely evicted again after touching a handful
-   of its pages, so the retry leaves the PTEs pending and each page is
-   installed on first touch -- unless the caller is [dense]: about to
-   touch nearly every page of the coffer (recovery's scan, or the
-   initialization of a coffer just created). *)
+(* The coffer to give up for an MPK key: one with no open handles that no
+   op is inside. *)
+let victim t =
+  Hashtbl.fold
+    (fun _ cs acc ->
+      match acc with
+      | Some _ -> acc
+      | None ->
+          if cs.cs_refs = 0 && cs.cs_pins = 0 && cs.cs_path <> "/" then Some cs
+          else None)
+    t.sessions None
+
+(* The kernel mapping alone.  When this process's sessions hold every
+   usable MPK key, the map names a victim and KernFS unmaps it in the same
+   call (§3.4.2); an EMFILE the sessions did not predict (a coffer mapped
+   but not yet attached, as in [create_sub_coffer]) retries once with one.
+   A map that evicts leaves its PTEs pending (but the coffer's header
+   pages) and each page is installed on first touch: a coffer that has to
+   evict to get a key is cycling through the keys, likely evicted again
+   after touching a handful of its pages.  A first map populates every
+   PTE: a coffer mapped while keys are free tends to stay mapped, and its
+   pages get touched (64 processes would otherwise fault on a shared log's
+   pages while holding its lease).  A [dense] caller populates either way:
+   it is about to touch nearly every page of the coffer (recovery's scan,
+   or the initialization of a coffer just created). *)
 let kernel_map ?(dense = false) t cid =
-  let rec go ~populate =
-    match Transient.retry (fun () -> K.coffer_map ~populate t.kfs cid) with
-    | Error E.EMFILE when evict_one t -> go ~populate:dense
-    | r -> r
+  let map ?victim () =
+    Transient.retry (fun () ->
+        K.coffer_map
+          ~populate:(dense || victim = None)
+          ?evict:(Option.map (fun cs -> cs.cs_cid) victim)
+          t.kfs cid)
   in
-  go ~populate:true
+  let evicting cs =
+    match map ~victim:cs () with
+    | Ok _ as r ->
+        forget_session t cs;
+        Obs.cnt "coffer.evictions" 1;
+        Obs.cnt "coffer.unmaps" 1;
+        r
+    | Error _ as r -> r
+  in
+  let full = Hashtbl.length t.sessions >= Mpk.nkeys - 1 in
+  match if full then victim t else None with
+  | Some cs -> evicting cs
+  | None -> (
+      match map () with
+      | Error E.EMFILE as r -> (
+          match victim t with Some cs -> evicting cs | None -> r)
+      | r -> r)
 
 let map_coffer ?dense t cid =
   Obs.set_op_coffer cid;
@@ -227,6 +250,7 @@ let map_coffer ?dense t cid =
               cs_uid = info.Coffer.uid;
               cs_gid = info.Coffer.gid;
               cs_refs = 0;
+              cs_pins = 0;
             }
           in
           Hashtbl.replace t.sessions cid cs;
@@ -457,7 +481,9 @@ let create_entry t ~path ~kind ~mode ?symlink_target () =
           Error (Ui.Errno e)
     end
     else begin
-      (* Different permission: the file gets its own coffer (paper §3.1). *)
+      (* Different permission: the file gets its own coffer (paper §3.1).
+         Mapping it must not evict the parent the dentry goes into. *)
+      with_pinned pcs @@ fun () ->
       match create_sub_coffer t ~path:full_path ~kind ~mode ~uid ~gid with
       | Error e -> Error (Ui.Errno e)
       | Ok ncs -> (
@@ -661,6 +687,8 @@ let rmdir t path : unit Ui.outcome =
     | Ok de ->
         if de.Dir.de_kind <> Layout.kind_directory then Ui.errno E.ENOTDIR
         else if de.Dir.de_coffer <> 0 then begin
+          (* Mapping the directory's coffer must not evict its parent. *)
+          with_pinned pcs @@ fun () ->
           match session_of_cid t de.Dir.de_coffer with
           | Error e -> Error (Ui.Errno e)
           | Ok tcs ->
@@ -747,6 +775,8 @@ let rename t src dst : unit Ui.outcome =
   else if Pathx.is_prefix ~prefix:src dst then Ui.errno E.EINVAL
   else
     let* spcs, sdir, _sdirpath, sbase = walk_parent t src in
+    (* The walk to the destination must not evict the source's parent. *)
+    with_pinned spcs @@ fun () ->
     let* dpcs, ddir, ddirpath, dbase = walk_parent t dst in
     if not (spcs.cs_writable && dpcs.cs_writable) then Ui.errno E.EACCES
     else

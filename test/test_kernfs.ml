@@ -869,6 +869,12 @@ let lazy_coffer ?(extra = 8) kfs =
 
 let self_pid () = (Sim.self_proc ()).Sim.Proc.pid
 
+(* The three pages a map without populate installs present: the coffer's
+   root page, root-file inode page and custom page. *)
+let header_pages kfs cid =
+  let c = ok_or_fail (K.coffer_stat kfs cid) in
+  [ cid; c.Coffer.root_file / Nvm.page_size; c.Coffer.custom / Nvm.page_size ]
+
 (* Read [page] in user mode with [keys] open. *)
 let touch dev mpk ?(keys = []) page =
   Mpk.with_keys mpk keys (fun () -> ignore (D.read_u8 dev (page * Nvm.page_size)))
@@ -878,9 +884,10 @@ let fault_reason f =
   | () -> "no fault"
   | exception Nvm.Fault { reason; _ } -> reason
 
-(* A map without populate records every PTE as pending and charges none;
-   a first touch pays the gate and one PTE, a second touch nothing; the
-   unmap pays for the installed PTEs only.  No fault is a syscall. *)
+(* A map without populate records every PTE as pending but the three
+   header pages, and charges those three; a first touch pays the gate and
+   one PTE, a second touch nothing; the unmap pays for the installed PTEs
+   only.  No fault is a syscall. *)
 let test_pending_ptes_exact_cost () =
   let dev, mpk, kfs = mk ~pages:2048 () in
   as_user (fun () ->
@@ -888,6 +895,7 @@ let test_pending_ptes_exact_cost () =
       ok_or_fail (K.coffer_unmap kfs cid);
       let pages = coffer_pages kfs cid in
       let npages = List.length pages in
+      let header = header_pages kfs cid in
       let timed f =
         let t0 = Sim.now () in
         f ();
@@ -900,13 +908,19 @@ let test_pending_ptes_exact_cost () =
       let eager_map = timed (map true) in
       let eager_unmap = timed unmap in
       let lazy_map = timed (map false) in
-      Alcotest.(check int) "a lazy map charges no PTE"
-        (npages * K.pte_update_cost) (eager_map - lazy_map);
+      Alcotest.(check int) "a lazy map charges the header pages only"
+        ((npages - 3) * K.pte_update_cost)
+        (eager_map - lazy_map);
       let pid = self_pid () in
-      Alcotest.(check bool) "every PTE pending, none present" true
+      Alcotest.(check bool) "header pages present, every other PTE pending"
+        true
         (List.for_all
            (fun page ->
-             Mpk.is_pending mpk ~pid ~page && not (Mpk.is_mapped mpk ~pid ~page))
+             if List.mem page header then
+               Mpk.is_mapped mpk ~pid ~page && not (Mpk.is_pending mpk ~pid ~page)
+             else
+               Mpk.is_pending mpk ~pid ~page
+               && not (Mpk.is_mapped mpk ~pid ~page))
            pages);
       let m = List.assoc cid (K.mapped_coffers kfs) in
       let keys = [ (m.K.m_pkey, Mpk.Pk_read) ] in
@@ -925,7 +939,7 @@ let test_pending_ptes_exact_cost () =
       Alcotest.(check int) "faults are no syscalls" syscalls0
         (Treasury.Gate.syscall_count (K.gate kfs));
       Alcotest.(check int) "the unmap pays for the installed PTEs only"
-        ((npages - List.length touched) * K.pte_update_cost)
+        ((npages - 3 - List.length touched) * K.pte_update_cost)
         (eager_unmap - timed unmap);
       Alcotest.(check bool) "pending PTEs cleared" true
         (List.for_all (fun page -> Mpk.page_pkey mpk ~pid ~page = None) pages))
@@ -1001,9 +1015,13 @@ let test_teardowns_clear_pending () =
       Sim.run_thread ~proc (fun () ->
           let cid, _ = lazy_coffer kfs in
           let pid = self_pid () in
-          Alcotest.(check bool) (name ^ ": pending before") true
+          let header = header_pages kfs cid in
+          Alcotest.(check bool) (name ^ ": pending before, header present")
+            true
             (List.for_all
-               (fun page -> Mpk.is_pending mpk ~pid ~page)
+               (fun page ->
+                 if List.mem page header then Mpk.is_mapped mpk ~pid ~page
+                 else Mpk.is_pending mpk ~pid ~page)
                (coffer_pages kfs cid));
           op kfs cid)
     in
@@ -1077,7 +1095,7 @@ let test_teardowns_clear_pending () =
    teardown can run first: the fault then finds the page no longer pending
    and installs nothing.  Thread B holds the lock populating a 500-page
    coffer; C's unmap of "/lazy" queues for it, then A touches a pending page
-   of "/lazy" and queues behind C. *)
+   of "/lazy" (past its three present header pages) and queues behind C. *)
 let test_fault_after_teardown_installs_nothing () =
   let dev, mpk, kfs = mk ~pages:2048 () in
   let proc = Sim.Proc.create ~uid:1000 ~gid:1000 () in
@@ -1093,7 +1111,9 @@ let test_fault_after_teardown_installs_nothing () =
         (cid, m, big.Coffer.id))
   in
   let cid, m, big = setup in
-  let page = List.nth (coffer_pages kfs cid) 2 in
+  let page = List.nth (coffer_pages kfs cid) 3 in
+  Alcotest.(check bool) "the page is pending" true
+    (Mpk.is_pending mpk ~pid:proc.Sim.Proc.pid ~page);
   let reason = ref "" in
   let world = Sim.create () in
   let start = Sim.now () + 1_000_000 in
@@ -1146,6 +1166,178 @@ let test_regranted_page_not_installed_under_old_key () =
         (Mpk.page_pkey mpk ~pid:(self_pid ()) ~page);
       Alcotest.(check bool) "still maps its coffer" true
         (List.mem_assoc cid (K.mapped_coffers kfs)))
+
+(* ---- a remap that evicts in the same call (coffer_map ?evict) --------- *)
+
+(* As user 1000: mount, create "/c1" .. "/c15" (0o600, each with 12 pages
+   beyond its three) and map them all, the last lazily (its header
+   pages present, the rest pending); then create "/next" and "/spare",
+   unmapped.  Every MPK key is taken.  Returns the 15 mapped cids, the
+   lazy one last, and the two unmapped ones. *)
+let full_keys kfs =
+  ok_or_fail (K.fs_mount kfs);
+  let make path =
+    let c =
+      ok_or_fail
+        (K.coffer_new kfs ~path ~ctype:zofs_ctype ~mode:0o600 ~uid:1000
+           ~gid:1000)
+    in
+    ignore (ok_or_fail (K.coffer_enlarge kfs c.Coffer.id ~n:12));
+    c.Coffer.id
+  in
+  let mapped =
+    List.init 15 (fun i ->
+        let cid = make (Printf.sprintf "/c%d" (i + 1)) in
+        ignore (ok_or_fail (K.coffer_map ~populate:(i < 14) kfs cid));
+        cid)
+  in
+  (mapped, make "/next", make "/spare")
+
+let present_pages mpk kfs cid =
+  let pid = self_pid () in
+  List.filter (fun page -> Mpk.is_mapped mpk ~pid ~page) (coffer_pages kfs cid)
+
+let syscalls kfs = Treasury.Gate.syscall_count (K.gate kfs)
+
+(* With every key taken, a map naming a victim succeeds in one syscall:
+   the victim is no longer mapped and has no PTE left, the new mapping
+   holds the victim's key, and the page table matches the mappings.  The
+   victim's key goes to the new mapping even when another key is free. *)
+let test_evict_is_one_syscall () =
+  let _, mpk, kfs = mk ~pages:2048 () in
+  as_user (fun () ->
+      let mapped, next, spare = full_keys kfs in
+      let victim = List.hd mapped in
+      let vkey = (List.assoc victim (K.mapped_coffers kfs)).K.m_pkey in
+      let s0 = syscalls kfs in
+      let m = ok_or_fail (K.coffer_map ~populate:false ~evict:victim kfs next) in
+      Alcotest.(check int) "one syscall" 1 (syscalls kfs - s0);
+      Alcotest.(check int) "the victim's key" vkey m.K.m_pkey;
+      Alcotest.(check bool) "the victim is unmapped" false
+        (List.mem_assoc victim (K.mapped_coffers kfs));
+      Alcotest.(check int) "still 15 mappings" 15
+        (List.length (K.mapped_coffers kfs));
+      let pid = self_pid () in
+      Alcotest.(check bool) "the victim has no PTE left" true
+        (List.for_all
+           (fun page -> Mpk.page_pkey mpk ~pid ~page = None)
+           (coffer_pages kfs victim));
+      ok_or_fail (K.coffer_unmap kfs (List.nth mapped 1));
+      let victim = List.nth mapped 2 in
+      let vkey = (List.assoc victim (K.mapped_coffers kfs)).K.m_pkey in
+      let m = ok_or_fail (K.coffer_map ~evict:victim kfs spare) in
+      Alcotest.(check int) "the victim's key, not the free one" vkey
+        m.K.m_pkey;
+      Alcotest.(check int) "one key left free" 14
+        (List.length (K.mapped_coffers kfs));
+      Alcotest.(check (list string)) "page table matches mappings" []
+        (K.pte_violations kfs ~pid))
+
+(* The evicting map pays, beyond a plain map of the same coffer, one PTE
+   teardown per present page of the victim and nothing for its pending
+   ones.  The victim is the lazily mapped coffer with two pages touched:
+   its three header pages and those two are present. *)
+let test_evict_charges_present_ptes_only () =
+  let dev, mpk, kfs = mk ~pages:2048 () in
+  as_user (fun () ->
+      let mapped, next, _ = full_keys kfs in
+      let victim = List.nth mapped 14 in
+      let m = List.assoc victim (K.mapped_coffers kfs) in
+      let pages = coffer_pages kfs victim in
+      List.iter
+        (fun i ->
+          touch dev mpk ~keys:[ (m.K.m_pkey, Mpk.Pk_read) ] (List.nth pages i))
+        [ 5; 9 ];
+      let present = List.length (present_pages mpk kfs victim) in
+      Alcotest.(check int) "header pages and two touched present" 5 present;
+      Alcotest.(check bool) "the rest pending" true (List.length pages > present);
+      let timed f =
+        let t0 = Sim.now () in
+        f ();
+        Sim.now () - t0
+      in
+      let evicting =
+        timed (fun () ->
+            ignore
+              (ok_or_fail (K.coffer_map ~populate:false ~evict:victim kfs next)))
+      in
+      ok_or_fail (K.coffer_unmap kfs next);
+      let plain =
+        timed (fun () ->
+            ignore (ok_or_fail (K.coffer_map ~populate:false kfs next)))
+      in
+      Alcotest.(check int) "the victim's present PTEs, at 120 ns each"
+        (present * K.pte_update_cost)
+        (evicting - plain);
+      Alcotest.(check int) "the new mapping's header pages present" 3
+        (List.length (present_pages mpk kfs next)))
+
+(* A map that fails leaves the victim mapped under its key with every PTE
+   it had: a target the caller may not read (EACCES), a target in recovery
+   (EBUSY) and an armed transient (ENOMEM). *)
+let test_failed_evict_leaves_victim () =
+  let case name prepare expected =
+    let _, mpk, kfs = mk ~pages:2048 () in
+    as_user (fun () ->
+        let mapped, next, spare = full_keys kfs in
+        let victim = List.hd mapped in
+        let target = prepare kfs ~next ~spare in
+        let before = List.assoc victim (K.mapped_coffers kfs) in
+        let ptes = present_pages mpk kfs victim in
+        expect_err expected (K.coffer_map ~populate:false ~evict:victim kfs target);
+        Alcotest.(check (option int)) (name ^ ": victim keeps its key")
+          (Some before.K.m_pkey)
+          (Option.map (fun m -> m.K.m_pkey)
+             (List.assoc_opt victim (K.mapped_coffers kfs)));
+        Alcotest.(check (list int)) (name ^ ": victim keeps its PTEs") ptes
+          (present_pages mpk kfs victim);
+        Alcotest.(check (list string)) (name ^ ": page table matches mappings")
+          [] (K.pte_violations kfs ~pid:(self_pid ())))
+  in
+  case "EACCES"
+    (fun kfs ~next:_ ~spare:_ ->
+      (ok_or_fail
+         (K.coffer_new kfs ~path:"/theirs" ~ctype:zofs_ctype ~mode:0o600
+            ~uid:2000 ~gid:2000))
+        .Coffer.id)
+    E.EACCES;
+  case "EBUSY"
+    (fun kfs ~next ~spare:_ ->
+      ignore (ok_or_fail (K.coffer_recover_begin kfs next));
+      next)
+    E.EBUSY;
+  case "transient"
+    (fun kfs ~next ~spare:_ ->
+      K.inject_transient kfs ~n:1 ();
+      next)
+    E.ENOMEM
+
+(* [evict] naming a coffer the caller does not map, or the target itself,
+   is a plain map: EMFILE while every key is taken, a free key otherwise,
+   and no mapping lost either way.  Naming a victim when the target turns
+   out to be mapped already still unmaps the victim. *)
+let test_evict_ignored_unless_mapped () =
+  let _, _, kfs = mk ~pages:2048 () in
+  as_user (fun () ->
+      let mapped, next, spare = full_keys kfs in
+      let nmapped () = List.length (K.mapped_coffers kfs) in
+      expect_err E.EMFILE (K.coffer_map ~evict:spare kfs next);
+      expect_err E.EMFILE (K.coffer_map ~evict:next kfs next);
+      Alcotest.(check int) "nothing unmapped" 15 (nmapped ());
+      ok_or_fail (K.coffer_unmap kfs (List.hd mapped));
+      ignore (ok_or_fail (K.coffer_map ~evict:spare kfs next));
+      Alcotest.(check int) "a free key taken" 15 (nmapped ());
+      ok_or_fail (K.coffer_unmap kfs next);
+      ignore (ok_or_fail (K.coffer_map ~evict:next kfs next));
+      Alcotest.(check int) "a free key taken again" 15 (nmapped ());
+      let victim = List.nth mapped 1 in
+      let m = List.assoc next (K.mapped_coffers kfs) in
+      let again = ok_or_fail (K.coffer_map ~evict:victim kfs next) in
+      Alcotest.(check int) "the existing mapping" m.K.m_pkey again.K.m_pkey;
+      Alcotest.(check bool) "the victim unmapped" false
+        (List.mem_assoc victim (K.mapped_coffers kfs));
+      Alcotest.(check (list string)) "page table matches mappings" []
+        (K.pte_violations kfs ~pid:(self_pid ())))
 
 (* Two processes map two ~500-page coffers at the same instant.  Each writes
    only its own page table, so both finish in about one map's time. *)
@@ -1502,6 +1694,17 @@ let () =
             test_parallel_maps_overlap;
           Alcotest.test_case "map installs a run at a time" `Quick
             test_map_installs_a_run_at_a_time;
+        ] );
+      ( "evict",
+        [
+          Alcotest.test_case "a remap with a victim is one syscall" `Quick
+            test_evict_is_one_syscall;
+          Alcotest.test_case "victim: present PTEs charged, pending free"
+            `Quick test_evict_charges_present_ptes_only;
+          Alcotest.test_case "a failed map leaves the victim mapped" `Quick
+            test_failed_evict_leaves_victim;
+          Alcotest.test_case "evict of an unmapped coffer or the target"
+            `Quick test_evict_ignored_unless_mapped;
         ] );
       ( "recovery+mmap",
         [

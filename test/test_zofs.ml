@@ -933,6 +933,86 @@ let test_many_sub_coffers_no_emfile () =
         Alcotest.(check bool) "own coffer" true (cid <> root)
       done)
 
+(* Creating a file whose mode differs from its directory's maps a new
+   coffer while the op is inside the parent's: under key pressure that map
+   must evict some other coffer, never the parent the dentry goes into.
+   One process makes 20 0o700 directories with a 0o644 file in each. *)
+let test_sub_coffer_create_keeps_parent () =
+  let w = make_world () in
+  in_proc w (fun fs ->
+      let failed = ref [] in
+      for i = 1 to 20 do
+        ok_or_fail (V.mkdir fs (Printf.sprintf "/p%d" i) 0o700)
+      done;
+      for i = 1 to 20 do
+        let dir = Printf.sprintf "/p%d" i in
+        match V.write_file fs (dir ^ "/f") ~mode:0o644 dir with
+        | Ok () -> ()
+        | Error e -> failed := Printf.sprintf "%s: %s" dir (E.to_string e) :: !failed
+      done;
+      Alcotest.(check (list string)) "no create fails" [] (List.rev !failed);
+      for i = 1 to 20 do
+        let dir = Printf.sprintf "/p%d" i in
+        Alcotest.(check string) "read back" dir
+          (ok_or_fail (V.read_file fs (dir ^ "/f")))
+      done)
+
+(* rmdir of a sub-coffer directory maps it before removing its dentry
+   from the parent, and a rename across coffers walks to the destination
+   before touching the source: under key pressure neither map may evict
+   the parent the op goes back to. *)
+let test_rmdir_rename_keep_parents () =
+  let w = make_world () in
+  in_proc w (fun fs ->
+      for i = 1 to 20 do
+        let dir = Printf.sprintf "/q%d" i in
+        ok_or_fail (V.mkdir fs dir 0o700);
+        ok_or_fail (V.mkdir fs (dir ^ "/s") 0o755);
+        ok_or_fail (V.write_file fs (dir ^ "/f") ~mode:0o644 dir)
+      done);
+  in_proc w (fun fs ->
+      let failed = ref [] in
+      let note what = function
+        | Ok () -> ()
+        | Error e -> failed := Printf.sprintf "%s: %s" what (E.to_string e) :: !failed
+      in
+      for i = 1 to 20 do
+        let dir = Printf.sprintf "/q%d" i in
+        note ("rmdir " ^ dir) (V.rmdir fs (dir ^ "/s"))
+      done;
+      for i = 1 to 20 do
+        let dir = Printf.sprintf "/q%d" i in
+        note ("rename " ^ dir)
+          (V.rename fs (dir ^ "/f") (Printf.sprintf "/q%d/m%d" (i mod 20 + 1) i))
+      done;
+      Alcotest.(check (list string)) "no op fails" [] (List.rev !failed);
+      for i = 1 to 20 do
+        Alcotest.(check string) "moved file reads back"
+          (Printf.sprintf "/q%d" i)
+          (ok_or_fail (V.read_file fs (Printf.sprintf "/q%d/m%d" (i mod 20 + 1) i)))
+      done)
+
+(* A key the process holds outside its ZoFS sessions (here a raw
+   coffer_map) makes a map fail with EMFILE although the sessions hold
+   only 14 keys: the map retries once, naming a victim. *)
+let test_unpredicted_emfile_evicts () =
+  let w = make_world () in
+  in_proc w (fun fs ->
+      for i = 1 to 16 do
+        ok_or_fail (V.mkdir fs (Printf.sprintf "/e%d" i) 0o700)
+      done);
+  in_proc w (fun fs ->
+      for i = 1 to 14 do
+        ignore (ok_or_fail (V.stat fs (Printf.sprintf "/e%d" i)))
+      done;
+      let cid = ok_or_fail (K.coffer_find w.kfs "/e16") in
+      ignore (ok_or_fail (K.coffer_map w.kfs cid));
+      Alcotest.(check int) "every key taken" 15
+        (List.length (K.mapped_coffers w.kfs));
+      ignore (ok_or_fail (V.stat fs "/e15"));
+      Alcotest.(check int) "one mapping given up" 15
+        (List.length (K.mapped_coffers w.kfs)))
+
 let qcheck_fs_matches_model =
   (* Model-based: random create/write/unlink sequences must match an
      in-memory model. *)
@@ -1049,6 +1129,12 @@ let () =
             test_balloc_64_processes_one_lease_period;
           Alcotest.test_case "20 sub-coffers without EMFILE" `Quick
             test_many_sub_coffers_no_emfile;
+          Alcotest.test_case "sub-coffer create keeps its parent mapped"
+            `Quick test_sub_coffer_create_keeps_parent;
+          Alcotest.test_case "rmdir and rename keep their parents mapped"
+            `Quick test_rmdir_rename_keep_parents;
+          Alcotest.test_case "an unpredicted EMFILE evicts" `Quick
+            test_unpredicted_emfile_evicts;
           Alcotest.test_case "dispatcher surface" `Quick
             test_dispatcher_surface;
           Alcotest.test_case "variants are per instance" `Quick
