@@ -264,7 +264,7 @@ let recover_coffer ufs kfs report xrefs (info : Coffer.info) =
       if not magic_ok then
         Mpk.with_write_window mpk (fun () ->
             Balloc.format dev ~custom:info.Coffer.custom));
-  match Ufs.map_coffer ~dense:true ufs info.Coffer.id with
+  match Ufs.map_coffer ufs info.Coffer.id with
   | Error _ -> false
   | Ok cs -> (
       let t_user0 = Sim.now () in
@@ -584,7 +584,6 @@ type job = {
   j_info : Coffer.info;
   j_report : report;
   j_xrefs : cross_ref list ref;
-  mutable j_by_helper : bool;
 }
 
 (* Fold a job's report (the fields [recover_coffer] writes) into the
@@ -632,18 +631,16 @@ let recover_coffers ufs kfs report xrefs =
                  j_info = info;
                  j_report = fresh_report ();
                  j_xrefs = ref [];
-                 j_by_helper = false;
                })
   in
   let queue = ref jobs in
-  let rec work ufs ~helper =
+  let rec work ufs =
     match !queue with
     | [] -> ()
     | j :: rest ->
         queue := rest;
-        j.j_by_helper <- helper;
         ignore (recover_coffer ufs kfs j.j_report j.j_xrefs j.j_info);
-        work ufs ~helper
+        work ufs
   in
   let me = Sim.self_proc () in
   let helpers =
@@ -656,18 +653,15 @@ let recover_coffers ufs kfs report xrefs =
         in
         Sim.fork ~proc ~name:(Printf.sprintf "recovery-%d" (i + 1)) (fun () ->
             (match K.fs_mount kfs with Ok () | Error _ -> ());
-            work (Ufs.create kfs) ~helper:true;
+            work (Ufs.create kfs);
             match K.fs_umount kfs with Ok () | Error _ -> ()))
   in
-  work ufs ~helper:false;
+  work ufs;
   List.iter Sim.join helpers;
-  List.iter
-    (fun j ->
-      merge_job report xrefs j;
-      (* The helper's coffer_recover_begin unmapped the coffer from this
-         process: a session the migration pass left behind is stale. *)
-      if j.j_by_helper then Ufs.invalidate_coffer ufs j.j_info.Coffer.id)
-    jobs
+  (* A helper's coffer_recover_begin unmapped its coffer from this process:
+     a session the migration pass left behind is dead, and the next use
+     remaps it. *)
+  List.iter (merge_job report xrefs) jobs
 
 (* Recover every coffer in the file system (offline: run as root with no
    other process active). *)

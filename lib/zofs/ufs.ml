@@ -1,8 +1,8 @@
 (* ZoFS: the example µFS built on Treasury coffers (paper §5).
 
-   One [t] per process (it is FSLibs state): it tracks the coffers this
-   process has mapped (path → coffer cache, MPK key per coffer), open file
-   handles, and implements the µFS interface for the dispatcher.
+   One [t] per process (it is FSLibs state): it caches the coffers this
+   process has mapped (path → coffer cache, KernFS's mapping per coffer),
+   open file handles, and implements the µFS interface for the dispatcher.
 
    Protection guidelines (paper §3.4):
    - G1/G2: every coffer access happens inside [with_coffer], which opens
@@ -50,18 +50,19 @@ let default_variant =
     elide_leases = false;
   }
 
+(* A session caches one coffer this process maps.  KernFS's mapping table
+   is the only record of what the process maps: [cs_map] is the record
+   [coffer_map] returned, and the session is live only while KernFS still
+   holds that very record ([live]).  Another process's chmod, delete or
+   recovery of the coffer unmaps it here too, and kills the session. *)
 type coffer_sess = {
   cs_cid : int;
   mutable cs_path : string;
-  cs_pkey : int;
-  cs_writable : bool;
-  cs_root_file : int;
-  cs_custom : int;
+  cs_map : K.mapping;
   cs_balloc : Balloc.t;
-  mutable cs_mode : int;
-  mutable cs_uid : int;
-  mutable cs_gid : int;
-  mutable cs_refs : int;  (* open handles into this coffer *)
+  cs_mode : int;
+  cs_uid : int;
+  cs_gid : int;
   mutable cs_pins : int;  (* ops inside this coffer ([with_pinned]) *)
 }
 
@@ -75,10 +76,16 @@ type t = {
   sessions : (int, coffer_sess) Hashtbl.t;
   by_path : (string, int) Hashtbl.t;
   handles : (int, handle) Hashtbl.t;
+  refs : (int, int) Hashtbl.t;
+      (* cid -> open handles into it; per coffer, not per session, so a
+         remap keeps the count *)
   mutable next_handle : int;
 }
 
 let ( let* ) = Result.bind
+
+(* A KernFS or allocator result as a µFS outcome. *)
+let as_outcome r = Result.map_error (fun e -> Ui.Errno e) r
 
 (* ---- mkfs and attach ----------------------------------------------------- *)
 
@@ -113,6 +120,7 @@ let create ?(variant = default_variant) kfs =
     sessions = Hashtbl.create 16;
     by_path = Hashtbl.create 16;
     handles = Hashtbl.create 64;
+    refs = Hashtbl.create 16;
     next_handle = 1;
   }
 
@@ -131,7 +139,7 @@ let with_coffer t cs ~write f =
   | K.Offline -> raise (Ui.Coffer_unavailable { cid = cs.cs_cid; write }));
   Obs.set_op_coffer cs.cs_cid;
   let perm = if write then Mpk.Pk_read_write else Mpk.Pk_read in
-  Mpk.with_keys t.mpk [ (cs.cs_pkey, perm) ] f
+  Mpk.with_keys t.mpk [ (cs.cs_map.K.m_pkey, perm) ] f
 
 (* Take [ino]'s lease and, before running [f], roll forward/back any
    intention record a dead previous holder left mid-mutation (the record can
@@ -158,6 +166,22 @@ let forget_session t cs =
   | Some cid when cid = cs.cs_cid -> Hashtbl.remove t.by_path cs.cs_path
   | _ -> ())
 
+(* KernFS still holds the mapping [cs] was made from (a free read that
+   allocates nothing). *)
+let live t cs =
+  match K.mapping_of t.kfs cs.cs_cid with
+  | Some m -> m == cs.cs_map
+  | None -> false
+
+(* [cid]'s session if it is live; a dead one is dropped. *)
+let live_session t cid =
+  match Hashtbl.find_opt t.sessions cid with
+  | Some cs as found when live t cs -> found
+  | Some cs ->
+      forget_session t cs;
+      None
+  | None -> None
+
 (* Coffers an op is inside stay mapped for the op: [with_pinned cs f]
    runs [f] with [cs] out of reach of eviction, as an open handle keeps its
    coffer (a parent directory across the creation of a sub-coffer under
@@ -166,61 +190,58 @@ let with_pinned cs f =
   cs.cs_pins <- cs.cs_pins + 1;
   Fun.protect ~finally:(fun () -> cs.cs_pins <- cs.cs_pins - 1) f
 
-(* The coffer to give up for an MPK key: one with no open handles that no
-   op is inside. *)
+(* The coffer to give up for an MPK key: a live one with no open handles
+   that no op is inside. *)
 let victim t =
   Hashtbl.fold
     (fun _ cs acc ->
       match acc with
       | Some _ -> acc
       | None ->
-          if cs.cs_refs = 0 && cs.cs_pins = 0 && cs.cs_path <> "/" then Some cs
+          if
+            cs.cs_pins = 0 && cs.cs_path <> "/"
+            && (not (Hashtbl.mem t.refs cs.cs_cid))
+            && live t cs
+          then Some cs
           else None)
     t.sessions None
 
-(* The kernel mapping alone.  When this process's sessions hold every
-   usable MPK key, the map names a victim and KernFS unmaps it in the same
-   call (§3.4.2); an EMFILE the sessions did not predict (a coffer mapped
-   but not yet attached, as in [create_sub_coffer]) retries once with one.
-   A map that evicts leaves its PTEs pending (but the coffer's header
-   pages) and each page is installed on first touch: a coffer that has to
-   evict to get a key is cycling through the keys, likely evicted again
-   after touching a handful of its pages.  A first map populates every
-   PTE: a coffer mapped while keys are free tends to stay mapped, and its
-   pages get touched (64 processes would otherwise fault on a shared log's
-   pages while holding its lease).  A [dense] caller populates either way:
-   it is about to touch nearly every page of the coffer (recovery's scan,
-   or the initialization of a coffer just created). *)
-let kernel_map ?(dense = false) t cid =
-  let map ?victim () =
+(* The kernel mapping alone.  When KernFS's table says every usable MPK
+   key of this process is taken and [cid] is not mapped yet, the map names a
+   victim and KernFS unmaps it in the same call (§3.4.2).  A map that
+   evicts leaves its PTEs pending (but the coffer's header pages) and each
+   page is installed on first touch: a coffer that has to evict to get a
+   key is cycling through the keys, likely evicted again after touching a
+   handful of its pages.  A map that gets a free key populates every PTE:
+   a coffer mapped while keys are free tends to stay mapped, and its pages
+   get touched (64 processes would otherwise fault on a shared log's pages
+   while holding its lease). *)
+let kernel_map t cid =
+  let victim =
+    if
+      Option.is_none (K.mapping_of t.kfs cid)
+      && List.length (K.mapped_coffers t.kfs) >= Mpk.nkeys - 1
+    then victim t
+    else None
+  in
+  let r =
     Transient.retry (fun () ->
-        K.coffer_map
-          ~populate:(dense || victim = None)
+        K.coffer_map ~populate:(Option.is_none victim)
           ?evict:(Option.map (fun cs -> cs.cs_cid) victim)
           t.kfs cid)
   in
-  let evicting cs =
-    match map ~victim:cs () with
-    | Ok _ as r ->
-        forget_session t cs;
-        Obs.cnt "coffer.evictions" 1;
-        Obs.cnt "coffer.unmaps" 1;
-        r
-    | Error _ as r -> r
-  in
-  let full = Hashtbl.length t.sessions >= Mpk.nkeys - 1 in
-  match if full then victim t else None with
-  | Some cs -> evicting cs
-  | None -> (
-      match map () with
-      | Error E.EMFILE as r -> (
-          match victim t with Some cs -> evicting cs | None -> r)
-      | r -> r)
+  (match (r, victim) with
+  | Ok _, Some cs ->
+      forget_session t cs;
+      Obs.cnt "coffer.evictions" 1;
+      Obs.cnt "coffer.unmaps" 1
+  | _ -> ());
+  r
 
-let map_coffer ?dense t cid =
+let map_coffer t cid =
   Obs.set_op_coffer cid;
   Obs.span ~cat:"coffer" ~name:"map" @@ fun () ->
-  match kernel_map ?dense t cid with
+  match kernel_map t cid with
   | Ok m -> (
       let info =
         Mpk.with_keys t.mpk
@@ -241,15 +262,11 @@ let map_coffer ?dense t cid =
             {
               cs_cid = cid;
               cs_path = info.Coffer.path;
-              cs_pkey = m.K.m_pkey;
-              cs_writable = m.K.m_writable;
-              cs_root_file = m.K.m_root_file;
-              cs_custom = m.K.m_custom;
+              cs_map = m;
               cs_balloc = balloc;
               cs_mode = info.Coffer.mode;
               cs_uid = info.Coffer.uid;
               cs_gid = info.Coffer.gid;
-              cs_refs = 0;
               cs_pins = 0;
             }
           in
@@ -258,7 +275,7 @@ let map_coffer ?dense t cid =
           Obs.cnt "coffer.maps" 1;
           (* The root-file address now comes from the kernel's mapping, not
              from whatever dentry pointed here: validated (G3). *)
-          Check.validate_cross t.dev cs.cs_root_file;
+          Check.validate_cross t.dev m.K.m_root_file;
           Ok cs
       | None ->
           ignore (K.coffer_unmap t.kfs cid);
@@ -267,12 +284,12 @@ let map_coffer ?dense t cid =
   | Error e -> Error e
 
 let session_of_cid t cid =
-  match Hashtbl.find_opt t.sessions cid with
+  match live_session t cid with
   | Some cs ->
       (* Session cache hit: the kernel-backed session vouches for the root
          file, exactly like a fresh map_coffer would (G3). *)
       Obs.set_op_coffer cid;
-      Check.validate_cross t.dev cs.cs_root_file;
+      Check.validate_cross t.dev cs.cs_map.K.m_root_file;
       Ok cs
   | None -> map_coffer t cid
 
@@ -282,11 +299,16 @@ let session_of_cid t cid =
 let rec anchor t path =
   let rec go p =
     Sim.advance prefix_check_cost;
-    match Hashtbl.find_opt t.by_path p with
-    | Some cid when Hashtbl.mem t.sessions cid ->
-        Obs.set_op_coffer cid;
-        Ok (Hashtbl.find t.sessions cid)
-    | _ -> if p = "/" then cold_anchor t path else go (Pathx.dirname p)
+    let cached =
+      match Hashtbl.find_opt t.by_path p with
+      | Some cid -> live_session t cid
+      | None -> None
+    in
+    match cached with
+    | Some cs ->
+        Obs.set_op_coffer cs.cs_cid;
+        Ok cs
+    | None -> if p = "/" then cold_anchor t path else go (Pathx.dirname p)
   in
   go path
 
@@ -384,11 +406,11 @@ let walk t path ~follow_last : (resolved, Ui.fail) result =
                   | Ok tcs ->
                       if
                         tcs.cs_path <> child_path
-                        || de.Dir.de_inode <> tcs.cs_root_file
+                        || de.Dir.de_inode <> tcs.cs_map.K.m_root_file
                       then Error (Ui.Errno E.EIO) (* manipulated metadata *)
-                      else step tcs tcs.cs_root_file child_path rest))
+                      else step tcs tcs.cs_map.K.m_root_file child_path rest))
       in
-      step cs0 cs0.cs_root_file cs0.cs_path comps
+      step cs0 cs0.cs_map.K.m_root_file cs0.cs_path comps
 
 (* Resolve the parent directory of [path] and return (session, dir inode,
    dir path, basename). *)
@@ -415,7 +437,7 @@ let create_sub_coffer t ~path ~kind ~mode ~uid ~gid =
   let* info = K.coffer_new t.kfs ~path ~ctype ~mode ~uid ~gid in
   (* Map first with the raw kernel mapping and initialize the µFS structures
      (custom page, root inode) before attaching the allocator. *)
-  let* m = kernel_map ~dense:true t info.Coffer.id in
+  let* m = kernel_map t info.Coffer.id in
   Mpk.with_keys t.mpk
     [ (m.K.m_pkey, Mpk.Pk_read_write) ]
     (fun () ->
@@ -446,7 +468,7 @@ let insert_dentry t cs ~dir_ino ~name ~kind ~coffer ~inode =
 (* Shared create path for regular files, directories and symlinks. *)
 let create_entry t ~path ~kind ~mode ?symlink_target () =
   let* pcs, dir_ino, dir_path, base = walk_parent t path in
-  if not pcs.cs_writable then Error (Ui.Errno E.EACCES)
+  if not pcs.cs_map.K.m_writable then Error (Ui.Errno E.EACCES)
   else
     let c = cred () in
     let uid = c.Ft.uid and gid = c.Ft.gid in
@@ -463,9 +485,8 @@ let create_entry t ~path ~kind ~mode ?symlink_target () =
         else (mode, uid, gid)
       in
       let* ino =
-        match new_inode_same_coffer t pcs ~kind ~mode:imode ~uid:iuid ~gid:igid with
-        | Ok i -> Ok i
-        | Error e -> Error (Ui.Errno e)
+        as_outcome
+          (new_inode_same_coffer t pcs ~kind ~mode:imode ~uid:iuid ~gid:igid)
       in
       (match symlink_target with
       | Some target ->
@@ -484,28 +505,30 @@ let create_entry t ~path ~kind ~mode ?symlink_target () =
       (* Different permission: the file gets its own coffer (paper §3.1).
          Mapping it must not evict the parent the dentry goes into. *)
       with_pinned pcs @@ fun () ->
-      match create_sub_coffer t ~path:full_path ~kind ~mode ~uid ~gid with
-      | Error e -> Error (Ui.Errno e)
-      | Ok ncs -> (
-          match
-            insert_dentry t pcs ~dir_ino ~name:base ~kind ~coffer:ncs.cs_cid
-              ~inode:ncs.cs_root_file
-          with
-          | Ok () -> Ok (ncs, ncs.cs_root_file)
-          | Error e ->
-              forget_session t ncs;
-              ignore (K.coffer_delete t.kfs ncs.cs_cid);
-              Error (Ui.Errno e))
+      let* ncs =
+        as_outcome (create_sub_coffer t ~path:full_path ~kind ~mode ~uid ~gid)
+      in
+      match
+        insert_dentry t pcs ~dir_ino ~name:base ~kind ~coffer:ncs.cs_cid
+          ~inode:ncs.cs_map.K.m_root_file
+      with
+      | Ok () -> Ok (ncs, ncs.cs_map.K.m_root_file)
+      | Error e ->
+          forget_session t ncs;
+          ignore (K.coffer_delete t.kfs ncs.cs_cid);
+          Error (Ui.Errno e)
     end
 
 (* ---- handles -------------------------------------------------------------- *)
+
+let open_refs t cid = Option.value ~default:0 (Hashtbl.find_opt t.refs cid)
 
 let alloc_handle t cs ~ino ~readable ~writable =
   let h = t.next_handle in
   t.next_handle <- h + 1;
   Hashtbl.replace t.handles h
     { h_ino = ino; h_cid = cs.cs_cid; h_readable = readable; h_writable = writable };
-  cs.cs_refs <- cs.cs_refs + 1;
+  Hashtbl.replace t.refs cs.cs_cid (open_refs t cs.cs_cid + 1);
   h
 
 let handle t h =
@@ -526,7 +549,7 @@ let openf t path flags mode : int Ui.outcome =
       if Ft.flag_mem Ft.O_CREAT flags && Ft.flag_mem Ft.O_EXCL flags then
         Ui.errno E.EEXIST
       else if r.r_kind = Inode.Directory && writable then Ui.errno E.EISDIR
-      else if writable && not r.r_cs.cs_writable then Ui.errno E.EACCES
+      else if writable && not r.r_cs.cs_map.K.m_writable then Ui.errno E.EACCES
       else begin
         if Ft.flag_mem Ft.O_TRUNC flags && writable && r.r_kind = Inode.Regular
         then
@@ -648,97 +671,65 @@ let remove_dentry_locked t pcs ~dir_ino name =
 
 let unlink t path : unit Ui.outcome =
   let* pcs, dir_ino, _, base = walk_parent t path in
-  if not pcs.cs_writable then Ui.errno E.EACCES
+  if not pcs.cs_map.K.m_writable then Ui.errno E.EACCES
   else
-    match find_dentry t pcs ~dir_ino base with
-    | Error e -> Error (Ui.Errno e)
-    | Ok de ->
-        if de.Dir.de_kind = Layout.kind_directory then Ui.errno E.EISDIR
-        else if de.Dir.de_coffer <> 0 then begin
-          (* The file is its own coffer: KernFS reclaims all its pages. *)
-          (match Hashtbl.find_opt t.sessions de.Dir.de_coffer with
-          | Some cs -> forget_session t cs
-          | None -> ());
-          match K.coffer_delete t.kfs de.Dir.de_coffer with
-          | Error e -> Error (Ui.Errno e)
-          | Ok () -> (
-              match remove_dentry_locked t pcs ~dir_ino base with
-              | Ok () -> Ok ()
-              | Error e -> Error (Ui.Errno e))
-        end
-        else begin
-          match remove_dentry_locked t pcs ~dir_ino base with
-          | Error e -> Error (Ui.Errno e)
-          | Ok () ->
-              with_coffer t pcs ~write:true (fun () ->
-                  let ino = de.Dir.de_inode in
-                  if de.Dir.de_kind = Layout.kind_regular then
-                    File.free_all t.dev pcs.cs_balloc ~ino;
-                  Balloc.free_page pcs.cs_balloc ino);
-              Ok ()
-        end
+    let* de = as_outcome (find_dentry t pcs ~dir_ino base) in
+    if de.Dir.de_kind = Layout.kind_directory then Ui.errno E.EISDIR
+    else if de.Dir.de_coffer <> 0 then begin
+      (* The file is its own coffer: KernFS reclaims all its pages. *)
+      let* () = as_outcome (K.coffer_delete t.kfs de.Dir.de_coffer) in
+      as_outcome (remove_dentry_locked t pcs ~dir_ino base)
+    end
+    else begin
+      let* () = as_outcome (remove_dentry_locked t pcs ~dir_ino base) in
+      with_coffer t pcs ~write:true (fun () ->
+          let ino = de.Dir.de_inode in
+          if de.Dir.de_kind = Layout.kind_regular then
+            File.free_all t.dev pcs.cs_balloc ~ino;
+          Balloc.free_page pcs.cs_balloc ino);
+      Ok ()
+    end
 
 let rmdir t path : unit Ui.outcome =
   let* pcs, dir_ino, _, base = walk_parent t path in
-  if not pcs.cs_writable then Ui.errno E.EACCES
+  if not pcs.cs_map.K.m_writable then Ui.errno E.EACCES
   else
-    match find_dentry t pcs ~dir_ino base with
-    | Error e -> Error (Ui.Errno e)
-    | Ok de ->
-        if de.Dir.de_kind <> Layout.kind_directory then Ui.errno E.ENOTDIR
-        else if de.Dir.de_coffer <> 0 then begin
-          (* Mapping the directory's coffer must not evict its parent. *)
-          with_pinned pcs @@ fun () ->
-          match session_of_cid t de.Dir.de_coffer with
-          | Error e -> Error (Ui.Errno e)
-          | Ok tcs ->
-              let empty =
-                Race.intentional_racy t.dev ~site:"dir.lockfree-is-empty"
-                  ~justification:
-                    "advisory emptiness probe before the delete path; a \
-                     racing create loses either way — the dentry remove runs \
-                     under the directory lease and a stale answer only turns \
-                     into ENOTEMPTY or a benign retry"
-                  (fun () ->
-                    with_coffer t tcs ~write:false (fun () ->
-                        Dir.is_empty t.dev ~ino:tcs.cs_root_file))
-              in
-              if not empty then Ui.errno E.ENOTEMPTY
-              else begin
-                forget_session t tcs;
-                match K.coffer_delete t.kfs de.Dir.de_coffer with
-                | Error e -> Error (Ui.Errno e)
-                | Ok () -> (
-                    match remove_dentry_locked t pcs ~dir_ino base with
-                    | Ok () -> Ok ()
-                    | Error e -> Error (Ui.Errno e))
-              end
-        end
-        else begin
-          let ino = de.Dir.de_inode in
-          let empty =
-            Race.intentional_racy t.dev ~site:"dir.lockfree-is-empty"
-              ~justification:
-                "advisory emptiness probe before the delete path; a racing \
-                 create loses either way — the dentry remove runs under the \
-                 directory lease and a stale answer only turns into \
-                 ENOTEMPTY or a benign retry"
-              (fun () ->
-                with_coffer t pcs ~write:false (fun () ->
-                    Dir.is_empty t.dev ~ino))
-          in
-          if not empty then Ui.errno E.ENOTEMPTY
-          else
-            match remove_dentry_locked t pcs ~dir_ino base with
-            | Error e -> Error (Ui.Errno e)
-            | Ok () ->
-                with_coffer t pcs ~write:true (fun () ->
-                    List.iter
-                      (fun p -> Balloc.free_page pcs.cs_balloc p)
-                      (Dir.structure_pages t.dev ~ino);
-                    Balloc.free_page pcs.cs_balloc ino);
-                Ok ()
-        end
+    let* de = as_outcome (find_dentry t pcs ~dir_ino base) in
+    let is_empty cs ~ino =
+      Race.intentional_racy t.dev ~site:"dir.lockfree-is-empty"
+        ~justification:
+          "advisory emptiness probe before the delete path; a racing \
+           create loses either way — the dentry remove runs under the \
+           directory lease and a stale answer only turns into \
+           ENOTEMPTY or a benign retry"
+        (fun () ->
+          with_coffer t cs ~write:false (fun () -> Dir.is_empty t.dev ~ino))
+    in
+    if de.Dir.de_kind <> Layout.kind_directory then Ui.errno E.ENOTDIR
+    else if de.Dir.de_coffer <> 0 then begin
+      (* Mapping the directory's coffer must not evict its parent. *)
+      with_pinned pcs @@ fun () ->
+      let* tcs = as_outcome (session_of_cid t de.Dir.de_coffer) in
+      if not (is_empty tcs ~ino:tcs.cs_map.K.m_root_file) then
+        Ui.errno E.ENOTEMPTY
+      else begin
+        forget_session t tcs;
+        let* () = as_outcome (K.coffer_delete t.kfs de.Dir.de_coffer) in
+        as_outcome (remove_dentry_locked t pcs ~dir_ino base)
+      end
+    end
+    else begin
+      let ino = de.Dir.de_inode in
+      if not (is_empty pcs ~ino) then Ui.errno E.ENOTEMPTY
+      else
+        let* () = as_outcome (remove_dentry_locked t pcs ~dir_ino base) in
+        with_coffer t pcs ~write:true (fun () ->
+            List.iter
+              (fun p -> Balloc.free_page pcs.cs_balloc p)
+              (Dir.structure_pages t.dev ~ino);
+            Balloc.free_page pcs.cs_balloc ino);
+        Ok ()
+    end
 
 (* ---- rename ----------------------------------------------------------------- *)
 
@@ -778,320 +769,246 @@ let rename t src dst : unit Ui.outcome =
     (* The walk to the destination must not evict the source's parent. *)
     with_pinned spcs @@ fun () ->
     let* dpcs, ddir, ddirpath, dbase = walk_parent t dst in
-    if not (spcs.cs_writable && dpcs.cs_writable) then Ui.errno E.EACCES
+    if not (spcs.cs_map.K.m_writable && dpcs.cs_map.K.m_writable) then
+      Ui.errno E.EACCES
     else
-      match find_dentry t spcs ~dir_ino:sdir sbase with
-      | Error e -> Error (Ui.Errno e)
-      | Ok de -> (
-          (* Displace an existing destination (files only). *)
-          let* () =
-            match find_dentry t dpcs ~dir_ino:ddir dbase with
-            | Error E.ENOENT -> Ok ()
-            | Error e -> Error (Ui.Errno e)
-            | Ok dde ->
-                if dde.Dir.de_kind = Layout.kind_directory then
-                  Ui.errno E.EISDIR
-                else unlink t (Pathx.concat ddirpath dbase)
-          in
-          let dst_path = Pathx.concat ddirpath dbase in
-          if de.Dir.de_coffer <> 0 then begin
-            (* The moved file is a coffer root: rename the coffer (and all
-               descendant coffer paths) in the kernel, then move the
-               dentry. *)
-            match K.coffer_rename t.kfs de.Dir.de_coffer ~new_path:dst_path with
-            | Error e -> Error (Ui.Errno e)
-            | Ok () ->
-                (* Fix the user-space path caches for every session under
-                   the old prefix. *)
-                let old_prefix = Pathx.normalize src in
-                Hashtbl.iter
-                  (fun _ cs ->
-                    if Pathx.is_prefix ~prefix:old_prefix cs.cs_path then begin
-                      Hashtbl.remove t.by_path cs.cs_path;
-                      cs.cs_path <-
-                        Pathx.replace_prefix ~old_prefix ~new_prefix:dst_path
-                          cs.cs_path;
-                      Hashtbl.replace t.by_path cs.cs_path cs.cs_cid
-                    end)
-                  t.sessions;
-                let* () =
-                  match
-                    insert_dentry t dpcs ~dir_ino:ddir ~name:dbase
-                      ~kind:
-                        (match Inode.kind_of_code de.Dir.de_kind with
-                        | Some k -> k
-                        | None -> Inode.Regular)
-                      ~coffer:de.Dir.de_coffer ~inode:de.Dir.de_inode
-                  with
-                  | Ok () -> Ok ()
-                  | Error e -> Error (Ui.Errno e)
-                in
-                (match remove_dentry_locked t spcs ~dir_ino:sdir sbase with
-                | Ok () -> Ok ()
-                | Error e -> Error (Ui.Errno e))
-          end
-          else if spcs.cs_cid = dpcs.cs_cid then begin
-            (* Cheap case: both directories live in the same coffer — move
-               the dentry. *)
-            let kind =
-              match Inode.kind_of_code de.Dir.de_kind with
-              | Some k -> k
-              | None -> Inode.Regular
-            in
-            let* () =
-              match
-                insert_dentry t dpcs ~dir_ino:ddir ~name:dbase ~kind
-                  ~coffer:0 ~inode:de.Dir.de_inode
-              with
-              | Ok () -> Ok ()
-              | Error e -> Error (Ui.Errno e)
-            in
-            match remove_dentry_locked t spcs ~dir_ino:sdir sbase with
-            | Ok () -> Ok ()
-            | Error e -> Error (Ui.Errno e)
-          end
-          else begin
-            (* The worst case (paper §6.4): moving a plain file into a
-               directory owned by a different coffer.  The pages must change
-               coffer: split them out of the source coffer and merge them
-               into the destination's. *)
-            if de.Dir.de_kind = Layout.kind_directory then Ui.errno E.EXDEV
-            else begin
-              let ino = de.Dir.de_inode in
-              let pages =
-                with_coffer t spcs ~write:false (fun () ->
-                    if de.Dir.de_kind = Layout.kind_regular then
-                      ino :: File.data_pages t.dev ~ino
-                    else [ ino ])
-              in
-              (* Stage 1: split the file's pages into a transient coffer
-                 with the destination coffer's permission. *)
-              let tmp_custom =
-                with_coffer t spcs ~write:true (fun () ->
-                    Balloc.alloc_page spcs.cs_balloc)
-              in
-              match tmp_custom with
-              | Error e -> Error (Ui.Errno e)
-              | Ok custom -> (
-                  with_coffer t spcs ~write:true (fun () ->
-                      Balloc.format t.dev ~custom);
-                  let tmp_path = dst_path ^ ".zofs-mv" in
-                  match
-                    K.coffer_split t.kfs ~src:spcs.cs_cid ~new_path:tmp_path
-                      ~ctype ~mode:dpcs.cs_mode ~uid:dpcs.cs_uid
-                      ~gid:dpcs.cs_gid
-                      ~runs:(runs_of_pages (custom :: pages))
-                      ~root_file:ino ~custom
-                  with
-                  | Error e -> Error (Ui.Errno e)
-                  | Ok info -> (
-                      (* Stage 2: link the destination name *first*, as a
-                         cross-coffer reference to the transient coffer, and
-                         only then unlink the source and merge.  At every
-                         crash point at least one durable name reaches the
-                         file: before the link the transient coffer's
-                         registered scratch path is the breadcrumb; after
-                         the merge the destination dentry is, and the only
-                         remaining fixup is retargeting its coffer field —
-                         which recovery can redo from page ownership. *)
-                      let kind =
-                        match Inode.kind_of_code de.Dir.de_kind with
-                        | Some k -> k
-                        | None -> Inode.Regular
-                      in
-                      let* () =
-                        match
-                          insert_dentry t dpcs ~dir_ino:ddir ~name:dbase
-                            ~kind ~coffer:info.Coffer.id ~inode:ino
-                        with
-                        | Ok () -> Ok ()
-                        | Error e -> Error (Ui.Errno e)
-                      in
-                      let* () =
-                        match
-                          remove_dentry_locked t spcs ~dir_ino:sdir sbase
-                        with
-                        | Ok () -> Ok ()
-                        | Error e -> Error (Ui.Errno e)
-                      in
-                      (* Stage 3: merge the transient coffer into the
-                         destination coffer and retarget the dentry to the
-                         now-local inode. *)
-                      match
-                        K.coffer_merge t.kfs ~dst:dpcs.cs_cid
-                          ~src:info.Coffer.id
-                      with
-                      | Error e -> Error (Ui.Errno e)
-                      | Ok () ->
-                          with_coffer t dpcs ~write:true (fun () ->
-                              (match
-                                 Dir.retarget t.dev ~ino:ddir dbase ~coffer:0
-                                   ~inode:ino
-                               with
-                              | Ok () | Error _ -> ());
-                              (* The custom page of the transient coffer is
-                                 now an ordinary page of dst's coffer. *)
-                              Balloc.free_page dpcs.cs_balloc custom);
-                          Ok ()))
-            end
-          end)
+      let* de = as_outcome (find_dentry t spcs ~dir_ino:sdir sbase) in
+      (* Displace an existing destination (files only). *)
+      let* () =
+        match find_dentry t dpcs ~dir_ino:ddir dbase with
+        | Error E.ENOENT -> Ok ()
+        | Error e -> Error (Ui.Errno e)
+        | Ok dde ->
+            if dde.Dir.de_kind = Layout.kind_directory then Ui.errno E.EISDIR
+            else unlink t (Pathx.concat ddirpath dbase)
+      in
+      let dst_path = Pathx.concat ddirpath dbase in
+      let kind =
+        match Inode.kind_of_code de.Dir.de_kind with
+        | Some k -> k
+        | None -> Inode.Regular
+      in
+      let unlink_src () =
+        as_outcome (remove_dentry_locked t spcs ~dir_ino:sdir sbase)
+      in
+      if de.Dir.de_coffer <> 0 then begin
+        (* The moved file is a coffer root: rename the coffer (and all
+           descendant coffer paths) in the kernel, then move the dentry. *)
+        let* () =
+          as_outcome (K.coffer_rename t.kfs de.Dir.de_coffer ~new_path:dst_path)
+        in
+        (* Fix the user-space path caches for every session under the old
+           prefix. *)
+        let old_prefix = Pathx.normalize src in
+        Hashtbl.iter
+          (fun _ cs ->
+            if Pathx.is_prefix ~prefix:old_prefix cs.cs_path then begin
+              Hashtbl.remove t.by_path cs.cs_path;
+              cs.cs_path <-
+                Pathx.replace_prefix ~old_prefix ~new_prefix:dst_path cs.cs_path;
+              Hashtbl.replace t.by_path cs.cs_path cs.cs_cid
+            end)
+          t.sessions;
+        let* () =
+          as_outcome
+            (insert_dentry t dpcs ~dir_ino:ddir ~name:dbase ~kind
+               ~coffer:de.Dir.de_coffer ~inode:de.Dir.de_inode)
+        in
+        unlink_src ()
+      end
+      else if spcs.cs_cid = dpcs.cs_cid then begin
+        (* Cheap case: both directories live in the same coffer — move the
+           dentry. *)
+        let* () =
+          as_outcome
+            (insert_dentry t dpcs ~dir_ino:ddir ~name:dbase ~kind ~coffer:0
+               ~inode:de.Dir.de_inode)
+        in
+        unlink_src ()
+      end
+      else if de.Dir.de_kind = Layout.kind_directory then Ui.errno E.EXDEV
+      else begin
+        (* The worst case (paper §6.4): moving a plain file into a directory
+           owned by a different coffer.  The pages must change coffer:
+           split them out of the source coffer and merge them into the
+           destination's. *)
+        let ino = de.Dir.de_inode in
+        let pages =
+          with_coffer t spcs ~write:false (fun () ->
+              if de.Dir.de_kind = Layout.kind_regular then
+                ino :: File.data_pages t.dev ~ino
+              else [ ino ])
+        in
+        (* Stage 1: split the file's pages into a transient coffer with the
+           destination coffer's permission. *)
+        let* custom =
+          as_outcome
+            (with_coffer t spcs ~write:true (fun () ->
+                 Balloc.alloc_page spcs.cs_balloc))
+        in
+        with_coffer t spcs ~write:true (fun () -> Balloc.format t.dev ~custom);
+        let tmp_path = dst_path ^ ".zofs-mv" in
+        let* info =
+          as_outcome
+            (K.coffer_split t.kfs ~src:spcs.cs_cid ~new_path:tmp_path ~ctype
+               ~mode:dpcs.cs_mode ~uid:dpcs.cs_uid ~gid:dpcs.cs_gid
+               ~runs:(runs_of_pages (custom :: pages))
+               ~root_file:ino ~custom)
+        in
+        (* Stage 2: link the destination name *first*, as a cross-coffer
+           reference to the transient coffer, and only then unlink the
+           source and merge.  At every crash point at least one durable
+           name reaches the file: before the link the transient coffer's
+           registered scratch path is the breadcrumb; after the merge the
+           destination dentry is, and the only remaining fixup is
+           retargeting its coffer field — which recovery can redo from
+           page ownership. *)
+        let* () =
+          as_outcome
+            (insert_dentry t dpcs ~dir_ino:ddir ~name:dbase ~kind
+               ~coffer:info.Coffer.id ~inode:ino)
+        in
+        let* () = unlink_src () in
+        (* Stage 3: merge the transient coffer into the destination coffer
+           and retarget the dentry to the now-local inode. *)
+        let* () =
+          as_outcome (K.coffer_merge t.kfs ~dst:dpcs.cs_cid ~src:info.Coffer.id)
+        in
+        with_coffer t dpcs ~write:true (fun () ->
+            (match Dir.retarget t.dev ~ino:ddir dbase ~coffer:0 ~inode:ino with
+            | Ok () | Error _ -> ());
+            (* The custom page of the transient coffer is now an ordinary
+               page of dst's coffer. *)
+            Balloc.free_page dpcs.cs_balloc custom);
+        Ok ()
+      end
 
 (* ---- chmod / chown ----------------------------------------------------------- *)
 
 let apply_perm_change t path ~new_mode ~new_uid ~new_gid : unit Ui.outcome =
   let* r = walk t path ~follow_last:true in
   let cs = r.r_cs in
-  let cur_uid, cur_gid =
+  let read_perm f =
     Race.intentional_racy t.dev ~site:"inode.lockfree-perm-read"
       ~justification:
         "chmod/chown reads the current owner/mode without the inode lease \
          to fill in unchanged fields; a concurrent perm change is a \
          last-writer-wins race POSIX already exposes, and rw-bit changes \
          are serialized by the kernel coffer_chmod path"
-      (fun () ->
-        with_coffer t cs ~write:false (fun () ->
-            (Inode.uid t.dev ~ino:r.r_ino, Inode.gid t.dev ~ino:r.r_ino)))
+      (fun () -> with_coffer t cs ~write:false f)
   in
-  let mode = match new_mode with Some m -> m | None ->
-    Race.intentional_racy t.dev ~site:"inode.lockfree-perm-read"
-      ~justification:
-        "chmod/chown reads the current owner/mode without the inode lease \
-         to fill in unchanged fields; a concurrent perm change is a \
-         last-writer-wins race POSIX already exposes, and rw-bit changes \
-         are serialized by the kernel coffer_chmod path"
-      (fun () ->
-        with_coffer t cs ~write:false (fun () -> Inode.mode t.dev ~ino:r.r_ino))
+  let cur_uid, cur_gid =
+    read_perm (fun () ->
+        (Inode.uid t.dev ~ino:r.r_ino, Inode.gid t.dev ~ino:r.r_ino))
+  in
+  let mode =
+    match new_mode with
+    | Some m -> m
+    | None -> read_perm (fun () -> Inode.mode t.dev ~ino:r.r_ino)
   in
   let uid = Option.value ~default:cur_uid new_uid in
   let gid = Option.value ~default:cur_gid new_gid in
+  let set_perm cs =
+    with_coffer t cs ~write:true (fun () ->
+        Inode.set_mode t.dev ~ino:r.r_ino mode;
+        Inode.set_owner t.dev ~ino:r.r_ino ~uid ~gid)
+  in
   let c = cred () in
   if c.Ft.uid <> 0 && c.Ft.uid <> cur_uid then Ui.errno E.EPERM
   else if t.variant.one_coffer then begin
     (* ZoFS-1coffer: permissions live only in the inode; everything is
        handled in user space (paper §6.4). *)
-    if not cs.cs_writable then Ui.errno E.EACCES
+    if not cs.cs_map.K.m_writable then Ui.errno E.EACCES
     else begin
-      with_coffer t cs ~write:true (fun () ->
-          Inode.set_mode t.dev ~ino:r.r_ino mode;
-          Inode.set_owner t.dev ~ino:r.r_ino ~uid ~gid);
+      set_perm cs;
       Ok ()
     end
   end
   else if same_perm_as_coffer cs ~mode ~uid ~gid then begin
     (* Only non-rw bits changed: a pure user-space inode update. *)
-    with_coffer t cs ~write:true (fun () ->
-        Inode.set_mode t.dev ~ino:r.r_ino mode;
-        Inode.set_owner t.dev ~ino:r.r_ino ~uid ~gid);
+    set_perm cs;
     Ok ()
   end
-  else if r.r_ino = cs.cs_root_file then begin
+  else if r.r_ino = cs.cs_map.K.m_root_file then begin
     (* The file is a coffer root: change the coffer's permission in the
        kernel. *)
-    match K.coffer_chmod t.kfs cs.cs_cid ~mode ~uid ~gid with
-    | Error e -> Error (Ui.Errno e)
-    | Ok () -> (
-        (* The kernel unmapped the coffer from everyone; remap. *)
-        forget_session t cs;
-        let finish_inode () =
-          match map_coffer t cs.cs_cid with
-          | Ok ncs ->
-              with_coffer t ncs ~write:true (fun () ->
-                  Inode.set_mode t.dev ~ino:r.r_ino mode;
-                  Inode.set_owner t.dev ~ino:r.r_ino ~uid ~gid);
-              Ok (Some ncs)
-          | Error _ ->
-              (* We may no longer have access under the new permission; the
-                 change itself succeeded. *)
-              Ok None
-        in
-        match finish_inode () with
-        | Error e -> Error (Ui.Errno e)
-        | Ok None -> Ok ()
-        | Ok (Some ncs) ->
-            (* If the new permission matches the parent directory's coffer,
-               the split is no longer needed: merge back (coffer_merge,
-               paper §3.3) and turn the dentry into a same-coffer entry. *)
-            if r.r_path = "/" then Ok ()
-            else (
-              match walk_parent t r.r_path with
-              | Error _ -> Ok ()
-              | Ok (pcs, dir_ino, _, base) ->
-                  if
-                    pcs.cs_cid <> ncs.cs_cid
-                    && same_perm_as_coffer pcs ~mode ~uid ~gid
-                  then begin
-                    let custom = ncs.cs_custom in
-                    forget_session t ncs;
-                    match K.coffer_merge t.kfs ~dst:pcs.cs_cid ~src:ncs.cs_cid with
-                    | Error _ -> Ok () (* split state remains; still correct *)
-                    | Ok () ->
-                        let retargeted =
-                          with_coffer t pcs ~write:true (fun () ->
-                              with_inode_lease t ~balloc:pcs.cs_balloc
-                                ~ino:dir_ino (fun () ->
-                                  Dir.retarget t.dev ~ino:dir_ino base ~coffer:0
-                                    ~inode:r.r_ino))
-                        in
-                        (match retargeted with
-                        | Ok () ->
-                            (* the old custom page is now an ordinary page of
-                               the parent coffer *)
-                            with_coffer t pcs ~write:true (fun () ->
-                                Balloc.free_page pcs.cs_balloc
-                                  (custom / Layout.page_size * Layout.page_size));
-                            Ok ()
-                        | Error e -> Error (Ui.Errno e))
-                  end
-                  else Ok ()))
+    let* () = as_outcome (K.coffer_chmod t.kfs cs.cs_cid ~mode ~uid ~gid) in
+    (* The kernel unmapped the coffer from everyone; remap.  We may no
+       longer have access under the new permission; the change itself
+       succeeded. *)
+    match map_coffer t cs.cs_cid with
+    | Error _ -> Ok ()
+    | Ok ncs -> (
+        set_perm ncs;
+        (* If the new permission matches the parent directory's coffer, the
+           split is no longer needed: merge back (coffer_merge, paper §3.3)
+           and turn the dentry into a same-coffer entry. *)
+        if r.r_path = "/" then Ok ()
+        else
+          match walk_parent t r.r_path with
+          | Ok (pcs, dir_ino, _, base)
+            when pcs.cs_cid <> ncs.cs_cid
+                 && same_perm_as_coffer pcs ~mode ~uid ~gid -> (
+              let custom = ncs.cs_map.K.m_custom in
+              forget_session t ncs;
+              match K.coffer_merge t.kfs ~dst:pcs.cs_cid ~src:ncs.cs_cid with
+              | Error _ -> Ok () (* split state remains; still correct *)
+              | Ok () ->
+                  let* () =
+                    as_outcome
+                      (with_coffer t pcs ~write:true (fun () ->
+                           with_inode_lease t ~balloc:pcs.cs_balloc
+                             ~ino:dir_ino (fun () ->
+                               Dir.retarget t.dev ~ino:dir_ino base ~coffer:0
+                                 ~inode:r.r_ino)))
+                  in
+                  (* the old custom page is now an ordinary page of the
+                     parent coffer *)
+                  with_coffer t pcs ~write:true (fun () ->
+                      Balloc.free_page pcs.cs_balloc
+                        (custom / Layout.page_size * Layout.page_size));
+                  Ok ())
+          | Ok _ | Error _ -> Ok ())
   end
   else begin
     (* The expensive path (paper §6.4, Table 9): split the file's pages into
        a brand-new coffer with the new permission. *)
     let* pcs, dir_ino, _, base = walk_parent t path in
-    let custom_r =
-      with_coffer t cs ~write:true (fun () -> Balloc.alloc_page cs.cs_balloc)
+    let* custom =
+      as_outcome
+        (with_coffer t cs ~write:true (fun () -> Balloc.alloc_page cs.cs_balloc))
     in
-    match custom_r with
-    | Error e -> Error (Ui.Errno e)
-    | Ok custom -> (
-        with_coffer t cs ~write:true (fun () -> Balloc.format t.dev ~custom);
-        let pages =
-          Race.intentional_racy t.dev ~site:"inode.lockfree-subtree-scan"
-            ~justification:
-              "coffer-split page census walks the subtree without leases; \
-               the kernel's coffer_split re-validates the run list against \
-               its own page ownership map, so a concurrent mutation can \
-               only fail the split, never corrupt ownership"
-            (fun () ->
-              with_coffer t cs ~write:false (fun () ->
-                  subtree_pages t t.dev ~ino:r.r_ino []))
-        in
-        match
-          K.coffer_split t.kfs ~src:cs.cs_cid ~new_path:r.r_path ~ctype ~mode
-            ~uid ~gid
-            ~runs:(runs_of_pages (custom :: pages))
-            ~root_file:r.r_ino ~custom
-        with
-        | Error e -> Error (Ui.Errno e)
-        | Ok info -> (
-            (* Point the parent dentry at the new coffer. *)
-            let retargeted =
-              with_coffer t pcs ~write:true (fun () ->
-                  with_inode_lease t ~balloc:pcs.cs_balloc ~ino:dir_ino
-                    (fun () ->
-                      Dir.retarget t.dev ~ino:dir_ino base
-                        ~coffer:info.Coffer.id ~inode:r.r_ino))
-            in
-            match retargeted with
-            | Error e -> Error (Ui.Errno e)
-            | Ok () -> (
-                match map_coffer t info.Coffer.id with
-                | Ok ncs ->
-                    with_coffer t ncs ~write:true (fun () ->
-                        Inode.set_mode t.dev ~ino:r.r_ino mode;
-                        Inode.set_owner t.dev ~ino:r.r_ino ~uid ~gid);
-                    Ok ()
-                | Error _ -> Ok ())))
+    with_coffer t cs ~write:true (fun () -> Balloc.format t.dev ~custom);
+    let pages =
+      Race.intentional_racy t.dev ~site:"inode.lockfree-subtree-scan"
+        ~justification:
+          "coffer-split page census walks the subtree without leases; the \
+           kernel's coffer_split re-validates the run list against its own \
+           page ownership map, so a concurrent mutation can only fail the \
+           split, never corrupt ownership"
+        (fun () ->
+          with_coffer t cs ~write:false (fun () ->
+              subtree_pages t t.dev ~ino:r.r_ino []))
+    in
+    let* info =
+      as_outcome
+        (K.coffer_split t.kfs ~src:cs.cs_cid ~new_path:r.r_path ~ctype ~mode
+           ~uid ~gid
+           ~runs:(runs_of_pages (custom :: pages))
+           ~root_file:r.r_ino ~custom)
+    in
+    (* Point the parent dentry at the new coffer. *)
+    let* () =
+      as_outcome
+        (with_coffer t pcs ~write:true (fun () ->
+             with_inode_lease t ~balloc:pcs.cs_balloc ~ino:dir_ino (fun () ->
+                 Dir.retarget t.dev ~ino:dir_ino base ~coffer:info.Coffer.id
+                   ~inode:r.r_ino)))
+    in
+    (match map_coffer t info.Coffer.id with
+    | Ok ncs -> set_perm ncs
+    | Error _ -> ());
+    Ok ()
   end
 
 let chmod t path mode = apply_perm_change t path ~new_mode:(Some mode) ~new_uid:None ~new_gid:None
@@ -1103,9 +1020,9 @@ let chown t path uid gid =
 let close t h =
   let* hd = handle t h in
   Hashtbl.remove t.handles h;
-  (match Hashtbl.find_opt t.sessions hd.h_cid with
-  | Some cs -> cs.cs_refs <- cs.cs_refs - 1
-  | None -> ());
+  (match open_refs t hd.h_cid with
+  | 1 -> Hashtbl.remove t.refs hd.h_cid
+  | n -> Hashtbl.replace t.refs hd.h_cid (n - 1));
   Ok ()
 
 let read t h ~off buf boff len =
@@ -1129,7 +1046,7 @@ let write t h ~off data =
   if not hd.h_writable then Error E.EBADF
   else
     let* cs = handle_session t hd in
-    if not cs.cs_writable then Error E.EACCES
+    if not cs.cs_map.K.m_writable then Error E.EACCES
     else begin
       (* Figure 8 variants: ZoFS-sysempty pays an empty system call per
          write; ZoFS-kwrite runs the write body in kernel context. *)
@@ -1179,10 +1096,11 @@ let ftruncate t h len =
             File.truncate t.dev cs.cs_balloc ~ino:hd.h_ino len))
 
 (* Drop cached session state for [cid] (dispatcher callback after an online
-   repair rewrote the coffer's structures: the cached balloc / root-file
-   addresses may be stale, and the kernel mapping was torn down by the
-   recovery protocol anyway).  Open handles into the coffer keep working —
-   their next operation remaps it through [session_of_cid]. *)
+   repair rewrote the coffer's structures).  The repair ran in this
+   process, so KernFS kept this process's mapping and [live] cannot tell
+   that the session's allocator state is stale.  Open handles into the
+   coffer keep working — their next operation remaps it through
+   [session_of_cid]. *)
 let invalidate_coffer t cid =
   match Hashtbl.find_opt t.sessions cid with
   | Some cs ->

@@ -434,7 +434,7 @@ let split_into_transient kfs ~name ~dst =
   in
   let ino, custom =
     Zofs.Ufs.with_coffer ufs src ~write:true (fun () ->
-        let de = dentry_of dev ~dir:src.Zofs.Ufs.cs_root_file name in
+        let de = dentry_of dev ~dir:src.Zofs.Ufs.cs_map.K.m_root_file name in
         let custom = ok_or_fail (Zofs.Balloc.alloc_page src.Zofs.Ufs.cs_balloc) in
         Zofs.Balloc.format dev ~custom;
         (de.Zofs.Dir.de_inode, custom))

@@ -88,7 +88,7 @@ let test_graceful_error_on_corrupted_coffer () =
           (* Overwrite the shared dir inode's kind and pointers with junk
              while the region is (legitimately) open. *)
           Zofs.Ufs.with_coffer ufs cs ~write:true (fun () ->
-              let root_ino = cs.Zofs.Ufs.cs_root_file in
+              let root_ino = cs.Zofs.Ufs.cs_map.K.m_root_file in
               match Zofs.Dir.lookup w.dev ~ino:root_ino "shared" with
               | Some de ->
                   let dir_ino = de.Zofs.Dir.de_inode in
@@ -164,7 +164,7 @@ let test_metadata_attack_blocked_by_g3 () =
       | Ok cs ->
           Zofs.Ufs.with_coffer ufs cs ~write:true (fun () ->
               match
-                Zofs.Dir.lookup w.dev ~ino:cs.Zofs.Ufs.cs_root_file "box"
+                Zofs.Dir.lookup w.dev ~ino:cs.Zofs.Ufs.cs_map.K.m_root_file "box"
               with
               | Some boxde -> (
                   let box_ino = boxde.Zofs.Dir.de_inode in
@@ -214,7 +214,7 @@ let test_readonly_mapping_blocks_modification () =
               (* the PKRU is open for write, but the page-table mapping is
                  read-only: the store faults *)
               match
-                Nvm.Device.write_u64 w.dev cs.Zofs.Ufs.cs_root_file 0xEE11
+                Nvm.Device.write_u64 w.dev cs.Zofs.Ufs.cs_map.K.m_root_file 0xEE11
               with
               | () -> Alcotest.fail "read-only mapping must block stores"
               | exception Nvm.Fault _ -> ()))
@@ -251,7 +251,7 @@ let test_cross_process_readonly_cannot_write_writable_pages () =
           for _ = 1 to 10 do
             Zofs.Ufs.with_coffer ufs cs ~write:true (fun () ->
                 match
-                  Nvm.Device.write_u64 w.dev cs.Zofs.Ufs.cs_root_file 0xEE11
+                  Nvm.Device.write_u64 w.dev cs.Zofs.Ufs.cs_map.K.m_root_file 0xEE11
                 with
                 | () -> Alcotest.fail "read-only mapping must block stores"
                 | exception Nvm.Fault _ -> incr b_faults);
@@ -396,7 +396,7 @@ let test_dos_is_bounded_by_leases () =
       | Ok cs ->
           Zofs.Ufs.with_coffer ufs cs ~write:true (fun () ->
               match
-                Zofs.Dir.lookup w.dev ~ino:cs.Zofs.Ufs.cs_root_file "contended"
+                Zofs.Dir.lookup w.dev ~ino:cs.Zofs.Ufs.cs_map.K.m_root_file "contended"
               with
               | Some de ->
                   Zofs.Lease.acquire w.dev

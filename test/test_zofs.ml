@@ -993,8 +993,9 @@ let test_rmdir_rename_keep_parents () =
       done)
 
 (* A key the process holds outside its ZoFS sessions (here a raw
-   coffer_map) makes a map fail with EMFILE although the sessions hold
-   only 14 keys: the map retries once, naming a victim. *)
+   coffer_map) would make a map fail with EMFILE although the sessions
+   hold only 14 keys: keys are counted in KernFS's table, so the map names
+   a victim up front. *)
 let test_unpredicted_emfile_evicts () =
   let w = make_world () in
   in_proc w (fun fs ->
@@ -1011,6 +1012,90 @@ let test_unpredicted_emfile_evicts () =
         (List.length (K.mapped_coffers w.kfs));
       ignore (ok_or_fail (V.stat fs "/e15"));
       Alcotest.(check int) "one mapping given up" 15
+        (List.length (K.mapped_coffers w.kfs)))
+
+(* A process of uid 1000 keeping one FSLib across runs: each call runs
+   its argument in a thread of that process. *)
+let process w =
+  let proc = Sim.Proc.create ~uid:1000 ~gid:1000 () in
+  let fs = ref None in
+  fun f ->
+    Sim.run_thread ~proc (fun () ->
+        let v =
+          match !fs with
+          | Some v -> v
+          | None ->
+              let v = vfs w in
+              fs := Some v;
+              v
+        in
+        f v)
+
+(* Another process's chmod of a coffer root, and its rmdir of a coffer
+   directory, unmap those coffers from this process: its next ops remap
+   them or see them gone, and its open handles keep working and keep
+   counting.  Then, with 13 other coffers held open, /d is the only
+   coffer a map can evict: its handle count must be back to 0. *)
+let test_foreign_unmap_remaps () =
+  let w = make_world () in
+  let a = process w and b = process w in
+  let fd = ref 0 in
+  a (fun fs ->
+        ok_or_fail (V.mkdir fs "/d" 0o755);
+        ok_or_fail (V.write_file fs "/d/f" ~mode:0o755 "data-d");
+        ok_or_fail (V.mkdir fs "/g" 0o700);
+        for i = 1 to 14 do
+          let dir = Printf.sprintf "/o%d" i in
+          ok_or_fail (V.mkdir fs dir 0o700);
+          ok_or_fail (V.write_file fs (dir ^ "/f") ~mode:0o700 dir)
+        done;
+        ignore (ok_or_fail (V.stat fs "/g"));
+        fd := ok_or_fail (V.openf fs "/d/f" [ Ft.O_RDONLY ] 0));
+  b (fun fs ->
+      ok_or_fail (V.chmod fs "/d" 0o775);
+      ok_or_fail (V.rmdir fs "/g"));
+  a (fun fs ->
+      Alcotest.(check string) "read" "data-d" (ok_or_fail (V.read_file fs "/d/f"));
+      Alcotest.(check int) "stat" 6 (ok_or_fail (V.stat fs "/d/f")).Ft.st_size;
+      let buf = Bytes.create 6 in
+      Alcotest.(check int) "pread" 6 (ok_or_fail (V.pread fs !fd ~off:0 buf 0 6));
+      Alcotest.(check string) "pread data" "data-d" (Bytes.to_string buf);
+      expect_err E.ENOENT (V.stat fs "/g");
+      ok_or_fail (V.close fs !fd);
+      let d = ok_or_fail (K.coffer_find w.kfs "/d") in
+      let _held =
+        List.init 13 (fun i ->
+            ok_or_fail
+              (V.openf fs (Printf.sprintf "/o%d/f" (i + 1)) [ Ft.O_RDONLY ] 0))
+      in
+      Alcotest.(check bool) "/d mapped" true
+        (List.mem_assoc d (K.mapped_coffers w.kfs));
+      Alcotest.(check string) "a map past 15 keys" "/o14"
+        (ok_or_fail (V.read_file fs "/o14/f"));
+      Alcotest.(check bool) "/d evicted" false
+        (List.mem_assoc d (K.mapped_coffers w.kfs)))
+
+(* Keys are counted from KernFS's table: a coffer another process's chmod
+   unmapped frees its key here, and the next map takes that key instead
+   of evicting. *)
+let test_foreign_unmap_frees_key () =
+  let w = make_world () in
+  let a = process w and b = process w in
+  a (fun fs ->
+      for i = 1 to 16 do
+        ok_or_fail (V.mkdir fs (Printf.sprintf "/s%d" i) 0o700)
+      done;
+      for i = 1 to 15 do
+        ignore (ok_or_fail (V.stat fs (Printf.sprintf "/s%d" i)))
+      done;
+      Alcotest.(check int) "every key taken" 15
+        (List.length (K.mapped_coffers w.kfs)));
+  b (fun fs -> ok_or_fail (V.chmod fs "/s15" 0o770));
+  a (fun fs ->
+      Alcotest.(check int) "one key freed" 14
+        (List.length (K.mapped_coffers w.kfs));
+      ignore (ok_or_fail (V.stat fs "/s16"));
+      Alcotest.(check int) "the free key taken" 15
         (List.length (K.mapped_coffers w.kfs)))
 
 let qcheck_fs_matches_model =
@@ -1135,6 +1220,10 @@ let () =
             `Quick test_rmdir_rename_keep_parents;
           Alcotest.test_case "an unpredicted EMFILE evicts" `Quick
             test_unpredicted_emfile_evicts;
+          Alcotest.test_case "a foreign unmap remaps, handles kept" `Quick
+            test_foreign_unmap_remaps;
+          Alcotest.test_case "a foreign unmap frees a key" `Quick
+            test_foreign_unmap_frees_key;
           Alcotest.test_case "dispatcher surface" `Quick
             test_dispatcher_surface;
           Alcotest.test_case "variants are per instance" `Quick
