@@ -57,9 +57,7 @@ let health_to_string = function
 type proc_state = {
   ps_pid : int;
   ps_pt : Sim.Mutex.t;  (* this process's page-table lock *)
-  ps_mapped : (int, mapping option) Hashtbl.t;
-      (* cid -> its mapping, boxed once when it is made, so [mapping_of]
-         hands the box out without allocating *)
+  ps_mapped : (int, mapping) Hashtbl.t;  (* cid -> mapping *)
   mutable ps_pkeys : int;  (* bitmask of MPK keys in use *)
 }
 
@@ -131,9 +129,6 @@ let add_mapper t cid pid =
   match Hashtbl.find_opt t.mappers cid with
   | Some l -> if not (List.mem pid !l) then l := pid :: !l
   | None -> Hashtbl.replace t.mappers cid (ref [ pid ])
-
-(* [ps]'s mapping of [cid]. *)
-let mapped ps cid = try Hashtbl.find ps.ps_mapped cid with Not_found -> None
 
 let remove_mapper t cid pid =
   match Hashtbl.find_opt t.mappers cid with
@@ -214,7 +209,7 @@ let unmap_from_process t cid pid =
   match Hashtbl.find_opt t.procs pid with
   | None -> ()
   | Some ps -> (
-      match mapped ps cid with
+      match Hashtbl.find_opt ps.ps_mapped cid with
       | None -> ()
       | Some m ->
           Sim.Mutex.with_lock ps.ps_pt (fun () ->
@@ -231,7 +226,7 @@ let map_everywhere t cid runs =
       match Hashtbl.find_opt t.procs pid with
       | None -> ()
       | Some ps -> (
-          match mapped ps cid with
+          match Hashtbl.find_opt ps.ps_mapped cid with
           | None -> ()
           | Some m ->
               Sim.Mutex.with_lock ps.ps_pt (fun () ->
@@ -681,7 +676,7 @@ let coffer_map ?(populate = true) ?evict t cid =
         let victim =
           match evict with
           | Some v when v <> cid ->
-              Option.map (fun vm -> (v, vm)) (mapped ps v)
+              Option.map (fun vm -> (v, vm)) (Hashtbl.find_opt ps.ps_mapped v)
           | Some _ | None -> None
         in
         (* Forget the victim (both locks held) and return the runs whose
@@ -691,7 +686,7 @@ let coffer_map ?(populate = true) ?evict t cid =
           | Some (v, vm) -> forget_mapping t ps v vm
           | None -> []
         in
-        match mapped ps cid with
+        match Hashtbl.find_opt ps.ps_mapped cid with
         | Some m when victim = None ->
             (* Already mapped, possibly by a sibling thread still installing
                the PTEs: wait for the page-table lock, so a mapping is never
@@ -746,7 +741,7 @@ let coffer_map ?(populate = true) ?evict t cid =
                       m_ctype = c.Coffer.ctype;
                     }
                   in
-                  Hashtbl.replace ps.ps_mapped cid (Some m);
+                  Hashtbl.replace ps.ps_mapped cid m;
                   add_mapper t cid pid;
                   Ok
                     ( m,
@@ -763,7 +758,7 @@ let coffer_unmap t cid =
   kernel_op_then t (fun () ->
       let pid = (Sim.self_proc ()).Sim.Proc.pid in
       let* ps = proc_state t pid in
-      match mapped ps cid with
+      match Hashtbl.find_opt ps.ps_mapped cid with
       | None -> Error Errno.EINVAL
       | Some m ->
           Sim.Mutex.lock ps.ps_pt;
@@ -1052,24 +1047,23 @@ let mapped_coffers t =
   let pid = (Sim.self_proc ()).Sim.Proc.pid in
   match Hashtbl.find_opt t.procs pid with
   | None -> []
-  | Some ps ->
-      Hashtbl.fold (fun cid m acc -> (cid, Option.get m) :: acc) ps.ps_mapped []
+  | Some ps -> Hashtbl.fold (fun cid m acc -> (cid, m) :: acc) ps.ps_mapped []
 
 (* The page-table invariant: every PTE of [pid], present or pending, belongs
    to a coffer [pid] maps and carries that mapping's key and writability
    (the coffer root page read-only), and every page of a mapped coffer has
    one.  Read-only; the tests and the perf gate audit with it. *)
 let pte_violations t ~pid =
-  let mapping =
+  let mapped =
     match Hashtbl.find_opt t.procs pid with
-    | Some ps -> mapped ps
-    | None -> fun _ -> None
+    | Some ps -> ps.ps_mapped
+    | None -> Hashtbl.create 0
   in
   let bad = ref [] in
   let report fmt = Printf.ksprintf (fun s -> bad := s :: !bad) fmt in
   for page = 0 to Alloc_table.npages t.at - 1 do
     let owner = Alloc_table.owner_of t.at ~page in
-    match (Mpk.page_pkey t.mpk ~pid ~page, mapping owner) with
+    match (Mpk.page_pkey t.mpk ~pid ~page, Hashtbl.find_opt mapped owner) with
     | None, None -> ()
     | None, Some _ ->
         report "pid %d: page %d of mapped coffer %d has no PTE" pid page owner
@@ -1090,10 +1084,11 @@ let pte_violations t ~pid =
 (* Like health, the caller's mappings are mirrored into a read-only page
    its FSLib maps: a load, not a gate crossing, and no allocation, for the
    FSLib checks it on every op. *)
-let mapping_of t cid =
-  match Hashtbl.find t.procs (Sim.self_proc ()).Sim.Proc.pid with
-  | ps -> mapped ps cid
-  | exception Not_found -> None
+let holds t cid m =
+  let pid = (Sim.self_proc ()).Sim.Proc.pid in
+  match Hashtbl.find (Hashtbl.find t.procs pid).ps_mapped cid with
+  | m' -> m' == m
+  | exception Not_found -> false
 
 (* ---- fault-domain health ------------------------------------------------ *)
 

@@ -42,15 +42,16 @@ val pte_update_cost : int
 
 (** {1 The caller's mappings (read-only mirror)} *)
 
-val mapping_of : t -> int -> mapping option
-(** The calling process's mapping of the coffer: the very record the
-    {!coffer_map} that made it returned, so a µFS that cached that record
-    checks it with [==].  Every later [coffer_map] of a coffer already
-    mapped returns the same record; once the mapping is torn down
-    ({!coffer_unmap}, an eviction, or another process's {!coffer_chmod},
-    {!coffer_delete} or {!coffer_recover_begin}) there is none, and a remap
-    makes a new one.  Free read, like health: not a syscall, a load from a
-    read-only page; it allocates nothing. *)
+val holds : t -> int -> mapping -> bool
+(** [holds t cid m]: [m] is the calling process's mapping of [cid] — the
+    very record the {!coffer_map} that made it returned — so a µFS that
+    cached that record checks it is still current.  Every later
+    [coffer_map] of a coffer already mapped returns the same record; once
+    the mapping is torn down ({!coffer_unmap}, an eviction, or another
+    process's {!coffer_chmod}, {!coffer_delete} or {!coffer_recover_begin})
+    no record is held, and a remap makes a new one.  Free read, like
+    health: not a syscall, a load from a read-only page; it allocates
+    nothing. *)
 
 (** {1 Fault-domain health (runtime state, volatile)} *)
 

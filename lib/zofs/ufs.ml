@@ -60,9 +60,9 @@ type coffer_sess = {
   mutable cs_path : string;
   cs_map : K.mapping;
   cs_balloc : Balloc.t;
-  cs_mode : int;
-  cs_uid : int;
-  cs_gid : int;
+  mutable cs_mode : int;
+  mutable cs_uid : int;
+  mutable cs_gid : int;
   mutable cs_pins : int;  (* ops inside this coffer ([with_pinned]) *)
 }
 
@@ -83,9 +83,6 @@ type t = {
 }
 
 let ( let* ) = Result.bind
-
-(* A KernFS or allocator result as a µFS outcome. *)
-let as_outcome r = Result.map_error (fun e -> Ui.Errno e) r
 
 (* ---- mkfs and attach ----------------------------------------------------- *)
 
@@ -168,10 +165,7 @@ let forget_session t cs =
 
 (* KernFS still holds the mapping [cs] was made from (a free read that
    allocates nothing). *)
-let live t cs =
-  match K.mapping_of t.kfs cs.cs_cid with
-  | Some m -> m == cs.cs_map
-  | None -> false
+let live t cs = K.holds t.kfs cs.cs_cid cs.cs_map
 
 (* [cid]'s session if it is live; a dead one is dropped. *)
 let live_session t cid =
@@ -198,12 +192,8 @@ let victim t =
       match acc with
       | Some _ -> acc
       | None ->
-          if
-            cs.cs_pins = 0 && cs.cs_path <> "/"
-            && (not (Hashtbl.mem t.refs cs.cs_cid))
-            && live t cs
-          then Some cs
-          else None)
+          let idle = cs.cs_pins = 0 && not (Hashtbl.mem t.refs cs.cs_cid) in
+          if idle && cs.cs_path <> "/" && live t cs then Some cs else None)
     t.sessions None
 
 (* The kernel mapping alone.  When KernFS's table says every usable MPK
@@ -217,10 +207,9 @@ let victim t =
    get touched (64 processes would otherwise fault on a shared log's pages
    while holding its lease). *)
 let kernel_map t cid =
+  let mapped = K.mapped_coffers t.kfs in
   let victim =
-    if
-      Option.is_none (K.mapping_of t.kfs cid)
-      && List.length (K.mapped_coffers t.kfs) >= Mpk.nkeys - 1
+    if List.length mapped >= Mpk.nkeys - 1 && not (List.mem_assoc cid mapped)
     then victim t
     else None
   in
@@ -270,12 +259,15 @@ let map_coffer t cid =
               cs_pins = 0;
             }
           in
+          (* An older session of the cid is dead (the coffer was unmapped,
+             or deleted and its cid reused): it goes, and its path too. *)
+          Option.iter (forget_session t) (Hashtbl.find_opt t.sessions cid);
           Hashtbl.replace t.sessions cid cs;
           Hashtbl.replace t.by_path info.Coffer.path cid;
           Obs.cnt "coffer.maps" 1;
           (* The root-file address now comes from the kernel's mapping, not
              from whatever dentry pointed here: validated (G3). *)
-          Check.validate_cross t.dev m.K.m_root_file;
+          Check.validate_cross t.dev cs.cs_map.K.m_root_file;
           Ok cs
       | None ->
           ignore (K.coffer_unmap t.kfs cid);
@@ -305,10 +297,10 @@ let rec anchor t path =
       | None -> None
     in
     match cached with
-    | Some cs ->
+    | Some cs when cs.cs_path = p ->
         Obs.set_op_coffer cs.cs_cid;
         Ok cs
-    | None -> if p = "/" then cold_anchor t path else go (Pathx.dirname p)
+    | _ -> if p = "/" then cold_anchor t path else go (Pathx.dirname p)
   in
   go path
 
@@ -485,8 +477,9 @@ let create_entry t ~path ~kind ~mode ?symlink_target () =
         else (mode, uid, gid)
       in
       let* ino =
-        as_outcome
-          (new_inode_same_coffer t pcs ~kind ~mode:imode ~uid:iuid ~gid:igid)
+        match new_inode_same_coffer t pcs ~kind ~mode:imode ~uid:iuid ~gid:igid with
+        | Ok i -> Ok i
+        | Error e -> Error (Ui.Errno e)
       in
       (match symlink_target with
       | Some target ->
@@ -505,18 +498,18 @@ let create_entry t ~path ~kind ~mode ?symlink_target () =
       (* Different permission: the file gets its own coffer (paper §3.1).
          Mapping it must not evict the parent the dentry goes into. *)
       with_pinned pcs @@ fun () ->
-      let* ncs =
-        as_outcome (create_sub_coffer t ~path:full_path ~kind ~mode ~uid ~gid)
-      in
-      match
-        insert_dentry t pcs ~dir_ino ~name:base ~kind ~coffer:ncs.cs_cid
-          ~inode:ncs.cs_map.K.m_root_file
-      with
-      | Ok () -> Ok (ncs, ncs.cs_map.K.m_root_file)
-      | Error e ->
-          forget_session t ncs;
-          ignore (K.coffer_delete t.kfs ncs.cs_cid);
-          Error (Ui.Errno e)
+      match create_sub_coffer t ~path:full_path ~kind ~mode ~uid ~gid with
+      | Error e -> Error (Ui.Errno e)
+      | Ok ncs -> (
+          match
+            insert_dentry t pcs ~dir_ino ~name:base ~kind ~coffer:ncs.cs_cid
+              ~inode:ncs.cs_map.K.m_root_file
+          with
+          | Ok () -> Ok (ncs, ncs.cs_map.K.m_root_file)
+          | Error e ->
+              forget_session t ncs;
+              ignore (K.coffer_delete t.kfs ncs.cs_cid);
+              Error (Ui.Errno e))
     end
 
 (* ---- handles -------------------------------------------------------------- *)
@@ -673,63 +666,94 @@ let unlink t path : unit Ui.outcome =
   let* pcs, dir_ino, _, base = walk_parent t path in
   if not pcs.cs_map.K.m_writable then Ui.errno E.EACCES
   else
-    let* de = as_outcome (find_dentry t pcs ~dir_ino base) in
-    if de.Dir.de_kind = Layout.kind_directory then Ui.errno E.EISDIR
-    else if de.Dir.de_coffer <> 0 then begin
-      (* The file is its own coffer: KernFS reclaims all its pages. *)
-      let* () = as_outcome (K.coffer_delete t.kfs de.Dir.de_coffer) in
-      as_outcome (remove_dentry_locked t pcs ~dir_ino base)
-    end
-    else begin
-      let* () = as_outcome (remove_dentry_locked t pcs ~dir_ino base) in
-      with_coffer t pcs ~write:true (fun () ->
-          let ino = de.Dir.de_inode in
-          if de.Dir.de_kind = Layout.kind_regular then
-            File.free_all t.dev pcs.cs_balloc ~ino;
-          Balloc.free_page pcs.cs_balloc ino);
-      Ok ()
-    end
+    match find_dentry t pcs ~dir_ino base with
+    | Error e -> Error (Ui.Errno e)
+    | Ok de ->
+        if de.Dir.de_kind = Layout.kind_directory then Ui.errno E.EISDIR
+        else if de.Dir.de_coffer <> 0 then begin
+          (* The file is its own coffer: KernFS reclaims all its pages. *)
+          match K.coffer_delete t.kfs de.Dir.de_coffer with
+          | Error e -> Error (Ui.Errno e)
+          | Ok () -> (
+              Hashtbl.remove t.refs de.Dir.de_coffer;
+              match remove_dentry_locked t pcs ~dir_ino base with
+              | Ok () -> Ok ()
+              | Error e -> Error (Ui.Errno e))
+        end
+        else begin
+          match remove_dentry_locked t pcs ~dir_ino base with
+          | Error e -> Error (Ui.Errno e)
+          | Ok () ->
+              with_coffer t pcs ~write:true (fun () ->
+                  let ino = de.Dir.de_inode in
+                  if de.Dir.de_kind = Layout.kind_regular then
+                    File.free_all t.dev pcs.cs_balloc ~ino;
+                  Balloc.free_page pcs.cs_balloc ino);
+              Ok ()
+        end
 
 let rmdir t path : unit Ui.outcome =
   let* pcs, dir_ino, _, base = walk_parent t path in
   if not pcs.cs_map.K.m_writable then Ui.errno E.EACCES
   else
-    let* de = as_outcome (find_dentry t pcs ~dir_ino base) in
-    let is_empty cs ~ino =
-      Race.intentional_racy t.dev ~site:"dir.lockfree-is-empty"
-        ~justification:
-          "advisory emptiness probe before the delete path; a racing \
-           create loses either way — the dentry remove runs under the \
-           directory lease and a stale answer only turns into \
-           ENOTEMPTY or a benign retry"
-        (fun () ->
-          with_coffer t cs ~write:false (fun () -> Dir.is_empty t.dev ~ino))
-    in
-    if de.Dir.de_kind <> Layout.kind_directory then Ui.errno E.ENOTDIR
-    else if de.Dir.de_coffer <> 0 then begin
-      (* Mapping the directory's coffer must not evict its parent. *)
-      with_pinned pcs @@ fun () ->
-      let* tcs = as_outcome (session_of_cid t de.Dir.de_coffer) in
-      if not (is_empty tcs ~ino:tcs.cs_map.K.m_root_file) then
-        Ui.errno E.ENOTEMPTY
-      else begin
-        forget_session t tcs;
-        let* () = as_outcome (K.coffer_delete t.kfs de.Dir.de_coffer) in
-        as_outcome (remove_dentry_locked t pcs ~dir_ino base)
-      end
-    end
-    else begin
-      let ino = de.Dir.de_inode in
-      if not (is_empty pcs ~ino) then Ui.errno E.ENOTEMPTY
-      else
-        let* () = as_outcome (remove_dentry_locked t pcs ~dir_ino base) in
-        with_coffer t pcs ~write:true (fun () ->
-            List.iter
-              (fun p -> Balloc.free_page pcs.cs_balloc p)
-              (Dir.structure_pages t.dev ~ino);
-            Balloc.free_page pcs.cs_balloc ino);
-        Ok ()
-    end
+    match find_dentry t pcs ~dir_ino base with
+    | Error e -> Error (Ui.Errno e)
+    | Ok de ->
+        if de.Dir.de_kind <> Layout.kind_directory then Ui.errno E.ENOTDIR
+        else if de.Dir.de_coffer <> 0 then begin
+          (* Mapping the directory's coffer must not evict its parent. *)
+          with_pinned pcs @@ fun () ->
+          match session_of_cid t de.Dir.de_coffer with
+          | Error e -> Error (Ui.Errno e)
+          | Ok tcs ->
+              let empty =
+                Race.intentional_racy t.dev ~site:"dir.lockfree-is-empty"
+                  ~justification:
+                    "advisory emptiness probe before the delete path; a \
+                     racing create loses either way — the dentry remove runs \
+                     under the directory lease and a stale answer only turns \
+                     into ENOTEMPTY or a benign retry"
+                  (fun () ->
+                    with_coffer t tcs ~write:false (fun () ->
+                        Dir.is_empty t.dev ~ino:tcs.cs_map.K.m_root_file))
+              in
+              if not empty then Ui.errno E.ENOTEMPTY
+              else begin
+                forget_session t tcs;
+                match K.coffer_delete t.kfs de.Dir.de_coffer with
+                | Error e -> Error (Ui.Errno e)
+                | Ok () -> (
+                    Hashtbl.remove t.refs de.Dir.de_coffer;
+                    match remove_dentry_locked t pcs ~dir_ino base with
+                    | Ok () -> Ok ()
+                    | Error e -> Error (Ui.Errno e))
+              end
+        end
+        else begin
+          let ino = de.Dir.de_inode in
+          let empty =
+            Race.intentional_racy t.dev ~site:"dir.lockfree-is-empty"
+              ~justification:
+                "advisory emptiness probe before the delete path; a racing \
+                 create loses either way — the dentry remove runs under the \
+                 directory lease and a stale answer only turns into \
+                 ENOTEMPTY or a benign retry"
+              (fun () ->
+                with_coffer t pcs ~write:false (fun () ->
+                    Dir.is_empty t.dev ~ino))
+          in
+          if not empty then Ui.errno E.ENOTEMPTY
+          else
+            match remove_dentry_locked t pcs ~dir_ino base with
+            | Error e -> Error (Ui.Errno e)
+            | Ok () ->
+                with_coffer t pcs ~write:true (fun () ->
+                    List.iter
+                      (fun p -> Balloc.free_page pcs.cs_balloc p)
+                      (Dir.structure_pages t.dev ~ino);
+                    Balloc.free_page pcs.cs_balloc ino);
+                Ok ()
+        end
 
 (* ---- rename ----------------------------------------------------------------- *)
 
@@ -769,150 +793,192 @@ let rename t src dst : unit Ui.outcome =
     (* The walk to the destination must not evict the source's parent. *)
     with_pinned spcs @@ fun () ->
     let* dpcs, ddir, ddirpath, dbase = walk_parent t dst in
-    if not (spcs.cs_map.K.m_writable && dpcs.cs_map.K.m_writable) then
-      Ui.errno E.EACCES
+    if not (spcs.cs_map.K.m_writable && dpcs.cs_map.K.m_writable) then Ui.errno E.EACCES
     else
-      let* de = as_outcome (find_dentry t spcs ~dir_ino:sdir sbase) in
-      (* Displace an existing destination (files only). *)
-      let* () =
-        match find_dentry t dpcs ~dir_ino:ddir dbase with
-        | Error E.ENOENT -> Ok ()
-        | Error e -> Error (Ui.Errno e)
-        | Ok dde ->
-            if dde.Dir.de_kind = Layout.kind_directory then Ui.errno E.EISDIR
-            else unlink t (Pathx.concat ddirpath dbase)
-      in
-      let dst_path = Pathx.concat ddirpath dbase in
-      let kind =
-        match Inode.kind_of_code de.Dir.de_kind with
-        | Some k -> k
-        | None -> Inode.Regular
-      in
-      let unlink_src () =
-        as_outcome (remove_dentry_locked t spcs ~dir_ino:sdir sbase)
-      in
-      if de.Dir.de_coffer <> 0 then begin
-        (* The moved file is a coffer root: rename the coffer (and all
-           descendant coffer paths) in the kernel, then move the dentry. *)
-        let* () =
-          as_outcome (K.coffer_rename t.kfs de.Dir.de_coffer ~new_path:dst_path)
-        in
-        (* Fix the user-space path caches for every session under the old
-           prefix. *)
-        let old_prefix = Pathx.normalize src in
-        Hashtbl.iter
-          (fun _ cs ->
-            if Pathx.is_prefix ~prefix:old_prefix cs.cs_path then begin
-              Hashtbl.remove t.by_path cs.cs_path;
-              cs.cs_path <-
-                Pathx.replace_prefix ~old_prefix ~new_prefix:dst_path cs.cs_path;
-              Hashtbl.replace t.by_path cs.cs_path cs.cs_cid
-            end)
-          t.sessions;
-        let* () =
-          as_outcome
-            (insert_dentry t dpcs ~dir_ino:ddir ~name:dbase ~kind
-               ~coffer:de.Dir.de_coffer ~inode:de.Dir.de_inode)
-        in
-        unlink_src ()
-      end
-      else if spcs.cs_cid = dpcs.cs_cid then begin
-        (* Cheap case: both directories live in the same coffer — move the
-           dentry. *)
-        let* () =
-          as_outcome
-            (insert_dentry t dpcs ~dir_ino:ddir ~name:dbase ~kind ~coffer:0
-               ~inode:de.Dir.de_inode)
-        in
-        unlink_src ()
-      end
-      else if de.Dir.de_kind = Layout.kind_directory then Ui.errno E.EXDEV
-      else begin
-        (* The worst case (paper §6.4): moving a plain file into a directory
-           owned by a different coffer.  The pages must change coffer:
-           split them out of the source coffer and merge them into the
-           destination's. *)
-        let ino = de.Dir.de_inode in
-        let pages =
-          with_coffer t spcs ~write:false (fun () ->
-              if de.Dir.de_kind = Layout.kind_regular then
-                ino :: File.data_pages t.dev ~ino
-              else [ ino ])
-        in
-        (* Stage 1: split the file's pages into a transient coffer with the
-           destination coffer's permission. *)
-        let* custom =
-          as_outcome
-            (with_coffer t spcs ~write:true (fun () ->
-                 Balloc.alloc_page spcs.cs_balloc))
-        in
-        with_coffer t spcs ~write:true (fun () -> Balloc.format t.dev ~custom);
-        let tmp_path = dst_path ^ ".zofs-mv" in
-        let* info =
-          as_outcome
-            (K.coffer_split t.kfs ~src:spcs.cs_cid ~new_path:tmp_path ~ctype
-               ~mode:dpcs.cs_mode ~uid:dpcs.cs_uid ~gid:dpcs.cs_gid
-               ~runs:(runs_of_pages (custom :: pages))
-               ~root_file:ino ~custom)
-        in
-        (* Stage 2: link the destination name *first*, as a cross-coffer
-           reference to the transient coffer, and only then unlink the
-           source and merge.  At every crash point at least one durable
-           name reaches the file: before the link the transient coffer's
-           registered scratch path is the breadcrumb; after the merge the
-           destination dentry is, and the only remaining fixup is
-           retargeting its coffer field — which recovery can redo from
-           page ownership. *)
-        let* () =
-          as_outcome
-            (insert_dentry t dpcs ~dir_ino:ddir ~name:dbase ~kind
-               ~coffer:info.Coffer.id ~inode:ino)
-        in
-        let* () = unlink_src () in
-        (* Stage 3: merge the transient coffer into the destination coffer
-           and retarget the dentry to the now-local inode. *)
-        let* () =
-          as_outcome (K.coffer_merge t.kfs ~dst:dpcs.cs_cid ~src:info.Coffer.id)
-        in
-        with_coffer t dpcs ~write:true (fun () ->
-            (match Dir.retarget t.dev ~ino:ddir dbase ~coffer:0 ~inode:ino with
-            | Ok () | Error _ -> ());
-            (* The custom page of the transient coffer is now an ordinary
-               page of dst's coffer. *)
-            Balloc.free_page dpcs.cs_balloc custom);
-        Ok ()
-      end
+      match find_dentry t spcs ~dir_ino:sdir sbase with
+      | Error e -> Error (Ui.Errno e)
+      | Ok de -> (
+          (* Displace an existing destination (files only). *)
+          let* () =
+            match find_dentry t dpcs ~dir_ino:ddir dbase with
+            | Error E.ENOENT -> Ok ()
+            | Error e -> Error (Ui.Errno e)
+            | Ok dde ->
+                if dde.Dir.de_kind = Layout.kind_directory then
+                  Ui.errno E.EISDIR
+                else unlink t (Pathx.concat ddirpath dbase)
+          in
+          let dst_path = Pathx.concat ddirpath dbase in
+          if de.Dir.de_coffer <> 0 then begin
+            (* The moved file is a coffer root: rename the coffer (and all
+               descendant coffer paths) in the kernel, then move the
+               dentry. *)
+            match K.coffer_rename t.kfs de.Dir.de_coffer ~new_path:dst_path with
+            | Error e -> Error (Ui.Errno e)
+            | Ok () ->
+                (* Fix the user-space path caches for every session under
+                   the old prefix. *)
+                let old_prefix = Pathx.normalize src in
+                Hashtbl.iter
+                  (fun _ cs ->
+                    if Pathx.is_prefix ~prefix:old_prefix cs.cs_path then begin
+                      Hashtbl.remove t.by_path cs.cs_path;
+                      cs.cs_path <-
+                        Pathx.replace_prefix ~old_prefix ~new_prefix:dst_path
+                          cs.cs_path;
+                      Hashtbl.replace t.by_path cs.cs_path cs.cs_cid
+                    end)
+                  t.sessions;
+                let* () =
+                  match
+                    insert_dentry t dpcs ~dir_ino:ddir ~name:dbase
+                      ~kind:
+                        (match Inode.kind_of_code de.Dir.de_kind with
+                        | Some k -> k
+                        | None -> Inode.Regular)
+                      ~coffer:de.Dir.de_coffer ~inode:de.Dir.de_inode
+                  with
+                  | Ok () -> Ok ()
+                  | Error e -> Error (Ui.Errno e)
+                in
+                (match remove_dentry_locked t spcs ~dir_ino:sdir sbase with
+                | Ok () -> Ok ()
+                | Error e -> Error (Ui.Errno e))
+          end
+          else if spcs.cs_cid = dpcs.cs_cid then begin
+            (* Cheap case: both directories live in the same coffer — move
+               the dentry. *)
+            let kind =
+              match Inode.kind_of_code de.Dir.de_kind with
+              | Some k -> k
+              | None -> Inode.Regular
+            in
+            let* () =
+              match
+                insert_dentry t dpcs ~dir_ino:ddir ~name:dbase ~kind
+                  ~coffer:0 ~inode:de.Dir.de_inode
+              with
+              | Ok () -> Ok ()
+              | Error e -> Error (Ui.Errno e)
+            in
+            match remove_dentry_locked t spcs ~dir_ino:sdir sbase with
+            | Ok () -> Ok ()
+            | Error e -> Error (Ui.Errno e)
+          end
+          else begin
+            (* The worst case (paper §6.4): moving a plain file into a
+               directory owned by a different coffer.  The pages must change
+               coffer: split them out of the source coffer and merge them
+               into the destination's. *)
+            if de.Dir.de_kind = Layout.kind_directory then Ui.errno E.EXDEV
+            else begin
+              let ino = de.Dir.de_inode in
+              let pages =
+                with_coffer t spcs ~write:false (fun () ->
+                    if de.Dir.de_kind = Layout.kind_regular then
+                      ino :: File.data_pages t.dev ~ino
+                    else [ ino ])
+              in
+              (* Stage 1: split the file's pages into a transient coffer
+                 with the destination coffer's permission. *)
+              let tmp_custom =
+                with_coffer t spcs ~write:true (fun () ->
+                    Balloc.alloc_page spcs.cs_balloc)
+              in
+              match tmp_custom with
+              | Error e -> Error (Ui.Errno e)
+              | Ok custom -> (
+                  with_coffer t spcs ~write:true (fun () ->
+                      Balloc.format t.dev ~custom);
+                  let tmp_path = dst_path ^ ".zofs-mv" in
+                  match
+                    K.coffer_split t.kfs ~src:spcs.cs_cid ~new_path:tmp_path
+                      ~ctype ~mode:dpcs.cs_mode ~uid:dpcs.cs_uid
+                      ~gid:dpcs.cs_gid
+                      ~runs:(runs_of_pages (custom :: pages))
+                      ~root_file:ino ~custom
+                  with
+                  | Error e -> Error (Ui.Errno e)
+                  | Ok info -> (
+                      (* Stage 2: link the destination name *first*, as a
+                         cross-coffer reference to the transient coffer, and
+                         only then unlink the source and merge.  At every
+                         crash point at least one durable name reaches the
+                         file: before the link the transient coffer's
+                         registered scratch path is the breadcrumb; after
+                         the merge the destination dentry is, and the only
+                         remaining fixup is retargeting its coffer field —
+                         which recovery can redo from page ownership. *)
+                      let kind =
+                        match Inode.kind_of_code de.Dir.de_kind with
+                        | Some k -> k
+                        | None -> Inode.Regular
+                      in
+                      let* () =
+                        match
+                          insert_dentry t dpcs ~dir_ino:ddir ~name:dbase
+                            ~kind ~coffer:info.Coffer.id ~inode:ino
+                        with
+                        | Ok () -> Ok ()
+                        | Error e -> Error (Ui.Errno e)
+                      in
+                      let* () =
+                        match
+                          remove_dentry_locked t spcs ~dir_ino:sdir sbase
+                        with
+                        | Ok () -> Ok ()
+                        | Error e -> Error (Ui.Errno e)
+                      in
+                      (* Stage 3: merge the transient coffer into the
+                         destination coffer and retarget the dentry to the
+                         now-local inode. *)
+                      match
+                        K.coffer_merge t.kfs ~dst:dpcs.cs_cid
+                          ~src:info.Coffer.id
+                      with
+                      | Error e -> Error (Ui.Errno e)
+                      | Ok () ->
+                          with_coffer t dpcs ~write:true (fun () ->
+                              (match
+                                 Dir.retarget t.dev ~ino:ddir dbase ~coffer:0
+                                   ~inode:ino
+                               with
+                              | Ok () | Error _ -> ());
+                              (* The custom page of the transient coffer is
+                                 now an ordinary page of dst's coffer. *)
+                              Balloc.free_page dpcs.cs_balloc custom);
+                          Ok ()))
+            end
+          end)
 
 (* ---- chmod / chown ----------------------------------------------------------- *)
 
 let apply_perm_change t path ~new_mode ~new_uid ~new_gid : unit Ui.outcome =
   let* r = walk t path ~follow_last:true in
   let cs = r.r_cs in
-  let read_perm f =
+  let cur_uid, cur_gid =
     Race.intentional_racy t.dev ~site:"inode.lockfree-perm-read"
       ~justification:
         "chmod/chown reads the current owner/mode without the inode lease \
          to fill in unchanged fields; a concurrent perm change is a \
          last-writer-wins race POSIX already exposes, and rw-bit changes \
          are serialized by the kernel coffer_chmod path"
-      (fun () -> with_coffer t cs ~write:false f)
+      (fun () ->
+        with_coffer t cs ~write:false (fun () ->
+            (Inode.uid t.dev ~ino:r.r_ino, Inode.gid t.dev ~ino:r.r_ino)))
   in
-  let cur_uid, cur_gid =
-    read_perm (fun () ->
-        (Inode.uid t.dev ~ino:r.r_ino, Inode.gid t.dev ~ino:r.r_ino))
-  in
-  let mode =
-    match new_mode with
-    | Some m -> m
-    | None -> read_perm (fun () -> Inode.mode t.dev ~ino:r.r_ino)
+  let mode = match new_mode with Some m -> m | None ->
+    Race.intentional_racy t.dev ~site:"inode.lockfree-perm-read"
+      ~justification:
+        "chmod/chown reads the current owner/mode without the inode lease \
+         to fill in unchanged fields; a concurrent perm change is a \
+         last-writer-wins race POSIX already exposes, and rw-bit changes \
+         are serialized by the kernel coffer_chmod path"
+      (fun () ->
+        with_coffer t cs ~write:false (fun () -> Inode.mode t.dev ~ino:r.r_ino))
   in
   let uid = Option.value ~default:cur_uid new_uid in
   let gid = Option.value ~default:cur_gid new_gid in
-  let set_perm cs =
-    with_coffer t cs ~write:true (fun () ->
-        Inode.set_mode t.dev ~ino:r.r_ino mode;
-        Inode.set_owner t.dev ~ino:r.r_ino ~uid ~gid)
-  in
   let c = cred () in
   if c.Ft.uid <> 0 && c.Ft.uid <> cur_uid then Ui.errno E.EPERM
   else if t.variant.one_coffer then begin
@@ -920,95 +986,126 @@ let apply_perm_change t path ~new_mode ~new_uid ~new_gid : unit Ui.outcome =
        handled in user space (paper §6.4). *)
     if not cs.cs_map.K.m_writable then Ui.errno E.EACCES
     else begin
-      set_perm cs;
+      with_coffer t cs ~write:true (fun () ->
+          Inode.set_mode t.dev ~ino:r.r_ino mode;
+          Inode.set_owner t.dev ~ino:r.r_ino ~uid ~gid);
       Ok ()
     end
   end
   else if same_perm_as_coffer cs ~mode ~uid ~gid then begin
     (* Only non-rw bits changed: a pure user-space inode update. *)
-    set_perm cs;
+    with_coffer t cs ~write:true (fun () ->
+        Inode.set_mode t.dev ~ino:r.r_ino mode;
+        Inode.set_owner t.dev ~ino:r.r_ino ~uid ~gid);
     Ok ()
   end
   else if r.r_ino = cs.cs_map.K.m_root_file then begin
     (* The file is a coffer root: change the coffer's permission in the
        kernel. *)
-    let* () = as_outcome (K.coffer_chmod t.kfs cs.cs_cid ~mode ~uid ~gid) in
-    (* The kernel unmapped the coffer from everyone; remap.  We may no
-       longer have access under the new permission; the change itself
-       succeeded. *)
-    match map_coffer t cs.cs_cid with
-    | Error _ -> Ok ()
-    | Ok ncs -> (
-        set_perm ncs;
-        (* If the new permission matches the parent directory's coffer, the
-           split is no longer needed: merge back (coffer_merge, paper §3.3)
-           and turn the dentry into a same-coffer entry. *)
-        if r.r_path = "/" then Ok ()
-        else
-          match walk_parent t r.r_path with
-          | Ok (pcs, dir_ino, _, base)
-            when pcs.cs_cid <> ncs.cs_cid
-                 && same_perm_as_coffer pcs ~mode ~uid ~gid -> (
-              let custom = ncs.cs_map.K.m_custom in
-              forget_session t ncs;
-              match K.coffer_merge t.kfs ~dst:pcs.cs_cid ~src:ncs.cs_cid with
-              | Error _ -> Ok () (* split state remains; still correct *)
-              | Ok () ->
-                  let* () =
-                    as_outcome
-                      (with_coffer t pcs ~write:true (fun () ->
-                           with_inode_lease t ~balloc:pcs.cs_balloc
-                             ~ino:dir_ino (fun () ->
-                               Dir.retarget t.dev ~ino:dir_ino base ~coffer:0
-                                 ~inode:r.r_ino)))
-                  in
-                  (* the old custom page is now an ordinary page of the
-                     parent coffer *)
-                  with_coffer t pcs ~write:true (fun () ->
-                      Balloc.free_page pcs.cs_balloc
-                        (custom / Layout.page_size * Layout.page_size));
-                  Ok ())
-          | Ok _ | Error _ -> Ok ())
+    match K.coffer_chmod t.kfs cs.cs_cid ~mode ~uid ~gid with
+    | Error e -> Error (Ui.Errno e)
+    | Ok () -> (
+        (* The kernel unmapped the coffer from everyone; remap. *)
+        let finish_inode () =
+          match map_coffer t cs.cs_cid with
+          | Ok ncs ->
+              with_coffer t ncs ~write:true (fun () ->
+                  Inode.set_mode t.dev ~ino:r.r_ino mode;
+                  Inode.set_owner t.dev ~ino:r.r_ino ~uid ~gid);
+              Ok (Some ncs)
+          | Error _ ->
+              (* We may no longer have access under the new permission; the
+                 change itself succeeded. *)
+              Ok None
+        in
+        match finish_inode () with
+        | Error e -> Error (Ui.Errno e)
+        | Ok None -> Ok ()
+        | Ok (Some ncs) ->
+            (* If the new permission matches the parent directory's coffer,
+               the split is no longer needed: merge back (coffer_merge,
+               paper §3.3) and turn the dentry into a same-coffer entry. *)
+            if r.r_path = "/" then Ok ()
+            else (
+              match walk_parent t r.r_path with
+              | Error _ -> Ok ()
+              | Ok (pcs, dir_ino, _, base) ->
+                  if
+                    pcs.cs_cid <> ncs.cs_cid
+                    && same_perm_as_coffer pcs ~mode ~uid ~gid
+                  then begin
+                    let custom = ncs.cs_map.K.m_custom in
+                    forget_session t ncs;
+                    match K.coffer_merge t.kfs ~dst:pcs.cs_cid ~src:ncs.cs_cid with
+                    | Error _ -> Ok () (* split state remains; still correct *)
+                    | Ok () ->
+                        let retargeted =
+                          with_coffer t pcs ~write:true (fun () ->
+                              with_inode_lease t ~balloc:pcs.cs_balloc
+                                ~ino:dir_ino (fun () ->
+                                  Dir.retarget t.dev ~ino:dir_ino base ~coffer:0
+                                    ~inode:r.r_ino))
+                        in
+                        (match retargeted with
+                        | Ok () ->
+                            (* the old custom page is now an ordinary page of
+                               the parent coffer *)
+                            with_coffer t pcs ~write:true (fun () ->
+                                Balloc.free_page pcs.cs_balloc
+                                  (custom / Layout.page_size * Layout.page_size));
+                            Ok ()
+                        | Error e -> Error (Ui.Errno e))
+                  end
+                  else Ok ()))
   end
   else begin
     (* The expensive path (paper §6.4, Table 9): split the file's pages into
        a brand-new coffer with the new permission. *)
     let* pcs, dir_ino, _, base = walk_parent t path in
-    let* custom =
-      as_outcome
-        (with_coffer t cs ~write:true (fun () -> Balloc.alloc_page cs.cs_balloc))
+    let custom_r =
+      with_coffer t cs ~write:true (fun () -> Balloc.alloc_page cs.cs_balloc)
     in
-    with_coffer t cs ~write:true (fun () -> Balloc.format t.dev ~custom);
-    let pages =
-      Race.intentional_racy t.dev ~site:"inode.lockfree-subtree-scan"
-        ~justification:
-          "coffer-split page census walks the subtree without leases; the \
-           kernel's coffer_split re-validates the run list against its own \
-           page ownership map, so a concurrent mutation can only fail the \
-           split, never corrupt ownership"
-        (fun () ->
-          with_coffer t cs ~write:false (fun () ->
-              subtree_pages t t.dev ~ino:r.r_ino []))
-    in
-    let* info =
-      as_outcome
-        (K.coffer_split t.kfs ~src:cs.cs_cid ~new_path:r.r_path ~ctype ~mode
-           ~uid ~gid
-           ~runs:(runs_of_pages (custom :: pages))
-           ~root_file:r.r_ino ~custom)
-    in
-    (* Point the parent dentry at the new coffer. *)
-    let* () =
-      as_outcome
-        (with_coffer t pcs ~write:true (fun () ->
-             with_inode_lease t ~balloc:pcs.cs_balloc ~ino:dir_ino (fun () ->
-                 Dir.retarget t.dev ~ino:dir_ino base ~coffer:info.Coffer.id
-                   ~inode:r.r_ino)))
-    in
-    (match map_coffer t info.Coffer.id with
-    | Ok ncs -> set_perm ncs
-    | Error _ -> ());
-    Ok ()
+    match custom_r with
+    | Error e -> Error (Ui.Errno e)
+    | Ok custom -> (
+        with_coffer t cs ~write:true (fun () -> Balloc.format t.dev ~custom);
+        let pages =
+          Race.intentional_racy t.dev ~site:"inode.lockfree-subtree-scan"
+            ~justification:
+              "coffer-split page census walks the subtree without leases; \
+               the kernel's coffer_split re-validates the run list against \
+               its own page ownership map, so a concurrent mutation can \
+               only fail the split, never corrupt ownership"
+            (fun () ->
+              with_coffer t cs ~write:false (fun () ->
+                  subtree_pages t t.dev ~ino:r.r_ino []))
+        in
+        match
+          K.coffer_split t.kfs ~src:cs.cs_cid ~new_path:r.r_path ~ctype ~mode
+            ~uid ~gid
+            ~runs:(runs_of_pages (custom :: pages))
+            ~root_file:r.r_ino ~custom
+        with
+        | Error e -> Error (Ui.Errno e)
+        | Ok info -> (
+            (* Point the parent dentry at the new coffer. *)
+            let retargeted =
+              with_coffer t pcs ~write:true (fun () ->
+                  with_inode_lease t ~balloc:pcs.cs_balloc ~ino:dir_ino
+                    (fun () ->
+                      Dir.retarget t.dev ~ino:dir_ino base
+                        ~coffer:info.Coffer.id ~inode:r.r_ino))
+            in
+            match retargeted with
+            | Error e -> Error (Ui.Errno e)
+            | Ok () -> (
+                match map_coffer t info.Coffer.id with
+                | Ok ncs ->
+                    with_coffer t ncs ~write:true (fun () ->
+                        Inode.set_mode t.dev ~ino:r.r_ino mode;
+                        Inode.set_owner t.dev ~ino:r.r_ino ~uid ~gid);
+                    Ok ()
+                | Error _ -> Ok ())))
   end
 
 let chmod t path mode = apply_perm_change t path ~new_mode:(Some mode) ~new_uid:None ~new_gid:None
@@ -1020,7 +1117,9 @@ let chown t path uid gid =
 let close t h =
   let* hd = handle t h in
   Hashtbl.remove t.handles h;
+  (* A deleted coffer's count is gone already ([unlink], [rmdir]). *)
   (match open_refs t hd.h_cid with
+  | 0 -> ()
   | 1 -> Hashtbl.remove t.refs hd.h_cid
   | n -> Hashtbl.replace t.refs hd.h_cid (n - 1));
   Ok ()

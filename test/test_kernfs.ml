@@ -165,15 +165,14 @@ let test_map_exhausts_15_regions () =
       ok_or_fail (K.coffer_unmap kfs first);
       ignore (ok_or_fail (K.coffer_map kfs extra.Coffer.id)))
 
-(* [mapping_of] hands back the record [coffer_map] returned: the same one
-   while the mapping lasts, none once another process's chmod tore it
-   down, a new one after the remap. *)
-let test_mapping_of_is_the_record () =
+(* KernFS holds the record [coffer_map] returned: the same one while the
+   mapping lasts, none once another process's chmod tore it down, a new one
+   after the remap. *)
+let test_holds_the_record () =
   let _, _, kfs = mk () in
   let a = Sim.Proc.create ~uid:1000 ~gid:1000 ()
   and b = Sim.Proc.create ~uid:1000 ~gid:1000 () in
   let cid = ref 0 and first = ref None in
-  let is_record m = function Some m' -> m' == m | None -> false in
   Sim.run_thread ~proc:a (fun () ->
       ok_or_fail (K.fs_mount kfs);
       let c =
@@ -183,28 +182,28 @@ let test_mapping_of_is_the_record () =
       in
       cid := c.Coffer.id;
       let m = ok_or_fail (K.coffer_map kfs !cid) in
-      Alcotest.(check bool) "the record" true (is_record m (K.mapping_of kfs !cid));
+      Alcotest.(check bool) "held" true (K.holds kfs !cid m);
       Alcotest.(check bool) "a map of a mapped coffer: the same record" true
         (ok_or_fail (K.coffer_map kfs !cid) == m);
       first := Some m);
+  let m1 = Option.get !first in
   Sim.run_thread ~proc:b (fun () ->
       ok_or_fail (K.fs_mount kfs);
-      Alcotest.(check bool) "not b's" true (K.mapping_of kfs !cid = None);
+      Alcotest.(check bool) "not b's" false (K.holds kfs !cid m1);
       ok_or_fail (K.coffer_chmod kfs !cid ~mode:0o640 ~uid:1000 ~gid:1000));
   Sim.run_thread ~proc:a (fun () ->
-      Alcotest.(check bool) "gone after b's chmod" true
-        (K.mapping_of kfs !cid = None);
+      Alcotest.(check bool) "gone after b's chmod" false (K.holds kfs !cid m1);
       let m = ok_or_fail (K.coffer_map kfs !cid) in
-      Alcotest.(check bool) "a remap: a new record" false
-        (is_record m !first);
-      Alcotest.(check bool) "the new record" true
-        (is_record m (K.mapping_of kfs !cid));
+      Alcotest.(check bool) "a remap: a new record" false (m == m1);
+      Alcotest.(check bool) "the new record held" true (K.holds kfs !cid m);
+      Alcotest.(check bool) "the old one not" false (K.holds kfs !cid m1);
       (* A µFS checks it on every op: neither a hit nor a miss allocates
          (the slack is the boxed floats [Gc.minor_words] returns). *)
+      let root = K.root_coffer kfs in
       let before = Gc.minor_words () in
       for _ = 1 to 1000 do
-        ignore (Sys.opaque_identity (K.mapping_of kfs !cid));
-        ignore (Sys.opaque_identity (K.mapping_of kfs (K.root_coffer kfs)))
+        ignore (Sys.opaque_identity (K.holds kfs !cid m));
+        ignore (Sys.opaque_identity (K.holds kfs root m))
       done;
       Alcotest.(check bool) "allocates nothing" true
         (Gc.minor_words () -. before < 10.))
@@ -1695,8 +1694,8 @@ let () =
           Alcotest.test_case "group read-only" `Quick
             test_coffer_map_readonly_for_group;
           Alcotest.test_case "15 regions max" `Quick test_map_exhausts_15_regions;
-          Alcotest.test_case "mapping_of is coffer_map's record" `Quick
-            test_mapping_of_is_the_record;
+          Alcotest.test_case "KernFS holds coffer_map's record" `Quick
+            test_holds_the_record;
         ] );
       ( "space",
         [

@@ -1098,6 +1098,46 @@ let test_foreign_unmap_frees_key () =
       Alcotest.(check int) "the free key taken" 15
         (List.length (K.mapped_coffers w.kfs)))
 
+(* A deleted coffer's cid goes to the next coffer made.  What the process
+   cached for the old coffer must not answer for the new one: not its path
+   (the old path, recreated as a plain file, reads back), and not its open
+   handle count (with 12 other coffers held open, the new coffer is the
+   only one a 16th map can evict). *)
+let test_reused_cid () =
+  let w = make_world () in
+  in_proc w (fun fs ->
+      ok_or_fail (V.mkdir fs "/d" 0o755);
+      ok_or_fail (V.write_file fs "/d/f" ~mode:0o700 "own");
+      ok_or_fail (V.write_file fs "/d/g" ~mode:0o755 "plain-g");
+      for i = 1 to 13 do
+        let dir = Printf.sprintf "/o%d" i in
+        ok_or_fail (V.mkdir fs dir 0o700);
+        ok_or_fail (V.write_file fs (dir ^ "/f") ~mode:0o700 dir)
+      done;
+      let old = ok_or_fail (K.coffer_find w.kfs "/d/f") in
+      let stale = ok_or_fail (V.openf fs "/d/f" [ Ft.O_RDONLY ] 0) in
+      ok_or_fail (V.unlink fs "/d/f");
+      ok_or_fail (V.mkdir fs "/q" 0o700);
+      Alcotest.(check int) "the cid is reused" old
+        (ok_or_fail (K.coffer_find w.kfs "/q"));
+      ok_or_fail (V.write_file fs "/d/f" ~mode:0o755 "plain-f");
+      Alcotest.(check string) "the old path" "plain-f"
+        (ok_or_fail (V.read_file fs "/d/f"));
+      let _held =
+        ok_or_fail (V.openf fs "/d/g" [ Ft.O_RDONLY ] 0)
+        :: List.init 12 (fun i ->
+               ok_or_fail
+                 (V.openf fs (Printf.sprintf "/o%d/f" (i + 1)) [ Ft.O_RDONLY ] 0))
+      in
+      ignore (ok_or_fail (V.stat fs "/q"));
+      Alcotest.(check int) "every key taken" 15
+        (List.length (K.mapped_coffers w.kfs));
+      Alcotest.(check string) "a map past 15 keys" "/o13"
+        (ok_or_fail (V.read_file fs "/o13/f"));
+      Alcotest.(check bool) "/q evicted" false
+        (List.mem_assoc old (K.mapped_coffers w.kfs));
+      ok_or_fail (V.close fs stale))
+
 let qcheck_fs_matches_model =
   (* Model-based: random create/write/unlink sequences must match an
      in-memory model. *)
@@ -1224,6 +1264,7 @@ let () =
             test_foreign_unmap_remaps;
           Alcotest.test_case "a foreign unmap frees a key" `Quick
             test_foreign_unmap_frees_key;
+          Alcotest.test_case "a reused cid starts clean" `Quick test_reused_cid;
           Alcotest.test_case "dispatcher surface" `Quick
             test_dispatcher_surface;
           Alcotest.test_case "variants are per instance" `Quick
