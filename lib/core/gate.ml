@@ -33,6 +33,13 @@ let syscall t f =
   Obs.with_kernel_crossing @@ fun () ->
   enter t (fun () -> Mpk.with_write_window t.mpk f)
 
+(* A system call that writes no NVM ([Kernfs.prefault]): counted and
+   charged as a syscall, but it opens no write window and, like every
+   kernel entry, completes once entered (no-kill). *)
+let syscall_ro t f =
+  t.syscalls <- t.syscalls + 1;
+  Obs.with_kernel_crossing @@ fun () -> Sim.with_no_kill @@ fun () -> enter t f
+
 (* A demand fault on a pending PTE: a kernel entry that pays what a syscall
    pays, but is no syscall (counted in [faults], not [syscalls]) and opens
    no write window, since it writes no NVM.  The calling thread completes it like any

@@ -38,6 +38,7 @@ type mapping = {
   m_root_file : int;  (* byte address of the coffer's root-file inode page *)
   m_custom : int;
   m_ctype : int;
+  m_lazy : bool;  (* made with [~populate:false]: its PTEs may be pending *)
 }
 
 (* Per-coffer fault-domain health (runtime state, rebuilt on mount):
@@ -189,6 +190,13 @@ let map_runs ?(populate = true) t ~pid ~cid ~pkey ~writable runs =
       if populate then charge_pages ~per_page:pte_update_cost len)
     runs
 
+(* Make those of [pages] that are pending in [pid]'s page table present
+   ([pid]'s page-table lock held), charged in one advance. *)
+let install_pending_pages t ~pid pages =
+  charge_pages ~per_page:pte_update_cost
+    (List.length
+       (List.filter (fun page -> Mpk.install_pending t.mpk ~pid ~page) pages))
+
 (* Teardown pays for the present PTEs only; pending ones go for free. *)
 let unmap_runs t ~pid runs =
   List.iter
@@ -257,6 +265,22 @@ let demand_fault t ~pid ~page =
           Sim.Mutex.with_lock ps.ps_pt (fun () ->
               if Mpk.install_pending t.mpk ~pid ~page then
                 Sim.advance pte_update_cost))
+
+(* Install, in one kernel entry, those of [pages] that are pending in the
+   caller's own page table, at [pte_update_cost] each (MADV_POPULATE_READ
+   over a list of pages).  Like [demand_fault] it takes only the caller's
+   page-table lock, never the kernel lock, and writes no NVM.  Every other
+   page (present, mapped by no coffer of the caller, pending only in
+   another process, negative or past the device end) is ignored: a pending
+   PTE is one [coffer_map] made, so this grants nothing the map did not. *)
+let prefault t ~pages =
+  Gate.syscall_ro t.gate (fun () ->
+      let pid = (Sim.self_proc ()).Sim.Proc.pid in
+      match Hashtbl.find_opt t.procs pid with
+      | None -> ()
+      | Some ps ->
+          Sim.Mutex.with_lock ps.ps_pt (fun () ->
+              install_pending_pages t ~pid pages))
 
 (* Allocate pages and create a fresh coffer root at the first granted page. *)
 let make_coffer t ~path ~ctype ~mode ~uid ~gid =
@@ -647,15 +671,12 @@ let coffer_shrink t cid ~runs =
    its tail ([pid]'s page-table lock held), one PTE each and no trap: the
    µFS reads all three as soon as it has the mapping. *)
 let install_header_pages t ~pid c =
-  charge_pages ~per_page:pte_update_cost
-    (List.length
-       (List.filter
-          (fun page -> Mpk.install_pending t.mpk ~pid ~page)
-          [
-            c.Coffer.id;
-            c.Coffer.root_file / Nvm.page_size;
-            c.Coffer.custom / Nvm.page_size;
-          ]))
+  install_pending_pages t ~pid
+    [
+      c.Coffer.id;
+      c.Coffer.root_file / Nvm.page_size;
+      c.Coffer.custom / Nvm.page_size;
+    ]
 
 (* Bookkeeping under the kernel lock; the PTEs are installed after it is
    released, under the caller's page-table lock alone.  With [evict], the
@@ -739,6 +760,7 @@ let coffer_map ?(populate = true) ?evict t cid =
                       m_root_file = c.Coffer.root_file;
                       m_custom = c.Coffer.custom;
                       m_ctype = c.Coffer.ctype;
+                      m_lazy = not populate;
                     }
                   in
                   Hashtbl.replace ps.ps_mapped cid m;
@@ -928,10 +950,14 @@ let coffer_recover_begin t cid =
         (mappers_of t cid);
       Ok (Alloc_table.runs_of t.at ~cid))
 
-(* The initiator reports the pages still in use; KernFS reclaims the rest.
-   Only the process that began the recovery may end it: one whose lease
-   expired and was taken over would report an in-use set from its own,
-   abandoned scan. *)
+(* The initiator reports the pages still in use; KernFS reclaims the rest,
+   tearing down the initiator's PTEs for them first (it is the only mapper
+   left): a freed page must not stay mapped under the coffer's key once
+   that key and the page go to other coffers.  Recovery maps lazily and
+   never touches a page it does not report, so those PTEs are pending and
+   the teardown is free.  Only the process that began the recovery may end
+   it: one whose lease expired and was taken over would report an in-use
+   set from its own, abandoned scan. *)
 let coffer_recover_end t cid ~in_use =
   kernel_op t (fun () ->
       let* c = coffer_info t cid in
@@ -956,7 +982,9 @@ let coffer_recover_end t cid ~in_use =
                   while !p < stop && not (Hashtbl.mem keep !p) do
                     incr p
                   done;
-                  Alloc_table.free_run t.at ~start:first ~len:(!p - first)
+                  let len = !p - first in
+                  unmap_runs_everywhere t cid [ (first, len) ];
+                  Alloc_table.free_run t.at ~start:first ~len
                 end
               done)
             (Alloc_table.runs_of t.at ~cid);

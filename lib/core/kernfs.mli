@@ -34,6 +34,10 @@ type mapping = {
   m_root_file : int;  (** byte address of the coffer's root-file inode page *)
   m_custom : int;  (** byte address of the µFS custom page *)
   m_ctype : int;  (** which µFS manages this coffer *)
+  m_lazy : bool;
+      (** made with [~populate:false]: pages may still be pending, so a
+          {!prefault} can save faults; a populated mapping never has a
+          pending page *)
 }
 
 val pte_update_cost : int
@@ -219,6 +223,20 @@ val coffer_map :
     for free and pays {!pte_update_cost} per present one.  Pages granted
     later by {!coffer_enlarge} or {!coffer_merge} are installed present. *)
 
+val prefault : t -> pages:int list -> unit
+(** Install, in one kernel entry, those of [pages] (page numbers) whose
+    PTE is pending in the calling process's own page table: the gate's
+    enter and exit cost and its cache pollution once, plus
+    {!pte_update_cost} per page installed, under the caller's page-table
+    lock alone (never the kernel lock, like a demand fault); no write
+    window opens.  It counts as a syscall.  Every other page is ignored,
+    not an error: present, pending only in another process, of no coffer
+    the caller maps, negative or past the device end.  A pending PTE is
+    one {!coffer_map} made, so a prefault grants no access the map did not
+    (MADV_POPULATE_READ over a list of pages: a scan that knows which pages
+    it is about to read pays one crossing for them instead of a fault
+    each). *)
+
 val coffer_unmap : t -> int -> (unit, Errno.t) result
 (** Drop the caller's mapping: bookkeeping under both locks, the PTE
     teardown after the global lock is released. *)
@@ -270,7 +288,10 @@ val coffer_recover_begin : t -> int -> ((int * int) list, Errno.t) result
 
 val coffer_recover_end : t -> int -> in_use:int list -> (unit, Errno.t) result
 (** The initiator reports the page numbers still in use; every other page of
-    the coffer is reclaimed into the global pool.  [EINVAL] if the coffer
+    the coffer is reclaimed into the global pool, and the initiator's PTEs
+    for those pages are torn down first ({!pte_update_cost} per present
+    one, pending ones for free), so no freed page stays mapped under the
+    coffer's key.  [EINVAL] if the coffer
     is not in recovery; [EBUSY] if the caller did not begin its recovery,
     as when its lease expired and another process took over. *)
 

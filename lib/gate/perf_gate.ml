@@ -12,7 +12,10 @@
    cycles one process over 20 coffers, more than it has MPK keys, so its
    remaps fault their pages in; it audits the page table after every op,
    and two planted fault handlers (a page outside the coffer, a wrong key)
-   must be caught by that audit.  Two
+   must be caught by that audit.  Another lists 20 96-entry directories,
+   one per sub-coffer, with the same audit: a listing after a remap
+   prefaults the directory's second-level pages, and a planted prefault
+   that installs pages that were not pending must be caught.  Two
    multi-process experiments ride along: 64 tenant processes — each with
    its own FSLib (dispatcher + FD table + per-process mappings) — hammer
    one shared file / one shared directory through the syscall gate, so the
@@ -79,10 +82,26 @@ let measure ~ops inst =
 
 (* Run [measured] in a fresh single-thread ZoFS world after [setup], with
    [measure] bracketing exactly the measured phase.  [measured] gets the
-   whole instance, so it can reach KernFS as well as the file system. *)
-let in_world ~ops ~setup ~measured () =
+   whole instance, so it can reach KernFS as well as the file system.
+   [ufs], when given, is the µFS module the dispatcher serves instead of
+   [Zofs.Ufs] (a negative plants one). *)
+let in_world ?ufs ~ops ~setup ~measured () =
   Sim.run_thread ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ()) (fun () ->
-      let inst = FL.make ~pages:16384 FL.Zofs in
+      let pages = 16384 in
+      let inst =
+        match ufs with
+        | None -> FL.make ~pages FL.Zofs
+        | Some (module U : Treasury.Ufs_intf.S with type t = Zofs.Ufs.t) ->
+            let device, kfs = FL.make_zofs ~pages ~perf:Nvm.Perf.optane () in
+            let disp = Treasury.Dispatcher.create kfs in
+            Treasury.Dispatcher.register_ufs disp (module U) (Zofs.Ufs.create kfs);
+            {
+              FL.fs = Treasury.Dispatcher.as_vfs disp;
+              sys = FL.Zofs;
+              kernfs = Some kfs;
+              device;
+            }
+      in
       setup inst.FL.fs;
       let stop = measure ~ops inst in
       measured inst;
@@ -288,6 +307,17 @@ let exp_truncate_indirect ~ops () =
 let remap_coffers = 20
 let remap_file_pages = 64
 
+(* After an op of process [pid]: a failed op, and every page-table
+   violation, is recorded in [violations]. *)
+let audit kfs ~pid violations what r =
+  (match r with
+  | Ok () -> ()
+  | Error e ->
+      violations :=
+        Printf.sprintf "%s: %s" what (Treasury.Errno.to_string e) :: !violations);
+  violations :=
+    List.rev_append (Treasury.Kernfs.pte_violations kfs ~pid) !violations
+
 let exp_remap_under_key_pressure ?fault_handler
     ?(blocks = fun r d -> [ (r + d) mod remap_file_pages ]) ~rounds () =
   let violations = ref [] in
@@ -307,18 +337,7 @@ let exp_remap_under_key_pressure ?fault_handler
         Option.iter (fun h -> Mpk.set_demand_fault mpk (h mpk)) fault_handler;
         let pid = (Sim.self_proc ()).Sim.Proc.pid in
         let buf = Bytes.create 4096 in
-        let step what r =
-          (match r with
-          | Ok () -> ()
-          | Error e ->
-              violations :=
-                Printf.sprintf "%s: %s" what (Treasury.Errno.to_string e)
-                :: !violations);
-          violations :=
-            List.rev_append
-              (Treasury.Kernfs.pte_violations kfs ~pid)
-              !violations
-        in
+        let step = audit kfs ~pid violations in
         let pread path blocks =
           let ( let* ) = Result.bind in
           let* fd = V.openf fs path [ Ft.O_RDONLY ] 0 in
@@ -368,6 +387,63 @@ let planted_fault fault_handler () =
     (exp_remap_under_key_pressure ~fault_handler
        ~blocks:(fun _ _ -> List.init remap_file_pages Fun.id)
        ~rounds:1 ())
+  <> []
+
+(* One process lists 20 sub-coffers in turn, each a 96-entry directory
+   (read-large's readdir): more coffers than it has MPK keys, so a listing
+   that finds its coffer evicted remaps it lazily, evicting another (13 of
+   the 40 do), and the scan installs the directory's second-level pages
+   with one [Kernfs.prefault] instead of a demand fault each.  The page
+   table is audited after every listing, as in remap-under-key-pressure;
+   a listing that fails or misses an entry is a violation too.  [ufs]
+   replaces the µFS (the negative plants a broken prefault). *)
+let listed_coffers = 20
+let listed_entries = 96
+
+let exp_readdir_after_remap ?ufs ~rounds () =
+  let violations = ref [] in
+  let m =
+    in_world ?ufs ~ops:(rounds * listed_coffers)
+      ~setup:(fun fs ->
+        for d = 0 to listed_coffers - 1 do
+          let dir = Printf.sprintf "/l%02d" d in
+          ok (V.mkdir fs dir 0o700);
+          for i = 0 to listed_entries - 1 do
+            ok (V.write_file fs (Printf.sprintf "%s/f%02d" dir i) ~mode:0o600 "")
+          done
+        done)
+      ~measured:(fun inst ->
+        let fs = inst.FL.fs and kfs = Option.get inst.FL.kernfs in
+        let step = audit kfs ~pid:(Sim.self_proc ()).Sim.Proc.pid violations in
+        for _ = 1 to rounds do
+          for d = 0 to listed_coffers - 1 do
+            let dir = Printf.sprintf "/l%02d" d in
+            step ("readdir " ^ dir)
+              (Result.bind (V.readdir fs dir) (fun l ->
+                   if List.length l = listed_entries then Ok ()
+                   else Error Treasury.Errno.EIO))
+          done
+        done)
+      ()
+  in
+  (m, List.rev !violations)
+
+(* The planted prefault: it installs the 16 pages from each page it is
+   handed, present under that page's key, pending or not and whoever owns
+   them ([fault_around_blindly] for each).  The window past a directory's
+   last second-level pages runs into the next coffer's pages. *)
+module Blind_prefault_ufs = struct
+  include Zofs.Ufs
+
+  let readdir =
+    readdir_with ~prefault:(fun kfs ~pages ->
+        let mpk = Treasury.Kernfs.mpk kfs in
+        let pid = (Sim.self_proc ()).Sim.Proc.pid in
+        List.iter (fun page -> fault_around_blindly mpk ~pid ~page) pages)
+end
+
+let planted_prefault () =
+  snd (exp_readdir_after_remap ~ufs:(module Blind_prefault_ufs) ~rounds:2 ())
   <> []
 
 (* Like [in_world], but [nprocs] tenant processes.  Each tenant is a
@@ -470,8 +546,14 @@ let run_all () =
     (fun (name, f) -> { r_name = name; r_m = f (); r_violations = [] })
     experiments
   @
-  let r_m, r_violations = exp_remap_under_key_pressure ~rounds:4 () in
-  [ { r_name = "remap-under-key-pressure"; r_m; r_violations } ]
+  List.map
+    (fun (name, f) ->
+      let r_m, r_violations = f () in
+      { r_name = name; r_m; r_violations })
+    [
+      ("remap-under-key-pressure", fun () -> exp_remap_under_key_pressure ~rounds:4 ());
+      ("readdir-after-remap", fun () -> exp_readdir_after_remap ~rounds:2 ());
+    ]
 
 let to_json results =
   let metrics m =
@@ -530,5 +612,6 @@ let gate =
       [
         ("fault_installs_foreign_pages", planted_fault fault_around_blindly);
         ("fault_installs_under_wrong_key", planted_fault fault_under_next_key);
+        ("prefault_installs_unpending_pages", planted_prefault);
       ];
   }

@@ -191,7 +191,9 @@ let unmap_run t ~pid ~start ~len =
 
 let install_pending t ~pid ~page =
   match Sim.Idtbl.find_opt t.tables pid with
-  | Some b when Char.code (Bytes.get b page) land pte_pending <> 0 ->
+  | Some b
+    when page >= 0 && page < Bytes.length b
+         && Char.code (Bytes.get b page) land pte_pending <> 0 ->
       let pte = Char.code (Bytes.get b page) in
       Bytes.set b page (Char.chr (pte land lnot pte_pending lor pte_mapped));
       true

@@ -62,7 +62,8 @@ val unmap_run : t -> pid:int -> start:int -> len:int -> int
 
 val install_pending : t -> pid:int -> page:int -> bool
 (** Make [page]'s pending PTE present; [false] (and no change) when the
-    PTE is not pending: never mapped, torn down, or already installed. *)
+    PTE is not pending: never mapped, torn down, already installed, or
+    [page] outside the device. *)
 
 val set_demand_fault : t -> (pid:int -> page:int -> unit) -> unit
 (** The handler a user-mode access to a pending page traps to (KernFS

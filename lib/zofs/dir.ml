@@ -246,26 +246,34 @@ let retarget dev ~ino name ~coffer ~inode =
 
 (* A full scan reads each array it visits with one sequential load into a
    buffer and decodes the slots from it: the first-level page's 512 slots,
-   a second-level page's 256 bucket heads and 16 inline dentries, and the
-   31 dentries of a chain page (its next pointer, in slot 0, stays a scalar
-   load).  The device charges a load wider than a line as one read latency
-   plus bandwidth, where slot-by-slot loads miss once per line.  Dentries
-   are decoded with [read_dentry]'s checks.  The buffers belong to one
-   scan: the callbacks may start another scan and may yield to other
-   threads.
+   a whole second-level page (16 inline dentries, then 256 bucket heads:
+   one 4 KB load), and the 31 dentries of a chain page (its next pointer,
+   in slot 0, stays a scalar load).  A scan with no [on_dentry] loads only
+   a second-level page's bucket heads.  The device charges a load wider
+   than a line as one read latency plus bandwidth, where slot-by-slot
+   loads miss once per line.  Dentries are decoded with [read_dentry]'s
+   checks.  The buffers belong to one scan: the callbacks may start
+   another scan and may yield to other threads.
 
    A dentry-area load also touches lines the slot-by-slot scan never read:
    the unused tail of each slot.  A media error there must not fail a scan
-   that would not have read it, so a [Media] fault from a dentry-area load
-   falls back to slot-by-slot loads for that page.
+   that would not have read it, so a [Media] fault from a load that covers
+   dentries falls back: a second-level page to one load of its inline
+   dentries and one of its bucket heads, a dentry area to slot-by-slot
+   loads.
+
+   [prefault], when given, is handed the second-level pages the
+   first-level page names, once, before any of them is read: a scan of a
+   coffer mapped lazily installs them in one kernel entry
+   ([Kernfs.prefault]) instead of taking a demand fault on each.
 
    A scan that may stop early ([is_empty]) loads slot by slot ([~bulk:false])
    so it never reads a line past the point where it stops. *)
-let load_index dev ~bulk buf addr =
-  if bulk then Nvm.Device.blit_to_bytes dev addr buf 0 (Bytes.length buf)
+let load_index dev ~bulk buf off addr len =
+  if bulk then Nvm.Device.blit_to_bytes dev addr buf off len
 
-let index_slot dev ~bulk buf addr i =
-  if bulk then Int64.to_int (Bytes.get_int64_le buf (i * 8))
+let index_slot dev ~bulk buf off addr i =
+  if bulk then Int64.to_int (Bytes.get_int64_le buf (off + (i * 8)))
   else Nvm.Device.read_u64 dev (addr + (i * 8))
 
 (* [read_dentry] over the slot at offset [off] of [buf], loaded from [addr]. *)
@@ -286,6 +294,17 @@ let decode_dentry dev buf off addr =
       }
   end
 
+(* Hand [f] every valid dentry among the [n] slots at offset [off] of
+   [buf], loaded from [base]. *)
+let decode_dentries dev buf off base n f =
+  for i = 0 to n - 1 do
+    let o = off + (i * dentry_size) in
+    if Bytes.get_uint8 buf (o + d_valid) = 1 then
+      match decode_dentry dev buf o (base + o - off) with
+      | Some de -> f de
+      | None -> ()
+  done
+
 (* Hand [f] every valid dentry in slots [first..last] of [page]. *)
 let visit_dentries ~bulk dev buf page first last f =
   let one_by_one () =
@@ -298,43 +317,60 @@ let visit_dentries ~bulk dev buf page first last f =
   if not bulk then one_by_one ()
   else
     let base = page + (first * dentry_size) in
-    match
-      Nvm.Device.blit_to_bytes dev base buf 0 ((last - first + 1) * dentry_size)
-    with
+    let n = last - first + 1 in
+    match Nvm.Device.blit_to_bytes dev base buf 0 (n * dentry_size) with
     | exception Nvm.Fault { kind = Nvm.Media; _ } -> one_by_one ()
-    | () ->
-        for i = 0 to last - first do
-          let off = i * dentry_size in
-          if Bytes.get_uint8 buf (off + d_valid) = 1 then
-            match decode_dentry dev buf off (base + off) with
-            | Some de -> f de
-            | None -> ()
-        done
+    | () -> decode_dentries dev buf 0 base n f
 
 (* Visit the directory of [ino] in slot order: [on_page] for its first-level
    page, then for each second-level page and every page of its bucket
    chains, bucket by bucket; [on_dentry] for every valid dentry, right after
    the page holding it.  Without [on_dentry] no dentry is loaded. *)
-let scan ~bulk ?(on_page = ignore) ?on_dentry dev ~ino =
+let scan ~bulk ?prefault ?(on_page = ignore) ?on_dentry dev ~ino =
   let l1 = l1_page dev ~ino in
   if l1 <> 0 then begin
     let sized n = Bytes.create (if bulk then n else 0) in
-    let l1_buf = sized (l1_entries * 8) and heads_buf = sized (l2_buckets * 8) in
+    let l1_buf = sized (l1_entries * 8) and l2_buf = sized page_size in
     let de_buf = sized (if on_dentry = None then 0 else chain_dentries * dentry_size) in
     let dentries page first last =
       match on_dentry with
       | Some f -> visit_dentries ~bulk dev de_buf page first last f
       | None -> ()
     in
+    let load_heads l2 =
+      load_index dev ~bulk l2_buf l2_bucket_base (l2 + l2_bucket_base)
+        (l2_buckets * 8)
+    in
+    (* The inline dentries and the bucket heads of [l2], into [l2_buf]. *)
+    let visit_l2 l2 =
+      match on_dentry with
+      | Some f when bulk -> (
+          match Nvm.Device.blit_to_bytes dev l2 l2_buf 0 page_size with
+          | exception Nvm.Fault { kind = Nvm.Media; _ } ->
+              dentries l2 0 (l2_inline_dentries - 1);
+              load_heads l2
+          | () -> decode_dentries dev l2_buf 0 l2 l2_inline_dentries f)
+      | Some _ | None ->
+          dentries l2 0 (l2_inline_dentries - 1);
+          load_heads l2
+    in
     on_page l1;
-    load_index dev ~bulk l1_buf l1;
+    load_index dev ~bulk l1_buf 0 l1 (l1_entries * 8);
+    (match prefault with
+    | Some f when bulk ->
+        let l2s = ref [] in
+        for l1i = l1_entries - 1 downto 0 do
+          let l2 = index_slot dev ~bulk l1_buf 0 l1 l1i in
+          if l2 <> 0 then l2s := l2 :: !l2s
+        done;
+        f !l2s
+    | Some _ | None -> ());
     for l1i = 0 to l1_entries - 1 do
-      let l2 = index_slot dev ~bulk l1_buf l1 l1i in
+      let l2 = index_slot dev ~bulk l1_buf 0 l1 l1i in
       if l2 <> 0 then begin
         on_page l2;
-        dentries l2 0 (l2_inline_dentries - 1);
+        visit_l2 l2;
         let heads = l2 + l2_bucket_base in
-        load_index dev ~bulk heads_buf heads;
         for b = 0 to l2_buckets - 1 do
           let rec chase page =
             if page <> 0 then begin
@@ -343,7 +379,7 @@ let scan ~bulk ?(on_page = ignore) ?on_dentry dev ~ino =
               chase (chain_next dev page)
             end
           in
-          chase (index_slot dev ~bulk heads_buf heads b)
+          chase (index_slot dev ~bulk l2_buf l2_bucket_base heads b)
         done
       end
     done
@@ -351,9 +387,10 @@ let scan ~bulk ?(on_page = ignore) ?on_dentry dev ~ino =
 
 (* One pass over the index pages and the valid dentries together — for
    recovery and subtree collection, which need both. *)
-let walk dev ~ino ~on_page ~on_dentry = scan ~bulk:true ~on_page ~on_dentry dev ~ino
+let walk ?prefault dev ~ino ~on_page ~on_dentry =
+  scan ~bulk:true ?prefault ~on_page ~on_dentry dev ~ino
 
-let iter dev ~ino f = scan ~bulk:true ~on_dentry:f dev ~ino
+let iter ?prefault dev ~ino f = scan ~bulk:true ?prefault ~on_dentry:f dev ~ino
 
 exception Stop
 

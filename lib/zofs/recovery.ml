@@ -142,8 +142,13 @@ let in_runs runs page =
    coffer_recover_begin handed them over, sorted by start: while the coffer
    is in recovery no other process can map it or change what it owns, and
    the scan allocates and frees nothing, so they answer "does this coffer
-   own the page?" for every pointer followed without a system call. *)
-let scan_coffer dev kfs report ~runs (info : Coffer.info) xrefs =
+   own the page?" for every pointer followed without a system call.
+   [prefault] (given when the coffer was mapped lazily) installs pages
+   ahead of the scan, one kernel entry per batch: each directory's
+   second-level pages, then the inode pages of its same-coffer children.
+   Every other page the scan reads faults in on first touch, and the pages
+   it never reads (file data) stay pending. *)
+let scan_coffer ?prefault dev kfs report ~runs (info : Coffer.info) xrefs =
   let cid = info.Coffer.id in
   let in_use : (int, unit) Hashtbl.t = Hashtbl.create 256 in
   let mark addr = Hashtbl.replace in_use (page_of addr) () in
@@ -179,10 +184,20 @@ let scan_coffer dev kfs report ~runs (info : Coffer.info) xrefs =
           (* The whole directory is read before any page is marked or any
              child scanned: a fault in its index drops it untouched. *)
           let pages = ref [] and children = ref [] in
-          Dir.walk dev ~ino
+          Dir.walk ?prefault dev ~ino
             ~on_page:(fun p -> pages := p :: !pages)
             ~on_dentry:(fun de -> children := de :: !children);
           List.iter (fun p -> if owned p then mark p) !pages;
+          Option.iter
+            (fun f ->
+              f
+                (List.filter_map
+                   (fun de ->
+                     if de.Dir.de_coffer = 0 && owned de.Dir.de_inode then
+                       Some de.Dir.de_inode
+                     else None)
+                   !children))
+            prefault;
           let to_drop = ref [] in
           List.rev !children
           |> List.iter (fun de ->
@@ -244,7 +259,10 @@ let scan_coffer dev kfs report ~runs (info : Coffer.info) xrefs =
   in_use
 
 (* Recover a single coffer; the caller must be able to map it (recovery runs
-   as root).  Returns true when the coffer was scanned and left readable. *)
+   as root).  The map is lazy (header pages installed), so the scan pays
+   only for the pages it reads and the pages it frees are still pending
+   when [coffer_recover_end] tears them down.  Returns true when the coffer
+   was scanned and left readable. *)
 let recover_coffer ufs kfs report xrefs (info : Coffer.info) =
   let dev = K.device kfs in
   (* A crash during coffer creation can leave the custom (allocator) page
@@ -264,7 +282,7 @@ let recover_coffer ufs kfs report xrefs (info : Coffer.info) =
       if not magic_ok then
         Mpk.with_write_window mpk (fun () ->
             Balloc.format dev ~custom:info.Coffer.custom));
-  match Ufs.map_coffer ufs info.Coffer.id with
+  match Ufs.map_coffer ~populate:false ufs info.Coffer.id with
   | Error _ -> false
   | Ok cs -> (
       let t_user0 = Sim.now () in
@@ -277,8 +295,9 @@ let recover_coffer ufs kfs report xrefs (info : Coffer.info) =
           let t_kernel0 = Sim.now () in
           let in_use =
             Ufs.with_coffer ufs cs ~write:true (fun () ->
-                scan_coffer dev kfs report ~runs:(Array.of_list runs) info
-                  xrefs)
+                scan_coffer
+                  ?prefault:(Ufs.prefault_hook ufs cs)
+                  dev kfs report ~runs:(Array.of_list runs) info xrefs)
           in
           Hashtbl.replace in_use (page_of info.Coffer.custom) ();
           let t_scan = Sim.now () in

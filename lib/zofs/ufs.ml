@@ -205,8 +205,10 @@ let victim t =
    handful of its pages.  A map that gets a free key populates every PTE:
    a coffer mapped while keys are free tends to stay mapped, and its pages
    get touched (64 processes would otherwise fault on a shared log's pages
-   while holding its lease). *)
-let kernel_map t cid =
+   while holding its lease).  [~populate:false] maps lazily even with a key
+   free: recovery reads a fraction of a coffer's pages and prefaults what
+   it reads. *)
+let kernel_map ?(populate = true) t cid =
   let mapped = K.mapped_coffers t.kfs in
   let victim =
     if List.length mapped >= Mpk.nkeys - 1 && not (List.mem_assoc cid mapped)
@@ -215,7 +217,7 @@ let kernel_map t cid =
   in
   let r =
     Transient.retry (fun () ->
-        K.coffer_map ~populate:(Option.is_none victim)
+        K.coffer_map ~populate:(populate && Option.is_none victim)
           ?evict:(Option.map (fun cs -> cs.cs_cid) victim)
           t.kfs cid)
   in
@@ -227,10 +229,10 @@ let kernel_map t cid =
   | _ -> ());
   r
 
-let map_coffer t cid =
+let map_coffer ?populate t cid =
   Obs.set_op_coffer cid;
   Obs.span ~cat:"coffer" ~name:"map" @@ fun () ->
-  match kernel_map t cid with
+  match kernel_map ?populate t cid with
   | Ok m -> (
       let info =
         Mpk.with_keys t.mpk
@@ -274,6 +276,21 @@ let map_coffer t cid =
           Obs.cnt "coffer.unmaps" 1;
           Error E.EIO)
   | Error e -> Error e
+
+(* A scan's prefault hook for [cs] ([Dir.scan]): byte addresses in, one
+   [prefault] ([Kernfs.prefault] unless a negative plants another) for
+   their pages, none for an empty list.  Only a coffer mapped lazily can
+   have pending pages, so a populated one gets no hook and pays no
+   crossing. *)
+let prefault_hook ?(prefault = K.prefault) t cs =
+  if cs.cs_map.K.m_lazy then
+    Some
+      (function
+      | [] -> ()
+      | addrs ->
+          prefault t.kfs
+            ~pages:(List.map (fun a -> a / Layout.page_size) addrs))
+  else None
 
 let session_of_cid t cid =
   match live_session t cid with
@@ -613,7 +630,9 @@ let lstat t path : Ft.stat Ui.outcome =
          with_coffer t r.r_cs ~write:false (fun () ->
              Inode.stat t.dev ~ino:r.r_ino)))
 
-let readdir t path : Ft.dirent list Ui.outcome =
+(* [readdir] with the kernel's prefault as a parameter: the perf gate's
+   negative lists through a planted one. *)
+let readdir_with ~prefault t path : Ft.dirent list Ui.outcome =
   let* r = walk t path ~follow_last:true in
   if r.r_kind <> Inode.Directory then Ui.errno E.ENOTDIR
   else begin
@@ -625,7 +644,8 @@ let readdir t path : Ft.dirent list Ui.outcome =
          permits for entries modified during the scan"
     @@ fun () ->
     with_coffer t r.r_cs ~write:false (fun () ->
-        Dir.iter t.dev ~ino:r.r_ino (fun de ->
+        Dir.iter ?prefault:(prefault_hook ~prefault t r.r_cs) t.dev ~ino:r.r_ino
+          (fun de ->
             let kind =
               match Inode.kind_of_code de.Dir.de_kind with
               | Some k -> Inode.fs_kind k
@@ -640,6 +660,8 @@ let readdir t path : Ft.dirent list Ui.outcome =
               :: !acc));
     Ok (List.rev !acc)
   end
+
+let readdir t path = readdir_with ~prefault:K.prefault t path
 
 (* ---- unlink / rmdir --------------------------------------------------------- *)
 

@@ -1670,6 +1670,200 @@ let qcheck_path_mode_arguments_never_raise =
       Mpk.with_kernel mpk (fun () -> A.verify (K.alloc_table kfs));
       true)
 
+(* ---- recovery frees pages with their PTEs ------------------------------ *)
+
+(* As user 1000: mount, create "/r" (0o600) with 8 pages beyond its three,
+   map it (populated), recover it reporting only its root-file and custom
+   pages in use.  Returns the cid, its mapping and the 8 freed pages. *)
+let recover_with_freed_pages kfs =
+  ok_or_fail (K.fs_mount kfs);
+  let c =
+    ok_or_fail
+      (K.coffer_new kfs ~path:"/r" ~ctype:zofs_ctype ~mode:0o600 ~uid:1000
+         ~gid:1000)
+  in
+  let cid = c.Coffer.id in
+  ignore (ok_or_fail (K.coffer_enlarge kfs cid ~n:8));
+  let m = ok_or_fail (K.coffer_map kfs cid) in
+  let pages = coffer_pages kfs cid in
+  ignore (ok_or_fail (K.coffer_recover_begin kfs cid));
+  let kept =
+    [ c.Coffer.root_file / Nvm.page_size; c.Coffer.custom / Nvm.page_size ]
+  in
+  ok_or_fail (K.coffer_recover_end kfs cid ~in_use:kept);
+  (cid, m, List.filter (fun p -> p <> cid && not (List.mem p kept)) pages)
+
+(* The pages recover_end frees lose the recoverer's PTEs with them: the
+   page table matches the mappings before and after the unmap. *)
+let test_recover_end_tears_down_freed_ptes () =
+  let _, mpk, kfs = mk () in
+  as_user (fun () ->
+      let cid, _, freed = recover_with_freed_pages kfs in
+      let pid = self_pid () in
+      Alcotest.(check int) "8 pages freed" 8 (List.length freed);
+      Alcotest.(check (list string)) "page table matches mappings" []
+        (K.pte_violations kfs ~pid);
+      Alcotest.(check bool) "no PTE on a freed page" true
+        (List.for_all (fun page -> Mpk.page_pkey mpk ~pid ~page = None) freed);
+      ok_or_fail (K.coffer_unmap kfs cid);
+      Alcotest.(check (list string)) "after the unmap too" []
+        (K.pte_violations kfs ~pid))
+
+(* Once another process's coffer is granted the freed pages, the
+   recoverer, handed the old key for a new coffer, cannot write them. *)
+let test_freed_pages_not_writable_under_old_key () =
+  let dev, mpk, kfs = mk ~pages:2048 () in
+  let proc = Sim.Proc.create ~uid:1000 ~gid:1000 () in
+  let m, freed =
+    Sim.run_thread ~proc (fun () ->
+        let cid, m, freed = recover_with_freed_pages kfs in
+        ok_or_fail (K.coffer_unmap kfs cid);
+        (m, freed))
+  in
+  let other =
+    as_user (fun () ->
+        ok_or_fail (K.fs_mount kfs);
+        let c =
+          ok_or_fail
+            (K.coffer_new kfs ~path:"/other" ~ctype:zofs_ctype ~mode:0o600
+               ~uid:1000 ~gid:1000)
+        in
+        ignore (ok_or_fail (K.coffer_enlarge kfs c.Coffer.id ~n:8));
+        c.Coffer.id)
+  in
+  List.iter
+    (fun page ->
+      Alcotest.(check int) "granted to the other process's coffer" other
+        (A.owner_of (K.alloc_table kfs) ~page))
+    freed;
+  Sim.run_thread ~proc (fun () ->
+      let c =
+        ok_or_fail
+          (K.coffer_new kfs ~path:"/n" ~ctype:zofs_ctype ~mode:0o600 ~uid:1000
+             ~gid:1000)
+      in
+      let nm = ok_or_fail (K.coffer_map kfs c.Coffer.id) in
+      Alcotest.(check int) "the old key" m.K.m_pkey nm.K.m_pkey;
+      List.iter
+        (fun page ->
+          Alcotest.(check string)
+            (Printf.sprintf "write to page %d" page)
+            "page not mapped"
+            (fault_reason (fun () ->
+                 Mpk.with_keys mpk
+                   [ (nm.K.m_pkey, Mpk.Pk_read_write) ]
+                   (fun () -> D.write_u8 dev (page * Nvm.page_size) 1))))
+        freed)
+
+(* ---- prefault ------------------------------------------------------------ *)
+
+let gate_cost = Treasury.Gate.enter_cost + Treasury.Gate.exit_cost
+
+let timed f =
+  let t0 = Sim.now () in
+  f ();
+  Sim.now () - t0
+
+(* One kernel entry installs the named pages that are pending in the
+   caller's table, one PTE each; present pages, repeats included, are
+   free.  It is one syscall and no fault, and a touch of an installed page
+   traps no more. *)
+let test_prefault_exact_cost () =
+  let dev, mpk, kfs = mk ~pages:2048 () in
+  as_user (fun () ->
+      let cid, m = lazy_coffer ~extra:37 kfs in
+      let pid = self_pid () in
+      let header = header_pages kfs cid in
+      let pending =
+        List.filter (fun p -> not (List.mem p header)) (coffer_pages kfs cid)
+      in
+      let chosen = List.filteri (fun i _ -> i mod 3 = 0) pending in
+      let gate = K.gate kfs in
+      let syscalls0 = syscalls kfs and faults0 = Treasury.Gate.fault_count gate in
+      Alcotest.(check int) "one entry, one PTE per pending page"
+        (gate_cost + (K.pte_update_cost * List.length chosen))
+        (timed (fun () -> K.prefault kfs ~pages:(header @ chosen @ chosen)));
+      Alcotest.(check int) "one syscall" (syscalls0 + 1) (syscalls kfs);
+      Alcotest.(check bool) "the named pages installed, the rest pending" true
+        (List.for_all
+           (fun page ->
+             if List.mem page chosen then Mpk.is_mapped mpk ~pid ~page
+             else Mpk.is_pending mpk ~pid ~page)
+           pending);
+      List.iter
+        (fun page -> touch dev mpk ~keys:[ (m.K.m_pkey, Mpk.Pk_read) ] page)
+        chosen;
+      Alcotest.(check int) "no fault, touches included" faults0
+        (Treasury.Gate.fault_count gate);
+      Alcotest.(check int) "present pages are free" gate_cost
+        (timed (fun () -> K.prefault kfs ~pages:chosen));
+      Alcotest.(check (list string)) "page table matches mappings" []
+        (K.pte_violations kfs ~pid))
+
+(* A page that is not pending in the caller's own table installs nothing
+   and raises nothing: negative, past the device end, of a coffer the
+   caller does not map, or pending only in another process.  The caller
+   maps a coffer of its own lazily, so it has a page table, and none of
+   that coffer's pending pages is installed either.  A process that never
+   mounted pays the gate and nothing else. *)
+let test_prefault_ignores_other_pages () =
+  let dev, mpk, kfs = mk ~pages:2048 () in
+  let npages = D.pages dev in
+  let other = Sim.Proc.create ~uid:1000 ~gid:1000 () in
+  let other_pages =
+    Sim.run_thread ~proc:other (fun () ->
+        let cid, _ = lazy_coffer kfs in
+        coffer_pages kfs cid)
+  in
+  let other_pid = other.Sim.Proc.pid in
+  let other_pending =
+    List.filter (fun page -> Mpk.is_pending mpk ~pid:other_pid ~page) other_pages
+  in
+  Alcotest.(check bool) "pending in the other process" true (other_pending <> []);
+  as_user (fun () ->
+      ok_or_fail (K.fs_mount kfs);
+      let stranger =
+        ok_or_fail
+          (K.coffer_new kfs ~path:"/stranger" ~ctype:zofs_ctype ~mode:0o600
+             ~uid:1000 ~gid:1000)
+      in
+      let mine =
+        ok_or_fail
+          (K.coffer_new kfs ~path:"/mine" ~ctype:zofs_ctype ~mode:0o600
+             ~uid:1000 ~gid:1000)
+      in
+      ignore (ok_or_fail (K.coffer_enlarge kfs mine.Coffer.id ~n:8));
+      ignore (ok_or_fail (K.coffer_map ~populate:false kfs mine.Coffer.id));
+      let pid = self_pid () in
+      let mine_pending =
+        List.filter
+          (fun page -> Mpk.is_pending mpk ~pid ~page)
+          (coffer_pages kfs mine.Coffer.id)
+      in
+      Alcotest.(check int) "its own pages pending" 8 (List.length mine_pending);
+      let garbage =
+        [ -1; -4096; min_int; npages; npages + 7; max_int ]
+        @ other_pages
+        @ coffer_pages kfs stranger.Coffer.id
+      in
+      Alcotest.(check int) "the gate alone" gate_cost
+        (timed (fun () -> K.prefault kfs ~pages:garbage));
+      Alcotest.(check bool) "nothing installed" true
+        (List.for_all (fun page -> Mpk.page_pkey mpk ~pid ~page = None) garbage);
+      Alcotest.(check bool) "its own pages still pending" true
+        (List.for_all (fun page -> Mpk.is_pending mpk ~pid ~page) mine_pending);
+      Alcotest.(check (list string)) "page table matches mappings" []
+        (K.pte_violations kfs ~pid));
+  Alcotest.(check bool) "still pending in the other process" true
+    (List.for_all
+       (fun page -> Mpk.is_pending mpk ~pid:other_pid ~page)
+       other_pending);
+  Alcotest.(check (list string)) "its page table matches its mappings" []
+    (K.pte_violations kfs ~pid:other_pid);
+  as_user ~uid:1001 (fun () ->
+      Alcotest.(check int) "unmounted: the gate alone" gate_cost
+        (timed (fun () -> K.prefault kfs ~pages:other_pages)))
+
 let () =
   Alcotest.run "kernfs"
     [
@@ -1761,6 +1955,16 @@ let () =
             test_on_setuid_unmaps_everything;
           Alcotest.test_case "recovery freezes ownership" `Quick
             test_recovery_freezes_ownership;
+          Alcotest.test_case "recover_end tears down freed pages' PTEs"
+            `Quick test_recover_end_tears_down_freed_ptes;
+          Alcotest.test_case "freed pages not writable under the old key"
+            `Quick test_freed_pages_not_writable_under_old_key;
+        ] );
+      ( "prefault",
+        [
+          Alcotest.test_case "exact cost" `Quick test_prefault_exact_cost;
+          Alcotest.test_case "other pages: nothing installed, nothing raised"
+            `Quick test_prefault_ignores_other_pages;
         ] );
       ( "bad-arguments",
         [

@@ -494,15 +494,15 @@ let test_bulk_scan_matches_reference () =
             (List.map show (List.rev !des));
           (* iter reads the index arrays' lines and every line of each
              dentry area it visits -- the unused slot tails included -- with
-             one load per array; the inode's first pointer and each chain
-             page's next pointer stay word loads. *)
+             one load per array, a second-level page's inline dentries and
+             bucket heads in one page-wide load; the inode's first pointer
+             and each chain page's next pointer stay word loads. *)
           let l1 = Zofs.Inode.read_direct w.dev ~ino 0 in
-          let heads =
-            List.filter_map
-              (fun (a, len) ->
-                if len = 2048 then Some (a + Zofs.Layout.l2_bucket_base, 2048)
-                else None)
-              areas
+          let l2_pages, chain_areas =
+            List.partition (fun (_, len) -> len = 2048) areas
+          in
+          let l2_pages =
+            List.map (fun (a, _) -> (a, Nvm.page_size)) l2_pages
           in
           Alcotest.(check (list int)) "iter: index lines plus dentry areas"
             (List.sort_uniq compare
@@ -510,8 +510,10 @@ let test_bulk_scan_matches_reference () =
                     ignore (reference_walk w.dev ~ino ~dentries:false))
                @ lines_of areas))
             (lines_of iter_loads);
-          Alcotest.(check (list (pair int int))) "iter: one load per array"
-            (List.sort compare (((l1, Nvm.page_size) :: heads) @ areas))
+          Alcotest.(check (list (pair int int)))
+            "iter: one load per array, one per second-level page"
+            (List.sort compare
+               (((l1, Nvm.page_size) :: l2_pages) @ chain_areas))
             (List.sort compare
                (List.filter (fun (_, len) -> len > 8) iter_loads));
           Alcotest.(check int) "iter: word loads" (1 + chained)
@@ -557,6 +559,85 @@ let test_bulk_scan_matches_reference () =
           in
           Alcotest.(check (list int)) "is_empty: no line past its stop" []
             (List.filter (fun l -> l > stop_line && l <= l1_last) empty_lines)))
+
+(* A media error in a second-level page fails the scan's page-wide load of
+   it, and the scan falls back to two half-page loads: the inline dentries,
+   then the bucket heads.  With the poison in a dentry tail (a line no
+   per-slot read touches) the listing is the slot-by-slot walk's.  With it
+   in the bucket-head half the heads are unreadable: the fallback's heads
+   load raises the media fault, after handing over the same inline dentries
+   as the walk, as the two-load scan did. *)
+let test_bulk_scan_media_fallback () =
+  let w = make_world ~pages:8192 () in
+  (* 24 names in one first-level slot: 16 inline, 8 in a chain page *)
+  let names = Gates.Perf_gate.same_l1_slot_names ~seed:"q" 24 in
+  in_proc ~uid:0 w (fun fs ->
+      ok_or_fail (V.mkdir fs "/q" 0o777);
+      List.iter
+        (fun n -> ok_or_fail (V.write_file fs ("/q/" ^ n) ~mode:0o777 ""))
+        names);
+  let show de = Printf.sprintf "%s@%d" de.Zofs.Dir.de_name de.Zofs.Dir.de_addr in
+  Sim.run_thread (fun () ->
+      Mpk.with_kernel w.mpk (fun () ->
+          let root =
+            Option.get (Treasury.Coffer.read w.dev ~id:(K.root_coffer w.kfs))
+          in
+          let ino =
+            match Zofs.Dir.lookup w.dev ~ino:root.Treasury.Coffer.root_file "q" with
+            | Some de -> de.Zofs.Dir.de_inode
+            | None -> Alcotest.fail "/q"
+          in
+          let ref_des, _, _ = reference_walk w.dev ~ino ~dentries:true in
+          let l1 = Zofs.Inode.read_direct w.dev ~ino 0 in
+          let l2 = Nvm.Device.read_u64 w.dev (Zofs.Dir.l1_slot_addr l1
+                     (Zofs.Layout.dir_hash (List.hd names))) in
+          (* The scan's loads wider than a word, the media faults it took,
+             the dentries it handed over and whether it raised. *)
+          let scan () =
+            let wide = ref [] and faults = ref 0 and des = ref [] in
+            let id =
+              Nvm.Device.add_trace_subscriber w.dev (function
+                | Nvm.Device.T_load { addr; len; _ } when len > 8 ->
+                    wide := (addr, len) :: !wide
+                | Nvm.Device.T_media_fault _ -> incr faults
+                | _ -> ())
+            in
+            let raised =
+              match Zofs.Dir.iter w.dev ~ino (fun de -> des := de :: !des) with
+              | () -> false
+              | exception Nvm.Fault { kind = Nvm.Media; _ } -> true
+            in
+            Nvm.Device.remove_trace_subscriber w.dev id;
+            (List.rev !wide, !faults, List.map show (List.rev !des), raised)
+          in
+          let chain = List.filter (fun (a, _) -> a / Nvm.page_size <> l2 / Nvm.page_size) in
+          let tail = (List.hd ref_des).Zofs.Dir.de_addr + Nvm.line_size in
+          Alcotest.(check bool) "first dentry inline" true
+            (tail / Nvm.page_size = l2 / Nvm.page_size);
+          Nvm.Device.inject_poison w.dev tail;
+          let wide, faults, des, raised = scan () in
+          Alcotest.(check (list (pair int int))) "dentry tail: the heads load"
+            [ (l2 + Zofs.Layout.l2_bucket_base, 2048) ]
+            (List.filter (fun (a, _) -> a / Nvm.page_size = l2 / Nvm.page_size) wide);
+          Alcotest.(check int) "dentry tail: page and inline loads fault" 2 faults;
+          Alcotest.(check (list string)) "dentry tail: the walk's listing"
+            (List.map show ref_des) des;
+          Alcotest.(check bool) "dentry tail: no fault escapes" false raised;
+          Alcotest.(check bool) "chain pages still one load each" true
+            (chain wide <> [] && List.for_all (fun (_, len) -> len <= Nvm.page_size) (chain wide));
+          Nvm.Device.clear_poison w.dev tail;
+          let head_line = l2 + Zofs.Layout.l2_bucket_base + Nvm.line_size in
+          Nvm.Device.inject_poison w.dev head_line;
+          let wide, faults, des, raised = scan () in
+          Alcotest.(check (list (pair int int))) "bucket heads: the two loads"
+            [ (l1, Nvm.page_size); (l2, 2048) ]
+            wide;
+          Alcotest.(check int) "bucket heads: page and heads loads fault" 2 faults;
+          Alcotest.(check (list string)) "bucket heads: the inline dentries"
+            (List.map show (List.filteri (fun i _ -> i < 16) ref_des))
+            des;
+          Alcotest.(check bool) "bucket heads: the fault is raised" true raised;
+          Nvm.Device.clear_poison w.dev head_line))
 
 let test_different_perm_creates_sub_coffer () =
   let w = make_world () in
@@ -1205,6 +1286,8 @@ let () =
           Alcotest.test_case "large directory" `Slow test_many_files_in_one_dir;
           Alcotest.test_case "bulk scan matches slot-by-slot walk" `Quick
             test_bulk_scan_matches_reference;
+          Alcotest.test_case "a media error falls back to two loads" `Quick
+            test_bulk_scan_media_fallback;
         ] );
       ( "rename",
         [
