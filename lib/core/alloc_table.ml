@@ -154,9 +154,9 @@ let owner_of t ~page =
   | Some (start, run) when page < start + run.len -> run.cid
   | _ -> 0
 
-(* Core primitive: set the owner of pages [start, start+len) to [cid],
-   splitting and coalescing runs as needed, and persist the affected
-   entries. *)
+(* Core primitive: set the owner of pages [start, start+len) to [cid]
+   (0 frees them), splitting and coalescing runs as needed, and persist the
+   affected entries.  With [alloc] it is the table's only mutator. *)
 let set_range t ~start ~len ~cid =
   if len <= 0 || start < 0 || start + len > t.npages then
     invalid_arg "Alloc_table.set_range";
@@ -261,24 +261,10 @@ let alloc t ~cid ~n =
         Some (List.rev !granted)
   end
 
-let free_run t ~start ~len = set_range t ~start ~len ~cid:0
-
-let reassign t ~start ~len ~cid =
-  if cid = 0 then invalid_arg "Alloc_table.reassign: use free_run";
-  set_range t ~start ~len ~cid
-
 let runs_of t ~cid =
   List.map
     (fun start -> (start, (IM.find start t.runs).len))
     (IS.elements (coffer_starts t cid))
-
-let pages_of t ~cid =
-  List.concat_map
-    (fun (start, len) -> List.init len (fun i -> start + i))
-    (runs_of t ~cid)
-
-let free_coffer t ~cid =
-  List.iter (fun (start, len) -> free_run t ~start ~len) (runs_of t ~cid)
 
 let coffer_page_count t ~cid =
   List.fold_left (fun acc (_, len) -> acc + len) 0 (runs_of t ~cid)

@@ -21,9 +21,9 @@
    [coffer_map] and [coffer_unmap] write only the caller's own PTEs, so they
    take the caller's page-table lock before dropping the global lock and do
    the PTE work after it; every path that writes other processes' PTEs
-   (the enlarge fan-out, shrink/split/merge, unmap-everywhere, teardown)
-   stays under the global lock and takes each target's page-table lock
-   inside it. *)
+   (the enlarge fan-out, [move_runs], unmap-everywhere, teardown) stays
+   under the global lock and takes each target's page-table lock inside
+   it. *)
 
 (* Reserved owner ids in the allocation table (0 is free). *)
 let cid_meta = 1 (* superblock + allocation table + path-map fixed region *)
@@ -213,42 +213,52 @@ let forget_mapping t ps cid m =
   remove_mapper t cid ps.ps_pid;
   Alloc_table.runs_of t.at ~cid
 
-let unmap_from_process t cid pid =
+(* Run [f ps m] under [pid]'s page-table lock if [pid] maps [cid] with
+   mapping [m] (kernel lock held). *)
+let with_mapping t cid pid f =
   match Hashtbl.find_opt t.procs pid with
   | None -> ()
   | Some ps -> (
       match Hashtbl.find_opt ps.ps_mapped cid with
       | None -> ()
-      | Some m ->
-          Sim.Mutex.with_lock ps.ps_pt (fun () ->
-              unmap_runs t ~pid (forget_mapping t ps cid m)))
+      | Some m -> Sim.Mutex.with_lock ps.ps_pt (fun () -> f ps m))
+
+let unmap_from_process t cid pid =
+  with_mapping t cid pid (fun ps m ->
+      unmap_runs t ~pid (forget_mapping t ps cid m))
 
 let unmap_everywhere t cid =
-  List.iter (fun pid -> unmap_from_process t cid pid) (mappers_of t cid)
+  List.iter (unmap_from_process t cid) (mappers_of t cid)
 
 (* Fan [runs] of [cid] out to (or tear them down from) every process mapping
    [cid]: kernel lock held, each target's page-table lock taken inside it. *)
 let map_everywhere t cid runs =
   List.iter
     (fun pid ->
-      match Hashtbl.find_opt t.procs pid with
-      | None -> ()
-      | Some ps -> (
-          match Hashtbl.find_opt ps.ps_mapped cid with
-          | None -> ()
-          | Some m ->
-              Sim.Mutex.with_lock ps.ps_pt (fun () ->
-                  map_runs t ~pid ~cid ~pkey:m.m_pkey ~writable:m.m_writable
-                    runs)))
+      with_mapping t cid pid (fun _ m ->
+          map_runs t ~pid ~cid ~pkey:m.m_pkey ~writable:m.m_writable runs))
     (mappers_of t cid)
 
 let unmap_runs_everywhere t cid runs =
   List.iter
-    (fun pid ->
-      match Hashtbl.find_opt t.procs pid with
-      | None -> ()
-      | Some ps -> Sim.Mutex.with_lock ps.ps_pt (fun () -> unmap_runs t ~pid runs))
+    (fun pid -> with_mapping t cid pid (fun _ _ -> unmap_runs t ~pid runs))
     (mappers_of t cid)
+
+(* The only way pages of [from] change owner once allocated (kernel lock
+   held): tear down every PTE of [runs] in the processes mapping [from]
+   first, so none keeps a PTE for a page its coffer no longer owns, give
+   the runs to [to_] (0 frees them), and install them for [to_]'s mappers. *)
+let move_runs t ~from ~to_ runs =
+  unmap_runs_everywhere t from runs;
+  List.iter
+    (fun (start, len) -> Alloc_table.set_range t.at ~start ~len ~cid:to_)
+    runs;
+  if to_ <> 0 then map_everywhere t to_ runs
+
+(* Drop every mapping of [ps] (kernel lock held). *)
+let unmap_process t ps =
+  Hashtbl.fold (fun cid _ acc -> cid :: acc) ps.ps_mapped []
+  |> List.iter (fun cid -> unmap_from_process t cid ps.ps_pid)
 
 (* The trap a user-mode touch of a pending page takes (installed as the
    MPK unit's demand-fault handler at mkfs and mount).  It pays the gate
@@ -297,9 +307,7 @@ let make_coffer t ~path ~ctype ~mode ~uid ~gid =
         | [] -> assert false
       in
       (* Re-own the provisional allocation under the real coffer-ID. *)
-      List.iter
-        (fun (start, len) -> Alloc_table.reassign t.at ~start ~len ~cid:id)
-        runs;
+      move_runs t ~from:(-1) ~to_:id runs;
       let root_file, custom =
         match rest with
         | [ a; b ] -> (a * Nvm.page_size, b * Nvm.page_size)
@@ -332,7 +340,7 @@ let mkfs dev mpk ?(nbuckets = 4096) ~root_ctype ~root_mode ~root_uid ~root_gid (
   let npages = Nvm.Device.pages dev in
   let at = Alloc_table.format dev ~base:at_base ~npages in
   (* Reserve the metadata region. *)
-  Alloc_table.reassign at ~start:0 ~len:(meta_pages npages nbuckets) ~cid:cid_meta;
+  Alloc_table.set_range at ~start:0 ~len:(meta_pages npages nbuckets) ~cid:cid_meta;
   let alloc_page () =
     match Alloc_table.alloc at ~cid:cid_pathmap ~n:1 with
     | Some [ (p, 1) ] -> Some p
@@ -507,8 +515,7 @@ let fs_umount t =
   kernel_op t (fun () ->
       let pid = (Sim.self_proc ()).Sim.Proc.pid in
       let* ps = proc_state t pid in
-      let cids = Hashtbl.fold (fun cid _ acc -> cid :: acc) ps.ps_mapped [] in
-      List.iter (fun cid -> unmap_from_process t cid pid) cids;
+      unmap_process t ps;
       Hashtbl.remove t.procs pid;
       Ok ())
 
@@ -528,10 +535,7 @@ let reap_process t ~pid =
         (match Hashtbl.find_opt t.procs pid with
         | None -> ()
         | Some ps ->
-            let cids =
-              Hashtbl.fold (fun cid _ acc -> cid :: acc) ps.ps_mapped []
-            in
-            List.iter (fun cid -> unmap_from_process t cid pid) cids;
+            unmap_process t ps;
             Hashtbl.remove t.procs pid);
         Mpk.drop_process t.mpk ~pid ~tids:(Sim.proc_tids pid);
         Obs.cnt "proc.reaped" 1;
@@ -546,8 +550,7 @@ let on_setuid t =
       match Hashtbl.find_opt t.procs pid with
       | None -> Ok ()
       | Some ps ->
-          let cids = Hashtbl.fold (fun cid _ acc -> cid :: acc) ps.ps_mapped [] in
-          List.iter (fun cid -> unmap_from_process t cid pid) cids;
+          unmap_process t ps;
           Ok ())
 
 (* ---- coffer operations (Table 5) -------------------------------------- *)
@@ -593,7 +596,7 @@ let coffer_delete t cid =
             unmap_everywhere t cid;
             let* () = Path_map.remove t.pm c.Coffer.path in
             Coffer.invalidate t.dev ~id:cid;
-            Alloc_table.free_coffer t.at ~cid;
+            move_runs t ~from:cid ~to_:0 (Alloc_table.runs_of t.at ~cid);
             Hashtbl.remove t.coffers cid;
             Hashtbl.remove t.mappers cid;
             Hashtbl.remove t.recoveries cid;
@@ -661,8 +664,7 @@ let coffer_shrink t cid ~runs =
       if not (List.for_all (owns_run t cid ~moving:true) runs) then
         Error Errno.EINVAL
       else begin
-        unmap_runs_everywhere t cid runs;
-        List.iter (fun (start, len) -> Alloc_table.free_run t.at ~start ~len) runs;
+        move_runs t ~from:cid ~to_:0 runs;
         Ok ()
       end)
 
@@ -832,13 +834,9 @@ let coffer_split t ~src ~new_path ~ctype ~mode ~uid ~gid ~runs ~root_file
         | None -> Error Errno.ENOSPC
         | Some new_runs ->
             let id = match new_runs with (s, _) :: _ -> s | [] -> assert false in
-            Alloc_table.reassign t.at ~start:id ~len:1 ~cid:id;
+            move_runs t ~from:(-1) ~to_:id new_runs;
             (* Moved pages change owner; mappers of src lose them. *)
-            unmap_runs_everywhere t src runs;
-            List.iter
-              (fun (start, len) ->
-                Alloc_table.reassign t.at ~start ~len ~cid:id)
-              runs;
+            move_runs t ~from:src ~to_:id runs;
             Coffer.write t.dev ~id ~ctype ~mode ~uid ~gid ~path:new_path
               ~root_file ~custom;
             let* () = Path_map.insert t.pm ~path:new_path ~cid:id in
@@ -879,18 +877,15 @@ let coffer_merge t ~dst ~src =
         then Error Errno.EPERM
         else begin
           unmap_everywhere t src;
-          let runs = Alloc_table.runs_of t.at ~cid:src in
-          List.iter
-            (fun (start, len) -> Alloc_table.reassign t.at ~start ~len ~cid:dst)
-            runs;
           Coffer.invalidate t.dev ~id:src;
-          Alloc_table.free_run t.at ~start:src ~len:1;
+          (* The root page is freed; every other page goes to dst, whose
+             mappers see it at once. *)
+          move_runs t ~from:src ~to_:0 [ (src, 1) ];
+          move_runs t ~from:src ~to_:dst (Alloc_table.runs_of t.at ~cid:src);
           let* () = Path_map.remove t.pm csrc.Coffer.path in
           Hashtbl.remove t.coffers src;
           Hashtbl.remove t.mappers src;
           Hashtbl.remove t.recoveries src;
-          (* Make the adopted pages visible to dst's mappers. *)
-          map_everywhere t dst (List.filter (fun (s, _l) -> s <> src) runs);
           Ok ()
         end)
 
@@ -982,9 +977,7 @@ let coffer_recover_end t cid ~in_use =
                   while !p < stop && not (Hashtbl.mem keep !p) do
                     incr p
                   done;
-                  let len = !p - first in
-                  unmap_runs_everywhere t cid [ (first, len) ];
-                  Alloc_table.free_run t.at ~start:first ~len
+                  move_runs t ~from:cid ~to_:0 [ (first, !p - first) ]
                 end
               done)
             (Alloc_table.runs_of t.at ~cid);
@@ -1053,7 +1046,7 @@ let reclaim_orphan_runs t =
           cid <> 0 && cid <> cid_meta && cid <> cid_pathmap
           && not (Hashtbl.mem t.coffers cid)
         then begin
-          Alloc_table.free_run t.at ~start ~len:(!p - start);
+          move_runs t ~from:cid ~to_:0 [ (start, !p - start) ];
           orphans := (cid, start, !p - start) :: !orphans
         end
       done;

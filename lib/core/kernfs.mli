@@ -167,7 +167,9 @@ val coffer_new :
 
 val coffer_delete : t -> int -> (unit, Errno.t) result
 (** Unmap everywhere, free all pages, remove the path-map entry.  [EBUSY]
-    for the root coffer and during recovery. *)
+    for the root coffer and during recovery.  Like every call that takes
+    pages from a coffer, it tears down every mapper's PTEs for exactly
+    those pages before the allocation table gives them away. *)
 
 val coffer_enlarge : t -> int -> n:int -> ((int * int) list, Errno.t) result
 (** Grant up to [n] more pages (as page runs) to the coffer and map them
@@ -181,9 +183,10 @@ val coffer_enlarge : t -> int -> n:int -> ((int * int) list, Errno.t) result
 
 val coffer_shrink : t -> int -> runs:(int * int) list -> (unit, Errno.t) result
 (** Return pages to the global pool (validated to belong to the coffer and
-    to exclude its root page).  [EINVAL] for any run that fails this,
-    including an empty run or one reaching outside the table; [EBUSY]
-    during recovery. *)
+    to exclude its root page), tearing down every mapper's PTEs for them
+    first ({!pte_update_cost} per present one, pending ones free).
+    [EINVAL] for any run that fails this, including an empty run or one
+    reaching outside the table; [EBUSY] during recovery. *)
 
 val coffer_map :
   ?populate:bool -> ?evict:int -> t -> int -> (mapping, Errno.t) result
@@ -264,9 +267,10 @@ val coffer_split :
     before any run moves.  [EBUSY] while [src] is in recovery. *)
 
 val coffer_merge : t -> dst:int -> src:int -> (unit, Errno.t) result
-(** Absorb [src] (same permission required) into [dst]; src's root page is
-    freed and dst's mappers see the adopted pages.  [EBUSY] while either is
-    in recovery. *)
+(** Absorb [src] (same permission required) into [dst]: every mapping of
+    [src] is torn down, src's root page is freed, and every other page of
+    [src] goes to [dst] and is installed present for dst's mappers, in the
+    same kernel entry.  [EBUSY] while either is in recovery. *)
 
 val coffer_rename : t -> int -> new_path:string -> (unit, Errno.t) result
 (** Re-key the coffer and every descendant coffer in the path map, and

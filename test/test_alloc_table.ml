@@ -33,7 +33,7 @@ let test_alloc_first_fit () =
   let _, t = mk () in
   ignore (A.alloc t ~cid:1 ~n:10);
   ignore (A.alloc t ~cid:2 ~n:10);
-  A.free_run t ~start:0 ~len:10;
+  A.set_range t ~start:0 ~len:10 ~cid:0;
   (* first fit reuses the hole at 0 *)
   (match A.alloc t ~cid:3 ~n:4 with
   | Some granted -> Alcotest.check runs "reuses hole" [ (0, 4) ] granted
@@ -44,8 +44,8 @@ let test_alloc_gathers_runs () =
   let _, t = mk () in
   ignore (A.alloc t ~cid:1 ~n:npages);
   (* Free two disjoint holes of 4 and 6 pages. *)
-  A.free_run t ~start:10 ~len:4;
-  A.free_run t ~start:100 ~len:6;
+  A.set_range t ~start:10 ~len:4 ~cid:0;
+  A.set_range t ~start:100 ~len:6 ~cid:0;
   (match A.alloc t ~cid:2 ~n:8 with
   | Some granted -> Alcotest.check runs "two runs" [ (10, 4); (100, 4) ] granted
   | None -> Alcotest.fail "alloc failed");
@@ -63,9 +63,9 @@ let test_alloc_enospc () =
 let test_free_coalesces () =
   let _, t = mk () in
   ignore (A.alloc t ~cid:1 ~n:30);
-  A.free_run t ~start:0 ~len:10;
-  A.free_run t ~start:20 ~len:10;
-  A.free_run t ~start:10 ~len:10;
+  A.set_range t ~start:0 ~len:10 ~cid:0;
+  A.set_range t ~start:20 ~len:10 ~cid:0;
+  A.set_range t ~start:10 ~len:10 ~cid:0;
   (* middle merges both sides *)
   A.verify t;
   Alcotest.(check int) "all free" npages (A.free_pages t);
@@ -77,7 +77,7 @@ let test_free_coalesces () =
 let test_reassign () =
   let _, t = mk () in
   ignore (A.alloc t ~cid:1 ~n:20);
-  A.reassign t ~start:5 ~len:10 ~cid:2;
+  A.set_range t ~start:5 ~len:10 ~cid:2;
   A.verify t;
   Alcotest.(check int) "head keeps owner" 1 (A.owner_of t ~page:4);
   Alcotest.(check int) "moved" 2 (A.owner_of t ~page:9);
@@ -85,13 +85,12 @@ let test_reassign () =
   Alcotest.check runs "runs of 2" [ (5, 10) ] (A.runs_of t ~cid:2);
   Alcotest.check runs "runs of 1 split" [ (0, 5); (15, 5) ] (A.runs_of t ~cid:1)
 
-let test_runs_of_and_pages_of () =
+let test_runs_of () =
   let _, t = mk () in
   ignore (A.alloc t ~cid:5 ~n:3);
   ignore (A.alloc t ~cid:6 ~n:2);
   ignore (A.alloc t ~cid:5 ~n:2);
   Alcotest.check runs "two runs" [ (0, 3); (5, 2) ] (A.runs_of t ~cid:5);
-  Alcotest.(check (list int)) "pages" [ 0; 1; 2; 5; 6 ] (A.pages_of t ~cid:5);
   Alcotest.(check int) "count" 5 (A.coffer_page_count t ~cid:5)
 
 let test_free_coffer () =
@@ -99,7 +98,9 @@ let test_free_coffer () =
   ignore (A.alloc t ~cid:5 ~n:3);
   ignore (A.alloc t ~cid:6 ~n:2);
   ignore (A.alloc t ~cid:5 ~n:2);
-  A.free_coffer t ~cid:5;
+  List.iter
+    (fun (start, len) -> A.set_range t ~start ~len ~cid:0)
+    (A.runs_of t ~cid:5);
   A.verify t;
   Alcotest.check runs "gone" [] (A.runs_of t ~cid:5);
   Alcotest.(check int) "six still there" 6 (A.owner_of t ~page:3);
@@ -109,7 +110,7 @@ let test_persistence_across_reload () =
   let dev, t = mk () in
   ignore (A.alloc t ~cid:3 ~n:7);
   ignore (A.alloc t ~cid:4 ~n:5);
-  A.free_run t ~start:2 ~len:2;
+  A.set_range t ~start:2 ~len:2 ~cid:0;
   (* reload from NVM (clean shutdown) *)
   let t' = A.load dev ~base:0 ~npages in
   A.verify t';
@@ -171,7 +172,7 @@ let qcheck_random_ops_keep_invariants =
           match Hashtbl.find_opt owned cid with
           | Some ((start, len) :: rest) when n mod 3 = 0 ->
               (* sometimes free the oldest run of this coffer *)
-              A.free_run t ~start ~len;
+              A.set_range t ~start ~len ~cid:0;
               Hashtbl.replace owned cid rest
           | _ -> (
               match A.alloc t ~cid ~n with
@@ -317,13 +318,15 @@ let qcheck_table_matches_owner_model =
                   (show_op op);
               Option.iter (List.iter (fun (s, l) -> set s l cid)) granted
           | Free_run (start, len) ->
-              A.free_run !t ~start ~len;
+              A.set_range !t ~start ~len ~cid:0;
               set start len 0
           | Reassign (start, len, cid) ->
-              A.reassign !t ~start ~len ~cid;
+              A.set_range !t ~start ~len ~cid;
               set start len cid
           | Free_coffer cid ->
-              A.free_coffer !t ~cid;
+              List.iter
+                (fun (start, len) -> A.set_range !t ~start ~len ~cid:0)
+                (A.runs_of !t ~cid);
               Array.iteri (fun p c -> if c = cid then owner.(p) <- 0) owner);
           check_against_model !t owner)
         ops;
@@ -346,7 +349,7 @@ let () =
         [
           Alcotest.test_case "coalescing" `Quick test_free_coalesces;
           Alcotest.test_case "reassign splits" `Quick test_reassign;
-          Alcotest.test_case "runs_of/pages_of" `Quick test_runs_of_and_pages_of;
+          Alcotest.test_case "runs_of" `Quick test_runs_of;
           Alcotest.test_case "free_coffer" `Quick test_free_coffer;
         ] );
       ( "persistence",

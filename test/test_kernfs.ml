@@ -8,8 +8,8 @@ module D = Nvm.Device
 
 let zofs_ctype = 1
 
-let mk ?(pages = 1024) () =
-  let dev = D.create ~perf:Nvm.Perf.free ~size:(pages * Nvm.page_size) () in
+let mk ?(perf = Nvm.Perf.free) ?(pages = 1024) () =
+  let dev = D.create ~perf ~size:(pages * Nvm.page_size) () in
   let mpk = Mpk.create dev in
   let kfs =
     K.mkfs dev mpk ~nbuckets:256 ~root_ctype:zofs_ctype ~root_mode:0o777
@@ -1048,14 +1048,19 @@ let test_unmapped_coffer_page_installs_nothing () =
         (K.pte_violations kfs ~pid))
 
 (* Every path that takes pages from a process's mapping clears their
-   pending PTEs.  Each case maps "/lazy" without populate, runs one
-   operation and names the pages that must have no PTE left. *)
+   pending PTEs, and the PTEs of every other process mapping them.  Each
+   case maps "/lazy" without populate in one process and populated in a
+   second, creates "/dst" (same permission) mapped populated by a third,
+   runs one operation in the first process and names the pages that must
+   have no PTE left (in both mappers of "/lazy" unless [~everywhere:false])
+   and the pages "/dst"'s mapper must now have under its key. *)
 let test_teardowns_clear_pending () =
-  let case name op =
+  let case ?(everywhere = true) name op =
     let _, mpk, kfs = mk ~pages:2048 () in
-    let proc = Sim.Proc.create ~uid:1000 ~gid:1000 () in
-    let gone =
-      Sim.run_thread ~proc (fun () ->
+    let user () = Sim.Proc.create ~uid:1000 ~gid:1000 () in
+    let lazy_proc = user () and eager_proc = user () and dst_proc = user () in
+    let cid, dst =
+      Sim.run_thread ~proc:lazy_proc (fun () ->
           let cid, _ = lazy_coffer kfs in
           let pid = self_pid () in
           let header = header_pages kfs cid in
@@ -1066,57 +1071,84 @@ let test_teardowns_clear_pending () =
                  if List.mem page header then Mpk.is_mapped mpk ~pid ~page
                  else Mpk.is_pending mpk ~pid ~page)
                (coffer_pages kfs cid));
-          op kfs cid)
+          let dst =
+            ok_or_fail
+              (K.coffer_new kfs ~path:"/dst" ~ctype:zofs_ctype ~mode:0o600
+                 ~uid:1000 ~gid:1000)
+          in
+          (cid, dst.Coffer.id))
     in
-    let pid = proc.Sim.Proc.pid in
+    let map_populated proc cid =
+      Sim.run_thread ~proc (fun () ->
+          ok_or_fail (K.fs_mount kfs);
+          (ok_or_fail (K.coffer_map kfs cid)).K.m_pkey)
+    in
+    ignore (map_populated eager_proc cid);
+    let dst_key = map_populated dst_proc dst in
+    let gone, adopted =
+      Sim.run_thread ~proc:lazy_proc (fun () -> op kfs cid dst)
+    in
+    let no_pte proc =
+      List.iter
+        (fun page ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "%s: pid %d: page %d has no PTE" name
+               proc.Sim.Proc.pid page)
+            None
+            (Mpk.page_pkey mpk ~pid:proc.Sim.Proc.pid ~page))
+        gone
+    in
+    no_pte lazy_proc;
+    if everywhere then no_pte eager_proc;
     List.iter
       (fun page ->
         Alcotest.(check (option int))
-          (Printf.sprintf "%s: page %d has no PTE" name page)
-          None
-          (Mpk.page_pkey mpk ~pid ~page))
-      gone;
-    Alcotest.(check (list string)) (name ^ ": page table matches mappings") []
-      (K.pte_violations kfs ~pid)
+          (Printf.sprintf "%s: page %d installed under dst's key" name page)
+          (Some dst_key)
+          (Mpk.page_pkey mpk ~pid:dst_proc.Sim.Proc.pid ~page))
+      adopted;
+    List.iter
+      (fun proc ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s: pid %d: page table matches mappings" name
+             proc.Sim.Proc.pid)
+          []
+          (K.pte_violations kfs ~pid:proc.Sim.Proc.pid))
+      [ lazy_proc; eager_proc; dst_proc ]
   in
   let last_page kfs cid =
     match List.rev (coffer_pages kfs cid) with
     | p :: _ -> p
     | [] -> assert false
   in
-  case "shrink" (fun kfs cid ->
+  case "shrink" (fun kfs cid _ ->
       let p = last_page kfs cid in
       ok_or_fail (K.coffer_shrink kfs cid ~runs:[ (p, 1) ]);
-      [ p ]);
-  case "split" (fun kfs cid ->
+      ([ p ], []));
+  case "split" (fun kfs cid _ ->
       let p = last_page kfs cid in
       ignore
         (ok_or_fail
            (K.coffer_split kfs ~src:cid ~new_path:"/lazy/s" ~ctype:zofs_ctype
               ~mode:0o644 ~uid:1000 ~gid:1000 ~runs:[ (p, 1) ] ~root_file:0
               ~custom:0));
-      [ p ]);
-  case "merge" (fun kfs cid ->
-      let dst =
-        ok_or_fail
-          (K.coffer_new kfs ~path:"/dst" ~ctype:zofs_ctype ~mode:0o600
-             ~uid:1000 ~gid:1000)
-      in
+      ([ p ], []));
+  case "merge" (fun kfs cid dst ->
       let gone = coffer_pages kfs cid in
-      ok_or_fail (K.coffer_merge kfs ~dst:dst.Coffer.id ~src:cid);
-      gone);
-  case "chmod" (fun kfs cid ->
+      ok_or_fail (K.coffer_merge kfs ~dst ~src:cid);
+      (gone, List.filter (fun p -> p <> cid) gone));
+  case "chmod" (fun kfs cid _ ->
       let gone = coffer_pages kfs cid in
       ok_or_fail (K.coffer_chmod kfs cid ~mode:0o644 ~uid:1000 ~gid:1000);
-      gone);
-  case "delete" (fun kfs cid ->
+      (gone, []));
+  case "delete" (fun kfs cid _ ->
       let gone = coffer_pages kfs cid in
       ok_or_fail (K.coffer_delete kfs cid);
-      gone);
-  case "on_setuid" (fun kfs cid ->
+      (gone, []));
+  case ~everywhere:false "on_setuid" (fun kfs cid _ ->
       let gone = coffer_pages kfs cid in
       ok_or_fail (K.on_setuid kfs);
-      gone);
+      (gone, []));
   (* A dead process is reaped by a survivor: its whole table goes. *)
   let _, mpk, kfs = mk () in
   let proc = Sim.Proc.create ~uid:1000 ~gid:1000 () in
@@ -1209,6 +1241,112 @@ let test_regranted_page_not_installed_under_old_key () =
         (Mpk.page_pkey mpk ~pid:(self_pid ()) ~page);
       Alcotest.(check bool) "still maps its coffer" true
         (List.mem_assoc cid (K.mapped_coffers kfs)))
+
+(* A merge frees src's root page even when it sits inside one of src's
+   runs, and installs only the adopted pages for dst's mappers: "/x" is
+   deleted, so "/s" grows into the hole before its root page.  Once the
+   freed root page is granted to "/y", dst's key cannot write it. *)
+let test_merge_root_page_inside_a_run () =
+  let dev, mpk, kfs = mk () in
+  as_user (fun () ->
+      ok_or_fail (K.fs_mount kfs);
+      let coffer path =
+        (ok_or_fail
+           (K.coffer_new kfs ~path ~ctype:zofs_ctype ~mode:0o600 ~uid:1000
+              ~gid:1000))
+          .Coffer.id
+      in
+      let x = coffer "/x" in
+      let s = coffer "/s" in
+      let d = coffer "/d" in
+      ok_or_fail (K.coffer_delete kfs x);
+      ignore (ok_or_fail (K.coffer_enlarge kfs s ~n:3));
+      let at = K.alloc_table kfs in
+      Alcotest.(check (list (pair int int)))
+        "src's root page inside its one run" [ (x, 6) ] (A.runs_of at ~cid:s);
+      Alcotest.(check int) "three pages in" (x + 3) s;
+      let m = ok_or_fail (K.coffer_map kfs d) in
+      ok_or_fail (K.coffer_merge kfs ~dst:d ~src:s);
+      let pid = self_pid () in
+      Alcotest.(check (list string)) "page table matches mappings" []
+        (K.pte_violations kfs ~pid);
+      Alcotest.(check int) "src's root page is free" 0 (A.owner_of at ~page:s);
+      Alcotest.(check (option int)) "and has no PTE" None
+        (Mpk.page_pkey mpk ~pid ~page:s);
+      Alcotest.(check bool) "the other five adopted under dst's key" true
+        (List.for_all
+           (fun page ->
+             A.owner_of at ~page = d
+             && Mpk.page_pkey mpk ~pid ~page = Some m.K.m_pkey)
+           [ x; x + 1; x + 2; x + 4; x + 5 ]);
+      let y = coffer "/y" in
+      ignore (ok_or_fail (K.coffer_enlarge kfs y ~n:1));
+      Alcotest.(check int) "the root page is granted to /y" y
+        (A.owner_of at ~page:s);
+      Alcotest.(check string) "a write through dst's key" "page not mapped"
+        (fault_reason (fun () ->
+             Mpk.with_keys mpk
+               [ (m.K.m_pkey, Mpk.Pk_read_write) ]
+               (fun () -> D.write_u8 dev (s * Nvm.page_size) 1))))
+
+(* A page's PTEs go before the table gives the page away: whenever another
+   thread can run, the mapper holds no PTE for a page its coffer does not
+   own.  The device charges NVM time, so the table update is a window other
+   threads run in; a thread of another process audits the mapper's page
+   table every 10 ns while the mapper shrinks its coffer, then splits part
+   of it off. *)
+let test_teardown_before_table_update () =
+  let _, mpk, kfs = mk ~perf:Nvm.Perf.optane () in
+  let mapper = Sim.Proc.create ~uid:1000 ~gid:1000 () in
+  let pid = mapper.Sim.Proc.pid in
+  let cid = ref 0 and finished = ref false and audits = ref 0 in
+  let stale = ref [] in
+  let start = 1_000_000 in
+  let world = Sim.create () in
+  Sim.spawn world ~proc:mapper ~name:"mapper" (fun () ->
+      ok_or_fail (K.fs_mount kfs);
+      let c =
+        ok_or_fail
+          (K.coffer_new kfs ~path:"/c" ~ctype:zofs_ctype ~mode:0o600 ~uid:1000
+             ~gid:1000)
+      in
+      cid := c.Coffer.id;
+      let granted = ok_or_fail (K.coffer_enlarge kfs !cid ~n:16) in
+      ignore (ok_or_fail (K.coffer_map kfs !cid));
+      let first, _ = List.hd granted in
+      Sim.sleep_until start;
+      ok_or_fail (K.coffer_shrink kfs !cid ~runs:[ (first, 8) ]);
+      ignore
+        (ok_or_fail
+           (K.coffer_split kfs ~src:!cid ~new_path:"/c/s" ~ctype:zofs_ctype
+              ~mode:0o644 ~uid:1000 ~gid:1000
+              ~runs:[ (first + 8, 8) ]
+              ~root_file:0 ~custom:0));
+      finished := true);
+  Sim.spawn world
+    ~proc:(Sim.Proc.create ~uid:1000 ~gid:1000 ())
+    ~name:"auditor"
+    (fun () ->
+      Sim.sleep_until start;
+      let at = K.alloc_table kfs in
+      while not !finished do
+        incr audits;
+        for page = 0 to A.npages at - 1 do
+          if
+            Mpk.page_pkey mpk ~pid ~page <> None
+            && A.owner_of at ~page <> !cid
+            && not (List.mem page !stale)
+          then stale := page :: !stale
+        done;
+        Sim.advance 10
+      done);
+  Sim.run world;
+  Alcotest.(check bool) (Printf.sprintf "audited (%d)" !audits) true
+    (!audits > 100);
+  Alcotest.(check (list int)) "no PTE outlives its page's ownership" []
+    (List.rev !stale);
+  Alcotest.(check (list string)) "page table matches mappings" []
+    (K.pte_violations kfs ~pid)
 
 (* ---- a remap that evicts in the same call (coffer_map ?evict) --------- *)
 
@@ -1907,6 +2045,8 @@ let () =
           Alcotest.test_case "split ownership" `Quick test_split_requires_ownership;
           Alcotest.test_case "merge" `Quick test_merge;
           Alcotest.test_case "merge same perm" `Quick test_merge_requires_same_perm;
+          Alcotest.test_case "merge frees a root page inside a run" `Quick
+            test_merge_root_page_inside_a_run;
           Alcotest.test_case "chmod in place" `Quick test_chmod_in_place;
           Alcotest.test_case "rename descendants" `Quick
             test_rename_moves_descendants;
@@ -1927,6 +2067,8 @@ let () =
             `Quick test_fault_after_teardown_installs_nothing;
           Alcotest.test_case "re-granted page not installed under old key"
             `Quick test_regranted_page_not_installed_under_old_key;
+          Alcotest.test_case "PTEs go before the table gives pages away"
+            `Quick test_teardown_before_table_update;
           Alcotest.test_case "late PTE install caught" `Quick
             test_pte_check_catches_late_install;
           Alcotest.test_case "two processes map in parallel" `Quick
