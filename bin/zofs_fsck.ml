@@ -6,6 +6,15 @@
 module V = Treasury.Vfs
 module K = Treasury.Kernfs
 
+(* The hwm audit runs before the repair: recovery never reads a dentry
+   above its page's hwm, so it leaves them where they are and reclaims
+   their files' pages. *)
+let print_hwm_audit found =
+  Printf.printf "dentries above hwm:     %d\n" (List.length found);
+  List.iter
+    (fun (dir, addr) -> Printf.printf "  - %s: inline slot at 0x%x\n" dir addr)
+    found
+
 (* The coffers are scanned in parallel, so the user/kernel split is a sum
    over coffers, not elapsed time. *)
 let print_report (r : Zofs.Recovery.report) =
@@ -51,10 +60,12 @@ let check_image path =
   let dev = Nvm.Device.load_image path in
   let mpk = Mpk.create dev in
   let kfs = K.mount dev mpk in
-  let report =
+  let audit, report =
     Sim.run_thread ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ()) (fun () ->
-        Zofs.Recovery.recover_all kfs)
+        let audit = Zofs.Recovery.hwm_audit kfs in
+        (audit, Zofs.Recovery.recover_all kfs))
   in
+  print_hwm_audit audit;
   print_report report;
   Nvm.Device.save_image dev path;
   Printf.printf "repaired image written back to %s\n" path
@@ -92,9 +103,12 @@ let demo () =
               Nvm.Device.persist_all dev)));
   Nvm.Device.crash dev;
   let kfs = K.mount dev mpk in
-  let report =
-    Sim.run_thread ~proc (fun () -> Zofs.Recovery.recover_all kfs)
+  let audit, report =
+    Sim.run_thread ~proc (fun () ->
+        let audit = Zofs.Recovery.hwm_audit kfs in
+        (audit, Zofs.Recovery.recover_all kfs))
   in
+  print_hwm_audit audit;
   print_report report;
   (* verify what's left *)
   Sim.run_thread ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ()) (fun () ->

@@ -556,3 +556,49 @@ let check_missing_fence ?(pages = 1024) (s : Op.script) =
       match verify w ~acked:rp.rp_acked dump with
       | Ok () -> None
       | Error reason -> Some reason)
+
+(* Negative self-check: an insert that writes its dentry at slot hwm
+   without raising hwm.  The script runs to the end (every op
+   acknowledged); then the first second-level page whose top inline slot
+   (hwm - 1) holds a dentry has its hwm put back by one, the state that
+   insert leaves, made durable.  No reader sees that dentry, so after
+   recovery the final-state comparison must miss its name.  [Some reason]
+   when caught, [None] when it slipped through or the script left no page
+   with two inline dentries to plant on. *)
+let check_hwm_skip ?(pages = 1024) (s : Op.script) =
+  let w = prepare ~pages s in
+  let rp = replay w in
+  let planted =
+    Sim.run_thread (fun () ->
+        let mpk = Mpk.create w.w_dev in
+        let kfs = K.mount w.w_dev mpk in
+        let planted = ref false in
+        Recovery.iter_dirs kfs (fun ~path:_ ~ino ->
+            let l1 = Zofs.Dir.l1_page w.w_dev ~ino in
+            if l1 <> 0 then
+              for l1i = 0 to Zofs.Layout.l1_entries - 1 do
+                let slot = l1 + (l1i * 8) in
+                let word = D.read_u64 w.w_dev slot in
+                let l2 = Zofs.Dir.l2_of_slot word in
+                let h = Zofs.Dir.hwm_of_slot word in
+                if
+                  (not !planted) && l2 <> 0 && h >= 2
+                  && Zofs.Dir.dentry_valid w.w_dev (Zofs.Dir.inline_slot l2 (h - 1))
+                then begin
+                  Mpk.with_kernel mpk (fun () ->
+                      Mpk.with_write_window mpk (fun () ->
+                          D.write_u64 w.w_dev slot (l2 lor (h - 1))));
+                  planted := true
+                end
+              done);
+        D.persist_all w.w_dev;
+        !planted)
+  in
+  if not planted then None
+  else
+    match recover_and_dump w with
+    | exception Failure reason -> Some reason
+    | _rep, dump -> (
+        match verify w ~acked:rp.rp_acked dump with
+        | Ok () -> None
+        | Error reason -> Some reason)

@@ -1,12 +1,14 @@
 (* The crash-consistency gate, `crash` (DESIGN.md §12).
 
-   For each op script (fxmark, filebench, fslab) lib/crashmc records the
+   For each op script (fxmark, filebench, fslab, and three creates into
+   one second-level page) lib/crashmc records the
    persistence events once, then explores a seeded sample of 180 crash
    points: replay to the k-th event, power-fail under a line-survival
    policy, recover, and compare the recovered tree against the oracle
    model at the prefix of acknowledged ops.  Any divergence is a
-   violation.  The negative drops one fence and must be reported as a
-   divergence, proving the checker sees the bug class it exists for. *)
+   violation.  Two negatives must be reported as divergences, proving the
+   checker sees the bug classes it exists for: one drops a fence, one
+   leaves a dentry at its second-level page's hwm without raising it. *)
 
 module C = Crashmc
 module Op = Workloads.Opscript
@@ -15,8 +17,9 @@ module J = Obs.Json
 let points = 180
 let seed = 1L
 
-let run_workload name =
-  let rep = C.check ~max_points:points ~seed (Op.find name) in
+let run_workload (script : Op.script) =
+  let name = script.Op.sname in
+  let rep = C.check ~max_points:points ~seed script in
   Printf.printf "%-10s ops=%d events=%d points=%d divergences=%d findings=%d\n%!"
     name rep.C.r_ops rep.C.r_events rep.C.r_points
     (List.length rep.C.r_divergences)
@@ -43,12 +46,27 @@ let run_workload name =
       ],
     violations )
 
+(* Three creates whose names share a second-level page: the named scripts
+   never put two names in one, so without it no crash point lands on an
+   hwm raise, and the hwm negative has no page to plant on. *)
+let shared_page =
+  {
+    Op.sname = "shared-page";
+    setup = [ Op.Mkdir "/h" ];
+    body =
+      List.map
+        (fun n -> Op.Create { path = "/h/" ^ n; mode = 0o644; data = n })
+        (Perf_gate.same_l1_slot_names ~seed:"h" 3);
+  }
+
 let run () =
-  let rows = List.map run_workload [ "fxmark"; "filebench"; "fslab" ] in
+  let rows =
+    List.map run_workload
+      (List.map Op.find [ "fxmark"; "filebench"; "fslab" ] @ [ shared_page ])
+  in
   (J.Obj [ ("workloads", J.Arr (List.map fst rows)) ], List.concat_map snd rows)
 
-let missing_fence () =
-  match C.check_missing_fence (Op.find "fslab") with
+let caught = function
   | Some reason ->
       Printf.printf "  %s\n%!"
         (String.concat "\n  " (String.split_on_char '\n' reason));
@@ -56,4 +74,12 @@ let missing_fence () =
   | None -> false
 
 let gate =
-  { Gate.name = "crash"; run; negatives = [ ("missing_fence", missing_fence) ] }
+  {
+    Gate.name = "crash";
+    run;
+    negatives =
+      [
+        ("missing_fence", fun () -> caught (C.check_missing_fence (Op.find "fslab")));
+        ("insert_skips_hwm_bump", fun () -> caught (C.check_hwm_skip shared_page));
+      ];
+  }

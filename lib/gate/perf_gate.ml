@@ -2,7 +2,9 @@
 
    A pinned set of deterministic single-thread experiments exercises the
    batched µFS commit paths — append growth (the Figure 7(d) staircase),
-   create, unlink, same-directory rename, and truncate — the readdir
+   create, unlink, same-directory rename (to a fresh name, and to an absent
+   name in a live second-level page behind a cold cache), and truncate —
+   the readdir
    scan of the two-level hash directory, the offline recovery scan (of one
    coffer, and of 21 coffers, more than a process has MPK keys) and a
    truncate through an indirect page, each in a fresh simulated world,
@@ -168,6 +170,36 @@ let exp_rename ~ops () =
              (Printf.sprintf "/d/r%d" i)
              (Printf.sprintf "/d/rn%d" i))
       done)
+    ()
+
+(* Same-directory renames to absent names whose second-level pages
+   already exist (each destination shares its source's first-level slot):
+   the destination's lookups, the walk's and the one under the lease, miss
+   in a live page.  Every line is evicted before each rename, as a run of
+   kernel entries would leave the cache, so each miss pays for the inline
+   lines it reads. *)
+let exp_rename_miss ~ops () =
+  let dst src =
+    let slot = Zofs.Layout.(l1_index (dir_hash src)) in
+    let rec pick j =
+      let name = Printf.sprintf "%s_m%d" src j in
+      if Zofs.Layout.(l1_index (dir_hash name)) = slot then name else pick (j + 1)
+    in
+    pick 0
+  in
+  let srcs = List.init ops (fun i -> Printf.sprintf "s%d" i) in
+  in_world ~ops
+    ~setup:(fun fs ->
+      ok (V.mkdir fs "/d" 0o755);
+      List.iter (fun n -> ok (V.write_file fs ("/d/" ^ n) ~mode:0o644 "")) srcs)
+    ~measured:(fun { FL.fs; device; _ } ->
+      List.iter
+        (fun src ->
+          for _ = 1 to 8 do
+            Nvm.Device.pollute_cache device
+          done;
+          ok (V.rename fs ("/d/" ^ src) ("/d/" ^ dst src)))
+        srcs)
     ()
 
 (* Shrinking truncate of 8-block files (the Trunc-intention path). *)
@@ -530,6 +562,7 @@ let experiments =
     ("create", fun () -> exp_create ~ops:48 ());
     ("unlink", fun () -> exp_unlink ~ops:48 ());
     ("rename", fun () -> exp_rename ~ops:48 ());
+    ("rename-miss", fun () -> exp_rename_miss ~ops:48 ());
     ("truncate", fun () -> exp_truncate ~ops:24 ());
     ("readdir", fun () -> exp_readdir ~rounds:4 ());
     ("recovery", exp_recovery);

@@ -316,12 +316,15 @@ module Device = struct
 
   (* The line caches of the active world.  Tids restart at 0 in every
      world, so a new world's first access drops the previous world's
-     caches: its threads start cold, however warm the device was left. *)
+     caches: its threads start cold, however warm the device was left.
+     The pollution cursor goes with them, so a world's first kernel entry
+     evicts the same window whatever the previous world did. *)
   let caches d =
     let w = Sim.world_uid () in
     if w <> d.caches_world then begin
       d.caches_world <- w;
-      Sim.Idtbl.reset d.line_caches
+      Sim.Idtbl.reset d.line_caches;
+      d.pollute_cursor <- 0
     end;
     d.line_caches
 
@@ -335,9 +338,10 @@ module Device = struct
 
   (* A kernel crossing displaces part of the working set, not all of it:
      evict a rotating 1/8 window of the simulated cache.  The cursor lives
-     on the device, not at module level: a global cursor would carry cache
-     state from one simulated world into the next, making identical runs
-     time differently (the perf gate's determinism test catches this). *)
+     on the device, not at module level, and is reset with the world's
+     caches ([caches]): a cursor carried from one simulated world into the
+     next would make identical runs time differently (the perf gate's
+     determinism test catches this). *)
   let pollute_window = cache_slots / 8
 
   (* The cursor moves a whole window at a time, so a window never wraps. *)

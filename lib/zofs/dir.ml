@@ -10,7 +10,20 @@
 
    Consistency: a dentry is written completely and flushed before its valid
    byte is set (and flushed); removal clears the valid byte.  Second-level
-   and chain pages are zeroed before their pointers are published. *)
+   and chain pages are zeroed before their pointers are published.
+
+   A first-level slot holds its second-level page's address, page-aligned,
+   and in the 12 low bits the page's inline high-water mark (hwm): how
+   many inline slots have ever held a dentry, 1 to 16.  A new page is
+   published with hwm 1 in the same 8-byte store as its address; an insert
+   reuses the lowest free slot below hwm before it raises hwm, and the
+   raise is flushed before the dentry's pre-publish fence, so no crash
+   state has a valid dentry at or above the durable hwm.  hwm never falls
+   (removal and intention rollback leave it alone).  Every reader reads
+   only slots [0, hwm), and the bucket heads and chains only when hwm is
+   16: a chain is linked only once all 16 inline slots are valid.  A miss
+   in a page that has held one name reads one inline line, not 16 and a
+   bucket head. *)
 
 open Layout
 
@@ -43,7 +56,10 @@ let read_dentry dev addr =
 
 let dentry_valid dev addr = Nvm.Device.read_u8 dev (addr + d_valid) = 1
 
-let write_dentry dev addr ~name ~kind ~coffer ~inode =
+(* [index] is the address of the word that makes the slot reachable (the
+   first-level slot holding an inline slot's hwm, or a chain's bucket
+   head); it is published with the dentry. *)
+let write_dentry dev addr ~index ~name ~kind ~coffer ~inode =
   Nvm.Device.write_u8 dev (addr + d_valid) 0;
   Nvm.Device.write_u8 dev (addr + d_kind) kind;
   Nvm.Device.write_u16 dev (addr + d_name_len) (String.length name);
@@ -57,6 +73,7 @@ let write_dentry dev addr ~name ~kind ~coffer ~inode =
   Pbatch.flush dev addr dentry_size;
   Pbatch.barrier dev;
   Check.publish dev ~label:"dentry-insert" addr dentry_size;
+  Check.publish dev ~label:"dentry-insert" index 8;
   Race.publish dev ~label:"dentry-insert" addr dentry_size;
   Nvm.Device.write_u8 dev (addr + d_valid) 1;
   (* The valid byte's flush rides the lease-release fence: if it is lost the
@@ -73,7 +90,17 @@ let clear_dentry dev addr =
 
 let l1_page dev ~ino = Inode.read_direct dev ~ino 0
 let l1_slot_addr l1 hash = l1 + (l1_index hash * 8)
-let l2_page dev l1 hash = Nvm.Device.read_u64 dev (l1_slot_addr l1 hash)
+
+(* A first-level slot's two halves.  The hwm is clamped to [1, 16], so no
+   slot value widens a read past the inline area or off its page, and a
+   torn slot with zero low bits still reads slot 0. *)
+let hwm_bits = page_size - 1
+let l2_of_slot word = word land lnot hwm_bits
+let hwm_of_slot word = max 1 (min l2_inline_dentries (word land hwm_bits))
+
+let l1_slot dev l1 hash = Nvm.Device.read_u64 dev (l1_slot_addr l1 hash)
+let l2_page dev l1 hash = l2_of_slot (l1_slot dev l1 hash)
+let hwm dev l1 hash = hwm_of_slot (l1_slot dev l1 hash)
 let inline_slot l2 i = l2 + (i * dentry_size)
 let bucket_addr l2 hash = l2 + l2_bucket_base + (l2_bucket hash * 8)
 let chain_next dev page = Nvm.Device.read_u64 dev page
@@ -90,19 +117,25 @@ let ensure_l1 dev balloc ~ino =
         Inode.write_direct dev ~ino 0 page;
         Ok page
 
+(* Store [l2] with hwm [h] in the first-level slot of [hash].  The store
+   only has to be durable before the dentry that needs it is visible, so
+   its flush rides the insert's pre-publish barrier. *)
+let publish_l2 dev l1 hash l2 h =
+  Nvm.Device.write_u64 dev (l1_slot_addr l1 hash) (l2 lor h);
+  Pbatch.flush dev (l1_slot_addr l1 hash) 8
+
+(* The second-level page of [hash] and its hwm; a new page (zeroed and
+   fenced by alloc_zeroed) is published with hwm 1. *)
 let ensure_l2 dev balloc l1 hash =
-  let l2 = l2_page dev l1 hash in
-  if l2 <> 0 then Ok l2
+  let word = l1_slot dev l1 hash in
+  let l2 = l2_of_slot word in
+  if l2 <> 0 then Ok (l2, hwm_of_slot word)
   else
     match Balloc.alloc_zeroed balloc with
     | Error e -> Error e
     | Ok page ->
-        (* The page is zeroed-and-fenced by alloc_zeroed; the pointer to it
-           only has to be durable before the dentry that uses it is visible,
-           so its flush rides the insert's pre-publish barrier. *)
-        Nvm.Device.write_u64 dev (l1_slot_addr l1 hash) page;
-        Pbatch.flush dev (l1_slot_addr l1 hash) 8;
-        Ok page
+        publish_l2 dev l1 hash page 1;
+        Ok (page, 1)
 
 (* ---- lookup -------------------------------------------------------------- *)
 
@@ -117,11 +150,14 @@ let lookup dev ~ino name =
   let l1 = l1_page dev ~ino in
   if l1 = 0 then None
   else
-    let l2 = l2_page dev l1 hash in
+    let word = l1_slot dev l1 hash in
+    let l2 = l2_of_slot word and h = hwm_of_slot word in
     if l2 = 0 then None
     else
       let rec inline i =
-        if i >= l2_inline_dentries then chains (Nvm.Device.read_u64 dev (bucket_addr l2 hash))
+        if i >= h then
+          if h < l2_inline_dentries then None
+          else chains (Nvm.Device.read_u64 dev (bucket_addr l2 hash))
         else
           let a = inline_slot l2 i in
           if match_at dev a ~name ~hash then read_dentry dev a else inline (i + 1)
@@ -141,9 +177,10 @@ let lookup dev ~ino name =
 
 (* ---- insert -------------------------------------------------------------- *)
 
-let find_free_inline dev l2 =
+(* The lowest free inline slot below [h]. *)
+let find_free_inline dev l2 h =
   let rec go i =
-    if i >= l2_inline_dentries then None
+    if i >= h then None
     else if not (dentry_valid dev (inline_slot l2 i)) then Some (inline_slot l2 i)
     else go (i + 1)
   in
@@ -168,10 +205,15 @@ let insert dev balloc ~ino ~name ~kind ~coffer ~inode =
     | Ok l1 -> (
         match ensure_l2 dev balloc l1 hash with
         | Error e -> Error e
-        | Ok l2 -> (
+        | Ok (l2, h) -> (
+            (* The free slot and the word that makes it reachable. *)
             let slot =
-              match find_free_inline dev l2 with
-              | Some a -> Ok a
+              match find_free_inline dev l2 h with
+              | Some a -> Ok (a, l1_slot_addr l1 hash)
+              | None when h < l2_inline_dentries ->
+                  (* Raise hwm over the next unused slot. *)
+                  publish_l2 dev l1 hash l2 (h + 1);
+                  Ok (inline_slot l2 h, l1_slot_addr l1 hash)
               | None ->
                   (* spill into the bucket chains *)
                   let bucket = bucket_addr l2 hash in
@@ -183,7 +225,7 @@ let insert dev balloc ~ino ~name ~kind ~coffer ~inode =
                       | None -> hunt (chain_next dev page)
                   in
                   (match hunt (Nvm.Device.read_u64 dev bucket) with
-                  | Some a -> Ok a
+                  | Some a -> Ok (a, bucket)
                   | None -> (
                       match Balloc.alloc_zeroed balloc with
                       | Error e -> Error e
@@ -199,16 +241,16 @@ let insert dev balloc ~ino ~name ~kind ~coffer ~inode =
                           Pbatch.persist dev page 8;
                           Nvm.Device.write_u64 dev bucket page;
                           Pbatch.flush dev bucket 8;
-                          Ok (chain_slot page 1)))
+                          Ok (chain_slot page 1, bucket)))
             in
             match slot with
             | Error e -> Error e
-            | Ok addr ->
+            | Ok (addr, index) ->
                 (* Intention first: if this thread dies before the final
                    clear, the lease stealer rolls the half-inserted dentry
                    back (the op was never acknowledged). *)
                 Intent.record dev ~ino Intent.Insert ~arg:addr;
-                write_dentry dev addr ~name ~kind ~coffer ~inode;
+                write_dentry dev addr ~index ~name ~kind ~coffer ~inode;
                 Inode.touch_mtime dev ~ino;
                 Intent.clear dev ~ino;
                 Ok ()))
@@ -246,21 +288,23 @@ let retarget dev ~ino name ~coffer ~inode =
 
 (* A full scan reads each array it visits with one sequential load into a
    buffer and decodes the slots from it: the first-level page's 512 slots,
-   a whole second-level page (16 inline dentries, then 256 bucket heads:
-   one 4 KB load), and the 31 dentries of a chain page (its next pointer,
-   in slot 0, stays a scalar load).  A scan with no [on_dentry] loads only
-   a second-level page's bucket heads.  The device charges a load wider
-   than a line as one read latency plus bandwidth, where slot-by-slot
-   loads miss once per line.  Dentries are decoded with [read_dentry]'s
-   checks.  The buffers belong to one scan: the callbacks may start
-   another scan and may yield to other threads.
+   a second-level page's inline slots below its hwm, and the 31 dentries
+   of a chain page (its next pointer, in slot 0, stays a scalar load).  A
+   second-level page whose hwm is 16 is read whole instead (16 inline
+   dentries, then 256 bucket heads: one 4 KB load); one below 16 has no
+   chains, so its bucket heads are not read.  A scan with no [on_dentry]
+   loads only the bucket heads of full pages.  The device charges a load
+   wider than a line as one read latency plus bandwidth, where
+   slot-by-slot loads miss once per line.  Dentries are decoded with
+   [read_dentry]'s checks.  The buffers belong to one scan: the callbacks
+   may start another scan and may yield to other threads.
 
    A dentry-area load also touches lines the slot-by-slot scan never read:
    the unused tail of each slot.  A media error there must not fail a scan
    that would not have read it, so a [Media] fault from a load that covers
-   dentries falls back: a second-level page to one load of its inline
-   dentries and one of its bucket heads, a dentry area to slot-by-slot
-   loads.
+   dentries falls back: a whole second-level page to one load of its
+   inline dentries and one of its bucket heads, a dentry area to
+   slot-by-slot loads.
 
    [prefault], when given, is handed the second-level pages the
    first-level page names, once, before any of them is read: a scan of a
@@ -341,46 +385,50 @@ let scan ~bulk ?prefault ?(on_page = ignore) ?on_dentry dev ~ino =
       load_index dev ~bulk l2_buf l2_bucket_base (l2 + l2_bucket_base)
         (l2_buckets * 8)
     in
-    (* The inline dentries and the bucket heads of [l2], into [l2_buf]. *)
-    let visit_l2 l2 =
+    (* The inline dentries of [l2] below [h] and, when [h] is 16, its
+       bucket heads, into [l2_buf]. *)
+    let visit_l2 l2 h =
       match on_dentry with
-      | Some f when bulk -> (
+      | Some f when bulk && h = l2_inline_dentries -> (
           match Nvm.Device.blit_to_bytes dev l2 l2_buf 0 page_size with
           | exception Nvm.Fault { kind = Nvm.Media; _ } ->
-              dentries l2 0 (l2_inline_dentries - 1);
+              dentries l2 0 (h - 1);
               load_heads l2
-          | () -> decode_dentries dev l2_buf 0 l2 l2_inline_dentries f)
+          | () -> decode_dentries dev l2_buf 0 l2 h f)
       | Some _ | None ->
-          dentries l2 0 (l2_inline_dentries - 1);
-          load_heads l2
+          dentries l2 0 (h - 1);
+          if h = l2_inline_dentries then load_heads l2
     in
     on_page l1;
     load_index dev ~bulk l1_buf 0 l1 (l1_entries * 8);
+    let l1_word l1i = index_slot dev ~bulk l1_buf 0 l1 l1i in
     (match prefault with
     | Some f when bulk ->
         let l2s = ref [] in
         for l1i = l1_entries - 1 downto 0 do
-          let l2 = index_slot dev ~bulk l1_buf 0 l1 l1i in
+          let l2 = l2_of_slot (l1_word l1i) in
           if l2 <> 0 then l2s := l2 :: !l2s
         done;
         f !l2s
     | Some _ | None -> ());
     for l1i = 0 to l1_entries - 1 do
-      let l2 = index_slot dev ~bulk l1_buf 0 l1 l1i in
+      let word = l1_word l1i in
+      let l2 = l2_of_slot word and h = hwm_of_slot word in
       if l2 <> 0 then begin
         on_page l2;
-        visit_l2 l2;
+        visit_l2 l2 h;
         let heads = l2 + l2_bucket_base in
-        for b = 0 to l2_buckets - 1 do
-          let rec chase page =
-            if page <> 0 then begin
-              on_page page;
-              dentries page 1 chain_dentries;
-              chase (chain_next dev page)
-            end
-          in
-          chase (index_slot dev ~bulk l2_buf l2_bucket_base heads b)
-        done
+        if h = l2_inline_dentries then
+          for b = 0 to l2_buckets - 1 do
+            let rec chase page =
+              if page <> 0 then begin
+                on_page page;
+                dentries page 1 chain_dentries;
+                chase (chain_next dev page)
+              end
+            in
+            chase (index_slot dev ~bulk l2_buf l2_bucket_base heads b)
+          done
       end
     done
   end
@@ -404,6 +452,24 @@ let count dev ~ino =
   let n = ref 0 in
   iter dev ~ino (fun _ -> incr n);
   !n
+
+(* The valid inline dentries at or above their page's hwm, as slot
+   addresses: no reader sees them, so none may exist (fsck's audit).  It
+   reads every inline slot's valid byte. *)
+let above_hwm dev ~ino =
+  let l1 = l1_page dev ~ino in
+  let found = ref [] in
+  if l1 <> 0 then
+    for l1i = l1_entries - 1 downto 0 do
+      let word = Nvm.Device.read_u64 dev (l1 + (l1i * 8)) in
+      let l2 = l2_of_slot word in
+      if l2 <> 0 then
+        for i = l2_inline_dentries - 1 downto hwm_of_slot word do
+          let a = inline_slot l2 i in
+          if dentry_valid dev a then found := a :: !found
+        done
+    done;
+  !found
 
 (* All pages used by the directory index itself (L1 page, second-level
    pages, chain pages), last visited first — for deletion and recovery. *)

@@ -262,7 +262,14 @@ let scan_coffer ?prefault dev kfs report ~runs (info : Coffer.info) xrefs =
    as root).  The map is lazy (header pages installed), so the scan pays
    only for the pages it reads and the pages it frees are still pending
    when [coffer_recover_end] tears them down.  Returns true when the coffer
-   was scanned and left readable. *)
+   was scanned and left readable.
+
+   The report's user/kernel split (§6.5): every kernel entry from the map
+   to the end of the scan (the map, [coffer_recover_begin], the scan's
+   prefaults and demand faults) is kernel time, by the gate's count of the
+   calling thread's time in the kernel; the rest of that span is user
+   time; everything after the scan ([coffer_recover_end] and the
+   allocator reset) is kernel time. *)
 let recover_coffer ufs kfs report xrefs (info : Coffer.info) =
   let dev = K.device kfs in
   (* A crash during coffer creation can leave the custom (allocator) page
@@ -282,17 +289,17 @@ let recover_coffer ufs kfs report xrefs (info : Coffer.info) =
       if not magic_ok then
         Mpk.with_write_window mpk (fun () ->
             Balloc.format dev ~custom:info.Coffer.custom));
+  let gate = K.gate kfs in
+  let t_map = Sim.now () and k_map = Treasury.Gate.kernel_ns gate in
   match Ufs.map_coffer ~populate:false ufs info.Coffer.id with
   | Error _ -> false
   | Ok cs -> (
-      let t_user0 = Sim.now () in
       match K.coffer_recover_begin kfs info.Coffer.id with
       | Error _ -> false
       | Ok runs ->
           let total_pages =
             List.fold_left (fun acc (_, l) -> acc + l) 0 runs
           in
-          let t_kernel0 = Sim.now () in
           let in_use =
             Ufs.with_coffer ufs cs ~write:true (fun () ->
                 scan_coffer
@@ -301,6 +308,7 @@ let recover_coffer ufs kfs report xrefs (info : Coffer.info) =
           in
           Hashtbl.replace in_use (page_of info.Coffer.custom) ();
           let t_scan = Sim.now () in
+          let k_scan = Treasury.Gate.kernel_ns gate - k_map in
           let pages = Hashtbl.fold (fun p () acc -> p :: acc) in_use [] in
           (match K.coffer_recover_end kfs info.Coffer.id ~in_use:pages with
           | Ok () -> ()
@@ -313,9 +321,8 @@ let recover_coffer ufs kfs report xrefs (info : Coffer.info) =
           report.pages_in_use <- report.pages_in_use + List.length pages;
           report.pages_reclaimed <-
             report.pages_reclaimed + (total_pages - 1 - List.length pages);
-          report.user_ns <- report.user_ns + (t_scan - t_kernel0);
-          report.kernel_ns <-
-            report.kernel_ns + (t_kernel0 - t_user0) + (t_end - t_scan);
+          report.user_ns <- report.user_ns + (t_scan - t_map - k_scan);
+          report.kernel_ns <- report.kernel_ns + k_scan + (t_end - t_scan);
           (* Probe: the scan drops structures it cannot read, but a sticky
              media error on a page recovery itself rewrites (the root inode,
              the allocator's custom page) survives the stores.  Re-read
@@ -708,6 +715,51 @@ let recover_all kfs =
   (match K.fs_umount kfs with Ok () | Error _ -> ());
   report.wall_ns <- Sim.now () - t0;
   report
+
+(* Every directory of every coffer, depth first from each coffer's root
+   file, read in kernel mode without mapping anything: [f ~path ~ino] for
+   each.  A directory whose index faults is skipped, and none is visited
+   twice. *)
+let iter_dirs kfs f =
+  let dev = K.device kfs in
+  let seen = Hashtbl.create 64 in
+  let rec dir ino path =
+    if (not (Hashtbl.mem seen ino)) && Inode.valid dev ~ino
+       && Inode.kind dev ~ino = Some Inode.Directory
+    then begin
+      Hashtbl.replace seen ino ();
+      f ~path ~ino;
+      let subs = ref [] in
+      Dir.iter dev ~ino (fun de ->
+          if de.Dir.de_coffer = 0 && de.Dir.de_kind = Layout.kind_directory
+          then
+            subs :=
+              (de.Dir.de_inode, Treasury.Pathx.concat path de.Dir.de_name)
+              :: !subs);
+      List.iter (fun (ino, path) -> try dir ino path with Nvm.Fault _ -> ())
+        (List.rev !subs)
+    end
+  in
+  match K.list_coffers kfs with
+  | Error _ -> ()
+  | Ok coffers ->
+      Mpk.with_kernel (K.mpk kfs) (fun () ->
+          List.iter
+            (fun (c : Coffer.info) ->
+              try dir c.Coffer.root_file c.Coffer.path with Nvm.Fault _ -> ())
+            coffers)
+
+(* fsck's audit of the hwm invariant (DESIGN.md §19): every valid inline
+   dentry at or above its page's hwm, as (directory path, slot address).
+   No reader sees such a dentry, recovery included, so its file is lost to
+   the namespace; the protocol never leaves one, so each is damage to the
+   first-level slot (a lowered hwm) or a stray store. *)
+let hwm_audit kfs =
+  let dev = K.device kfs in
+  let found = ref [] in
+  iter_dirs kfs (fun ~path ~ino ->
+      List.iter (fun a -> found := (path, a) :: !found) (Dir.above_hwm dev ~ino));
+  List.rev !found
 
 (* Scoped online fsck: recover exactly one coffer while the rest of the
    file system keeps serving — this is the dispatcher's repair callback

@@ -54,7 +54,10 @@ let default_variant =
    is the only record of what the process maps: [cs_map] is the record
    [coffer_map] returned, and the session is live only while KernFS still
    holds that very record ([live]).  Another process's chmod, delete or
-   recovery of the coffer unmaps it here too, and kills the session. *)
+   recovery of the coffer unmaps it here too, and kills the session.
+   [cs_listed] holds the directories (inode addresses) whose second-level
+   pages a listing has prefaulted under [cs_map]; it dies with the
+   session, as the mapping's PTEs do. *)
 type coffer_sess = {
   cs_cid : int;
   mutable cs_path : string;
@@ -64,6 +67,7 @@ type coffer_sess = {
   mutable cs_uid : int;
   mutable cs_gid : int;
   mutable cs_pins : int;  (* ops inside this coffer ([with_pinned]) *)
+  cs_listed : (int, unit) Hashtbl.t;
 }
 
 type handle = { h_ino : int; h_cid : int; h_readable : bool; h_writable : bool }
@@ -259,6 +263,7 @@ let map_coffer ?populate t cid =
               cs_uid = info.Coffer.uid;
               cs_gid = info.Coffer.gid;
               cs_pins = 0;
+              cs_listed = Hashtbl.create 8;
             }
           in
           (* An older session of the cid is dead (the coffer was unmapped,
@@ -281,15 +286,21 @@ let map_coffer ?populate t cid =
    [prefault] ([Kernfs.prefault] unless a negative plants another) for
    their pages, none for an empty list.  Only a coffer mapped lazily can
    have pending pages, so a populated one gets no hook and pays no
-   crossing. *)
-let prefault_hook ?(prefault = K.prefault) t cs =
-  if cs.cs_map.K.m_lazy then
+   crossing.  A listing of directory [dir] records it in [cs_listed], and
+   a later listing of it under the same mapping gets no hook either: its
+   second-level pages are installed, and one added since faults in on
+   first touch. *)
+let prefault_hook ?(prefault = K.prefault) ?dir t cs =
+  let listed = Option.fold ~none:false ~some:(Hashtbl.mem cs.cs_listed) dir in
+  if cs.cs_map.K.m_lazy && not listed then
     Some
-      (function
-      | [] -> ()
-      | addrs ->
-          prefault t.kfs
-            ~pages:(List.map (fun a -> a / Layout.page_size) addrs))
+      (fun addrs ->
+        Option.iter (fun ino -> Hashtbl.replace cs.cs_listed ino ()) dir;
+        match addrs with
+        | [] -> ()
+        | addrs ->
+            prefault t.kfs
+              ~pages:(List.map (fun a -> a / Layout.page_size) addrs))
   else None
 
 let session_of_cid t cid =
@@ -644,7 +655,9 @@ let readdir_with ~prefault t path : Ft.dirent list Ui.outcome =
          permits for entries modified during the scan"
     @@ fun () ->
     with_coffer t r.r_cs ~write:false (fun () ->
-        Dir.iter ?prefault:(prefault_hook ~prefault t r.r_cs) t.dev ~ino:r.r_ino
+        Dir.iter
+          ?prefault:(prefault_hook ~prefault ~dir:r.r_ino t r.r_cs)
+          t.dev ~ino:r.r_ino
           (fun de ->
             let kind =
               match Inode.kind_of_code de.Dir.de_kind with

@@ -156,7 +156,7 @@ let test_g3_unvalidated_cross_deref () =
   with_dev ~guideline:Check.Log (fun dev ->
       Sim.run_thread (fun () ->
           let target = 4 * pg in
-          Zofs.Dir.write_dentry dev pg ~name:"evil"
+          Zofs.Dir.write_dentry dev pg ~index:(2 * pg) ~name:"evil"
             ~kind:Zofs.Layout.kind_regular ~coffer:7 ~inode:target;
           (match Zofs.Dir.read_dentry dev pg with
           | Some de -> ignore (D.read_u64 dev de.Zofs.Dir.de_inode)

@@ -335,6 +335,77 @@ let torn_index ~where ~target () =
       Alcotest.(check string) "other coffer intact" "other"
         (ok_or_fail (V.read_file fs "/other")))
 
+(* A first-level slot whose hwm was lowered from 4 to 2 (a damaged slot, or
+   two inserts that skipped the raise): the dentries in slots 2 and 3 are
+   gone for lookup, readdir and recovery alike.  fsck's audit names them;
+   recovery repairs nothing, reclaims their files' pages, and its second
+   run is a fixpoint.  A later insert raises hwm over slot 2 and
+   overwrites the stale dentry there. *)
+let test_lowered_hwm_hides_dentries () =
+  let w = make_world ~pages:8192 () in
+  let names = Gates.Perf_gate.same_l1_slot_names ~seed:"w" 5 in
+  let kept = List.filteri (fun i _ -> i < 2) names in
+  let hidden = List.filteri (fun i _ -> i = 2 || i = 3) names in
+  let fresh = List.nth names 4 in
+  in_proc ~uid:0 w (fun fs ->
+      ok_or_fail (V.mkdir fs "/h" 0o777);
+      List.iteri
+        (fun i n -> if i < 4 then ok_or_fail (V.write_file fs ("/h/" ^ n) ~mode:0o777 n))
+        names);
+  let l2 =
+    Sim.run_thread (fun () ->
+        Mpk.with_kernel w.mpk (fun () ->
+            Mpk.with_write_window w.mpk (fun () ->
+                let root =
+                  Option.get (Treasury.Coffer.read w.dev ~id:(K.root_coffer w.kfs))
+                in
+                let h =
+                  match Zofs.Dir.lookup w.dev ~ino:root.Treasury.Coffer.root_file "h" with
+                  | Some de -> de.Zofs.Dir.de_inode
+                  | None -> Alcotest.fail "/h"
+                in
+                let l1 = Zofs.Dir.l1_page w.dev ~ino:h in
+                let hash = Zofs.Layout.dir_hash fresh in
+                let l2 = Zofs.Dir.l2_page w.dev l1 hash in
+                Alcotest.(check int) "hwm 4" 4 (Zofs.Dir.hwm w.dev l1 hash);
+                D.write_u64 w.dev (Zofs.Dir.l1_slot_addr l1 hash) (l2 lor 2);
+                D.persist_all w.dev;
+                l2)))
+  in
+  let visible expected =
+    in_proc ~uid:0 w (fun fs ->
+        Alcotest.(check (list string)) "readdir"
+          (List.sort compare expected)
+          (List.sort compare
+             (List.map (fun d -> d.Treasury.Fs_types.d_name)
+                (ok_or_fail (V.readdir fs "/h"))));
+        List.iter
+          (fun n ->
+            Alcotest.(check string) ("read " ^ n) n (ok_or_fail (V.read_file fs ("/h/" ^ n))))
+          expected;
+        List.iter (fun n -> expect_err E.ENOENT (V.stat fs ("/h/" ^ n))) hidden)
+  in
+  let audit () =
+    List.map snd (Sim.run_thread (fun () -> Zofs.Recovery.hwm_audit w.kfs))
+  in
+  visible kept;
+  Alcotest.(check (list int)) "fsck names both hidden dentries"
+    [ Zofs.Dir.inline_slot l2 2; Zofs.Dir.inline_slot l2 3 ]
+    (audit ());
+  let report = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
+  Alcotest.(check (list string)) "recovery repairs nothing" []
+    (List.map Zofs.Recovery.finding_to_string (Zofs.Recovery.findings report));
+  Alcotest.(check bool) "the hidden files' pages are reclaimed" true
+    (report.Zofs.Recovery.pages_reclaimed >= List.length hidden);
+  let report2 = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
+  Alcotest.(check (list string)) "second run is a fixpoint" []
+    (List.map Zofs.Recovery.finding_to_string (Zofs.Recovery.findings report2));
+  visible kept;
+  in_proc ~uid:0 w (fun fs -> ok_or_fail (V.write_file fs ("/h/" ^ fresh) ~mode:0o777 fresh));
+  visible (fresh :: kept);
+  Alcotest.(check (list int)) "the raise overwrote slot 2" [ Zofs.Dir.inline_slot l2 3 ]
+    (audit ())
+
 (* Media errors on lines a per-slot scan never reads -- the unused tail
    (line 1) of an empty dentry slot and of a valid dentry whose name ends
    in line 0 -- in a second-level page's inline area and in a chain page.
@@ -789,6 +860,8 @@ let () =
             (torn_index ~where:`Bucket_head ~target:`Other_coffer);
           Alcotest.test_case "poisoned dentry tails" `Quick
             test_poisoned_dentry_tails;
+          Alcotest.test_case "a lowered hwm hides dentries from every reader"
+            `Quick test_lowered_hwm_hides_dentries;
           Alcotest.test_case "parallel recovery repairs what sequential did"
             `Quick test_parallel_recovery_matches_sequential;
           Alcotest.test_case "a crash during recovery strands no coffer"

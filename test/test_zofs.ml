@@ -387,13 +387,17 @@ let test_many_files_in_one_dir () =
 
 (* The directory scans against a slot-by-slot reference walk written here:
    every first-level slot, dentry and bucket head is loaded on its own, as
-   a scan did before it read whole arrays.  Returns the valid dentries
-   (when [~dentries]) and the index pages, both in visit order, and the
-   dentry areas visited, as [(addr, len)]: a second-level page's 16 inline
-   slots and a chain page's slots 1..31. *)
+   a scan did before it read whole arrays.  A first-level slot holds its
+   second-level page's address and, in the 12 low bits, the page's inline
+   high-water mark (hwm, clamped to 1..16): the walk reads the inline
+   slots below hwm, and the bucket heads and chains only when hwm is 16.
+   Returns the valid dentries (when [~dentries]) and the index pages, both
+   in visit order, the dentry areas visited, as [(addr, len)]: a
+   second-level page's inline slots below its hwm and a chain page's slots
+   1..31, and the second-level pages with their hwm, as [(page, hwm)]. *)
 let reference_walk dev ~ino ~dentries =
   let module L = Zofs.Layout in
-  let des = ref [] and pages = ref [] and areas = ref [] in
+  let des = ref [] and pages = ref [] and areas = ref [] and l2s = ref [] in
   let visit page first last =
     areas := (page + (first * L.dentry_size), (last - first + 1) * L.dentry_size)
              :: !areas;
@@ -410,24 +414,28 @@ let reference_walk dev ~ino ~dentries =
   if l1 <> 0 then begin
     pages := [ l1 ];
     for slot = 0 to L.l1_entries - 1 do
-      let l2 = Nvm.Device.read_u64 dev (l1 + (slot * 8)) in
+      let word = Nvm.Device.read_u64 dev (l1 + (slot * 8)) in
+      let l2 = word - (word mod Nvm.page_size) in
+      let hwm = max 1 (min L.l2_inline_dentries (word mod Nvm.page_size)) in
       if l2 <> 0 then begin
         pages := l2 :: !pages;
-        visit l2 0 (L.l2_inline_dentries - 1);
-        for b = 0 to L.l2_buckets - 1 do
-          let rec chase page =
-            if page <> 0 then begin
-              pages := page :: !pages;
-              visit page 1 L.chain_dentries;
-              chase (Nvm.Device.read_u64 dev page)
-            end
-          in
-          chase (Nvm.Device.read_u64 dev (l2 + L.l2_bucket_base + (b * 8)))
-        done
+        l2s := (l2, hwm) :: !l2s;
+        visit l2 0 (hwm - 1);
+        if hwm = L.l2_inline_dentries then
+          for b = 0 to L.l2_buckets - 1 do
+            let rec chase page =
+              if page <> 0 then begin
+                pages := page :: !pages;
+                visit page 1 L.chain_dentries;
+                chase (Nvm.Device.read_u64 dev page)
+              end
+            in
+            chase (Nvm.Device.read_u64 dev (l2 + L.l2_bucket_base + (b * 8)))
+          done
       end
     done
   end;
-  (List.rev !des, !pages, List.rev !areas)
+  (List.rev !des, !pages, List.rev !areas, List.rev !l2s)
 
 (* The loads [f] issues on [dev], as [(addr, len)] in issue order. *)
 let loads_issued dev f =
@@ -477,10 +485,19 @@ let test_bulk_scan_matches_reference () =
       Mpk.with_kernel w.mpk (fun () ->
           let root = Option.get (Treasury.Coffer.read w.dev ~id:(K.root_coffer w.kfs)) in
           let ino = root.Treasury.Coffer.root_file in
-          let ref_des, ref_pages, areas = reference_walk w.dev ~ino ~dentries:true in
-          let l2s = List.length (List.filter (fun (_, len) -> len = 2048) areas) in
-          let chained = List.length areas - l2s in
+          let ref_des, ref_pages, areas, l2s =
+            reference_walk w.dev ~ino ~dentries:true
+          in
+          let l2_areas, chain_areas =
+            List.partition (fun (a, _) -> List.mem_assoc a l2s) areas
+          in
+          let chained = List.length chain_areas in
           Alcotest.(check bool) "names spilled into bucket chains" true (chained > 0);
+          Alcotest.(check bool) "pages below and at a full hwm" true
+            (List.exists (fun (_, h) -> h = Zofs.Layout.l2_inline_dentries) l2s
+            && List.exists (fun (_, h) -> h < Zofs.Layout.l2_inline_dentries) l2s);
+          Alcotest.(check int) "one inline area per second-level page"
+            (List.length l2s) (List.length l2_areas);
           Alcotest.(check int) "every live name listed"
             (List.length crowd + List.length spread - List.length removed + 1)
             (List.length ref_des);
@@ -494,15 +511,17 @@ let test_bulk_scan_matches_reference () =
             (List.map show (List.rev !des));
           (* iter reads the index arrays' lines and every line of each
              dentry area it visits -- the unused slot tails included -- with
-             one load per array, a second-level page's inline dentries and
-             bucket heads in one page-wide load; the inode's first pointer
-             and each chain page's next pointer stay word loads. *)
+             one load per array: a second-level page's inline dentries below
+             its hwm, or, at hwm 16, its inline dentries and bucket heads in
+             one page-wide load; the inode's first pointer and each chain
+             page's next pointer stay word loads. *)
           let l1 = Zofs.Inode.read_direct w.dev ~ino 0 in
-          let l2_pages, chain_areas =
-            List.partition (fun (_, len) -> len = 2048) areas
-          in
           let l2_pages =
-            List.map (fun (a, _) -> (a, Nvm.page_size)) l2_pages
+            List.map
+              (fun (a, h) ->
+                if h = Zofs.Layout.l2_inline_dentries then (a, Nvm.page_size)
+                else (a, h * Zofs.Layout.dentry_size))
+              l2s
           in
           Alcotest.(check (list int)) "iter: index lines plus dentry areas"
             (List.sort_uniq compare
@@ -587,10 +606,9 @@ let test_bulk_scan_media_fallback () =
             | Some de -> de.Zofs.Dir.de_inode
             | None -> Alcotest.fail "/q"
           in
-          let ref_des, _, _ = reference_walk w.dev ~ino ~dentries:true in
+          let ref_des, _, _, _ = reference_walk w.dev ~ino ~dentries:true in
           let l1 = Zofs.Inode.read_direct w.dev ~ino 0 in
-          let l2 = Nvm.Device.read_u64 w.dev (Zofs.Dir.l1_slot_addr l1
-                     (Zofs.Layout.dir_hash (List.hd names))) in
+          let l2 = Zofs.Dir.l2_page w.dev l1 (Zofs.Layout.dir_hash (List.hd names)) in
           (* The scan's loads wider than a word, the media faults it took,
              the dentries it handed over and whether it raised. *)
           let scan () =
@@ -638,6 +656,90 @@ let test_bulk_scan_media_fallback () =
             des;
           Alcotest.(check bool) "bucket heads: the fault is raised" true raised;
           Nvm.Device.clear_poison w.dev head_line))
+
+(* The inode of directory [name] under the root coffer's root file. *)
+let root_dir_ino w name =
+  let root = Option.get (Treasury.Coffer.read w.dev ~id:(K.root_coffer w.kfs)) in
+  match Zofs.Dir.lookup w.dev ~ino:root.Treasury.Coffer.root_file name with
+  | Some de -> de.Zofs.Dir.de_inode
+  | None -> Alcotest.failf "/%s" name
+
+(* A lookup that misses in a second-level page with hwm h loads the line
+   of each of the h inline slots below hwm and nothing else of the page --
+   no bucket head; at hwm 16 it goes on to the bucket head. *)
+let test_lookup_miss_lines () =
+  let w = make_world ~pages:8192 () in
+  let names = Gates.Perf_gate.same_l1_slot_names ~seed:"v" 21 in
+  let absent = List.nth names 20 in
+  in_proc ~uid:0 w (fun fs ->
+      ok_or_fail (V.mkdir fs "/v" 0o777);
+      ok_or_fail (V.mkdir fs "/full" 0o777);
+      List.iteri
+        (fun i n ->
+          if i < 5 then ok_or_fail (V.write_file fs ("/v/" ^ n) ~mode:0o777 "");
+          if i < 20 then ok_or_fail (V.write_file fs ("/full/" ^ n) ~mode:0o777 ""))
+        names);
+  let line a = a / Nvm.line_size in
+  Sim.run_thread (fun () ->
+      Mpk.with_kernel w.mpk (fun () ->
+          let hash = Zofs.Layout.dir_hash absent in
+          let page_lines dir =
+            let ino = root_dir_ino w dir in
+            let l1 = Zofs.Dir.l1_page w.dev ~ino in
+            let l2 = Zofs.Dir.l2_page w.dev l1 hash in
+            let lines =
+              lines_loaded w.dev (fun () ->
+                  Alcotest.(check bool) "a miss" true
+                    (Zofs.Dir.lookup w.dev ~ino absent = None))
+            in
+            ( l2,
+              Zofs.Dir.hwm w.dev l1 hash,
+              List.filter (fun l -> l / (Nvm.page_size / Nvm.line_size) = l2 / Nvm.page_size) lines )
+          in
+          let l2, hwm, lines = page_lines "v" in
+          Alcotest.(check int) "hwm 5" 5 hwm;
+          Alcotest.(check (list int)) "hwm 5: five inline lines, no bucket head"
+            (List.init 5 (fun i -> line (Zofs.Dir.inline_slot l2 i)))
+            lines;
+          let l2, hwm, lines = page_lines "full" in
+          Alcotest.(check int) "hwm 16" 16 hwm;
+          Alcotest.(check (list int)) "hwm 16: sixteen inline lines and the bucket head"
+            (List.init 16 (fun i -> line (Zofs.Dir.inline_slot l2 i))
+            @ [ line (Zofs.Dir.bucket_addr l2 hash) ])
+            lines))
+
+(* An insert reuses the lowest free inline slot below hwm before it raises
+   hwm, and an unlink leaves hwm where it was. *)
+let test_insert_fills_hole_below_hwm () =
+  let w = make_world ~pages:8192 () in
+  let names = Gates.Perf_gate.same_l1_slot_names ~seed:"v" 7 in
+  let create n = in_proc ~uid:0 w (fun fs -> ok_or_fail (V.write_file fs ("/v/" ^ n) ~mode:0o777 "")) in
+  in_proc ~uid:0 w (fun fs -> ok_or_fail (V.mkdir fs "/v" 0o777));
+  List.iteri (fun i n -> if i < 5 then create n) names;
+  (* the slot and hwm of [n] *)
+  let where n =
+    Sim.run_thread (fun () ->
+        Mpk.with_kernel w.mpk (fun () ->
+            let ino = root_dir_ino w "v" in
+            let l1 = Zofs.Dir.l1_page w.dev ~ino in
+            let hash = Zofs.Layout.dir_hash n in
+            let l2 = Zofs.Dir.l2_page w.dev l1 hash in
+            let slot =
+              match Zofs.Dir.lookup w.dev ~ino n with
+              | Some de -> (de.Zofs.Dir.de_addr - l2) / Zofs.Layout.dentry_size
+              | None -> -1
+            in
+            (slot, Zofs.Dir.hwm w.dev l1 hash)))
+  in
+  Alcotest.(check (pair int int)) "fifth name: slot 4, hwm 5" (4, 5) (where (List.nth names 4));
+  in_proc ~uid:0 w (fun fs -> ok_or_fail (V.unlink fs ("/v/" ^ List.nth names 1)));
+  Alcotest.(check (pair int int)) "unlinked: hwm stays 5" (-1, 5) (where (List.nth names 1));
+  create (List.nth names 5);
+  Alcotest.(check (pair int int)) "the hole at slot 1 is reused, hwm stays 5" (1, 5)
+    (where (List.nth names 5));
+  create (List.nth names 6);
+  Alcotest.(check (pair int int)) "no hole left: slot 5, hwm 6" (5, 6)
+    (where (List.nth names 6))
 
 let test_different_perm_creates_sub_coffer () =
   let w = make_world () in
@@ -1288,6 +1390,10 @@ let () =
             test_bulk_scan_matches_reference;
           Alcotest.test_case "a media error falls back to two loads" `Quick
             test_bulk_scan_media_fallback;
+          Alcotest.test_case "a lookup miss reads the inline lines below hwm" `Quick
+            test_lookup_miss_lines;
+          Alcotest.test_case "insert fills a hole below hwm first" `Quick
+            test_insert_fills_hole_below_hwm;
         ] );
       ( "rename",
         [
