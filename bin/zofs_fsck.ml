@@ -6,10 +6,11 @@
 module V = Treasury.Vfs
 module K = Treasury.Kernfs
 
-(* The hwm audit runs before the repair: recovery never reads a dentry
-   above its page's hwm, so it leaves them where they are and reclaims
-   their files' pages. *)
-let print_hwm_audit found =
+(* Recovery's scan reads the inline slots above each page's hwm for the
+   audit, but repairs nothing there: no reader sees those dentries, so it
+   leaves them where they are and reclaims their files' pages. *)
+let print_hwm_audit (r : Zofs.Recovery.report) =
+  let found = Zofs.Recovery.hwm_audit r in
   Printf.printf "dentries above hwm:     %d\n" (List.length found);
   List.iter
     (fun (dir, addr) -> Printf.printf "  - %s: inline slot at 0x%x\n" dir addr)
@@ -60,12 +61,11 @@ let check_image path =
   let dev = Nvm.Device.load_image path in
   let mpk = Mpk.create dev in
   let kfs = K.mount dev mpk in
-  let audit, report =
+  let report =
     Sim.run_thread ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ()) (fun () ->
-        let audit = Zofs.Recovery.hwm_audit kfs in
-        (audit, Zofs.Recovery.recover_all kfs))
+        Zofs.Recovery.recover_all ~audit:true kfs)
   in
-  print_hwm_audit audit;
+  print_hwm_audit report;
   print_report report;
   Nvm.Device.save_image dev path;
   Printf.printf "repaired image written back to %s\n" path
@@ -103,12 +103,10 @@ let demo () =
               Nvm.Device.persist_all dev)));
   Nvm.Device.crash dev;
   let kfs = K.mount dev mpk in
-  let audit, report =
-    Sim.run_thread ~proc (fun () ->
-        let audit = Zofs.Recovery.hwm_audit kfs in
-        (audit, Zofs.Recovery.recover_all kfs))
+  let report =
+    Sim.run_thread ~proc (fun () -> Zofs.Recovery.recover_all ~audit:true kfs)
   in
-  print_hwm_audit audit;
+  print_hwm_audit report;
   print_report report;
   (* verify what's left *)
   Sim.run_thread ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ()) (fun () ->

@@ -15,7 +15,6 @@ type t = {
   mutable faults : int;  (* demand faults on pending PTEs *)
   in_kernel : int ref Sim.Idtbl.t;
       (* tid -> simulated ns the thread spent in kernel entries *)
-  mutable in_kernel_world : int;  (* the world [in_kernel] belongs to *)
 }
 
 let create mpk =
@@ -25,17 +24,9 @@ let create mpk =
     syscalls = 0;
     faults = 0;
     in_kernel = Sim.Idtbl.create ();
-    in_kernel_world = 0;
   }
 
-(* The calling thread's kernel time in the active world (tids restart in
-   every world, so a new world starts every thread at 0). *)
 let kernel_cell t =
-  let w = Sim.world_uid () in
-  if w <> t.in_kernel_world then begin
-    t.in_kernel_world <- w;
-    Sim.Idtbl.reset t.in_kernel
-  end;
   let tid = Sim.self_tid () in
   match Sim.Idtbl.find_opt t.in_kernel tid with
   | Some c -> c
@@ -45,17 +36,20 @@ let kernel_cell t =
       c
 
 (* One kernel entry: trap in, the line-cache pollution, [f] in kernel mode,
-   return. *)
+   return.  Its time counts toward [kernel_ns] however it ends. *)
 let enter t f =
   let t0 = Sim.now () in
+  Fun.protect
+    ~finally:(fun () ->
+      let c = kernel_cell t in
+      c := !c + (Sim.now () - t0))
+  @@ fun () ->
   Sim.advance enter_cost;
   Nvm.Device.pollute_cache t.dev;
   Race.on_gate_enter ();
   let r = Mpk.with_kernel t.mpk f in
   Race.on_gate_exit ();
   Sim.advance exit_cost;
-  let c = kernel_cell t in
-  c := !c + (Sim.now () - t0);
   r
 
 let syscall t f =
@@ -85,5 +79,7 @@ let syscall_count t = t.syscalls
 let fault_count t = t.faults
 
 (* Simulated time the calling thread has spent in kernel entries (system
-   calls and demand faults, trap to return) in the active world. *)
+   calls and demand faults, trap to return).  Thread ids restart in every
+   world, so only the difference of two readings taken by one
+   thread means anything. *)
 let kernel_ns t = !(kernel_cell t)

@@ -559,22 +559,35 @@ let check_missing_fence ?(pages = 1024) (s : Op.script) =
 
 (* Negative self-check: an insert that writes its dentry at slot hwm
    without raising hwm.  The script runs to the end (every op
-   acknowledged); then the first second-level page whose top inline slot
+   acknowledged); then the first second-level page of [dir] (found by
+   lookups from the root, in whichever coffer) whose top inline slot
    (hwm - 1) holds a dentry has its hwm put back by one, the state that
    insert leaves, made durable.  No reader sees that dentry, so after
    recovery the final-state comparison must miss its name.  [Some reason]
-   when caught, [None] when it slipped through or the script left no page
-   with two inline dentries to plant on. *)
-let check_hwm_skip ?(pages = 1024) (s : Op.script) =
+   when caught, [None] when it slipped through or [dir] has no page with
+   two inline dentries to plant on. *)
+let check_hwm_skip ?(pages = 1024) ~dir (s : Op.script) =
   let w = prepare ~pages s in
   let rp = replay w in
   let planted =
     Sim.run_thread (fun () ->
         let mpk = Mpk.create w.w_dev in
         let kfs = K.mount w.w_dev mpk in
-        let planted = ref false in
-        Recovery.iter_dirs kfs (fun ~path:_ ~ino ->
+        Mpk.with_kernel mpk (fun () ->
+            let root =
+              Option.get (Treasury.Coffer.read w.w_dev ~id:(K.root_coffer kfs))
+            in
+            let ino =
+              List.fold_left
+                (fun ino name ->
+                  match Zofs.Dir.lookup w.w_dev ~ino name with
+                  | Some de -> de.Zofs.Dir.de_inode
+                  | None -> failwith ("check_hwm_skip: no directory " ^ dir))
+                root.Treasury.Coffer.root_file
+                (String.split_on_char '/' dir |> List.filter (( <> ) ""))
+            in
             let l1 = Zofs.Dir.l1_page w.w_dev ~ino in
+            let planted = ref false in
             if l1 <> 0 then
               for l1i = 0 to Zofs.Layout.l1_entries - 1 do
                 let slot = l1 + (l1i * 8) in
@@ -585,14 +598,13 @@ let check_hwm_skip ?(pages = 1024) (s : Op.script) =
                   (not !planted) && l2 <> 0 && h >= 2
                   && Zofs.Dir.dentry_valid w.w_dev (Zofs.Dir.inline_slot l2 (h - 1))
                 then begin
-                  Mpk.with_kernel mpk (fun () ->
-                      Mpk.with_write_window mpk (fun () ->
-                          D.write_u64 w.w_dev slot (l2 lor (h - 1))));
+                  Mpk.with_write_window mpk (fun () ->
+                      D.write_u64 w.w_dev slot (l2 lor (h - 1)));
                   planted := true
                 end
-              done);
-        D.persist_all w.w_dev;
-        !planted)
+              done;
+            D.persist_all w.w_dev;
+            !planted))
   in
   if not planted then None
   else

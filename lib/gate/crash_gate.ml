@@ -80,6 +80,6 @@ let gate =
     negatives =
       [
         ("missing_fence", fun () -> caught (C.check_missing_fence (Op.find "fslab")));
-        ("insert_skips_hwm_bump", fun () -> caught (C.check_hwm_skip shared_page));
+        ("insert_skips_hwm_bump", fun () -> caught (C.check_hwm_skip ~dir:"/h" shared_page));
       ];
   }

@@ -14,7 +14,8 @@
 
    A first-level slot holds its second-level page's address, page-aligned,
    and in the 12 low bits the page's inline high-water mark (hwm): how
-   many inline slots have ever held a dentry, 1 to 16.  A new page is
+   many inline slots have ever held a dentry, 1 to 16 (low bits 0, a slot
+   written before the hwm existed, read as 16).  A new page is
    published with hwm 1 in the same 8-byte store as its address; an insert
    reuses the lowest free slot below hwm before it raises hwm, and the
    raise is flushed before the dentry's pre-publish fence, so no crash
@@ -91,12 +92,16 @@ let clear_dentry dev addr =
 let l1_page dev ~ino = Inode.read_direct dev ~ino 0
 let l1_slot_addr l1 hash = l1 + (l1_index hash * 8)
 
-(* A first-level slot's two halves.  The hwm is clamped to [1, 16], so no
-   slot value widens a read past the inline area or off its page, and a
-   torn slot with zero low bits still reads slot 0. *)
+(* A first-level slot's two halves.  Every page is published with hwm 1 or
+   more, so low bits 0 are a slot written before the hwm existed: it reads
+   as 16, the whole page, as it was read then.  No slot value widens a read
+   past the inline area and the bucket heads or off its page. *)
 let hwm_bits = page_size - 1
 let l2_of_slot word = word land lnot hwm_bits
-let hwm_of_slot word = max 1 (min l2_inline_dentries (word land hwm_bits))
+
+let hwm_of_slot word =
+  let h = word land hwm_bits in
+  if h = 0 || h > l2_inline_dentries then l2_inline_dentries else h
 
 let l1_slot dev l1 hash = Nvm.Device.read_u64 dev (l1_slot_addr l1 hash)
 let l2_page dev l1 hash = l2_of_slot (l1_slot dev l1 hash)

@@ -85,6 +85,9 @@ type report = {
   mutable orphan_coffers_dropped : int;
   mutable orphan_coffers_reattached : int;
   mutable findings : finding list;  (* reverse chronological *)
+  mutable above_hwm : (string * int) list;
+      (* with [~audit]: valid inline dentries at or above their page's hwm,
+         as (directory path, slot address), newest first *)
   mutable user_ns : int;  (* simulated user-space time, summed over coffers *)
   mutable kernel_ns : int;  (* simulated kernel time, summed over coffers *)
   mutable wall_ns : int;  (* elapsed simulated time of recover_all *)
@@ -103,6 +106,7 @@ let fresh_report () =
     orphan_coffers_dropped = 0;
     orphan_coffers_reattached = 0;
     findings = [];
+    above_hwm = [];
     user_ns = 0;
     kernel_ns = 0;
     wall_ns = 0;
@@ -111,6 +115,12 @@ let fresh_report () =
 let add_finding report f = report.findings <- f :: report.findings
 
 let findings report = List.rev report.findings
+
+(* fsck's audit of the hwm invariant (DESIGN.md §19).  No reader sees a
+   dentry above its page's hwm, recovery included, so its file is lost to
+   the namespace; the protocol never leaves one, so each is damage to the
+   first-level slot (a lowered hwm) or a stray store. *)
+let hwm_audit report = List.rev report.above_hwm
 
 type cross_ref = {
   xr_src_cid : int;
@@ -147,8 +157,12 @@ let in_runs runs page =
    ahead of the scan, one kernel entry per batch: each directory's
    second-level pages, then the inode pages of its same-coffer children.
    Every other page the scan reads faults in on first touch, and the pages
-   it never reads (file data) stay pending. *)
-let scan_coffer ?prefault dev kfs report ~runs (info : Coffer.info) xrefs =
+   it never reads (file data) stay pending.  With [audit], each directory
+   the scan reads also has the inline slots above its pages' hwms read
+   for [report.above_hwm]; a fault there only ends the audit of that
+   directory. *)
+let scan_coffer ?prefault ~audit dev kfs report ~runs (info : Coffer.info)
+    xrefs =
   let cid = info.Coffer.id in
   let in_use : (int, unit) Hashtbl.t = Hashtbl.create 256 in
   let mark addr = Hashtbl.replace in_use (page_of addr) () in
@@ -188,6 +202,13 @@ let scan_coffer ?prefault dev kfs report ~runs (info : Coffer.info) xrefs =
             ~on_page:(fun p -> pages := p :: !pages)
             ~on_dentry:(fun de -> children := de :: !children);
           List.iter (fun p -> if owned p then mark p) !pages;
+          if audit then begin
+            try
+              List.iter
+                (fun a -> report.above_hwm <- (cur_path, a) :: report.above_hwm)
+                (Dir.above_hwm dev ~ino)
+            with Nvm.Fault _ -> ()
+          end;
           Option.iter
             (fun f ->
               f
@@ -270,7 +291,7 @@ let scan_coffer ?prefault dev kfs report ~runs (info : Coffer.info) xrefs =
    calling thread's time in the kernel; the rest of that span is user
    time; everything after the scan ([coffer_recover_end] and the
    allocator reset) is kernel time. *)
-let recover_coffer ufs kfs report xrefs (info : Coffer.info) =
+let recover_coffer ?(audit = false) ufs kfs report xrefs (info : Coffer.info) =
   let dev = K.device kfs in
   (* A crash during coffer creation can leave the custom (allocator) page
      unformatted; mapping would refuse to attach to it.  Its entire content
@@ -304,7 +325,7 @@ let recover_coffer ufs kfs report xrefs (info : Coffer.info) =
             Ufs.with_coffer ufs cs ~write:true (fun () ->
                 scan_coffer
                   ?prefault:(Ufs.prefault_hook ufs cs)
-                  dev kfs report ~runs:(Array.of_list runs) info xrefs)
+                  ~audit dev kfs report ~runs:(Array.of_list runs) info xrefs)
           in
           Hashtbl.replace in_use (page_of info.Coffer.custom) ();
           let t_scan = Sim.now () in
@@ -627,6 +648,7 @@ let merge_job report xrefs j =
   report.cross_refs_repaired <-
     report.cross_refs_repaired + r.cross_refs_repaired;
   report.findings <- r.findings @ report.findings;
+  report.above_hwm <- r.above_hwm @ report.above_hwm;
   report.user_ns <- report.user_ns + r.user_ns;
   report.kernel_ns <- report.kernel_ns + r.kernel_ns;
   xrefs := !(j.j_xrefs) @ !xrefs
@@ -636,7 +658,7 @@ let merge_job report xrefs j =
    a helper is a process of its own, so it maps with its own MPK keys and
    page-table lock, and no sibling's eviction can unmap a coffer it is
    scanning.  One coffer spawns no helper. *)
-let recover_coffers ufs kfs report xrefs =
+let recover_coffers ~audit ufs kfs report xrefs =
   let jobs =
     match K.list_coffers kfs with
     | Error _ -> []
@@ -665,7 +687,7 @@ let recover_coffers ufs kfs report xrefs =
     | [] -> ()
     | j :: rest ->
         queue := rest;
-        ignore (recover_coffer ufs kfs j.j_report j.j_xrefs j.j_info);
+        ignore (recover_coffer ~audit ufs kfs j.j_report j.j_xrefs j.j_info);
         work ufs
   in
   let me = Sim.self_proc () in
@@ -690,15 +712,15 @@ let recover_coffers ufs kfs report xrefs =
   List.iter (merge_job report xrefs) jobs
 
 (* Recover every coffer in the file system (offline: run as root with no
-   other process active). *)
-let recover_all kfs =
+   other process active).  [audit] (fsck) also fills [hwm_audit]. *)
+let recover_all ?(audit = false) kfs =
   let t0 = Sim.now () in
   (match K.fs_mount kfs with Ok () | Error _ -> ());
   let ufs = Ufs.create kfs in
   let report = fresh_report () in
   let xrefs = ref [] in
   migration_pass ufs kfs report;
-  recover_coffers ufs kfs report xrefs;
+  recover_coffers ~audit ufs kfs report xrefs;
   validate_cross_refs ufs kfs report !xrefs;
   orphan_coffer_pass ufs kfs report !xrefs;
   (* Pages owned by a coffer id the path map does not know (a torn
@@ -715,51 +737,6 @@ let recover_all kfs =
   (match K.fs_umount kfs with Ok () | Error _ -> ());
   report.wall_ns <- Sim.now () - t0;
   report
-
-(* Every directory of every coffer, depth first from each coffer's root
-   file, read in kernel mode without mapping anything: [f ~path ~ino] for
-   each.  A directory whose index faults is skipped, and none is visited
-   twice. *)
-let iter_dirs kfs f =
-  let dev = K.device kfs in
-  let seen = Hashtbl.create 64 in
-  let rec dir ino path =
-    if (not (Hashtbl.mem seen ino)) && Inode.valid dev ~ino
-       && Inode.kind dev ~ino = Some Inode.Directory
-    then begin
-      Hashtbl.replace seen ino ();
-      f ~path ~ino;
-      let subs = ref [] in
-      Dir.iter dev ~ino (fun de ->
-          if de.Dir.de_coffer = 0 && de.Dir.de_kind = Layout.kind_directory
-          then
-            subs :=
-              (de.Dir.de_inode, Treasury.Pathx.concat path de.Dir.de_name)
-              :: !subs);
-      List.iter (fun (ino, path) -> try dir ino path with Nvm.Fault _ -> ())
-        (List.rev !subs)
-    end
-  in
-  match K.list_coffers kfs with
-  | Error _ -> ()
-  | Ok coffers ->
-      Mpk.with_kernel (K.mpk kfs) (fun () ->
-          List.iter
-            (fun (c : Coffer.info) ->
-              try dir c.Coffer.root_file c.Coffer.path with Nvm.Fault _ -> ())
-            coffers)
-
-(* fsck's audit of the hwm invariant (DESIGN.md §19): every valid inline
-   dentry at or above its page's hwm, as (directory path, slot address).
-   No reader sees such a dentry, recovery included, so its file is lost to
-   the namespace; the protocol never leaves one, so each is damage to the
-   first-level slot (a lowered hwm) or a stray store. *)
-let hwm_audit kfs =
-  let dev = K.device kfs in
-  let found = ref [] in
-  iter_dirs kfs (fun ~path ~ino ->
-      List.iter (fun a -> found := (path, a) :: !found) (Dir.above_hwm dev ~ino));
-  List.rev !found
 
 (* Scoped online fsck: recover exactly one coffer while the rest of the
    file system keeps serving — this is the dispatcher's repair callback

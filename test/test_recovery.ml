@@ -268,8 +268,9 @@ let test_recovery_torn_coffer_root_page () =
    scribbled with an address past the device end or with a page of another
    coffer.  readdir fails with EIO and the process carries on; recovery
    drops /d without an uncaught exception, and its second run is a
-   fixpoint. *)
-let torn_index ~where ~target () =
+   fixpoint.  With [audit] (fsck) the same holds, and the audit names no
+   dentry: /d's index faults before the audit reaches it. *)
+let torn_index ?(audit = false) ~where ~target () =
   let w = make_world ~pages:8192 () in
   (* 16 names fill the inline area of one second-level page, the last 8
      hang off its bucket chains *)
@@ -319,13 +320,15 @@ let torn_index ~where ~target () =
       expect_err E.EIO (V.readdir fs "/d");
       Alcotest.(check string) "the process carries on" "keep"
         (ok_or_fail (V.read_file fs "/keep")));
-  let report = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
+  let report = Sim.run_thread (fun () -> Zofs.Recovery.recover_all ~audit w.kfs) in
   Alcotest.(check bool) "/d dropped" true
     (List.exists
        (function
          | Zofs.Recovery.Dropped_dentry { path = "/d"; _ } -> true | _ -> false)
        (Zofs.Recovery.findings report));
-  let report2 = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
+  Alcotest.(check (list (pair string int))) "no dentry above hwm" []
+    (Zofs.Recovery.hwm_audit report);
+  let report2 = Sim.run_thread (fun () -> Zofs.Recovery.recover_all ~audit w.kfs) in
   Alcotest.(check (list string)) "second run is a fixpoint" []
     (List.map Zofs.Recovery.finding_to_string (Zofs.Recovery.findings report2));
   in_proc ~uid:0 w (fun fs ->
@@ -339,8 +342,8 @@ let torn_index ~where ~target () =
    two inserts that skipped the raise): the dentries in slots 2 and 3 are
    gone for lookup, readdir and recovery alike.  fsck's audit names them;
    recovery repairs nothing, reclaims their files' pages, and its second
-   run is a fixpoint.  A later insert raises hwm over slot 2 and
-   overwrites the stale dentry there. *)
+   run is a fixpoint (the audit still names both).  A later insert raises
+   hwm over slot 2 and overwrites the stale dentry there. *)
 let test_lowered_hwm_hides_dentries () =
   let w = make_world ~pages:8192 () in
   let names = Gates.Perf_gate.same_l1_slot_names ~seed:"w" 5 in
@@ -385,26 +388,95 @@ let test_lowered_hwm_hides_dentries () =
           expected;
         List.iter (fun n -> expect_err E.ENOENT (V.stat fs ("/h/" ^ n))) hidden)
   in
-  let audit () =
-    List.map snd (Sim.run_thread (fun () -> Zofs.Recovery.hwm_audit w.kfs))
-  in
+  let fsck () = Sim.run_thread (fun () -> Zofs.Recovery.recover_all ~audit:true w.kfs) in
+  let audit report = Zofs.Recovery.hwm_audit report in
+  let both = [ ("/h", Zofs.Dir.inline_slot l2 2); ("/h", Zofs.Dir.inline_slot l2 3) ] in
   visible kept;
-  Alcotest.(check (list int)) "fsck names both hidden dentries"
-    [ Zofs.Dir.inline_slot l2 2; Zofs.Dir.inline_slot l2 3 ]
-    (audit ());
-  let report = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
+  let report = fsck () in
+  Alcotest.(check (list (pair string int))) "fsck names both hidden dentries" both
+    (audit report);
   Alcotest.(check (list string)) "recovery repairs nothing" []
     (List.map Zofs.Recovery.finding_to_string (Zofs.Recovery.findings report));
   Alcotest.(check bool) "the hidden files' pages are reclaimed" true
     (report.Zofs.Recovery.pages_reclaimed >= List.length hidden);
-  let report2 = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
+  let report2 = fsck () in
   Alcotest.(check (list string)) "second run is a fixpoint" []
     (List.map Zofs.Recovery.finding_to_string (Zofs.Recovery.findings report2));
+  Alcotest.(check (list (pair string int))) "the second audit names them again" both
+    (audit report2);
+  Alcotest.(check (list (pair string int))) "recovery without ~audit reads no slot above hwm" []
+    (audit (Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs)));
   visible kept;
   in_proc ~uid:0 w (fun fs -> ok_or_fail (V.write_file fs ("/h/" ^ fresh) ~mode:0o777 fresh));
   visible (fresh :: kept);
-  Alcotest.(check (list int)) "the raise overwrote slot 2" [ Zofs.Dir.inline_slot l2 3 ]
-    (audit ())
+  Alcotest.(check (list (pair string int))) "the raise overwrote slot 2"
+    [ ("/h", Zofs.Dir.inline_slot l2 3) ]
+    (audit (fsck ()))
+
+(* A first-level slot with low bits 0, as every slot was written before
+   the hwm existed: it reads as hwm 16, so lookup, readdir, insert and
+   recovery see every inline dentry of the page, as they did then, and
+   fsck's audit names none. *)
+let test_slot_without_hwm_reads_whole_page () =
+  let w = make_world ~pages:8192 () in
+  let names = Gates.Perf_gate.same_l1_slot_names ~seed:"z" 4 in
+  let old = List.filteri (fun i _ -> i < 3) names in
+  let fresh = List.nth names 3 in
+  in_proc ~uid:0 w (fun fs ->
+      ok_or_fail (V.mkdir fs "/h" 0o777);
+      List.iter (fun n -> ok_or_fail (V.write_file fs ("/h/" ^ n) ~mode:0o777 n)) old);
+  let dir =
+    Sim.run_thread (fun () ->
+        Mpk.with_kernel w.mpk (fun () ->
+            Mpk.with_write_window w.mpk (fun () ->
+                let root =
+                  Option.get (Treasury.Coffer.read w.dev ~id:(K.root_coffer w.kfs))
+                in
+                let h =
+                  match Zofs.Dir.lookup w.dev ~ino:root.Treasury.Coffer.root_file "h" with
+                  | Some de -> de.Zofs.Dir.de_inode
+                  | None -> Alcotest.fail "/h"
+                in
+                let l1 = Zofs.Dir.l1_page w.dev ~ino:h in
+                let hash = Zofs.Layout.dir_hash fresh in
+                Alcotest.(check int) "hwm 3" 3 (Zofs.Dir.hwm w.dev l1 hash);
+                D.write_u64 w.dev (Zofs.Dir.l1_slot_addr l1 hash)
+                  (Zofs.Dir.l2_page w.dev l1 hash);
+                D.persist_all w.dev;
+                Alcotest.(check int) "reads as hwm 16" 16 (Zofs.Dir.hwm w.dev l1 hash);
+                (h, l1, hash))))
+  in
+  let visible expected =
+    in_proc ~uid:0 w (fun fs ->
+        Alcotest.(check (list string)) "readdir"
+          (List.sort compare expected)
+          (List.sort compare
+             (List.map (fun d -> d.Treasury.Fs_types.d_name)
+                (ok_or_fail (V.readdir fs "/h"))));
+        List.iter
+          (fun n ->
+            Alcotest.(check string) ("read " ^ n) n (ok_or_fail (V.read_file fs ("/h/" ^ n))))
+          expected)
+  in
+  visible old;
+  let report = Sim.run_thread (fun () -> Zofs.Recovery.recover_all ~audit:true w.kfs) in
+  Alcotest.(check (list string)) "recovery repairs nothing" []
+    (List.map Zofs.Recovery.finding_to_string (Zofs.Recovery.findings report));
+  Alcotest.(check (list (pair string int))) "no dentry above hwm" []
+    (Zofs.Recovery.hwm_audit report);
+  in_proc ~uid:0 w (fun fs -> ok_or_fail (V.write_file fs ("/h/" ^ fresh) ~mode:0o777 fresh));
+  visible (fresh :: old);
+  let h, l1, hash = dir in
+  Sim.run_thread (fun () ->
+      Mpk.with_kernel w.mpk (fun () ->
+          Alcotest.(check int) "the insert took slot 3 and left the slot alone" 16
+            (Zofs.Dir.hwm w.dev l1 hash);
+          match Zofs.Dir.lookup w.dev ~ino:h fresh with
+          | Some de ->
+              Alcotest.(check int) "slot 3"
+                (Zofs.Dir.inline_slot (Zofs.Dir.l2_page w.dev l1 hash) 3)
+                de.Zofs.Dir.de_addr
+          | None -> Alcotest.fail fresh))
 
 (* Media errors on lines a per-slot scan never reads -- the unused tail
    (line 1) of an empty dentry slot and of a valid dentry whose name ends
@@ -858,10 +930,14 @@ let () =
             (torn_index ~where:`Bucket_head ~target:`Past_end);
           Alcotest.test_case "torn bucket head into another coffer" `Quick
             (torn_index ~where:`Bucket_head ~target:`Other_coffer);
+          Alcotest.test_case "fsck's hwm audit on a torn L1 slot past the device end"
+            `Quick (torn_index ~audit:true ~where:`L1_slot ~target:`Past_end);
           Alcotest.test_case "poisoned dentry tails" `Quick
             test_poisoned_dentry_tails;
           Alcotest.test_case "a lowered hwm hides dentries from every reader"
             `Quick test_lowered_hwm_hides_dentries;
+          Alcotest.test_case "a slot without hwm bits reads the whole page"
+            `Quick test_slot_without_hwm_reads_whole_page;
           Alcotest.test_case "parallel recovery repairs what sequential did"
             `Quick test_parallel_recovery_matches_sequential;
           Alcotest.test_case "a crash during recovery strands no coffer"
