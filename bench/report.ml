@@ -1,155 +1,107 @@
-(* Plain-text table rendering for the benchmark harness, plus optional
-   machine-readable JSON recording: with [json_enable dir] every experiment
-   bracketed by [json_start]/[json_finish] also lands in
-   [dir]/BENCH_<experiment>.json — tables, device-persistence stats, and any
-   extra fields (e.g. an obs snapshot) — so future PRs can diff a perf
+(* The two renderings of a paper experiment's items (lib/paper): aligned
+   plain-text tables for the terminal, and the BENCH_<experiment>.json
+   document — tables, series and device-persistence records, plus any extra
+   top-level fields (an obs snapshot) — so a change can diff a perf
    trajectory instead of scraping ASCII tables. *)
 
 module J = Obs.Json
-
-let json_dir = ref None
-let json_current = ref None  (* experiment name while recording *)
-let json_items = ref []  (* rev: recorded tables of the experiment *)
-let json_fields = ref []  (* rev: extra top-level fields *)
-
-let json_enable dir = json_dir := Some dir
-
-let json_start name =
-  if !json_dir <> None then begin
-    json_current := Some name;
-    json_items := [];
-    json_fields := []
-  end
-
-let json_recording () = !json_current <> None
-
-let json_add item = if json_recording () then json_items := item :: !json_items
-
-let json_field k v =
-  if json_recording () then json_fields := (k, v) :: !json_fields
-
-let json_finish () =
-  match (!json_dir, !json_current) with
-  | Some dir, Some name ->
-      let j =
-        J.Obj
-          ([
-             ("experiment", J.Str name);
-             ("tables", J.Arr (List.rev !json_items));
-           ]
-          @ List.rev !json_fields)
-      in
-      let path = Filename.concat dir ("BENCH_" ^ name ^ ".json") in
-      let oc = open_out path in
-      output_string oc (J.to_string j);
-      output_char oc '\n';
-      close_out oc;
-      json_current := None
-  | _ -> ()
+module P = Paper
 
 let hrule widths =
-  "+" ^ String.concat "+" (List.map (fun w -> String.make (w + 2) '-') widths) ^ "+"
+  "+"
+  ^ String.concat "+" (List.map (fun w -> String.make (w + 2) '-') widths)
+  ^ "+\n"
 
 let render_row widths cells =
   "| "
   ^ String.concat " | "
-      (List.map2
-         (fun w c -> Printf.sprintf "%-*s" w c)
-         widths cells)
-  ^ " |"
+      (List.map2 (fun w c -> Printf.sprintf "%-*s" w c) widths cells)
+  ^ " |\n"
 
-(* [table ~title header rows] prints an aligned ASCII table. *)
-let table ~title header rows =
-  let all = header :: rows in
-  let ncols = List.length header in
+let cells row = List.map P.cell_to_string row
+
+let text_table { P.title; header; rows } =
+  let rows = List.map cells rows in
   let widths =
-    List.init ncols (fun i ->
-        List.fold_left (fun acc row -> max acc (String.length (List.nth row i))) 0 all)
+    List.mapi
+      (fun i _ ->
+        List.fold_left
+          (fun acc row -> max acc (String.length (List.nth row i)))
+          0 (header :: rows))
+      header
   in
-  Printf.printf "\n%s\n" title;
-  print_endline (hrule widths);
-  print_endline (render_row widths header);
-  print_endline (hrule widths);
-  List.iter (fun row -> print_endline (render_row widths row)) rows;
-  print_endline (hrule widths);
-  json_add
-    (J.Obj
-       [
-         ("kind", J.Str "table");
-         ("title", J.Str title);
-         ("header", J.Arr (List.map (fun c -> J.Str c) header));
-         ( "rows",
-           J.Arr
-             (List.map (fun r -> J.Arr (List.map (fun c -> J.Str c) r)) rows)
-         );
-       ])
+  let line = hrule widths in
+  String.concat ""
+    ([ "\n" ^ title ^ "\n"; line; render_row widths header; line ]
+    @ List.map (render_row widths) rows
+    @ [ line ])
 
-let section name =
-  Printf.printf "\n=== %s %s\n" name (String.make (max 1 (72 - String.length name)) '=')
+let item_text = function
+  | P.Section name ->
+      Printf.sprintf "\n=== %s %s\n" name
+        (String.make (max 1 (72 - String.length name)) '=')
+  | P.Table t -> text_table t
+  | P.Series _ -> ""
+  | P.Persistence p ->
+      Printf.sprintf
+        "  %-16s %s flushes (%s redundant), %s fences (%s redundant)\n" p.label
+        (P.commas p.flushes)
+        (P.commas p.redundant_flushes)
+        (P.commas p.fences)
+        (P.commas p.redundant_fences)
+  | P.Note s -> s
 
-let f2 v = Printf.sprintf "%.2f" v
-let f3 v = Printf.sprintf "%.3f" v
-let commas n =
-  let s = string_of_int n in
-  let len = String.length s in
-  let b = Buffer.create (len + len / 3) in
-  String.iteri
-    (fun i c ->
-      if i > 0 && (len - i) mod 3 = 0 then Buffer.add_char b ',';
-      Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let text items = String.concat "" (List.map item_text items)
 
-(* One flush/fence-efficiency line for a device: total counts plus how many
-   were redundant (clwb of a clean line, sfence with nothing in flight). *)
-let device_persistence ~label dev =
-  Printf.printf "  %-16s %s flushes (%s redundant), %s fences (%s redundant)\n"
-    label
-    (commas (Nvm.Device.stat_flushes dev))
-    (commas (Nvm.Device.stat_redundant_flushes dev))
-    (commas (Nvm.Device.stat_fences dev))
-    (commas (Nvm.Device.stat_redundant_fences dev));
-  let num n = J.Num (float_of_int n) in
-  json_add
-    (J.Obj
-       [
-         ("kind", J.Str "device_persistence");
-         ("label", J.Str label);
-         ("reads", num (Nvm.Device.stat_reads dev));
-         ("writes", num (Nvm.Device.stat_writes dev));
-         ("flushes", num (Nvm.Device.stat_flushes dev));
-         ("redundant_flushes", num (Nvm.Device.stat_redundant_flushes dev));
-         ("fences", num (Nvm.Device.stat_fences dev));
-         ("redundant_fences", num (Nvm.Device.stat_redundant_fences dev));
-       ])
+let strs l = J.Arr (List.map (fun s -> J.Str s) l)
+let num n = J.Num (float_of_int n)
 
-(* Numeric throughput-vs-threads series (label, [(nthreads, value)]), so the
-   JSON carries real numbers and not just the formatted table cells. *)
-let record_series ~title runs =
-  json_add
-    (J.Obj
-       [
-         ("kind", J.Str "series");
-         ("title", J.Str title);
-         ( "series",
-           J.Arr
-             (List.map
-                (fun (label, points) ->
-                  J.Obj
-                    [
-                      ("label", J.Str label);
-                      ( "points",
-                        J.Arr
-                          (List.map
-                             (fun (n, v) ->
-                               J.Arr [ J.Num (float_of_int n); J.Num v ])
-                             points) );
-                    ])
-                runs) );
-       ])
+let item_json = function
+  | P.Section _ | P.Note _ -> None
+  | P.Table { title; header; rows } ->
+      Some
+        (J.Obj
+           [
+             ("kind", J.Str "table");
+             ("title", J.Str title);
+             ("header", strs header);
+             ("rows", J.Arr (List.map (fun r -> strs (cells r)) rows));
+           ])
+  | P.Series { title; series } ->
+      let points l =
+        J.Arr (List.map (fun (n, v) -> J.Arr [ num n; J.Num v ]) l)
+      in
+      Some
+        (J.Obj
+           [
+             ("kind", J.Str "series");
+             ("title", J.Str title);
+             ( "series",
+               J.Arr
+                 (List.map
+                    (fun (label, l) ->
+                      J.Obj [ ("label", J.Str label); ("points", points l) ])
+                    series) );
+           ])
+  | P.Persistence p ->
+      Some
+        (J.Obj
+           [
+             ("kind", J.Str "device_persistence");
+             ("label", J.Str p.label);
+             ("reads", num p.reads);
+             ("writes", num p.writes);
+             ("flushes", num p.flushes);
+             ("redundant_flushes", num p.redundant_flushes);
+             ("fences", num p.fences);
+             ("redundant_fences", num p.redundant_fences);
+           ])
 
-let bytes_human n =
-  if n >= 1 lsl 30 then Printf.sprintf "%.1fGB" (float_of_int n /. 1073741824.0)
-  else if n >= 1 lsl 20 then Printf.sprintf "%.1fMB" (float_of_int n /. 1048576.0)
-  else if n >= 1 lsl 10 then Printf.sprintf "%.1fKB" (float_of_int n /. 1024.0)
-  else Printf.sprintf "%dB" n
+(* BENCH_<name>.json of an experiment's items, [extra] fields last. *)
+let json ~name ?(extra = []) items =
+  J.Obj
+    ([
+       ("experiment", J.Str name);
+       ("tables", J.Arr (List.filter_map item_json items));
+     ]
+    @ extra)

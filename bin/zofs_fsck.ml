@@ -31,9 +31,12 @@ let print_report (r : Zofs.Recovery.report) =
      simulated time:         %.1f us elapsed\n\
      summed over coffers:    %.1f us (%.1f user + %.1f kernel)\n"
     r.Zofs.Recovery.coffers_scanned r.Zofs.Recovery.pages_in_use
-    r.Zofs.Recovery.pages_reclaimed r.Zofs.Recovery.dentries_dropped
-    r.Zofs.Recovery.inodes_reinitialized r.Zofs.Recovery.cross_refs_checked
-    r.Zofs.Recovery.cross_refs_repaired r.Zofs.Recovery.cross_refs_dropped
+    r.Zofs.Recovery.pages_reclaimed
+    (Zofs.Recovery.dentries_dropped r)
+    (Zofs.Recovery.inodes_reinitialized r)
+    r.Zofs.Recovery.cross_refs_checked
+    (Zofs.Recovery.cross_refs_repaired r)
+    (Zofs.Recovery.cross_refs_dropped r)
     (float_of_int r.Zofs.Recovery.wall_ns /. 1e3)
     (float_of_int (r.Zofs.Recovery.user_ns + r.Zofs.Recovery.kernel_ns) /. 1e3)
     (float_of_int r.Zofs.Recovery.user_ns /. 1e3)
@@ -51,16 +54,19 @@ let print_report (r : Zofs.Recovery.report) =
   | Some p -> Printf.printf "flight-recorder dump:   %s\n" p
   | None -> ()
 
+let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
+
 let check_image path =
   Obs.enable ();
   Obs.Flight.set_autodump true;
-  if not (Sys.file_exists path) then begin
-    Printf.eprintf "no such image: %s\n" path;
-    exit 1
-  end;
-  let dev = Nvm.Device.load_image path in
+  if not (Sys.file_exists path) then die "no such image: %s" path;
+  let dev =
+    match Nvm.Device.load_image path with
+    | Ok dev -> dev
+    | Error e -> die "%s: %s" path e
+  in
   let mpk = Mpk.create dev in
-  let kfs = K.mount dev mpk in
+  let kfs = try K.mount dev mpk with Failure e -> die "%s: %s" path e in
   let report =
     Sim.run_thread ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ()) (fun () ->
         Zofs.Recovery.recover_all ~audit:true kfs)

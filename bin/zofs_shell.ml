@@ -27,10 +27,16 @@ let make_world ~image ~pages =
   (* The shell always runs with observability on: every syscall it issues
      lands in the metric registry and the `stats' command renders them. *)
   Obs.enable ();
+  let die path e =
+    Printf.eprintf "%s: %s\n" path e;
+    exit 1
+  in
   let dev, fresh =
     match image with
-    | Some path when Sys.file_exists path ->
-        (Nvm.Device.load_image path, false)
+    | Some path when Sys.file_exists path -> (
+        match Nvm.Device.load_image path with
+        | Ok dev -> (dev, false)
+        | Error e -> die path e)
     | _ -> (Nvm.Device.create ~perf:Nvm.Perf.optane ~size:(pages * Nvm.page_size) (), true)
   in
   let mpk = Mpk.create dev in
@@ -43,7 +49,7 @@ let make_world ~image ~pages =
       Zofs.Ufs.mkfs kfs;
       kfs
     end
-    else K.mount dev mpk
+    else try K.mount dev mpk with Failure e -> die (Option.get image) e
   in
   let proc = Sim.Proc.create ~uid:0 ~gid:0 () in
   let disp, fs = Sim.run_thread ~proc (fun () -> fslib kfs) in
@@ -159,8 +165,10 @@ let run_command w line =
           Printf.printf
             "fsck: %d coffers scanned, %d dentries dropped, %d cross-refs \
              repaired, %d pages reclaimed\n"
-            r.Zofs.Recovery.coffers_scanned r.Zofs.Recovery.dentries_dropped
-            r.Zofs.Recovery.cross_refs_repaired r.Zofs.Recovery.pages_reclaimed;
+            r.Zofs.Recovery.coffers_scanned
+            (Zofs.Recovery.dentries_dropped r)
+            (Zofs.Recovery.cross_refs_repaired r)
+            r.Zofs.Recovery.pages_reclaimed;
           (* Recovery ends by unmounting this process's coffers, so the
              shell's FSLib is stale: attach a fresh one in the same cwd. *)
           let cwd = Treasury.Dispatcher.getcwd w.disp in

@@ -76,7 +76,7 @@ let () =
   in
   Printf.printf
     "3. fsck: scanned %d coffers, dropped %d bad dentries, reclaimed %d pages\n"
-    report.Zofs.Recovery.coffers_scanned report.Zofs.Recovery.dentries_dropped
+    report.Zofs.Recovery.coffers_scanned (Zofs.Recovery.dentries_dropped report)
     report.Zofs.Recovery.pages_reclaimed;
   Sim.run_thread ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ()) (fun () ->
       let _, fs = fslib () in

@@ -507,8 +507,8 @@ let check ?(pages = 1024) ?(max_points = 0) ?(seed = 1L) ?(progress = ignore)
       | Some r ->
           findings := !findings + List.length (Recovery.findings r);
           reclaimed := !reclaimed + r.Recovery.pages_reclaimed;
-          reattached := !reattached + r.Recovery.orphan_coffers_reattached;
-          dropped := !dropped + r.Recovery.orphan_coffers_dropped
+          reattached := !reattached + Recovery.orphan_coffers_reattached r;
+          dropped := !dropped + Recovery.orphan_coffers_dropped r
       | None -> ());
       (match verdict with
       | Ok () -> ()

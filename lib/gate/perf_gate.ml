@@ -525,36 +525,15 @@ let in_shared_world ~nprocs ~ops_per_proc ~setup ~worker () =
    worst case, dominated by lease handoff between processes. *)
 let exp_shared_append ~nprocs ~ops_per_proc () =
   in_shared_world ~nprocs ~ops_per_proc
-    ~setup:(fun fs -> ok (V.write_file fs "/shared" ~mode:0o644 ""))
-    ~worker:(fun fs _p ->
-      let fd = ref None in
-      fun _i ->
-        let f =
-          match !fd with
-          | Some f -> f
-          | None ->
-              let f =
-                ok (V.openf fs "/shared" [ Ft.O_WRONLY; Ft.O_APPEND ] 0)
-              in
-              fd := Some f;
-              f
-        in
-        ignore (ok (V.write fs f block)))
-    ()
+    ~setup:(fun fs ->
+      ok (V.write_file fs Workloads.Shared.file ~mode:0o644 ""))
+    ~worker:Workloads.Shared.append ()
 
 (* 64 processes creating empty files in one shared directory. *)
 let exp_shared_create ~nprocs ~ops_per_proc () =
   in_shared_world ~nprocs ~ops_per_proc
-    ~setup:(fun fs -> ok (V.mkdir fs "/sdir" 0o755))
-    ~worker:(fun fs p i ->
-      let fd =
-        ok
-          (V.openf fs
-             (Printf.sprintf "/sdir/p%d_f%d" p i)
-             [ Ft.O_CREAT; Ft.O_WRONLY ] 0o644)
-      in
-      ok (V.close fs fd))
-    ()
+    ~setup:(fun fs -> ok (V.mkdir fs Workloads.Shared.dir 0o755))
+    ~worker:Workloads.Shared.create ()
 
 let experiments =
   [

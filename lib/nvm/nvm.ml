@@ -1017,24 +1017,33 @@ module Device = struct
     close_out oc
 
   let load_image ?(perf = Perf.optane) ?(seed = 7L) path =
-    let ic = open_in_bin path in
-    let magic = really_input_string ic (String.length image_magic) in
-    if magic <> image_magic then failwith "Nvm: bad image magic";
-    let npages = input_binary_int ic in
-    let d = create ~perf ~seed ~size:(npages * page_size) () in
-    let rec load_pages () =
-      let i = input_binary_int ic in
-      if i >= 0 then begin
-        let b = Bytes.create page_size in
-        really_input ic b 0 page_size;
-        d.shadow.(i) <- Some b;
-        d.vol.(i) <- Some (Bytes.copy b);
-        load_pages ()
-      end
+    let read ic =
+      if really_input_string ic (String.length image_magic) <> image_magic then
+        Error "bad image magic"
+      else
+        let npages = input_binary_int ic in
+        if npages <= 0 then Error (Printf.sprintf "bad page count %d" npages)
+        else
+          let d = create ~perf ~seed ~size:(npages * page_size) () in
+          let rec load_pages () =
+            match input_binary_int ic with
+            | -1 -> Ok d
+            | i when i < 0 || i >= npages ->
+                Error (Printf.sprintf "page index %d outside [0, %d)" i npages)
+            | i ->
+                let b = Bytes.create page_size in
+                really_input ic b 0 page_size;
+                d.shadow.(i) <- Some b;
+                d.vol.(i) <- Some (Bytes.copy b);
+                load_pages ()
+          in
+          load_pages ()
     in
-    load_pages ();
-    close_in ic;
-    d
+    match open_in_bin path with
+    | exception Sys_error e -> Error e
+    | ic -> (
+        Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+        try read ic with End_of_file -> Error "truncated image")
 
   let stat_reads d = d.n_reads
   let stat_writes d = d.n_writes

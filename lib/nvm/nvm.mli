@@ -307,7 +307,12 @@ module Device : sig
   (** Flush everything and write the durable view (sparsely) to a host
       file, so the CLI tools can reopen the simulated NVM across runs. *)
 
-  val load_image : ?perf:Perf.t -> ?seed:int64 -> string -> t
+  val load_image :
+    ?perf:Perf.t -> ?seed:int64 -> string -> (t, string) result
+  (** Reopen an image [save_image] wrote.  [Error] names what is wrong
+      with the file: a bad magic, a page count [<= 0], a page index
+      outside the device, a truncated file, or a file that cannot be
+      opened. *)
 
   (** {2 Cost accounting} *)
 

@@ -77,13 +77,7 @@ type report = {
   mutable coffers_scanned : int;
   mutable pages_in_use : int;
   mutable pages_reclaimed : int;
-  mutable dentries_dropped : int;
-  mutable inodes_reinitialized : int;
   mutable cross_refs_checked : int;
-  mutable cross_refs_repaired : int;
-  mutable cross_refs_dropped : int;
-  mutable orphan_coffers_dropped : int;
-  mutable orphan_coffers_reattached : int;
   mutable findings : finding list;  (* reverse chronological *)
   mutable above_hwm : (string * int) list;
       (* with [~audit]: valid inline dentries at or above their page's hwm,
@@ -98,13 +92,7 @@ let fresh_report () =
     coffers_scanned = 0;
     pages_in_use = 0;
     pages_reclaimed = 0;
-    dentries_dropped = 0;
-    inodes_reinitialized = 0;
     cross_refs_checked = 0;
-    cross_refs_repaired = 0;
-    cross_refs_dropped = 0;
-    orphan_coffers_dropped = 0;
-    orphan_coffers_reattached = 0;
     findings = [];
     above_hwm = [];
     user_ns = 0;
@@ -115,6 +103,27 @@ let fresh_report () =
 let add_finding report f = report.findings <- f :: report.findings
 
 let findings report = List.rev report.findings
+
+(* How many findings of one kind the report holds. *)
+let count report kind = List.length (List.filter kind report.findings)
+
+let dentries_dropped r =
+  count r (function Dropped_dentry _ -> true | _ -> false)
+
+let inodes_reinitialized r =
+  count r (function Reinitialized_root _ -> true | _ -> false)
+
+let cross_refs_repaired r =
+  count r (function Repaired_cross_ref _ -> true | _ -> false)
+
+let cross_refs_dropped r =
+  count r (function Dropped_cross_ref _ -> true | _ -> false)
+
+let orphan_coffers_dropped r =
+  count r (function Dropped_orphan_coffer _ -> true | _ -> false)
+
+let orphan_coffers_reattached r =
+  count r (function Reattached_coffer _ -> true | _ -> false)
 
 (* fsck's audit of the hwm invariant (DESIGN.md §19).  No reader sees a
    dentry above its page's hwm, recovery included, so its file is lost to
@@ -169,7 +178,6 @@ let scan_coffer ?prefault ~audit dev kfs report ~runs (info : Coffer.info)
   let owned addr = in_runs runs (page_of addr) in
   let drop_dentry (de, child_path) =
     Dir.clear_dentry dev de.Dir.de_addr;
-    report.dentries_dropped <- report.dentries_dropped + 1;
     add_finding report (Dropped_dentry { coffer = cid; path = child_path })
   in
   (* A fault while traversing (a torn pointer into an unmapped page — the
@@ -240,8 +248,6 @@ let scan_coffer ?prefault ~audit dev kfs report ~runs (info : Coffer.info)
                        ~inode:de.Dir.de_inode
                    with
                   | Ok () | Error _ -> ());
-                  report.cross_refs_repaired <-
-                    report.cross_refs_repaired + 1;
                   add_finding report
                     (Repaired_cross_ref { coffer = cid; path = child_path });
                   if not (scan_inode de.Dir.de_inode child_path) then
@@ -272,7 +278,6 @@ let scan_coffer ?prefault ~audit dev kfs report ~runs (info : Coffer.info)
        with the permission KernFS keeps for the coffer. *)
     Inode.init dev ~ino:root_file ~kind:Inode.Directory ~mode:info.Coffer.mode
       ~uid:info.Coffer.uid ~gid:info.Coffer.gid;
-    report.inodes_reinitialized <- report.inodes_reinitialized + 1;
     add_finding report
       (Reinitialized_root { coffer = cid; path = info.Coffer.path });
     Hashtbl.replace in_use (page_of root_file) ()
@@ -400,14 +405,12 @@ let validate_cross_refs ufs kfs report xrefs =
                     Nvm.Device.persist_range dev
                       (xr.xr_dentry + Layout.d_coffer)
                       16);
-                report.cross_refs_repaired <- report.cross_refs_repaired + 1;
                 add_finding report
                   (Repaired_cross_ref
                      { coffer = xr.xr_src_cid; path = xr.xr_expected_path })
             | None ->
                 Ufs.with_coffer ufs cs ~write:true (fun () ->
                     Dir.clear_dentry dev xr.xr_dentry);
-                report.cross_refs_dropped <- report.cross_refs_dropped + 1;
                 add_finding report
                   (Dropped_cross_ref
                      { coffer = xr.xr_src_cid; path = xr.xr_expected_path }))
@@ -452,7 +455,6 @@ let orphan_coffer_pass ufs kfs report xrefs =
         let free_before = K.free_pages kfs in
         match K.coffer_delete kfs c.Coffer.id with
         | Ok () ->
-            report.orphan_coffers_dropped <- report.orphan_coffers_dropped + 1;
             report.pages_reclaimed <-
               report.pages_reclaimed + (K.free_pages kfs - free_before);
             add_finding report
@@ -485,8 +487,6 @@ let orphan_coffer_pass ufs kfs report xrefs =
                         ~coffer:c.Coffer.id ~inode:root
                     with
                     | Ok () ->
-                        report.orphan_coffers_reattached <-
-                          report.orphan_coffers_reattached + 1;
                         add_finding report
                           (Reattached_coffer
                              { coffer = c.Coffer.id; path = c.Coffer.path });
@@ -610,8 +610,6 @@ let migration_pass ufs kfs report =
                  into the namespace. *)
               match K.coffer_delete kfs c.Coffer.id with
               | Ok () ->
-                  report.orphan_coffers_dropped <-
-                    report.orphan_coffers_dropped + 1;
                   add_finding report
                     (Dropped_orphan_coffer
                        { coffer = c.Coffer.id; path = c.Coffer.path })
@@ -642,11 +640,6 @@ let merge_job report xrefs j =
   report.coffers_scanned <- report.coffers_scanned + r.coffers_scanned;
   report.pages_in_use <- report.pages_in_use + r.pages_in_use;
   report.pages_reclaimed <- report.pages_reclaimed + r.pages_reclaimed;
-  report.dentries_dropped <- report.dentries_dropped + r.dentries_dropped;
-  report.inodes_reinitialized <-
-    report.inodes_reinitialized + r.inodes_reinitialized;
-  report.cross_refs_repaired <-
-    report.cross_refs_repaired + r.cross_refs_repaired;
   report.findings <- r.findings @ report.findings;
   report.above_hwm <- r.above_hwm @ report.above_hwm;
   report.user_ns <- report.user_ns + r.user_ns;

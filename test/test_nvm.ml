@@ -730,6 +730,67 @@ let qcheck_line_states_match_model =
         ops
       && raising_commit_rolls_back d m)
 
+(* ---- host-file images ---------------------------------------------------- *)
+
+(* [f path] on a temporary file holding [contents]. *)
+let with_file contents f =
+  let path = Filename.temp_file "nvm" ".img" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      f path)
+
+(* The bytes [save_image] writes for [d]. *)
+let image_of d =
+  let path = Filename.temp_file "nvm" ".img" in
+  D.save_image d path;
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  s
+
+let rejected what contents =
+  with_file contents (fun path ->
+      match D.load_image path with
+      | Ok _ -> Alcotest.failf "%s image loaded" what
+      | Error _ -> ())
+
+let test_image_roundtrip () =
+  let d = mk () in
+  D.write_string d (5 * Nvm.page_size) "kept across runs";
+  with_file (image_of d) (fun path ->
+      match D.load_image path with
+      | Error e -> Alcotest.fail e
+      | Ok d' ->
+          Alcotest.(check int) "size" (D.size d) (D.size d');
+          Alcotest.(check string) "content" "kept across runs"
+            (D.read_string d' (5 * Nvm.page_size) 16))
+
+let test_image_truncated () =
+  let d = mk () in
+  D.write_string d 0 "data";
+  let img = image_of d in
+  rejected "truncated" (String.sub img 0 (String.length img / 2))
+
+let test_image_garbage () =
+  rejected "garbage" (String.make 4096 'g');
+  rejected "empty" ""
+
+(* A well-formed header over [npages] pages, then one page at [index]. *)
+let crafted ~npages ~index =
+  let b = Buffer.create 8192 in
+  Buffer.add_string b (String.sub (image_of (mk ())) 0 8);
+  Buffer.add_int32_be b (Int32.of_int npages);
+  Buffer.add_int32_be b (Int32.of_int index);
+  Buffer.add_string b (String.make Nvm.page_size 'x');
+  Buffer.add_int32_be b (-1l);
+  Buffer.contents b
+
+let test_image_bad_index () =
+  rejected "index past the end" (crafted ~npages:4 ~index:7);
+  rejected "negative index" (crafted ~npages:4 ~index:(-5));
+  rejected "zero pages" (crafted ~npages:0 ~index:0)
+
 let () =
   Alcotest.run "nvm"
     [
@@ -806,5 +867,12 @@ let () =
           Alcotest.test_case "hook can block" `Quick test_protection_hook_can_block;
           Alcotest.test_case "bulk access hooks every page" `Quick
             test_protection_hook_every_page;
+        ] );
+      ( "image",
+        [
+          Alcotest.test_case "round trip" `Quick test_image_roundtrip;
+          Alcotest.test_case "truncated file rejected" `Quick test_image_truncated;
+          Alcotest.test_case "garbage file rejected" `Quick test_image_garbage;
+          Alcotest.test_case "bad page index rejected" `Quick test_image_bad_index;
         ] );
     ]

@@ -106,7 +106,7 @@ let test_recovery_drops_corrupted_dentry () =
               | None -> Alcotest.fail "dentry missing")));
   let report = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
   Alcotest.(check bool) "dropped a dentry" true
-    (report.Zofs.Recovery.dentries_dropped >= 1);
+    ((Zofs.Recovery.dentries_dropped report) >= 1);
   in_proc ~uid:0 w (fun fs ->
       Alcotest.(check string) "intact file survives" "keep"
         (ok_or_fail (V.read_file fs "/keep"));
@@ -143,7 +143,7 @@ let test_recovery_validates_cross_refs () =
   (* The decoy coffer still exists in the trusted path map, so the
      manipulated dentry is repaired, not dropped. *)
   Alcotest.(check bool) "bad ref repaired" true
-    (report.Zofs.Recovery.cross_refs_repaired >= 1);
+    ((Zofs.Recovery.cross_refs_repaired report) >= 1);
   in_proc ~uid:0 w (fun fs ->
       Alcotest.(check string) "decoy restored" "decoy"
         (ok_or_fail (V.read_file fs "/decoy"));
@@ -169,7 +169,7 @@ let test_recovery_drops_dangling_cross_ref () =
       ignore (K.fs_umount w.kfs));
   let report = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
   Alcotest.(check bool) "dangling ref dropped" true
-    (report.Zofs.Recovery.cross_refs_dropped >= 1);
+    ((Zofs.Recovery.cross_refs_dropped report) >= 1);
   in_proc ~uid:0 w (fun fs -> expect_err E.ENOENT (V.stat fs "/doomed"))
 
 let test_recovery_reinitializes_corrupt_root_inode () =
@@ -189,7 +189,7 @@ let test_recovery_reinitializes_corrupt_root_inode () =
               Nvm.Device.persist_all w.dev)));
   let report = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
   Alcotest.(check bool) "reinitialized" true
-    (report.Zofs.Recovery.inodes_reinitialized >= 1)
+    ((Zofs.Recovery.inodes_reinitialized report) >= 1)
 
 (* Crash between inode publish and dentry insert: create() persists the new
    inode (and its data pages) before the dentry that names it.  A crash in
@@ -255,7 +255,7 @@ let test_recovery_torn_coffer_root_page () =
   let w = remount w in
   let report = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
   Alcotest.(check bool) "root inode reinitialized" true
-    (report.Zofs.Recovery.inodes_reinitialized >= 1);
+    ((Zofs.Recovery.inodes_reinitialized report) >= 1);
   let report2 = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
   Alcotest.(check (list string)) "second run is a fixpoint" []
     (List.map Zofs.Recovery.finding_to_string (Zofs.Recovery.findings report2));
@@ -535,7 +535,7 @@ let test_poisoned_dentry_tails () =
   listing ();
   let report = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
   Alcotest.(check int) "no dentry dropped" 0
-    report.Zofs.Recovery.dentries_dropped;
+    (Zofs.Recovery.dentries_dropped report);
   listing ()
 
 (* ---- parallel recovery ---------------------------------------------------- *)
