@@ -139,33 +139,37 @@ let () =
   let args = List.filter (fun a -> not (List.mem a flags)) args in
   let scale = if quick then Paper.quick else Paper.full in
   if obs_on then Obs.enable ();
-  let selected =
-    if args = [] then List.map (fun e -> e.Paper.name) experiments else args
-  in
+  let find name = List.find_opt (fun e -> e.Paper.name = name) experiments in
+  (* Every name is checked before anything runs: a typo must not cost the
+     run that precedes it, nor pass as success. *)
+  (match List.filter (fun n -> find n = None) args with
+  | [] -> ()
+  | unknown ->
+      List.iter (Printf.eprintf "unknown experiment %s\n") unknown;
+      exit 2);
+  let selected = if args = [] then experiments else List.filter_map find args in
   print_endline
     "ZoFS reproduction benchmark harness (simulated NVM; see DESIGN.md)";
   List.iter
-    (fun name ->
-      match List.find_opt (fun e -> e.Paper.name = name) experiments with
-      | Some e ->
-          let before = if obs_on then Some (Obs.Snapshot.take ()) else None in
-          let t0 = Unix.gettimeofday () in
-          let items = e.Paper.run scale in
-          print_string (Report.text items);
-          let extra =
-            match before with
-            | Some b ->
-                let d = Obs.Snapshot.diff b (Obs.Snapshot.take ()) in
-                print_string (Obs.Snapshot.render ~title:(name ^ " — obs") d);
-                [ ("obs", Obs.Snapshot.to_json d) ]
-            | None -> []
-          in
-          if json_on then
-            write_file ("BENCH_" ^ name ^ ".json")
-              (Obs.Json.to_string (Report.json ~name ~extra items));
-          Printf.printf "[%s done in %.1fs]\n%!" name
-            (Unix.gettimeofday () -. t0)
-      | None -> Printf.eprintf "unknown experiment %s\n" name)
+    (fun e ->
+      let name = e.Paper.name in
+      let before = if obs_on then Some (Obs.Snapshot.take ()) else None in
+      let t0 = Unix.gettimeofday () in
+      let items = e.Paper.run scale in
+      print_string (Report.text items);
+      let extra =
+        match before with
+        | Some b ->
+            let d = Obs.Snapshot.diff b (Obs.Snapshot.take ()) in
+            print_string (Obs.Snapshot.render ~title:(name ^ " — obs") d);
+            [ ("obs", Obs.Snapshot.to_json d) ]
+        | None -> []
+      in
+      if json_on then
+        write_file ("BENCH_" ^ name ^ ".json")
+          (Obs.Json.to_string (Report.json ~name ~extra items));
+      Printf.printf "[%s done in %.1fs]\n%!" name
+        (Unix.gettimeofday () -. t0))
     selected;
   if obs_on then begin
     write_file "BENCH_obs_snapshot.json"

@@ -316,6 +316,26 @@ let content_tolerant ~path ~sizes ~old_c ~new_c ~before dump =
                    "torn %s: byte %d is neither old, new, nor zero" path i)
         end
 
+(* An overwrite within the old size moves no size, and each of the file's
+   line-sized cells reaches NVM whole: every cell of the recovered content
+   must be all old or all new, never a mix.  File blocks are page-aligned,
+   so a file offset's cell is a device line. *)
+let torn_cell ~path ~old_c ~new_c c =
+  let len = String.length c in
+  let rec go lo =
+    if lo >= len then Ok ()
+    else
+      let n = min Nvm.line_size (len - lo) in
+      let cell = String.sub c lo n in
+      if cell = String.sub old_c lo n || cell = String.sub new_c lo n then
+        go (lo + n)
+      else
+        Error
+          (Printf.sprintf "torn %s: cell at byte %d is neither all old nor all new"
+             path lo)
+  in
+  go 0
+
 (* The recovered states a crashed-then-recovered rename may legally leave:
    untouched, done, both names linked (crash between the dst insert and the
    src removal), or only the displaced dst file unlinked. *)
@@ -394,11 +414,18 @@ let verify w ~acked dump =
             | Some (`File s) -> s
             | _ -> ""
           in
-          let old_len = String.length (Option.value old_c ~default:"") in
+          let old_s = Option.value old_c ~default:"" in
+          let old_len = String.length old_s in
           let sizes = [ old_len; max old_len (off + String.length data) ] in
           match content_tolerant ~path ~sizes ~old_c ~new_c ~before dump with
-          | Ok () -> Ok ()
           | Error r -> fail r
+          | Ok () -> (
+              match List.assoc_opt path dump with
+              | Some (`File c) when off + String.length data <= old_len -> (
+                  match torn_cell ~path ~old_c:old_s ~new_c c with
+                  | Ok () -> Ok ()
+                  | Error r -> fail r)
+              | _ -> Ok ())
         end
     | Op.Append { path; data } ->
         if result <> Ok () then fail "in-flight op errored yet changed durable state"
@@ -437,6 +464,7 @@ type report = {
   r_points : int;  (* crash points explored *)
   r_divergences : divergence list;
   r_findings : int;  (* recovery repair actions across all points *)
+  r_intents : int;  (* of those, intentions recovery found pending *)
   r_pages_reclaimed : int;
   r_reattached : int;  (* orphan coffers reattached by recovery *)
   r_orphans_dropped : int;
@@ -497,7 +525,7 @@ let check ?(pages = 1024) ?(max_points = 0) ?(seed = 1L) ?(progress = ignore)
     end
   in
   let divergences = ref [] in
-  let findings = ref 0 and reclaimed = ref 0 in
+  let findings = ref 0 and intents = ref 0 and reclaimed = ref 0 in
   let reattached = ref 0 and dropped = ref 0 in
   List.iteri
     (fun i k ->
@@ -506,6 +534,7 @@ let check ?(pages = 1024) ?(max_points = 0) ?(seed = 1L) ?(progress = ignore)
       (match rep with
       | Some r ->
           findings := !findings + List.length (Recovery.findings r);
+          intents := !intents + Recovery.intents_cleared r;
           reclaimed := !reclaimed + r.Recovery.pages_reclaimed;
           reattached := !reattached + Recovery.orphan_coffers_reattached r;
           dropped := !dropped + Recovery.orphan_coffers_dropped r
@@ -526,10 +555,27 @@ let check ?(pages = 1024) ?(max_points = 0) ?(seed = 1L) ?(progress = ignore)
     r_points = List.length points;
     r_divergences = List.rev !divergences;
     r_findings = !findings;
+    r_intents = !intents;
     r_pages_reclaimed = !reclaimed;
     r_reattached = !reattached;
     r_orphans_dropped = !dropped;
   }
+
+(* The negatives' verdict: recover [w]'s device as it stands, then compare
+   with the oracle after [acked] ops.  [Some reason] when they diverge. *)
+let recovered_divergence w ~acked =
+  match recover_and_dump w with
+  | exception Failure reason -> Some reason
+  | _rep, dump -> (
+      match verify w ~acked dump with Ok () -> None | Error reason -> Some reason)
+
+(* Replay the whole body ([fence_drop] as in {!replay}), lose every line
+   still pending and check the recovered tree. *)
+let acked_then_power_lost ?fence_drop w =
+  let rp = replay ?fence_drop w in
+  D.inject_drop_fences w.w_dev 0;
+  D.crash ~policy:`Drop_all w.w_dev;
+  recovered_divergence w ~acked:rp.rp_acked
 
 (* Negative self-check: suppress the fences of the last state-changing op
    (the device acks them as no-ops), let the op be acknowledged, then lose
@@ -547,15 +593,20 @@ let check_missing_fence ?(pages = 1024) (s : Op.script) =
   done;
   if !target < 0 then
     invalid_arg "check_missing_fence: script has no state-changing op";
-  let rp = replay ~fence_drop:(!target, 16) w in
-  D.inject_drop_fences w.w_dev 0;
-  D.crash ~policy:`Drop_all w.w_dev;
-  match recover_and_dump w with
-  | exception Failure reason -> Some reason
-  | _rep, dump -> (
-      match verify w ~acked:rp.rp_acked dump with
-      | Ok () -> None
-      | Error reason -> Some reason)
+  acked_then_power_lost ~fence_drop:(!target, 16) w
+
+(* Negative self-check: the in-place test of [Zofs.File.write] ignores its
+   size bound ([Zofs.File.inject_in_place_past_eof]), so a write that ends
+   past EOF inside an allocated block — an append into a partial last
+   block — commits in place and never moves the size.  The acknowledged
+   bytes past the old EOF are lost, so [s] must have such a write and the
+   recovered tree must diverge.  [Some reason] when caught. *)
+let check_in_place_past_eof ?(pages = 1024) (s : Op.script) =
+  let w = prepare ~pages s in
+  Zofs.File.inject_in_place_past_eof := true;
+  Fun.protect
+    ~finally:(fun () -> Zofs.File.inject_in_place_past_eof := false)
+    (fun () -> acked_then_power_lost w)
 
 (* Negative self-check: an insert that writes its dentry at slot hwm
    without raising hwm.  The script runs to the end (every op
@@ -606,11 +657,4 @@ let check_hwm_skip ?(pages = 1024) ~dir (s : Op.script) =
             D.persist_all w.w_dev;
             !planted))
   in
-  if not planted then None
-  else
-    match recover_and_dump w with
-    | exception Failure reason -> Some reason
-    | _rep, dump -> (
-        match verify w ~acked:rp.rp_acked dump with
-        | Ok () -> None
-        | Error reason -> Some reason)
+  if not planted then None else recovered_divergence w ~acked:rp.rp_acked

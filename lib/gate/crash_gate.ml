@@ -1,14 +1,18 @@
 (* The crash-consistency gate, `crash` (DESIGN.md §12).
 
-   For each op script (fxmark, filebench, fslab, and three creates into
-   one second-level page) lib/crashmc records the
+   For each op script (fxmark, filebench, fslab, three creates into one
+   second-level page, and in-place overwrites) lib/crashmc records the
    persistence events once, then explores a seeded sample of 180 crash
-   points: replay to the k-th event, power-fail under a line-survival
-   policy, recover, and compare the recovered tree against the oracle
-   model at the prefix of acknowledged ops.  Any divergence is a
-   violation.  Two negatives must be reported as divergences, proving the
-   checker sees the bug classes it exists for: one drops a fence, one
-   leaves a dentry at its second-level page's hwm without raising it. *)
+   points (every point of the in-place script): replay to the k-th event,
+   power-fail under a line-survival policy, recover, and compare the
+   recovered tree against the oracle model at the prefix of acknowledged
+   ops.  Any divergence is a violation, and so is an intention recovery
+   finds pending in the in-place script, whose writes record none.  Three
+   negatives must be reported as divergences, proving the checker sees
+   the bug classes it exists for: one drops a fence, one leaves a dentry
+   at its second-level page's hwm without raising it, one lets an append
+   into a partial last block take the in-place path and leave the size
+   behind. *)
 
 module C = Crashmc
 module Op = Workloads.Opscript
@@ -17,15 +21,27 @@ module J = Obs.Json
 let points = 180
 let seed = 1L
 
-let run_workload (script : Op.script) =
+(* [intent_free]: the script's writes record no intention, so one that
+   recovery finds pending at any point is a violation. *)
+let run_workload ?(max_points = points) ?(intent_free = false)
+    (script : Op.script) =
   let name = script.Op.sname in
-  let rep = C.check ~max_points:points ~seed script in
+  let rep = C.check ~max_points ~seed script in
   Printf.printf "%-10s ops=%d events=%d points=%d divergences=%d findings=%d\n%!"
     name rep.C.r_ops rep.C.r_events rep.C.r_points
     (List.length rep.C.r_divergences)
     rep.C.r_findings;
+  let intent_violations =
+    if intent_free && rep.C.r_intents > 0 then
+      [
+        Printf.sprintf "%s: recovery found %d intention(s) pending" name
+          rep.C.r_intents;
+      ]
+    else []
+  in
   let violations =
-    List.map
+    intent_violations
+    @ List.map
       (fun (d : C.divergence) ->
         Printf.sprintf "%s: divergence at event %d (%s, acked %d):\n    %s" name
           d.C.d_point d.C.d_policy d.C.d_acked
@@ -40,6 +56,7 @@ let run_workload (script : Op.script) =
         ("points", Gate.int rep.C.r_points);
         ("divergences", Gate.int (List.length rep.C.r_divergences));
         ("findings", Gate.int rep.C.r_findings);
+        ("intents_cleared", Gate.int rep.C.r_intents);
         ("pages_reclaimed", Gate.int rep.C.r_pages_reclaimed);
         ("orphans_reattached", Gate.int rep.C.r_reattached);
         ("orphans_dropped", Gate.int rep.C.r_orphans_dropped);
@@ -59,11 +76,28 @@ let shared_page =
         (Perf_gate.same_l1_slot_names ~seed:"h" 3);
   }
 
+(* Overwrites inside a pre-sized three-block file: one cell, one across a
+   block boundary, one ending exactly at EOF, and a block's worth across
+   two blocks.  Each ends within the size on mapped blocks, so each
+   commits in place. *)
+let in_place =
+  let pwrite off tag len =
+    Op.Pwrite { path = "/o"; off; data = Op.payload ~tag len }
+  in
+  {
+    Op.sname = "in-place-overwrite";
+    setup =
+      [ Op.Create { path = "/o"; mode = 0o644; data = Op.payload ~tag:8 9000 } ];
+    body =
+      [ pwrite 0 9 512; pwrite 4000 10 200; pwrite 8192 11 808; pwrite 100 12 4096 ];
+  }
+
 let run () =
-  let rows =
+  let sampled =
     List.map run_workload
       (List.map Op.find [ "fxmark"; "filebench"; "fslab" ] @ [ shared_page ])
   in
+  let rows = sampled @ [ run_workload ~max_points:0 ~intent_free:true in_place ] in
   (J.Obj [ ("workloads", J.Arr (List.map fst rows)) ], List.concat_map snd rows)
 
 let caught = function
@@ -81,5 +115,7 @@ let gate =
       [
         ("missing_fence", fun () -> caught (C.check_missing_fence (Op.find "fslab")));
         ("insert_skips_hwm_bump", fun () -> caught (C.check_hwm_skip ~dir:"/h" shared_page));
+        ( "overwrite_past_eof_in_place",
+          fun () -> caught (C.check_in_place_past_eof (Op.find "filebench")) );
       ];
   }

@@ -1,6 +1,7 @@
 (* Every gate under `dune build @gates`, in alias order. *)
 
 module Gate = Gate
+module Crash_gate = Crash_gate
 module Perf_gate = Perf_gate
 
 let all =

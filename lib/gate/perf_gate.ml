@@ -17,11 +17,13 @@
    must be caught by that audit.  Another lists 20 96-entry directories,
    one per sub-coffer, with the same audit: a listing after a remap
    prefaults the directory's second-level pages, and a planted prefault
-   that installs pages that were not pending must be caught.  Two
+   that installs pages that were not pending must be caught.  Three
    multi-process experiments ride along: 64 tenant processes — each with
-   its own FSLib (dispatcher + FD table + per-process mappings) — hammer
-   one shared file / one shared directory through the syscall gate, so the
-   baseline also pins the cross-process lease-handoff cost.
+   its own FSLib (dispatcher + FD table + per-process mappings) — append
+   to one shared file, create in one shared directory, or overwrite 512 B
+   cells of one pre-sized file through the syscall gate, so the baseline
+   also pins the cross-process lease-handoff cost, and the overwrites pin
+   one fence per in-place commit.
 
    Everything measured is simulated and cooperatively scheduled, so two
    runs of the same binary produce byte-identical numbers; the committed
@@ -535,6 +537,27 @@ let exp_shared_create ~nprocs ~ops_per_proc () =
     ~setup:(fun fs -> ok (V.mkdir fs Workloads.Shared.dir 0o755))
     ~worker:Workloads.Shared.create ()
 
+(* 64 processes overwriting 512 B cells of one pre-sized shared file: the
+   shared-append-64p handoff without growth.  Tenant [p]'s op [i] hits
+   cell [(p * ops_per_proc) + i] of the file, so every op lands inside
+   the size on a mapped block and commits in place, behind the one
+   lease-release fence. *)
+let overwrite_cell = 512
+
+let exp_overwrite_in_place ~nprocs ~ops_per_proc () =
+  let cell = String.make overwrite_cell 'o' in
+  in_shared_world ~nprocs ~ops_per_proc
+    ~setup:(fun fs ->
+      ok
+        (V.write_file fs Workloads.Shared.file ~mode:0o644
+           (String.make (nprocs * ops_per_proc * overwrite_cell) 'i')))
+    ~worker:(fun fs p ->
+      let fd = lazy (ok (V.openf fs Workloads.Shared.file [ Ft.O_WRONLY ] 0)) in
+      fun i ->
+        let off = ((p * ops_per_proc) + i) * overwrite_cell in
+        ignore (ok (V.pwrite fs (Lazy.force fd) ~off cell)))
+    ()
+
 let experiments =
   [
     ("append", fun () -> exp_append ~ops:128 ());
@@ -551,6 +574,8 @@ let experiments =
       fun () -> exp_shared_append ~nprocs:64 ~ops_per_proc:4 () );
     ( "shared-create-64p",
       fun () -> exp_shared_create ~nprocs:64 ~ops_per_proc:4 () );
+    ( "overwrite-in-place",
+      fun () -> exp_overwrite_in_place ~nprocs:64 ~ops_per_proc:4 () );
   ]
 
 let run_all () =

@@ -2,9 +2,12 @@
    double-indirect 4 KB block mapping (paper §5.1).
 
    Data is written with non-temporal stores (the paper confirms ZoFS uses
-   non-temporal writes for all experiments); metadata publication follows
-   the order: data → block pointer → size, each flushed, so a crash never
-   exposes a size that covers unwritten data. *)
+   non-temporal writes for all experiments).  A write that allocates a
+   block or moves the size publishes in the order data → block pointer →
+   size, each flushed, so a crash never exposes a size that covers
+   unwritten data.  An overwrite in place — within the size, over blocks
+   already mapped — publishes nothing: its data needs only the
+   lease-release fence (see [write]). *)
 
 open Layout
 
@@ -119,49 +122,104 @@ let read dev ~ino ~off buf boff len =
 
 (* ---- write ---------------------------------------------------------------- *)
 
+(* Negative self-check (the crash gate's [overwrite_past_eof_in_place]):
+   when set, the in-place test skips its size bound, so a write that ends
+   past EOF inside an allocated block commits in place and leaves the size
+   behind. *)
+let inject_in_place_past_eof = ref false
+
+(* The addresses of the blocks that [off, off + len) covers, or [None] when
+   one of them is a hole or sits behind a missing pointer page.  [len] > 0. *)
+let mapped_blocks dev ~ino ~off len =
+  let first = block_of_off off in
+  let addrs = Array.make (block_of_off (off + len - 1) - first + 1) 0 in
+  let rec go k =
+    if k = Array.length addrs then Some addrs
+    else
+      let addr = block_addr dev ~ino (first + k) in
+      if addr = 0 then None
+      else begin
+        addrs.(k) <- addr;
+        go (k + 1)
+      end
+  in
+  go 0
+
+(* Store [data] at file offset [off] with non-temporal stores, block by
+   block; [block_at b ~whole] is block [b]'s address, [whole] when the
+   store covers all of it. *)
+let store dev ~off data block_at =
+  let len = String.length data in
+  let rec loop src_off dst_off =
+    if src_off >= len then Ok ()
+    else
+      let b = block_of_off dst_off in
+      let in_block = dst_off mod page_size in
+      let n = min (len - src_off) (page_size - in_block) in
+      match block_at b ~whole:(in_block = 0 && n = page_size) with
+      | Error e -> Error e
+      | Ok addr ->
+          Nvm.Device.nt_write_string dev (addr + in_block)
+            (String.sub data src_off n);
+          loop (src_off + n) (dst_off + n)
+  in
+  loop 0 off
+
+(* A write that extends the size, fills a hole or allocates a pointer
+   page.  Intention: if this thread dies mid-write the stealer rolls the
+   size back to [old_size], hiding any half-written data beyond it (data
+   within the old size may be torn, which POSIX allows for an
+   unacknowledged write). *)
+let write_allocating dev balloc ~ino ~off ~old_size data =
+  Intent.record dev ~ino Intent.Size ~arg:old_size;
+  match
+    store dev ~off data (fun b ~whole ->
+        ensure_block dev balloc ~ino ~zero:(not whole) b)
+  with
+  | Error e ->
+      (* Size never moved, so the record is moot — drop it (the clear
+         rides the lease-release fence). *)
+      Intent.clear dev ~ino;
+      Error e
+  | Ok () ->
+      (* One ordering point makes the intention record, the data and the
+         block pointers durable together; the size/mtime update and the
+         intention clear after it ride the lease-release fence.  Any crash
+         combination of those two pending lines is safe: size-new with the
+         record still present is rolled back by the stealer, size-old is
+         the op never happening — both fine for an unacknowledged write.
+         Two fences per append, down from four. *)
+      Pbatch.barrier dev;
+      let new_end = off + String.length data in
+      if new_end > Inode.size dev ~ino then Inode.set_size dev ~ino new_end
+      else Inode.touch_mtime dev ~ino;
+      Intent.clear dev ~ino;
+      Ok (String.length data)
+
+(* The write decides its own protocol.  An in-place overwrite — it ends
+   within the size and every block it covers is already mapped — moves no
+   pointer and no size, so it has nothing to publish and nothing a stealer
+   could roll back: it stores the data through the block addresses it
+   looked up, touches mtime, records no intention and issues no fence.
+   The lease-release fence makes data and mtime durable together, one
+   fence per op.  A holder that dies first leaves each line old or new, as
+   the allocating protocol already did before its first fence.  Every
+   other write takes [write_allocating]'s two fences. *)
 let write dev balloc ~ino ~off data =
   let len = String.length data in
   if len = 0 then Ok 0
   else begin
-    (* Intention: if this thread dies mid-write the stealer rolls the size
-       back to [old_size], hiding any half-written data beyond it (data
-       within the old size may be torn, which POSIX allows for an
-       unacknowledged write). *)
     let old_size = Inode.size dev ~ino in
-    Intent.record dev ~ino Intent.Size ~arg:old_size;
-    let rec loop src_off dst_off =
-      if src_off >= len then Ok ()
-      else
-        let b = block_of_off dst_off in
-        let in_block = dst_off mod page_size in
-        let n = min (len - src_off) (page_size - in_block) in
-        let zero = not (in_block = 0 && n = page_size) in
-        match ensure_block dev balloc ~ino ~zero b with
-        | Error e -> Error e
-        | Ok addr ->
-            Nvm.Device.nt_write_string dev (addr + in_block)
-              (String.sub data src_off n);
-            loop (src_off + n) (dst_off + n)
-    in
-    match loop 0 off with
-    | Error e ->
-        (* Size never moved, so the record is moot — drop it (the clear
-           rides the lease-release fence). *)
-        Intent.clear dev ~ino;
-        Error e
-    | Ok () ->
-        (* One ordering point makes the intention record, the data and the
-           block pointers durable together; the size/mtime update and the
-           intention clear after it ride the lease-release fence.  Any crash
-           combination of those two pending lines is safe: size-new with the
-           record still present is rolled back by the stealer, size-old is
-           the op never happening — both fine for an unacknowledged write.
-           Two fences per append, down from four. *)
-        Pbatch.barrier dev;
-        let new_end = off + len in
-        if new_end > Inode.size dev ~ino then Inode.set_size dev ~ino new_end
-        else Inode.touch_mtime dev ~ino;
-        Intent.clear dev ~ino;
+    match
+      if off + len <= old_size || !inject_in_place_past_eof then
+        mapped_blocks dev ~ino ~off len
+      else None
+    with
+    | None -> write_allocating dev balloc ~ino ~off ~old_size data
+    | Some addrs ->
+        let first = block_of_off off in
+        ignore (store dev ~off data (fun b ~whole:_ -> Ok addrs.(b - first)));
+        Inode.touch_mtime dev ~ino;
         Ok len
   end
 

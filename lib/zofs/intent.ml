@@ -3,12 +3,16 @@
    A thread that dies mid-mutation leaves its lease to expire and its update
    half-done; the next acquirer (the "stealer") must make the structure
    consistent before using it.  Every µFS mutation protected by an inode
-   lease therefore records an intention in the inode page — ONE u64 at
-   [Layout.i_intent] packing the tag in the top byte and the argument in
-   the low 56 bits, so a single store publishes tag and argument together
-   and no crash point can pair a fresh tag with a stale argument — before
-   touching the structure, and clears it as its last persist before
-   releasing the lease:
+   lease but one therefore records an intention in the inode page — ONE
+   u64 at [Layout.i_intent] packing the tag in the top byte and the
+   argument in the low 56 bits, so a single store publishes tag and
+   argument together and no crash point can pair a fresh tag with a stale
+   argument — before touching the structure, and clears it as its last
+   persist before releasing the lease.  The exception is an in-place
+   overwrite (File.write: within the size, over blocks already mapped): it
+   moves no pointer and no size, so a dead writer leaves each line old or
+   new and there is nothing to roll back; it records nothing.  The
+   records:
 
      Insert  arg = dentry slot address   repair rolls the insert back
                                          (invalidate the slot)

@@ -125,6 +125,8 @@ let orphan_coffers_dropped r =
 let orphan_coffers_reattached r =
   count r (function Reattached_coffer _ -> true | _ -> false)
 
+let intents_cleared r = count r (function Cleared_intent _ -> true | _ -> false)
+
 (* fsck's audit of the hwm invariant (DESIGN.md §19).  No reader sees a
    dentry above its page's hwm, recovery included, so its file is lost to
    the namespace; the protocol never leaves one, so each is damage to the

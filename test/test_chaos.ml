@@ -2,16 +2,11 @@
    lease-steal repair of intention records, and the chaos campaign itself
    (smoke run + quarantine-disabled negative self-check). *)
 
+open Testkit
 module D = Nvm.Device
 module K = Treasury.Kernfs
 module V = Treasury.Vfs
 module E = Treasury.Errno
-
-let obs_on () = if not (Obs.enabled ()) then Obs.enable ~spans:false ()
-
-let counter_delta snap0 name =
-  let d = Obs.Snapshot.diff snap0 (Obs.Snapshot.take ()) in
-  Option.value ~default:0 (Obs.Snapshot.counter_value d name)
 
 (* ---- media-error injection ---------------------------------------------- *)
 
@@ -138,27 +133,6 @@ let mk_zofs () =
       ~perf:Nvm.Perf.optane ()
   in
   (dev, kfs, mk_fslib kfs)
-
-(* Spawn [op] in a victim thread, arm a kill, and join the victim until it
-   finishes or dies, for at most 10 ms.  Returns [true] if the kill landed. *)
-let kill_one_attempt w proc ~after fails op =
-  let k0 = Sim.killed_threads () in
-  let tid =
-    Sim.spawn_tid w ~proc ~name:"victim" (fun () ->
-        try ignore (op ())
-        with e -> fails ("exception escaped: " ^ Printexc.to_string e))
-  in
-  Sim.arm_kill ~tid ~after;
-  Sim.join ~until:(Sim.now () + 10_000_000) tid;
-  if Sim.thread_alive tid then begin
-    fails "victim thread neither finished nor died";
-    false
-  end
-  else if Sim.killed_threads () > k0 then true
-  else begin
-    Sim.disarm_kill ~tid;
-    false
-  end
 
 (* Join every thread of process [pid] under one deadline. *)
 let join_proc ~until pid = List.iter (Sim.join ~until) (Sim.proc_tids pid)

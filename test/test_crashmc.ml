@@ -98,6 +98,14 @@ let test_exhaustive_create () =
   in
   assert_clean "create" (C.check s)
 
+(* Every crash point of the crash gate's in-place overwrites: each cell
+   the in-flight write covers is all old or all new, the size never moves,
+   and recovery never finds an intention to clear. *)
+let test_exhaustive_in_place_overwrite () =
+  let rep = C.check Gates.Crash_gate.in_place in
+  assert_clean "in-place-overwrite" rep;
+  Alcotest.(check int) "no intention pending at any point" 0 rep.C.r_intents
+
 (* Crash mid coffer split: renaming a private (0600) file into another
    directory migrates its pages through a transient coffer (split → link →
    merge → retarget).  Every interruption point must leave at least one
@@ -260,23 +268,24 @@ let test_exhaustive_mixed_ops () =
 
 (* ---- the negative check -------------------------------------------------- *)
 
+(* A create, then an append into the new file's partial block. *)
+let create_append =
+  {
+    Op.sname = "unit-dropped-fence";
+    setup = [ Op.Mkdir "/d" ];
+    body =
+      [
+        Op.Create { path = "/d/f"; mode = 0o644; data = "hello" };
+        Op.Append { path = "/d/f"; data = String.make 150 'w' };
+      ];
+  }
+
 (* A deliberately dropped fence (acknowledged op whose lines never reach
    NVM) must be reported as a divergence — otherwise the checker is blind
    to its entire reason for existing.  Two inputs: the fslab script, and a
    two-op create + append whose append is the persist batcher's batched
    path, so a fence the batcher needed and did not issue is caught too. *)
 let test_missing_fence_is_caught () =
-  let create_append =
-    {
-      Op.sname = "unit-dropped-fence";
-      setup = [ Op.Mkdir "/d" ];
-      body =
-        [
-          Op.Create { path = "/d/f"; mode = 0o644; data = "hello" };
-          Op.Append { path = "/d/f"; data = String.make 150 'w' };
-        ];
-    }
-  in
   List.iter
     (fun s ->
       match C.check_missing_fence s with
@@ -284,6 +293,14 @@ let test_missing_fence_is_caught () =
       | None ->
           Alcotest.failf "%s: injected missing fence was not caught" s.Op.sname)
     [ Op.find "fslab"; create_append ]
+
+(* An in-place test that ignores the size bound lets the append into the
+   file's partial last block commit in place: the size never moves and the
+   acknowledged bytes are lost, which the crash checker must report. *)
+let test_in_place_past_eof_is_caught () =
+  match C.check_in_place_past_eof create_append with
+  | Some _ -> ()
+  | None -> Alcotest.fail "an append taken in place was not caught"
 
 (* The persistence checker is the other auditor of a fence not issued
    (the device fault [Nvm.Device.inject_drop_fences], standing for an
@@ -333,6 +350,8 @@ let () =
       ( "exhaustive",
         [
           Alcotest.test_case "single create" `Quick test_exhaustive_create;
+          Alcotest.test_case "in-place overwrite" `Quick
+            test_exhaustive_in_place_overwrite;
           Alcotest.test_case "coffer split rename" `Slow
             test_exhaustive_coffer_split_rename;
           Alcotest.test_case "directory growth" `Slow
@@ -351,6 +370,8 @@ let () =
         [
           Alcotest.test_case "missing fence caught" `Quick
             test_missing_fence_is_caught;
+          Alcotest.test_case "in-place write past EOF caught" `Quick
+            test_in_place_past_eof_is_caught;
           Alcotest.test_case "over-elided fence: persistence checker" `Quick
             test_over_elide_flagged_by_persistence_checker;
         ] );

@@ -12,17 +12,12 @@
      straight to the next waiter, and a client that dies holding its
      slot or before it resumes, reclaimed at its death *)
 
+open Testkit
 module D = Nvm.Device
 module E = Treasury.Errno
 module Bk = Treasury.Backoff
 module Dl = Treasury.Deadline
 module Serve = Serving.Serve
-
-let obs_on () = if not (Obs.enabled ()) then Obs.enable ~spans:false ()
-
-let counter_delta snap0 name =
-  let d = Obs.Snapshot.diff snap0 (Obs.Snapshot.take ()) in
-  Option.value ~default:0 (Obs.Snapshot.counter_value d name)
 
 let in_world f =
   let w = Sim.create () in

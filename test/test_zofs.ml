@@ -1356,6 +1356,147 @@ let qcheck_fs_matches_model =
                  Hashtbl.mem model path || not (V.exists fs path))
                [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]))
 
+(* ---- in-place overwrites ------------------------------------------------ *)
+
+(* One [pwrite] on [fd], as the device saw it: how many fences it issued,
+   the inode's intention word as each fence found it, and how many stores
+   touched that word. *)
+let commit_profile w fs fd ~off data =
+  let ino = (ok_or_fail (V.fstat fs fd)).Ft.st_ino * Nvm.page_size in
+  let intent = ino + Zofs.Layout.i_intent in
+  let words = ref [] and stores = ref 0 in
+  let sub =
+    Nvm.Device.add_trace_subscriber w.dev (function
+      | Nvm.Device.T_fence _ ->
+          words := Nvm.Device.read_u64 w.dev intent :: !words
+      | Nvm.Device.T_store { addr; len; _ } | Nvm.Device.T_nt_store { addr; len; _ }
+        when addr < intent + 8 && intent < addr + len ->
+          incr stores
+      | _ -> ())
+  in
+  let f0 = Nvm.Device.stat_fences w.dev in
+  ignore (ok_or_fail (V.pwrite fs fd ~off data));
+  Nvm.Device.remove_trace_subscriber w.dev sub;
+  (Nvm.Device.stat_fences w.dev - f0, List.rev !words, !stores)
+
+let size_record n = (Zofs.Intent.tag_of Zofs.Intent.Size lsl 56) lor n
+
+(* An overwrite inside the size over mapped blocks fences once — the
+   lease release — and never touches the intention word: one cell, one
+   across a block boundary, the whole file. *)
+let test_in_place_one_fence () =
+  let w = make_world () in
+  in_proc w (fun fs ->
+      ok_or_fail (V.write_file fs "/o" (String.make 9000 'a'));
+      let fd = ok_or_fail (V.openf fs "/o" [ Ft.O_WRONLY ] 0) in
+      List.iter
+        (fun (off, len, c) ->
+          let what = Printf.sprintf "pwrite off=%d len=%d" off len in
+          let fences, words, stores =
+            commit_profile w fs fd ~off (String.make len c)
+          in
+          Alcotest.(check int) (what ^ ": one fence") 1 fences;
+          Alcotest.(check (list int)) (what ^ ": no intention at the fence") [ 0 ]
+            words;
+          Alcotest.(check int) (what ^ ": intention word untouched") 0 stores)
+        [ (0, 512, 'b'); (4000, 200, 'c'); (0, 9000, 'd') ];
+      ok_or_fail (V.close fs fd);
+      Alcotest.(check string) "content" (String.make 9000 'd')
+        (ok_or_fail (V.read_file fs "/o")))
+
+(* A write over a hole inside the size, and one across EOF, still record a
+   Size intention before their data and fence twice: once with the record
+   pending, once at the lease release after clearing it. *)
+let test_allocating_writes_record_size () =
+  let w = make_world () in
+  in_proc w (fun fs ->
+      let fd = ok_or_fail (V.openf fs "/g" [ Ft.O_CREAT; Ft.O_RDWR ] 0o644) in
+      ignore (ok_or_fail (V.pwrite fs fd ~off:(2 * 4096) "tail"));
+      let size = (2 * 4096) + 4 in
+      let records what ~off =
+        let fences, words, stores =
+          commit_profile w fs fd ~off (String.make 64 'h')
+        in
+        Alcotest.(check int) (what ^ ": two fences") 2 fences;
+        Alcotest.(check (list int)) (what ^ ": Size record, then cleared")
+          [ size_record size; 0 ] words;
+        Alcotest.(check int) (what ^ ": record and clear") 2 stores
+      in
+      records "hole inside the size" ~off:100;
+      records "across EOF" ~off:(size - 10);
+      Alcotest.(check int) "the size moved" (size + 54)
+        (ok_or_fail (V.fstat fs fd)).Ft.st_size;
+      ok_or_fail (V.close fs fd))
+
+(* A holder killed anywhere in an in-place overwrite leaves nothing to
+   repair.  Kills sweep the write, one scheduling point later each time,
+   until one no longer lands; after each, the next writer steals the lease
+   if the victim died holding it.  No steal finds an intention
+   (intent.repairs does not move), the size never changes, and every
+   64-byte cell the dead write covered is all old or all new. *)
+let test_kill_mid_in_place_overwrite () =
+  obs_on ();
+  let snap0 = Obs.Snapshot.take () in
+  let size = 4 * 4096 and off = 2000 and len = 9000 in
+  let world = Sim.create () in
+  let proc = Sim.Proc.create ~uid:0 ~gid:0 () in
+  let failures = ref [] in
+  let fails m = failures := m :: !failures in
+  let torn c =
+    List.find_opt
+      (fun cell ->
+        let s = String.sub c (cell * 64) 64 in
+        let fresh =
+          String.mapi
+            (fun i ch ->
+              let at = (cell * 64) + i in
+              if at >= off && at < off + len then 'N' else ch)
+            s
+        in
+        s <> String.make 64 'O' && s <> fresh)
+      (List.init (((off + len - 1) / 64) - (off / 64) + 1) (fun k -> (off / 64) + k))
+  in
+  let kills = ref 0 in
+  Sim.spawn world ~proc ~name:"driver" (fun () ->
+      let _, kfs =
+        Workloads.Fslab.make_zofs ~root_mode:0o777 ~nbuckets:256 ~pages:1024
+          ~perf:Nvm.Perf.optane ()
+      in
+      let fs = Treasury.Dispatcher.as_vfs (Workloads.Fslab.zofs_dispatcher kfs) in
+      let fd = ok_or_fail (V.openf fs "/o" [ Ft.O_CREAT; Ft.O_RDWR ] 0o644) in
+      let reset () =
+        ignore (ok_or_fail (V.pwrite fs fd ~off:0 (String.make size 'O')))
+      in
+      reset ();
+      let landed = ref true in
+      while !landed && !kills < 400 && !failures = [] do
+        landed :=
+          kill_one_attempt world proc ~after:(1 + !kills) fails (fun () ->
+              V.pwrite fs fd ~off (String.make len 'N'));
+        if !landed then begin
+          incr kills;
+          (* steals the dead holder's lease if it died holding it *)
+          let c = String.make 64 'D' in
+          ignore (ok_or_fail (V.pwrite fs fd ~off:(size - 64) c));
+          let got = ok_or_fail (V.read_file fs "/o") in
+          if String.length got <> size then
+            fails (Printf.sprintf "size %d after kill %d" (String.length got) !kills)
+          else
+            Option.iter
+              (fun cell ->
+                fails (Printf.sprintf "kill %d: cell at byte %d torn" !kills (cell * 64)))
+              (torn got);
+          reset ()
+        end
+      done;
+      if !landed then fails "the kills never swept past the write");
+  Sim.run world;
+  (match !failures with [] -> () | m :: _ -> Alcotest.fail m);
+  Alcotest.(check bool) "a dead holder's lease was stolen" true
+    (counter_delta snap0 "lease.steals" >= 1);
+  Alcotest.(check int) "the stealers repaired nothing" 0
+    (counter_delta snap0 "intent.repairs")
+
 let () =
   Alcotest.run "zofs"
     [
@@ -1376,6 +1517,15 @@ let () =
             test_bulk_truncate_matches_reference;
           Alcotest.test_case "O_TRUNC" `Quick test_o_trunc;
           Alcotest.test_case "read-only fd" `Quick test_write_to_readonly_fd_rejected;
+        ] );
+      ( "in-place overwrite",
+        [
+          Alcotest.test_case "one fence, no intention" `Quick
+            test_in_place_one_fence;
+          Alcotest.test_case "a hole or EOF crossing records Size" `Quick
+            test_allocating_writes_record_size;
+          Alcotest.test_case "a killed holder leaves nothing to repair" `Quick
+            test_kill_mid_in_place_overwrite;
         ] );
       ( "directories",
         [

@@ -52,3 +52,33 @@ let random_ops ?mode600_every ?max_len ~seed ~nops () =
 
 let random_script ?mode600_every ?max_len ~seed ~nops () =
   Workloads.Opscript.random_script ?mode600_every ?max_len ~seed ~nops ()
+
+(* --- obs counters and thread kills ----------------------------------------- *)
+
+let obs_on () = if not (Obs.enabled ()) then Obs.enable ~spans:false ()
+
+(* How far counter [name] moved since [snap0]. *)
+let counter_delta snap0 name =
+  let d = Obs.Snapshot.diff snap0 (Obs.Snapshot.take ()) in
+  Option.value ~default:0 (Obs.Snapshot.counter_value d name)
+
+(* Spawn [op] in a victim thread, arm a kill, and join the victim until it
+   finishes or dies, for at most 10 ms.  Returns [true] if the kill landed. *)
+let kill_one_attempt w proc ~after fails op =
+  let k0 = Sim.killed_threads () in
+  let tid =
+    Sim.spawn_tid w ~proc ~name:"victim" (fun () ->
+        try ignore (op ())
+        with e -> fails ("exception escaped: " ^ Printexc.to_string e))
+  in
+  Sim.arm_kill ~tid ~after;
+  Sim.join ~until:(Sim.now () + 10_000_000) tid;
+  if Sim.thread_alive tid then begin
+    fails "victim thread neither finished nor died";
+    false
+  end
+  else if Sim.killed_threads () > k0 then true
+  else begin
+    Sim.disarm_kill ~tid;
+    false
+  end
