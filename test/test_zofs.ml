@@ -1518,7 +1518,7 @@ let () =
           Alcotest.test_case "O_TRUNC" `Quick test_o_trunc;
           Alcotest.test_case "read-only fd" `Quick test_write_to_readonly_fd_rejected;
         ] );
-      ( "in-place overwrite",
+      ( "overwrite",
         [
           Alcotest.test_case "one fence, no intention" `Quick
             test_in_place_one_fence;
