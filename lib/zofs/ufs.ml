@@ -433,15 +433,31 @@ let walk t path ~follow_last : (resolved, Ui.fail) result =
       step cs0 cs0.cs_map.K.m_root_file cs0.cs_path comps
 
 (* Resolve the parent directory of [path] and return (session, dir inode,
-   dir path, basename). *)
+   dir path, basename).  A symlink on the way to the parent redirects the
+   whole [path]: the redirect names the link's target with the basename
+   appended, never the parent itself. *)
 let walk_parent t path : (coffer_sess * int * string * string, Ui.fail) result =
   let path = Pathx.normalize path in
   if path = "/" then Error (Ui.Errno E.EINVAL)
   else
     let dir = Pathx.dirname path and base = Pathx.basename path in
-    let* r = walk t dir ~follow_last:true in
-    if r.r_kind <> Inode.Directory then Error (Ui.Errno E.ENOTDIR)
-    else Ok (r.r_cs, r.r_ino, r.r_path, base)
+    match walk t dir ~follow_last:true with
+    | Error (Ui.Symlink target) -> Error (Ui.Symlink (Pathx.concat target base))
+    | Error f -> Error f
+    | Ok r ->
+        if r.r_kind <> Inode.Directory then Error (Ui.Errno E.ENOTDIR)
+        else Ok (r.r_cs, r.r_ino, r.r_path, base)
+
+(* [walk_parent] that follows its symlink redirects itself, as the
+   dispatcher does for the path it dispatches on: for a second path of one
+   call (a rename's destination). *)
+let rec walk_parent_follow ?(depth = 0) t path =
+  match walk_parent t path with
+  | Error (Ui.Symlink target) ->
+      if depth >= Treasury.Dispatcher.max_symlink_depth then
+        Error (Ui.Errno E.ELOOP)
+      else walk_parent_follow ~depth:(depth + 1) t target
+  | r -> r
 
 (* ---- creation -------------------------------------------------------------- *)
 
@@ -827,7 +843,7 @@ let rename t src dst : unit Ui.outcome =
     let* spcs, sdir, _sdirpath, sbase = walk_parent t src in
     (* The walk to the destination must not evict the source's parent. *)
     with_pinned spcs @@ fun () ->
-    let* dpcs, ddir, ddirpath, dbase = walk_parent t dst in
+    let* dpcs, ddir, ddirpath, dbase = walk_parent_follow t dst in
     if not (spcs.cs_map.K.m_writable && dpcs.cs_map.K.m_writable) then Ui.errno E.EACCES
     else
       match find_dentry t spcs ~dir_ino:sdir sbase with

@@ -362,6 +362,32 @@ let test_symlink_loop () =
       ok_or_fail (V.symlink fs ~target:"/a" ~link:"/b");
       expect_err E.ELOOP (V.stat fs "/a"))
 
+(* A symlink in the parent path redirects the whole path, basename
+   included: an op on "/link/name" acts on "/real/name", never on "/real". *)
+let test_symlink_in_parent () =
+  let w = make_world () in
+  in_proc w (fun fs ->
+      ok_or_fail (V.mkdir fs "/real" 0o755);
+      ok_or_fail (V.symlink fs ~target:"/real" ~link:"/link");
+      expect_err E.ENOENT (V.rmdir fs "/link/nosuch");
+      ignore (ok_or_fail (V.stat fs "/real"));
+      ok_or_fail (V.write_file fs "/real/f" "f");
+      ok_or_fail (V.unlink fs "/link/f");
+      expect_err E.ENOENT (V.stat fs "/real/f");
+      ok_or_fail (V.write_file fs "/real/g" "g");
+      ok_or_fail (V.rename fs "/link/g" "/link/h");
+      Alcotest.(check string) "renamed through the link" "g"
+        (ok_or_fail (V.read_file fs "/real/h"));
+      expect_err E.ENOENT (V.stat fs "/real/g");
+      ok_or_fail (V.mkdir fs "/link/sub" 0o755);
+      ok_or_fail (V.rmdir fs "/link/sub");
+      expect_err E.ENOENT (V.stat fs "/real/sub");
+      ok_or_fail (V.write_file fs "/x" "file");
+      ok_or_fail (V.symlink fs ~target:"/x" ~link:"/lx");
+      expect_err E.ENOTDIR (V.unlink fs "/lx/foo");
+      Alcotest.(check string) "the link's file target survives" "file"
+        (ok_or_fail (V.read_file fs "/x")))
+
 let test_many_files_in_one_dir () =
   (* Exercises the two-level hash directory: inline slots spill into chain
      pages (16 inline per second-level page). *)
@@ -1559,6 +1585,8 @@ let () =
           Alcotest.test_case "symlink follow" `Quick test_symlink_follow;
           Alcotest.test_case "symlink relative" `Quick test_symlink_relative;
           Alcotest.test_case "symlink loop" `Quick test_symlink_loop;
+          Alcotest.test_case "symlink in the parent path" `Quick
+            test_symlink_in_parent;
         ] );
       ( "coffers",
         [
