@@ -131,6 +131,9 @@ type replay_result = {
   rp_events : int;  (* persistence events counted (at the crash, or body end) *)
   rp_acked : int;  (* body ops that completed before the crash *)
   rp_dump : Model.entry list option;  (* tree listing; no-crash replays only *)
+  rp_op_events : int array;
+      (* persistence events of each body op; an event before the first op
+         counts as the first op's *)
 }
 
 (* Replay the body from the setup snapshot in a fresh boot.  [crash_at k]
@@ -154,6 +157,9 @@ let replay ?crash_at ?fence_drop ?(procs = 1) w =
   D.restore w.w_dev w.w_snap;
   let events = ref 0 and acked = ref 0 in
   let body_events = ref 0 in
+  let n = Array.length w.w_body in
+  (* [starts.(i)]: events counted when body op [i] began *)
+  let starts = Array.make n 0 in
   let sub = ref None in
   let dump = ref None in
   let attach_subscriber () =
@@ -167,7 +173,8 @@ let replay ?crash_at ?fence_drop ?(procs = 1) w =
                | _ -> ()
              end))
   in
-  let arm_fence_drop i =
+  let start_op i =
+    if i > 0 then starts.(i) <- !events;
     match fence_drop with
     | Some (target, n) when i = target -> D.inject_drop_fences w.w_dev n
     | _ -> ()
@@ -181,7 +188,7 @@ let replay ?crash_at ?fence_drop ?(procs = 1) w =
            let fs = make_fs kfs in
            Array.iteri
              (fun i op ->
-               arm_fence_drop i;
+               start_op i;
                ignore (Op.apply fs op);
                acked := i + 1)
              w.w_body;
@@ -189,7 +196,6 @@ let replay ?crash_at ?fence_drop ?(procs = 1) w =
            if crash_at = None then dump := Some (read_fs fs))
      else begin
        let wld = Sim.create () in
-       let n = Array.length w.w_body in
        let next = ref 0 in
        (* one op in flight at a time, in body order; everyone else sleeps
           on its own waker (inert until its process makes it) *)
@@ -199,7 +205,7 @@ let replay ?crash_at ?fence_drop ?(procs = 1) w =
          while !next < n do
            if !next mod procs = me then begin
              let i = !next in
-             arm_fence_drop i;
+             start_op i;
              ignore (Op.apply fs w.w_body.(i));
              acked := i + 1;
              incr next;
@@ -230,10 +236,14 @@ let replay ?crash_at ?fence_drop ?(procs = 1) w =
      end
    with Crash_now -> ());
   (match !sub with Some id -> D.remove_trace_subscriber w.w_dev id | None -> ());
+  let total = if !body_events > 0 then !body_events else !events in
   {
-    rp_events = (if !body_events > 0 then !body_events else !events);
+    rp_events = total;
     rp_acked = !acked;
     rp_dump = !dump;
+    rp_op_events =
+      Array.init n (fun i ->
+          (if i + 1 < n then starts.(i + 1) else total) - starts.(i));
   }
 
 (* ---- recovery + structural checks --------------------------------------- *)
@@ -480,11 +490,43 @@ let policy_name = function
 let mix seed k =
   Int64.add seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (k + 1)))
 
-(* Explore one crash point: deterministic re-run aborted at event [k], crash
-   under [policy], reboot + recover, compare with the oracle. *)
-let explore_point w ~seed ~policy ~procs k =
+(* The crash points of a script whose body op [i] makes [op_events.(i)]
+   persistence events, as (op index, event offset within the op, from 1).
+   Every point when there are at most [max_points] events (or [max_points]
+   is 0); otherwise each op gets an equal share of [max_points]: all its
+   events if it has no more, else its first and last event and a sample of
+   the rest drawn from a shuffle seeded by [seed] and the op's index.  An
+   op's points depend on nothing but its own index and event count, so a
+   change to one op's events moves that op's points alone. *)
+let sample_points ~seed ~max_points op_events =
+  let n = Array.length op_events in
+  let total = Array.fold_left ( + ) 0 op_events in
+  let quota =
+    if max_points <= 0 || total <= max_points then max_int
+    else max 1 (max_points / max 1 n)
+  in
+  List.concat
+    (List.init n (fun i ->
+         let e = op_events.(i) in
+         let offs =
+           if e <= quota then List.init e (fun o -> o + 1)
+           else begin
+             let interior = Array.init (e - 2) (fun o -> o + 2) in
+             Sim.Rng.shuffle (Sim.Rng.create (mix seed i)) interior;
+             List.filteri (fun j _ -> j < quota)
+               (1 :: e :: Array.to_list interior)
+             |> List.sort compare
+           end
+         in
+         List.map (fun o -> (i, o)) offs))
+
+(* Explore one crash point, (op [i], offset [off]) at event [k]:
+   deterministic re-run aborted at event [k], crash under [policy],
+   reboot + recover, compare with the oracle.  The crash's line-survival
+   draw is seeded by the point's key, not by [k]. *)
+let explore_point w ~seed ~policy ~procs (i, off) k =
   let rp = replay ~crash_at:k ~procs w in
-  D.set_crash_seed w.w_dev (mix seed k);
+  D.set_crash_seed w.w_dev (mix (mix seed i) off);
   D.crash ~policy w.w_dev;
   match recover_and_dump w with
   | exception Failure reason ->
@@ -492,9 +534,10 @@ let explore_point w ~seed ~policy ~procs k =
   | rep, dump -> (rp.rp_acked, Some rep, verify w ~acked:rp.rp_acked dump)
 
 (* Check one script.  All crash points are explored when the body generates
-   at most [max_points] persistence events; otherwise a seeded sample (always
-   including the first and last event) keeps the run bounded.  [procs]
-   spreads the body over that many simulated processes (see {!replay}). *)
+   at most [max_points] persistence events; otherwise a seeded sample, an
+   equal share per op ({!sample_points}), keeps the run bounded.  A point's
+   policy rotates with its key (op index + offset).  [procs] spreads the
+   body over that many simulated processes (see {!replay}). *)
 let check ?(pages = 1024) ?(max_points = 0) ?(seed = 1L) ?(progress = ignore)
     ?(procs = 1) (s : Op.script) =
   let w = prepare ~pages s in
@@ -511,26 +554,21 @@ let check ?(pages = 1024) ?(max_points = 0) ?(seed = 1L) ?(progress = ignore)
              w.w_name (string_of_dump d) (string_of_dump md))
   | None -> assert false);
   let total = rp.rp_events in
-  let points =
-    if max_points <= 0 || total <= max_points then
-      List.init total (fun i -> i + 1)
-    else begin
-      let rng = Sim.Rng.create seed in
-      let arr = Array.init total (fun i -> i + 1) in
-      Sim.Rng.shuffle rng arr;
-      let chosen = Array.sub arr 0 max_points in
-      chosen.(0) <- 1;
-      chosen.(max_points - 1) <- total;
-      List.sort_uniq compare (Array.to_list chosen)
-    end
-  in
+  let starts = Array.make n 0 in
+  for i = 1 to n - 1 do
+    starts.(i) <- starts.(i - 1) + rp.rp_op_events.(i - 1)
+  done;
+  let points = sample_points ~seed ~max_points rp.rp_op_events in
   let divergences = ref [] in
   let findings = ref 0 and intents = ref 0 and reclaimed = ref 0 in
   let reattached = ref 0 and dropped = ref 0 in
   List.iteri
-    (fun i k ->
-      let policy = List.nth all_policies (i mod List.length all_policies) in
-      let acked, rep, verdict = explore_point w ~seed ~policy ~procs k in
+    (fun j ((i, off) as key) ->
+      let k = starts.(i) + off in
+      let policy =
+        List.nth all_policies ((i + off) mod List.length all_policies)
+      in
+      let acked, rep, verdict = explore_point w ~seed ~policy ~procs key k in
       (match rep with
       | Some r ->
           findings := !findings + List.length (Recovery.findings r);
@@ -546,7 +584,7 @@ let check ?(pages = 1024) ?(max_points = 0) ?(seed = 1L) ?(progress = ignore)
             { d_point = k; d_policy = policy_name policy; d_acked = acked;
               d_reason = reason }
             :: !divergences);
-      progress (i + 1))
+      progress (j + 1))
     points;
   {
     r_name = w.w_name;

@@ -2,8 +2,9 @@
 
    For each op script (fxmark, filebench, fslab, three creates into one
    second-level page, and in-place overwrites) lib/crashmc records the
-   persistence events once, then explores a seeded sample of 180 crash
-   points (every point of the in-place script): replay to the k-th event,
+   persistence events once, then explores a seeded sample of at most 240
+   crash points, an equal share per op, each keyed by its op and its offset
+   in the op (every point of the in-place script): replay to the k-th event,
    power-fail under a line-survival policy, recover, and compare the
    recovered tree against the oracle model at the prefix of acknowledged
    ops.  Any divergence is a violation, and so is an intention recovery
@@ -18,7 +19,7 @@ module C = Crashmc
 module Op = Workloads.Opscript
 module J = Obs.Json
 
-let points = 180
+let points = 240
 let seed = 1L
 
 (* [intent_free]: the script's writes record no intention, so one that

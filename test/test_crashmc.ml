@@ -333,6 +333,58 @@ let test_over_elide_flagged_by_persistence_checker () =
         true
         (List.mem "missing-fence" rules))
 
+(* ---- the crash-point sample ----------------------------------------------- *)
+
+(* Points are keyed by (op index, offset within the op): one more event in
+   one op of a synthetic script redraws that op's points and no other's. *)
+let test_sample_keyed_by_op () =
+  let sample = C.sample_points ~seed:1L ~max_points:40 in
+  let counts = [| 50; 80; 7; 120; 33 |] in
+  let grown = Array.copy counts in
+  grown.(1) <- grown.(1) + 1;
+  let a = sample counts and b = sample grown in
+  let of_op i = List.filter (fun (j, _) -> j = i) in
+  List.iter
+    (fun i ->
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "op %d keeps its points" i)
+        (of_op i a) (of_op i b))
+    [ 0; 2; 3; 4 ];
+  Alcotest.(check bool) "at most the budget" true (List.length a <= 40);
+  Alcotest.(check (list (pair int int))) "a short op is explored whole"
+    (List.init 7 (fun o -> (2, o + 1)))
+    (of_op 2 a);
+  List.iter
+    (fun i ->
+      let offs = List.map snd (of_op i a) in
+      Alcotest.(check bool)
+        (Printf.sprintf "op %d: first and last event" i)
+        true
+        (List.mem 1 offs && List.mem counts.(i) offs))
+    [ 0; 1; 3; 4 ];
+  Alcotest.(check int) "within the budget, every point"
+    (Array.fold_left ( + ) 0 counts)
+    (List.length (C.sample_points ~seed:1L ~max_points:0 counts));
+  (* A replay's per-op counts cover the body's events exactly. *)
+  let w =
+    C.prepare
+      {
+        Op.sname = "unit-op-events";
+        setup = [ Op.Mkdir "/d" ];
+        body =
+          [
+            Op.Create { path = "/d/f"; mode = 0o644; data = "abc" };
+            Op.Mkdir "/d/e";
+            Op.Unlink "/d/f";
+          ];
+      }
+  in
+  let rp = C.replay w in
+  Alcotest.(check int) "op events sum to the body's" rp.C.rp_events
+    (Array.fold_left ( + ) 0 rp.C.rp_op_events);
+  Alcotest.(check bool) "every op makes events" true
+    (Array.for_all (fun e -> e > 0) rp.C.rp_op_events)
+
 let () =
   Alcotest.run "crashmc"
     [
@@ -365,6 +417,11 @@ let () =
             test_two_process_no_crash_agreement;
           Alcotest.test_case "two-process shared append + create" `Slow
             test_exhaustive_two_process_shared;
+        ] );
+      ( "sampling",
+        [
+          Alcotest.test_case "one op's events move only its points" `Quick
+            test_sample_keyed_by_op;
         ] );
       ( "negative",
         [
