@@ -354,7 +354,14 @@ let expand_symlink ~link_path ~target rest =
   in
   Pathx.normalize (String.concat "/" (base :: rest))
 
-let walk t path ~follow_last : (resolved, Ui.fail) result =
+(* A parent directory a walk resolved: (session, dir inode, dir path,
+   basename). *)
+type parent = coffer_sess * int * string * string
+
+(* The walk of [path]: [found] gets what it resolves to; a miss of its last
+   component goes to [miss] with the directory it missed in, and a miss
+   before the last component is ENOENT. *)
+let walk_gen t path ~follow_last ~found ~(miss : parent -> _) =
   let path = Pathx.normalize path in
   match anchor t path with
   | Error e -> Error (Ui.Errno e)
@@ -385,7 +392,8 @@ let walk t path ~follow_last : (resolved, Ui.fail) result =
                       Inode.symlink_target t.dev ~ino)
                 in
                 Error (Ui.Symlink (expand_symlink ~link_path:cur_path ~target []))
-            | Some k -> Ok { r_cs = cs; r_ino = ino; r_kind = k; r_path = cur_path })
+            | Some k ->
+                Ok (found { r_cs = cs; r_ino = ino; r_kind = k; r_path = cur_path }))
         | name :: rest -> (
             let lookup =
               Race.intentional_racy t.dev ~site:"dir.lockfree-walk"
@@ -412,7 +420,9 @@ let walk t path ~follow_last : (resolved, Ui.fail) result =
                 Error
                   (Ui.Symlink
                      (expand_symlink ~link_path:cur_path ~target (name :: rest)))
-            | `Dentry None -> Error (Ui.Errno E.ENOENT)
+            | `Dentry None ->
+                if rest = [] then miss (cs, ino, cur_path, name)
+                else Error (Ui.Errno E.ENOENT)
             | `Dentry (Some de) ->
                 let child_path = Pathx.concat cur_path name in
                 if de.Dir.de_coffer = 0 then
@@ -432,11 +442,15 @@ let walk t path ~follow_last : (resolved, Ui.fail) result =
       in
       step cs0 cs0.cs_map.K.m_root_file cs0.cs_path comps
 
+let walk t path ~follow_last : (resolved, Ui.fail) result =
+  walk_gen t path ~follow_last ~found:Fun.id ~miss:(fun _ ->
+      Error (Ui.Errno E.ENOENT))
+
 (* Resolve the parent directory of [path] and return (session, dir inode,
    dir path, basename).  A symlink on the way to the parent redirects the
    whole [path]: the redirect names the link's target with the basename
    appended, never the parent itself. *)
-let walk_parent t path : (coffer_sess * int * string * string, Ui.fail) result =
+let walk_parent t path : (parent, Ui.fail) result =
   let path = Pathx.normalize path in
   if path = "/" then Error (Ui.Errno E.EINVAL)
   else
@@ -501,9 +515,19 @@ let insert_dentry t cs ~dir_ino ~name ~kind ~coffer ~inode =
               Dir.insert t.dev cs.cs_balloc ~ino:dir_ino ~name
                 ~kind:(Inode.kind_code kind) ~coffer ~inode))
 
-(* Shared create path for regular files, directories and symlinks. *)
-let create_entry t ~path ~kind ~mode ?symlink_target () =
-  let* pcs, dir_ino, dir_path, base = walk_parent t path in
+(* How a create resolves its path: one walk, whose last lookup either
+   hits — [`Present r], resolved as [walk] resolves it (an existing file, a
+   sub-coffer's root, a symlink's redirect) — or misses: [`Absent parent],
+   the directory to create in, with no second walk. *)
+let probe_create t path ~follow_last =
+  walk_gen t path ~follow_last
+    ~found:(fun r -> `Present r)
+    ~miss:(fun parent -> Ok (`Absent parent))
+
+(* Shared create path for regular files, directories and symlinks, in a
+   parent [walk_parent] resolved.  A name a concurrent create inserted
+   first is EEXIST. *)
+let create_in t (pcs, dir_ino, dir_path, base) ~kind ~mode ?symlink_target () =
   if not pcs.cs_map.K.m_writable then Error (Ui.Errno E.EACCES)
   else
     let c = cred () in
@@ -581,46 +605,52 @@ let openf t path flags mode : int Ui.outcome =
   let wants = Ft.wants_of_flags flags in
   let readable = List.mem `R wants || wants = [] in
   let writable = List.mem `W wants in
-  match walk t path ~follow_last:true with
-  | Ok r ->
-      if Ft.flag_mem Ft.O_CREAT flags && Ft.flag_mem Ft.O_EXCL flags then
-        Ui.errno E.EEXIST
-      else if r.r_kind = Inode.Directory && writable then Ui.errno E.EISDIR
-      else if writable && not r.r_cs.cs_map.K.m_writable then Ui.errno E.EACCES
-      else begin
-        if Ft.flag_mem Ft.O_TRUNC flags && writable && r.r_kind = Inode.Regular
-        then
-          with_coffer t r.r_cs ~write:true (fun () ->
-              with_inode_lease t ~balloc:r.r_cs.cs_balloc ~ino:r.r_ino (fun () ->
-                  ignore (File.truncate t.dev r.r_cs.cs_balloc ~ino:r.r_ino 0)));
-        Ok (alloc_handle t r.r_cs ~ino:r.r_ino ~readable ~writable)
-      end
-  | Error (Ui.Errno E.ENOENT) when Ft.flag_mem Ft.O_CREAT flags -> (
-      match create_entry t ~path ~kind:Inode.Regular ~mode () with
-      | Ok (cs, ino) -> Ok (alloc_handle t cs ~ino ~readable ~writable)
-      | Error f -> Error f)
+  let creat = Ft.flag_mem Ft.O_CREAT flags in
+  let excl = creat && Ft.flag_mem Ft.O_EXCL flags in
+  let open_resolved r =
+    if excl then Ui.errno E.EEXIST
+    else if r.r_kind = Inode.Directory && writable then Ui.errno E.EISDIR
+    else if writable && not r.r_cs.cs_map.K.m_writable then Ui.errno E.EACCES
+    else begin
+      if Ft.flag_mem Ft.O_TRUNC flags && writable && r.r_kind = Inode.Regular
+      then
+        with_coffer t r.r_cs ~write:true (fun () ->
+            with_inode_lease t ~balloc:r.r_cs.cs_balloc ~ino:r.r_ino (fun () ->
+                ignore (File.truncate t.dev r.r_cs.cs_balloc ~ino:r.r_ino 0)));
+      Ok (alloc_handle t r.r_cs ~ino:r.r_ino ~readable ~writable)
+    end
+  in
+  (* A create that loses the race for the name to another one opens the
+     winner's file (O_EXCL: EEXIST), by probing again. *)
+  let rec create () =
+    match probe_create t path ~follow_last:true with
+    | Error f -> Error f
+    | Ok (`Present r) -> open_resolved r
+    | Ok (`Absent parent) -> (
+        match create_in t parent ~kind:Inode.Regular ~mode () with
+        | Ok (cs, ino) -> Ok (alloc_handle t cs ~ino ~readable ~writable)
+        | Error (Ui.Errno E.EEXIST) when not excl -> create ()
+        | Error f -> Error f)
+  in
+  if creat then create ()
+  else
+    let* r = walk t path ~follow_last:true in
+    open_resolved r
+
+(* [mkdir] and [symlink]: EEXIST when the walk's last lookup hits. *)
+let create_new t path ~follow_last ~kind ~mode ?symlink_target () =
+  match probe_create t path ~follow_last with
   | Error f -> Error f
+  | Ok (`Present _) -> Ui.errno E.EEXIST
+  | Ok (`Absent parent) ->
+      Result.map ignore (create_in t parent ~kind ~mode ?symlink_target ())
 
 let mkdir t path mode : unit Ui.outcome =
-  match walk t path ~follow_last:true with
-  | Ok _ -> Ui.errno E.EEXIST
-  | Error (Ui.Errno E.ENOENT) -> (
-      match create_entry t ~path ~kind:Inode.Directory ~mode () with
-      | Ok _ -> Ok ()
-      | Error f -> Error f)
-  | Error f -> Error f
+  create_new t path ~follow_last:true ~kind:Inode.Directory ~mode ()
 
 let symlink t ~target ~link : unit Ui.outcome =
-  match walk t link ~follow_last:false with
-  | Ok _ -> Ui.errno E.EEXIST
-  | Error (Ui.Errno E.ENOENT) -> (
-      match
-        create_entry t ~path:link ~kind:Inode.Symlink ~mode:0o777
-          ~symlink_target:target ()
-      with
-      | Ok _ -> Ok ()
-      | Error f -> Error f)
-  | Error f -> Error f
+  create_new t link ~follow_last:false ~kind:Inode.Symlink ~mode:0o777
+    ~symlink_target:target ()
 
 let readlink t path : string Ui.outcome =
   let* r = walk t path ~follow_last:false in

@@ -890,6 +890,44 @@ let test_two_processes_share_file () =
   Sim.run world;
   Alcotest.(check string) "cross-process read" "from p1" !read_back
 
+(* Two processes open(O_CREAT) one new name at the same instant: both miss
+   it, both create, and the one whose insert loses opens the winner's file
+   instead of failing with EEXIST.  With O_EXCL the loser fails. *)
+let test_create_race_opens_winner () =
+  let race flags =
+    let w = make_world () in
+    let world = Sim.create () in
+    let got = Array.make 2 None in
+    for i = 0 to 1 do
+      Sim.spawn world
+        ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ())
+        ~name:(Printf.sprintf "creator%d" i)
+        (fun () ->
+          let fs = vfs w in
+          got.(i) <-
+            Some
+              (Result.bind (V.openf fs "/race" flags 0o644) (fun fd ->
+                   let st = V.fstat fs fd in
+                   ignore (V.close fs fd);
+                   st)))
+    done;
+    Sim.run world;
+    Array.map Option.get got
+  in
+  (match race [ Ft.O_CREAT; Ft.O_WRONLY ] with
+  | [| Ok a; Ok b |] ->
+      Alcotest.(check int) "one file" a.Ft.st_ino b.Ft.st_ino
+  | r ->
+      Alcotest.failf "a creator failed: %s"
+        (String.concat ", "
+           (Array.to_list
+              (Array.map
+                 (function Ok _ -> "ok" | Error e -> E.to_string e)
+                 r))));
+  match race [ Ft.O_CREAT; Ft.O_EXCL; Ft.O_WRONLY ] with
+  | [| Ok _; Error E.EEXIST |] | [| Error E.EEXIST; Ok _ |] -> ()
+  | _ -> Alcotest.fail "O_EXCL: expected one creator and one EEXIST"
+
 let test_concurrent_appends_interleave_safely () =
   let w = make_world () in
   let world = Sim.create () in
@@ -1611,6 +1649,8 @@ let () =
             test_two_processes_share_file;
           Alcotest.test_case "concurrent appends" `Quick
             test_concurrent_appends_interleave_safely;
+          Alcotest.test_case "a lost create race opens the winner" `Quick
+            test_create_race_opens_winner;
           Alcotest.test_case "fd semantics" `Quick
             test_fd_semantics_through_dispatcher;
           Alcotest.test_case "cwd + relative paths" `Quick
