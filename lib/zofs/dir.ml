@@ -59,8 +59,11 @@ let dentry_valid dev addr = Nvm.Device.read_u8 dev (addr + d_valid) = 1
 
 (* [index] is the address of the word that makes the slot reachable (the
    first-level slot holding an inline slot's hwm, or a chain's bucket
-   head); it is published with the dentry. *)
-let write_dentry dev addr ~index ~name ~kind ~coffer ~inode =
+   head); it is published with the dentry.  [fresh] is set when [inode]
+   was just created ([Inode.prepare]: flushed, not fenced): the dentry's
+   pre-publish fence makes it durable too, and it is audited here, where
+   it becomes reachable. *)
+let write_dentry ?(fresh = false) dev addr ~index ~name ~kind ~coffer ~inode =
   Nvm.Device.write_u8 dev (addr + d_valid) 0;
   Nvm.Device.write_u8 dev (addr + d_kind) kind;
   Nvm.Device.write_u16 dev (addr + d_name_len) (String.length name);
@@ -70,9 +73,11 @@ let write_dentry dev addr ~index ~name ~kind ~coffer ~inode =
   Nvm.Device.write_string dev (addr + d_name) name;
   (* One coalesced flush of the body, one fence right before the publish
      point — which also makes the caller's intention record (same-line with
-     the inode's direct pointers) durable in the same ordering stroke. *)
+     the inode's direct pointers) and a fresh inode durable in the same
+     ordering stroke. *)
   Pbatch.flush dev addr dentry_size;
   Pbatch.barrier dev;
+  if fresh then Inode.publish dev ~ino:inode;
   Check.publish dev ~label:"dentry-insert" addr dentry_size;
   Check.publish dev ~label:"dentry-insert" index 8;
   Race.publish dev ~label:"dentry-insert" addr dentry_size;
@@ -200,8 +205,8 @@ let find_free_in_chain dev page =
   go 1
 
 (* Insert assumes the caller holds the directory lease and has checked for
-   duplicates. *)
-let insert dev balloc ~ino ~name ~kind ~coffer ~inode =
+   duplicates.  [fresh]: as for [write_dentry]. *)
+let insert ?fresh dev balloc ~ino ~name ~kind ~coffer ~inode =
   if not (Treasury.Pathx.valid_name name) then Error Treasury.Errno.EINVAL
   else
     let hash = dir_hash name in
@@ -255,7 +260,7 @@ let insert dev balloc ~ino ~name ~kind ~coffer ~inode =
                    clear, the lease stealer rolls the half-inserted dentry
                    back (the op was never acknowledged). *)
                 Intent.record dev ~ino Intent.Insert ~arg:addr;
-                write_dentry dev addr ~index ~name ~kind ~coffer ~inode;
+                write_dentry ?fresh dev addr ~index ~name ~kind ~coffer ~inode;
                 Inode.touch_mtime dev ~ino;
                 Intent.clear dev ~ino;
                 Ok ()))

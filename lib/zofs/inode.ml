@@ -24,7 +24,15 @@ let fs_kind = function
   | Directory -> Treasury.Fs_types.Directory
   | Symlink -> Treasury.Fs_types.Symlink
 
-let init dev ~ino ~kind ~mode ~uid ~gid =
+(* Negative for the crash gate: [prepare] skips its flush, so a created
+   inode never becomes durable and an acknowledged create is lost. *)
+let inject_skip_flush = ref false
+
+(* Write every field of a fresh inode a reader may consult, and flush it,
+   without a fence: the create path's dentry insert ([Dir.write_dentry]
+   ~fresh) fences the inode together with the dentry that makes it
+   reachable, and audits it there. *)
+let prepare dev ~ino ~kind ~mode ~uid ~gid =
   let now = Sim.now () in
   (* The inode lease protects the whole inode page; the page may be a
      recycled one, so this also retires any stale registration. *)
@@ -50,12 +58,20 @@ let init dev ~ino ~kind ~mode ~uid ~gid =
   done;
   Nvm.Device.write_u64 dev (ino + i_indirect) 0;
   Nvm.Device.write_u64 dev (ino + i_double_indirect) 0;
-  (* Batched persist: coalesced flush of the written lines, then one fence
-     right before the visibility point the checker audits. *)
-  Pbatch.flush dev ino (i_double_indirect + 8);
-  Pbatch.barrier dev;
+  (* One coalesced flush of the written lines. *)
+  if not !inject_skip_flush then Pbatch.flush dev ino (i_double_indirect + 8)
+
+(* The inode-commit audit: [ino] is durable as it becomes reachable. *)
+let publish dev ~ino =
   Check.publish dev ~label:"inode-commit" ino page_size;
   Race.publish dev ~label:"inode-commit" ino page_size
+
+(* [prepare] and commit at once, for an inode no dentry insert publishes:
+   a coffer's root at coffer set-up and recovery's re-initialized root. *)
+let init dev ~ino ~kind ~mode ~uid ~gid =
+  prepare dev ~ino ~kind ~mode ~uid ~gid;
+  Pbatch.barrier dev;
+  publish dev ~ino
 
 let valid dev ~ino = Nvm.Device.read_u32 dev (ino + i_magic) = inode_magic
 
@@ -114,13 +130,16 @@ let stat dev ~ino : Treasury.Fs_types.stat =
 
 (* ---- symlinks ------------------------------------------------------------ *)
 
+(* Part of [prepare]'s work for a new symlink: flushed, and fenced by the
+   dentry insert that links it. *)
 let set_symlink_target dev ~ino target =
   let len = String.length target in
   if len > max_symlink_target then invalid_arg "Zofs: symlink target too long";
   Nvm.Device.write_u16 dev (ino + i_symlink_len) len;
   Nvm.Device.write_string dev (ino + i_symlink_target) target;
   Nvm.Device.write_u64 dev (ino + i_size) len;
-  Nvm.Device.persist_range dev (ino + i_symlink_len) (2 + len)
+  Pbatch.flush dev (ino + i_size) 8;
+  Pbatch.flush dev (ino + i_symlink_len) (2 + len)
 
 let symlink_target dev ~ino =
   let len = Nvm.Device.read_u16 dev (ino + i_symlink_len) in

@@ -495,24 +495,26 @@ let create_sub_coffer t ~path ~kind ~mode ~uid ~gid =
         ~kind ~mode ~uid ~gid);
   map_coffer t info.Coffer.id
 
-(* Allocate and initialize an inode in [cs]'s coffer (same permission).
-   [Inode.init] writes every field a reader may consult, so the page does
-   not need a full scrub first. *)
+(* Allocate and prepare an inode in [cs]'s coffer (same permission), to be
+   committed by the dentry insert that links it ([insert_dentry ~fresh]).
+   [Inode.prepare] writes every field a reader may consult, so the page
+   does not need a full scrub first. *)
 let new_inode_same_coffer t cs ~kind ~mode ~uid ~gid =
   with_coffer t cs ~write:true (fun () ->
       let* page = Balloc.alloc_page cs.cs_balloc in
-      Inode.init t.dev ~ino:page ~kind ~mode ~uid ~gid;
+      Inode.prepare t.dev ~ino:page ~kind ~mode ~uid ~gid;
       Ok page)
 
 (* Insert a dentry under the parent-directory lease, re-checking for a
-   concurrent duplicate. *)
-let insert_dentry t cs ~dir_ino ~name ~kind ~coffer ~inode =
+   concurrent duplicate.  [fresh]: [inode] was just prepared, and the
+   insert commits it. *)
+let insert_dentry ?fresh t cs ~dir_ino ~name ~kind ~coffer ~inode =
   with_coffer t cs ~write:true (fun () ->
       with_inode_lease t ~balloc:cs.cs_balloc ~ino:dir_ino (fun () ->
           match Dir.lookup t.dev ~ino:dir_ino name with
           | Some _ -> Error E.EEXIST
           | None ->
-              Dir.insert t.dev cs.cs_balloc ~ino:dir_ino ~name
+              Dir.insert ?fresh t.dev cs.cs_balloc ~ino:dir_ino ~name
                 ~kind:(Inode.kind_code kind) ~coffer ~inode))
 
 (* How a create resolves its path: one walk, whose last lookup either
@@ -554,7 +556,10 @@ let create_in t (pcs, dir_ino, dir_path, base) ~kind ~mode ?symlink_target () =
           with_coffer t pcs ~write:true (fun () ->
               Inode.set_symlink_target t.dev ~ino target)
       | None -> ());
-      match insert_dentry t pcs ~dir_ino ~name:base ~kind ~coffer:0 ~inode:ino with
+      match
+        insert_dentry ~fresh:true t pcs ~dir_ino ~name:base ~kind ~coffer:0
+          ~inode:ino
+      with
       | Ok () -> Ok (pcs, ino)
       | Error e ->
           (* Roll the inode back into the free list. *)
