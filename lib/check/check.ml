@@ -198,6 +198,26 @@ let persist_fence t =
     t.flushing_lines <- []
   end
 
+let persist_volatile t addr len =
+  if t.modes.m_persist <> Off && len > 0 then begin
+    let first = addr / line_size and last = (addr + len - 1) / line_size in
+    for line = first to last do
+      match Hashtbl.find_opt t.lines line with
+      | None -> ()
+      | Some st ->
+          let lo = max addr (line * line_size)
+          and hi = min (addr + len) ((line + 1) * line_size) in
+          for b = lo to hi - 1 do
+            let off = b - (line * line_size) in
+            if Bytes.get st.dirty off = '\001' then begin
+              Bytes.set st.dirty off '\000';
+              st.ndirty <- st.ndirty - 1
+            end
+          done;
+          if st.ndirty = 0 && not st.flushing then Hashtbl.remove t.lines line
+    done
+  end
+
 let persist_reset t =
   Hashtbl.reset t.lines;
   t.flushing_lines <- []
@@ -413,6 +433,8 @@ let with_current dev f =
 
 let publish dev ~label addr len =
   with_current dev (fun t -> do_publish t ~label addr len)
+
+let volatile dev addr len = with_current dev (fun t -> persist_volatile t addr len)
 
 let register_lease ?(publish = true) dev ~lease ~addr ~len =
   with_current dev (fun t ->

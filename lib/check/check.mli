@@ -64,6 +64,13 @@ val publish : Nvm.Device.t -> label:string -> int -> int -> unit
     reachable now: any byte of it still dirty (missing-flush) or flushing
     but unfenced (missing-fence) is a violation. *)
 
+val volatile : Nvm.Device.t -> int -> int -> unit
+(** [volatile dev addr len]: the bytes just stored at [addr, addr+len) need
+    not reach NVM by design (an allocator free list, which only recovery's
+    reformat consumes after a crash).  They leave the persistence
+    checker's pending state, so no publish flags them and storing them
+    again is no overwrite-before-flush. *)
+
 val register_lease :
   ?publish:bool -> Nvm.Device.t -> lease:int -> addr:int -> len:int -> unit
 (** Declare that the lease word at [lease] protects [addr, addr+len).

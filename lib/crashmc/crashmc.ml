@@ -646,6 +646,20 @@ let check_in_place_past_eof ?(pages = 1024) (s : Op.script) =
     ~finally:(fun () -> Zofs.File.inject_in_place_past_eof := false)
     (fun () -> acked_then_power_lost w)
 
+(* Negative self-check: the create path skips the new inode's flush
+   ([Zofs.Inode.inject_skip_flush]), so the dentry's fence makes the
+   dentry durable but not the inode it names.  With every line still
+   pending lost at the end, recovery finds those dentries naming invalid
+   inodes and drops them: [s] must create an inode that no later op of
+   the script flushes through (an empty directory), and the recovered tree
+   must diverge.  [Some reason] when caught. *)
+let check_create_inode_unflushed ?(pages = 1024) (s : Op.script) =
+  let w = prepare ~pages s in
+  Zofs.Inode.inject_skip_flush := true;
+  Fun.protect
+    ~finally:(fun () -> Zofs.Inode.inject_skip_flush := false)
+    (fun () -> acked_then_power_lost w)
+
 (* Negative self-check: an insert that writes its dentry at slot hwm
    without raising hwm.  The script runs to the end (every op
    acknowledged); then the first second-level page of [dir] (found by

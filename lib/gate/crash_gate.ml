@@ -8,12 +8,13 @@
    power-fail under a line-survival policy, recover, and compare the
    recovered tree against the oracle model at the prefix of acknowledged
    ops.  Any divergence is a violation, and so is an intention recovery
-   finds pending in the in-place script, whose writes record none.  Three
+   finds pending in the in-place script, whose writes record none.  Four
    negatives must be reported as divergences, proving the checker sees
    the bug classes it exists for: one drops a fence, one leaves a dentry
    at its second-level page's hwm without raising it, one lets an append
    into a partial last block take the in-place path and leave the size
-   behind. *)
+   behind, and one skips a created inode's flush, which the dentry's
+   fence then leaves behind. *)
 
 module C = Crashmc
 module Op = Workloads.Opscript
@@ -93,6 +94,13 @@ let in_place =
       [ pwrite 0 9 512; pwrite 4000 10 200; pwrite 8192 11 808; pwrite 100 12 4096 ];
   }
 
+(* An empty directory: no later store flushes its inode's lines, so only
+   the create path's own flush makes it durable (the
+   [create_inode_unflushed] negative; a file create's write flushes its
+   size line). *)
+let empty_mkdir =
+  { Op.sname = "empty-mkdir"; setup = [ Op.Mkdir "/n" ]; body = [ Op.Mkdir "/n/d" ] }
+
 let run () =
   let sampled =
     List.map run_workload
@@ -118,5 +126,7 @@ let gate =
         ("insert_skips_hwm_bump", fun () -> caught (C.check_hwm_skip ~dir:"/h" shared_page));
         ( "overwrite_past_eof_in_place",
           fun () -> caught (C.check_in_place_past_eof (Op.find "filebench")) );
+        ( "create_inode_unflushed",
+          fun () -> caught (C.check_create_inode_unflushed empty_mkdir) );
       ];
   }

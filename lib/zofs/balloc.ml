@@ -11,7 +11,13 @@
    contention flattens Figure 7(d)/(g)).  A thread that finds every slot
    claimed allocates from the global list under its lease.  If a thread
    dies, its slot's lease expires and the slot (with its pages) is reused
-   by someone else. *)
+   by someone else.
+
+   The free lists are volatile: their stores are never flushed or fenced
+   ([push], [pop]).  After a crash the custom page's persisted lists may
+   name pages in use, and the only code that may consume that image is
+   recovery's [format], which rebuilds the page before anything allocates
+   from the coffer again (DESIGN.md §14). *)
 
 (* The default [coffer_enlarge] request, in pages.  Each allocator carries
    its own batch and its own [global] flag (set per FSLib through
@@ -57,7 +63,7 @@ let format dev ~custom =
   done;
   Nvm.Device.persist_range dev custom Layout.page_size;
   (* The global lease guards head+count, but releasing it is not a publish
-     point: free-list updates are clwb'd without a per-op fence (below). *)
+     point: the free lists are volatile (below). *)
   Check.register_lease dev ~publish:false
     ~lease:(custom + Layout.c_global_lease)
     ~addr:(custom + Layout.c_global_head) ~len:16
@@ -152,26 +158,28 @@ let rec my_slot t =
 
 let read_next t page_addr = Nvm.Device.read_u64 t.dev page_addr
 
-(* Free-list updates are flushed (clwb) but not fenced per operation: a torn
-   free list after a crash is rebuilt by recovery, which resets the
-   allocator anyway; the fence piggybacks on the enclosing operation's
-   commit fence. *)
+(* Free-list updates are plain stores, neither flushed nor fenced: the
+   lists are volatile by design (a store to one [Check.volatile] marks).
+   After a crash their persisted image may be any mix of old and new
+   words, and nothing reads it: recovery reformats the custom page
+   ([format]) before anything allocates from it, and a saved image is
+   persisted whole first.  Threads that die without a crash leave the
+   volatile view, which is current. *)
+let store t addr v =
+  Nvm.Device.write_u64 t.dev addr v;
+  Check.volatile t.dev addr 8
+
 let push t ~head_addr ~count_addr page_addr =
-  Nvm.Device.write_u64 t.dev page_addr (Nvm.Device.read_u64 t.dev head_addr);
-  Nvm.Device.clwb t.dev page_addr;
-  Nvm.Device.write_u64 t.dev head_addr page_addr;
-  Nvm.Device.write_u64 t.dev count_addr
-    (Nvm.Device.read_u64 t.dev count_addr + 1);
-  Nvm.Device.clwb t.dev head_addr
+  store t page_addr (Nvm.Device.read_u64 t.dev head_addr);
+  store t head_addr page_addr;
+  store t count_addr (Nvm.Device.read_u64 t.dev count_addr + 1)
 
 let pop t ~head_addr ~count_addr =
   let head = Nvm.Device.read_u64 t.dev head_addr in
   if head = 0 then None
   else begin
-    Nvm.Device.write_u64 t.dev head_addr (read_next t head);
-    Nvm.Device.write_u64 t.dev count_addr
-      (Nvm.Device.read_u64 t.dev count_addr - 1);
-    Nvm.Device.clwb t.dev head_addr;
+    store t head_addr (read_next t head);
+    store t count_addr (Nvm.Device.read_u64 t.dev count_addr - 1);
     Some head
   end
 

@@ -594,6 +594,14 @@ let migration_pass ufs kfs report =
                                   de.Dir.de_coffer = 0
                                   && de.Dir.de_inode = root
                               | None -> (
+                                  (* The insert may allocate, and the
+                                     free lists are as the crash left
+                                     them: only a reformat may consume
+                                     that image (Balloc). *)
+                                  Ufs.with_coffer ufs pcs ~write:true
+                                    (fun () ->
+                                      Balloc.format dev
+                                        ~custom:pcs.Ufs.cs_map.K.m_custom);
                                   match
                                     Ufs.insert_dentry ufs pcs ~dir_ino
                                       ~name:base ~kind ~coffer:0 ~inode:root

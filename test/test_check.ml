@@ -115,6 +115,24 @@ let test_overwrite_lint () =
         (lint_count "store-overwritten-before-flush" >= 1);
       Alcotest.(check (list string)) "lints never fail" [] (rules ()))
 
+(* A word declared volatile as it is stored (an allocator free list) is
+   neither a missing flush at a publish over it nor an overwrite when it
+   is stored again; its unflushed neighbours still are. *)
+let test_volatile_words () =
+  with_dev ~persist:Check.Log (fun dev ->
+      D.write_u64 dev 8 1;
+      Check.volatile dev 8 8;
+      D.write_u64 dev 8 2;
+      Check.volatile dev 8 8;
+      Alcotest.(check int) "no overwrite lint" 0
+        (lint_count "store-overwritten-before-flush");
+      Check.publish dev ~label:"inode-commit" 0 64;
+      Alcotest.(check (list string)) "publish clean" [] (rules ());
+      D.write_u64 dev 16 3;
+      Check.publish dev ~label:"inode-commit" 0 64;
+      Alcotest.(check (list string)) "a neighbour still fires"
+        [ "missing-flush" ] (rules ()))
+
 (* ---- guideline checker -------------------------------------------------- *)
 
 let in_proc ?(uid = 1000) f =
@@ -286,6 +304,7 @@ let () =
           Alcotest.test_case "redundant lints + stats" `Quick
             test_redundant_lints_and_stats;
           Alcotest.test_case "overwrite lint" `Quick test_overwrite_lint;
+          Alcotest.test_case "volatile words" `Quick test_volatile_words;
         ] );
       ( "guideline",
         [

@@ -62,6 +62,50 @@ let test_recover_all_preserves_files () =
       Alcotest.(check string) "secret" "top"
         (ok_or_fail (V.read_file fs "/data/secret")))
 
+(* The allocator's free lists are never flushed: after a power loss
+   their persisted image is stale (here, still the empty lists of the
+   format), and recovery reformats it before anything allocates.  Files
+   written after the recovery reuse no page a surviving file holds. *)
+let test_stale_free_lists_never_allocated () =
+  let w = make_world () in
+  let file i = Printf.sprintf "/s%d" i in
+  let data i = String.make 5000 (Char.chr (Char.code 'a' + (i mod 26))) in
+  in_proc ~uid:0 w (fun fs ->
+      for i = 0 to 19 do
+        ok_or_fail (V.write_file fs (file i) ~mode:0o777 (data i))
+      done;
+      for i = 0 to 19 do
+        if i mod 2 = 0 then ok_or_fail (V.unlink fs (file i))
+      done);
+  let root = K.root_coffer w.kfs in
+  let slot_head () =
+    Sim.run_thread (fun () ->
+        Mpk.with_kernel w.mpk (fun () ->
+            let info = Option.get (Treasury.Coffer.read w.dev ~id:root) in
+            D.read_u64 w.dev
+              (info.Treasury.Coffer.custom + Zofs.Layout.c_slots
+             + Zofs.Layout.s_head)))
+  in
+  Alcotest.(check bool) "the live list holds the freed pages" true
+    (slot_head () <> 0);
+  D.crash ~policy:`Drop_all w.dev;
+  Alcotest.(check int) "the persisted list is the format's" 0 (slot_head ());
+  let w = remount w in
+  ignore (Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs));
+  in_proc ~uid:0 w (fun fs ->
+      for i = 0 to 19 do
+        ok_or_fail (V.write_file fs (Printf.sprintf "/t%d" i) ~mode:0o777 "new")
+      done;
+      for i = 0 to 19 do
+        if i mod 2 = 1 then
+          Alcotest.(check string) (file i) (data i)
+            (ok_or_fail (V.read_file fs (file i)))
+        else expect_err E.ENOENT (V.stat fs (file i))
+      done);
+  Sim.run_thread (fun () ->
+      Mpk.with_kernel w.mpk (fun () ->
+          Treasury.Alloc_table.verify (K.alloc_table w.kfs)))
+
 let test_recovery_reclaims_free_list_pages () =
   let w = make_world () in
   in_proc ~uid:0 w (fun fs ->
@@ -908,6 +952,8 @@ let () =
         [
           Alcotest.test_case "preserves files" `Quick
             test_recover_all_preserves_files;
+          Alcotest.test_case "stale free lists go unused" `Quick
+            test_stale_free_lists_never_allocated;
           Alcotest.test_case "reclaims free-list pages" `Quick
             test_recovery_reclaims_free_list_pages;
           Alcotest.test_case "drops corrupted dentry" `Quick
