@@ -205,8 +205,9 @@ let find_free_in_chain dev page =
   go 1
 
 (* Insert assumes the caller holds the directory lease and has checked for
-   duplicates.  [fresh]: as for [write_dentry]. *)
-let insert ?fresh dev balloc ~ino ~name ~kind ~coffer ~inode =
+   duplicates.  [fresh]: as for [write_dentry].  [on_l2] is handed the
+   second-level page the insert touched. *)
+let insert ?fresh ?(on_l2 = ignore) dev balloc ~ino ~name ~kind ~coffer ~inode =
   if not (Treasury.Pathx.valid_name name) then Error Treasury.Errno.EINVAL
   else
     let hash = dir_hash name in
@@ -216,6 +217,7 @@ let insert ?fresh dev balloc ~ino ~name ~kind ~coffer ~inode =
         match ensure_l2 dev balloc l1 hash with
         | Error e -> Error e
         | Ok (l2, h) -> (
+            on_l2 l2;
             (* The free slot and the word that makes it reachable. *)
             let slot =
               match find_free_inline dev l2 h with

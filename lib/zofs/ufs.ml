@@ -56,8 +56,10 @@ let default_variant =
    holds that very record ([live]).  Another process's chmod, delete or
    recovery of the coffer unmaps it here too, and kills the session.
    [cs_listed] holds the directories (inode addresses) whose second-level
-   pages a listing has prefaulted under [cs_map]; it dies with the
-   session, as the mapping's PTEs do. *)
+   pages a listing has prefaulted under [cs_map], and [cs_inserted] the
+   second-level pages (page numbers) this session's dentry inserts touched
+   under a lazy [cs_map], present since; both die with the session, as
+   the mapping's PTEs do. *)
 type coffer_sess = {
   cs_cid : int;
   mutable cs_path : string;
@@ -68,6 +70,7 @@ type coffer_sess = {
   mutable cs_gid : int;
   mutable cs_pins : int;  (* ops inside this coffer ([with_pinned]) *)
   cs_listed : (int, unit) Hashtbl.t;
+  cs_inserted : (int, unit) Hashtbl.t;
 }
 
 type handle = { h_ino : int; h_cid : int; h_readable : bool; h_writable : bool }
@@ -264,6 +267,7 @@ let map_coffer ?populate t cid =
               cs_gid = info.Coffer.gid;
               cs_pins = 0;
               cs_listed = Hashtbl.create 8;
+              cs_inserted = Hashtbl.create 8;
             }
           in
           (* An older session of the cid is dead (the coffer was unmapped,
@@ -284,10 +288,11 @@ let map_coffer ?populate t cid =
 
 (* A scan's prefault hook for [cs] ([Dir.scan]): byte addresses in, one
    [prefault] ([Kernfs.prefault] unless a negative plants another) for
-   their pages, none for an empty list.  Only a coffer mapped lazily can
-   have pending pages, so a populated one gets no hook and pays no
-   crossing.  A listing of directory [dir] records it in [cs_listed], and
-   a later listing of it under the same mapping gets no hook either: its
+   their pages but those this session's inserts touched ([cs_inserted]),
+   none when no page is left.  Only a coffer mapped lazily can have
+   pending pages, so a populated one gets no hook and pays no crossing.
+   A listing of directory [dir] records it in [cs_listed], and a later
+   listing of it under the same mapping gets no hook either: its
    second-level pages are installed, and one added since faults in on
    first touch. *)
 let prefault_hook ?(prefault = K.prefault) ?dir t cs =
@@ -296,11 +301,12 @@ let prefault_hook ?(prefault = K.prefault) ?dir t cs =
     Some
       (fun addrs ->
         Option.iter (fun ino -> Hashtbl.replace cs.cs_listed ino ()) dir;
-        match addrs with
+        let pending p = not (Hashtbl.mem cs.cs_inserted p) in
+        match
+          List.filter pending (List.map (fun a -> a / Layout.page_size) addrs)
+        with
         | [] -> ()
-        | addrs ->
-            prefault t.kfs
-              ~pages:(List.map (fun a -> a / Layout.page_size) addrs))
+        | pages -> prefault t.kfs ~pages)
   else None
 
 let session_of_cid t cid =
@@ -514,7 +520,14 @@ let insert_dentry ?fresh t cs ~dir_ino ~name ~kind ~coffer ~inode =
           match Dir.lookup t.dev ~ino:dir_ino name with
           | Some _ -> Error E.EEXIST
           | None ->
-              Dir.insert ?fresh t.dev cs.cs_balloc ~ino:dir_ino ~name
+              let on_l2 =
+                if cs.cs_map.K.m_lazy then
+                  Some
+                    (fun l2 ->
+                      Hashtbl.replace cs.cs_inserted (l2 / Layout.page_size) ())
+                else None
+              in
+              Dir.insert ?fresh ?on_l2 t.dev cs.cs_balloc ~ino:dir_ino ~name
                 ~kind:(Inode.kind_code kind) ~coffer ~inode))
 
 (* How a create resolves its path: one walk, whose last lookup either

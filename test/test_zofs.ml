@@ -1180,6 +1180,25 @@ let test_many_sub_coffers_no_emfile () =
         Alcotest.(check bool) "own coffer" true (cid <> root)
       done)
 
+(* A directory made after every MPK key is taken lives in a coffer mapped
+   lazily; the second-level pages its files' inserts touched are present,
+   so listing it makes no kernel entry to prefault them. *)
+let test_listing_skips_inserted_pages () =
+  let w = make_world ~pages:8192 () in
+  in_proc w (fun fs ->
+      for i = 0 to 15 do
+        ok_or_fail (V.mkdir fs (Printf.sprintf "/q%02d" i) 0o700)
+      done;
+      for i = 0 to 31 do
+        ok_or_fail (V.write_file fs (Printf.sprintf "/q15/f%02d" i) ~mode:0o600 "")
+      done;
+      let gate = K.gate w.kfs in
+      let c0 = Treasury.Gate.syscall_count gate in
+      Alcotest.(check int) "listed" 32
+        (List.length (ok_or_fail (V.readdir fs "/q15")));
+      Alcotest.(check int) "no kernel entry" 0
+        (Treasury.Gate.syscall_count gate - c0))
+
 (* Creating a file whose mode differs from its directory's maps a new
    coffer while the op is inside the parent's: under key pressure that map
    must evict some other coffer, never the parent the dentry goes into.
@@ -1661,6 +1680,8 @@ let () =
             test_balloc_64_processes_one_lease_period;
           Alcotest.test_case "20 sub-coffers without EMFILE" `Quick
             test_many_sub_coffers_no_emfile;
+          Alcotest.test_case "a listing skips inserted pages"
+            `Quick test_listing_skips_inserted_pages;
           Alcotest.test_case "sub-coffer create keeps its parent mapped"
             `Quick test_sub_coffer_create_keeps_parent;
           Alcotest.test_case "rmdir and rename keep their parents mapped"
