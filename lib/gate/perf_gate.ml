@@ -2,7 +2,8 @@
 
    A pinned set of deterministic single-thread experiments exercises the
    batched µFS commit paths — append growth (the Figure 7(d) staircase),
-   create, unlink, same-directory rename (to a fresh name, and to an absent
+   create, unlink, the create-write-close-unlink cycle, same-directory
+   rename (to a fresh name, and to an absent
    name in a live second-level page behind a cold cache), and truncate —
    the readdir
    scan of the two-level hash directory, the offline recovery scan (of one
@@ -140,6 +141,21 @@ let exp_create ~ops () =
                [ Ft.O_CREAT; Ft.O_WRONLY ] 0o644)
         in
         ok (V.close fs fd)
+      done)
+    ()
+
+(* The create cycle: open O_CREAT, write 4 KB, close, unlink, all in one
+   directory, so each cycle reuses the pages the last one freed. *)
+let exp_create_write_unlink ~ops () =
+  in_world ~ops
+    ~setup:(fun fs -> ok (V.mkdir fs "/d" 0o755))
+    ~measured:(fun { FL.fs; _ } ->
+      for i = 1 to ops do
+        let path = Printf.sprintf "/d/w%d" i in
+        let fd = ok (V.openf fs path [ Ft.O_CREAT; Ft.O_WRONLY ] 0o644) in
+        ignore (ok (V.write fs fd block));
+        ok (V.close fs fd);
+        ok (V.unlink fs path)
       done)
     ()
 
@@ -563,6 +579,7 @@ let experiments =
     ("append", fun () -> exp_append ~ops:128 ());
     ("create", fun () -> exp_create ~ops:48 ());
     ("unlink", fun () -> exp_unlink ~ops:48 ());
+    ("create-write-unlink", fun () -> exp_create_write_unlink ~ops:48 ());
     ("rename", fun () -> exp_rename ~ops:48 ());
     ("rename-miss", fun () -> exp_rename_miss ~ops:48 ());
     ("truncate", fun () -> exp_truncate ~ops:24 ());
