@@ -158,13 +158,10 @@ let rec my_slot t =
 
 let read_next t page_addr = Nvm.Device.read_u64 t.dev page_addr
 
-(* Free-list updates are plain stores, neither flushed nor fenced: the
-   lists are volatile by design (a store to one [Check.volatile] marks).
-   After a crash their persisted image may be any mix of old and new
-   words, and nothing reads it: recovery reformats the custom page
-   ([format]) before anything allocates from it, and a saved image is
-   persisted whole first.  Threads that die without a crash leave the
-   volatile view, which is current. *)
+(* A free-list store is neither flushed nor fenced (the lists are
+   volatile, see the header), and [Check.volatile] tells the persistence
+   checker so.  A thread that dies without a crash leaves the lists
+   current in the volatile view. *)
 let store t addr v =
   Nvm.Device.write_u64 t.dev addr v;
   Check.volatile t.dev addr 8

@@ -9,8 +9,10 @@
    directories (webproxy/varmail, Figure 9) fast.
 
    Consistency: a dentry is written completely and flushed before its valid
-   byte is set (and flushed); removal clears the valid byte.  Second-level
-   and chain pages are zeroed before their pointers are published.
+   byte is set (and flushed); removal clears the valid byte.  The fence
+   between the two also commits the inode a create's dentry names, which
+   the create only flushed.  Second-level and chain pages are zeroed
+   before their pointers are published.
 
    A first-level slot holds its second-level page's address, page-aligned,
    and in the 12 low bits the page's inline high-water mark (hwm): how

@@ -11,6 +11,12 @@
    re-flushing it buys nothing (lib/check lints exactly this as
    "redundant-flush", and the device counts it).
 
+   One fence can serve two publish points: a create's new inode is only
+   flushed ([Inode.prepare]), and the fence before its dentry's valid
+   byte commits both ([Dir.write_dentry ~fresh]).  Some stores need no
+   flush at all: the allocator's free lists are volatile, and recovery
+   rebuilds them after a crash ([Balloc]).
+
    So the batcher exposes two primitives:
 
      [flush dev addr len]   clwb each line of the range that actually has

@@ -539,9 +539,9 @@ let probe_create t path ~follow_last =
     ~found:(fun r -> `Present r)
     ~miss:(fun parent -> Ok (`Absent parent))
 
-(* Shared create path for regular files, directories and symlinks, in a
-   parent [walk_parent] resolved.  A name a concurrent create inserted
-   first is EEXIST. *)
+(* Shared create path for regular files, directories and symlinks, in the
+   directory a walk's last lookup missed in ([probe_create]).  A name a
+   concurrent create inserted first is EEXIST. *)
 let create_in t (pcs, dir_ino, dir_path, base) ~kind ~mode ?symlink_target () =
   if not pcs.cs_map.K.m_writable then Error (Ui.Errno E.EACCES)
   else

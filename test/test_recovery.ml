@@ -952,8 +952,6 @@ let () =
         [
           Alcotest.test_case "preserves files" `Quick
             test_recover_all_preserves_files;
-          Alcotest.test_case "stale free lists go unused" `Quick
-            test_stale_free_lists_never_allocated;
           Alcotest.test_case "reclaims free-list pages" `Quick
             test_recovery_reclaims_free_list_pages;
           Alcotest.test_case "drops corrupted dentry" `Quick
@@ -993,5 +991,7 @@ let () =
           Alcotest.test_case "pointers leaving the coffer are not followed"
             `Quick test_pointers_leaving_the_coffer;
           QCheck_alcotest.to_alcotest qcheck_in_runs_matches_linear_scan;
+          Alcotest.test_case "stale free lists go unused" `Quick
+            test_stale_free_lists_never_allocated;
         ] );
     ]

@@ -1668,8 +1668,6 @@ let () =
             test_two_processes_share_file;
           Alcotest.test_case "concurrent appends" `Quick
             test_concurrent_appends_interleave_safely;
-          Alcotest.test_case "a lost create race opens the winner" `Quick
-            test_create_race_opens_winner;
           Alcotest.test_case "fd semantics" `Quick
             test_fd_semantics_through_dispatcher;
           Alcotest.test_case "cwd + relative paths" `Quick
@@ -1680,8 +1678,6 @@ let () =
             test_balloc_64_processes_one_lease_period;
           Alcotest.test_case "20 sub-coffers without EMFILE" `Quick
             test_many_sub_coffers_no_emfile;
-          Alcotest.test_case "a listing skips inserted pages"
-            `Quick test_listing_skips_inserted_pages;
           Alcotest.test_case "sub-coffer create keeps its parent mapped"
             `Quick test_sub_coffer_create_keeps_parent;
           Alcotest.test_case "rmdir and rename keep their parents mapped"
@@ -1697,6 +1693,10 @@ let () =
             test_dispatcher_surface;
           Alcotest.test_case "variants are per instance" `Quick
             test_variants_are_per_instance;
+          Alcotest.test_case "a lost create race opens the winner" `Quick
+            test_create_race_opens_winner;
+          Alcotest.test_case "a listing skips inserted pages"
+            `Quick test_listing_skips_inserted_pages;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest qcheck_fs_matches_model ]);
     ]
